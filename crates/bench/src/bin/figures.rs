@@ -1,6 +1,6 @@
 //! Regenerate every table and figure of the paper.
 
-use dac_bench::cli::{CommonArgs, COMMON_USAGE};
+use dac_bench::cli::{exit_unrunnable, CommonArgs, COMMON_USAGE};
 use dac_bench::{evaluate_all, geomean, FullRow};
 use dac_core::DacConfig;
 use gpu_energy::EnergyModel;
@@ -68,6 +68,7 @@ fn main() {
                     harness.workers()
                 );
                 evaluate_all(&harness, benches, args.scale, &args.overrides)
+                    .unwrap_or_else(|f| exit_unrunnable("figures", &f))
             };
             match cmd.as_str() {
                 "table2" => table2(&run_rows(benches)),
@@ -453,7 +454,9 @@ fn ablate(harness: &Harness, args: &CommonArgs, benches: Vec<Workload>) {
             });
         }
     }
-    let out = harness.run(&jobs);
+    let out = harness
+        .try_run(&jobs)
+        .unwrap_or_else(|f| exit_unrunnable("figures", &f));
 
     let base_cycles: Vec<f64> = out.results[..subset.len()]
         .iter()

@@ -15,7 +15,7 @@
 //! `BENCH_pr6.json` (`dac-bench-pr6/v1`): same row shape, machine size
 //! pinned by the schema.
 
-use dac_bench::cli::{CommonArgs, COMMON_USAGE};
+use dac_bench::cli::{require_runnable, CommonArgs, COMMON_USAGE};
 use simt_harness::{json, DesignPoint, Job};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -192,6 +192,7 @@ fn main() {
             );
             let mut job = Job::new(workload, args.scale, point);
             job.overrides = args.overrides.clone();
+            require_runnable("perf", &job);
             let mut min_wall_s = f64::INFINITY;
             let mut pinned: Option<(u64, u64, u64)> = None;
             for _ in 0..repeat {

@@ -15,7 +15,7 @@
 //! design against the baseline. `--check-bench FILE` validates a
 //! `BENCH_pr3.json` against the checked-in schema (used by CI).
 
-use dac_bench::cli::{CommonArgs, COMMON_USAGE};
+use dac_bench::cli::{require_runnable, CommonArgs, COMMON_USAGE};
 use simt_harness::{json, DesignPoint, Job};
 use simt_profile::{report, DesignProfile, ProfileSink, WorkloadProfile};
 use std::path::{Path, PathBuf};
@@ -117,6 +117,7 @@ fn profiled_run(args: &CommonArgs, abbr: &str, point: DesignPoint) -> (DesignPro
         .unwrap_or_else(|| usage_exit(&format!("unknown benchmark {abbr:?}")));
     let mut job = Job::new(Arc::new(workload), args.scale, point);
     job.overrides = args.overrides.clone();
+    require_runnable("profile", &job);
     let cfg = job.overrides.apply_gpu(gpu_workloads::gpu_for(match point {
         DesignPoint::Hw(d) => d,
         DesignPoint::PerfectMem => gpu_workloads::Design::Baseline,

@@ -7,7 +7,7 @@
 //! byte-identical for any `--jobs N` — results are aggregated by job
 //! index, not completion order.
 
-use dac_bench::cli::{CommonArgs, COMMON_USAGE};
+use dac_bench::cli::{exit_unrunnable, CommonArgs, COMMON_USAGE};
 use dac_bench::geomean;
 use gpu_workloads::Design;
 use simt_harness::{scenario_jobs, suite_jobs, DesignPoint};
@@ -63,7 +63,9 @@ fn main() {
         harness.workers()
     );
     let t0 = std::time::Instant::now();
-    let out = harness.run(&jobs);
+    let out = harness
+        .try_run(&jobs)
+        .unwrap_or_else(|f| exit_unrunnable("sweep", &f));
     let wall = t0.elapsed();
 
     // One row per benchmark, one column per design; speedups are relative
@@ -137,7 +139,9 @@ fn scenario_sweep(args: &CommonArgs, name: &str, points: &[DesignPoint]) {
         harness.workers()
     );
     let t0 = std::time::Instant::now();
-    let out = harness.run(&jobs);
+    let out = harness
+        .try_run(&jobs)
+        .unwrap_or_else(|f| exit_unrunnable("sweep", &f));
     let wall = t0.elapsed();
 
     let base_col = points

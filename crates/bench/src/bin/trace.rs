@@ -7,7 +7,7 @@
 //! time-series summaries (IPC windows, queue occupancy, run-ahead
 //! histogram).
 
-use dac_bench::cli::{CommonArgs, COMMON_USAGE};
+use dac_bench::cli::{require_runnable, CommonArgs, COMMON_USAGE};
 use simt_harness::{json, DesignPoint, Job};
 use simt_trace::{chrome, jsonl, series, RingSink, TraceEvent};
 use std::path::PathBuf;
@@ -57,6 +57,7 @@ fn main() {
 
     let mut job = Job::new(Arc::new(workload), args.scale, point);
     job.overrides = args.overrides.clone();
+    require_runnable("trace", &job);
     eprintln!(
         "trace: {} (scale {}, ring capacity {})",
         job.label(),

@@ -4,7 +4,7 @@
 //! print the message plus their usage text and exit non-zero, instead of
 //! dumping a backtrace at the user.
 
-use simt_harness::{DesignPoint, Harness, Overrides, ResultCache};
+use simt_harness::{DesignPoint, Harness, Job, Overrides, ResultCache};
 use std::path::PathBuf;
 
 /// Default per-job ring-buffer capacity for `--trace` (newest events kept).
@@ -225,6 +225,24 @@ impl CommonArgs {
             benches.retain(|w| filter.iter().any(|f| w.abbr.eq_ignore_ascii_case(f)));
         }
         Ok(benches)
+    }
+}
+
+/// Report jobs that can never run (see [`Harness::try_run`]) — one
+/// `tool: label: reason` line each on stderr — and exit 1. Distinct from
+/// usage errors (exit 2): the command line parsed, the machine it
+/// describes just cannot hold these kernels.
+pub fn exit_unrunnable(tool: &str, failures: &[String]) -> ! {
+    for line in failures {
+        eprintln!("{tool}: {line}");
+    }
+    std::process::exit(1);
+}
+
+/// [`exit_unrunnable`] unless `job` can run on its configured machine.
+pub fn require_runnable(tool: &str, job: &Job) {
+    if let Err(e) = job.check() {
+        exit_unrunnable(tool, &[format!("{}: {e}", job.label())]);
     }
 }
 

@@ -123,6 +123,9 @@ pub const ROW_POINTS: [DesignPoint; 5] = [
 /// outputs. The whole `workloads × designs` matrix is submitted as one
 /// batch, so parallelism spans benchmarks as well as designs.
 ///
+/// `Err` holds one line per job that can never run under `overrides`
+/// (see [`Harness::try_run`]); nothing was simulated then.
+///
 /// # Panics
 ///
 /// Panics if any design changes a program's output (a correctness bug).
@@ -131,16 +134,17 @@ pub fn evaluate_all(
     workloads: Vec<Workload>,
     scale: u32,
     overrides: &Overrides,
-) -> Vec<FullRow> {
+) -> Result<Vec<FullRow>, Vec<String>> {
     let jobs = simt_harness::suite_jobs(workloads, scale, &ROW_POINTS, overrides);
-    let out = harness.run(&jobs);
-    jobs.chunks(ROW_POINTS.len())
+    let out = harness.try_run(&jobs)?;
+    Ok(jobs
+        .chunks(ROW_POINTS.len())
         .zip(out.results.chunks(ROW_POINTS.len()))
         .map(|(jobs, results)| {
             let w = jobs[0].workload().expect("suite_jobs builds bench jobs");
             assemble_row(w, jobs, results)
         })
-        .collect()
+        .collect())
 }
 
 fn assemble_row(w: &Arc<Workload>, jobs: &[Job], results: &[JobResult]) -> FullRow {
@@ -180,6 +184,7 @@ pub fn evaluate(w: &Workload) -> FullRow {
         1,
         &Overrides::default(),
     )
+    .expect("every benchmark fits the paper-default machine")
     .pop()
     .expect("one workload in, one row out")
 }
@@ -237,8 +242,8 @@ mod tests {
                 gpu_workloads::benchmark("MQ", 1).unwrap(),
             ]
         };
-        let serial = evaluate_all(&Harness::serial(), benches(), 1, &small);
-        let parallel = evaluate_all(&Harness::new(4), benches(), 1, &small);
+        let serial = evaluate_all(&Harness::serial(), benches(), 1, &small).unwrap();
+        let parallel = evaluate_all(&Harness::new(4), benches(), 1, &small).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.abbr, b.abbr);
             assert_eq!(a.memory_intensive, b.memory_intensive);

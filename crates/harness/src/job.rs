@@ -154,6 +154,14 @@ impl Overrides {
                 .parse::<usize>()
                 .map_err(|_| format!("--set {key}: expected a number, got {value:?}"))
         }
+        // Machine dimensions: a chip with no SMs, or SMs with no warp
+        // slots, can run nothing.
+        fn positive(key: &str, value: &str) -> Result<usize, String> {
+            match num(key, value)? {
+                0 => Err(format!("--set {key}: must be at least 1")),
+                n => Ok(n),
+            }
+        }
         fn flag(key: &str, value: &str) -> Result<bool, String> {
             match value {
                 "true" | "on" | "1" => Ok(true),
@@ -167,8 +175,8 @@ impl Overrides {
             "pwpq_total" => self.pwpq_total = Some(num(key, value)?),
             "lock_lines" => self.lock_lines = Some(flag(key, value)?),
             "divergent_tuples" => self.divergent_tuples = Some(flag(key, value)?),
-            "num_sms" => self.num_sms = Some(num(key, value)?),
-            "max_warps_per_sm" => self.max_warps_per_sm = Some(num(key, value)?),
+            "num_sms" => self.num_sms = Some(positive(key, value)?),
+            "max_warps_per_sm" => self.max_warps_per_sm = Some(positive(key, value)?),
             "streams" => {
                 if gpu_workloads::scenario(value, 1).is_none() {
                     return Err(format!(
@@ -355,8 +363,40 @@ impl Job {
         format!("{}/{}", self.bench(), self.point.name())
     }
 
+    /// The machine this job runs on: the design point's base
+    /// configuration with the job's overrides applied.
+    fn gpu(&self) -> GpuSim {
+        let base = match self.point {
+            DesignPoint::PerfectMem => GpuConfig::gtx480_perfect_mem(),
+            DesignPoint::Hw(d) => gpu_for(d),
+        };
+        GpuSim::new(self.overrides.apply_gpu(base))
+    }
+
+    /// Can this job run at all? `Err` is the one-line reason when a CTA of
+    /// one of its kernels can never be placed on the configured machine
+    /// (e.g. `max_warps_per_sm` overridden below the kernel's warps per
+    /// CTA) — the condition [`Job::execute`] panics on at launch. DAC's
+    /// non-affine stream keeps the original kernel's launch geometry and
+    /// static footprint, so checking the original covers every design.
+    pub fn check(&self) -> Result<(), String> {
+        let gpu = self.gpu();
+        match &self.payload {
+            Payload::Bench(w) => gpu.check_launch(&w.kernel, &w.launch),
+            Payload::Scenario(sc) => sc
+                .kernels()
+                .iter()
+                .try_for_each(|k| gpu.check_launch(&k.kernel, &k.launch)),
+        }
+    }
+
     /// Run the simulation. Deterministic: equal jobs produce equal results
     /// on every invocation, which is what makes the cache sound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Job::check`] fails, or on a simulator correctness
+    /// violation (deadlock guard, accounting invariants).
     pub fn execute(&self) -> JobResult {
         self.execute_traced(&mut NullTracer)
     }
@@ -373,16 +413,15 @@ impl Job {
 
     fn execute_bench(&self, w: &Workload, tracer: &mut dyn Tracer) -> JobResult {
         let t0 = Instant::now();
+        let gpu = self.gpu();
         let (report, memory) = match self.point {
             DesignPoint::PerfectMem => {
-                let gpu = GpuSim::new(self.overrides.apply_gpu(GpuConfig::gtx480_perfect_mem()));
                 let mut memory = w.fresh_memory();
                 let mut nop = simt_sim::NullCoProcessor;
                 let report = gpu.run_traced(&w.program(), &mut memory, &mut nop, tracer);
                 (report, memory)
             }
             DesignPoint::Hw(Design::Dac) => {
-                let gpu = GpuSim::new(self.overrides.apply_gpu(gpu_for(Design::Dac)));
                 let run = run_dac_traced(
                     w,
                     &gpu,
@@ -392,7 +431,6 @@ impl Job {
                 (run.report, run.memory)
             }
             DesignPoint::Hw(design) => {
-                let gpu = GpuSim::new(self.overrides.apply_gpu(gpu_for(design)));
                 let run = run_design_traced(w, design, &gpu, tracer);
                 (run.report, run.memory)
             }
@@ -409,11 +447,11 @@ impl Job {
 
     fn execute_scenario(&self, sc: &Scenario, tracer: &mut dyn Tracer) -> JobResult {
         let t0 = Instant::now();
-        let (design, base_cfg) = match self.point {
-            DesignPoint::PerfectMem => (Design::Baseline, GpuConfig::gtx480_perfect_mem()),
-            DesignPoint::Hw(d) => (d, gpu_for(d)),
+        let design = match self.point {
+            DesignPoint::PerfectMem => Design::Baseline,
+            DesignPoint::Hw(d) => d,
         };
-        let gpu = GpuSim::new(self.overrides.apply_gpu(base_cfg));
+        let gpu = self.gpu();
         let run = run_scenario_design_traced(
             sc,
             design,
@@ -539,8 +577,46 @@ mod tests {
         assert!(o.set("atq_entries", "many").is_err());
         assert!(o.set("lock_lines", "2").is_err());
         assert!(o.set("warp_speed", "9").is_err());
+        // A machine with no SMs or no warp slots is a `--set` error, not a
+        // simulation that dies at the deadlock guard.
+        for key in ["num_sms", "max_warps_per_sm"] {
+            let err = o.set(key, "0").unwrap_err();
+            assert!(err.contains(key) && !err.contains('\n'), "{err}");
+            assert!(o.set(key, "1").is_ok());
+        }
         assert_eq!(o.atq_entries, Some(12));
         assert_eq!(o.lock_lines, Some(false));
+    }
+
+    #[test]
+    fn check_reports_unplaceable_ctas_in_one_line() {
+        // LIB launches 4-warp CTAs: 3 warp slots per SM can never hold one.
+        let w = Arc::new(benchmark("LIB", 1).unwrap());
+        for point in DesignPoint::HW_ALL
+            .into_iter()
+            .chain([DesignPoint::PerfectMem])
+        {
+            let mut job = Job::new(w.clone(), 1, point);
+            assert_eq!(job.check(), Ok(()));
+            job.overrides.max_warps_per_sm = Some(3);
+            let err = job.check().unwrap_err();
+            assert!(
+                err.contains("can never be placed") && err.contains("4 warps"),
+                "{err}"
+            );
+            assert!(!err.contains('\n'), "{err}");
+            // Programmatic overrides bypass `Overrides::set`.
+            job.overrides = Overrides {
+                num_sms: Some(0),
+                ..Overrides::default()
+            };
+            assert!(job.check().unwrap_err().contains("0 SMs"));
+        }
+        let sc = Arc::new(gpu_workloads::scenario("pipeline", 1).unwrap());
+        let mut job = Job::for_scenario(sc, 1, DesignPoint::Hw(Design::Dac));
+        assert_eq!(job.check(), Ok(()));
+        job.overrides.max_warps_per_sm = Some(1);
+        assert!(job.check().unwrap_err().contains("can never be placed"));
     }
 
     #[test]

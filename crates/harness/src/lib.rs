@@ -193,14 +193,39 @@ impl Harness {
         self.workers
     }
 
+    /// [`Harness::try_run`] for callers whose jobs are known to be
+    /// runnable.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the failure lines if any job can never run, and
+    /// propagates simulator panics (correctness violations, deadlock
+    /// guard) from worker threads.
+    pub fn run(&self, jobs: &[Job]) -> RunOutput {
+        self.try_run(jobs)
+            .unwrap_or_else(|failures| panic!("{}", failures.join("\n")))
+    }
+
     /// Run every job: serve cache hits, simulate misses on the pool, store
     /// fresh results, and append one artifact line per job (in job order).
+    ///
+    /// Nothing is simulated unless every job passes [`Job::check`]:
+    /// otherwise `Err` holds one `label: reason` line per job that can
+    /// never run on its configured machine — how untrusted `--set`
+    /// overrides fail, instead of a launch-validation panic on a worker.
     ///
     /// # Panics
     ///
     /// Propagates simulator panics (correctness violations, deadlock
     /// guard) from worker threads.
-    pub fn run(&self, jobs: &[Job]) -> RunOutput {
+    pub fn try_run(&self, jobs: &[Job]) -> Result<RunOutput, Vec<String>> {
+        let failures: Vec<String> = jobs
+            .iter()
+            .filter_map(|job| Some(format!("{}: {}", job.label(), job.check().err()?)))
+            .collect();
+        if !failures.is_empty() {
+            return Err(failures);
+        }
         let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
         let mut misses: Vec<(usize, Job)> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
@@ -268,14 +293,14 @@ impl Harness {
                 None
             });
 
-        RunOutput {
+        Ok(RunOutput {
             results,
             artifact_path,
             cache_hits,
             executed,
             trace_drops,
             trace_dropped_jobs,
-        }
+        })
     }
 }
 
@@ -353,6 +378,33 @@ mod tests {
             assert!(r.report.cycles > 0);
             assert!(!r.cached);
         }
+    }
+
+    #[test]
+    fn unrunnable_jobs_fail_in_one_line_each_and_simulate_nothing() {
+        // LIB's 4-warp CTAs fit 4 warp slots per SM; AES's 8-warp CTAs
+        // never can.
+        let overrides = Overrides {
+            max_warps_per_sm: Some(4),
+            ..small_overrides()
+        };
+        let benches = vec![benchmark("LIB", 1).unwrap(), benchmark("AES", 1).unwrap()];
+        let jobs = suite_jobs(benches, 1, &DesignPoint::HW_ALL, &overrides);
+        let dir = std::env::temp_dir().join(format!("dac-unrunnable-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let failures = Harness::new(2)
+            .with_artifacts(&dir)
+            .try_run(&jobs)
+            .expect_err("AES cannot be placed");
+        assert_eq!(failures.len(), 4, "{failures:?}");
+        for (line, design) in failures.iter().zip(["baseline", "cae", "mta", "dac"]) {
+            assert!(
+                line.starts_with(&format!("AES/{design}: kernel aes can never be placed")),
+                "{line}"
+            );
+            assert!(!line.contains('\n'), "{line}");
+        }
+        assert!(!dir.exists(), "nothing may run or be written");
     }
 
     #[test]

@@ -486,85 +486,50 @@ impl Instr {
         }
     }
 
-    /// All general-purpose registers read by this instruction (including the
-    /// guard's predicate register — which is a *predicate*, so excluded here).
+    /// All general-purpose registers read by this instruction (the guard's
+    /// predicate register is a *predicate*, so excluded here). At most
+    /// three: ALU arity caps at 3.
     pub fn src_regs(&self) -> Vec<RegId> {
-        let (regs, n) = self.src_regs_inline();
-        regs[..n].to_vec()
-    }
-
-    /// [`Instr::src_regs`] without allocating: a fixed array plus the live
-    /// count. No instruction reads more than three general-purpose
-    /// registers (ALU arity caps at 3). This is the scoreboard's per-cycle
-    /// hot path — the `Vec` variants stay for the cold analysis passes.
-    pub fn src_regs_inline(&self) -> ([RegId; 3], usize) {
-        let mut out = [0; 3];
-        let mut n = 0;
-        let mut push = |o: Option<RegId>| {
-            if let Some(r) = o {
-                out[n] = r;
-                n += 1;
-            }
-        };
+        let mut out = Vec::with_capacity(3);
         match self {
             Instr::Alu { op, srcs, .. } => {
-                for s in &srcs[..op.arity()] {
-                    push(s.reg());
-                }
+                out.extend(srcs[..op.arity()].iter().filter_map(|s| s.reg()));
             }
             Instr::SetP { a, b, .. } | Instr::Sel { a, b, .. } => {
-                push(a.reg());
-                push(b.reg());
+                out.extend(a.reg());
+                out.extend(b.reg());
             }
-            Instr::Ld { addr, .. } => push(addr.reg()),
+            Instr::Ld { addr, .. } => out.extend(addr.reg()),
             Instr::St { addr, src, .. } | Instr::Atom { addr, src, .. } => {
-                push(addr.reg());
-                push(src.reg());
+                out.extend(addr.reg());
+                out.extend(src.reg());
             }
-            Instr::Enq { src, .. } => push(*src),
+            Instr::Enq { src, .. } => out.extend(*src),
             Instr::Bra { .. } | Instr::Bar | Instr::Exit => {}
         }
-        (out, n)
+        out
     }
 
-    /// Predicate registers read (guard + setp-like sources + branch preds).
+    /// Predicate registers read: the guard plus at most one
+    /// instruction-specific predicate source (`sel`, register-predicated
+    /// branches, `enq.pred`).
     pub fn src_preds(&self) -> Vec<PredId> {
-        let (preds, n) = self.src_preds_inline();
-        preds[..n].to_vec()
-    }
-
-    /// [`Instr::src_preds`] without allocating: at most a guard plus one
-    /// instruction-specific predicate source.
-    pub fn src_preds_inline(&self) -> ([PredId; 2], usize) {
-        let mut out = [0; 2];
-        let mut n = 0;
-        if let Some(g) = self.guard() {
-            out[n] = g.pred;
-            n += 1;
-        }
+        let mut out = Vec::with_capacity(2);
+        out.extend(self.guard().map(|g| g.pred));
         match self {
-            Instr::Sel { pred, .. } => {
-                out[n] = pred.pred;
-                n += 1;
-            }
+            Instr::Sel { pred, .. } => out.push(pred.pred),
             Instr::Bra {
                 pred: Some(PredSrc::Reg(g)),
                 ..
-            } => {
-                out[n] = g.pred;
-                n += 1;
-            }
+            } => out.push(g.pred),
             Instr::Enq {
                 kind: QueueKind::Pred,
                 pred: Some(p),
                 ..
-            } => {
-                out[n] = *p;
-                n += 1;
-            }
+            } => out.push(*p),
             _ => {}
         }
-        (out, n)
+        out
     }
 
     /// The instruction's guard, if any (branches use [`PredSrc`] instead).
@@ -591,6 +556,19 @@ impl Instr {
             self,
             Instr::Ld { .. } | Instr::St { .. } | Instr::Atom { .. }
         )
+    }
+
+    /// True if the instruction has a `deq.*` operand — a `[deq.data]` /
+    /// `[deq.addr]` address or an `@deq.pred` branch predicate — i.e. it
+    /// consumes a DAC queue entry at issue, so a coprocessor may gate it.
+    pub fn has_deq(&self) -> bool {
+        match self {
+            Instr::Ld { addr, .. } | Instr::St { addr, .. } | Instr::Atom { addr, .. } => {
+                addr.is_deq()
+            }
+            Instr::Bra { pred, .. } => matches!(pred, Some(PredSrc::Deq { .. })),
+            _ => false,
+        }
     }
 }
 

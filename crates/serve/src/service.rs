@@ -636,7 +636,12 @@ impl SweepService {
             }
 
             let sim_started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| job.execute()));
+            // A point that can never run fails with its one-line reason;
+            // anything else that goes wrong inside the simulator is a panic.
+            let outcome = match job.check() {
+                Ok(()) => catch_unwind(AssertUnwindSafe(|| job.execute())),
+                Err(reason) => Err(Box::new(reason) as Box<dyn std::any::Any + Send>),
+            };
             let wall_us = sim_started.elapsed().as_micros() as u64;
             let mut st = lock.lock().unwrap();
             match outcome {

@@ -2,10 +2,13 @@
 //! the journal with the panic message, (b) count it in the status
 //! document, and (c) make `sweepctl tail` exit non-zero.
 //!
-//! The failing point is an unplaceable launch: `max_warps_per_sm: 0`
-//! means no SM can ever accept a CTA, which the simulator rejects at
-//! launch validation ("can never be placed"). The panic is caught by the
-//! sweep worker and journaled rather than tearing the daemon down.
+//! The failing point is an unplaceable launch: `max_warps_per_sm: 3`
+//! cannot hold LIB's 4-warp CTAs, which the simulator rejects at launch
+//! validation ("can never be placed"). The sweep worker journals that
+//! reason (`Job::check`, or a caught panic for any other simulator
+//! failure) rather than tearing the daemon down. (A machine with *no*
+//! warp slots or SMs never gets that far: the override parser turns it
+//! into a 400.)
 
 use simt_harness::json;
 use simt_serve::client::Client;
@@ -35,9 +38,18 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
     let serving = std::thread::spawn(move || server.serve());
     let client = Client::new(addr.clone());
 
+    for knob in ["max_warps_per_sm", "num_sms"] {
+        let empty_machine = json::parse(&format!(
+            r#"{{"benches": ["LIB"], "designs": ["baseline"], "overrides": {{"{knob}": 0}}}}"#
+        ))
+        .unwrap();
+        let rejected = client.post("/sweeps", Some(&empty_machine)).unwrap();
+        assert_eq!(rejected.status, 400, "{knob}=0 must be a bad request");
+    }
+
     let request = json::parse(
         r#"{"benches": ["LIB"], "designs": ["baseline"],
-            "overrides": {"max_warps_per_sm": 0, "num_sms": 2}}"#,
+            "overrides": {"max_warps_per_sm": 3, "num_sms": 2}}"#,
     )
     .unwrap();
     let receipt = client

@@ -5,7 +5,7 @@
 //!
 //! * **issue gating** — [`CoProcessor::can_issue`] lets DAC hold back a warp
 //!   whose `deq.*` operand is not ready (empty per-warp queue or data still
-//!   in flight);
+//!   in flight); the scheduler consults it for those instructions only;
 //! * **issue cost** — [`CoProcessor::issue_cost`] lets CAE issue
 //!   affine-eligible instructions at initiation interval 1 on its affine
 //!   units instead of 2 on the SIMT lanes;
@@ -133,7 +133,10 @@ pub trait CoProcessor {
     }
 
     /// May `warp` issue `instr` this cycle? DAC returns false when a
-    /// dequeue operand is not ready.
+    /// dequeue operand is not ready. Asked only about instructions with a
+    /// `deq.*` operand ([`Instr::has_deq`]) — the only ones a coprocessor
+    /// may hold back — once per scheduler visit, so implementations may
+    /// count stalls here.
     fn can_issue(&mut self, sm: usize, warp: usize, instr: &Instr, stats: &mut SimStats) -> bool {
         let _ = (sm, warp, instr, stats);
         true

@@ -9,7 +9,7 @@ use crate::coproc::{CoProcessor, NullCoProcessor};
 use crate::sm::{KernelCtx, Sm};
 use crate::stats::SimStats;
 use crate::stream::{Stream, StreamLaunch};
-use simt_ir::{Cfg, Program};
+use simt_ir::{Kernel, LaunchConfig, Program};
 use simt_mem::{MemStats, MemoryFabric, SparseMemory};
 use simt_trace::{NullTracer, Tracer};
 
@@ -203,6 +203,42 @@ impl GpuSim {
         &self.cfg
     }
 
+    /// Can a CTA of `kernel` launched as `launch` ever be placed on this
+    /// machine? `Err` names the violated resource when the CTA's static
+    /// footprint (warp slots, registers, shared memory) exceeds an *empty*
+    /// SM, or the machine has no SMs. Every `run*` entry point panics with
+    /// this message at launch; callers holding untrusted configuration
+    /// (`--set` overrides) check first and report it as an ordinary error.
+    pub fn check_launch(&self, kernel: &Kernel, launch: &LaunchConfig) -> Result<(), String> {
+        let cfg = &self.cfg;
+        let warps = launch.warps_per_cta();
+        let cta_regs = warps * 32 * kernel.regs_per_thread as u32;
+        let name = &kernel.name;
+        if cfg.num_sms == 0 {
+            Err(format!(
+                "kernel {name} can never be placed: the machine has 0 SMs"
+            ))
+        } else if warps as usize > cfg.max_warps_per_sm {
+            Err(format!(
+                "kernel {name} can never be placed: CTA needs {warps} warps, SM has {} slots",
+                cfg.max_warps_per_sm
+            ))
+        } else if cta_regs > cfg.regfile_per_sm {
+            Err(format!(
+                "kernel {name} can never be placed: CTA needs {cta_regs} registers \
+                 ({warps} warps x 32 lanes x {} regs/thread), SM regfile holds {}",
+                kernel.regs_per_thread, cfg.regfile_per_sm
+            ))
+        } else if kernel.shared_bytes > cfg.shared_mem_per_sm {
+            Err(format!(
+                "kernel {name} can never be placed: CTA needs {} shared bytes, SM has {}",
+                kernel.shared_bytes, cfg.shared_mem_per_sm
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Run `program` on the baseline GPU (no coprocessor).
     ///
     /// # Panics
@@ -312,49 +348,16 @@ impl GpuSim {
         );
         for (_, _, l) in &flat {
             l.program.kernel.validate().expect("invalid kernel");
-            // A CTA whose static footprint exceeds an *empty* SM can never
-            // be placed; without this check the command processor would
-            // retry every cycle until the deadlock guard fires at
-            // `max_cycles`. Fail fast with the violated resource instead.
-            let kernel = &l.program.kernel;
-            let warps = l.program.launch.warps_per_cta();
-            let cta_regs = warps * 32 * kernel.regs_per_thread as u32;
-            assert!(
-                warps as usize <= cfg.max_warps_per_sm,
-                "kernel {} can never be placed: CTA needs {} warps, SM has {} slots",
-                kernel.name,
-                warps,
-                cfg.max_warps_per_sm
-            );
-            assert!(
-                cta_regs <= cfg.regfile_per_sm,
-                "kernel {} can never be placed: CTA needs {} registers \
-                 ({} warps x 32 lanes x {} regs/thread), SM regfile holds {}",
-                kernel.name,
-                cta_regs,
-                warps,
-                kernel.regs_per_thread,
-                cfg.regfile_per_sm
-            );
-            assert!(
-                kernel.shared_bytes <= cfg.shared_mem_per_sm,
-                "kernel {} can never be placed: CTA needs {} shared bytes, SM has {}",
-                kernel.name,
-                kernel.shared_bytes,
-                cfg.shared_mem_per_sm
-            );
+            // Without this check the command processor would retry an
+            // unplaceable CTA every cycle until the deadlock guard fires
+            // at `max_cycles`.
+            if let Err(e) = self.check_launch(&l.program.kernel, &l.program.launch) {
+                panic!("{e}");
+            }
         }
-        let cfgraphs: Vec<Cfg> = flat
-            .iter()
-            .map(|(_, _, l)| Cfg::build(&l.program.kernel))
-            .collect();
         let kctxs: Vec<KernelCtx<'_>> = flat
             .iter()
-            .zip(&cfgraphs)
-            .map(|((_, _, l), g)| KernelCtx {
-                program: &l.program,
-                reconvergence: &g.reconvergence,
-            })
+            .map(|(_, _, l)| KernelCtx::new(&l.program))
             .collect();
 
         let mut fabric = MemoryFabric::new(cfg.mem.clone(), cfg.num_sms);

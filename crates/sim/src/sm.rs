@@ -1,5 +1,11 @@
 //! One streaming multiprocessor: schedulers, scoreboard, functional
 //! execution, LSU, barriers, and CTA residency.
+//!
+//! The issue stage is event-driven (DESIGN.md "Event-driven issue stage"):
+//! every warp slot carries an [`IssueClass`] that is recomputed only when
+//! an event touches that warp, so a scheduler hunting for a ready warp
+//! reads one byte per candidate instead of re-deriving its readiness from
+//! the warp's stack, instruction and scoreboard every cycle.
 
 use crate::coalesce::{coalesce_into, Transaction};
 use crate::config::GpuConfig;
@@ -7,30 +13,112 @@ use crate::coproc::{CoCtx, CoProcessor, IssueCost, RecordKind};
 use crate::stats::SimStats;
 use crate::warp::WarpState;
 use simt_ir::cfg::DefTarget;
-use simt_ir::{eval, AddrMode, AtomOp, Instr, Operand, PredSrc, Program, Space, Width};
+use simt_ir::{
+    eval, AddrMode, AtomOp, Cfg, Instr, Operand, PredId, PredSrc, Program, RegId, Space, Width,
+};
 use simt_mem::{
     AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind, SmPortView, SparseMemory,
 };
 use simt_trace::{StallCause, TraceEvent, Tracer};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Base of the per-thread local-memory window in the global address space.
 pub const LOCAL_BASE: u64 = 1 << 40;
 /// Bytes of local memory per thread.
 pub const LOCAL_STRIDE: u64 = 1 << 16;
 
-/// Immutable per-kernel context shared by all SMs during a run.
+/// What the issue stage asks of one instruction, decoded once per kernel
+/// so no per-cycle path re-derives it from the [`Instr`].
+#[derive(Debug, Clone, Copy)]
+struct IssueInfo {
+    /// Scoreboard dependencies among the general registers: every source
+    /// plus the destination (`regs[..nregs]`).
+    regs: [RegId; 4],
+    nregs: u8,
+    /// Scoreboard dependencies among the predicates: guard, predicate
+    /// source, destination (`preds[..npreds]`).
+    preds: [PredId; 3],
+    npreds: u8,
+    /// Needs an LSU queue entry (ld/st/atom).
+    is_mem: bool,
+    /// Has a `deq.*` operand, so the coprocessor may gate it.
+    has_deq: bool,
+    /// Reconvergence PC if this is a branch (`usize::MAX` = thread exit).
+    rpc: usize,
+}
+
+impl IssueInfo {
+    fn decode(instr: &Instr, rpc: usize) -> Self {
+        let mut info = IssueInfo {
+            regs: [0; 4],
+            nregs: 0,
+            preds: [0; 3],
+            npreds: 0,
+            is_mem: instr.is_mem(),
+            has_deq: instr.has_deq(),
+            rpc,
+        };
+        for r in instr.src_regs().into_iter().chain(instr.def_reg()) {
+            info.regs[info.nregs as usize] = r;
+            info.nregs += 1;
+        }
+        for p in instr.src_preds().into_iter().chain(instr.def_pred()) {
+            info.preds[info.npreds as usize] = p;
+            info.npreds += 1;
+        }
+        info
+    }
+
+    /// Is any register or predicate this instruction reads or writes
+    /// still awaiting a writeback on `warp`?
+    #[inline]
+    fn scoreboard_blocked(&self, warp: &WarpState) -> bool {
+        self.regs[..self.nregs as usize]
+            .iter()
+            .any(|&r| warp.reg_pending(r))
+            || self.preds[..self.npreds as usize]
+                .iter()
+                .any(|&p| warp.pred_pending(p))
+    }
+}
+
+/// Immutable per-kernel context shared by all SMs during a run: the
+/// program plus everything derived from it that the per-cycle paths need
+/// (per-instruction issue requirements, CTA footprint).
 pub struct KernelCtx<'a> {
     /// The program being executed.
     pub program: &'a Program,
-    /// Reconvergence PC for every branch (from CFG analysis).
-    pub reconvergence: &'a HashMap<usize, usize>,
+    /// One entry per instruction, indexed by PC.
+    issue_info: Vec<IssueInfo>,
+    /// Warp slots one CTA occupies.
+    warps_per_cta: usize,
+    /// Register-file footprint of one CTA: every warp slot holds 32
+    /// threads' worth of `regs_per_thread` registers.
+    cta_regs: u32,
 }
 
-impl KernelCtx<'_> {
-    fn rpc_of(&self, pc: usize) -> usize {
-        self.reconvergence.get(&pc).copied().unwrap_or(usize::MAX)
+impl<'a> KernelCtx<'a> {
+    /// Pre-decode `program` (runs the CFG analysis for reconvergence PCs).
+    pub fn new(program: &'a Program) -> Self {
+        let cfg = Cfg::build(&program.kernel);
+        let issue_info = program
+            .kernel
+            .instrs
+            .iter()
+            .enumerate()
+            .map(|(pc, instr)| {
+                let rpc = cfg.reconvergence.get(&pc).copied().unwrap_or(usize::MAX);
+                IssueInfo::decode(instr, rpc)
+            })
+            .collect();
+        let warps = program.launch.warps_per_cta();
+        KernelCtx {
+            program,
+            issue_info,
+            warps_per_cta: warps as usize,
+            cta_regs: warps * 32 * program.kernel.regs_per_thread as u32,
+        }
     }
 }
 
@@ -92,15 +180,28 @@ struct MemOp {
     vals: [u64; 32],
 }
 
-/// Outcome of a scheduler's readiness check on one warp slot.
+/// What stands between a warp slot and issue, as far as the warp's own
+/// state decides it. One byte per slot on the [`Sm`], recomputed by
+/// [`Sm::classify`] only when an event touches the warp (own issue,
+/// scoreboard release, barrier release, CTA launch/retire). What the
+/// class cannot capture is read live by the scheduler: LSU occupancy for
+/// the memory classes, the coprocessor's queues for the gated ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Readiness {
-    /// The warp can issue this cycle.
-    Ready,
-    /// Empty slot or retired warp — not schedulable, not a stall.
+enum IssueClass {
+    /// Empty slot or finished warp — not schedulable, not a stall.
     Absent,
-    /// The warp exists but is blocked, for this reason.
-    Stalled(StallCause),
+    /// Waiting at a `bar.sync`.
+    Barrier,
+    /// A source or destination of the next instruction awaits writeback.
+    Scoreboard,
+    /// Nothing in the way.
+    Plain,
+    /// Memory instruction: ready iff the LSU queue has room.
+    Mem,
+    /// `deq.*` operand: ready iff the coprocessor says so.
+    Gated,
+    /// Both: LSU room first, then the coprocessor gate.
+    GatedMem,
 }
 
 /// Stall causes observed while one scheduler hunted for a ready warp this
@@ -165,10 +266,11 @@ struct Scheduler {
 pub struct Sm {
     /// SM index.
     pub id: usize,
-    /// Warp slots.
-    pub warps: Vec<Option<WarpState>>,
+    /// Warp slots. Private: `class`, `free_warps` and `resident` mirror
+    /// these two vectors and are only kept in step by this module.
+    warps: Vec<Option<WarpState>>,
     /// CTA slots.
-    pub cta_slots: Vec<Option<CtaInfo>>,
+    cta_slots: Vec<Option<CtaInfo>>,
     schedulers: Vec<Scheduler>,
     /// Pending register/predicate releases: `(at, warp, id, target)` with a
     /// monotone `id` so ordering never reaches the 4th field. The def
@@ -196,6 +298,21 @@ pub struct Sm {
     used_regs: u32,
     /// Shared-memory bytes currently held by resident CTAs.
     used_shared: u32,
+    /// Issue class of every warp slot (see [`IssueClass`]); current for
+    /// every slot not in `dirty`.
+    class: Vec<IssueClass>,
+    /// Warp slots touched by an event since their class was last computed.
+    dirty: Vec<usize>,
+    /// CTA slots with a barrier arrival, a warp exit, or a scoreboard
+    /// release on an exited warp this cycle — the only CTAs whose barrier
+    /// or retire condition can have changed. Kept ascending and
+    /// duplicate-free by `touch_cta`; read by `resolve_barriers`, consumed
+    /// by `retire_ctas`.
+    cta_dirty: Vec<usize>,
+    /// Empty warp slots (launch subtracts, retire adds).
+    free_warps: usize,
+    /// Occupied CTA slots.
+    resident: usize,
     /// Monotone event counter for the idle-cycle fast-forward probe. Bumped
     /// only on SM-side state changes that no statistics counter already
     /// witnesses: writeback-heap pops, barrier releases, and CTA retires.
@@ -229,6 +346,11 @@ impl Sm {
             mem_ops: Vec::new(),
             used_regs: 0,
             used_shared: 0,
+            class: vec![IssueClass::Absent; cfg.max_warps_per_sm],
+            dirty: Vec::new(),
+            cta_dirty: Vec::new(),
+            free_warps: cfg.max_warps_per_sm,
+            resident: 0,
             progress: 0,
         }
     }
@@ -257,23 +379,17 @@ impl Sm {
         wake
     }
 
-    /// Register-file footprint of one CTA of this kernel: every warp slot
-    /// holds 32 threads' worth of `regs_per_thread` registers.
-    pub fn cta_regs(kctx: &KernelCtx<'_>) -> u32 {
-        kctx.program.launch.warps_per_cta() * 32 * kctx.program.kernel.regs_per_thread as u32
-    }
-
     /// Does the SM have room for another CTA of this kernel? Checks all
     /// four static resources: CTA slots, warp slots, shared memory, and
     /// the register file.
     pub fn can_accept_cta(&self, cfg: &GpuConfig, kctx: &KernelCtx<'_>) -> bool {
-        let warps_needed = kctx.program.launch.warps_per_cta() as usize;
-        let free_slot = self.cta_slots.iter().any(|s| s.is_none());
-        let free_warps = self.warps.iter().filter(|w| w.is_none()).count();
         let shared_ok =
             self.used_shared + kctx.program.kernel.shared_bytes <= cfg.shared_mem_per_sm;
-        let regs_ok = self.used_regs + Self::cta_regs(kctx) <= cfg.regfile_per_sm;
-        free_slot && free_warps >= warps_needed && shared_ok && regs_ok
+        let regs_ok = self.used_regs + kctx.cta_regs <= cfg.regfile_per_sm;
+        self.resident < self.cta_slots.len()
+            && self.free_warps >= kctx.warps_per_cta
+            && shared_ok
+            && regs_ok
     }
 
     /// Registers currently held by resident CTAs.
@@ -308,7 +424,7 @@ impl Sm {
             .iter()
             .position(|s| s.is_none())
             .expect("no free CTA slot");
-        let warps_needed = launch.warps_per_cta() as usize;
+        let warps_needed = kctx.warps_per_cta;
         let threads = launch.threads_per_cta() as u64;
         let mut warp_ids = Vec::with_capacity(warps_needed);
         for w in 0..warps_needed {
@@ -335,7 +451,10 @@ impl Sm {
             ));
             warp_ids.push(id);
         }
-        let cta_regs = Self::cta_regs(kctx);
+        self.dirty.extend_from_slice(&warp_ids);
+        self.free_warps -= warps_needed;
+        self.resident += 1;
+        let cta_regs = kctx.cta_regs;
         self.used_regs += cta_regs;
         self.used_shared += kernel.shared_bytes;
         assert!(
@@ -365,14 +484,12 @@ impl Sm {
 
     /// All warps retired and nothing in flight?
     pub fn idle(&self) -> bool {
-        self.cta_slots.iter().all(|s| s.is_none())
-            && self.lsu.is_empty()
-            && self.outstanding.is_empty()
+        self.resident == 0 && self.lsu.is_empty() && self.outstanding.is_empty()
     }
 
     /// Number of resident CTAs.
     pub fn resident_ctas(&self) -> usize {
-        self.cta_slots.iter().flatten().count()
+        self.resident
     }
 
     fn schedule_writeback(&mut self, at: u64, warp: usize, what: DefTarget) {
@@ -383,30 +500,6 @@ impl Sm {
             DefTarget::Pred(p) => (1u64 << 32) | p as u64,
         };
         self.writeback.push(Reverse((at, warp, id, enc)));
-    }
-
-    /// Advance the SM one cycle (serial convenience: compute + replay
-    /// against the full fabric). The run loop drives
-    /// [`Sm::cycle_compute`] and [`Sm::cycle_replay`] separately so the
-    /// compute phase can run on worker threads.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cycle(
-        &mut self,
-        now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        mem: &mut SparseMemory,
-        fabric: &mut MemoryFabric,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
-        let pbuf_stats = coproc.wants_pbuf_stats(now).then(|| fabric.pbuf_stats());
-        {
-            let mut port = fabric.port_view(self.id);
-            self.cycle_compute(now, cfg, kctx, &mut port, coproc, stats, pbuf_stats, tracer);
-        }
-        self.cycle_replay(now, mem, fabric, coproc, stats, tracer);
     }
 
     /// The SM-local part of a cycle: writeback/response drains, the
@@ -432,6 +525,9 @@ impl Sm {
         self.mem_ops.clear();
         self.drain_writebacks(now);
         self.drain_responses(now, port, coproc, tracer);
+        // Everything since the last issue stage (these drains, last
+        // cycle's barrier releases and retires, this cycle's launches).
+        self.reclassify(kctx);
 
         // Coprocessor gets first crack at issue slot 0 (the affine warp
         // shares the SM's issue bandwidth, paper §4.4).
@@ -472,6 +568,7 @@ impl Sm {
             if let Some(w) = self.pick_warp(s, now, cfg, kctx, coproc, stats, tracer, &mut tally) {
                 stats.slot_issued += 1;
                 let cost = self.issue(w, now, cfg, kctx, coproc, stats, tracer);
+                self.reclassify(kctx);
                 let busy = match cost {
                     IssueCost::Normal => cfg.issue_interval,
                     IssueCost::Fast => 1,
@@ -483,7 +580,7 @@ impl Sm {
             }
         }
 
-        self.resolve_barriers(coproc, stats);
+        self.resolve_barriers(coproc);
     }
 
     /// The shared-state part of a cycle, run for every SM in index order
@@ -566,7 +663,30 @@ impl Sm {
                 } else {
                     w.release_reg(enc as u16);
                 }
+                self.note_release(warp);
             }
+        }
+    }
+
+    /// A scoreboard release landed on resident warp `w`: a live warp may
+    /// have become issuable; an exited one may have been the last thing
+    /// holding its CTA on the SM.
+    fn note_release(&mut self, w: usize) {
+        let warp = self.warps[w].as_ref().unwrap();
+        if warp.done() {
+            let slot = warp.cta_slot;
+            self.touch_cta(slot);
+        } else {
+            self.dirty.push(w);
+        }
+    }
+
+    /// Record that CTA `slot`'s barrier or retire condition may have
+    /// changed this cycle. The list stays ascending so both consumers
+    /// visit slots in the order a full scan would.
+    fn touch_cta(&mut self, slot: usize) {
+        if let Err(pos) = self.cta_dirty.binary_search(&slot) {
+            self.cta_dirty.insert(pos, slot);
         }
     }
 
@@ -588,10 +708,11 @@ impl Sm {
                         if let Some(line) = track.unlock_line {
                             port.unlock(line);
                         }
-                        if let Some(r) = track.dst {
-                            if let Some(w) = self.warps[track.warp].as_mut() {
+                        if let Some(w) = self.warps[track.warp].as_mut() {
+                            if let Some(r) = track.dst {
                                 w.release_reg(r);
                             }
+                            self.note_release(track.warp);
                         }
                     }
                 }
@@ -601,8 +722,52 @@ impl Sm {
         self.resp_scratch = resps;
     }
 
+    /// The one classification function: what stands between warp slot `w`
+    /// and issue, from the warp's own state (in the order the checks
+    /// bind: existence, barrier, scoreboard, then what the instruction
+    /// needs from the LSU and the coprocessor).
+    fn classify(&self, w: usize, kctx: &KernelCtx<'_>) -> IssueClass {
+        let Some(warp) = self.warps[w].as_ref() else {
+            return IssueClass::Absent;
+        };
+        if warp.done() {
+            return IssueClass::Absent;
+        }
+        if warp.at_barrier {
+            return IssueClass::Barrier;
+        }
+        let info = &kctx.issue_info[warp.stack.pc()];
+        if info.scoreboard_blocked(warp) {
+            return IssueClass::Scoreboard;
+        }
+        match (info.has_deq, info.is_mem) {
+            (false, false) => IssueClass::Plain,
+            (false, true) => IssueClass::Mem,
+            (true, false) => IssueClass::Gated,
+            (true, true) => IssueClass::GatedMem,
+        }
+    }
+
+    /// Bring the class of every event-touched warp slot up to date.
+    fn reclassify(&mut self, kctx: &KernelCtx<'_>) {
+        while let Some(w) = self.dirty.pop() {
+            self.class[w] = self.classify(w, kctx);
+        }
+    }
+
+    /// Does the incrementally maintained class structure equal a
+    /// from-scratch classification of every warp slot? (Debug builds
+    /// assert this before every scheduler hunt.)
+    fn classes_current(&self, kctx: &KernelCtx<'_>) -> bool {
+        self.dirty.is_empty()
+            && (0..self.class.len()).all(|w| self.class[w] == self.classify(w, kctx))
+    }
+
     /// Two-level warp pick for scheduler `s`: round-robin over the active
     /// pool's ready warps; on a dry pool, swap a ready pending warp in.
+    /// Visits warps in a fixed order (rotating pool, then ascending
+    /// pending slots) because every stalled warp visited before the pick
+    /// is counted and traced.
     #[allow(clippy::too_many_arguments)]
     fn pick_warp(
         &mut self,
@@ -615,19 +780,24 @@ impl Sm {
         tracer: &mut dyn Tracer,
         tally: &mut StallTally,
     ) -> Option<usize> {
+        debug_assert!(
+            self.classes_current(kctx),
+            "SM {}: issue classes out of sync with warp state at cycle {now}",
+            self.id
+        );
         let nsched = self.schedulers.len();
         // Evict finished warps from the pool.
+        let class = &self.class;
         self.schedulers[s]
             .active
-            .retain(|&w| matches!(&self.warps[w], Some(ws) if !ws.done()));
+            .retain(|&w| class[w] != IssueClass::Absent);
         // 1. Ready warp already in the active pool (rotating order). The
         // pool is only mutated on a successful pick, so indexed iteration
         // sees exactly the snapshot a copy would.
         let pool_len = self.schedulers[s].active.len();
         for pos in 0..pool_len {
             let w = self.schedulers[s].active[pos];
-            if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) == Readiness::Ready
-            {
+            if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) {
                 // Rotate the pool so the warp after `w` gets priority next.
                 self.schedulers[s]
                     .active
@@ -636,15 +806,11 @@ impl Sm {
             }
         }
         // 2. Swap in a ready pending warp.
-        for w in 0..self.warps.len() {
-            if w % nsched != s
-                || self.schedulers[s].active.contains(&w)
-                || !matches!(&self.warps[w], Some(ws) if !ws.done())
-            {
+        for w in (s..self.class.len()).step_by(nsched) {
+            if self.class[w] == IssueClass::Absent || self.schedulers[s].active.contains(&w) {
                 continue;
             }
-            if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) == Readiness::Ready
-            {
+            if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) {
                 if self.schedulers[s].active.len() >= cfg.active_pool {
                     self.schedulers[s].active.pop_front();
                 }
@@ -655,8 +821,11 @@ impl Sm {
         None
     }
 
-    /// Classify a warp's readiness, count the stall reason (counters are
-    /// updated identically whether tracing is on or off), and emit a
+    /// Can resident warp `w` issue this cycle? Reads the warp's class,
+    /// LSU occupancy for memory instructions, and the coprocessor gate
+    /// for `deq.*` ones (the only instructions a coprocessor holds back,
+    /// so the only ones it is asked about). A stalled warp is counted by
+    /// cause (identically whether tracing is on or off) and gets a
     /// [`TraceEvent::WarpStall`] when a tracer is attached.
     #[allow(clippy::too_many_arguments)]
     fn warp_check(
@@ -669,106 +838,58 @@ impl Sm {
         stats: &mut SimStats,
         tracer: &mut dyn Tracer,
         tally: &mut StallTally,
-    ) -> Readiness {
-        let deq_data_before = stats.deq_data_stalls;
-        let r = self.warp_ready(w, now, cfg, kctx, coproc, stats);
-        if let Readiness::Stalled(cause) = r {
-            match cause {
-                StallCause::Scoreboard => {
-                    stats.stall_scoreboard += 1;
-                    tally.scoreboard += 1;
-                }
-                StallCause::LsuFull => {
-                    stats.stall_lsu_full += 1;
-                    tally.lsu_full += 1;
-                }
-                StallCause::Barrier => {
-                    stats.stall_barrier += 1;
-                    tally.barrier += 1;
+    ) -> bool {
+        let class = self.class[w];
+        let lsu_full = self.lsu.len() >= cfg.lsu_queue;
+        let cause = match class {
+            IssueClass::Absent => unreachable!("scheduler visited empty warp slot {w}"),
+            IssueClass::Barrier => {
+                stats.stall_barrier += 1;
+                tally.barrier += 1;
+                StallCause::Barrier
+            }
+            IssueClass::Scoreboard => {
+                stats.stall_scoreboard += 1;
+                tally.scoreboard += 1;
+                StallCause::Scoreboard
+            }
+            IssueClass::Mem | IssueClass::GatedMem if lsu_full => {
+                stats.stall_lsu_full += 1;
+                tally.lsu_full += 1;
+                StallCause::LsuFull
+            }
+            IssueClass::Plain | IssueClass::Mem => return true,
+            IssueClass::Gated | IssueClass::GatedMem => {
+                let pc = self.warps[w].as_ref().unwrap().stack.pc();
+                let instr = &kctx.program.kernel.instrs[pc];
+                let deq_data_before = stats.deq_data_stalls;
+                if coproc.can_issue(self.id, w, instr, stats) {
+                    return true;
                 }
                 // Coprocessor gates keep their own counters
                 // (deq_empty_stalls / deq_data_stalls); split the tally
                 // the same way by watching which counter moved.
-                StallCause::CoprocGate => {
-                    if stats.deq_data_stalls > deq_data_before {
-                        tally.deq_data += 1;
-                    } else {
-                        tally.deq_empty += 1;
-                    }
+                if stats.deq_data_stalls > deq_data_before {
+                    tally.deq_data += 1;
+                } else {
+                    tally.deq_empty += 1;
                 }
-                _ => {}
+                StallCause::CoprocGate
             }
-            if tracer.enabled() {
-                let pc = self.warps[w].as_ref().map_or(0, |ws| ws.stack.pc());
-                tracer.emit(
-                    now,
-                    TraceEvent::WarpStall {
-                        sm: self.id as u32,
-                        warp: w as u32,
-                        pc: pc as u32,
-                        cause,
-                    },
-                );
-            }
-        }
-        r
-    }
-
-    fn warp_ready(
-        &self,
-        w: usize,
-        _now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-    ) -> Readiness {
-        let Some(warp) = self.warps[w].as_ref() else {
-            return Readiness::Absent;
         };
-        if warp.done() {
-            return Readiness::Absent;
+        if tracer.enabled() {
+            let pc = self.warps[w].as_ref().unwrap().stack.pc();
+            tracer.emit(
+                now,
+                TraceEvent::WarpStall {
+                    sm: self.id as u32,
+                    warp: w as u32,
+                    pc: pc as u32,
+                    cause,
+                },
+            );
         }
-        if warp.at_barrier {
-            return Readiness::Stalled(StallCause::Barrier);
-        }
-        let pc = warp.stack.pc();
-        let instr = &kctx.program.kernel.instrs[pc];
-        // Scoreboard: sources and destination must be idle. The inline
-        // (array) variants keep this allocation-free — it runs for every
-        // candidate warp every cycle.
-        let (src_regs, nr) = instr.src_regs_inline();
-        for &r in &src_regs[..nr] {
-            if warp.reg_pending(r) {
-                return Readiness::Stalled(StallCause::Scoreboard);
-            }
-        }
-        let (src_preds, np) = instr.src_preds_inline();
-        for &p in &src_preds[..np] {
-            if warp.pred_pending(p) {
-                return Readiness::Stalled(StallCause::Scoreboard);
-            }
-        }
-        if let Some(r) = instr.def_reg() {
-            if warp.reg_pending(r) {
-                return Readiness::Stalled(StallCause::Scoreboard);
-            }
-        }
-        if let Some(p) = instr.def_pred() {
-            if warp.pred_pending(p) {
-                return Readiness::Stalled(StallCause::Scoreboard);
-            }
-        }
-        // Structural: LSU queue space for memory instructions.
-        if instr.is_mem() && self.lsu.len() >= cfg.lsu_queue {
-            return Readiness::Stalled(StallCause::LsuFull);
-        }
-        // Coprocessor gate (dequeue readiness).
-        if coproc.can_issue(self.id, w, instr, stats) {
-            Readiness::Ready
-        } else {
-            Readiness::Stalled(StallCause::CoprocGate)
-        }
+        false
     }
 
     /// Issue and functionally execute one instruction of warp `w`.
@@ -942,7 +1063,7 @@ impl Sm {
             }
             Instr::Bra { target, pred } => {
                 stats.branches += 1;
-                let rpc = kctx.rpc_of(pc);
+                let rpc = kctx.issue_info[pc].rpc;
                 let taken = match pred {
                     None => active,
                     Some(PredSrc::Reg(g)) => {
@@ -997,6 +1118,15 @@ impl Sm {
                     },
                 );
             }
+        }
+        // The warp's own class changed (new PC, a pending destination, a
+        // barrier, an exit); a barrier arrival or an exit is also the only
+        // way its CTA's barrier/retire condition can newly hold.
+        self.dirty.push(w);
+        let warp = self.warps[w].as_ref().unwrap();
+        if warp.at_barrier || warp.done() {
+            let slot = warp.cta_slot;
+            self.touch_cta(slot);
         }
         cost
     }
@@ -1371,18 +1501,23 @@ impl Sm {
         }
     }
 
-    fn resolve_barriers(&mut self, coproc: &mut dyn CoProcessor, stats: &mut SimStats) {
-        let _ = stats;
+    /// Release every CTA whose live warps have all arrived at a barrier.
+    /// Only CTAs in `cta_dirty` are examined: a release condition can
+    /// newly hold only in a cycle where one of the CTA's warps arrived or
+    /// exited.
+    fn resolve_barriers(&mut self, coproc: &mut dyn CoProcessor) {
         let sm_id = self.id;
         // Disjoint field borrows (no per-release clone of `cta.warps`).
         let Sm {
             cta_slots,
+            cta_dirty,
             warps,
+            dirty,
             progress,
             ..
         } = self;
-        for (slot, cs) in cta_slots.iter().enumerate() {
-            let Some(cta) = cs.as_ref() else {
+        for &slot in cta_dirty.iter() {
+            let Some(cta) = cta_slots[slot].as_ref() else {
                 continue;
             };
             let mut all_arrived = true;
@@ -1406,6 +1541,7 @@ impl Sm {
                         w.at_barrier = false;
                     }
                 }
+                dirty.extend_from_slice(&cta.warps);
                 coproc.on_barrier_release(sm_id, slot);
             }
         }
@@ -1413,16 +1549,23 @@ impl Sm {
 
     /// Retire CTAs whose warps have all finished (and drained), freeing
     /// their warp slots, registers, and shared memory. Returns how many
-    /// CTAs retired this cycle. Allocation-free: the retiring `CtaInfo` is
-    /// moved out of its slot, never cloned.
+    /// CTAs retired this cycle. Only CTAs in `cta_dirty` are examined
+    /// (consuming it): the retire condition can newly hold only in a cycle
+    /// where one of the CTA's warps exited or an exited warp's last
+    /// writeback or memory response drained. Allocation-free: the
+    /// retiring `CtaInfo` is moved out of its slot, never cloned.
     pub fn retire_ctas(
         &mut self,
         coproc: &mut dyn CoProcessor,
         tracer: &mut dyn Tracer,
         now: u64,
     ) -> usize {
+        if self.cta_dirty.is_empty() {
+            return 0;
+        }
+        let candidates = std::mem::take(&mut self.cta_dirty);
         let mut retired = 0;
-        for slot in 0..self.cta_slots.len() {
+        for &slot in &candidates {
             let Some(cta) = self.cta_slots[slot].as_ref() else {
                 continue;
             };
@@ -1447,6 +1590,9 @@ impl Sm {
             for &wid in &cta.warps {
                 self.warps[wid] = None;
             }
+            self.dirty.extend_from_slice(&cta.warps);
+            self.free_warps += cta.warps.len();
+            self.resident -= 1;
             debug_assert!(self.used_regs >= cta.regs && self.used_shared >= cta.shared_bytes);
             self.used_regs -= cta.regs;
             self.used_shared -= cta.shared_bytes;
@@ -1464,6 +1610,80 @@ impl Sm {
             }
             retired += 1;
         }
+        self.cta_dirty = candidates;
+        self.cta_dirty.clear();
         retired
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coproc::NullCoProcessor;
+    use crate::gpu::GpuSim;
+    use simt_ir::{CmpOp, KernelBuilder, LaunchConfig, Op};
+
+    /// `B[i] = A[i] + 1` over `n` elements in 512-thread (16-warp) CTAs.
+    fn add_one_wide(n: u32, a: u64, b: u64) -> Program {
+        let mut k = KernelBuilder::new("add_one_wide", 3);
+        let tid = k.tid_linear_x();
+        let p = k.setp(CmpOp::Ge, Operand::Reg(tid), Operand::Param(2));
+        k.bra_if(p, "done");
+        let off = k.alu2(Op::Shl, Operand::Reg(tid), Operand::Imm(2));
+        let pa = k.alu2(Op::Add, Operand::Param(0), Operand::Reg(off));
+        let pb = k.alu2(Op::Add, Operand::Param(1), Operand::Reg(off));
+        let v = k.ld(Space::Global, pa, 0, Width::W32);
+        let v1 = k.alu2(Op::Add, Operand::Reg(v), Operand::Imm(1));
+        k.st(Space::Global, pb, 0, Operand::Reg(v1), Width::W32);
+        k.label("done");
+        k.exit();
+        let launch = LaunchConfig::linear(n.div_ceil(512), 512, vec![a, b, n as u64]);
+        Program::new(k.build(), launch).unwrap()
+    }
+
+    /// The class structure is sized from `max_warps_per_sm`, not from a
+    /// machine word: an SM with 100 warp slots holds 96 resident warps of
+    /// 16-warp CTAs, classifies all of them, and runs them to the right
+    /// answer (debug builds cross-check every class before every pick).
+    #[test]
+    fn more_than_64_warps_per_sm() {
+        let cfg = GpuConfig {
+            num_sms: 1,
+            max_warps_per_sm: 100,
+            max_ctas_per_sm: 8,
+            ..GpuConfig::test_small()
+        };
+        let (n, a, b) = (8192u32, 0x10_000u64, 0x80_000u64);
+        let prog = add_one_wide(n, a, b);
+        let kctx = KernelCtx::new(&prog);
+
+        let mut sm = Sm::new(0, &cfg);
+        let mut stats = SimStats::default();
+        let mut launched = 0;
+        while sm.can_accept_cta(&cfg, &kctx) {
+            sm.launch_cta(&cfg, &kctx, 0, launched, &mut NullCoProcessor, &mut stats);
+            launched += 1;
+        }
+        assert_eq!(
+            launched, 6,
+            "six 16-warp CTAs fit 100 slots, a seventh does not"
+        );
+        assert_eq!((sm.free_warps, sm.resident_ctas()), (4, 6));
+        sm.reclassify(&kctx);
+        assert!(sm.classes_current(&kctx));
+        assert_eq!(sm.class.len(), 100);
+        assert!(sm.class[..96].iter().all(|&c| c == IssueClass::Plain));
+        assert!(sm.class[96..].iter().all(|&c| c == IssueClass::Absent));
+
+        let mut mem = SparseMemory::new();
+        mem.write_u32_slice(a, &(0..n).collect::<Vec<u32>>());
+        let report = GpuSim::new(cfg.clone()).run(&prog, &mut mem);
+        let out = mem.read_u32_vec(b, n as usize);
+        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+        assert_eq!(report.stats.ctas_launched, 16);
+        assert_eq!(
+            report.stats.issue_slots_total(),
+            report.cycles * cfg.schedulers as u64
+        );
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::stack::SimtStack;
 use simt_ir::{Dim3, LaunchConfig, Operand, PredId, RegId, SpecialReg, Value};
-use std::collections::HashMap;
 
 /// Full architectural + pipeline state of one resident warp.
 #[derive(Debug, Clone)]
@@ -21,11 +20,13 @@ pub struct WarpState {
     regs: Vec<Value>,
     /// Predicate registers, one 32-bit lane mask each.
     preds: Vec<u32>,
-    /// Outstanding writes per register (scoreboard); a register with a
-    /// nonzero count blocks dependent issue.
-    pending_regs: HashMap<RegId, u32>,
-    /// Outstanding predicate writes.
-    pending_preds: HashMap<PredId, u32>,
+    /// Outstanding writes per register (scoreboard), one dense counter per
+    /// register; a register with a nonzero count blocks dependent issue.
+    pending_regs: Vec<u32>,
+    /// Outstanding predicate writes, one counter per predicate.
+    pending_preds: Vec<u32>,
+    /// Sum of all scoreboard counters, so drain checks are O(1).
+    pending_total: u32,
     /// Waiting at a `bar.sync`.
     pub at_barrier: bool,
     /// Lanes that were live at launch (partial last warp of a CTA).
@@ -54,8 +55,9 @@ impl WarpState {
             stack: SimtStack::new(mask),
             regs: vec![0; num_regs as usize * 32],
             preds: vec![0; num_preds as usize],
-            pending_regs: HashMap::new(),
-            pending_preds: HashMap::new(),
+            pending_regs: vec![0; num_regs as usize],
+            pending_preds: vec![0; num_preds as usize],
+            pending_total: 0,
             at_barrier: false,
             launch_mask: mask,
             last_issue: 0,
@@ -140,42 +142,51 @@ impl WarpState {
     // ----- scoreboard -----
 
     /// Is register `r` awaiting a writeback?
+    #[inline]
     pub fn reg_pending(&self, r: RegId) -> bool {
-        self.pending_regs.get(&r).copied().unwrap_or(0) > 0
+        self.pending_regs[r as usize] > 0
     }
 
     /// Is predicate `p` awaiting a writeback?
+    #[inline]
     pub fn pred_pending(&self, p: PredId) -> bool {
-        self.pending_preds.get(&p).copied().unwrap_or(0) > 0
+        self.pending_preds[p as usize] > 0
     }
 
     /// Mark one outstanding write to register `r`.
     pub fn mark_reg_pending(&mut self, r: RegId) {
-        *self.pending_regs.entry(r).or_insert(0) += 1;
+        self.pending_regs[r as usize] += 1;
+        self.pending_total += 1;
     }
 
     /// Mark one outstanding write to predicate `p`.
     pub fn mark_pred_pending(&mut self, p: PredId) {
-        *self.pending_preds.entry(p).or_insert(0) += 1;
+        self.pending_preds[p as usize] += 1;
+        self.pending_total += 1;
     }
 
-    /// Retire one outstanding write to register `r`.
+    /// Retire one outstanding write to register `r` (a release with
+    /// nothing outstanding is ignored).
     pub fn release_reg(&mut self, r: RegId) {
-        if let Some(c) = self.pending_regs.get_mut(&r) {
-            *c = c.saturating_sub(1);
+        let c = &mut self.pending_regs[r as usize];
+        if *c > 0 {
+            *c -= 1;
+            self.pending_total -= 1;
         }
     }
 
     /// Retire one outstanding write to predicate `p`.
     pub fn release_pred(&mut self, p: PredId) {
-        if let Some(c) = self.pending_preds.get_mut(&p) {
-            *c = c.saturating_sub(1);
+        let c = &mut self.pending_preds[p as usize];
+        if *c > 0 {
+            *c -= 1;
+            self.pending_total -= 1;
         }
     }
 
     /// Any writeback still outstanding? (used for drain checks)
     pub fn scoreboard_clear(&self) -> bool {
-        self.pending_regs.values().all(|&c| c == 0) && self.pending_preds.values().all(|&c| c == 0)
+        self.pending_total == 0
     }
 }
 
@@ -243,8 +254,17 @@ mod tests {
         assert!(w.reg_pending(0));
         w.release_reg(0);
         assert!(w.reg_pending(0));
+        assert!(!w.scoreboard_clear());
         w.release_reg(0);
         assert!(!w.reg_pending(0));
+        assert!(w.scoreboard_clear());
+        // A release with nothing outstanding is ignored.
+        w.release_reg(1);
+        w.release_pred(0);
+        assert!(w.scoreboard_clear());
+        w.mark_pred_pending(0);
+        assert!(w.pred_pending(0) && !w.scoreboard_clear());
+        w.release_pred(0);
         assert!(w.scoreboard_clear());
     }
 }
