@@ -14,6 +14,8 @@
 //! (§4.6). Tuple arithmetic is bit-exact with the SIMT data path —
 //! decoupling is an optimization, never an approximation.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod class;
 pub mod decouple;

@@ -64,9 +64,7 @@ impl Tag {
 pub struct Cae {
     #[allow(dead_code)]
     cfg: CaeConfig,
-    /// Per-SM map of warp → register tags. Sharded by SM (not one global
-    /// map) so `issue_cost` — which runs inside the threaded SM-compute
-    /// phase — only ever touches its own SM's shard.
+    /// Per-SM map of warp → register tags.
     sms: Vec<HashMap<usize, Vec<Tag>>>,
     num_regs: usize,
     /// Can `tid.x` be treated as one warp-wide stride? (innermost block

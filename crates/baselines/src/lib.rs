@@ -11,6 +11,8 @@
 //!   into a dedicated 16 KB per-SM prefetch buffer, and eviction-based
 //!   throttling.
 
+#![forbid(unsafe_code)]
+
 pub mod cae;
 pub mod mta;
 

@@ -238,7 +238,7 @@ impl CoProcessor for Mta {
             }
         }
         // Latch one prefetch per cycle into the port latch; `pump` submits
-        // it to the fabric in the replay phase.
+        // it to the fabric after the SM's issue stage.
         let s = &mut self.sms[sm];
         debug_assert!(s.pending_pump.is_none(), "pump did not drain the latch");
         s.pending_pump = s.queue.pop_front();

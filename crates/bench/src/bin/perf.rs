@@ -37,24 +37,15 @@ record written to BENCH_pr8.json (dac-bench-pr8/v1), compared against the
 PR 7 era BENCH_pr6.json baseline, and the record carries the measured
 throughput_ratio — the schema requires it to stay >= 0.97 (within 3%).
 
-With --pr10 the run is the intra-run parallelism scaling check: full-chip
-machine timed at --threads 1, 2, 4, and 8 (asserting byte-identical
-results across thread counts), written to BENCH_pr10.json
-(dac-bench-pr10/v1) with the PR 8 era serial baseline embedded; on hosts
-with >= 4 CPUs the schema requires the 4-thread geomean speedup >= 1.5x.
-
 perf options:
   --repeat N         timed iterations per run; min wall time kept (default 3)
   --bench-json FILE  where to write the throughput record
   --baseline FILE    prior record to compare against (default BENCH_pr3.json,
-                     BENCH_pr6.json with --full-chip / --pr8, or
-                     BENCH_pr8.json with --pr10)
+                     or BENCH_pr6.json with --full-chip / --pr8)
   --pr8              telemetry-overhead mode: implies --full-chip, writes
                      BENCH_pr8.json with a pinned baseline ratio
-  --pr10             thread-scaling mode: implies --full-chip, times
-                     --threads 1/2/4/8 and writes BENCH_pr10.json
   --check-bench FILE validate FILE against the bench schema matching its
-                     \"schema\" field (pr5, pr6, pr8, or pr10) and exit
+                     \"schema\" field (pr5, pr6, or pr8) and exit
                      (0 = valid)";
 
 /// Same suite as the profile binary, so BENCH_pr5.json rows are directly
@@ -80,7 +71,6 @@ fn main() {
     let mut baseline: Option<PathBuf> = None;
     let mut check_bench: Option<PathBuf> = None;
     let mut pr8 = false;
-    let mut pr10 = false;
     let mut rest: Vec<String> = Vec::new();
     let mut it = raw.into_iter();
     while let Some(arg) = it.next() {
@@ -90,7 +80,6 @@ fn main() {
                 _ => usage_exit("--repeat requires a positive number"),
             },
             "--pr8" => pr8 = true,
-            "--pr10" => pr10 = true,
             "--bench-json" => match it.next() {
                 Some(v) => bench_json = Some(PathBuf::from(v)),
                 None => usage_exit("--bench-json requires a path"),
@@ -106,17 +95,10 @@ fn main() {
             _ => rest.push(arg),
         }
     }
-    if pr8 && pr10 {
-        usage_exit("--pr8 and --pr10 are mutually exclusive");
-    }
     // --pr8 measures the telemetry-overhead config: the same full-chip
-    // machine BENCH_pr6.json was recorded on. --pr10 scales the same
-    // machine across intra-run thread counts.
-    if (pr8 || pr10) && !rest.iter().any(|a| a == "--full-chip") {
+    // machine BENCH_pr6.json was recorded on.
+    if pr8 && !rest.iter().any(|a| a == "--full-chip") {
         rest.push("--full-chip".into());
-    }
-    if pr10 && rest.iter().any(|a| a == "--threads") {
-        usage_exit("--pr10 times --threads 1/2/4/8 itself; drop --threads");
     }
     let mut args = CommonArgs::parse(&rest).unwrap_or_else(|e| usage_exit(&e));
     if let Some(stray) = args.positional.first() {
@@ -131,18 +113,14 @@ fn main() {
     // a full-chip record only compares sensibly against another one.
     // --pr8 is the same machine but records the telemetry-overhead ratio
     // against the PR 7 era baseline.
-    let schema = if pr10 {
-        "dac-bench-pr10/v1"
-    } else if pr8 {
+    let schema = if pr8 {
         "dac-bench-pr8/v1"
     } else if args.full_chip {
         "dac-bench-pr6/v1"
     } else {
         "dac-bench-pr5/v1"
     };
-    let default_json = if pr10 {
-        "BENCH_pr10.json"
-    } else if pr8 {
+    let default_json = if pr8 {
         "BENCH_pr8.json"
     } else if args.full_chip {
         "BENCH_pr6.json"
@@ -151,9 +129,7 @@ fn main() {
     };
     let bench_json = bench_json.unwrap_or_else(|| PathBuf::from(default_json));
     let baseline = baseline.unwrap_or_else(|| {
-        PathBuf::from(if pr10 {
-            "BENCH_pr8.json"
-        } else if args.full_chip {
+        PathBuf::from(if args.full_chip {
             "BENCH_pr6.json"
         } else {
             "BENCH_pr3.json"
@@ -168,11 +144,6 @@ fn main() {
         .designs
         .clone()
         .unwrap_or_else(|| DesignPoint::HW_ALL.to_vec());
-
-    if pr10 {
-        run_pr10(&args, repeat, &bench_json, &baseline, &benches, &points);
-        return;
-    }
 
     eprintln!(
         "perf: {} benchmarks x {} designs, repeat {} (scale {})",
@@ -436,245 +407,6 @@ fn bench_record_json(
     out
 }
 
-/// The intra-run thread counts `--pr10` times, in run order. The serial
-/// pass (1) pins the result signature every threaded pass must reproduce;
-/// 8 needs no special care on the 15-SM machine (the pool clamps to
-/// `num_sms` anyway).
-const PR10_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// `--pr10`: time the full-chip machine at each intra-run thread count,
-/// asserting byte-identical results across counts, and write the
-/// `dac-bench-pr10/v1` scaling record with the PR 8 era serial baseline
-/// embedded.
-fn run_pr10(
-    args: &CommonArgs,
-    repeat: usize,
-    bench_json: &Path,
-    baseline: &Path,
-    benches: &[gpu_workloads::Workload],
-    points: &[DesignPoint],
-) {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "perf: {} benchmarks x {} designs x threads {:?}, repeat {} ({} host cpus)",
-        benches.len(),
-        points.len(),
-        PR10_THREADS,
-        repeat,
-        host_cpus
-    );
-    // (bench, design, threads, cycles, warp_instructions, min wall_s).
-    let mut rows: Vec<(String, String, usize, u64, u64, f64)> = Vec::new();
-    // (cycles, warp_instructions, output digest) pinned by the serial
-    // pass; every threaded pass must reproduce it exactly — --pr10
-    // doubles as a full-chip determinism check.
-    let mut pinned: Vec<(u64, u64, u64)> = Vec::new();
-    for (ti, &threads) in PR10_THREADS.iter().enumerate() {
-        let mut slot = 0;
-        for w in benches {
-            for &point in points {
-                let workload = Arc::new(
-                    gpu_workloads::benchmark(w.abbr, args.scale)
-                        .unwrap_or_else(|| usage_exit(&format!("unknown benchmark {:?}", w.abbr))),
-                );
-                let mut job = Job::new(workload, args.scale, point);
-                job.overrides = args.overrides.clone();
-                job.overrides.threads = Some(threads);
-                let mut min_wall_s = f64::INFINITY;
-                let mut sig: Option<(u64, u64, u64)> = None;
-                for _ in 0..repeat {
-                    let result = job.execute();
-                    let s = (
-                        result.report.cycles,
-                        result.report.stats.warp_instructions,
-                        result.output_digest,
-                    );
-                    match sig {
-                        None => sig = Some(s),
-                        Some(p) => assert_eq!(p, s, "{} nondeterministic", job.label()),
-                    }
-                    min_wall_s = min_wall_s.min(result.wall_ms / 1e3);
-                }
-                let sig = sig.unwrap();
-                if ti == 0 {
-                    pinned.push(sig);
-                } else {
-                    assert_eq!(
-                        pinned[slot],
-                        sig,
-                        "{}: --threads {threads} changed the result",
-                        job.label()
-                    );
-                }
-                if !args.quiet {
-                    eprintln!(
-                        "  {}/{} threads={threads}: {} cycles in {min_wall_s:.4}s",
-                        w.abbr,
-                        point.name(),
-                        sig.0
-                    );
-                }
-                rows.push((
-                    w.abbr.to_string(),
-                    point.name().to_string(),
-                    threads,
-                    sig.0,
-                    sig.1,
-                    min_wall_s,
-                ));
-                slot += 1;
-            }
-        }
-    }
-
-    // Per-thread-count geomean cycles/sec and its speedup over serial.
-    let geo_at = |threads: usize| {
-        dac_bench::geomean(
-            rows.iter()
-                .filter(|r| r.2 == threads && r.5 > 0.0)
-                .map(|r| r.3 as f64 / r.5),
-        )
-    };
-    let serial_geo = geo_at(PR10_THREADS[0]);
-    let scaling: Vec<(usize, f64, f64)> = PR10_THREADS
-        .iter()
-        .map(|&t| {
-            let g = geo_at(t);
-            (
-                t,
-                g,
-                if serial_geo > 0.0 {
-                    g / serial_geo
-                } else {
-                    0.0
-                },
-            )
-        })
-        .collect();
-    let speedup_4t = scaling.iter().find(|s| s.0 == 4).map_or(0.0, |s| s.2);
-
-    // The embedded baseline compares this record's *serial* rows to the
-    // PR 8 era record: thread scaling must not have taxed the serial path.
-    let serial_rows: Vec<(String, String, u64, u64, f64)> = rows
-        .iter()
-        .filter(|r| r.2 == PR10_THREADS[0])
-        .map(|r| (r.0.clone(), r.1.clone(), r.3, r.4, r.5))
-        .collect();
-    let Some(base) = baseline_ratio(baseline, &serial_rows) else {
-        eprintln!(
-            "perf: --pr10 needs a baseline with matching rows ({})",
-            baseline.display()
-        );
-        std::process::exit(1);
-    };
-
-    let text = pr10_record_json(args, repeat, host_cpus, &rows, &scaling, &base, speedup_4t);
-    if let Err(e) = json::parse(&text) {
-        panic!(
-            "{}: generated record is invalid JSON: {e}",
-            bench_json.display()
-        );
-    }
-    if let Err(e) = std::fs::write(bench_json, &text) {
-        eprintln!("perf: cannot write {}: {e}", bench_json.display());
-        std::process::exit(1);
-    }
-
-    println!(
-        "perf: {} runs -> {} (serial geomean {serial_geo:.0} cycles/sec)",
-        rows.len(),
-        bench_json.display()
-    );
-    for (t, g, s) in &scaling {
-        println!("perf: --threads {t}: geomean {g:.0} cycles/sec ({s:.2}x vs serial)");
-    }
-    println!(
-        "perf: serial geomean cycles/sec ratio vs {}: {:.2}x over {} matched runs",
-        base.file, base.ratio, base.matched
-    );
-    if host_cpus < 4 {
-        eprintln!(
-            "perf: note: {host_cpus} host cpu(s) cannot express 4-thread parallelism; \
-             the schema's >= 1.5x floor binds only on hosts with >= 4 cpus"
-        );
-    }
-}
-
-/// Render a `dac-bench-pr10/v1` thread-scaling record.
-fn pr10_record_json(
-    args: &CommonArgs,
-    repeat: usize,
-    host_cpus: usize,
-    rows: &[(String, String, usize, u64, u64, f64)],
-    scaling: &[(usize, f64, f64)],
-    baseline: &BaselineRatio,
-    speedup_4t: f64,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"schema\": \"dac-bench-pr10/v1\"");
-    let _ = write!(out, ", \"scale\": {}", args.scale);
-    let _ = write!(out, ", \"repeat\": {repeat}");
-    out.push_str(", \"overrides\": {");
-    let mut first = true;
-    for (k, v) in args
-        .overrides
-        .relevant(DesignPoint::Hw(gpu_workloads::Design::Dac))
-    {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        let _ = write!(out, "\"{k}\": {v}");
-    }
-    let _ = write!(out, "}}, \"host_cpus\": {host_cpus}, \"thread_counts\": [");
-    for (i, t) in PR10_THREADS.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{t}");
-    }
-    out.push_str("], \"runs\": [");
-    for (i, (bench, design, threads, cycles, instrs, wall_s)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let rate = |n: u64| {
-            if *wall_s > 0.0 {
-                n as f64 / wall_s
-            } else {
-                0.0
-            }
-        };
-        let _ = write!(
-            out,
-            "{{\"bench\": \"{bench}\", \"design\": \"{design}\", \"threads\": {threads}, \
-             \"cycles\": {cycles}, \"warp_instructions\": {instrs}, \"wall_s\": {wall_s:.4}, \
-             \"warp_instr_per_sec\": {:.1}, \"cycles_per_sec\": {:.1}}}",
-            rate(*instrs),
-            rate(*cycles)
-        );
-    }
-    out.push_str("], \"scaling\": [");
-    for (i, (t, g, s)) in scaling.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"threads\": {t}, \"geomean_cycles_per_sec\": {g:.1}, \
-             \"speedup_vs_serial\": {s:.4}}}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "], \"baseline\": {{\"file\": \"{}\", \"matched_runs\": {}, \
-         \"geomean_cycles_per_sec\": {:.1}}}, \"serial_throughput_ratio\": {:.4}, \
-         \"speedup_4t\": {speedup_4t:.4}}}",
-        baseline.file, baseline.matched, baseline.baseline_geomean, baseline.ratio
-    );
-    out
-}
-
 /// `--check-bench FILE`: validate a throughput record against the
 /// checked-in schema matching its `"schema"` field
 /// (`schemas/bench_pr5.schema.json` or `schemas/bench_pr6.schema.json`).
@@ -699,7 +431,6 @@ fn check_bench_file(path: &Path) -> i32 {
         Some("dac-bench-pr5/v1") => Path::new("schemas/bench_pr5.schema.json"),
         Some("dac-bench-pr6/v1") => Path::new("schemas/bench_pr6.schema.json"),
         Some("dac-bench-pr8/v1") => Path::new("schemas/bench_pr8.schema.json"),
-        Some("dac-bench-pr10/v1") => Path::new("schemas/bench_pr10.schema.json"),
         other => {
             eprintln!("perf: {} declares unknown schema {other:?}", path.display());
             return 1;

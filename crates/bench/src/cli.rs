@@ -155,16 +155,6 @@ impl CommonArgs {
                     out.full_chip = true;
                 }
                 "--no-fast-forward" => out.overrides.no_fast_forward = true,
-                "--threads" => {
-                    let v = value("--threads", &mut it)?;
-                    let t: usize = v
-                        .parse()
-                        .map_err(|_| format!("--threads: expected a positive number, got {v:?}"))?;
-                    if t == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    out.overrides.threads = Some(t);
-                }
                 "--trace" => {
                     out.trace_dir
                         .get_or_insert_with(|| PathBuf::from("results/traces"));
@@ -264,9 +254,6 @@ common options:
   --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as
                      explicit num_sms/max_warps_per_sm overrides
   --no-fast-forward  disable idle-cycle fast-forward (same results, slower)
-  --threads N        worker threads *inside* each simulation, sharding SMs
-                     and L2 partitions (default 1; results byte-identical;
-                     unlike --jobs, which runs whole jobs in parallel)
   --trace            write per-job event traces to results/traces
   --trace-dir DIR    write per-job event traces to DIR (implies --trace)
   --trace-events N   trace ring-buffer capacity (default 1000000)
@@ -339,7 +326,9 @@ mod tests {
             vec!["--designs", "warp9"],
             vec!["--set", "atq_entries"],
             vec!["--set", "warp_speed=9"],
+            vec!["--set", "atq_entries=0"],
             vec!["--frobnicate"],
+            vec!["--threads", "2"],
         ] {
             assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
         }
@@ -413,18 +402,6 @@ mod tests {
                 .overrides
                 .no_fast_forward
         );
-    }
-
-    #[test]
-    fn threads_flag() {
-        assert_eq!(parse(&[]).unwrap().overrides.threads, None);
-        assert_eq!(
-            parse(&["--threads", "4"]).unwrap().overrides.threads,
-            Some(4)
-        );
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
-        assert!(parse(&["--threads"]).is_err());
     }
 
     #[test]

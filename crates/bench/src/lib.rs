@@ -3,6 +3,8 @@
 //! table and figure of the paper from the results (see EXPERIMENTS.md for
 //! the index).
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 use affine::AffineAnalysis;

@@ -24,13 +24,12 @@ struct SmDac {
     /// Pending early line requests `(record id, line)` awaiting fabric
     /// acceptance.
     pending_lines: VecDeque<(u64, u64)>,
-    /// Front of `pending_lines` captured by [`Dac`]'s `step` (compute
-    /// phase), submitted to the fabric by `pump` (replay phase). Captured
-    /// before the expansion units push new lines, so the request submitted
-    /// each cycle is exactly the one the serial single-phase code chose.
+    /// Front of `pending_lines` captured by [`Dac`]'s `step`, submitted to
+    /// the fabric by `pump`. Captured before the expansion units push new
+    /// lines, so the request submitted each cycle is the one that headed
+    /// the queue when the cycle began.
     pump_capture: Option<(u64, u64)>,
-    /// PEU cost classification counters (per-SM so the compute phase never
-    /// writes shared coprocessor state).
+    /// PEU cost classification counters.
     peu_scalar: u64,
     peu_two_compare: u64,
     peu_full: u64,
@@ -456,8 +455,7 @@ impl CoProcessor for Dac {
         }
         let sm = ctx.sm;
         // Latch the line request the fabric will see this cycle (submitted
-        // by `pump` in the replay phase). Captured before the expansion
-        // units can push new lines, matching the serial issue order.
+        // by `pump`), before the expansion units can push new lines.
         self.sms[sm].pump_capture = self.sms[sm].pending_lines.front().copied();
         // Two expansion ALUs per SM (§4.8). The PEU claims one when it has
         // predicate work; otherwise both serve address expansion.

@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod astack;
 pub mod config;
 pub mod coproc;

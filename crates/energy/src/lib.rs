@@ -9,6 +9,8 @@
 //! simulator measures exactly. DAC's added-SRAM energies are the paper's
 //! Table 1 numbers.
 
+#![forbid(unsafe_code)]
+
 use simt_sim::SimStats;
 
 /// Per-event energy constants in picojoules.

@@ -35,9 +35,6 @@ options:
   --designs LIST    comma-separated subset of baseline,cae,mta,dac
   --jobs N          worker threads, one kernel each (default 1; verdicts
                     are order-stable)
-  --threads N       intra-run worker threads *inside* every simulation
-                    (default 1; results byte-identical — each kernel is
-                    additionally cross-checked threaded vs serial)
   --reduce          shrink failing kernels to minimal repros
   --ff MODE         fast-forward cross-check: dac (default), all, none
   --cache-dir DIR   harness result cache (default results/cache)
@@ -54,7 +51,6 @@ struct Args {
     count: u64,
     designs: Vec<Design>,
     jobs: usize,
-    threads: Option<usize>,
     reduce: bool,
     ff: String,
     cache_dir: Option<PathBuf>,
@@ -67,7 +63,6 @@ fn parse_args() -> Args {
         count: 100,
         designs: Design::ALL.to_vec(),
         jobs: 1,
-        threads: None,
         reduce: false,
         ff: "dac".into(),
         cache_dir: Some(PathBuf::from("results/cache")),
@@ -112,13 +107,6 @@ fn parse_args() -> Args {
             "--jobs" => {
                 args.jobs = parse_u64(&value(&mut i), "--jobs").max(1) as usize;
             }
-            "--threads" => {
-                let t = parse_u64(&value(&mut i), "--threads") as usize;
-                if t == 0 {
-                    fail_usage("--threads must be at least 1");
-                }
-                args.threads = Some(t);
-            }
             "--reduce" => args.reduce = true,
             "--ff" => {
                 let v = value(&mut i);
@@ -154,11 +142,8 @@ struct Outcome {
 
 fn main() {
     let args = parse_args();
-    let mut overrides = simt_fuzz::diff::small_overrides();
-    overrides.threads = args.threads;
     let diff_cfg = DiffConfig {
         designs: args.designs.clone(),
-        overrides,
         ff_designs: match args.ff.as_str() {
             "all" => args.designs.clone(),
             "none" => Vec::new(),

@@ -37,11 +37,6 @@ pub struct DiffConfig {
     /// byte-for-byte. DAC by default: its queue machinery interacts with
     /// idle-cycle skipping the most.
     pub ff_designs: Vec<Design>,
-    /// Intra-run thread counts every design is re-run with and compared
-    /// byte-for-byte against the base run (report, stats, and output) —
-    /// the fuzzing arm of the intra-run determinism guarantee. `[2]` by
-    /// default (the fuzzing machine has 2 SMs, so higher counts clamp).
-    pub mt_threads: Vec<usize>,
 }
 
 impl Default for DiffConfig {
@@ -50,7 +45,6 @@ impl Default for DiffConfig {
             designs: Design::ALL.to_vec(),
             overrides: small_overrides(),
             ff_designs: vec![Design::Dac],
-            mt_threads: vec![2],
         }
     }
 }
@@ -103,12 +97,6 @@ pub enum DiffFailure {
     },
     /// Fast-forward on/off changed the result.
     FastForward { design: Design, what: String },
-    /// Running with intra-run worker threads changed the result.
-    Threaded {
-        design: Design,
-        threads: usize,
-        what: String,
-    },
     /// A cached harness result's output digest disagrees with the oracle.
     DigestMismatch { design: Design, got: u64, want: u64 },
     /// The simulator (or decoupler) panicked.
@@ -151,13 +139,6 @@ impl std::fmt::Display for DiffFailure {
             ),
             DiffFailure::FastForward { design, what } => {
                 write!(f, "{}: fast-forward changed {what}", design.name())
-            }
-            DiffFailure::Threaded {
-                design,
-                threads,
-                what,
-            } => {
-                write!(f, "{}: --threads {threads} changed {what}", design.name())
             }
             DiffFailure::DigestMismatch { design, got, want } => write!(
                 f,
@@ -271,35 +252,6 @@ pub fn check_workload(w: &Workload, cfg: &DiffConfig) -> Result<Vec<DesignRun>, 
             if rw != gw {
                 return Err(DiffFailure::FastForward {
                     design,
-                    what: "output words".into(),
-                });
-            }
-        }
-
-        for &threads in &cfg.mt_threads {
-            let mut par = cfg.overrides.clone();
-            par.threads = Some(threads);
-            let rerun = run_caught(w, design, &par)?;
-            if rerun.report.cycles != run.report.cycles {
-                return Err(DiffFailure::Threaded {
-                    design,
-                    threads,
-                    what: format!("cycles: {} vs {}", run.report.cycles, rerun.report.cycles),
-                });
-            }
-            if rerun.report.stats != run.report.stats {
-                return Err(DiffFailure::Threaded {
-                    design,
-                    threads,
-                    what: "stats".into(),
-                });
-            }
-            let rw = rerun.memory.read_u32_vec(w.output.0, w.output.1);
-            let gw = run.memory.read_u32_vec(w.output.0, w.output.1);
-            if rw != gw {
-                return Err(DiffFailure::Threaded {
-                    design,
-                    threads,
                     what: "output words".into(),
                 });
             }

@@ -13,6 +13,8 @@
 //! [`diff::check_workload`] → (on failure) [`reduce::reduce`] →
 //! [`reduce::repro_asm`].
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod gen;
 pub mod oracle;

@@ -87,13 +87,6 @@ pub struct Overrides {
     /// determinism test pins this), so it is deliberately *excluded* from
     /// [`Overrides::relevant`] — cache entries and artifacts are shared.
     pub no_fast_forward: bool,
-    /// Intra-run worker threads (`--threads N`): shard SMs and L2
-    /// partitions within one simulation. Like `no_fast_forward` this is
-    /// purely a simulator-speed knob — results are byte-identical for any
-    /// value (the determinism tests pin this) — so it is deliberately
-    /// *excluded* from [`Overrides::relevant`]: cache entries and
-    /// artifacts are shared across thread counts.
-    pub threads: Option<usize>,
     /// Multi-kernel scenario selected with `--set streams=NAME`. Not a
     /// per-job knob: the CLIs consume it to build scenario jobs (the
     /// scenario name enters the cache key through the job payload, so it
@@ -121,9 +114,6 @@ impl Overrides {
             cfg.max_warps_per_sm = n;
         }
         cfg.fast_forward = !self.no_fast_forward;
-        if let Some(t) = self.threads {
-            cfg.threads = t;
-        }
         cfg
     }
 
@@ -154,8 +144,9 @@ impl Overrides {
                 .parse::<usize>()
                 .map_err(|_| format!("--set {key}: expected a number, got {value:?}"))
         }
-        // Machine dimensions: a chip with no SMs, or SMs with no warp
-        // slots, can run nothing.
+        // A chip with no SMs, SMs with no warp slots, or a DAC with no
+        // ATQ entry (the affine warp can never enqueue a tuple) can run
+        // nothing.
         fn positive(key: &str, value: &str) -> Result<usize, String> {
             match num(key, value)? {
                 0 => Err(format!("--set {key}: must be at least 1")),
@@ -170,7 +161,7 @@ impl Overrides {
             }
         }
         match key {
-            "atq_entries" => self.atq_entries = Some(num(key, value)?),
+            "atq_entries" => self.atq_entries = Some(positive(key, value)?),
             "pwaq_total" => self.pwaq_total = Some(num(key, value)?),
             "pwpq_total" => self.pwpq_total = Some(num(key, value)?),
             "lock_lines" => self.lock_lines = Some(flag(key, value)?),
@@ -584,6 +575,13 @@ mod tests {
             assert!(err.contains(key) && !err.contains('\n'), "{err}");
             assert!(o.set(key, "1").is_ok());
         }
+        // So is a DAC with no ATQ entry (the run would deadlock); the
+        // other two queues run to completion empty-sized.
+        assert_eq!(
+            o.set("atq_entries", "0").unwrap_err(),
+            "--set atq_entries: must be at least 1"
+        );
+        assert!(o.set("pwaq_total", "0").is_ok() && o.set("pwpq_total", "0").is_ok());
         assert_eq!(o.atq_entries, Some(12));
         assert_eq!(o.lock_lines, Some(false));
     }

@@ -154,29 +154,14 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 /// Validate `value` against a minimal JSON-Schema subset: `type`,
-/// `required`, `properties`, `items`, `const`, `minItems`, `enum`, the
-/// numeric bounds `minimum`/`maximum`, and draft-07 `if`/`then`/`else`
-/// conditionals — enough to pin artifact shapes (the checked-in
-/// `schemas/*.schema.json`) without an external schema library.
+/// `required`, `properties`, `items`, `const`, `minItems`, `enum`, and
+/// the numeric bounds `minimum`/`maximum` — enough to pin artifact shapes
+/// (the checked-in `schemas/*.schema.json`) without an external schema
+/// library.
 /// Appends one message per violation to `errors`, with `at` as the
 /// JSONPath-style location prefix (pass `"$"` at the root). Shared by
 /// `perf --check-bench`, `sweepctl check-bench`, and `sweepctl check-log`.
 pub fn validate(value: &Value, schema: &Value, at: &str, errors: &mut Vec<String>) {
-    // `if`/`then`/`else`: the conditional branch's violations are real
-    // errors; the `if` subschema itself only selects which branch applies
-    // (its probe errors are discarded, per draft-07).
-    if let Some(cond) = schema.get("if") {
-        let mut probe = Vec::new();
-        validate(value, cond, at, &mut probe);
-        let branch = if probe.is_empty() {
-            schema.get("then")
-        } else {
-            schema.get("else")
-        };
-        if let Some(branch) = branch {
-            validate(value, branch, at, errors);
-        }
-    }
     if let Some(expected) = schema.get("const") {
         let matches = match (expected, value) {
             (Value::Str(a), Value::Str(b)) => a == b,
@@ -602,30 +587,6 @@ mod tests {
             &mut errors,
         );
         assert_eq!(errors.len(), 1, "{errors:?}");
-    }
-
-    #[test]
-    fn validate_applies_conditional_branches() {
-        // The shape BENCH_pr10.json uses: the 4-thread speedup floor only
-        // binds on hosts with enough cores to express parallelism.
-        let schema = parse(
-            r#"{"type":"object",
-                "if":{"properties":{"host_cpus":{"minimum":4}}},
-                "then":{"properties":{"speedup_4t":{"minimum":1.5}}},
-                "else":{"properties":{"speedup_4t":{"minimum":0.0}}}}"#,
-        )
-        .unwrap();
-        let cases = [
-            (r#"{"host_cpus":8,"speedup_4t":2.1}"#, true),
-            (r#"{"host_cpus":8,"speedup_4t":1.2}"#, false),
-            (r#"{"host_cpus":1,"speedup_4t":0.8}"#, true),
-            (r#"{"host_cpus":1,"speedup_4t":-0.5}"#, false),
-        ];
-        for (text, ok) in cases {
-            let mut errors = Vec::new();
-            validate(&parse(text).unwrap(), &schema, "$", &mut errors);
-            assert_eq!(errors.is_empty(), ok, "{text}: {errors:?}");
-        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod cache;
 pub mod job;

@@ -33,6 +33,8 @@
 //! assert_eq!(kernel.name, "add_one");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod builder;
 pub mod cfg;

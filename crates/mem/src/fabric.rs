@@ -4,9 +4,10 @@
 //! Clients (the SM load/store units, DAC's Address Expansion Unit, and the
 //! MTA prefetcher) submit [`MemRequest`]s tagged with a [`Client`] id and an
 //! opaque token; completed loads come back as [`MemResponse`]s through
-//! [`MemoryFabric::drain_responses`]. The fabric owns all timing: structural
-//! stalls are reported synchronously as [`AccessOutcome::Stall`] so callers
-//! can retry (that retry *is* the stall).
+//! [`MemoryFabric::drain_responses_into`]. The fabric owns all timing:
+//! structural stalls are reported synchronously as
+//! [`AccessOutcome::Stall`] so callers can retry (that retry *is* the
+//! stall).
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::MemConfig;
@@ -165,11 +166,9 @@ struct Partition {
     next_id: u64,
     /// Events generated this cycle, headed for SM ports: `(sm, ready_at,
     /// event)` in generation order. Ports merge these in partition-index
-    /// order after every partition has cycled, which decouples partitions
-    /// from ports (they can tick on different worker threads) while
-    /// reproducing the serial delivery order exactly. Cleared at the start
-    /// of the partition's next cycle; entries are *copied* out by the
-    /// ports, so the stale buffer is never read again.
+    /// order after every partition has cycled. Cleared at the start of the
+    /// partition's next cycle; entries are *copied* out by the ports, so
+    /// the stale buffer is never read again.
     outbox: Vec<(usize, u64, PartEvent)>,
     /// Dirty L2 evictions written back to DRAM (partition-local slice of
     /// [`MemStats::writebacks`]).
@@ -197,11 +196,9 @@ struct SmPort {
     ready: BinaryHeap<Reverse<(u64, u64, usize, usize)>>,
     ready_slab: Vec<Option<MemResponse>>,
     ready_free: Vec<usize>,
-    /// Port-local sequence counter. `seq` only ever tie-breaks within this
-    /// port's two heaps, so a per-port counter reproduces the serial
-    /// ordering exactly as long as values are assigned in the serial
-    /// relative order (partition events in partition-index order first,
-    /// then client accesses in SM-index order).
+    /// Port-local sequence counter: `seq` only ever tie-breaks within this
+    /// port's two heaps. Each cycle assigns it to partition events first
+    /// (in partition-index order), then to this SM's client accesses.
     seq: u64,
     /// Fills delivered into the prefetch buffer (port-local slice of
     /// [`MemStats::pbuf_fills`]).
@@ -249,8 +246,7 @@ impl SmPort {
     }
 
     /// Pull this port's events out of every partition outbox, scanning
-    /// partitions in index order so `seq` assignment matches the serial
-    /// delivery order.
+    /// partitions in index order.
     fn merge_outboxes<'p>(&mut self, sm: usize, parts: impl Iterator<Item = &'p Partition>) {
         for part in parts {
             for &(t_sm, at, ev) in &part.outbox {
@@ -335,7 +331,7 @@ impl Partition {
 
     /// Advance this partition one cycle: service the input-queue head, run
     /// DRAM, and route completions into the outbox. Touches only
-    /// partition-local state, so partitions can cycle concurrently.
+    /// partition-local state.
     fn cycle(&mut self, cfg: &MemConfig, p: usize, now: u64, tracer: &mut dyn Tracer) {
         let l2_latency = cfg.l2_latency;
         let icnt = cfg.icnt_latency;
@@ -545,7 +541,7 @@ impl MemoryFabric {
 
     /// [`MemoryFabric::access`] with request/stall events emitted into
     /// `tracer`. Accepted requests with responses also record their
-    /// acceptance cycle so [`MemoryFabric::drain_responses_traced`] can
+    /// acceptance cycle so [`MemoryFabric::drain_responses_into`] can
     /// report end-to-end latency.
     pub fn access_traced(
         &mut self,
@@ -781,11 +777,9 @@ impl MemoryFabric {
     }
 
     /// [`MemoryFabric::cycle`] with L2-access and SM-fill events emitted
-    /// into `tracer`. Runs the same two phases the parallel runner shards
-    /// across workers: every partition cycles (filling its outbox), then
-    /// every port merges outbox events in partition-index order and
-    /// processes matured fills — so serial and threaded runs execute
-    /// identical event sequences.
+    /// into `tracer`. Two phases: every partition cycles (filling its
+    /// outbox), then every port merges outbox events in partition-index
+    /// order and processes matured fills.
     pub fn cycle_traced(&mut self, now: u64, tracer: &mut dyn Tracer) {
         // Partitions: accept one request per cycle, run DRAM, route returns.
         for p in 0..self.parts.len() {
@@ -801,29 +795,11 @@ impl MemoryFabric {
         }
     }
 
-    /// Drain all responses ready for `sm` at cycle `now`.
-    pub fn drain_responses(&mut self, sm: usize, now: u64) -> Vec<MemResponse> {
-        self.drain_responses_traced(sm, now, &mut NullTracer)
-    }
-
-    /// [`MemoryFabric::drain_responses`] emitting one
-    /// [`TraceEvent::MemResp`] per delivered response, with end-to-end
-    /// latency measured from fabric acceptance (requests submitted while
-    /// tracing was off report latency 0).
-    pub fn drain_responses_traced(
-        &mut self,
-        sm: usize,
-        now: u64,
-        tracer: &mut dyn Tracer,
-    ) -> Vec<MemResponse> {
-        let mut out = Vec::new();
-        self.drain_responses_into(sm, now, tracer, &mut out);
-        out
-    }
-
-    /// [`MemoryFabric::drain_responses_traced`] appending into a
-    /// caller-owned buffer, so the per-cycle hot path can reuse one
-    /// allocation across cycles.
+    /// Drain all responses ready for `sm` at cycle `now`, appending into
+    /// a caller-owned buffer (the per-cycle hot path reuses one allocation
+    /// across cycles). Emits one [`TraceEvent::MemResp`] per delivered
+    /// response, with end-to-end latency measured from fabric acceptance
+    /// (requests submitted while tracing was off report latency 0).
     pub fn drain_responses_into(
         &mut self,
         sm: usize,
@@ -831,8 +807,38 @@ impl MemoryFabric {
         tracer: &mut dyn Tracer,
         out: &mut Vec<MemResponse>,
     ) {
-        self.port_view(sm)
-            .drain_responses_into(sm, now, tracer, out);
+        let port = &mut self.sms[sm];
+        let start = out.len();
+        loop {
+            let pop = matches!(port.ready.peek(),
+                Some(&Reverse((at, _, _, _))) if at <= now);
+            if !pop {
+                break;
+            }
+            let Reverse((_, _, _, slot)) = port.ready.pop().unwrap();
+            out.push(port.ready_slab[slot].take().unwrap());
+            port.ready_free.push(slot);
+            port.progress += 1;
+        }
+        if tracer.enabled() {
+            for r in &out[start..] {
+                let key = (r.sm, r.client.to_u8(), r.token);
+                let t0 = self.trace_t0.get(&key).copied().unwrap_or(now);
+                tracer.emit(
+                    now,
+                    TraceEvent::MemResp {
+                        sm: r.sm as u32,
+                        line: r.line,
+                        client: r.client.trace(),
+                        token: r.token,
+                        latency: now - t0,
+                    },
+                );
+            }
+            for r in &out[start..] {
+                self.trace_t0.remove(&(r.sm, r.client.to_u8(), r.token));
+            }
+        }
     }
 
     /// Unlock a DAC-locked L1 line after its demand access (paper §4.2).
@@ -887,8 +893,8 @@ impl MemoryFabric {
     /// The two prefetch-buffer counters the MTA throttle reads
     /// (`pbuf_unused_evictions`, `pbuf_fills`), exactly as
     /// [`MemoryFabric::stats`] would report them. Both move only on the
-    /// port fill path, so a snapshot taken after the fabric cycle is stable
-    /// for the whole SM phase — serial or threaded.
+    /// port fill path, so they hold still from the end of the fabric cycle
+    /// through every SM's tick.
     pub fn pbuf_stats(&self) -> (u64, u64) {
         let mut unused = self.stats_extra.pbuf_unused_evictions;
         let mut fills = self.stats_extra.pbuf_fills;
@@ -916,7 +922,7 @@ impl MemoryFabric {
     }
 
     /// Per-unit progress counters for deadlock diagnostics: the
-    /// coordinator-side residue (accepted requests), then one entry per
+    /// fabric-level residue (accepted requests), then one entry per
     /// partition and one per SM port.
     pub fn progress_breakdown(&self) -> (u64, Vec<u64>, Vec<u64>) {
         (
@@ -975,174 +981,6 @@ impl MemoryFabric {
             }
         }
     }
-
-    /// A mutable view of one SM's port (L1, MSHR, prefetch buffer,
-    /// response queues), detached from the rest of the fabric so SM ticks
-    /// can run without `&mut MemoryFabric`. The serial view also carries
-    /// the trace-latency map; the [`FabricGrid`] view does not (tracing
-    /// forces the serial runner).
-    pub fn port_view(&mut self, sm: usize) -> SmPortView<'_> {
-        SmPortView {
-            port: &mut self.sms[sm],
-            trace_t0: &mut self.trace_t0,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Raw handle for the phase-parallel runner. See [`FabricGrid`] for
-    /// the aliasing contract.
-    pub fn grid(&mut self) -> FabricGrid {
-        FabricGrid { fabric: self }
-    }
-
-    /// Number of L2/DRAM partitions (0 for perfect memory).
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-}
-
-/// Raw, shareable handle over a [`MemoryFabric`] for the intra-run worker
-/// pool. Each method touches exactly one partition or one SM port (plus,
-/// in the port-merge phase, read-only partition outboxes), so workers
-/// operating on disjoint unit indices never alias.
-///
-/// # Safety contract
-/// Callers must uphold the phase protocol:
-/// - between barriers, at most one worker touches any given unit index;
-/// - [`FabricGrid::partition_cycle`] calls (mutating partitions) never
-///   overlap [`FabricGrid::port_cycle`] / [`FabricGrid::port_view`] calls
-///   that read partition outboxes or mutate ports;
-/// - no `&mut MemoryFabric` method runs while any grid call is in flight;
-/// - the fabric outlives the grid and is not moved while it exists.
-pub struct FabricGrid {
-    fabric: *mut MemoryFabric,
-}
-
-// Safety: the grid is only a capability to *derive* disjoint per-unit
-// references under the phase protocol above; it carries no thread-affine
-// state of its own.
-unsafe impl Send for FabricGrid {}
-unsafe impl Sync for FabricGrid {}
-
-impl FabricGrid {
-    /// Advance partition `p` one cycle (phase A). Tracing is unavailable
-    /// here by design: the parallel runner only exists when tracing is off.
-    ///
-    /// # Safety
-    /// See the [`FabricGrid`] contract; `p` must be in range and owned by
-    /// the calling worker for this phase.
-    pub unsafe fn partition_cycle(&self, p: usize, now: u64) {
-        let cfg = &*std::ptr::addr_of!((*self.fabric).cfg);
-        let parts = std::ptr::addr_of_mut!((*self.fabric).parts);
-        let part = &mut *(*parts).as_mut_ptr().add(p);
-        part.begin_cycle();
-        part.cycle(cfg, p, now, &mut NullTracer);
-    }
-
-    /// Merge partition outboxes into port `sm` and process matured events
-    /// (phase B). Partitions are read-only here.
-    ///
-    /// # Safety
-    /// See the [`FabricGrid`] contract; `sm` must be in range and owned by
-    /// the calling worker for this phase, and no partition may be mutated
-    /// concurrently.
-    pub unsafe fn port_cycle(&self, sm: usize, now: u64) {
-        let parts = &*std::ptr::addr_of!((*self.fabric).parts);
-        let ports = std::ptr::addr_of_mut!((*self.fabric).sms);
-        let port = &mut *(*ports).as_mut_ptr().add(sm);
-        port.merge_outboxes(sm, parts.iter());
-        port.incoming_cycle(sm, now, &mut NullTracer);
-    }
-
-    /// Snapshot `(pbuf_unused_evictions, pbuf_fills)` for the MTA
-    /// throttle. The counters only move on the port fill path (phase B).
-    ///
-    /// # Safety
-    /// See the [`FabricGrid`] contract; must only be called between
-    /// barriers while no worker mutates any partition or port.
-    pub unsafe fn pbuf_stats(&self) -> (u64, u64) {
-        (*self.fabric).pbuf_stats()
-    }
-
-    /// A port view for the SM-compute phase (drains + unlocks only).
-    ///
-    /// # Safety
-    /// See the [`FabricGrid`] contract; `sm` must be in range and owned by
-    /// the calling worker until the view is dropped.
-    pub unsafe fn port_view(&self, sm: usize) -> SmPortView<'static> {
-        let ports = std::ptr::addr_of_mut!((*self.fabric).sms);
-        SmPortView {
-            port: (*ports).as_mut_ptr().add(sm),
-            trace_t0: std::ptr::null_mut(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-/// Exclusive access to one SM's fabric port: response draining and L1
-/// lock release — everything an SM tick needs from the fabric without
-/// touching partitions or other ports.
-pub struct SmPortView<'a> {
-    port: *mut SmPort,
-    /// Trace-latency map; null in grid-derived views (tracing off).
-    trace_t0: *mut FxHashMap<(usize, u8, u64), u64>,
-    _marker: std::marker::PhantomData<&'a mut MemoryFabric>,
-}
-
-impl SmPortView<'_> {
-    /// Drain all responses ready for `sm` at cycle `now` into `out`,
-    /// emitting [`TraceEvent::MemResp`] when tracing.
-    pub fn drain_responses_into(
-        &mut self,
-        sm: usize,
-        now: u64,
-        tracer: &mut dyn Tracer,
-        out: &mut Vec<MemResponse>,
-    ) {
-        let _ = sm;
-        let port = unsafe { &mut *self.port };
-        let start = out.len();
-        loop {
-            let pop = matches!(port.ready.peek(),
-                Some(&Reverse((at, _, _, _))) if at <= now);
-            if !pop {
-                break;
-            }
-            let Reverse((_, _, _, slot)) = port.ready.pop().unwrap();
-            out.push(port.ready_slab[slot].take().unwrap());
-            port.ready_free.push(slot);
-            port.progress += 1;
-        }
-        if tracer.enabled() {
-            let t0map = unsafe { self.trace_t0.as_mut() };
-            for r in &out[start..] {
-                let t0 = t0map
-                    .as_ref()
-                    .and_then(|m| m.get(&(r.sm, r.client.to_u8(), r.token)).copied())
-                    .unwrap_or(now);
-                tracer.emit(
-                    now,
-                    TraceEvent::MemResp {
-                        sm: r.sm as u32,
-                        line: r.line,
-                        client: r.client.trace(),
-                        token: r.token,
-                        latency: now - t0,
-                    },
-                );
-            }
-            if let Some(m) = t0map {
-                for r in &out[start..] {
-                    m.remove(&(r.sm, r.client.to_u8(), r.token));
-                }
-            }
-        }
-    }
-
-    /// Unlock a DAC-locked L1 line after its demand access (paper §4.2).
-    pub fn unlock(&mut self, line: u64) {
-        unsafe { (*self.port).l1.unlock(line) };
-    }
 }
 
 #[cfg(test)]
@@ -1163,6 +1001,13 @@ mod tests {
         }
     }
 
+    /// Everything ready for `sm` at `now`, as a fresh `Vec`.
+    fn drain(f: &mut MemoryFabric, sm: usize, now: u64) -> Vec<MemResponse> {
+        let mut out = Vec::new();
+        f.drain_responses_into(sm, now, &mut NullTracer, &mut out);
+        out
+    }
+
     /// Run the fabric until a response for `sm` appears or `limit` cycles.
     fn run_until_response(
         f: &mut MemoryFabric,
@@ -1172,7 +1017,7 @@ mod tests {
     ) -> (u64, Vec<MemResponse>) {
         for t in start..start + limit {
             f.cycle(t);
-            let r = f.drain_responses(sm, t);
+            let r = drain(f, sm, t);
             if !r.is_empty() {
                 return (t, r);
             }
@@ -1240,7 +1085,7 @@ mod tests {
         }
         for now in t + 9..t + 5009 {
             f.cycle(now);
-            f.drain_responses(0, now);
+            drain(&mut f, 0, now);
             if f.quiescent() {
                 break;
             }
@@ -1286,7 +1131,7 @@ mod tests {
         let mut now = 1;
         while !f.quiescent() && now < 3000 {
             f.cycle(now);
-            assert!(f.drain_responses(0, now).is_empty());
+            assert!(drain(&mut f, 0, now).is_empty());
             now += 1;
         }
         assert!(f.quiescent());
@@ -1324,7 +1169,7 @@ mod tests {
         let mut now = 1;
         while !f.quiescent() && now < 3000 {
             f.cycle(now);
-            f.drain_responses(0, now);
+            drain(&mut f, 0, now);
             now += 1;
         }
         assert_eq!(f.stats().pbuf_fills, 1);
@@ -1378,7 +1223,7 @@ mod tests {
         f.access(0, load(0, 0, 1));
         f.access(0, load(0, 128 * 999, 2));
         f.cycle(1);
-        let resps = f.drain_responses(0, 1);
+        let resps = drain(&mut f, 0, 1);
         assert_eq!(resps.len(), 2);
     }
 
@@ -1411,7 +1256,7 @@ mod tests {
                 }
             }
             f.cycle(now);
-            got += f.drain_responses(0, now).len() as u64;
+            got += drain(&mut f, 0, now).len() as u64;
             now += 1;
         }
         assert_eq!(got, n);

@@ -18,6 +18,8 @@
 //! DESIGN.md). The fabric is deterministic: identical request sequences
 //! produce identical timings.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod dram;
@@ -30,9 +32,7 @@ pub mod stats;
 pub use cache::{Cache, CacheOutcome};
 pub use config::MemConfig;
 pub use dram::DramPartition;
-pub use fabric::{
-    AccessOutcome, Client, FabricGrid, MemRequest, MemResponse, MemoryFabric, ReqKind, SmPortView,
-};
+pub use fabric::{AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mshr::MshrTable;
 pub use sparse::SparseMemory;

@@ -28,6 +28,8 @@
 //!     "simt_doc_examples_total", "Doc-test executions.", &[], 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod metrics;
 pub mod prom;

@@ -13,6 +13,8 @@
 //! * [`report`] — deterministic markdown + JSON bottleneck reports
 //!   comparing designs side by side.
 
+#![forbid(unsafe_code)]
+
 mod cpi;
 mod hist;
 pub mod report;

@@ -22,9 +22,6 @@ options:
   --results DIR        results root (default results)
   --jobs N             simulation worker threads, one point each
                        (default: available cores)
-  --threads N          intra-run worker threads *inside* each simulated
-                       point, sharding SMs and L2 partitions (default 1;
-                       results byte-identical; unlike --jobs)
   --execute-budget N   simulate at most N fresh points this session, then
                        leave the rest queued for the next session
   --log-level LEVEL    error|warn|info|debug|off (default info; env SIMT_LOG)
@@ -48,7 +45,6 @@ struct Args {
     port_file: Option<String>,
     results: String,
     jobs: usize,
-    threads: Option<usize>,
     execute_budget: Option<usize>,
     quiet: bool,
 }
@@ -60,7 +56,6 @@ fn parse_args() -> Args {
         port_file: None,
         results: "results".into(),
         jobs: std::thread::available_parallelism().map_or(2, |n| n.get()),
-        threads: None,
         execute_budget: None,
         quiet: false,
     };
@@ -88,15 +83,6 @@ fn parse_args() -> Args {
                     .filter(|&n: &usize| n >= 1)
                     .unwrap_or_else(|| usage_exit("--jobs: expected a positive integer"))
             }
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .unwrap_or_else(|| usage_exit("--threads: expected a positive integer")),
-                )
-            }
             "--execute-budget" => {
                 args.execute_budget = Some(
                     value("--execute-budget")
@@ -122,7 +108,6 @@ fn main() {
     let service = Arc::new(SweepService::new(ServeConfig {
         results_dir: args.results.clone().into(),
         workers: args.jobs,
-        threads: args.threads,
         execute_budget: args.execute_budget,
         verbose: !args.quiet,
     }));

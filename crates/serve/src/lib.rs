@@ -31,6 +31,8 @@
 //! Binaries: `serve` (the daemon) and `sweepctl` (submit / watch / tail /
 //! fetch).
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod dashboard;
 pub mod grid;

@@ -62,11 +62,6 @@ pub struct ServeConfig {
     /// warming for CI, and a deterministic way to stop a daemon
     /// mid-sweep.
     pub execute_budget: Option<usize>,
-    /// Intra-run worker threads for every simulation this daemon executes
-    /// (`--threads`): shards SMs and L2 partitions *within* one point,
-    /// byte-identical results. `None` leaves jobs serial. Distinct from
-    /// `workers`, which runs whole points in parallel.
-    pub threads: Option<usize>,
     /// Per-point progress lines on stderr.
     pub verbose: bool,
 }
@@ -78,7 +73,6 @@ impl ServeConfig {
             results_dir: results_dir.into(),
             workers,
             execute_budget: None,
-            threads: None,
             verbose: false,
         }
     }
@@ -537,10 +531,9 @@ impl SweepService {
         let cache = self.cache.clone();
         let registry = Arc::clone(&self.registry);
         let verbose = self.cfg.verbose;
-        let threads = self.cfg.threads;
         self.pool.submit(move || {
             let (lock, cvar) = &*state;
-            let mut job = {
+            let job = {
                 let mut st = lock.lock().unwrap();
                 if st.stopping {
                     // Leave the point queued: the manifest resumes it next
@@ -551,12 +544,6 @@ impl SweepService {
                 }
                 st.points[&hash].job.clone()
             };
-            // Intra-run parallelism is a daemon-local speed knob: it never
-            // enters cache keys or artifacts (results are byte-identical),
-            // so applying it here leaves the point's identity untouched.
-            if let Some(t) = threads {
-                job.overrides.threads.get_or_insert(t);
-            }
             let run = format!("{hash:016x}");
 
             // Store lookup outside the lock — it reads the filesystem.

@@ -7,8 +7,8 @@
 //! validation ("can never be placed"). The sweep worker journals that
 //! reason (`Job::check`, or a caught panic for any other simulator
 //! failure) rather than tearing the daemon down. (A machine with *no*
-//! warp slots or SMs never gets that far: the override parser turns it
-//! into a 400.)
+//! warp slots, SMs or ATQ entries never gets that far: the override
+//! parser turns it into a 400.)
 
 use simt_harness::json;
 use simt_serve::client::Client;
@@ -38,7 +38,7 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
     let serving = std::thread::spawn(move || server.serve());
     let client = Client::new(addr.clone());
 
-    for knob in ["max_warps_per_sm", "num_sms"] {
+    for knob in ["max_warps_per_sm", "num_sms", "atq_entries"] {
         let empty_machine = json::parse(&format!(
             r#"{{"benches": ["LIB"], "designs": ["baseline"], "overrides": {{"{knob}": 0}}}}"#
         ))

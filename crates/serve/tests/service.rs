@@ -164,7 +164,6 @@ fn restarted_daemon_resumes_sweep_without_reexecution() {
         let service = SweepService::new(ServeConfig {
             results_dir: results.clone(),
             workers: 1,
-            threads: None,
             execute_budget: Some(2),
             verbose: false,
         });
@@ -194,7 +193,6 @@ fn restarted_daemon_resumes_sweep_without_reexecution() {
         let service = SweepService::new(ServeConfig {
             results_dir: results.clone(),
             workers: 2,
-            threads: None,
             execute_budget: None,
             verbose: false,
         });

@@ -40,12 +40,6 @@ pub struct GpuConfig {
     /// progress (see DESIGN.md "Simulator performance"). Cycle-exact by
     /// construction; disable with `--no-fast-forward` to cross-check.
     pub fast_forward: bool,
-    /// Worker threads sharding SMs and L2 partitions *within* one run
-    /// (see DESIGN.md "Intra-run parallelism"). Every artifact is
-    /// byte-identical for any value; 1 (or 0) means the serial path.
-    /// Clamped to `num_sms`. Distinct from the harness `--jobs`
-    /// run-level parallelism.
-    pub threads: usize,
     /// The memory hierarchy.
     pub mem: MemConfig,
 }
@@ -70,7 +64,6 @@ impl GpuConfig {
             lsu_queue: 16,
             max_cycles: 200_000_000,
             fast_forward: true,
-            threads: 1,
             mem: MemConfig::gtx480(),
         }
     }

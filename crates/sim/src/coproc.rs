@@ -16,8 +16,9 @@
 //!   tables; [`CoProcessor::on_response`] routes fabric responses addressed
 //!   to [`simt_mem::Client::Dac`] / [`simt_mem::Client::Mta`];
 //! * **execution** — [`CoProcessor::step`] runs once per SM per cycle with
-//!   mutable access to the fabric and the SM's issue slot, which is where
-//!   DAC's affine warp and expansion units live.
+//!   mutable access to the SM's issue slot, which is where DAC's affine
+//!   warp and expansion units live; [`CoProcessor::pump`] then submits
+//!   the cycle's fabric request.
 
 use crate::stats::SimStats;
 use simt_ir::{Instr, Program, Space, Width};
@@ -62,9 +63,9 @@ pub enum IssueCost {
 
 /// Mutable per-SM, per-cycle context handed to [`CoProcessor::step`].
 ///
-/// Deliberately fabric-free: `step` runs inside the (potentially
-/// multi-threaded) SM-compute phase, so fabric traffic is deferred to
-/// [`CoProcessor::pump`], which the run loop replays in SM-index order.
+/// Fabric-free: `step` runs before the SM's issue stage and only latches
+/// requests; [`CoProcessor::pump`] submits them at the end of the SM's
+/// tick.
 pub struct CoCtx<'a> {
     /// Current cycle.
     pub now: u64,
@@ -192,17 +193,15 @@ pub trait CoProcessor {
 
     /// Per-SM, per-cycle execution (affine warp, expansion units,
     /// prefetch bookkeeping). No fabric access: requests captured here are
-    /// submitted by [`CoProcessor::pump`] in the replay phase, preserving
-    /// the serial SM-index submission order under the threaded runner.
+    /// submitted by [`CoProcessor::pump`] after the SM's issue stage.
     fn step(&mut self, ctx: &mut CoCtx<'_>) {
         let _ = ctx;
     }
 
     /// Submit this SM's fabric traffic for the cycle (AEU early requests,
-    /// MTA prefetches). Runs after every SM's [`CoProcessor::step`] and
-    /// issue phase, invoked in SM-index order by both the serial and
-    /// threaded runners — the single point where coprocessors touch shared
-    /// fabric state.
+    /// MTA prefetches). Runs after the SM's [`CoProcessor::step`] and
+    /// issue stage, just before its LSU access — the single point where
+    /// coprocessors touch the fabric.
     fn pump(
         &mut self,
         sm: usize,

@@ -112,12 +112,11 @@ fn deadlock_report(
     };
     let mut r = format!(
         "simulation exceeded {} cycles — deadlock? stalled at cycle {} \
-         (first kernel={} coproc={} threads={})\n",
+         (first kernel={} coproc={})\n",
         cfg.max_cycles,
         now,
         flat[0].2.program.kernel.name,
         coproc.name(),
-        cfg.threads.max(1),
     );
     let _ = writeln!(
         r,
@@ -365,9 +364,6 @@ impl GpuSim {
         let nk = flat.len();
         // Per-SM attribution rows: one bin per kernel plus one for
         // unbound-SM cycles, so the issue-slot invariant holds on the fold.
-        // Sharded by SM so the threaded compute phase writes only its own
-        // rows; all reports are sums over rows, which are placement- and
-        // thread-count-invariant (u64 addition is associative).
         let mut rows: Vec<Vec<SimStats>> = vec![vec![SimStats::default(); nk + 1]; cfg.num_sms];
         let coproc_names: Vec<String> = coprocs.iter().map(|c| c.name().to_string()).collect();
         for (k, c) in coprocs.iter_mut().enumerate() {
@@ -404,31 +400,11 @@ impl GpuSim {
         // Disabled while tracing (skipped cycles would drop their per-cycle
         // stall events from the trace).
         let ff_enabled = cfg.fast_forward && !tracer.enabled();
-        // The threaded runner is only engaged for untraced runs (like
-        // fast-forward, tracing byte-layout depends on per-cycle event
-        // order within a phase, which a worker pool does not preserve).
-        // More threads than SMs would only add idle barrier participants.
-        let threads = cfg.threads.max(1).min(cfg.num_sms);
-        let mut pool = if threads > 1 && !tracer.enabled() {
-            Some(crate::par::WorkerPool::new(threads))
-        } else {
-            None
-        };
-        // Per-SM routing snapshots, refreshed after each dispatch round:
-        // which attribution bin and which kernel context each SM uses this
-        // cycle. Stable for the whole cycle (bindings only change during
-        // dispatch), so the compute phase can read them from any thread.
-        let mut bins_of: Vec<usize> = vec![nk; cfg.num_sms];
-        let mut kctx_of: Vec<usize> = vec![0; cfg.num_sms];
         let mut prev_quiet = false;
         let mut now = 0u64;
 
         loop {
             cmdproc.dispatch(now, cfg, &mut sms, &kctxs, coproc, &mut rows, tracer);
-            for i in 0..cfg.num_sms {
-                bins_of[i] = cmdproc.binding(i).unwrap_or(nk);
-                kctx_of[i] = cmdproc.binding(i).unwrap_or(0);
-            }
 
             // Cheap progress fingerprint (a handful of u64 reads). The full
             // statistics snapshot needed to credit skipped cycles is only
@@ -446,53 +422,19 @@ impl GpuSim {
                 None
             };
 
-            let need_pbuf = coproc.wants_pbuf_stats(now);
-            if let Some(pool) = &mut pool {
-                // Threaded cycle: partitions, then ports, then SM compute,
-                // each phase sharded across the pool with a barrier between
-                // (the coordinator works its own shard too). Determinism:
-                // each phase touches only per-unit state, and the fabric
-                // merge walks partitions in index order regardless of which
-                // thread ran them.
-                pool.cycle(
+            fabric.cycle_traced(now, tracer);
+            for (i, sm) in sms.iter_mut().enumerate() {
+                // An unbound SM ticks against kernel 0's context (it has no
+                // warps to read it) and the unbound attribution bin.
+                let binding = cmdproc.binding(i);
+                sm.cycle(
                     now,
-                    need_pbuf,
                     cfg,
-                    &mut sms,
-                    &mut rows,
-                    &bins_of,
-                    &kctx_of,
-                    &kctxs,
-                    &mut fabric,
-                    coproc,
-                );
-            } else {
-                fabric.cycle_traced(now, tracer);
-                let pbuf = need_pbuf.then(|| fabric.pbuf_stats());
-                for i in 0..cfg.num_sms {
-                    let mut port = fabric.port_view(i);
-                    sms[i].cycle_compute(
-                        now,
-                        cfg,
-                        &kctxs[kctx_of[i]],
-                        &mut port,
-                        coproc,
-                        &mut rows[i][bins_of[i]],
-                        pbuf,
-                        tracer,
-                    );
-                }
-            }
-            // Replay phase: single-threaded, SM-index order — the only
-            // point where SMs touch shared state (fabric admission, the
-            // global memory image), so request order is the serial order.
-            for i in 0..cfg.num_sms {
-                sms[i].cycle_replay(
-                    now,
+                    &kctxs[binding.unwrap_or(0)],
                     mem,
                     &mut fabric,
                     coproc,
-                    &mut rows[i][bins_of[i]],
+                    &mut rows[i][binding.unwrap_or(nk)],
                     tracer,
                 );
             }
@@ -546,14 +488,12 @@ impl GpuSim {
 
             now += 1;
             if now >= cfg.max_cycles {
-                drop(pool);
                 panic!(
                     "{}",
                     deadlock_report(now, cfg, &sms, &fabric, coproc, &cmdproc, &flat)
                 );
             }
         }
-        drop(pool);
 
         // The loop above executed SM cycles for now = 0..=now inclusive.
         let mut stats = SimStats::default();
@@ -814,6 +754,48 @@ mod tests {
         }
         assert_eq!(hist, expect.to_vec());
         assert_eq!(hist.iter().sum::<u32>(), 256);
+    }
+
+    /// Two SMs `atom.exch` the same word in the same cycle: SM index
+    /// orders them. SM 0 reads the initial value, SM 1 reads what SM 0
+    /// wrote, and SM 1's value is the one left in memory.
+    #[test]
+    fn same_cycle_atomics_serialize_in_sm_index_order() {
+        let (word, out) = (0x4000u64, 0x8000u64);
+        // One single-thread CTA per SM (breadth-first placement), running
+        // identical instruction streams so both reach the atomic together.
+        let mut k = KernelBuilder::new("exch", 2);
+        let cta = k.mov(Operand::Special(simt_ir::SpecialReg::CtaIdX));
+        let val = k.alu2(Op::Add, Operand::Reg(cta), Operand::Imm(10));
+        let addr = k.mov(Operand::Param(0));
+        let atom_pc = k.here();
+        let old = k.atom(AtomOp::Exch, addr, 0, Operand::Reg(val));
+        let off = k.alu2(Op::Shl, Operand::Reg(cta), Operand::Imm(2));
+        let po = k.alu2(Op::Add, Operand::Param(1), Operand::Reg(off));
+        k.st(Space::Global, po, 0, Operand::Reg(old), Width::W32);
+        k.exit();
+        let prog = Program::new(k.build(), LaunchConfig::linear(2, 1, vec![word, out])).unwrap();
+
+        let mut mem = SparseMemory::new();
+        mem.write_u32_slice(word, &[7]);
+        let mut trace = simt_trace::RingSink::new(1 << 12);
+        small_gpu().run_traced(&prog, &mut mem, &mut NullCoProcessor, &mut trace);
+
+        let issues: Vec<(u64, u32)> = trace
+            .events()
+            .filter_map(|e| match e.event {
+                simt_trace::TraceEvent::WarpIssue { sm, pc, .. } if pc as usize == atom_pc => {
+                    Some((e.cycle, sm))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issues.len(), 2, "{issues:?}");
+        assert_eq!(issues[0].0, issues[1].0, "atomics must share a cycle");
+        assert_ne!(issues[0].1, issues[1].1, "one atomic per SM");
+
+        assert_eq!(mem.read_u32_vec(out, 2), vec![7, 10]);
+        assert_eq!(mem.read_u32_vec(word, 1), vec![11]);
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //! PTX mode); timing unfolds separately through the scoreboard and the
 //! memory fabric.
 
+#![forbid(unsafe_code)]
+
 pub mod cmdproc;
 pub mod coalesce;
 pub mod config;
 pub mod coproc;
 pub mod gpu;
-pub mod par;
 pub mod sm;
 pub mod stack;
 pub mod stats;

@@ -17,7 +17,7 @@ use simt_ir::{
     eval, AddrMode, AtomOp, Cfg, Instr, Operand, PredId, PredSrc, Program, RegId, Space, Width,
 };
 use simt_mem::{
-    AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind, SmPortView, SparseMemory,
+    AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind, SparseMemory,
 };
 use simt_trace::{StallCause, TraceEvent, Tracer};
 use std::cmp::Reverse;
@@ -154,32 +154,6 @@ struct LsuTxn {
     req: MemRequest,
 }
 
-/// What a deferred functional memory operation does at replay time.
-#[derive(Debug, Clone, Copy)]
-enum MemOpKind {
-    /// Global/local load: read each lane, write the destination register.
-    Load { warp: usize, dst: u16, width: usize },
-    /// Global/local store: write each lane's captured value.
-    Store { width: usize },
-    /// Atomic RMW: lanes serialize in order against memory; the old value
-    /// lands in the destination register.
-    Atomic { warp: usize, dst: u16, op: AtomOp },
-}
-
-/// One functional access to the *shared* global memory image, logged at
-/// issue and applied in the replay phase. Register operand values are
-/// captured eagerly (they cannot change between issue and replay: a warp
-/// issues at most once per cycle and the scoreboard holds load/atomic
-/// destinations until their writeback), so replaying the log in SM-index
-/// order reproduces the serial interleaving exactly — which is what lets
-/// the SM-compute phase run threaded without touching `mem`.
-#[derive(Debug, Clone, Copy)]
-struct MemOp {
-    kind: MemOpKind,
-    addrs: [Option<u64>; 32],
-    vals: [u64; 32],
-}
-
 /// What stands between a warp slot and issue, as far as the warp's own
 /// state decides it. One byte per slot on the [`Sm`], recomputed by
 /// [`Sm::classify`] only when an event touches the warp (own issue,
@@ -289,10 +263,6 @@ pub struct Sm {
     resp_scratch: Vec<MemResponse>,
     txn_scratch: Vec<Transaction>,
     line_scratch: Vec<u64>,
-    /// Functional global-memory operations deferred from this cycle's
-    /// issue phase to the replay phase (see [`MemOp`]). Cleared at the
-    /// start of every compute phase; capacity is reused.
-    mem_ops: Vec<MemOp>,
     /// Registers currently held by resident CTAs (incremental occupancy
     /// accounting; launch adds, retire subtracts).
     used_regs: u32,
@@ -343,7 +313,6 @@ impl Sm {
             resp_scratch: Vec::new(),
             txn_scratch: Vec::new(),
             line_scratch: Vec::new(),
-            mem_ops: Vec::new(),
             used_regs: 0,
             used_shared: 0,
             class: vec![IssueClass::Absent; cfg.max_warps_per_sm],
@@ -502,29 +471,28 @@ impl Sm {
         self.writeback.push(Reverse((at, warp, id, enc)));
     }
 
-    /// The SM-local part of a cycle: writeback/response drains, the
-    /// coprocessor step, scheduler picks, functional execution of
-    /// register/shared-memory work, and barrier resolution. Touches only
-    /// this SM, its fabric port, and its coprocessor state — never the
-    /// shared global-memory image or the partitions — so distinct SMs'
-    /// compute phases are independent and can run on different worker
-    /// threads. Fabric requests and global-memory operations are logged
-    /// for [`Sm::cycle_replay`].
+    /// One SM cycle: writeback and fabric-response drains, the coprocessor
+    /// step, scheduler picks with functional execution at issue (global
+    /// loads, stores and atomics go straight to `mem`), barrier
+    /// resolution, then this SM's fabric submissions — the coprocessor's
+    /// ([`CoProcessor::pump`]) and the LSU's one transaction per cycle.
+    /// The run loop calls this once per SM in index order, so SM index
+    /// orders every same-cycle access to `mem` and every partition-queue
+    /// admission.
     #[allow(clippy::too_many_arguments)]
-    pub fn cycle_compute(
+    pub fn cycle(
         &mut self,
         now: u64,
         cfg: &GpuConfig,
         kctx: &KernelCtx<'_>,
-        port: &mut SmPortView<'_>,
+        mem: &mut SparseMemory,
+        fabric: &mut MemoryFabric,
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
-        pbuf_stats: Option<(u64, u64)>,
         tracer: &mut dyn Tracer,
     ) {
-        self.mem_ops.clear();
         self.drain_writebacks(now);
-        self.drain_responses(now, port, coproc, tracer);
+        self.drain_responses(now, fabric, coproc, tracer);
         // Everything since the last issue stage (these drains, last
         // cycle's barrier releases and retires, this cycle's launches).
         self.reclassify(kctx);
@@ -539,7 +507,7 @@ impl Sm {
                 now,
                 sm: self.id,
                 line_bytes: cfg.mem.line_bytes,
-                pbuf_stats,
+                pbuf_stats: coproc.wants_pbuf_stats(now).then(|| fabric.pbuf_stats()),
                 issue_slot: &mut slot0_free,
                 stats,
                 tracer,
@@ -567,7 +535,7 @@ impl Sm {
             let mut tally = StallTally::default();
             if let Some(w) = self.pick_warp(s, now, cfg, kctx, coproc, stats, tracer, &mut tally) {
                 stats.slot_issued += 1;
-                let cost = self.issue(w, now, cfg, kctx, coproc, stats, tracer);
+                let cost = self.issue(w, now, cfg, kctx, mem, coproc, stats, tracer);
                 self.reclassify(kctx);
                 let busy = match cost {
                     IssueCost::Normal => cfg.issue_interval,
@@ -581,73 +549,8 @@ impl Sm {
         }
 
         self.resolve_barriers(coproc);
-    }
-
-    /// The shared-state part of a cycle, run for every SM in index order
-    /// by a single thread: coprocessor fabric traffic
-    /// ([`CoProcessor::pump`]), the deferred global-memory log, and the
-    /// LSU's one-transaction-per-cycle fabric access. Submission order
-    /// across SMs is the serial order, so partition-queue admission (and
-    /// every stall it causes) is byte-identical to a serial run.
-    pub fn cycle_replay(
-        &mut self,
-        now: u64,
-        mem: &mut SparseMemory,
-        fabric: &mut MemoryFabric,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
         coproc.pump(self.id, now, fabric, stats, tracer);
-        self.apply_mem_ops(mem);
         self.pump_lsu(now, fabric, tracer);
-    }
-
-    /// Apply the cycle's deferred functional memory operations in issue
-    /// order (see [`MemOp`] for why this is exact).
-    fn apply_mem_ops(&mut self, mem: &mut SparseMemory) {
-        if self.mem_ops.is_empty() {
-            return;
-        }
-        let ops = std::mem::take(&mut self.mem_ops);
-        for mop in &ops {
-            match mop.kind {
-                MemOpKind::Load { warp, dst, width } => {
-                    let w = self.warps[warp].as_mut().unwrap();
-                    for (lane, a) in mop.addrs.iter().enumerate() {
-                        if let Some(a) = a {
-                            let v = mem.read_bytes(*a, width);
-                            w.set_reg(dst, lane, v);
-                        }
-                    }
-                }
-                MemOpKind::Store { width } => {
-                    for (lane, a) in mop.addrs.iter().enumerate() {
-                        if let Some(a) = a {
-                            mem.write_bytes(*a, mop.vals[lane], width);
-                        }
-                    }
-                }
-                MemOpKind::Atomic { warp, dst, op } => {
-                    let w = self.warps[warp].as_mut().unwrap();
-                    for (lane, a) in mop.addrs.iter().enumerate() {
-                        let Some(a) = *a else { continue };
-                        let old = mem.read_u32(a) as u64;
-                        let v = mop.vals[lane];
-                        let new = match op {
-                            AtomOp::Add => (old as u32).wrapping_add(v as u32) as u64,
-                            AtomOp::Min => (old as i64).min(v as i64) as u64,
-                            AtomOp::Max => (old as i64).max(v as i64) as u64,
-                            AtomOp::Exch => v,
-                        };
-                        mem.write_u32(a, new as u32);
-                        w.set_reg(dst, lane, old);
-                    }
-                }
-            }
-        }
-        self.mem_ops = ops;
-        self.mem_ops.clear();
     }
 
     fn drain_writebacks(&mut self, now: u64) {
@@ -693,20 +596,20 @@ impl Sm {
     fn drain_responses(
         &mut self,
         now: u64,
-        port: &mut SmPortView<'_>,
+        fabric: &mut MemoryFabric,
         coproc: &mut dyn CoProcessor,
         tracer: &mut dyn Tracer,
     ) {
         let mut resps = std::mem::take(&mut self.resp_scratch);
         resps.clear();
-        port.drain_responses_into(self.id, now, tracer, &mut resps);
+        fabric.drain_responses_into(self.id, now, tracer, &mut resps);
         for resp in &resps {
             match resp.client {
                 Client::Lsu => {
                     if let Some(pos) = self.outstanding.iter().position(|&(t, _)| t == resp.token) {
                         let (_, track) = self.outstanding.swap_remove(pos);
                         if let Some(line) = track.unlock_line {
-                            port.unlock(line);
+                            fabric.unlock(self.id, line);
                         }
                         if let Some(w) = self.warps[track.warp].as_mut() {
                             if let Some(r) = track.dst {
@@ -900,6 +803,7 @@ impl Sm {
         now: u64,
         cfg: &GpuConfig,
         kctx: &KernelCtx<'_>,
+        mem: &mut SparseMemory,
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
         tracer: &mut dyn Tracer,
@@ -1035,8 +939,8 @@ impl Sm {
                 ..
             } => {
                 self.exec_load(
-                    w, pc, *dst, *space, *addr, *width, eff_mask, now, cfg, kctx, coproc, stats,
-                    cta_coords, tracer,
+                    w, pc, *dst, *space, *addr, *width, eff_mask, now, cfg, kctx, mem, coproc,
+                    stats, cta_coords, tracer,
                 );
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
@@ -1048,8 +952,8 @@ impl Sm {
                 ..
             } => {
                 self.exec_store(
-                    w, pc, *space, *addr, *src, *width, eff_mask, now, cfg, kctx, coproc, stats,
-                    cta_coords, tracer,
+                    w, pc, *space, *addr, *src, *width, eff_mask, now, cfg, kctx, mem, coproc,
+                    stats, cta_coords, tracer,
                 );
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
@@ -1057,7 +961,7 @@ impl Sm {
                 op, dst, addr, src, ..
             } => {
                 self.exec_atomic(
-                    w, *op, *dst, *addr, *src, eff_mask, now, cfg, kctx, stats, cta_coords,
+                    w, *op, *dst, *addr, *src, eff_mask, cfg, kctx, mem, stats, cta_coords,
                 );
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
@@ -1144,6 +1048,7 @@ impl Sm {
         now: u64,
         cfg: &GpuConfig,
         kctx: &KernelCtx<'_>,
+        mem: &mut SparseMemory,
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
         cta_coords: (u32, u32, u32),
@@ -1181,23 +1086,11 @@ impl Sm {
                 if record.is_none() {
                     self.translate_local(w, space, &mut addrs, kctx);
                 }
-                // Functional read deferred to the replay phase (the global
-                // image is shared across SMs). The scoreboard marks `dst`
-                // pending below, so nothing reads it before replay.
-                {
-                    let mut mop = MemOp {
-                        kind: MemOpKind::Load {
-                            warp: w,
-                            dst,
-                            width: width.bytes() as usize,
-                        },
-                        addrs: [None; 32],
-                        vals: [0; 32],
-                    };
-                    for (lane, a) in addrs.iter().enumerate().take(32) {
-                        mop.addrs[lane] = *a;
+                let warp = self.warps[w].as_mut().unwrap();
+                for (lane, a) in addrs.iter().enumerate() {
+                    if let Some(a) = a {
+                        warp.set_reg(dst, lane, mem.read_bytes(*a, width.bytes() as usize));
                     }
-                    self.mem_ops.push(mop);
                 }
                 let mut txns = std::mem::take(&mut self.txn_scratch);
                 coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
@@ -1265,6 +1158,7 @@ impl Sm {
         now: u64,
         cfg: &GpuConfig,
         kctx: &KernelCtx<'_>,
+        mem: &mut SparseMemory,
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
         cta_coords: (u32, u32, u32),
@@ -1299,25 +1193,12 @@ impl Sm {
                 if _record.is_none() {
                     self.translate_local(w, space, &mut addrs, kctx);
                 }
-                {
-                    // Functional write deferred to the replay phase; lane
-                    // values are captured now (operands cannot change before
-                    // replay — the warp is done for this cycle).
-                    let warp = self.warps[w].as_ref().unwrap();
-                    let mut mop = MemOp {
-                        kind: MemOpKind::Store {
-                            width: width.bytes() as usize,
-                        },
-                        addrs: [None; 32],
-                        vals: [0; 32],
-                    };
-                    for (lane, a) in addrs.iter().enumerate().take(32) {
-                        if a.is_some() {
-                            mop.addrs[lane] = *a;
-                            mop.vals[lane] = warp.operand(src, lane, launch, cta_coords);
-                        }
+                let warp = self.warps[w].as_ref().unwrap();
+                for (lane, a) in addrs.iter().enumerate() {
+                    if let Some(a) = a {
+                        let v = warp.operand(src, lane, launch, cta_coords);
+                        mem.write_bytes(*a, v, width.bytes() as usize);
                     }
-                    self.mem_ops.push(mop);
                 }
                 let mut txns = std::mem::take(&mut self.txn_scratch);
                 coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
@@ -1364,9 +1245,9 @@ impl Sm {
         addr: AddrMode,
         src: Operand,
         eff_mask: u32,
-        _now: u64,
         cfg: &GpuConfig,
         kctx: &KernelCtx<'_>,
+        mem: &mut SparseMemory,
         stats: &mut SimStats,
         cta_coords: (u32, u32, u32),
     ) {
@@ -1380,24 +1261,21 @@ impl Sm {
             cta_coords,
             &mut crate::coproc::NullCoProcessor,
         );
-        // Functional RMW deferred to the replay phase, which serializes
-        // atomics across SMs in the serial SM-index order; source operands
-        // are captured now, the old value lands in `dst` at replay (the
-        // scoreboard holds `dst` pending until the fabric response).
-        {
-            let warp = self.warps[w].as_ref().unwrap();
-            let mut mop = MemOp {
-                kind: MemOpKind::Atomic { warp: w, dst, op },
-                addrs: [None; 32],
-                vals: [0; 32],
+        // Lanes serialize in order against memory; the old value lands in
+        // `dst` (held pending by the scoreboard until the fabric response).
+        let warp = self.warps[w].as_mut().unwrap();
+        for (lane, a) in addrs.iter().enumerate() {
+            let Some(a) = *a else { continue };
+            let v = warp.operand(src, lane, launch, cta_coords);
+            let old = mem.read_u32(a) as u64;
+            let new = match op {
+                AtomOp::Add => (old as u32).wrapping_add(v as u32) as u64,
+                AtomOp::Min => (old as i64).min(v as i64) as u64,
+                AtomOp::Max => (old as i64).max(v as i64) as u64,
+                AtomOp::Exch => v,
             };
-            #[allow(clippy::needless_range_loop)] // lane also indexes warp operands
-            for lane in 0..32 {
-                let Some(a) = addrs[lane] else { continue };
-                mop.addrs[lane] = Some(a);
-                mop.vals[lane] = warp.operand(src, lane, launch, cta_coords);
-            }
-            self.mem_ops.push(mop);
+            mem.write_u32(a, new as u32);
+            warp.set_reg(dst, lane, old);
         }
         let mut txns = std::mem::take(&mut self.txn_scratch);
         coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);

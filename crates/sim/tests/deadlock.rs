@@ -3,8 +3,7 @@
 //! state, every SM's progress counter and pending wake deadline, and
 //! the fabric's per-partition/per-port progress breakdown. Pinned by
 //! driving a run into the guard with an artificially tiny budget and
-//! inspecting the panic message — serially and through the sharded
-//! worker pool, which routes the same report.
+//! inspecting the panic message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -15,7 +14,7 @@ use simt_sim::{GpuConfig, GpuSim};
 /// Run a trivially-exiting kernel under a 1-cycle budget (no kernel can
 /// finish dispatch + pipeline + retire that fast) and return the guard's
 /// panic message.
-fn guard_message(threads: usize) -> String {
+fn guard_message() -> String {
     let mut k = KernelBuilder::new("tiny", 0);
     k.exit();
     // More warps than the machine has issue slots in one cycle, so the
@@ -23,7 +22,6 @@ fn guard_message(threads: usize) -> String {
     let prog = Program::new(k.build(), LaunchConfig::linear(8, 256, vec![])).unwrap();
     let mut cfg = GpuConfig::test_small();
     cfg.max_cycles = 1;
-    cfg.threads = threads;
     let gpu = GpuSim::new(cfg);
     let err = catch_unwind(AssertUnwindSafe(|| {
         gpu.run(&prog, &mut SparseMemory::new());
@@ -37,13 +35,14 @@ fn guard_message(threads: usize) -> String {
 
 #[test]
 fn deadlock_guard_reports_unit_progress_and_wakes() {
-    let msg = guard_message(1);
+    let msg = guard_message();
     for needle in [
         "deadlock",
         "stalled at cycle 1",
         "kernel=tiny",
         "dispatch:",
         "sm0: progress=",
+        "sm1: progress=",
         "wake=",
         "fabric:",
         "partitions progress:",
@@ -51,13 +50,4 @@ fn deadlock_guard_reports_unit_progress_and_wakes() {
     ] {
         assert!(msg.contains(needle), "report missing {needle:?}:\n{msg}");
     }
-}
-
-#[test]
-fn deadlock_guard_reports_through_the_worker_pool() {
-    let msg = guard_message(2);
-    assert!(
-        msg.contains("threads=2") && msg.contains("sm1: progress="),
-        "threaded report incomplete:\n{msg}"
-    );
 }

@@ -22,6 +22,8 @@
 //! time-series (IPC windows, queue occupancy, run-ahead histogram) from a
 //! retained event stream.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod jsonl;

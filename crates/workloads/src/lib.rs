@@ -14,6 +14,8 @@
 //! Every workload also carries an output region so the test suite can prove
 //! that DAC/CAE/MTA preserve program semantics bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod runner;
 pub mod scenarios;

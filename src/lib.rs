@@ -17,6 +17,8 @@
 //! * [`harness`] — parallel experiment orchestration, result caching, and
 //!   JSONL artifacts.
 
+#![forbid(unsafe_code)]
+
 pub use affine;
 pub use dac_core as dac;
 pub use gpu_baselines as baselines;
