@@ -327,6 +327,8 @@ mod tests {
             vec!["--set", "atq_entries"],
             vec!["--set", "warp_speed=9"],
             vec!["--set", "atq_entries=0"],
+            vec!["--set", "max_warps_per_sm=40000000000"],
+            vec!["--set", "num_sms=40000000000"],
             vec!["--frobnicate"],
             vec!["--threads", "2"],
         ] {

@@ -143,7 +143,7 @@ impl Dac {
         }
         // Coalesce the warp's lanes into unique lines.
         let mut lines: Vec<u64> = Vec::new();
-        for a in w.addrs.iter().flatten() {
+        for (_, a) in w.addrs.active() {
             let line = a & !(line_bytes - 1);
             if !lines.contains(&line) {
                 lines.push(line);

@@ -13,6 +13,7 @@ use crate::queues::{AtqEntry, DacQueues, WarpExpansion};
 use affine::value::DivergentVal;
 use affine::{tuple::tuple_op, AffineTuple, AffineVal, PredVal};
 use simt_ir::{Instr, Kernel, LaunchConfig, Op, Operand, PredSrc, QueueKind, Space, SpecialReg};
+use simt_mem::LaneAddrs;
 use simt_sim::sm::{LOCAL_BASE, LOCAL_STRIDE};
 
 /// How the PEU would have produced a predicate (drives Figure-level stats:
@@ -510,22 +511,23 @@ impl AffineCtx {
                         .and_then(|v| v.clone())
                         .unwrap_or_else(|| AffineVal::scalar(0));
                     let gbits = self.guard_bits(guard, w);
-                    let eff = active & gbits;
-                    let addrs: Vec<Option<u64>> = (0..32)
-                        .map(|lane| {
-                            (eff & (1 << lane) != 0).then(|| {
-                                let coords = self.thread_coords(w, lane, launch);
-                                let a = val.eval(w, lane, coords);
-                                if space == Space::Local {
-                                    let gtid =
-                                        self.cta_linear * tpc + (w as u64 * 32 + lane as u64);
-                                    LOCAL_BASE + gtid * LOCAL_STRIDE + (a % LOCAL_STRIDE)
-                                } else {
-                                    a
-                                }
-                            })
-                        })
-                        .collect();
+                    let mut addrs = LaneAddrs {
+                        mask: active & gbits,
+                        ..LaneAddrs::default()
+                    };
+                    for lane in 0..32 {
+                        if addrs.mask & (1 << lane) == 0 {
+                            continue;
+                        }
+                        let coords = self.thread_coords(w, lane, launch);
+                        let a = val.eval(w, lane, coords);
+                        addrs.addrs[lane] = if space == Space::Local {
+                            let gtid = self.cta_linear * tpc + (w as u64 * 32 + lane as u64);
+                            LOCAL_BASE + gtid * LOCAL_STRIDE + (a % LOCAL_STRIDE)
+                        } else {
+                            a
+                        };
+                    }
                     per_warp.push(WarpExpansion {
                         warp_global: self.warps[w],
                         addrs,
@@ -542,7 +544,7 @@ impl AffineCtx {
                         .unwrap_or(0);
                     per_warp.push(WarpExpansion {
                         warp_global: self.warps[w],
-                        addrs: Vec::new(),
+                        addrs: LaneAddrs::default(),
                         bits,
                         active,
                     });
@@ -653,12 +655,12 @@ LOOP:
         // warp 0 lane 0 → 0x10000 + 64*4.
         let e0 = data[0];
         assert_eq!(e0.per_warp.len(), 2); // 64 threads = 2 warps
-        assert_eq!(e0.per_warp[0].addrs[0], Some(0x10000 + 256));
-        assert_eq!(e0.per_warp[0].addrs[5], Some(0x10000 + 256 + 20));
-        assert_eq!(e0.per_warp[1].addrs[0], Some(0x10000 + 256 + 128));
+        assert_eq!(e0.per_warp[0].addrs.get(0), Some(0x10000 + 256));
+        assert_eq!(e0.per_warp[0].addrs.get(5), Some(0x10000 + 256 + 20));
+        assert_eq!(e0.per_warp[1].addrs.get(0), Some(0x10000 + 256 + 128));
         // Second iteration advances by num*4 = 256 bytes.
         let e1 = data[1];
-        assert_eq!(e1.per_warp[0].addrs[0], Some(0x10000 + 512));
+        assert_eq!(e1.per_warp[0].addrs.get(0), Some(0x10000 + 512));
     }
 
     #[test]
@@ -705,10 +707,10 @@ JOIN:
         let (_ctx, queues) = run_ctx(&k, &launch, 0);
         let e = &queues.atq[0];
         // Lanes 0..32 (warp 0): tid < 40 ⇒ addr = base.
-        assert_eq!(e.per_warp[0].addrs[3], Some(0x1000));
+        assert_eq!(e.per_warp[0].addrs.get(3), Some(0x1000));
         // Warp 1 lane 7 → tid 39 < 40 ⇒ base; lane 8 → tid 40 ⇒ base+160.
-        assert_eq!(e.per_warp[1].addrs[7], Some(0x1000));
-        assert_eq!(e.per_warp[1].addrs[8], Some(0x1000 + 160));
+        assert_eq!(e.per_warp[1].addrs.get(7), Some(0x1000));
+        assert_eq!(e.per_warp[1].addrs.get(8), Some(0x1000 + 160));
     }
 
     #[test]

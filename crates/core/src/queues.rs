@@ -2,7 +2,7 @@
 //! predicate queues (paper Figure 9, Table 1).
 
 use simt_ir::{QueueKind, Space, Width};
-use simt_mem::FxHashMap;
+use simt_mem::{FxHashMap, LaneAddrs};
 use simt_sim::AddrRecord;
 use std::collections::VecDeque;
 
@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 pub struct WarpExpansion {
     /// SM warp slot the expansion is destined for.
     pub warp_global: usize,
-    /// Per-lane addresses (Data/Addr kinds); `None` = inactive lane.
-    pub addrs: Vec<Option<u64>>,
+    /// Per-lane addresses (Data/Addr kinds; no lanes for Pred).
+    pub addrs: LaneAddrs,
     /// Predicate bits (Pred kind).
     pub bits: u32,
     /// Lanes active at the enqueue (drives PEU cost classification).
@@ -219,7 +219,10 @@ mod tests {
     fn rec() -> AddrRecord {
         AddrRecord {
             kind: RecordKind::Data,
-            thread_addrs: vec![Some(0); 32],
+            thread_addrs: LaneAddrs {
+                addrs: [0; 32],
+                mask: u32::MAX,
+            },
             lines: vec![0],
             space: Space::Global,
             width: Width::W32,

@@ -62,6 +62,11 @@ impl DesignPoint {
     }
 }
 
+/// Largest `num_sms` / `max_warps_per_sm` that [`Overrides::set`] accepts:
+/// several times any shipped GPU (the paper's GTX 480 is 15 × 48), small
+/// enough that the largest accepted machine allocates tens of MiB.
+pub const MAX_MACHINE_DIM: usize = 256;
+
 /// Configuration overrides applied on top of the paper's defaults. `None`
 /// means "leave the paper value"; only the knobs relevant to a job's design
 /// enter its cache key, so e.g. a DAC queue-size sweep does not re-run the
@@ -153,6 +158,17 @@ impl Overrides {
                 n => Ok(n),
             }
         }
+        // Machine dimensions size up-front allocations (every SM, every
+        // warp slot), and a failed allocation aborts the process — it is
+        // not a panic a worker could contain.
+        fn machine_dim(key: &str, value: &str) -> Result<usize, String> {
+            match positive(key, value)? {
+                n if n > MAX_MACHINE_DIM => {
+                    Err(format!("--set {key}: must be at most {MAX_MACHINE_DIM}"))
+                }
+                n => Ok(n),
+            }
+        }
         fn flag(key: &str, value: &str) -> Result<bool, String> {
             match value {
                 "true" | "on" | "1" => Ok(true),
@@ -166,8 +182,8 @@ impl Overrides {
             "pwpq_total" => self.pwpq_total = Some(num(key, value)?),
             "lock_lines" => self.lock_lines = Some(flag(key, value)?),
             "divergent_tuples" => self.divergent_tuples = Some(flag(key, value)?),
-            "num_sms" => self.num_sms = Some(positive(key, value)?),
-            "max_warps_per_sm" => self.max_warps_per_sm = Some(positive(key, value)?),
+            "num_sms" => self.num_sms = Some(machine_dim(key, value)?),
+            "max_warps_per_sm" => self.max_warps_per_sm = Some(machine_dim(key, value)?),
             "streams" => {
                 if gpu_workloads::scenario(value, 1).is_none() {
                     return Err(format!(
@@ -574,6 +590,14 @@ mod tests {
             let err = o.set(key, "0").unwrap_err();
             assert!(err.contains(key) && !err.contains('\n'), "{err}");
             assert!(o.set(key, "1").is_ok());
+            // Nor is one whose allocation would abort the process.
+            for huge in ["257", "40000000000", "18446744073709551615"] {
+                assert_eq!(
+                    o.set(key, huge).unwrap_err(),
+                    format!("--set {key}: must be at most 256")
+                );
+            }
+            assert!(o.set(key, "256").is_ok());
         }
         // So is a DAC with no ATQ entry (the run would deadlock); the
         // other two queues run to completion empty-sized.

@@ -35,5 +35,5 @@ pub use dram::DramPartition;
 pub use fabric::{AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mshr::MshrTable;
-pub use sparse::SparseMemory;
+pub use sparse::{LaneAddrs, SparseMemory};
 pub use stats::MemStats;

@@ -6,6 +6,73 @@ const PAGE_BITS: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 const PAGE_MASK: u64 = PAGE_SIZE as u64 - 1;
 
+/// Per-lane byte addresses of one warp memory instruction. Only lanes in
+/// `mask` take part in the access: the other `addrs` entries are
+/// unspecified and are never loaded from, stored to or coalesced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LaneAddrs {
+    /// Effective byte address of each lane.
+    pub addrs: [u64; 32],
+    /// Lanes taking part in the access.
+    pub mask: u32,
+}
+
+impl LaneAddrs {
+    /// Address of `lane` if it participates.
+    pub fn get(&self, lane: usize) -> Option<u64> {
+        (self.mask & (1 << lane) != 0).then(|| self.addrs[lane])
+    }
+
+    /// `(lane, address)` of every participating lane, in ascending lane
+    /// order.
+    pub fn active(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let lane = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                (lane, self.addrs[lane])
+            })
+        })
+    }
+}
+
+/// Little-endian load of `n ≤ 8` bytes at `off` within one page. The
+/// machine's access widths get fixed-size loads; any other `n` goes byte
+/// by byte.
+#[inline]
+fn load_le(page: &[u8; PAGE_SIZE], off: usize, n: usize) -> u64 {
+    let at = &page[off..off + n];
+    match n {
+        1 => at[0] as u64,
+        2 => u16::from_le_bytes(at.try_into().expect("n bytes")) as u64,
+        4 => u32::from_le_bytes(at.try_into().expect("n bytes")) as u64,
+        8 => u64::from_le_bytes(at.try_into().expect("n bytes")),
+        _ => at.iter().rev().fold(0, |v, &byte| (v << 8) | byte as u64),
+    }
+}
+
+/// Little-endian store of the low `n ≤ 8` bytes of `v` at `off` within
+/// one page (fixed-size stores for the machine's access widths, as in
+/// [`load_le`]).
+#[inline]
+fn store_le(page: &mut [u8; PAGE_SIZE], off: usize, v: u64, n: usize) {
+    let at = &mut page[off..off + n];
+    match n {
+        1 => at[0] = v as u8,
+        2 => at.copy_from_slice(&(v as u16).to_le_bytes()),
+        4 => at.copy_from_slice(&(v as u32).to_le_bytes()),
+        8 => at.copy_from_slice(&v.to_le_bytes()),
+        _ => at.copy_from_slice(&v.to_le_bytes()[..n]),
+    }
+}
+
+/// Does an `n`-byte access at `addr` lie wholly inside page `number`?
+#[inline]
+fn within(addr: u64, n: usize, number: u64) -> bool {
+    addr >> PAGE_BITS == number && (addr & PAGE_MASK) as usize + n <= PAGE_SIZE
+}
+
 /// Byte-addressable sparse memory. Unwritten bytes read as zero.
 ///
 /// This carries the *values* of global/local memory; the timing model in
@@ -54,14 +121,10 @@ impl SparseMemory {
         let off = (addr & PAGE_MASK) as usize;
         if off + n <= PAGE_SIZE {
             // Common case: the access stays within one page.
-            let Some(p) = self.pages.get(&(addr >> PAGE_BITS)) else {
-                return 0;
-            };
-            let mut v = 0u64;
-            for i in 0..n {
-                v |= (p[off + i] as u64) << (8 * i);
+            match self.pages.get(&(addr >> PAGE_BITS)) {
+                Some(p) => load_le(p, off, n),
+                None => 0,
             }
-            v
         } else {
             let mut v = 0u64;
             for i in 0..n {
@@ -76,13 +139,59 @@ impl SparseMemory {
         debug_assert!(n <= 8);
         let off = (addr & PAGE_MASK) as usize;
         if off + n <= PAGE_SIZE {
-            let p = self.page_mut(addr);
-            for i in 0..n {
-                p[off + i] = (v >> (8 * i)) as u8;
-            }
+            store_le(self.page_mut(addr), off, v, n);
         } else {
             for i in 0..n {
                 self.write_u8(addr + i as u64, (v >> (8 * i)) as u8);
+            }
+        }
+    }
+
+    /// Warp-wide [`SparseMemory::read_bytes`]: lane `i` of the result is the
+    /// `n`-byte value at `lanes.addrs[i]` for every participating lane (0
+    /// for the others). The page is resolved once per run of consecutive
+    /// lanes that fall in the same page.
+    pub fn read_lanes(&self, lanes: &LaneAddrs, n: usize) -> [u64; 32] {
+        debug_assert!(n <= 8);
+        let mut out = [0u64; 32];
+        let mut todo = lanes.active().peekable();
+        while let Some((lane, addr)) = todo.next() {
+            let number = addr >> PAGE_BITS;
+            if !within(addr, n, number) {
+                out[lane] = self.read_bytes(addr, n);
+                continue;
+            }
+            let page = self.pages.get(&number);
+            let mut run = Some((lane, addr));
+            while let Some((lane, addr)) = run {
+                if let Some(page) = page {
+                    out[lane] = load_le(page, (addr & PAGE_MASK) as usize, n);
+                }
+                run = todo.next_if(|&(_, a)| within(a, n, number));
+            }
+        }
+        out
+    }
+
+    /// Warp-wide [`SparseMemory::write_bytes`]: every participating lane
+    /// stores the low `n` bytes of `vals[lane]` at `lanes.addrs[lane]`, in
+    /// ascending lane order (on overlap the highest lane wins). The page is
+    /// resolved once per run of consecutive lanes that fall in the same
+    /// page.
+    pub fn write_lanes(&mut self, lanes: &LaneAddrs, vals: &[u64; 32], n: usize) {
+        debug_assert!(n <= 8);
+        let mut todo = lanes.active().peekable();
+        while let Some((lane, addr)) = todo.next() {
+            let number = addr >> PAGE_BITS;
+            if !within(addr, n, number) {
+                self.write_bytes(addr, vals[lane], n);
+                continue;
+            }
+            let page = self.page_mut(addr);
+            let mut run = Some((lane, addr));
+            while let Some((lane, addr)) = run {
+                store_le(page, (addr & PAGE_MASK) as usize, vals[lane], n);
+                run = todo.next_if(|&(_, a)| within(a, n, number));
             }
         }
     }
@@ -206,5 +315,109 @@ mod tests {
         assert_eq!(m.read_bytes(0x101, 2), 0x2233);
         m.write_u8(0x103, 0xFF);
         assert_eq!(m.read_u32(0x100), 0xFF22_3344);
+    }
+
+    /// Deterministic SplitMix64 stream.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Lane addresses over a handful of pages (some never mapped), many of
+    /// them within a few bytes of a page boundary so accesses straddle it,
+    /// with runs of same-page lanes and overlapping lanes.
+    fn random_lanes(rng: &mut Rng) -> LaneAddrs {
+        let mut lanes = LaneAddrs {
+            mask: match rng.next() % 4 {
+                0 => u32::MAX,
+                1 => 0,
+                _ => rng.next() as u32,
+            },
+            ..LaneAddrs::default()
+        };
+        let mut prev = 0;
+        for a in &mut lanes.addrs {
+            let page = rng.next() % 6;
+            *a = match rng.next() % 4 {
+                0 => (page << PAGE_BITS) + PAGE_SIZE as u64 - 1 - rng.next() % 8,
+                1 => prev + rng.next() % 8, // same page as the last lane, may overlap it
+                _ => (page << PAGE_BITS) + rng.next() % PAGE_SIZE as u64,
+            };
+            prev = *a;
+        }
+        lanes
+    }
+
+    /// A memory with pages 0, 1 and 3 mapped to random bytes; 2, 4, 5, 6
+    /// unmapped.
+    fn random_memory(rng: &mut Rng) -> SparseMemory {
+        let mut m = SparseMemory::new();
+        for page in [0u64, 1, 3] {
+            for i in 0..PAGE_SIZE as u64 / 8 {
+                m.write_bytes((page << PAGE_BITS) + 8 * i, rng.next(), 8);
+            }
+        }
+        m
+    }
+
+    /// `read_lanes` is `read_bytes` per participating lane (0 elsewhere),
+    /// for every width, partial masks, unmapped pages and lanes straddling
+    /// a page boundary — and never maps a page.
+    #[test]
+    fn read_lanes_matches_per_lane_reads() {
+        let mut rng = Rng(0x5EED);
+        let m = random_memory(&mut rng);
+        for case in 0..400 {
+            let lanes = random_lanes(&mut rng);
+            for n in [1usize, 2, 4, 8] {
+                let got = m.read_lanes(&lanes, n);
+                for (lane, &got) in got.iter().enumerate() {
+                    let want = lanes.get(lane).map_or(0, |a| m.read_bytes(a, n));
+                    assert_eq!(got, want, "case {case} width {n} lane {lane}");
+                }
+            }
+        }
+        assert_eq!(m.resident_pages(), 3);
+    }
+
+    /// `write_lanes` leaves memory exactly as per-lane `write_bytes` in
+    /// ascending lane order does (highest lane wins an overlap; a store to
+    /// an unmapped page maps it; inactive lanes store nothing).
+    #[test]
+    fn write_lanes_matches_per_lane_writes() {
+        let mut rng = Rng(0xF00D);
+        let base = random_memory(&mut rng);
+        for case in 0..150 {
+            let lanes = random_lanes(&mut rng);
+            let vals: [u64; 32] = std::array::from_fn(|_| rng.next());
+            for n in [1usize, 2, 4, 8] {
+                let (mut wide, mut scalar) = (base.clone(), base.clone());
+                wide.write_lanes(&lanes, &vals, n);
+                for (lane, a) in lanes.active() {
+                    scalar.write_bytes(a, vals[lane], n);
+                }
+                assert_eq!(
+                    wide.resident_pages(),
+                    scalar.resident_pages(),
+                    "case {case} width {n}"
+                );
+                for page in 0..8u64 {
+                    for i in 0..PAGE_SIZE as u64 / 8 {
+                        let a = (page << PAGE_BITS) + 8 * i;
+                        assert_eq!(
+                            wide.read_bytes(a, 8),
+                            scalar.read_bytes(a, 8),
+                            "case {case} width {n} addr {a:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! validation ("can never be placed"). The sweep worker journals that
 //! reason (`Job::check`, or a caught panic for any other simulator
 //! failure) rather than tearing the daemon down. (A machine with *no*
-//! warp slots, SMs or ATQ entries never gets that far: the override
-//! parser turns it into a 400.)
+//! warp slots, SMs or ATQ entries, or with more SMs or warp slots than
+//! `MAX_MACHINE_DIM`, never gets that far: the override parser turns it
+//! into a 400.)
 
 use simt_harness::json;
 use simt_serve::client::Client;
@@ -45,6 +46,16 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
         .unwrap();
         let rejected = client.post("/sweeps", Some(&empty_machine)).unwrap();
         assert_eq!(rejected.status, 400, "{knob}=0 must be a bad request");
+    }
+    // A machine too large to allocate would abort the daemon (an allocation
+    // failure is not a panic the worker pool can contain): also a 400.
+    for knob in ["max_warps_per_sm", "num_sms"] {
+        let huge_machine = json::parse(&format!(
+            r#"{{"benches": ["MC"], "designs": ["baseline"], "overrides": {{"{knob}": 40000000000}}}}"#
+        ))
+        .unwrap();
+        let rejected = client.post("/sweeps", Some(&huge_machine)).unwrap();
+        assert_eq!(rejected.status, 400, "{knob}=4e10 must be a bad request");
     }
 
     let request = json::parse(

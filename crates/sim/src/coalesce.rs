@@ -1,6 +1,8 @@
 //! The memory-access coalescer: per-lane addresses → unique line
 //! transactions.
 
+use simt_mem::LaneAddrs;
+
 /// One coalesced transaction: a cache line and the lanes it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transaction {
@@ -10,21 +12,14 @@ pub struct Transaction {
     pub lanes: u32,
 }
 
-/// Coalesce per-lane byte addresses (`None` = inactive lane) into unique
-/// line transactions, in first-appearance order (deterministic).
-pub fn coalesce(addrs: &[Option<u64>], line_bytes: u64) -> Vec<Transaction> {
-    let mut out = Vec::new();
-    coalesce_into(addrs, line_bytes, &mut out);
-    out
-}
-
-/// [`coalesce`] into a caller-owned buffer (cleared first), so the hot
-/// path can reuse one allocation across instructions.
-pub fn coalesce_into(addrs: &[Option<u64>], line_bytes: u64, out: &mut Vec<Transaction>) {
+/// Coalesce the participating lanes' byte addresses into unique line
+/// transactions, in first-appearance order (deterministic), into a
+/// caller-owned buffer (cleared first) so the hot path reuses one
+/// allocation across instructions.
+pub fn coalesce_into(lanes: &LaneAddrs, line_bytes: u64, out: &mut Vec<Transaction>) {
     debug_assert!(line_bytes.is_power_of_two());
     out.clear();
-    for (lane, addr) in addrs.iter().enumerate() {
-        let Some(a) = addr else { continue };
+    for (lane, a) in lanes.active() {
         let line = a & !(line_bytes - 1);
         match out.iter_mut().find(|t| t.line == line) {
             Some(t) => t.lanes |= 1 << lane,
@@ -40,10 +35,23 @@ pub fn coalesce_into(addrs: &[Option<u64>], line_bytes: u64, out: &mut Vec<Trans
 mod tests {
     use super::*;
 
+    /// All 32 lanes active, lane `i` at `addr(i)`.
+    fn full(addr: impl Fn(u64) -> u64) -> LaneAddrs {
+        LaneAddrs {
+            addrs: std::array::from_fn(|i| addr(i as u64)),
+            mask: u32::MAX,
+        }
+    }
+
+    fn coalesce(lanes: &LaneAddrs) -> Vec<Transaction> {
+        let mut out = vec![Transaction { line: 0, lanes: 0 }]; // stale: must be cleared
+        coalesce_into(lanes, 128, &mut out);
+        out
+    }
+
     #[test]
     fn unit_stride_coalesces_to_one_line() {
-        let addrs: Vec<Option<u64>> = (0..32).map(|i| Some(0x1000 + 4 * i)).collect();
-        let t = coalesce(&addrs, 128);
+        let t = coalesce(&full(|i| 0x1000 + 4 * i));
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].line, 0x1000);
         assert_eq!(t[0].lanes, u32::MAX);
@@ -51,8 +59,7 @@ mod tests {
 
     #[test]
     fn stride_two_touches_two_lines() {
-        let addrs: Vec<Option<u64>> = (0..32).map(|i| Some(0x1000 + 8 * i)).collect();
-        let t = coalesce(&addrs, 128);
+        let t = coalesce(&full(|i| 0x1000 + 8 * i));
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].line, 0x1000);
         assert_eq!(t[1].line, 0x1080);
@@ -62,31 +69,35 @@ mod tests {
 
     #[test]
     fn scattered_accesses_one_line_each() {
-        let addrs: Vec<Option<u64>> = (0..32).map(|i| Some(0x10_0000 * i)).collect();
-        let t = coalesce(&addrs, 128);
-        assert_eq!(t.len(), 32);
+        assert_eq!(coalesce(&full(|i| 0x10_0000 * i)).len(), 32);
     }
 
     #[test]
     fn inactive_lanes_skipped() {
-        let mut addrs: Vec<Option<u64>> = vec![None; 32];
-        addrs[3] = Some(0x80);
-        addrs[9] = Some(0x84);
-        let t = coalesce(&addrs, 128);
+        // Inactive lanes hold addresses in other lines; none may show up.
+        let mut lanes = full(|i| 0x4000 * (i + 1));
+        lanes.addrs[3] = 0x80;
+        lanes.addrs[9] = 0x84;
+        lanes.mask = (1 << 3) | (1 << 9);
+        let t = coalesce(&lanes);
         assert_eq!(t.len(), 1);
+        assert_eq!(t[0].line, 0x80);
         assert_eq!(t[0].lanes, (1 << 3) | (1 << 9));
     }
 
     #[test]
     fn empty_when_all_inactive() {
-        let addrs = vec![None; 32];
-        assert!(coalesce(&addrs, 128).is_empty());
+        let mut lanes = full(|i| 0x1000 + 4 * i);
+        lanes.mask = 0;
+        assert!(coalesce(&lanes).is_empty());
     }
 
     #[test]
     fn misaligned_same_line_merges() {
-        let addrs = vec![Some(0x100u64), Some(0x17F), Some(0x180)];
-        let t = coalesce(&addrs, 128);
+        let mut lanes = LaneAddrs::default();
+        lanes.addrs[..3].copy_from_slice(&[0x100, 0x17F, 0x180]);
+        lanes.mask = 0b111;
+        let t = coalesce(&lanes);
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].line, 0x100);
         assert_eq!(t[0].lanes, 0b011);

@@ -22,7 +22,7 @@
 
 use crate::stats::SimStats;
 use simt_ir::{Instr, Program, Space, Width};
-use simt_mem::{MemResponse, MemoryFabric};
+use simt_mem::{LaneAddrs, MemResponse, MemoryFabric};
 use simt_trace::Tracer;
 
 /// Whether a decoupled address record carries prefetched data or a bare
@@ -41,8 +41,8 @@ pub enum RecordKind {
 pub struct AddrRecord {
     /// Data (pre-requested, L1-locked) or bare address.
     pub kind: RecordKind,
-    /// Per-lane effective byte addresses; `None` = lane inactive.
-    pub thread_addrs: Vec<Option<u64>>,
+    /// Per-lane effective byte addresses.
+    pub thread_addrs: LaneAddrs,
     /// Unique cache lines covered (for unlocking and statistics).
     pub lines: Vec<u64>,
     /// Memory space of the original access.

@@ -13,11 +13,12 @@ use crate::coproc::{CoCtx, CoProcessor, IssueCost, RecordKind};
 use crate::stats::SimStats;
 use crate::warp::WarpState;
 use simt_ir::cfg::DefTarget;
+use simt_ir::eval::{cmp_lanes, eval_lanes, Lanes};
 use simt_ir::{
-    eval, AddrMode, AtomOp, Cfg, Instr, Operand, PredId, PredSrc, Program, RegId, Space, Width,
+    AddrMode, AtomOp, Cfg, Instr, Operand, PredId, PredSrc, Program, RegId, Space, Width,
 };
 use simt_mem::{
-    AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind, SparseMemory,
+    AccessOutcome, Client, LaneAddrs, MemRequest, MemResponse, MemoryFabric, ReqKind, SparseMemory,
 };
 use simt_trace::{StallCause, TraceEvent, Tracer};
 use std::cmp::Reverse;
@@ -127,8 +128,6 @@ impl<'a> KernelCtx<'a> {
 pub struct CtaInfo {
     /// Linear CTA index in the grid.
     pub cta_linear: u64,
-    /// Grid coordinates.
-    pub coords: (u32, u32, u32),
     /// Warp slots owned by this CTA.
     pub warps: Vec<usize>,
     /// Per-CTA shared memory contents.
@@ -177,6 +176,10 @@ enum IssueClass {
     /// Both: LSU room first, then the coprocessor gate.
     GatedMem,
 }
+
+/// How many of one scheduler's warp slots are in each [`IssueClass`],
+/// indexed by `class as usize`.
+type Census = [u32; IssueClass::GatedMem as usize + 1];
 
 /// Stall causes observed while one scheduler hunted for a ready warp this
 /// cycle. When the hunt comes up empty, the tally attributes the slot to
@@ -231,6 +234,11 @@ impl StallTally {
 #[derive(Debug, Clone)]
 struct Scheduler {
     busy_until: u64,
+    /// Classes of the slots this scheduler owns (slot `w` belongs to
+    /// scheduler `w % schedulers`), kept in step with `Sm::class` by
+    /// [`Sm::reclassify`]. Lets a hunt with no candidate be answered
+    /// without walking the slots.
+    census: Census,
     /// Two-level scheduling: the active pool (warp ids); only these warps
     /// are considered first, pending warps swap in when the pool stalls.
     active: VecDeque<usize>,
@@ -263,6 +271,9 @@ pub struct Sm {
     resp_scratch: Vec<MemResponse>,
     txn_scratch: Vec<Transaction>,
     line_scratch: Vec<u64>,
+    /// Lane-array workspace of the instruction being issued: three
+    /// operand splats and the result.
+    lane_scratch: [Lanes; 4],
     /// Registers currently held by resident CTAs (incremental occupancy
     /// accounting; launch adds, retire subtracts).
     used_regs: u32,
@@ -300,9 +311,15 @@ impl Sm {
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
             cta_slots: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
             schedulers: (0..cfg.schedulers)
-                .map(|_| Scheduler {
-                    busy_until: 0,
-                    active: VecDeque::new(),
+                .map(|s| {
+                    let mut census = Census::default();
+                    census[IssueClass::Absent as usize] =
+                        (s..cfg.max_warps_per_sm).step_by(cfg.schedulers).len() as u32;
+                    Scheduler {
+                        busy_until: 0,
+                        census,
+                        active: VecDeque::new(),
+                    }
                 })
                 .collect(),
             writeback: BinaryHeap::new(),
@@ -313,6 +330,7 @@ impl Sm {
             resp_scratch: Vec::new(),
             txn_scratch: Vec::new(),
             line_scratch: Vec::new(),
+            lane_scratch: [[0; 32]; 4],
             used_regs: 0,
             used_shared: 0,
             class: vec![IssueClass::Absent; cfg.max_warps_per_sm],
@@ -414,6 +432,7 @@ impl Sm {
                 slot,
                 cta_linear,
                 w,
+                launch,
                 kernel.num_regs,
                 kernel.num_preds,
                 mask,
@@ -437,7 +456,6 @@ impl Sm {
         );
         self.cta_slots[slot] = Some(CtaInfo {
             cta_linear,
-            coords: launch.grid.unflatten(cta_linear),
             warps: warp_ids,
             shared: SparseMemory::new(),
             kernel: kernel_id,
@@ -653,17 +671,31 @@ impl Sm {
 
     /// Bring the class of every event-touched warp slot up to date.
     fn reclassify(&mut self, kctx: &KernelCtx<'_>) {
+        let nsched = self.schedulers.len();
         while let Some(w) = self.dirty.pop() {
-            self.class[w] = self.classify(w, kctx);
+            let class = self.classify(w, kctx);
+            let census = &mut self.schedulers[w % nsched].census;
+            census[self.class[w] as usize] -= 1;
+            census[class as usize] += 1;
+            self.class[w] = class;
         }
     }
 
     /// Does the incrementally maintained class structure equal a
-    /// from-scratch classification of every warp slot? (Debug builds
-    /// assert this before every scheduler hunt.)
+    /// from-scratch classification of every warp slot, and every
+    /// scheduler's census a recount of its slots? (Debug builds assert
+    /// this before every scheduler hunt.)
     fn classes_current(&self, kctx: &KernelCtx<'_>) -> bool {
+        let nsched = self.schedulers.len();
         self.dirty.is_empty()
             && (0..self.class.len()).all(|w| self.class[w] == self.classify(w, kctx))
+            && self.schedulers.iter().enumerate().all(|(s, sched)| {
+                let mut recount = Census::default();
+                for w in (s..self.class.len()).step_by(nsched) {
+                    recount[self.class[w] as usize] += 1;
+                }
+                sched.census == recount
+            })
     }
 
     /// Two-level warp pick for scheduler `s`: round-robin over the active
@@ -694,6 +726,25 @@ impl Sm {
         self.schedulers[s]
             .active
             .retain(|&w| class[w] != IssueClass::Absent);
+        // No warp this scheduler owns can issue, and nobody wants per-warp
+        // stall events: the walk below would visit each non-absent owned
+        // slot exactly once (pool, then the pending rest) and count it by
+        // class, so credit the counts directly.
+        let census = &self.schedulers[s].census;
+        let count = |c: IssueClass| census[c as usize] as u64;
+        let mem = count(IssueClass::Mem) + count(IssueClass::GatedMem);
+        let lsu_full = self.lsu.len() >= cfg.lsu_queue;
+        let candidates =
+            count(IssueClass::Plain) + count(IssueClass::Gated) + if lsu_full { 0 } else { mem };
+        if candidates == 0 && !tracer.enabled() {
+            tally.barrier += count(IssueClass::Barrier);
+            tally.scoreboard += count(IssueClass::Scoreboard);
+            tally.lsu_full += mem;
+            stats.stall_barrier += count(IssueClass::Barrier);
+            stats.stall_scoreboard += count(IssueClass::Scoreboard);
+            stats.stall_lsu_full += mem;
+            return None;
+        }
         // 1. Ready warp already in the active pool (rotating order). The
         // pool is only mutated on a successful pick, so indexed iteration
         // sees exactly the snapshot a copy would.
@@ -813,14 +864,6 @@ impl Sm {
         // Borrow the instruction from the shared program — kctx outlives
         // the `&mut self` uses below, so no per-issue clone is needed.
         let instr = &kctx.program.kernel.instrs[pc];
-        let cta_coords;
-        {
-            let warp = self.warps[w].as_ref().unwrap();
-            cta_coords = self.cta_slots[warp.cta_slot]
-                .as_ref()
-                .map(|c| c.coords)
-                .unwrap_or((0, 0, 0));
-        }
         stats.warp_instructions += 1;
         let active = self.warps[w].as_ref().unwrap().stack.active_mask();
         let cost = coproc.issue_cost(self.id, w, instr, active, stats);
@@ -853,15 +896,19 @@ impl Sm {
         match instr {
             Instr::Alu { op, dst, srcs, .. } => {
                 let warp = self.warps[w].as_mut().unwrap();
-                for lane in 0..32 {
-                    if eff_mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let a = warp.operand(srcs[0], lane, launch, cta_coords);
-                    let b = warp.operand(srcs[1], lane, launch, cta_coords);
-                    let c = warp.operand(srcs[2], lane, launch, cta_coords);
-                    warp.set_reg(*dst, lane, eval::eval(*op, a, b, c));
-                }
+                let [sa, sb, sc, out] = &mut self.lane_scratch;
+                // Operands past the op's arity are never read by `eval`.
+                let a = warp.operand_lanes(srcs[0], launch, sa);
+                let b = match op.arity() {
+                    1 => a,
+                    _ => warp.operand_lanes(srcs[1], launch, sb),
+                };
+                let c = match op.arity() {
+                    3 => warp.operand_lanes(srcs[2], launch, sc),
+                    _ => a,
+                };
+                eval_lanes(*op, a, b, c, out);
+                warp.set_reg_lanes(*dst, out, eff_mask);
                 warp.mark_reg_pending(*dst);
                 let lat = if op.is_sfu() {
                     cfg.sfu_latency
@@ -886,22 +933,10 @@ impl Sm {
                 ..
             } => {
                 let warp = self.warps[w].as_mut().unwrap();
-                let mut bits = 0u32;
-                for lane in 0..32 {
-                    if eff_mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let av = warp.operand(*a, lane, launch, cta_coords);
-                    let bv = warp.operand(*b, lane, launch, cta_coords);
-                    let r = if *float {
-                        cmp.eval_f32(f32::from_bits(av as u32), f32::from_bits(bv as u32))
-                    } else {
-                        cmp.eval_i64(av as i64, bv as i64)
-                    };
-                    if r {
-                        bits |= 1 << lane;
-                    }
-                }
+                let [sa, sb, ..] = &mut self.lane_scratch;
+                let a = warp.operand_lanes(*a, launch, sa);
+                let b = warp.operand_lanes(*b, launch, sb);
+                let bits = cmp_lanes(*cmp, *float, a, b);
                 warp.set_pred_masked(*dst, bits, eff_mask);
                 warp.mark_pred_pending(*dst);
                 self.schedule_writeback(now + cfg.alu_latency, w, DefTarget::Pred(*dst));
@@ -911,20 +946,19 @@ impl Sm {
             }
             Instr::Sel { dst, pred, a, b } => {
                 let warp = self.warps[w].as_mut().unwrap();
+                let [sa, sb, _, out] = &mut self.lane_scratch;
                 let pbits = warp.pred(pred.pred);
-                for lane in 0..32 {
-                    if eff_mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let cond = pbits & (1 << lane) != 0;
-                    let cond = if pred.negate { !cond } else { cond };
-                    let v = if cond {
-                        warp.operand(*a, lane, launch, cta_coords)
+                let take_a = if pred.negate { !pbits } else { pbits };
+                let a = warp.operand_lanes(*a, launch, sa);
+                let b = warp.operand_lanes(*b, launch, sb);
+                for (lane, v) in out.iter_mut().enumerate() {
+                    *v = if take_a & (1 << lane) != 0 {
+                        a[lane]
                     } else {
-                        warp.operand(*b, lane, launch, cta_coords)
+                        b[lane]
                     };
-                    warp.set_reg(*dst, lane, v);
                 }
+                warp.set_reg_lanes(*dst, out, eff_mask);
                 warp.mark_reg_pending(*dst);
                 self.schedule_writeback(now + cfg.alu_latency, w, DefTarget::Reg(*dst));
                 stats.alu_lane_ops += lanes;
@@ -940,7 +974,7 @@ impl Sm {
             } => {
                 self.exec_load(
                     w, pc, *dst, *space, *addr, *width, eff_mask, now, cfg, kctx, mem, coproc,
-                    stats, cta_coords, tracer,
+                    stats, tracer,
                 );
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
@@ -953,16 +987,14 @@ impl Sm {
             } => {
                 self.exec_store(
                     w, pc, *space, *addr, *src, *width, eff_mask, now, cfg, kctx, mem, coproc,
-                    stats, cta_coords, tracer,
+                    stats, tracer,
                 );
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::Atom {
                 op, dst, addr, src, ..
             } => {
-                self.exec_atomic(
-                    w, *op, *dst, *addr, *src, eff_mask, cfg, kctx, mem, stats, cta_coords,
-                );
+                self.exec_atomic(w, *op, *dst, *addr, *src, eff_mask, cfg, kctx, mem, stats);
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::Bra { target, pred } => {
@@ -1051,29 +1083,18 @@ impl Sm {
         mem: &mut SparseMemory,
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
-        cta_coords: (u32, u32, u32),
         tracer: &mut dyn Tracer,
-    ) -> Option<()> {
-        let launch = &kctx.program.launch;
-        let (addrs, record) = self.resolve_addrs(w, addr, eff_mask, launch, cta_coords, coproc);
-        stats.regfile_accesses += addrs.iter().flatten().count() as u64 * 2;
+    ) {
+        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, coproc);
+        let lanes = addrs.mask.count_ones();
+        stats.regfile_accesses += lanes as u64 * 2;
+        let nbytes = width.bytes() as usize;
         match space {
             Space::Shared => {
                 stats.shared_accesses += 1;
-                let slot = self.warps[w].as_ref().unwrap().cta_slot;
-                let shared = &mut self.cta_slots[slot].as_mut().unwrap().shared;
-                let mut vals = [0u64; 32];
-                for (lane, a) in addrs.iter().enumerate() {
-                    if let Some(a) = a {
-                        vals[lane] = shared.read_bytes(*a, width.bytes() as usize);
-                    }
-                }
                 let warp = self.warps[w].as_mut().unwrap();
-                for (lane, a) in addrs.iter().enumerate() {
-                    if a.is_some() {
-                        warp.set_reg(dst, lane, vals[lane]);
-                    }
-                }
+                let shared = &self.cta_slots[warp.cta_slot].as_ref().unwrap().shared;
+                warp.set_reg_lanes(dst, &shared.read_lanes(&addrs, nbytes), addrs.mask);
                 warp.mark_reg_pending(dst);
                 self.schedule_writeback(now + cfg.shared_latency, w, DefTarget::Reg(dst));
             }
@@ -1082,16 +1103,11 @@ impl Sm {
                 // Dequeued records already carry absolute addresses (the
                 // AEU applied the local window when it issued the early
                 // requests).
-                let mut addrs = addrs;
                 if record.is_none() {
                     self.translate_local(w, space, &mut addrs, kctx);
                 }
                 let warp = self.warps[w].as_mut().unwrap();
-                for (lane, a) in addrs.iter().enumerate() {
-                    if let Some(a) = a {
-                        warp.set_reg(dst, lane, mem.read_bytes(*a, width.bytes() as usize));
-                    }
-                }
+                warp.set_reg_lanes(dst, &mem.read_lanes(&addrs, nbytes), addrs.mask);
                 let mut txns = std::mem::take(&mut self.txn_scratch);
                 coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
                 self.line_scratch.clear();
@@ -1104,7 +1120,7 @@ impl Sm {
                             sm: self.id as u32,
                             warp: w as u32,
                             pc: pc as u32,
-                            lanes: addrs.iter().flatten().count() as u32,
+                            lanes,
                             txns: txns.len() as u32,
                             store: false,
                         },
@@ -1142,7 +1158,6 @@ impl Sm {
                 self.txn_scratch = txns;
             }
         }
-        Some(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1161,45 +1176,29 @@ impl Sm {
         mem: &mut SparseMemory,
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
-        cta_coords: (u32, u32, u32),
         tracer: &mut dyn Tracer,
     ) {
         let launch = &kctx.program.launch;
-        let (addrs, _record) = self.resolve_addrs(w, addr, eff_mask, launch, cta_coords, coproc);
-        stats.regfile_accesses += addrs.iter().flatten().count() as u64 * 2;
+        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, coproc);
+        let lanes = addrs.mask.count_ones();
+        stats.regfile_accesses += lanes as u64 * 2;
+        let nbytes = width.bytes() as usize;
         match space {
             Space::Shared => {
                 stats.shared_accesses += 1;
-                let slot = self.warps[w].as_ref().unwrap().cta_slot;
-                let mut vals = [0u64; 32];
-                {
-                    let warp = self.warps[w].as_ref().unwrap();
-                    for (lane, a) in addrs.iter().enumerate() {
-                        if a.is_some() {
-                            vals[lane] = warp.operand(src, lane, launch, cta_coords);
-                        }
-                    }
-                }
-                let shared = &mut self.cta_slots[slot].as_mut().unwrap().shared;
-                for (lane, a) in addrs.iter().enumerate() {
-                    if let Some(a) = a {
-                        shared.write_bytes(*a, vals[lane], width.bytes() as usize);
-                    }
-                }
+                let warp = self.warps[w].as_ref().unwrap();
+                let vals = warp.operand_lanes(src, launch, &mut self.lane_scratch[0]);
+                let shared = &mut self.cta_slots[warp.cta_slot].as_mut().unwrap().shared;
+                shared.write_lanes(&addrs, vals, nbytes);
             }
             Space::Global | Space::Local => {
                 stats.global_stores += 1;
-                let mut addrs = addrs;
-                if _record.is_none() {
+                if record.is_none() {
                     self.translate_local(w, space, &mut addrs, kctx);
                 }
                 let warp = self.warps[w].as_ref().unwrap();
-                for (lane, a) in addrs.iter().enumerate() {
-                    if let Some(a) = a {
-                        let v = warp.operand(src, lane, launch, cta_coords);
-                        mem.write_bytes(*a, v, width.bytes() as usize);
-                    }
-                }
+                let vals = warp.operand_lanes(src, launch, &mut self.lane_scratch[0]);
+                mem.write_lanes(&addrs, vals, nbytes);
                 let mut txns = std::mem::take(&mut self.txn_scratch);
                 coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
                 self.line_scratch.clear();
@@ -1212,7 +1211,7 @@ impl Sm {
                             sm: self.id as u32,
                             warp: w as u32,
                             pc: pc as u32,
-                            lanes: addrs.iter().flatten().count() as u32,
+                            lanes,
                             txns: txns.len() as u32,
                             store: true,
                         },
@@ -1249,24 +1248,18 @@ impl Sm {
         kctx: &KernelCtx<'_>,
         mem: &mut SparseMemory,
         stats: &mut SimStats,
-        cta_coords: (u32, u32, u32),
     ) {
         stats.atomic_instructions += 1;
         let launch = &kctx.program.launch;
-        let (addrs, _r) = self.resolve_addrs(
-            w,
-            addr,
-            eff_mask,
-            launch,
-            cta_coords,
-            &mut crate::coproc::NullCoProcessor,
-        );
-        // Lanes serialize in order against memory; the old value lands in
-        // `dst` (held pending by the scoreboard until the fabric response).
+        let (addrs, _) = self.resolve_addrs(w, addr, eff_mask, &mut crate::coproc::NullCoProcessor);
+        // Lanes serialize in ascending order against memory; the old value
+        // lands in `dst` (held pending by the scoreboard until the fabric
+        // response).
         let warp = self.warps[w].as_mut().unwrap();
-        for (lane, a) in addrs.iter().enumerate() {
-            let Some(a) = *a else { continue };
-            let v = warp.operand(src, lane, launch, cta_coords);
+        let [splat, _, _, out] = &mut self.lane_scratch;
+        let vals = warp.operand_lanes(src, launch, splat);
+        for (lane, a) in addrs.active() {
+            let v = vals[lane];
             let old = mem.read_u32(a) as u64;
             let new = match op {
                 AtomOp::Add => (old as u32).wrapping_add(v as u32) as u64,
@@ -1275,8 +1268,9 @@ impl Sm {
                 AtomOp::Exch => v,
             };
             mem.write_u32(a, new as u32);
-            warp.set_reg(dst, lane, old);
+            out[lane] = old;
         }
+        warp.set_reg_lanes(dst, out, addrs.mask);
         let mut txns = std::mem::take(&mut self.txn_scratch);
         coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
         for t in &txns {
@@ -1307,28 +1301,25 @@ impl Sm {
 
     /// Resolve per-lane addresses from the addressing mode; returns the DAC
     /// record kind when the mode was a dequeue form. Dequeued records hand
-    /// over their address vector by move (no clone).
+    /// over their lane addresses as they are.
     fn resolve_addrs(
         &mut self,
         w: usize,
         addr: AddrMode,
         eff_mask: u32,
-        launch: &simt_ir::LaunchConfig,
-        cta_coords: (u32, u32, u32),
         coproc: &mut dyn CoProcessor,
-    ) -> (Vec<Option<u64>>, Option<RecordKind>) {
+    ) -> (LaneAddrs, Option<RecordKind>) {
         match addr {
             AddrMode::Reg(r, disp) => {
-                let warp = self.warps[w].as_ref().unwrap();
-                let v: Vec<Option<u64>> = (0..32)
-                    .map(|lane| {
-                        (eff_mask & (1 << lane) != 0).then(|| {
-                            warp.operand(Operand::Reg(r), lane, launch, cta_coords)
-                                .wrapping_add(disp as u64)
-                        })
-                    })
-                    .collect();
-                (v, None)
+                let mut addrs = *self.warps[w].as_ref().unwrap().reg_lanes(r);
+                for a in &mut addrs {
+                    *a = a.wrapping_add(disp as u64);
+                }
+                let lanes = LaneAddrs {
+                    addrs,
+                    mask: eff_mask,
+                };
+                (lanes, None)
             }
             AddrMode::DeqData | AddrMode::DeqAddr => {
                 let rec = coproc
@@ -1341,23 +1332,16 @@ impl Sm {
 
     /// Rebase local-space addresses into each thread's private window,
     /// in place.
-    fn translate_local(
-        &self,
-        w: usize,
-        space: Space,
-        addrs: &mut [Option<u64>],
-        kctx: &KernelCtx<'_>,
-    ) {
+    fn translate_local(&self, w: usize, space: Space, lanes: &mut LaneAddrs, kctx: &KernelCtx<'_>) {
         if space != Space::Local {
             return;
         }
         let warp = self.warps[w].as_ref().unwrap();
         let tpc = kctx.program.launch.threads_per_cta() as u64;
-        for (lane, a) in addrs.iter_mut().enumerate() {
-            if let Some(a) = a {
-                let gtid = warp.cta_linear * tpc + warp.thread_linear(lane);
-                *a = LOCAL_BASE + gtid * LOCAL_STRIDE + (*a % LOCAL_STRIDE);
-            }
+        let first = warp.cta_linear * tpc + warp.first_thread();
+        for (lane, a) in lanes.addrs.iter_mut().enumerate() {
+            let gtid = first + lane as u64;
+            *a = LOCAL_BASE + gtid * LOCAL_STRIDE + (*a % LOCAL_STRIDE);
         }
     }
 

@@ -1,7 +1,8 @@
 //! Per-warp architectural state: registers, predicates, scoreboard, status.
 
 use crate::stack::SimtStack;
-use simt_ir::{Dim3, LaunchConfig, Operand, PredId, RegId, SpecialReg, Value};
+use simt_ir::eval::Lanes;
+use simt_ir::{LaunchConfig, Operand, PredId, RegId, SpecialReg, Value};
 
 /// Full architectural + pipeline state of one resident warp.
 #[derive(Debug, Clone)]
@@ -12,12 +13,17 @@ pub struct WarpState {
     pub cta_slot: usize,
     /// Linearized CTA index within the grid.
     pub cta_linear: u64,
+    /// The CTA's grid coordinates (`ctaid.x/y/z`).
+    pub cta_coords: (u32, u32, u32),
     /// Warp index within the CTA.
     pub warp_in_cta: usize,
     /// SIMT reconvergence stack (holds the PC).
     pub stack: SimtStack,
-    /// General registers: `num_regs × 32` lanes.
+    /// General registers: `num_regs × 32` lanes, one contiguous 32-value
+    /// row per register.
     regs: Vec<Value>,
+    /// `tid.x`, `tid.y`, `tid.z` of every lane, fixed at launch.
+    tid: [Lanes; 3],
     /// Predicate registers, one 32-bit lane mask each.
     preds: Vec<u32>,
     /// Outstanding writes per register (scoreboard), one dense counter per
@@ -36,24 +42,37 @@ pub struct WarpState {
 }
 
 impl WarpState {
-    /// Create a warp with `num_regs`/`num_preds` storage and `mask` live
-    /// lanes.
+    /// Create warp `warp_in_cta` of CTA `cta_linear` (a `launch.block`
+    /// shaped block at `launch.grid` coordinates) with
+    /// `num_regs`/`num_preds` storage and `mask` live lanes.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: usize,
         cta_slot: usize,
         cta_linear: u64,
         warp_in_cta: usize,
+        launch: &LaunchConfig,
         num_regs: u16,
         num_preds: u16,
         mask: u32,
     ) -> Self {
+        let first = warp_in_cta as u64 * 32;
+        let coords: [_; 32] =
+            std::array::from_fn(|lane| launch.block.unflatten(first + lane as u64));
+        let tid = [
+            coords.map(|c| Value::from(c.0)),
+            coords.map(|c| Value::from(c.1)),
+            coords.map(|c| Value::from(c.2)),
+        ];
         WarpState {
             id,
             cta_slot,
             cta_linear,
+            cta_coords: launch.grid.unflatten(cta_linear),
             warp_in_cta,
             stack: SimtStack::new(mask),
             regs: vec![0; num_regs as usize * 32],
+            tid,
             preds: vec![0; num_preds as usize],
             pending_regs: vec![0; num_regs as usize],
             pending_preds: vec![0; num_preds as usize],
@@ -69,16 +88,27 @@ impl WarpState {
         self.stack.done()
     }
 
-    /// Read register `r` of `lane`.
+    /// All 32 lanes of register `r`.
     #[inline]
-    pub fn reg(&self, r: RegId, lane: usize) -> Value {
-        self.regs[r as usize * 32 + lane]
+    pub fn reg_lanes(&self, r: RegId) -> &Lanes {
+        let row = &self.regs[r as usize * 32..][..32];
+        row.try_into().expect("a register row is 32 lanes")
     }
 
-    /// Write register `r` of `lane`.
+    /// Overwrite register `r` with `vals` on the lanes in `mask`; every
+    /// other lane keeps its value.
     #[inline]
-    pub fn set_reg(&mut self, r: RegId, lane: usize, v: Value) {
-        self.regs[r as usize * 32 + lane] = v;
+    pub fn set_reg_lanes(&mut self, r: RegId, vals: &Lanes, mask: u32) {
+        let row = &mut self.regs[r as usize * 32..][..32];
+        if mask == u32::MAX {
+            row.copy_from_slice(vals);
+        } else {
+            for (lane, (old, &new)) in row.iter_mut().zip(vals).enumerate() {
+                if mask & (1 << lane) != 0 {
+                    *old = new;
+                }
+            }
+        }
     }
 
     /// Read predicate `p` as a lane mask.
@@ -94,49 +124,41 @@ impl WarpState {
         self.preds[p as usize] = (cur & !mask) | (bits & mask);
     }
 
-    /// Evaluate an operand for `lane` given the launch geometry and this
-    /// warp's CTA coordinates.
-    pub fn operand(
-        &self,
+    /// All 32 lanes of an operand, resolved with one match: a register is
+    /// its row and `tid.*` the lanes fixed at launch (both borrowed, no
+    /// copy); everything else is warp-uniform and splatted into `splat`.
+    pub fn operand_lanes<'a>(
+        &'a self,
         op: Operand,
-        lane: usize,
         launch: &LaunchConfig,
-        cta_coords: (u32, u32, u32),
-    ) -> Value {
-        match op {
-            Operand::Reg(r) => self.reg(r, lane),
+        splat: &'a mut Lanes,
+    ) -> &'a Lanes {
+        let uniform = match op {
+            Operand::Reg(r) => return self.reg_lanes(r),
             Operand::Imm(i) => i as Value,
             Operand::Param(p) => launch.params[p as usize],
-            Operand::Special(s) => {
-                let (tx, ty, tz) = self.thread_coords(lane, launch.block);
-                let v = match s {
-                    SpecialReg::TidX => tx,
-                    SpecialReg::TidY => ty,
-                    SpecialReg::TidZ => tz,
-                    SpecialReg::CtaIdX => cta_coords.0,
-                    SpecialReg::CtaIdY => cta_coords.1,
-                    SpecialReg::CtaIdZ => cta_coords.2,
-                    SpecialReg::NTidX => launch.block.x,
-                    SpecialReg::NTidY => launch.block.y,
-                    SpecialReg::NTidZ => launch.block.z,
-                    SpecialReg::NCtaIdX => launch.grid.x,
-                    SpecialReg::NCtaIdY => launch.grid.y,
-                    SpecialReg::NCtaIdZ => launch.grid.z,
-                };
-                v as Value
-            }
-        }
+            Operand::Special(s) => Value::from(match s {
+                SpecialReg::TidX => return &self.tid[0],
+                SpecialReg::TidY => return &self.tid[1],
+                SpecialReg::TidZ => return &self.tid[2],
+                SpecialReg::CtaIdX => self.cta_coords.0,
+                SpecialReg::CtaIdY => self.cta_coords.1,
+                SpecialReg::CtaIdZ => self.cta_coords.2,
+                SpecialReg::NTidX => launch.block.x,
+                SpecialReg::NTidY => launch.block.y,
+                SpecialReg::NTidZ => launch.block.z,
+                SpecialReg::NCtaIdX => launch.grid.x,
+                SpecialReg::NCtaIdY => launch.grid.y,
+                SpecialReg::NCtaIdZ => launch.grid.z,
+            }),
+        };
+        splat.fill(uniform);
+        splat
     }
 
-    /// `(tid.x, tid.y, tid.z)` of `lane` in this warp.
-    pub fn thread_coords(&self, lane: usize, block: Dim3) -> (u32, u32, u32) {
-        let linear = self.warp_in_cta as u64 * 32 + lane as u64;
-        block.unflatten(linear)
-    }
-
-    /// Linear thread index within the CTA for `lane`.
-    pub fn thread_linear(&self, lane: usize) -> u64 {
-        self.warp_in_cta as u64 * 32 + lane as u64
+    /// Linear thread index within the CTA of lane 0.
+    pub fn first_thread(&self) -> u64 {
+        self.warp_in_cta as u64 * 32
     }
 
     // ----- scoreboard -----
@@ -193,6 +215,7 @@ impl WarpState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simt_ir::Dim3;
 
     fn launch() -> LaunchConfig {
         LaunchConfig {
@@ -202,52 +225,128 @@ mod tests {
         }
     }
 
+    fn warp(l: &LaunchConfig, cta_linear: u64, warp_in_cta: usize, mask: u32) -> WarpState {
+        WarpState::new(0, 0, cta_linear, warp_in_cta, l, 4, 2, mask)
+    }
+
     #[test]
     fn reg_and_pred_storage() {
-        let mut w = WarpState::new(0, 0, 0, 0, 4, 2, u32::MAX);
-        w.set_reg(3, 31, 99);
-        assert_eq!(w.reg(3, 31), 99);
-        assert_eq!(w.reg(3, 0), 0);
+        let mut w = warp(&launch(), 0, 0, u32::MAX);
+        let mut vals = [0; 32];
+        vals[31] = 99;
+        w.set_reg_lanes(3, &vals, u32::MAX);
+        assert_eq!(w.reg_lanes(3)[31], 99);
+        assert_eq!(w.reg_lanes(3)[0], 0);
+        assert_eq!(w.reg_lanes(2), &[0; 32], "neighbouring row untouched");
         w.set_pred_masked(1, 0b1010, 0b1111);
         assert_eq!(w.pred(1), 0b1010);
         w.set_pred_masked(1, 0b0101, 0b0011);
         assert_eq!(w.pred(1), 0b1001);
     }
 
+    /// A masked write blends: lanes outside the mask keep their old value,
+    /// whatever `vals` holds there.
     #[test]
-    fn thread_coords_in_2d_block() {
-        let l = launch();
-        // Warp 1 of the CTA covers linear threads 32..64.
-        let w = WarpState::new(1, 0, 5, 1, 1, 1, u32::MAX);
-        // Linear 32 → (tid.x=0, tid.y=2) in a 16×4 block.
-        assert_eq!(w.thread_coords(0, l.block), (0, 2, 0));
-        assert_eq!(w.thread_coords(17, l.block), (1, 3, 0));
+    fn masked_set_reg_lanes_keeps_inactive_lanes() {
+        let mut w = warp(&launch(), 0, 0, u32::MAX);
+        let old: Lanes = std::array::from_fn(|i| 1000 + i as Value);
+        let new: Lanes = std::array::from_fn(|i| 7 * i as Value);
+        for mask in [
+            0,
+            1,
+            1 << 31,
+            0xAAAA_AAAA,
+            0x0000_FFFF,
+            0x7FFF_FFFF,
+            u32::MAX,
+        ] {
+            w.set_reg_lanes(1, &old, u32::MAX);
+            w.set_reg_lanes(1, &new, mask);
+            for lane in 0..32 {
+                let want = if mask & (1 << lane) != 0 { new } else { old }[lane];
+                assert_eq!(w.reg_lanes(1)[lane], want, "mask {mask:#x} lane {lane}");
+            }
+        }
     }
 
+    /// Every operand kind against its per-thread definition: `tid.*` is the
+    /// lane's linear thread index unflattened over the block, everything
+    /// else is warp-uniform. Covers a 2-D block, a 3-D block, and the
+    /// partial last warp of a block that does not fill it.
     #[test]
-    fn operand_specials_and_params() {
-        let l = launch();
-        let w = WarpState::new(0, 0, 6, 0, 1, 1, u32::MAX);
-        let cta = l.grid.unflatten(6); // (2, 1, 0)
-        assert_eq!(
-            w.operand(Operand::Special(SpecialReg::CtaIdX), 0, &l, cta),
-            2
-        );
-        assert_eq!(
-            w.operand(Operand::Special(SpecialReg::CtaIdY), 0, &l, cta),
-            1
-        );
-        assert_eq!(
-            w.operand(Operand::Special(SpecialReg::NTidX), 0, &l, cta),
-            16
-        );
-        assert_eq!(w.operand(Operand::Param(1), 0, &l, cta), 0xBB);
-        assert_eq!(w.operand(Operand::Imm(-1), 0, &l, cta), u64::MAX);
+    fn operand_lanes_match_per_thread_definition() {
+        use SpecialReg::*;
+        let shapes = [
+            (Dim3::xy(4, 2), Dim3::xy(16, 4)),
+            (
+                Dim3 { x: 3, y: 2, z: 2 },
+                Dim3 { x: 5, y: 3, z: 4 }, // 60 threads: warp 1 has 28 live lanes
+            ),
+        ];
+        for (grid, block) in shapes {
+            let l = LaunchConfig {
+                grid,
+                block,
+                params: vec![0xAA, 0xBB],
+            };
+            let cta_linear = grid.count() - 2;
+            let cta = grid.unflatten(cta_linear);
+            for warp_in_cta in 0..l.warps_per_cta() as usize {
+                let live = (block.count() - warp_in_cta as u64 * 32).min(32);
+                let mask = ((1u64 << live) - 1) as u32;
+                let mut w = warp(&l, cta_linear, warp_in_cta, mask);
+                let row: Lanes = std::array::from_fn(|i| 0xDEAD_0000 + i as Value);
+                w.set_reg_lanes(2, &row, u32::MAX);
+                let expect = |op: Operand, lane: usize| -> Value {
+                    let tid = block.unflatten(warp_in_cta as u64 * 32 + lane as u64);
+                    match op {
+                        Operand::Reg(_) => row[lane],
+                        Operand::Imm(i) => i as Value,
+                        Operand::Param(p) => l.params[p as usize],
+                        Operand::Special(s) => Value::from(match s {
+                            TidX => tid.0,
+                            TidY => tid.1,
+                            TidZ => tid.2,
+                            CtaIdX => cta.0,
+                            CtaIdY => cta.1,
+                            CtaIdZ => cta.2,
+                            NTidX => block.x,
+                            NTidY => block.y,
+                            NTidZ => block.z,
+                            NCtaIdX => grid.x,
+                            NCtaIdY => grid.y,
+                            NCtaIdZ => grid.z,
+                        }),
+                    }
+                };
+                let specials = [
+                    TidX, TidY, TidZ, CtaIdX, CtaIdY, CtaIdZ, NTidX, NTidY, NTidZ, NCtaIdX,
+                    NCtaIdY, NCtaIdZ,
+                ];
+                let ops = specials.into_iter().map(Operand::Special).chain([
+                    Operand::Reg(2),
+                    Operand::Imm(-1),
+                    Operand::Imm(42),
+                    Operand::Param(1),
+                ]);
+                for op in ops {
+                    let mut splat = [0x5555; 32]; // stale workspace contents
+                    let got = w.operand_lanes(op, &l, &mut splat);
+                    for (lane, &got) in got.iter().enumerate().take(live as usize) {
+                        assert_eq!(
+                            got,
+                            expect(op, lane),
+                            "{op:?} block {block} warp {warp_in_cta} lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn scoreboard_counts() {
-        let mut w = WarpState::new(0, 0, 0, 0, 2, 1, u32::MAX);
+        let mut w = warp(&launch(), 0, 0, u32::MAX);
         assert!(!w.reg_pending(0));
         w.mark_reg_pending(0);
         w.mark_reg_pending(0);

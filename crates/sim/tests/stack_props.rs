@@ -3,7 +3,8 @@
 //! invariants. A seeded SplitMix64 stream replaces proptest so the suite
 //! runs in the offline build environment with reproducible cases.
 
-use simt_sim::coalesce::coalesce;
+use simt_mem::LaneAddrs;
+use simt_sim::coalesce::coalesce_into;
 use simt_sim::SimtStack;
 
 /// Deterministic SplitMix64 generator (same construction as
@@ -132,16 +133,16 @@ fn simt_stack_matches_per_thread_reference() {
 fn coalesce_partitions_lanes() {
     let mut rng = Rng(0xC0A1_E5CE);
     for case in 0..512 {
-        let addrs: Vec<Option<u64>> = (0..32)
-            .map(|_| {
-                if rng.below(4) == 0 {
-                    None
-                } else {
-                    Some(rng.below(0x10000))
-                }
-            })
-            .collect();
-        let txns = coalesce(&addrs, 128);
+        // Inactive lanes carry addresses too; they must never coalesce.
+        let mut lanes = LaneAddrs::default();
+        for lane in 0..32 {
+            lanes.addrs[lane] = rng.below(0x10000);
+            if rng.below(4) != 0 {
+                lanes.mask |= 1 << lane;
+            }
+        }
+        let mut txns = Vec::new();
+        coalesce_into(&lanes, 128, &mut txns);
         let mut seen = 0u32;
         let mut lines = std::collections::HashSet::new();
         for t in &txns {
@@ -150,20 +151,15 @@ fn coalesce_partitions_lanes() {
             assert_ne!(t.lanes, 0, "case {case}: empty transaction");
             assert_eq!(seen & t.lanes, 0, "case {case}: lane in two transactions");
             seen |= t.lanes;
-            for (lane, addr) in addrs.iter().enumerate() {
+            for lane in 0..32 {
                 if t.lanes & (1 << lane) != 0 {
-                    let a = addr.expect("inactive lane in transaction");
+                    let a = lanes.get(lane).expect("inactive lane in transaction");
                     assert_eq!(a & !127, t.line);
                 }
             }
         }
-        let active: u32 = addrs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_some())
-            .fold(0, |m, (i, _)| m | (1 << i));
         assert_eq!(
-            seen, active,
+            seen, lanes.mask,
             "case {case}: coalescing lost or invented lanes"
         );
     }
