@@ -288,19 +288,6 @@ impl CoProcessor for Mta {
             .iter()
             .any(|s| now.saturating_sub(s.last_eval) >= self.cfg.throttle_period)
     }
-
-    /// The throttle re-evaluation is MTA's only time-driven state: each SM's
-    /// next deadline is `last_eval + throttle_period`. Everything else in
-    /// `step` (the one-prefetch-per-cycle issue with its stall-and-retry) is
-    /// either idempotent across idle cycles or surfaces as fabric progress.
-    fn ff_wake(&self, now: u64) -> u64 {
-        let _ = now;
-        self.sms
-            .iter()
-            .map(|s| s.last_eval + self.cfg.throttle_period)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //! print the message plus their usage text and exit non-zero, instead of
 //! dumping a backtrace at the user.
 
+use gpu_workloads::ALL_ABBRS;
+use simt_harness::job::MAX_SCALE;
 use simt_harness::{DesignPoint, Harness, Job, Overrides, ResultCache};
 use std::path::PathBuf;
 
@@ -89,15 +91,20 @@ impl CommonArgs {
                     if out.scale == 0 {
                         return Err("--scale must be at least 1".into());
                     }
+                    if out.scale > MAX_SCALE {
+                        return Err(format!("--scale: must be at most {MAX_SCALE}"));
+                    }
                 }
                 "--bench" => {
-                    out.bench_filter = Some(
-                        value("--bench", &mut it)?
-                            .split(',')
-                            .map(|s| s.trim().to_uppercase())
-                            .filter(|s| !s.is_empty())
-                            .collect(),
-                    );
+                    let names: Vec<String> = value("--bench", &mut it)?
+                        .split(',')
+                        .map(|s| s.trim().to_uppercase())
+                        .filter(|s| !s.is_empty())
+                        .collect();
+                    if names.is_empty() {
+                        return Err("--bench requires at least one benchmark".into());
+                    }
+                    out.bench_filter = Some(names);
                 }
                 "--jobs" | "-j" => {
                     let v = value("--jobs", &mut it)?;
@@ -154,7 +161,6 @@ impl CommonArgs {
                     }
                     out.full_chip = true;
                 }
-                "--no-fast-forward" => out.overrides.no_fast_forward = true,
                 "--trace" => {
                     out.trace_dir
                         .get_or_insert_with(|| PathBuf::from("results/traces"));
@@ -199,22 +205,25 @@ impl CommonArgs {
         h
     }
 
-    /// The benchmark list after `--scale` and `--bench`. `Err` when the
+    /// The benchmark list after `--scale` and `--bench`, in Table 2 order;
+    /// only the benchmarks the filter names are built. `Err` when the
     /// filter names an unknown benchmark (catching typos up front, instead
     /// of silently running an empty suite).
     pub fn benchmarks(&self) -> Result<Vec<gpu_workloads::Workload>, String> {
-        let mut benches = gpu_workloads::all_benchmarks(self.scale);
-        if let Some(filter) = &self.bench_filter {
-            for abbr in filter {
-                if !benches.iter().any(|w| w.abbr.eq_ignore_ascii_case(abbr)) {
-                    return Err(format!(
-                        "--bench: unknown benchmark {abbr:?} (see Table 2 for abbreviations)"
-                    ));
-                }
-            }
-            benches.retain(|w| filter.iter().any(|f| w.abbr.eq_ignore_ascii_case(f)));
+        let Some(filter) = &self.bench_filter else {
+            return Ok(gpu_workloads::all_benchmarks(self.scale));
+        };
+        let known = |f: &String| ALL_ABBRS.iter().any(|a| a.eq_ignore_ascii_case(f));
+        if let Some(abbr) = filter.iter().find(|f| !known(f)) {
+            return Err(format!(
+                "--bench: unknown benchmark {abbr:?} (see Table 2 for abbreviations)"
+            ));
         }
-        Ok(benches)
+        Ok(ALL_ABBRS
+            .iter()
+            .filter(|a| filter.iter().any(|f| f.eq_ignore_ascii_case(a)))
+            .map(|a| gpu_workloads::benchmark(a, self.scale).expect("registered benchmark"))
+            .collect())
     }
 }
 
@@ -253,7 +262,6 @@ common options:
                      reg_pressure, pipeline), cta_policy (greedy|rr)
   --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as
                      explicit num_sms/max_warps_per_sm overrides
-  --no-fast-forward  disable idle-cycle fast-forward (same results, slower)
   --trace            write per-job event traces to results/traces
   --trace-dir DIR    write per-job event traces to DIR (implies --trace)
   --trace-events N   trace ring-buffer capacity (default 1000000)
@@ -322,6 +330,13 @@ mod tests {
             vec!["--scale"],
             vec!["--scale", "zero"],
             vec!["--scale", "0"],
+            vec!["--scale", "65"],
+            vec!["--scale", "4294967295"],
+            vec!["--scale", "4294967296"],
+            vec!["--bench", ","],
+            vec!["--bench", ""],
+            vec!["--designs", ","],
+            vec!["--no-fast-forward"],
             vec!["--jobs", "-3"],
             vec!["--designs", "warp9"],
             vec!["--set", "atq_entries"],
@@ -335,6 +350,19 @@ mod tests {
             assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
         }
         assert_eq!(parse(&["--help"]).unwrap_err(), "help");
+        assert_eq!(
+            parse(&["--scale", "65"]).unwrap_err(),
+            "--scale: must be at most 64"
+        );
+        assert_eq!(parse(&["--scale", "64"]).unwrap().scale, MAX_SCALE);
+        assert_eq!(
+            parse(&["--bench", ","]).unwrap_err(),
+            "--bench requires at least one benchmark"
+        );
+        assert_eq!(
+            parse(&["--no-fast-forward"]).unwrap_err(),
+            "unknown flag \"--no-fast-forward\""
+        );
     }
 
     #[test]
@@ -396,21 +424,14 @@ mod tests {
     }
 
     #[test]
-    fn no_fast_forward_flag() {
-        assert!(!parse(&[]).unwrap().overrides.no_fast_forward);
-        assert!(
-            parse(&["--no-fast-forward"])
-                .unwrap()
-                .overrides
-                .no_fast_forward
-        );
-    }
-
-    #[test]
     fn unknown_bench_is_caught() {
         let a = parse(&["--bench", "LIB,NOPE"]).unwrap();
         assert!(a.benchmarks().is_err());
         let ok = parse(&["--bench", "lib"]).unwrap();
         assert_eq!(ok.benchmarks().unwrap().len(), 1);
+        // Table 2 order, each benchmark once, however the filter spells it.
+        let some = parse(&["--bench", "lib,mq,LIB"]).unwrap();
+        let abbrs: Vec<&str> = some.benchmarks().unwrap().iter().map(|w| w.abbr).collect();
+        assert_eq!(abbrs, ["MQ", "LIB"]);
     }
 }

@@ -27,7 +27,7 @@ usage: fuzz [options]
 
 Differential kernel fuzzing: seeded random kernels through a functional
 oracle and all four designs (baseline/cae/mta/dac), checking bit-identical
-memory, issue-slot bucket sums, and fast-forward invariance.
+memory and issue-slot bucket sums.
 
 options:
   --seed N          generator seed (default 1)
@@ -36,7 +36,6 @@ options:
   --jobs N          worker threads, one kernel each (default 1; verdicts
                     are order-stable)
   --reduce          shrink failing kernels to minimal repros
-  --ff MODE         fast-forward cross-check: dac (default), all, none
   --cache-dir DIR   harness result cache (default results/cache)
   --no-cache        disable the result cache
   --out DIR         repro + summary directory (default results/fuzz)";
@@ -52,7 +51,6 @@ struct Args {
     designs: Vec<Design>,
     jobs: usize,
     reduce: bool,
-    ff: String,
     cache_dir: Option<PathBuf>,
     out: PathBuf,
 }
@@ -64,7 +62,6 @@ fn parse_args() -> Args {
         designs: Design::ALL.to_vec(),
         jobs: 1,
         reduce: false,
-        ff: "dac".into(),
         cache_dir: Some(PathBuf::from("results/cache")),
         out: PathBuf::from("results/fuzz"),
     };
@@ -108,13 +105,6 @@ fn parse_args() -> Args {
                 args.jobs = parse_u64(&value(&mut i), "--jobs").max(1) as usize;
             }
             "--reduce" => args.reduce = true,
-            "--ff" => {
-                let v = value(&mut i);
-                match v.as_str() {
-                    "dac" | "all" | "none" => args.ff = v,
-                    other => fail_usage(&format!("--ff: expected dac/all/none, got {other:?}")),
-                }
-            }
             "--cache-dir" => args.cache_dir = Some(PathBuf::from(value(&mut i))),
             "--no-cache" => args.cache_dir = None,
             "--out" => args.out = PathBuf::from(value(&mut i)),
@@ -144,11 +134,6 @@ fn main() {
     let args = parse_args();
     let diff_cfg = DiffConfig {
         designs: args.designs.clone(),
-        ff_designs: match args.ff.as_str() {
-            "all" => args.designs.clone(),
-            "none" => Vec::new(),
-            _ => vec![Design::Dac],
-        },
         ..DiffConfig::default()
     };
     let cache = args.cache_dir.as_ref().map(|d| ResultCache::new(d.clone()));

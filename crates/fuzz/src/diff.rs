@@ -7,9 +7,7 @@
 //!    (per-thread words + atomic slots) *and* the read-only input arrays;
 //! 2. the issue-slot bucket-sum invariant from `simt-profile`
 //!    (`Σ buckets == cycles × schedulers × SMs`);
-//! 3. DAC-only stall buckets are exactly zero on non-DAC designs;
-//! 4. fast-forward on/off produces byte-identical reports and outputs
-//!    (for the designs listed in [`DiffConfig::ff_designs`]).
+//! 3. DAC-only stall buckets are exactly zero on non-DAC designs.
 //!
 //! A design panic (simulator assertion, decoupler bug, deadlock guard) is
 //! caught and reported as a failure rather than tearing down the driver, so
@@ -33,10 +31,6 @@ pub struct DiffConfig {
     /// Machine shape (default: 2 SMs × 16 warps — small enough for
     /// thousands of kernels, big enough for inter-SM and occupancy effects).
     pub overrides: Overrides,
-    /// Designs additionally re-run with fast-forward disabled and compared
-    /// byte-for-byte. DAC by default: its queue machinery interacts with
-    /// idle-cycle skipping the most.
-    pub ff_designs: Vec<Design>,
 }
 
 impl Default for DiffConfig {
@@ -44,7 +38,6 @@ impl Default for DiffConfig {
         DiffConfig {
             designs: Design::ALL.to_vec(),
             overrides: small_overrides(),
-            ff_designs: vec![Design::Dac],
         }
     }
 }
@@ -95,8 +88,6 @@ pub enum DiffFailure {
         bucket: &'static str,
         slots: u64,
     },
-    /// Fast-forward on/off changed the result.
-    FastForward { design: Design, what: String },
     /// A cached harness result's output digest disagrees with the oracle.
     DigestMismatch { design: Design, got: u64, want: u64 },
     /// The simulator (or decoupler) panicked.
@@ -137,9 +128,6 @@ impl std::fmt::Display for DiffFailure {
                 "{}: DAC-only bucket {bucket} has {slots} slots",
                 design.name()
             ),
-            DiffFailure::FastForward { design, what } => {
-                write!(f, "{}: fast-forward changed {what}", design.name())
-            }
             DiffFailure::DigestMismatch { design, got, want } => write!(
                 f,
                 "{}: cached output digest {got:#018x}, oracle says {want:#018x}",
@@ -228,32 +216,6 @@ pub fn check_workload(w: &Workload, cfg: &DiffConfig) -> Result<Vec<DesignRun>, 
                         slots,
                     });
                 }
-            }
-        }
-
-        if cfg.ff_designs.contains(&design) {
-            let mut slow = cfg.overrides.clone();
-            slow.no_fast_forward = true;
-            let rerun = run_caught(w, design, &slow)?;
-            if rerun.report.cycles != run.report.cycles {
-                return Err(DiffFailure::FastForward {
-                    design,
-                    what: format!("cycles: {} vs {}", run.report.cycles, rerun.report.cycles),
-                });
-            }
-            if rerun.report.stats != run.report.stats {
-                return Err(DiffFailure::FastForward {
-                    design,
-                    what: "stats".into(),
-                });
-            }
-            let rw = rerun.memory.read_u32_vec(w.output.0, w.output.1);
-            let gw = run.memory.read_u32_vec(w.output.0, w.output.1);
-            if rw != gw {
-                return Err(DiffFailure::FastForward {
-                    design,
-                    what: "output words".into(),
-                });
             }
         }
 

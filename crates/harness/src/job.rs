@@ -67,6 +67,13 @@ impl DesignPoint {
 /// enough that the largest accepted machine allocates tens of MiB.
 pub const MAX_MACHINE_DIM: usize = 256;
 
+/// Largest workload `scale` the CLIs and the sweep service accept. Memory
+/// images grow linearly with it (≈ 3.7 MiB per unit over the 29-benchmark
+/// suite, so ≈ 250 MB at this ceiling; nothing shipped runs above 4), and
+/// a failed allocation aborts the process — it is not a panic a worker
+/// could contain.
+pub const MAX_SCALE: u32 = 64;
+
 /// Configuration overrides applied on top of the paper's defaults. `None`
 /// means "leave the paper value"; only the knobs relevant to a job's design
 /// enter its cache key, so e.g. a DAC queue-size sweep does not re-run the
@@ -87,10 +94,10 @@ pub struct Overrides {
     pub num_sms: Option<usize>,
     /// Resident warps per SM (all designs; paper: 48).
     pub max_warps_per_sm: Option<usize>,
-    /// Disable idle-cycle fast-forward (`--no-fast-forward`). Purely a
-    /// simulator-speed knob: results are byte-identical either way (the
-    /// determinism test pins this), so it is deliberately *excluded* from
-    /// [`Overrides::relevant`] — cache entries and artifacts are shared.
+    /// No-op: idle-cycle fast-forward is gone, nothing reads this and no
+    /// CLI or HTTP input sets it. It stays only because `benchmark/`'s
+    /// `sim.ff_off_ratio` probe assigns it and that package is frozen for
+    /// non-benchmark PRs; it leaves with the probe (ROADMAP item 4).
     pub no_fast_forward: bool,
     /// Multi-kernel scenario selected with `--set streams=NAME`. Not a
     /// per-job knob: the CLIs consume it to build scenario jobs (the
@@ -118,7 +125,6 @@ impl Overrides {
         if let Some(n) = self.max_warps_per_sm {
             cfg.max_warps_per_sm = n;
         }
-        cfg.fast_forward = !self.no_fast_forward;
         cfg
     }
 

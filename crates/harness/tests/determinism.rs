@@ -40,13 +40,9 @@ fn fingerprint(jobs: &[Job], results: &[simt_harness::JobResult]) -> Vec<u8> {
 /// Tracing is pure observation: with a tracer attached, every workload ×
 /// design must produce a byte-identical report (cycles, all counters,
 /// memory stats, output digest) to the untraced run — through the same
-/// artifact serialization the harness ships.
-///
-/// This also pins two hot-path rewrites. The four workloads drive every
-/// scratch-buffer path in the SM loop (reused issue/writeback/LSU
-/// buffers), and because an attached tracer disables idle-cycle
-/// fast-forward, each comparison here is *also* a fast-forwarded run
-/// (untraced, default on) against a cycle-by-cycle run (traced).
+/// artifact serialization the harness ships. The four workloads drive
+/// every scratch-buffer path in the SM loop (reused issue/writeback/LSU
+/// buffers).
 #[test]
 fn tracing_does_not_perturb_results() {
     for job in jobs() {
@@ -61,53 +57,6 @@ fn tracing_does_not_perturb_results() {
             "{}: traced run emitted no events",
             job.label()
         );
-    }
-}
-
-/// Idle-cycle fast-forward is a pure simulator-speed optimization: for
-/// BFS (irregular, short idle stretches) and MQ (long memory-bound idle
-/// stretches) under all four designs, the default run must produce a
-/// byte-identical artifact — cycle count, every counter, memory stats,
-/// output digest — to a `--no-fast-forward` run. `no_fast_forward` is
-/// excluded from the serialized overrides precisely because of this
-/// guarantee, so the artifacts compare as raw bytes.
-#[test]
-fn fast_forward_does_not_perturb_results() {
-    let fast = Overrides {
-        num_sms: Some(2),
-        max_warps_per_sm: Some(16),
-        ..Overrides::default()
-    };
-    let slow = Overrides {
-        no_fast_forward: true,
-        ..fast.clone()
-    };
-    let benches = |o: &Overrides| {
-        suite_jobs(
-            ["BFS", "MQ"]
-                .iter()
-                .map(|a| benchmark(a, 1).expect("known benchmark"))
-                .collect(),
-            1,
-            &DesignPoint::HW_ALL,
-            o,
-        )
-    };
-    let fast_jobs = benches(&fast);
-    let slow_jobs = benches(&slow);
-    assert_eq!(fast_jobs.len(), 8, "2 workloads x 4 designs");
-    for (fj, sj) in fast_jobs.iter().zip(&slow_jobs) {
-        let fr = fj.execute();
-        let sr = sj.execute();
-        assert_eq!(
-            fr.report.cycles,
-            sr.report.cycles,
-            "{}: fast-forward changed the cycle count",
-            fj.label()
-        );
-        let a = artifact::to_json(fj, &fr, None, None).to_json();
-        let b = artifact::to_json(sj, &sr, None, None).to_json();
-        assert_eq!(a, b, "{}: fast-forward changed the artifact", fj.label());
     }
 }
 

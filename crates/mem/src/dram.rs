@@ -198,26 +198,6 @@ impl DramPartition {
     pub fn pending(&self) -> usize {
         self.queue.len() + self.done.len()
     }
-
-    /// Earliest cycle after `now` at which this partition could do something
-    /// it cannot do at `now`: finish a transfer (`done` head becomes ready)
-    /// or schedule a queued request (its bank frees up). `u64::MAX` when
-    /// fully idle. Queued requests whose bank is already free are reported
-    /// as `now + 1` — the caller only fast-forwards after a probe cycle in
-    /// which FR-FCFS already made its one decision, so the next decision is
-    /// next cycle. The shared data bus never gates *scheduling* (only the
-    /// transfer start), so `bus_free_at` contributes nothing here.
-    pub fn next_event_time(&self, now: u64) -> u64 {
-        let mut wake = u64::MAX;
-        if let Some(&(ready, _)) = self.done.front() {
-            wake = wake.min(ready.max(now + 1));
-        }
-        for r in &self.queue {
-            let b = self.bank_of(r.line);
-            wake = wake.min(self.banks[b].busy_until.max(now + 1));
-        }
-        wake
-    }
 }
 
 #[cfg(test)]

@@ -173,8 +173,6 @@ struct Partition {
     /// Dirty L2 evictions written back to DRAM (partition-local slice of
     /// [`MemStats::writebacks`]).
     writebacks: u64,
-    /// Partition-local slice of the fast-forward progress counter.
-    progress: u64,
 }
 
 #[derive(Debug)]
@@ -203,8 +201,6 @@ struct SmPort {
     /// Fills delivered into the prefetch buffer (port-local slice of
     /// [`MemStats::pbuf_fills`]).
     pbuf_fills: u64,
-    /// Port-local slice of the fast-forward progress counter.
-    progress: u64,
 }
 
 impl SmPort {
@@ -270,7 +266,6 @@ impl SmPort {
             let Reverse((_, seq, _, slot)) = self.incoming.pop().unwrap();
             let ev = self.incoming_slab[slot].take().unwrap();
             self.incoming_free.push(slot);
-            self.progress += 1;
             match ev {
                 PartEvent::Direct(resp) => {
                     self.push_ready(now, seq, resp);
@@ -399,7 +394,6 @@ impl Partition {
             };
             if proceed {
                 self.inq.pop_front();
-                self.progress += 1;
                 if tracer.enabled() {
                     tracer.emit(
                         now,
@@ -413,13 +407,10 @@ impl Partition {
                 }
             }
         }
-        // 2. DRAM. A scheduling decision (serviced bump) is progress.
-        let serviced_before = self.dram.serviced;
+        // 2. DRAM.
         self.dram.cycle_traced(now, p, tracer);
-        self.progress += self.dram.serviced - serviced_before;
         // 3. Completed DRAM reads → fill L2, route to SM.
         while let Some(done) = self.dram.pop_done(now) {
-            self.progress += 1;
             let req = match self.inflight.remove(&done.id) {
                 Some(r) => r,
                 None => continue,
@@ -468,13 +459,6 @@ pub struct MemoryFabric {
     /// `(sm, client, token)`. Populated only while a tracer is enabled
     /// (pure observability — never read by timing code).
     trace_t0: FxHashMap<(usize, u8, u64), u64>,
-    /// Monotone event counter for the idle-cycle fast-forward probe: bumped
-    /// on every accepted request, every event pop (partition input queue,
-    /// DRAM completions, SM incoming, response drain), and every DRAM
-    /// scheduling decision (`serviced` delta, folded in during the
-    /// partition cycle). Deliberately not a [`MemStats`] field — it must
-    /// never reach artifacts.
-    progress: u64,
 }
 
 impl MemoryFabric {
@@ -495,7 +479,6 @@ impl MemoryFabric {
                 ready_free: Vec::new(),
                 seq: 0,
                 pbuf_fills: 0,
-                progress: 0,
             })
             .collect();
         let parts = (0..cfg.num_partitions)
@@ -516,7 +499,6 @@ impl MemoryFabric {
                 next_id: 0,
                 outbox: Vec::new(),
                 writebacks: 0,
-                progress: 0,
             })
             .collect();
         MemoryFabric {
@@ -525,7 +507,6 @@ impl MemoryFabric {
             parts,
             stats_extra: MemStats::default(),
             trace_t0: FxHashMap::default(),
-            progress: 0,
         }
     }
 
@@ -560,9 +541,6 @@ impl MemoryFabric {
                 ReqKind::Prefetch => self.access_prefetch(now, req),
             }
         };
-        if out == AccessOutcome::Accepted {
-            self.progress += 1;
-        }
         if tracer.enabled() {
             match out {
                 AccessOutcome::Accepted => {
@@ -818,7 +796,6 @@ impl MemoryFabric {
             let Reverse((_, _, _, slot)) = port.ready.pop().unwrap();
             out.push(port.ready_slab[slot].take().unwrap());
             port.ready_free.push(slot);
-            port.progress += 1;
         }
         if tracer.enabled() {
             for r in &out[start..] {
@@ -907,79 +884,34 @@ impl MemoryFabric {
         (unused, fills)
     }
 
-    /// Fast-forward probe: total fabric progress events so far. Two
-    /// identical values across a cycle mean the hierarchy neither accepted,
-    /// moved, scheduled, completed, nor delivered anything that cycle.
-    pub fn progress_count(&self) -> u64 {
-        let mut n = self.progress;
-        for port in &self.sms {
-            n += port.progress;
-        }
-        for p in &self.parts {
-            n += p.progress;
-        }
-        n
-    }
-
-    /// Per-unit progress counters for deadlock diagnostics: the
-    /// fabric-level residue (accepted requests), then one entry per
-    /// partition and one per SM port.
-    pub fn progress_breakdown(&self) -> (u64, Vec<u64>, Vec<u64>) {
-        (
-            self.progress,
-            self.parts.iter().map(|p| p.progress).collect(),
-            self.sms.iter().map(|s| s.progress).collect(),
-        )
-    }
-
-    /// Earliest cycle after `now` at which the hierarchy could act on its
-    /// own: an incoming/ready event maturing, a queued partition request
-    /// arriving, or DRAM finishing a transfer / freeing a bank. `u64::MAX`
-    /// when fully drained. A partition-queue head with `arrive <= now` is
-    /// *blocked* (its DRAM queue is full — otherwise the probe cycle would
-    /// have made progress), so the DRAM wake time covers it.
-    pub fn next_event_time(&self, now: u64) -> u64 {
-        let mut wake = u64::MAX;
-        for port in &self.sms {
-            if let Some(&Reverse((at, _, _, _))) = port.incoming.peek() {
-                wake = wake.min(at.max(now + 1));
-            }
-            if let Some(&Reverse((at, _, _, _))) = port.ready.peek() {
-                wake = wake.min(at.max(now + 1));
-            }
-        }
-        for p in &self.parts {
-            if let Some(&(arrive, _)) = p.inq.front() {
-                if arrive > now {
-                    wake = wake.min(arrive);
-                }
-            }
-            wake = wake.min(p.dram.next_event_time(now));
-        }
-        wake
-    }
-
-    /// Credit `k` skipped idle cycles to the aggregate statistics: add
-    /// `k × (stats() − before)` into the fabric-level extras, field by
-    /// field. `before` must be a [`MemoryFabric::stats`] snapshot taken
-    /// just before the probe cycle; the only counters that move in a
-    /// no-progress cycle are per-cycle stall events, which repeat exactly
-    /// in every skipped cycle.
-    pub fn ff_credit(&mut self, before: &MemStats, k: u64) {
-        let after = self.stats();
-        let extra_now = self.stats_extra.fields();
-        for (((name, b), (_, a)), (_, e)) in before
-            .fields()
-            .into_iter()
-            .zip(after.fields())
-            .zip(extra_now)
-        {
-            debug_assert!(a >= b, "MemStats counter {name} went backwards");
-            if a != b {
-                let ok = self.stats_extra.set_field(name, e + (a - b) * k);
-                debug_assert!(ok, "unknown MemStats field {name}");
-            }
-        }
+    /// Live state for the deadlock report: the depth of every queue
+    /// [`MemoryFabric::quiescent`] tests, one labelled line for the
+    /// partitions and one for the SM ports.
+    pub fn stall_state(&self) -> [String; 2] {
+        let parts: Vec<String> = self
+            .parts
+            .iter()
+            .map(|p| format!("{}/{}/{}", p.inq.len(), p.inflight.len(), p.dram.pending()))
+            .collect();
+        let ports: Vec<String> = self
+            .sms
+            .iter()
+            .map(|s| {
+                format!(
+                    "{}/{}/{}",
+                    s.incoming.len(),
+                    s.ready.len(),
+                    s.mshr.outstanding()
+                )
+            })
+            .collect();
+        [
+            format!(
+                "partitions (inq/dram-reads/dram-queue): {}",
+                parts.join(" ")
+            ),
+            format!("sm-ports (incoming/ready/mshr): {}", ports.join(" ")),
+        ]
     }
 }
 

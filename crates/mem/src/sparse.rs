@@ -84,7 +84,10 @@ fn within(addr: u64, n: usize, number: u64) -> bool {
 /// resolve their page once per access, not once per byte: functional
 /// loads/stores sit on the per-issue hot path, and workload construction
 /// writes whole input arrays through the slice paths.
-#[derive(Debug, Default, Clone)]
+///
+/// Equality is structural: a resident all-zero page and an absent one read
+/// the same but compare unequal.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SparseMemory {
     pages: FxHashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }

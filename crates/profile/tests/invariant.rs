@@ -12,9 +12,15 @@ use gpu_workloads::{gpu_for, Design, ALL_ABBRS};
 use simt_harness::{suite_jobs, DesignPoint, Harness, Overrides};
 use simt_profile::CpiStack;
 
-/// Run the full suite × all designs with the given overrides and assert
+/// Run the full suite × all designs on a 2-SM, 16-warp machine and assert
 /// the issue-slot identity on every result.
-fn check_invariant(overrides: &Overrides) {
+#[test]
+fn slot_buckets_sum_to_issue_slots_on_all_workloads_and_designs() {
+    let overrides = &Overrides {
+        num_sms: Some(2),
+        max_warps_per_sm: Some(16),
+        ..Overrides::default()
+    };
     let benches = ALL_ABBRS
         .iter()
         .map(|a| gpu_workloads::benchmark(a, 1).expect("known benchmark"))
@@ -54,28 +60,4 @@ fn check_invariant(overrides: &Overrides) {
             );
         }
     }
-}
-
-/// The default configuration: idle-cycle fast-forward is *on*, so this
-/// exercises the bulk-crediting path — every skipped cycle's issue slots
-/// must still land in exactly one bucket for the identity to hold.
-#[test]
-fn slot_buckets_sum_to_issue_slots_on_all_workloads_and_designs() {
-    check_invariant(&Overrides {
-        num_sms: Some(2),
-        max_warps_per_sm: Some(16),
-        ..Overrides::default()
-    });
-}
-
-/// Same identity with fast-forward disabled (`--no-fast-forward`): the
-/// cycle-by-cycle reference the bulk crediting must agree with.
-#[test]
-fn slot_buckets_sum_without_fast_forward() {
-    check_invariant(&Overrides {
-        num_sms: Some(2),
-        max_warps_per_sm: Some(16),
-        no_fast_forward: true,
-        ..Overrides::default()
-    });
 }

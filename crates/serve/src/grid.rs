@@ -9,6 +9,7 @@
 //! key (and therefore its result) is **identical** to what the CLI
 //! computes: the daemon and one-shot sweeps share one result store.
 
+use simt_harness::job::MAX_SCALE;
 use simt_harness::{fnv1a64, json, scenario_jobs, suite_jobs, DesignPoint, Job, Overrides};
 
 /// A parsed, validated grid request.
@@ -57,10 +58,15 @@ impl GridRequest {
             override_pairs: Vec::new(),
         };
         if let Some(scale) = v.get("scale") {
-            req.scale = scale
+            let n = scale
                 .as_u64()
                 .filter(|&n| n >= 1)
-                .ok_or("scale: expected a positive integer")? as u32;
+                .ok_or("scale: expected a positive integer")?;
+            // Compared before narrowing: 2^32 must not wrap to scale 0.
+            req.scale = u32::try_from(n)
+                .ok()
+                .filter(|&n| n <= MAX_SCALE)
+                .ok_or(format!("scale: must be at most {MAX_SCALE}"))?;
         }
         if let Some(benches) = v.get("benches") {
             let items = benches.as_arr().ok_or("benches: expected an array")?;
@@ -268,6 +274,13 @@ mod tests {
         assert!(err.contains("unknown config knob"), "{err}");
         assert!(parse(r#"{}"#).unwrap_err().contains("empty grid"));
         assert!(parse(r#"{"benches": ["LIB"], "scale": 0}"#).is_err());
+        // Above the ceiling, at u32::MAX, and past it (must not wrap to 0 or 1).
+        for scale in ["65", "4000000000", "4294967295", "4294967296", "4294967297"] {
+            let err = parse(&format!(r#"{{"benches": ["LIB"], "scale": {scale}}}"#)).unwrap_err();
+            assert_eq!(err, "scale: must be at most 64", "scale {scale}");
+        }
+        let ok = parse(r#"{"benches": ["LIB"], "scale": 64}"#).unwrap();
+        assert_eq!(ok.scale, MAX_SCALE);
     }
 
     #[test]

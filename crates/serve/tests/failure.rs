@@ -8,8 +8,8 @@
 //! reason (`Job::check`, or a caught panic for any other simulator
 //! failure) rather than tearing the daemon down. (A machine with *no*
 //! warp slots, SMs or ATQ entries, or with more SMs or warp slots than
-//! `MAX_MACHINE_DIM`, never gets that far: the override parser turns it
-//! into a 400.)
+//! `MAX_MACHINE_DIM`, or a `scale` above `MAX_SCALE`, never gets that
+//! far: the request parser turns it into a 400.)
 
 use simt_harness::json;
 use simt_serve::client::Client;
@@ -56,6 +56,29 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
         .unwrap();
         let rejected = client.post("/sweeps", Some(&huge_machine)).unwrap();
         assert_eq!(rejected.status, 400, "{knob}=4e10 must be a bad request");
+    }
+    // So would a scale whose memory image cannot be allocated; one that
+    // wraps a `u32` (2^32 -> 0, 2^32 + 1 -> 1) must not be served as the
+    // scale it wraps to. Nothing reaches the store, and the daemon still
+    // answers.
+    for scale in ["4000000000", "4294967296", "4294967297"] {
+        let huge_scale = json::parse(&format!(
+            r#"{{"benches": ["MC"], "designs": ["baseline"], "scale": {scale}}}"#
+        ))
+        .unwrap();
+        let rejected = client.post("/sweeps", Some(&huge_scale)).unwrap();
+        assert_eq!(rejected.status, 400, "scale {scale} must be a bad request");
+        assert_eq!(
+            rejected.body.get("error").and_then(json::Value::as_str),
+            Some("scale: must be at most 64")
+        );
+    }
+    let status = client.get("/status").unwrap().ok().unwrap();
+    let sweeps = status.get("sweeps").and_then(json::Value::as_arr).unwrap();
+    assert!(sweeps.is_empty(), "a rejected grid registered: {status:?}");
+    for store in ["cache", "sweeps"] {
+        let entries = fs::read_dir(results.join(store)).map_or(0, Iterator::count);
+        assert_eq!(entries, 0, "a rejected grid wrote into {store}/");
     }
 
     let request = json::parse(

@@ -425,14 +425,6 @@ impl CoProcessor for MultiCoProcessor<'_> {
     fn quiescent(&self) -> bool {
         self.children.iter().all(|c| c.quiescent())
     }
-
-    fn ff_wake(&self, now: u64) -> u64 {
-        self.children
-            .iter()
-            .map(|c| c.ff_wake(now))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]

@@ -36,10 +36,6 @@ pub struct GpuConfig {
     pub lsu_queue: usize,
     /// Hard cap on simulated cycles (deadlock guard).
     pub max_cycles: u64,
-    /// Fast-forward across stretches of cycles in which nothing can make
-    /// progress (see DESIGN.md "Simulator performance"). Cycle-exact by
-    /// construction; disable with `--no-fast-forward` to cross-check.
-    pub fast_forward: bool,
     /// The memory hierarchy.
     pub mem: MemConfig,
 }
@@ -63,7 +59,6 @@ impl GpuConfig {
             regfile_per_sm: 32 * 1024,
             lsu_queue: 16,
             max_cycles: 200_000_000,
-            fast_forward: true,
             mem: MemConfig::gtx480(),
         }
     }

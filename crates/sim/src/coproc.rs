@@ -227,19 +227,6 @@ pub trait CoProcessor {
     fn quiescent(&self) -> bool {
         true
     }
-
-    /// Earliest future cycle at which [`CoProcessor::step`] could behave
-    /// differently from how it behaved at `now`, assuming no SM or fabric
-    /// event occurs in between. Used by the idle-cycle fast-forward: when a
-    /// whole cycle makes no progress, the GPU loop jumps to the minimum of
-    /// this and the SM/fabric wake times instead of stepping one cycle at a
-    /// time. Implementations with purely event-driven state (DAC, CAE) keep
-    /// the default `u64::MAX`; time-driven state (MTA's periodic throttle
-    /// re-evaluation) must report its next deadline.
-    fn ff_wake(&self, now: u64) -> u64 {
-        let _ = now;
-        u64::MAX
-    }
 }
 
 /// The baseline GPU: no coprocessor at all.

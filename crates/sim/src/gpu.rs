@@ -74,25 +74,10 @@ pub struct StreamReport {
     pub per_kernel: Vec<KernelReport>,
 }
 
-/// Progress fingerprint over the per-SM attribution rows (a handful of
-/// u64 sums): any issue slot, coprocessor record, or CTA launch shows up
-/// here, so "fingerprint unchanged" means the cycle was quiet.
-fn fingerprint(rows: &[Vec<SimStats>]) -> (u64, u64, u64, u64, u64) {
-    rows.iter().flatten().fold((0, 0, 0, 0, 0), |a, s| {
-        (
-            a.0 + s.slot_issued,
-            a.1 + s.affine_issue_slots,
-            a.2 + s.aeu_records,
-            a.3 + s.peu_records,
-            a.4 + s.ctas_launched,
-        )
-    })
-}
-
-/// Build the deadlock-guard panic message: the stalled cycle, every
-/// unit's progress counter, and every unit's pending wake deadline, so a
-/// hang is diagnosable from the panic alone (which SM/partition stopped
-/// moving, and what each one claims it is waiting for).
+/// Build the deadlock-guard panic message from state the tick already
+/// maintains: the stalled cycle, dispatch state, what every SM holds and
+/// what its warps wait for, and every fabric queue's depth — so a hang is
+/// diagnosable from the panic alone.
 fn deadlock_report(
     now: u64,
     cfg: &GpuConfig,
@@ -103,13 +88,6 @@ fn deadlock_report(
     flat: &[(usize, usize, &StreamLaunch)],
 ) -> String {
     use std::fmt::Write as _;
-    let fmt_wake = |w: u64| -> String {
-        if w == u64::MAX {
-            "never".to_string()
-        } else {
-            w.to_string()
-        }
-    };
     let mut r = format!(
         "simulation exceeded {} cycles — deadlock? stalled at cycle {} \
          (first kernel={} coproc={})\n",
@@ -133,47 +111,13 @@ fn deadlock_report(
             .join(" ")
     );
     for s in sms {
-        let _ = writeln!(
-            r,
-            "  sm{}: progress={} wake={} idle={}",
-            s.id,
-            s.progress_count(),
-            fmt_wake(s.next_event_time(now)),
-            s.idle()
-        );
+        let _ = writeln!(r, "  sm{}: {}", s.id, s.stall_state());
     }
-    let (residue, parts, ports) = fabric.progress_breakdown();
-    let _ = writeln!(
-        r,
-        "  fabric: residue={} wake={} quiescent={}",
-        residue,
-        fmt_wake(fabric.next_event_time(now)),
-        fabric.quiescent()
-    );
-    let _ = writeln!(
-        r,
-        "  fabric partitions progress: [{}]",
-        parts
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        r,
-        "  fabric sm-ports progress: [{}]",
-        ports
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = write!(
-        r,
-        "  coproc: wake={} quiescent={}",
-        fmt_wake(coproc.ff_wake(now)),
-        coproc.quiescent()
-    );
+    let _ = writeln!(r, "  fabric: quiescent={}", fabric.quiescent());
+    for line in fabric.stall_state() {
+        let _ = writeln!(r, "  fabric {line}");
+    }
+    let _ = write!(r, "  coproc: quiescent={}", coproc.quiescent());
     r
 }
 
@@ -391,36 +335,10 @@ impl GpuSim {
             Router::Multi(m) => m,
         };
 
-        // Idle-cycle fast-forward (probe-and-multiply): after a cycle in
-        // which nothing progressed, jump straight to the next cycle at
-        // which anything *can* progress, crediting the skipped cycles'
-        // per-cycle counters in bulk. Exact by construction — a
-        // no-progress cycle is a pure function of state that does not
-        // change, so each skipped cycle would have repeated it verbatim.
-        // Disabled while tracing (skipped cycles would drop their per-cycle
-        // stall events from the trace).
-        let ff_enabled = cfg.fast_forward && !tracer.enabled();
-        let mut prev_quiet = false;
         let mut now = 0u64;
 
         loop {
             cmdproc.dispatch(now, cfg, &mut sms, &kctxs, coproc, &mut rows, tracer);
-
-            // Cheap progress fingerprint (a handful of u64 reads). The full
-            // statistics snapshot needed to credit skipped cycles is only
-            // taken when the *previous* cycle was already quiet: a quiet
-            // cycle is a pure function of state that did not change, so the
-            // cycle after it repeats it verbatim and can serve as the
-            // measured template. Busy phases therefore pay almost nothing
-            // for the probe; idle stretches pay one extra stepped cycle.
-            let prog_before =
-                fabric.progress_count() + sms.iter().map(Sm::progress_count).sum::<u64>();
-            let fp_before = fingerprint(&rows);
-            let ff_probe = if ff_enabled && prev_quiet {
-                Some((rows.clone(), fabric.stats()))
-            } else {
-                None
-            };
 
             fabric.cycle_traced(now, tracer);
             for (i, sm) in sms.iter_mut().enumerate() {
@@ -452,39 +370,6 @@ impl GpuSim {
             if done {
                 break;
             }
-
-            // "Quiet" = no SM/fabric progress event and no coprocessor work
-            // (issue slots, AEU/PEU expansions, CTA launches all surface as
-            // stats deltas).
-            let quiet = ff_enabled
-                && prog_before
-                    == fabric.progress_count() + sms.iter().map(Sm::progress_count).sum::<u64>()
-                && fp_before == fingerprint(&rows);
-            if quiet {
-                if let Some((rows_before, mem_before)) = ff_probe {
-                    let wake = sms
-                        .iter()
-                        .map(|s| s.next_event_time(now))
-                        .chain([fabric.next_event_time(now), coproc.ff_wake(now)])
-                        .min()
-                        .unwrap()
-                        .min(cfg.max_cycles);
-                    // Jump so the `now += 1` below lands exactly on `wake`;
-                    // clamping at `max_cycles` preserves the deadlock guard
-                    // (a wake of `u64::MAX` means nothing can ever happen).
-                    if wake > now + 1 {
-                        let k = wake - 1 - now;
-                        for (row, before) in rows.iter_mut().zip(&rows_before) {
-                            for (b, bb) in row.iter_mut().zip(before) {
-                                b.ff_credit(bb, k);
-                            }
-                        }
-                        fabric.ff_credit(&mem_before, k);
-                        now += k;
-                    }
-                }
-            }
-            prev_quiet = quiet;
 
             now += 1;
             if now >= cfg.max_cycles {

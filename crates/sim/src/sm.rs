@@ -294,13 +294,6 @@ pub struct Sm {
     free_warps: usize,
     /// Occupied CTA slots.
     resident: usize,
-    /// Monotone event counter for the idle-cycle fast-forward probe. Bumped
-    /// only on SM-side state changes that no statistics counter already
-    /// witnesses: writeback-heap pops, barrier releases, and CTA retires.
-    /// (Issues show up as `slot_issued` / `affine_issue_slots`; memory
-    /// traffic as fabric progress.) Deliberately NOT a `SimStats` field —
-    /// it must never reach artifacts.
-    progress: u64,
 }
 
 impl Sm {
@@ -338,32 +331,31 @@ impl Sm {
             cta_dirty: Vec::new(),
             free_warps: cfg.max_warps_per_sm,
             resident: 0,
-            progress: 0,
         }
     }
 
-    /// Fast-forward probe: total SM-side progress events so far (see the
-    /// `progress` field for what counts).
-    pub(crate) fn progress_count(&self) -> u64 {
-        self.progress
-    }
-
-    /// Earliest cycle after `now` at which this SM could act without any
-    /// external event: the next writeback release, or a scheduler coming
-    /// back from a multi-cycle issue. `u64::MAX` when neither is pending.
-    /// Called after the cycle's `drain_writebacks`, so any heap head is
-    /// strictly in the future.
-    pub(crate) fn next_event_time(&self, now: u64) -> u64 {
-        let mut wake = u64::MAX;
-        if let Some(&Reverse((at, _, _, _))) = self.writeback.peek() {
-            wake = wake.min(at.max(now + 1));
-        }
-        for s in &self.schedulers {
-            if s.busy_until > now {
-                wake = wake.min(s.busy_until);
-            }
-        }
-        wake
+    /// One line of live state for the deadlock report: what the SM holds
+    /// and what stands between each warp slot and issue (classes as of the
+    /// last scheduler hunt).
+    pub(crate) fn stall_state(&self) -> String {
+        let count =
+            |c: IssueClass| -> u32 { self.schedulers.iter().map(|s| s.census[c as usize]).sum() };
+        format!(
+            "ctas={} warps[absent={} barrier={} scoreboard={} plain={} mem={} gated={} \
+             gated_mem={}] writeback={} head={:?} lsu={} idle={}",
+            self.resident,
+            count(IssueClass::Absent),
+            count(IssueClass::Barrier),
+            count(IssueClass::Scoreboard),
+            count(IssueClass::Plain),
+            count(IssueClass::Mem),
+            count(IssueClass::Gated),
+            count(IssueClass::GatedMem),
+            self.writeback.len(),
+            self.writeback.peek().map(|Reverse((at, ..))| at),
+            self.lsu.len(),
+            self.idle()
+        )
     }
 
     /// Does the SM have room for another CTA of this kernel? Checks all
@@ -577,7 +569,6 @@ impl Sm {
                 break;
             }
             self.writeback.pop();
-            self.progress += 1;
             if let Some(w) = self.warps[warp].as_mut() {
                 if enc & (1u64 << 32) != 0 {
                     w.release_pred(enc as u16);
@@ -1375,7 +1366,6 @@ impl Sm {
             cta_dirty,
             warps,
             dirty,
-            progress,
             ..
         } = self;
         for &slot in cta_dirty.iter() {
@@ -1397,7 +1387,6 @@ impl Sm {
                 }
             }
             if any_waiting && all_arrived {
-                *progress += 1;
                 for &wid in &cta.warps {
                     if let Some(w) = warps[wid].as_mut() {
                         w.at_barrier = false;
@@ -1458,7 +1447,6 @@ impl Sm {
             debug_assert!(self.used_regs >= cta.regs && self.used_shared >= cta.shared_bytes);
             self.used_regs -= cta.regs;
             self.used_shared -= cta.shared_bytes;
-            self.progress += 1;
             coproc.on_cta_retire(self.id, slot);
             if tracer.enabled() {
                 tracer.emit(

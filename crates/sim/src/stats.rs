@@ -179,25 +179,6 @@ impl SimStats {
         }
     }
 
-    /// Credit `k` skipped idle cycles to every counter: add
-    /// `k × (self − before)`, field by field. Used by the fast-forward in
-    /// the GPU loop — `before` is a snapshot taken just before a probe
-    /// cycle that made no progress, so the delta is exactly what each of
-    /// the `k` skipped cycles would also have accumulated (per-slot stall
-    /// buckets, occupancy sums, idle-cycle counters). Because every cycle's
-    /// bucket delta sums to `schedulers × SMs`, multiplying it preserves
-    /// the [`SimStats::issue_slots_total`] invariant exactly.
-    pub fn ff_credit(&mut self, before: &SimStats, k: u64) {
-        let after = self.fields();
-        for ((name, b), (_, a)) in before.fields().into_iter().zip(after) {
-            debug_assert!(a >= b, "SimStats counter {name} went backwards");
-            if a != b {
-                let ok = self.set_field(name, a + (a - b) * k);
-                debug_assert!(ok, "unknown SimStats field {name}");
-            }
-        }
-    }
-
     /// Top-down issue-slot buckets as `(name, value)` pairs, in reporting
     /// order. Every scheduler issue slot of every cycle lands in exactly
     /// one bucket; `affine` reuses [`SimStats::affine_issue_slots`].

@@ -51,39 +51,69 @@ pub const ARR_C: u64 = 0x0300_0000;
 /// Fourth array.
 pub const ARR_D: u64 = 0x0400_0000;
 
+/// Builds one benchmark at a scale.
+type Constructor = fn(u32) -> Workload;
+
+/// Table 2 in order (compute-intensive first): abbreviation →
+/// constructor. The one list [`ALL_ABBRS`], [`all`] and [`by_abbr`] derive
+/// from.
+const REGISTRY: [(&str, Constructor); 29] = [
+    // Compute-intensive (11).
+    ("CP", compute::cp),
+    ("STO", compute::sto),
+    ("AES", compute::aes),
+    ("MQ", compute::mq),
+    ("TP", compute::tp),
+    ("FFT", compute::fft),
+    ("BP", compute::bp),
+    ("SR1", compute::sr1),
+    ("HS", compute::hs),
+    ("PF", compute::pf),
+    ("BS", compute::bs),
+    // Memory-intensive (18).
+    ("LIB", memory::lib),
+    ("SG", memory::sg),
+    ("ST", memory::st),
+    ("IMG", memory::img),
+    ("HI", memory::hi),
+    ("LBM", memory::lbm),
+    ("SPV", memory::spv),
+    ("BT", memory::bt),
+    ("LUD", memory::lud),
+    ("SR2", memory::sr2),
+    ("SC", memory::sc),
+    ("KM", memory::km),
+    ("BFS", memory::bfs),
+    ("CFD", memory::cfd),
+    ("MC", memory::mc),
+    ("MT", memory::mt),
+    ("SP", memory::sp),
+    ("CS", memory::cs),
+];
+
+/// Abbreviations of all 29 benchmarks in Table 2 order
+/// (compute-intensive first).
+pub const ALL_ABBRS: [&str; REGISTRY.len()] = {
+    let mut abbrs = [""; REGISTRY.len()];
+    let mut i = 0;
+    while i < abbrs.len() {
+        abbrs[i] = REGISTRY[i].0;
+        i += 1;
+    }
+    abbrs
+};
+
 /// Build every benchmark at `scale`.
 pub fn all(scale: u32) -> Vec<Workload> {
-    vec![
-        compute::cp(scale),
-        compute::sto(scale),
-        compute::aes(scale),
-        compute::mq(scale),
-        compute::tp(scale),
-        compute::fft(scale),
-        compute::bp(scale),
-        compute::sr1(scale),
-        compute::hs(scale),
-        compute::pf(scale),
-        compute::bs(scale),
-        memory::lib(scale),
-        memory::sg(scale),
-        memory::st(scale),
-        memory::img(scale),
-        memory::hi(scale),
-        memory::lbm(scale),
-        memory::spv(scale),
-        memory::bt(scale),
-        memory::lud(scale),
-        memory::sr2(scale),
-        memory::sc(scale),
-        memory::km(scale),
-        memory::bfs(scale),
-        memory::cfd(scale),
-        memory::mc(scale),
-        memory::mt(scale),
-        memory::sp(scale),
-        memory::cs(scale),
-    ]
+    REGISTRY.iter().map(|(_, build)| build(scale)).collect()
+}
+
+/// Build the one benchmark `abbr` names (case-insensitive), and only it.
+pub fn by_abbr(abbr: &str, scale: u32) -> Option<Workload> {
+    let (_, build) = REGISTRY
+        .iter()
+        .find(|(a, _)| a.eq_ignore_ascii_case(abbr))?;
+    Some(build(scale))
 }
 
 /// Emit `tid = ctaid.x * ntid.x + tid.x` plus the guarded byte address

@@ -23,6 +23,7 @@ pub mod scenarios;
 use simt_ir::{Kernel, LaunchConfig, Program};
 use simt_mem::SparseMemory;
 
+pub use kernels::ALL_ABBRS;
 pub use runner::{
     classify, gpu_for, run_dac, run_dac_traced, run_design, run_design_traced, run_scenario_design,
     run_scenario_design_traced, BenchRun, Design, ScenarioRun,
@@ -109,9 +110,7 @@ pub fn all_benchmarks(scale: u32) -> Vec<Workload> {
 
 /// Look up one benchmark by abbreviation (case-insensitive).
 pub fn benchmark(abbr: &str, scale: u32) -> Option<Workload> {
-    all_benchmarks(scale)
-        .into_iter()
-        .find(|w| w.abbr.eq_ignore_ascii_case(abbr))
+    kernels::by_abbr(abbr, scale)
 }
 
 /// The eight divergence-stress workloads promoted from the fuzz corpus —
@@ -121,27 +120,36 @@ pub fn divergence_stress() -> Vec<Workload> {
     kernels::stress::divergence_stress()
 }
 
-/// Abbreviations of all 29 benchmarks in Table 2 order
-/// (compute-intensive first).
-pub const ALL_ABBRS: [&str; 29] = [
-    // Compute-intensive (11).
-    "CP", "STO", "AES", "MQ", "TP", "FFT", "BP", "SR1", "HS", "PF", "BS",
-    // Memory-intensive (18).
-    "LIB", "SG", "ST", "IMG", "HI", "LBM", "SPV", "BT", "LUD", "SR2", "SC", "KM", "BFS", "CFD",
-    "MC", "MT", "SP", "CS",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The registry is one table: `ALL_ABBRS` is Table 2 (compute first),
+    /// `all_benchmarks` builds it in that order, and `benchmark` builds the
+    /// same workload `all_benchmarks` does, under any spelling.
     #[test]
-    fn registry_has_29_benchmarks() {
-        let all = all_benchmarks(1);
-        assert_eq!(all.len(), 29);
-        let abbrs: Vec<&str> = all.iter().map(|w| w.abbr).collect();
-        for a in ALL_ABBRS {
-            assert!(abbrs.contains(&a), "missing benchmark {a}");
+    fn registry_is_table_2_and_lookup_matches_the_suite() {
+        const TABLE_2: [&str; 29] = [
+            "CP", "STO", "AES", "MQ", "TP", "FFT", "BP", "SR1", "HS", "PF", "BS", "LIB", "SG",
+            "ST", "IMG", "HI", "LBM", "SPV", "BT", "LUD", "SR2", "SC", "KM", "BFS", "CFD", "MC",
+            "MT", "SP", "CS",
+        ];
+        assert_eq!(ALL_ABBRS, TABLE_2);
+        for scale in [1, 2] {
+            let all = all_benchmarks(scale);
+            assert_eq!(all.iter().map(|w| w.abbr).collect::<Vec<_>>(), TABLE_2);
+            for (abbr, entry) in TABLE_2.iter().zip(&all) {
+                for spelling in [abbr.to_string(), abbr.to_lowercase()] {
+                    let one = benchmark(&spelling, scale)
+                        .unwrap_or_else(|| panic!("{spelling} not found at scale {scale}"));
+                    let what = format!("{spelling} at scale {scale}");
+                    assert_eq!(one.abbr, entry.abbr, "{what}");
+                    assert_eq!(one.kernel, entry.kernel, "{what}");
+                    assert_eq!(one.launch, entry.launch, "{what}");
+                    assert_eq!(one.output, entry.output, "{what}");
+                    assert!(one.memory == entry.memory, "{what}: memory image");
+                }
+            }
         }
     }
 

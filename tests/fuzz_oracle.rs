@@ -1,10 +1,10 @@
 //! The differential fuzz oracle inside the tier-1 `cargo test`: generated
 //! kernels through all four designs, each checked against a per-thread
 //! scalar interpreter that shares no execution code with the simulator's
-//! warp-wide functional core (plus the issue-slot bucket invariant and
-//! fast-forward on/off identity). The `simt-fuzz` crate's own suite and
-//! the `fuzz` binary run wider windows; this one keeps an independent
-//! reference in front of every change to the simulator.
+//! warp-wide functional core (plus the issue-slot bucket invariant). The
+//! `simt-fuzz` crate's own suite and the `fuzz` binary run wider windows;
+//! this one keeps an independent reference in front of every change to
+//! the simulator.
 
 use simt_fuzz::diff::case_id;
 use simt_fuzz::{check_workload, gen_spec, DiffConfig};
