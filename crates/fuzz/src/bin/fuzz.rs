@@ -102,7 +102,10 @@ fn parse_args() -> Args {
                 }
             }
             "--jobs" => {
-                args.jobs = parse_u64(&value(&mut i), "--jobs").max(1) as usize;
+                args.jobs = parse_u64(&value(&mut i), "--jobs") as usize;
+                if args.jobs == 0 {
+                    fail_usage("--jobs must be at least 1");
+                }
             }
             "--reduce" => args.reduce = true,
             "--cache-dir" => args.cache_dir = Some(PathBuf::from(value(&mut i))),

@@ -50,3 +50,20 @@ fn workload_construction_is_deterministic() {
         assert_eq!(digest(&a), digest(&b));
     }
 }
+
+/// `--jobs 0` is a usage error, as it is for `sweep` and `serve`: one
+/// line on stderr, exit 2, nothing generated or written.
+#[test]
+fn zero_jobs_is_a_usage_error() {
+    let out_dir = std::env::temp_dir().join(format!("dac-fuzz-jobs0-{}", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fuzz"))
+        .args(["--count", "1", "--jobs", "0", "--no-cache", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("run fuzz");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains("--jobs must be at least 1"), "{stderr}");
+    assert!(out.stdout.is_empty() && !out_dir.exists());
+}

@@ -8,7 +8,7 @@
 //! counted, and a set never holds more than `ways - 1` locked lines, which
 //! is what makes the locking deadlock-free.
 
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,14 +49,20 @@ impl LineState {
 /// A set-associative cache tag array.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<LineState>>,
+    /// `num_sets × ways` line states, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<LineState>,
+    num_sets: usize,
     ways: usize,
-    line_bytes: u64,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
     tick: u64,
     /// Locks reserved for lines still in flight (missed, fill pending),
     /// keyed by line address. Counted against the per-set lock budget so
     /// the AEU's `ways - 1` invariant holds across outstanding fills.
-    pending_locks: HashMap<u64, u32>,
+    /// Looked up and counted, never visited in order, so the hasher cannot
+    /// reach a result.
+    pending_locks: FxHashMap<u64, u32>,
     // Statistics.
     /// Demand hits.
     pub hits: u64,
@@ -82,11 +88,12 @@ impl Cache {
         let num_sets = (lines / ways as u64) as usize;
         assert!(num_sets >= 1);
         Cache {
-            sets: vec![vec![LineState::empty(); ways]; num_sets],
+            lines: vec![LineState::empty(); num_sets * ways],
+            num_sets,
             ways,
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             tick: 0,
-            pending_locks: HashMap::new(),
+            pending_locks: FxHashMap::default(),
             hits: 0,
             misses: 0,
             unused_evictions: 0,
@@ -96,7 +103,7 @@ impl Cache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.num_sets
     }
 
     /// Associativity.
@@ -105,15 +112,22 @@ impl Cache {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        ((line / self.line_bytes) % self.sets.len() as u64) as usize
+        ((line >> self.line_shift) % self.num_sets as u64) as usize
     }
 
-    fn find(&self, line: u64) -> Option<(usize, usize)> {
-        let s = self.set_index(line);
-        self.sets[s]
+    /// The ways of set `s`, as a range of `lines`.
+    fn set_range(&self, s: usize) -> std::ops::Range<usize> {
+        s * self.ways..(s + 1) * self.ways
+    }
+
+    /// Index into `lines` of the resident line, if any.
+    fn find(&self, line: u64) -> Option<usize> {
+        let set = self.set_range(self.set_index(line));
+        let base = set.start;
+        self.lines[set]
             .iter()
             .position(|l| l.valid && l.tag == line)
-            .map(|w| (s, w))
+            .map(|w| base + w)
     }
 
     /// Is the line resident?
@@ -126,8 +140,8 @@ impl Cache {
     pub fn access(&mut self, line: u64, write: bool) -> CacheOutcome {
         self.tick += 1;
         match self.find(line) {
-            Some((s, w)) => {
-                let l = &mut self.sets[s][w];
+            Some(i) => {
+                let l = &mut self.lines[i];
                 l.last_use = self.tick;
                 l.used = true;
                 if write {
@@ -143,7 +157,8 @@ impl Cache {
         }
     }
 
-    /// Install a line, evicting the LRU *unlocked* way if needed.
+    /// Install a line, evicting the LRU *unlocked* way if needed (the
+    /// first such way among equally old ones).
     ///
     /// Returns the evicted line's address if a dirty line was displaced
     /// (for write-back traffic accounting). If every way of the set is
@@ -153,22 +168,23 @@ impl Cache {
     pub fn fill(&mut self, line: u64, locks: u32) -> Option<u64> {
         self.tick += 1;
         self.pending_locks.remove(&line);
-        if let Some((s, w)) = self.find(line) {
+        if let Some(i) = self.find(line) {
             // Already resident (e.g. raced with another fill): merge locks.
-            self.sets[s][w].locks += locks;
+            self.lines[i].locks += locks;
             return None;
         }
-        let s = self.set_index(line);
-        let victim = self.sets[s]
+        let set = self.set_range(self.set_index(line));
+        let base = set.start;
+        let victim = self.lines[set]
             .iter()
             .enumerate()
             .filter(|(_, l)| l.locks == 0)
             .min_by_key(|(_, l)| if l.valid { l.last_use } else { 0 })
-            .map(|(w, _)| w);
-        let Some(w) = victim else {
+            .map(|(w, _)| base + w);
+        let Some(i) = victim else {
             return None; // all ways locked — drop fill (see doc comment)
         };
-        let old = self.sets[s][w];
+        let old = self.lines[i];
         let mut dirty_evict = None;
         if old.valid {
             self.evictions += 1;
@@ -179,7 +195,7 @@ impl Cache {
                 dirty_evict = Some(old.tag);
             }
         }
-        self.sets[s][w] = LineState {
+        self.lines[i] = LineState {
             tag: line,
             valid: true,
             dirty: false,
@@ -196,15 +212,15 @@ impl Cache {
         let s = self.set_index(line);
         // A lock on an already-locked (or already-pending) line never
         // increases the number of distinct locked lines.
-        if let Some((s_, w)) = self.find(line) {
-            if self.sets[s_][w].locks > 0 {
+        if let Some(i) = self.find(line) {
+            if self.lines[i].locks > 0 {
                 return true;
             }
         }
         if self.pending_locks.contains_key(&line) {
             return true;
         }
-        let resident_locked = self.sets[s]
+        let resident_locked = self.lines[self.set_range(s)]
             .iter()
             .filter(|l| l.valid && l.locks > 0)
             .count();
@@ -229,8 +245,8 @@ impl Cache {
     /// Increment the lock counter of a resident line (AEU early request hit
     /// in cache).
     pub fn lock_resident(&mut self, line: u64) -> bool {
-        if let Some((s, w)) = self.find(line) {
-            self.sets[s][w].locks += 1;
+        if let Some(i) = self.find(line) {
+            self.lines[i].locks += 1;
             true
         } else {
             false
@@ -241,28 +257,20 @@ impl Cache {
     /// Missing lines are ignored (the lock may have been dropped with the
     /// line in an all-locked-set corner case).
     pub fn unlock(&mut self, line: u64) {
-        if let Some((s, w)) = self.find(line) {
-            let l = &mut self.sets[s][w];
+        if let Some(i) = self.find(line) {
+            let l = &mut self.lines[i];
             l.locks = l.locks.saturating_sub(1);
         }
     }
 
     /// Number of resident locked lines (observability).
     pub fn locked_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|l| l.valid && l.locks > 0)
-            .count()
+        self.lines.iter().filter(|l| l.valid && l.locks > 0).count()
     }
 
     /// Invalidate everything (between kernel launches).
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            for l in s {
-                *l = LineState::empty();
-            }
-        }
+        self.lines.fill(LineState::empty());
         self.pending_locks.clear();
     }
 }
@@ -270,6 +278,163 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
+    use std::collections::HashMap;
+
+    type Set = Vec<LineState>;
+
+    /// The tag array as it was before it went flat: one `Vec` per set,
+    /// set index by `/` and `%`, `(set, way)` lookups, pending locks in a
+    /// SipHash map. Kept as the reference [`flat_array_matches_nested_model`]
+    /// checks the real cache against.
+    struct Nested {
+        sets: Vec<Set>,
+        line_bytes: u64,
+        tick: u64,
+        pending: HashMap<u64, u32>,
+        counters: [u64; 4], // hits, misses, evictions, unused_evictions
+    }
+
+    impl Nested {
+        fn set_index(&self, line: u64) -> usize {
+            ((line / self.line_bytes) % self.sets.len() as u64) as usize
+        }
+
+        fn find(&mut self, line: u64) -> Option<&mut LineState> {
+            let s = self.set_index(line);
+            self.sets[s].iter_mut().find(|l| l.valid && l.tag == line)
+        }
+
+        fn access(&mut self, line: u64, write: bool) -> CacheOutcome {
+            self.tick += 1;
+            let tick = self.tick;
+            let hit = self.find(line).map(|l| {
+                l.last_use = tick;
+                l.used = true;
+                l.dirty |= write;
+            });
+            self.counters[hit.is_none() as usize] += 1;
+            if hit.is_some() {
+                CacheOutcome::Hit
+            } else {
+                CacheOutcome::Miss
+            }
+        }
+
+        fn fill(&mut self, line: u64, locks: u32) -> Option<u64> {
+            self.tick += 1;
+            self.pending.remove(&line);
+            if let Some(l) = self.find(line) {
+                l.locks += locks;
+                return None;
+            }
+            let s = self.set_index(line);
+            let mut victim: Option<usize> = None;
+            for (w, l) in self.sets[s].iter().enumerate() {
+                let age = |l: &LineState| if l.valid { l.last_use } else { 0 };
+                if l.locks == 0 && victim.is_none_or(|v| age(l) < age(&self.sets[s][v])) {
+                    victim = Some(w);
+                }
+            }
+            let old = std::mem::replace(
+                &mut self.sets[s][victim?],
+                LineState {
+                    tag: line,
+                    valid: true,
+                    dirty: false,
+                    last_use: self.tick,
+                    locks,
+                    used: false,
+                },
+            );
+            self.counters[2] += old.valid as u64;
+            self.counters[3] += (old.valid && !old.used) as u64;
+            (old.valid && old.dirty).then_some(old.tag)
+        }
+
+        fn can_reserve_lock(&mut self, line: u64) -> bool {
+            if self.find(line).is_some_and(|l| l.locks > 0) || self.pending.contains_key(&line) {
+                return true;
+            }
+            let s = self.set_index(line);
+            let resident = self.sets[s].iter().filter(|l| l.valid && l.locks > 0);
+            let pending = self.pending.keys().filter(|&&l| self.set_index(l) == s);
+            resident.count() + pending.count() < self.sets[s].len() - 1
+        }
+    }
+
+    /// Every operation the fabric uses, in a seeded 50 k-op stream over the
+    /// L1's geometry (96 sets — not a power of two — × 4 ways) and a tiny
+    /// one where every fill evicts: the flat array and the nested model
+    /// agree on every return value and every counter.
+    #[test]
+    fn flat_array_matches_nested_model() {
+        for (seed, sets, ways) in [(0xCAC4E_u64, 96u64, 4usize), (0xF1A7, 4, 2)] {
+            let mut rng = Rng(seed);
+            let mut c = Cache::new(sets * ways as u64 * 128, ways, 128);
+            let mut m = Nested {
+                sets: vec![vec![LineState::empty(); ways]; sets as usize],
+                line_bytes: 128,
+                tick: 0,
+                pending: HashMap::new(),
+                counters: [0; 4],
+            };
+            for op in 0..50_000 {
+                // Half the lines from six sets' worth of conflicts, half
+                // from a range a few times the capacity.
+                let line = 128
+                    * match rng.below(2) {
+                        0 => rng.below(6) + sets * rng.below(2 * ways as u64 + 1),
+                        _ => rng.below(4 * sets * ways as u64),
+                    };
+                let at = format!("op {op} line {line:#x} ({sets}x{ways})");
+                match rng.below(100) {
+                    0..=19 => assert_eq!(c.probe(line), m.find(line).is_some(), "{at}"),
+                    20..=44 => {
+                        let write = rng.below(3) == 0;
+                        assert_eq!(c.access(line, write), m.access(line, write), "{at}");
+                    }
+                    45..=64 => {
+                        let locks = c.pending_locks_for(line);
+                        assert_eq!(locks, m.pending.get(&line).copied().unwrap_or(0), "{at}");
+                        assert_eq!(c.fill(line, locks), m.fill(line, locks), "{at}");
+                    }
+                    65..=74 => {
+                        let locked = m.find(line).map(|l| l.locks += 1).is_some();
+                        assert_eq!(c.lock_resident(line), locked, "{at}");
+                    }
+                    75..=86 => {
+                        c.unlock(line);
+                        if let Some(l) = m.find(line) {
+                            l.locks = l.locks.saturating_sub(1);
+                        }
+                    }
+                    87..=98 => {
+                        let ok = m.can_reserve_lock(line);
+                        assert_eq!(c.can_reserve_lock(line), ok, "{at}");
+                        if ok {
+                            c.reserve_pending_lock(line);
+                            *m.pending.entry(line).or_insert(0) += 1;
+                        }
+                    }
+                    _ if rng.below(50) == 0 => {
+                        c.flush();
+                        m.sets
+                            .iter_mut()
+                            .flatten()
+                            .for_each(|l| *l = LineState::empty());
+                        m.pending.clear();
+                    }
+                    _ => {}
+                }
+                let counters = [c.hits, c.misses, c.evictions, c.unused_evictions];
+                assert_eq!(counters, m.counters, "{at}");
+            }
+            let locked = m.sets.iter().flatten().filter(|l| l.valid && l.locks > 0);
+            assert_eq!(c.locked_lines(), locked.count());
+            assert!(m.counters.iter().all(|&n| n > 100), "{:?}", m.counters);
+        }
+    }
 
     fn small() -> Cache {
         // 4 sets × 2 ways × 128 B.

@@ -22,6 +22,15 @@ struct Bank {
     busy_until: u64,
 }
 
+/// A queued request with its bank and row, decoded once when it entered
+/// the queue (the scheduler walks the queue every cycle).
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    req: DramRequest,
+    bank: usize,
+    row: u64,
+}
+
 /// One DRAM partition: a command queue feeding `banks` banks, each with an
 /// open-row register, plus a shared data bus that transfers one line per
 /// `burst_cycles`.
@@ -31,7 +40,7 @@ struct Bank {
 /// banks pipeline, so throughput is much higher than 1/latency.
 #[derive(Debug, Clone)]
 pub struct DramPartition {
-    queue: VecDeque<DramRequest>,
+    queue: VecDeque<Queued>,
     banks: Vec<Bank>,
     row_bytes: u64,
     row_hit_latency: u64,
@@ -41,6 +50,11 @@ pub struct DramPartition {
     burst_cycles: u64,
     queue_capacity: usize,
     bus_free_at: u64,
+    /// Every queued request waits for a busy bank, the earliest of which
+    /// frees at this cycle. Banks change only when a request starts, so
+    /// until then the queue walk would come out the same; a `push` (which
+    /// may target a free bank) clears it.
+    blocked_until: u64,
     /// Completed (cycle_ready, request) pairs awaiting pickup by the fabric.
     done: VecDeque<(u64, DramRequest)>,
     /// Row-buffer hits.
@@ -83,6 +97,7 @@ impl DramPartition {
             burst_cycles,
             queue_capacity,
             bus_free_at: 0,
+            blocked_until: 0,
             done: VecDeque::new(),
             row_hits: 0,
             row_misses: 0,
@@ -104,15 +119,14 @@ impl DramPartition {
     /// [`DramPartition::can_accept`].
     pub fn push(&mut self, req: DramRequest) {
         assert!(self.can_accept(), "DRAM queue overflow");
-        self.queue.push_back(req);
-    }
-
-    fn bank_of(&self, line: u64) -> usize {
-        ((line / self.row_bytes) % self.banks.len() as u64) as usize
-    }
-
-    fn row_of(&self, line: u64) -> u64 {
-        line / self.row_bytes / self.banks.len() as u64
+        let row_index = req.line / self.row_bytes;
+        let banks = self.banks.len() as u64;
+        self.blocked_until = 0;
+        self.queue.push_back(Queued {
+            req,
+            bank: (row_index % banks) as usize,
+            row: row_index / banks,
+        });
     }
 
     /// Advance one cycle: FR-FCFS scheduling — prefer the oldest request
@@ -128,14 +142,20 @@ impl DramPartition {
         if self.queue.is_empty() {
             return;
         }
+        if now < self.blocked_until {
+            self.stall_cycles += 1;
+            return;
+        }
         let mut pick: Option<usize> = None;
         let mut fallback: Option<usize> = None;
-        for (i, r) in self.queue.iter().enumerate() {
-            let b = self.bank_of(r.line);
-            if self.banks[b].busy_until > now {
+        let mut first_free = u64::MAX;
+        for (i, q) in self.queue.iter().enumerate() {
+            let bank = &self.banks[q.bank];
+            if bank.busy_until > now {
+                first_free = first_free.min(bank.busy_until);
                 continue;
             }
-            if self.banks[b].open_row == Some(self.row_of(r.line)) {
+            if bank.open_row == Some(q.row) {
                 pick = Some(i);
                 break;
             }
@@ -144,13 +164,12 @@ impl DramPartition {
             }
         }
         let Some(idx) = pick.or(fallback) else {
+            self.blocked_until = first_free;
             self.stall_cycles += 1;
             return;
         };
-        let req = self.queue[idx];
-        let b = self.bank_of(req.line);
-        let row = self.row_of(req.line);
-        let bank = &mut self.banks[b];
+        let Queued { req, bank, row } = self.queue[idx];
+        let bank = &mut self.banks[bank];
         let row_hit = bank.open_row == Some(row);
         let (access_latency, busy) = if row_hit {
             self.row_hits += 1;
@@ -203,6 +222,7 @@ impl DramPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
 
     fn dram() -> DramPartition {
         DramPartition::new(4, 2048, 60, 180, 16, 56, 4, 8)
@@ -214,6 +234,100 @@ mod tests {
             write: false,
             id,
         }
+    }
+
+    /// FR-FCFS as it was written before the queue carried decoded
+    /// entries: bank and row recomputed from the line address for every
+    /// entry on every cycle, no early exit. Same geometry and timing
+    /// constants as [`dram`].
+    struct Recompute {
+        queue: Vec<DramRequest>,
+        banks: [Bank; 4],
+        bus_free_at: u64,
+        done: VecDeque<(u64, DramRequest)>,
+        counters: [u64; 4], // row_hits, row_misses, serviced, stall_cycles
+    }
+
+    impl Recompute {
+        fn cycle(&mut self, now: u64) {
+            let bank_of = |line: u64| (line / 2048 % 4) as usize;
+            let row_of = |line: u64| line / 2048 / 4;
+            let free = |r: &&DramRequest| self.banks[bank_of(r.line)].busy_until <= now;
+            let open =
+                |r: &&DramRequest| self.banks[bank_of(r.line)].open_row == Some(row_of(r.line));
+            let choice = self
+                .queue
+                .iter()
+                .filter(free)
+                .find(open)
+                .or_else(|| self.queue.iter().find(free))
+                .copied();
+            let Some(req) = choice else {
+                self.counters[3] += !self.queue.is_empty() as u64;
+                return;
+            };
+            let idx = self.queue.iter().position(|r| *r == req).unwrap();
+            self.queue.remove(idx);
+            let bank = &mut self.banks[bank_of(req.line)];
+            let hit = bank.open_row == Some(row_of(req.line));
+            let (latency, busy) = if hit { (60, 16) } else { (180, 56) };
+            self.counters[!hit as usize] += 1;
+            self.counters[2] += 1;
+            bank.open_row = Some(row_of(req.line));
+            bank.busy_until = now + busy;
+            self.bus_free_at = (now + latency).max(self.bus_free_at) + 4;
+            if !req.write {
+                self.done.push_back((self.bus_free_at, req));
+            }
+        }
+    }
+
+    /// Seeded push / cycle / pop_done streams (bursts that fill the
+    /// 8-entry queue, idle stretches that drain it, reads and writes over
+    /// 4 banks × 6 rows): the decode-once queue and the recomputing model
+    /// complete the same request ids in the same cycles and agree on all
+    /// four counters after every cycle.
+    #[test]
+    fn decoded_queue_matches_recomputing_model() {
+        let mut rng = Rng(0xD4A7);
+        let mut d = dram();
+        let mut m = Recompute {
+            queue: Vec::new(),
+            banks: [Bank {
+                open_row: None,
+                busy_until: 0,
+            }; 4],
+            bus_free_at: 0,
+            done: VecDeque::new(),
+            counters: [0; 4],
+        };
+        let mut completed = 0;
+        for now in 0..60_000u64 {
+            let offered = [60, 2, 15][(now / 3000 % 3) as usize];
+            if rng.below(100) < offered && d.can_accept() {
+                let req = DramRequest {
+                    line: rng.below(4 * 6) * 2048 + rng.below(16) * 128,
+                    write: rng.below(4) == 0,
+                    id: now,
+                };
+                d.push(req);
+                m.queue.push(req);
+            }
+            d.cycle(now);
+            m.cycle(now);
+            loop {
+                let ready = matches!(m.done.front(), Some(&(at, _)) if at <= now);
+                let expect = ready.then(|| m.done.pop_front().unwrap().1);
+                assert_eq!(d.pop_done(now), expect, "cycle {now}");
+                if expect.is_none() {
+                    break;
+                }
+                completed += 1;
+            }
+            let counters = [d.row_hits, d.row_misses, d.serviced, d.stall_cycles];
+            assert_eq!(counters, m.counters, "cycle {now}");
+        }
+        assert!(completed > 1000 && m.counters.iter().all(|&n| n > 500));
     }
 
     #[test]

@@ -164,12 +164,6 @@ struct Partition {
     /// Outstanding DRAM reads by id. FxHashMap: hot path, never iterated.
     inflight: FxHashMap<u64, MemRequest>,
     next_id: u64,
-    /// Events generated this cycle, headed for SM ports: `(sm, ready_at,
-    /// event)` in generation order. Ports merge these in partition-index
-    /// order after every partition has cycled. Cleared at the start of the
-    /// partition's next cycle; entries are *copied* out by the ports, so
-    /// the stale buffer is never read again.
-    outbox: Vec<(usize, u64, PartEvent)>,
     /// Dirty L2 evictions written back to DRAM (partition-local slice of
     /// [`MemStats::writebacks`]).
     writebacks: u64,
@@ -196,7 +190,8 @@ struct SmPort {
     ready_free: Vec<usize>,
     /// Port-local sequence counter: `seq` only ever tie-breaks within this
     /// port's two heaps. Each cycle assigns it to partition events first
-    /// (in partition-index order), then to this SM's client accesses.
+    /// (partitions cycle in index order and deliver as they generate),
+    /// then to this SM's client accesses.
     seq: u64,
     /// Fills delivered into the prefetch buffer (port-local slice of
     /// [`MemStats::pbuf_fills`]).
@@ -209,7 +204,9 @@ impl SmPort {
         self.seq
     }
 
-    fn push_incoming(&mut self, at: u64, seq: u64, ev: PartEvent) {
+    /// A partition's fill or direct response, due at `at`.
+    fn push_incoming(&mut self, at: u64, ev: PartEvent) {
+        let seq = self.next_seq();
         let ord = self.next_ev;
         self.next_ev += 1;
         let slot = match self.incoming_free.pop() {
@@ -239,19 +236,6 @@ impl SmPort {
             }
         };
         self.ready.push(Reverse((at, seq, ord, slot)));
-    }
-
-    /// Pull this port's events out of every partition outbox, scanning
-    /// partitions in index order.
-    fn merge_outboxes<'p>(&mut self, sm: usize, parts: impl Iterator<Item = &'p Partition>) {
-        for part in parts {
-            for &(t_sm, at, ev) in &part.outbox {
-                if t_sm == sm {
-                    let seq = self.next_seq();
-                    self.push_incoming(at, seq, ev);
-                }
-            }
-        }
     }
 
     /// Process matured incoming events: MSHR releases, L1/prefetch-buffer
@@ -318,16 +302,19 @@ impl SmPort {
 }
 
 impl Partition {
-    /// Start a new cycle: drop last cycle's outbox (its entries were copied
-    /// into the ports at the end of that cycle).
-    fn begin_cycle(&mut self) {
-        self.outbox.clear();
-    }
-
     /// Advance this partition one cycle: service the input-queue head, run
-    /// DRAM, and route completions into the outbox. Touches only
-    /// partition-local state.
-    fn cycle(&mut self, cfg: &MemConfig, p: usize, now: u64, tracer: &mut dyn Tracer) {
+    /// DRAM, and push each completion onto its SM port's `incoming` heap.
+    /// Reads no port state, and no port looks at `incoming` until every
+    /// partition has cycled, so each port numbers its events in
+    /// partition-index-then-generation order.
+    fn cycle(
+        &mut self,
+        cfg: &MemConfig,
+        p: usize,
+        now: u64,
+        ports: &mut [SmPort],
+        tracer: &mut dyn Tracer,
+    ) {
         let l2_latency = cfg.l2_latency;
         let icnt = cfg.icnt_latency;
         // 1. Service the head of the input queue.
@@ -375,7 +362,7 @@ impl Partition {
                         } else {
                             PartEvent::Fill { line: req.line }
                         };
-                        self.outbox.push((req.sm, at, ev));
+                        ports[req.sm].push_incoming(at, ev);
                         true
                     } else if self.dram.can_accept() {
                         let id = self.next_id;
@@ -443,7 +430,7 @@ impl Partition {
             } else {
                 PartEvent::Fill { line: req.line }
             };
-            self.outbox.push((req.sm, at, ev));
+            ports[req.sm].push_incoming(at, ev);
         }
     }
 }
@@ -497,7 +484,6 @@ impl MemoryFabric {
                 ),
                 inflight: FxHashMap::default(),
                 next_id: 0,
-                outbox: Vec::new(),
                 writebacks: 0,
             })
             .collect();
@@ -755,21 +741,15 @@ impl MemoryFabric {
     }
 
     /// [`MemoryFabric::cycle`] with L2-access and SM-fill events emitted
-    /// into `tracer`. Two phases: every partition cycles (filling its
-    /// outbox), then every port merges outbox events in partition-index
-    /// order and processes matured fills.
+    /// into `tracer`. Two phases: every partition cycles in index order
+    /// (delivering fills and direct responses to the ports), then every
+    /// port processes its matured events.
     pub fn cycle_traced(&mut self, now: u64, tracer: &mut dyn Tracer) {
-        // Partitions: accept one request per cycle, run DRAM, route returns.
-        for p in 0..self.parts.len() {
-            let part = &mut self.parts[p];
-            part.begin_cycle();
-            part.cycle(&self.cfg, p, now, tracer);
+        for (p, part) in self.parts.iter_mut().enumerate() {
+            part.cycle(&self.cfg, p, now, &mut self.sms, tracer);
         }
-        // SMs: merge partition events, then process matured fills.
-        for sm in 0..self.sms.len() {
-            let (ports, parts) = (&mut self.sms, &self.parts);
-            ports[sm].merge_outboxes(sm, parts.iter());
-            ports[sm].incoming_cycle(sm, now, tracer);
+        for (sm, port) in self.sms.iter_mut().enumerate() {
+            port.incoming_cycle(sm, now, tracer);
         }
     }
 
@@ -918,6 +898,7 @@ impl MemoryFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
 
     fn fabric() -> MemoryFabric {
         MemoryFabric::new(MemConfig::gtx480(), 2)
@@ -1170,6 +1151,112 @@ mod tests {
             AccessOutcome::Stall(StallReason::MshrFull)
         );
         assert!(f.stats().mshr_full_stalls >= 1);
+    }
+
+    /// One seeded traffic driver over the whole hierarchy, shaped like the
+    /// run loop: `cycle(t)`, then per SM in index order a drain and two
+    /// submissions (an LSU slot and a coprocessor slot, each retrying a
+    /// stalled request every cycle until it is accepted). A `Dac` response
+    /// queues the demand load that later unlocks its line, as the SM does.
+    /// Returns an FNV-1a digest over every `(cycle, sm, MemResponse)`
+    /// delivered and the final `MemStats`.
+    fn traffic_digest(cfg: MemConfig) -> u64 {
+        const SMS: usize = 4;
+        const UNLOCK: u64 = 1 << 32;
+        fn random_line(rng: &mut Rng) -> u64 {
+            let idx = match rng.below(100) {
+                0..=49 => rng.below(256),      // hot: fits the L1
+                50..=74 => rng.below(16) * 96, // 16 lines of one L1 set
+                _ => rng.below(1 << 16),       // 8 MB: misses the L2
+            };
+            idx * 128
+        }
+        let mut f = MemoryFabric::new(cfg, SMS);
+        let mut rng = Rng(0xFAB1_C0DE);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |words: &[u64]| {
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let mut slots = [[None::<MemRequest>; 2]; SMS];
+        let mut demand: [VecDeque<u64>; SMS] = Default::default();
+        let mut next_token = 0u64;
+        let mut resps = Vec::new();
+        for t in 0..20_000u64 {
+            f.cycle(t);
+            // Offered load per slot per cycle, in percent: saturating,
+            // nearly idle, moderate.
+            let rate = [90, 10, 40][(t / 2500 % 3) as usize];
+            for sm in 0..SMS {
+                resps.clear();
+                f.drain_responses_into(sm, t, &mut NullTracer, &mut resps);
+                for r in &resps {
+                    let client = r.client.to_u8() as u64;
+                    mix(&[t, sm as u64, r.sm as u64, r.line, client, r.token]);
+                    match r.client {
+                        Client::Dac => demand[sm].push_back(r.line),
+                        Client::Lsu if r.token & UNLOCK != 0 => f.unlock(sm, r.line),
+                        _ => {}
+                    }
+                }
+                for (slot, pending) in slots[sm].iter_mut().enumerate() {
+                    if pending.is_none() && rng.below(100) < rate {
+                        next_token += 1;
+                        let unlock = if slot == 0 {
+                            demand[sm].pop_front()
+                        } else {
+                            None
+                        };
+                        let (kind, client) = match (slot, rng.below(10)) {
+                            (0, 0..=6) => (ReqKind::Load, Client::Lsu),
+                            (0, 7..=8) => (ReqKind::Store, Client::Lsu),
+                            (0, _) => (ReqKind::Atomic, Client::Lsu),
+                            (_, 0..=4) => (ReqKind::Prefetch, Client::Mta),
+                            _ => (ReqKind::PrefetchLock, Client::Dac),
+                        };
+                        let (line, kind, token) = match unlock {
+                            Some(l) => (l, ReqKind::Load, next_token | UNLOCK),
+                            None => (random_line(&mut rng), kind, next_token),
+                        };
+                        *pending = Some(MemRequest {
+                            sm,
+                            line,
+                            kind,
+                            client,
+                            token,
+                        });
+                    }
+                    if let Some(req) = *pending {
+                        if f.access(t, req) == AccessOutcome::Accepted {
+                            *pending = None;
+                        }
+                    }
+                }
+            }
+        }
+        let stats = f.stats();
+        assert!(stats.l1_hits > 1000 && stats.l2_hits > 1000 && stats.dram_row_hits > 100);
+        assert!(stats.writebacks > 0 && stats.atomics > 100 && stats.prefetch_merged > 0);
+        assert!(stats.mshr_full_stalls > 0 && stats.queue_full_stalls > 0);
+        assert!(stats.lock_budget_stalls > 0 && stats.redundant_prefetches > 0);
+        for (_, v) in stats.fields() {
+            mix(&[v]);
+        }
+        digest
+    }
+
+    /// Every response's delivery cycle and order, and every counter, under
+    /// mixed traffic from four SMs. Both digests were taken at the commit
+    /// before partitions delivered straight into the port heaps and the
+    /// caches went flat, and have not been edited since.
+    #[test]
+    fn traffic_digests_are_pinned() {
+        assert_eq!(traffic_digest(MemConfig::gtx480()), 0xbd18_61f0_05fa_70a5);
+        assert_eq!(
+            traffic_digest(MemConfig::gtx480_with_prefetch_buffer()),
+            0xb63e_a915_8889_c230
+        );
     }
 
     #[test]

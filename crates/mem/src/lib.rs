@@ -37,3 +37,24 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mshr::MshrTable;
 pub use sparse::{LaneAddrs, SparseMemory};
 pub use stats::MemStats;
+
+/// Seeded SplitMix64 stream for this crate's randomized unit tests (the
+/// crate has no dependencies to borrow one from).
+#[cfg(test)]
+pub(crate) mod test_rng {
+    pub struct Rng(pub u64);
+
+    impl Rng {
+        pub fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+    }
+}

@@ -106,6 +106,34 @@ fn parse_common(raw: &[String]) -> Common {
     }
 }
 
+/// The arguments of a command that takes at most one positional (`wants`
+/// names it for the error when it is missing) and at most one value-less
+/// flag: the positional and whether the flag was given. Anything the
+/// command would not consume is a usage error, raised before any request
+/// is sent.
+fn one_arg(
+    command: &str,
+    rest: &[String],
+    wants: Option<&str>,
+    flag: Option<&str>,
+) -> (String, bool) {
+    let mut positional = None;
+    let mut flagged = false;
+    for arg in rest {
+        if Some(arg.as_str()) == flag {
+            flagged = true;
+        } else if wants.is_some() && positional.is_none() && !arg.starts_with('-') {
+            positional = Some(arg.clone());
+        } else {
+            usage_exit(&format!("unknown {command} option {arg:?}"));
+        }
+    }
+    match (wants, positional) {
+        (Some(what), None) => usage_exit(&format!("{command} needs {what}")),
+        (_, positional) => (positional.unwrap_or_default(), flagged),
+    }
+}
+
 fn main() {
     simt_obs::log::init_from_env();
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -121,26 +149,21 @@ fn main() {
     match command.as_str() {
         "submit" => submit(&client, &common),
         "watch" => {
-            let id = common
-                .rest
-                .first()
-                .unwrap_or_else(|| usage_exit("watch needs a sweep id"));
-            let status = watch(&client, id, common.timeout);
+            let (id, _) = one_arg("watch", &common.rest, Some("a sweep id"), None);
+            let status = watch(&client, &id, common.timeout);
             println!("{}", status.to_json());
         }
         "tail" => {
-            let id = common
-                .rest
-                .iter()
-                .find(|a| !a.starts_with("--"))
-                .unwrap_or_else(|| usage_exit("tail needs a sweep id"));
-            let json_mode = common.rest.iter().any(|a| a == "--json");
-            tail(&client, id, common.timeout, json_mode);
+            let (id, json_mode) = one_arg("tail", &common.rest, Some("a sweep id"), Some("--json"));
+            tail(&client, &id, common.timeout, json_mode);
         }
         "fetch" => fetch(&client, &common),
-        "status" => print_endpoint(&client, "/status"),
+        "status" => {
+            one_arg("status", &common.rest, None, None);
+            print_endpoint(&client, "/status");
+        }
         "metrics" => {
-            if common.rest.iter().any(|a| a == "--prom") {
+            if one_arg("metrics", &common.rest, None, Some("--prom")).1 {
                 let (status, text) = client
                     .get_text("/metrics?format=prom")
                     .unwrap_or_else(|e| fail(&e));
@@ -153,6 +176,7 @@ fn main() {
             }
         }
         "shutdown" => {
+            one_arg("shutdown", &common.rest, None, None);
             let v = client
                 .post("/shutdown", None)
                 .and_then(|r| r.ok())
@@ -161,18 +185,12 @@ fn main() {
         }
         "bench" => bench(&client, &common),
         "check-bench" => {
-            let path = common
-                .rest
-                .first()
-                .unwrap_or_else(|| usage_exit("check-bench needs a file"));
-            std::process::exit(check_bench_file(Path::new(path)));
+            let (path, _) = one_arg("check-bench", &common.rest, Some("a file"), None);
+            std::process::exit(check_bench_file(Path::new(&path)));
         }
         "check-log" => {
-            let path = common
-                .rest
-                .first()
-                .unwrap_or_else(|| usage_exit("check-log needs a file"));
-            std::process::exit(check_log_file(Path::new(path)));
+            let (path, _) = one_arg("check-log", &common.rest, Some("a file"), None);
+            std::process::exit(check_log_file(Path::new(&path)));
         }
         other => usage_exit(&format!("unknown command {other:?}")),
     }

@@ -145,6 +145,44 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("point(s) failed"), "tail stderr: {stderr}");
 
+    // An argument a command does not consume is a usage error — one line,
+    // exit 2, no request sent — not something to ignore: a mistyped
+    // `shutdown --adr HOST` would otherwise stop whatever daemon the
+    // defaults reach. (`--addr` here points every probe at this daemon, so
+    // a `shutdown` that got through would be seen.)
+    for (args, offending) in [
+        (&["status", "--port", "1"][..], "--port"),
+        (&["shutdown", "--adr", "x"], "--adr"),
+        (&["status", "extra"], "extra"),
+        (&["metrics", "--prom", "--json"], "--json"),
+        (&["watch", &id, "--json"], "--json"),
+        (&["tail", &id, "again"], "again"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweepctl"))
+            .args(args)
+            .args(["--addr", &addr])
+            .output()
+            .expect("run sweepctl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        let needle = format!("unknown {} option {offending:?}", args[0]);
+        assert!(stderr.contains(&needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a reply");
+    }
+    // The forms each command does take still work, against a daemon the
+    // rejected `shutdown` left running.
+    for accepted in [&["status"][..], &["metrics"], &["metrics", "--prom"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweepctl"))
+            .args(accepted)
+            .args(["--addr", &addr])
+            .output()
+            .expect("run sweepctl");
+        assert_eq!(out.status.code(), Some(0), "{accepted:?}");
+        assert!(!out.stdout.is_empty(), "{accepted:?} printed nothing");
+    }
+    client.get("/status").unwrap().ok().unwrap();
+
     client.post("/shutdown", None).unwrap().ok().unwrap();
     serving.join().unwrap();
     let _ = fs::remove_dir_all(&results);

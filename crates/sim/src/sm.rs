@@ -21,8 +21,7 @@ use simt_mem::{
     AccessOutcome, Client, LaneAddrs, MemRequest, MemResponse, MemoryFabric, ReqKind, SparseMemory,
 };
 use simt_trace::{StallCause, TraceEvent, Tracer};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Base of the per-thread local-memory window in the global address space.
 pub const LOCAL_BASE: u64 = 1 << 40;
@@ -241,8 +240,20 @@ struct Scheduler {
     census: Census,
     /// Two-level scheduling: the active pool (warp ids); only these warps
     /// are considered first, pending warps swap in when the pool stalls.
+    /// Membership is mirrored in `Sm::in_pool`.
     active: VecDeque<usize>,
+    /// A pool member's class became `Absent` since the pool was last
+    /// swept, so the next hunt must evict before it looks at anything
+    /// (while clear, no pool member is `Absent`). The sweep stays at the
+    /// hunt: a slot that empties and is re-occupied by a new CTA before
+    /// this scheduler hunts again keeps its pool position.
+    pool_stale: bool,
 }
+
+/// One pending scoreboard release: due cycle, warp slot, and the def target
+/// (`Reg(r)` → `r`, `Pred(p)` → `PRED_BIT | p`).
+type Release = (u64, u32, u32);
+const PRED_BIT: u32 = 1 << 16;
 
 /// One streaming multiprocessor.
 pub struct Sm {
@@ -254,12 +265,17 @@ pub struct Sm {
     /// CTA slots.
     cta_slots: Vec<Option<CtaInfo>>,
     schedulers: Vec<Scheduler>,
-    /// Pending register/predicate releases: `(at, warp, id, target)` with a
-    /// monotone `id` so ordering never reaches the 4th field. The def
-    /// target is encoded inline (`Reg(r)` → `r`, `Pred(p)` → `1<<32 | p`)
-    /// instead of living in a side map keyed by id.
-    writeback: BinaryHeap<Reverse<(u64, usize, u64, u64)>>,
-    next_wb: u64,
+    /// Pending register/predicate releases as a calendar: the releases due
+    /// at cycle `at` sit in bucket `at & (len - 1)`. The ring is longer
+    /// than the longest writeback latency and `cycle` runs for every
+    /// consecutive `now`, so a bucket holds one cycle's releases at a time
+    /// and `drain_writebacks(now)` empties exactly bucket `now`. Releases
+    /// of one cycle commute (scoreboard counters, the `dirty` set, the
+    /// self-sorting `cta_dirty`), so order within a bucket is free.
+    writeback: Vec<Vec<Release>>,
+    /// Releases in the calendar, so a cycle with none pending (most of a
+    /// memory-bound run) never touches the buckets.
+    writeback_pending: usize,
     lsu: VecDeque<LsuTxn>,
     /// In-flight loads/atomics by token. A short linear-scan Vec, not a
     /// map: a handful of entries at most, and removal order never matters.
@@ -282,6 +298,8 @@ pub struct Sm {
     /// Issue class of every warp slot (see [`IssueClass`]); current for
     /// every slot not in `dirty`.
     class: Vec<IssueClass>,
+    /// Is warp slot `w` in its scheduler's active pool?
+    in_pool: Vec<bool>,
     /// Warp slots touched by an event since their class was last computed.
     dirty: Vec<usize>,
     /// CTA slots with a barrier arrival, a warp exit, or a scoreboard
@@ -312,11 +330,17 @@ impl Sm {
                         busy_until: 0,
                         census,
                         active: VecDeque::new(),
+                        pool_stale: false,
                     }
                 })
                 .collect(),
-            writeback: BinaryHeap::new(),
-            next_wb: 0,
+            writeback: {
+                let horizon = cfg.alu_latency.max(cfg.sfu_latency).max(cfg.shared_latency);
+                // At least two buckets: a zero-latency release still waits
+                // for the next cycle's drain.
+                vec![Vec::new(); (horizon.max(1) as usize + 1).next_power_of_two()]
+            },
+            writeback_pending: 0,
             lsu: VecDeque::new(),
             outstanding: Vec::new(),
             next_token: 0,
@@ -327,6 +351,7 @@ impl Sm {
             used_regs: 0,
             used_shared: 0,
             class: vec![IssueClass::Absent; cfg.max_warps_per_sm],
+            in_pool: vec![false; cfg.max_warps_per_sm],
             dirty: Vec::new(),
             cta_dirty: Vec::new(),
             free_warps: cfg.max_warps_per_sm,
@@ -351,8 +376,8 @@ impl Sm {
             count(IssueClass::Mem),
             count(IssueClass::Gated),
             count(IssueClass::GatedMem),
-            self.writeback.len(),
-            self.writeback.peek().map(|Reverse((at, ..))| at),
+            self.writeback_pending,
+            self.writeback.iter().flatten().map(|&(at, ..)| at).min(),
             self.lsu.len(),
             self.idle()
         )
@@ -471,14 +496,25 @@ impl Sm {
         self.resident
     }
 
-    fn schedule_writeback(&mut self, at: u64, warp: usize, what: DefTarget) {
-        let id = self.next_wb;
-        self.next_wb += 1;
+    /// Release `what` on `warp` `latency` cycles after `now`. Called from
+    /// the issue stage, i.e. after this cycle's drain, so a zero-latency
+    /// release waits for the next cycle's.
+    fn schedule_writeback(&mut self, now: u64, latency: u64, warp: usize, what: DefTarget) {
+        let mask = self.writeback.len() as u64 - 1;
+        let delay = latency.max(1);
+        assert!(
+            delay <= mask,
+            "SM {}: {latency}-cycle writeback is past the {}-cycle calendar",
+            self.id,
+            mask + 1
+        );
+        let at = now + delay;
         let enc = match what {
-            DefTarget::Reg(r) => r as u64,
-            DefTarget::Pred(p) => (1u64 << 32) | p as u64,
+            DefTarget::Reg(r) => r as u32,
+            DefTarget::Pred(p) => PRED_BIT | p as u32,
         };
-        self.writeback.push(Reverse((at, warp, id, enc)));
+        self.writeback[(at & mask) as usize].push((at, warp as u32, enc));
+        self.writeback_pending += 1;
     }
 
     /// One SM cycle: writeback and fabric-response drains, the coprocessor
@@ -564,13 +600,17 @@ impl Sm {
     }
 
     fn drain_writebacks(&mut self, now: u64) {
-        while let Some(&Reverse((at, warp, _, enc))) = self.writeback.peek() {
-            if at > now {
-                break;
-            }
-            self.writeback.pop();
+        if self.writeback_pending == 0 {
+            return;
+        }
+        let bucket = (now & (self.writeback.len() as u64 - 1)) as usize;
+        let mut due = std::mem::take(&mut self.writeback[bucket]);
+        self.writeback_pending -= due.len();
+        for (at, warp, enc) in due.drain(..) {
+            debug_assert_eq!(at, now, "SM {}: calendar bucket out of step", self.id);
+            let warp = warp as usize;
             if let Some(w) = self.warps[warp].as_mut() {
-                if enc & (1u64 << 32) != 0 {
+                if enc & PRED_BIT != 0 {
                     w.release_pred(enc as u16);
                 } else {
                     w.release_reg(enc as u16);
@@ -578,6 +618,8 @@ impl Sm {
                 self.note_release(warp);
             }
         }
+        // Hand the (empty) allocation back for the bucket's next lap.
+        self.writeback[bucket] = due;
     }
 
     /// A scoreboard release landed on resident warp `w`: a live warp may
@@ -665,27 +707,36 @@ impl Sm {
         let nsched = self.schedulers.len();
         while let Some(w) = self.dirty.pop() {
             let class = self.classify(w, kctx);
-            let census = &mut self.schedulers[w % nsched].census;
-            census[self.class[w] as usize] -= 1;
-            census[class as usize] += 1;
+            let sched = &mut self.schedulers[w % nsched];
+            sched.census[self.class[w] as usize] -= 1;
+            sched.census[class as usize] += 1;
+            sched.pool_stale |= class == IssueClass::Absent && self.in_pool[w];
             self.class[w] = class;
         }
     }
 
     /// Does the incrementally maintained class structure equal a
-    /// from-scratch classification of every warp slot, and every
-    /// scheduler's census a recount of its slots? (Debug builds assert
-    /// this before every scheduler hunt.)
+    /// from-scratch classification of every warp slot, every scheduler's
+    /// census a recount of its slots, `in_pool` the pools' membership, and
+    /// does every pool holding an `Absent` member know it is stale? (Debug
+    /// builds assert this before every scheduler hunt.)
     fn classes_current(&self, kctx: &KernelCtx<'_>) -> bool {
         let nsched = self.schedulers.len();
         self.dirty.is_empty()
-            && (0..self.class.len()).all(|w| self.class[w] == self.classify(w, kctx))
+            && (0..self.class.len()).all(|w| {
+                self.class[w] == self.classify(w, kctx)
+                    && self.in_pool[w] == self.schedulers[w % nsched].active.contains(&w)
+            })
             && self.schedulers.iter().enumerate().all(|(s, sched)| {
                 let mut recount = Census::default();
                 for w in (s..self.class.len()).step_by(nsched) {
                     recount[self.class[w] as usize] += 1;
                 }
-                sched.census == recount
+                let swept = sched
+                    .active
+                    .iter()
+                    .all(|&w| self.class[w] != IssueClass::Absent);
+                sched.census == recount && (sched.pool_stale || swept)
             })
     }
 
@@ -713,10 +764,20 @@ impl Sm {
         );
         let nsched = self.schedulers.len();
         // Evict finished warps from the pool.
-        let class = &self.class;
-        self.schedulers[s]
-            .active
-            .retain(|&w| class[w] != IssueClass::Absent);
+        let Sm {
+            schedulers,
+            class,
+            in_pool,
+            ..
+        } = self;
+        let sched = &mut schedulers[s];
+        if sched.pool_stale {
+            sched.active.retain(|&w| {
+                in_pool[w] = class[w] != IssueClass::Absent;
+                in_pool[w]
+            });
+            sched.pool_stale = false;
+        }
         // No warp this scheduler owns can issue, and nobody wants per-warp
         // stall events: the walk below would visit each non-absent owned
         // slot exactly once (pool, then the pending rest) and count it by
@@ -752,14 +813,18 @@ impl Sm {
         }
         // 2. Swap in a ready pending warp.
         for w in (s..self.class.len()).step_by(nsched) {
-            if self.class[w] == IssueClass::Absent || self.schedulers[s].active.contains(&w) {
+            if self.class[w] == IssueClass::Absent || self.in_pool[w] {
                 continue;
             }
             if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) {
-                if self.schedulers[s].active.len() >= cfg.active_pool {
-                    self.schedulers[s].active.pop_front();
+                let pool = &mut self.schedulers[s].active;
+                if pool.len() >= cfg.active_pool {
+                    if let Some(evicted) = pool.pop_front() {
+                        self.in_pool[evicted] = false;
+                    }
                 }
-                self.schedulers[s].active.push_back(w);
+                pool.push_back(w);
+                self.in_pool[w] = true;
                 return Some(w);
             }
         }
@@ -906,7 +971,7 @@ impl Sm {
                 } else {
                     cfg.alu_latency
                 };
-                self.schedule_writeback(now + lat, w, DefTarget::Reg(*dst));
+                self.schedule_writeback(now, lat, w, DefTarget::Reg(*dst));
                 if op.is_sfu() {
                     stats.sfu_lane_ops += lanes;
                 } else {
@@ -930,7 +995,7 @@ impl Sm {
                 let bits = cmp_lanes(*cmp, *float, a, b);
                 warp.set_pred_masked(*dst, bits, eff_mask);
                 warp.mark_pred_pending(*dst);
-                self.schedule_writeback(now + cfg.alu_latency, w, DefTarget::Pred(*dst));
+                self.schedule_writeback(now, cfg.alu_latency, w, DefTarget::Pred(*dst));
                 stats.alu_lane_ops += lanes;
                 stats.regfile_accesses += lanes * 2;
                 self.warps[w].as_mut().unwrap().stack.advance();
@@ -951,7 +1016,7 @@ impl Sm {
                 }
                 warp.set_reg_lanes(*dst, out, eff_mask);
                 warp.mark_reg_pending(*dst);
-                self.schedule_writeback(now + cfg.alu_latency, w, DefTarget::Reg(*dst));
+                self.schedule_writeback(now, cfg.alu_latency, w, DefTarget::Reg(*dst));
                 stats.alu_lane_ops += lanes;
                 stats.regfile_accesses += lanes * 3;
                 self.warps[w].as_mut().unwrap().stack.advance();
@@ -1087,7 +1152,7 @@ impl Sm {
                 let shared = &self.cta_slots[warp.cta_slot].as_ref().unwrap().shared;
                 warp.set_reg_lanes(dst, &shared.read_lanes(&addrs, nbytes), addrs.mask);
                 warp.mark_reg_pending(dst);
-                self.schedule_writeback(now + cfg.shared_latency, w, DefTarget::Reg(dst));
+                self.schedule_writeback(now, cfg.shared_latency, w, DefTarget::Reg(dst));
             }
             Space::Global | Space::Local => {
                 stats.global_loads += 1;
@@ -1489,6 +1554,98 @@ mod tests {
         k.exit();
         let launch = LaunchConfig::linear(n.div_ceil(512), 512, vec![a, b, n as u64]);
         Program::new(k.build(), launch).unwrap()
+    }
+
+    /// SplitMix64 (this crate has no dependency to borrow one from).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The writeback calendar against the rule of the min-heap it
+    /// replaced — a release pushed for `now + latency` leaves at the first
+    /// drain with `at <= now` — kept here as a plain list. Random
+    /// schedules over every latency the issue stage uses (plus 0 and 1)
+    /// must leave the same scoreboard bits pending on every warp after
+    /// every cycle's drain, mark the same warps dirty, and report the same
+    /// depth.
+    #[test]
+    fn calendar_releases_what_the_heap_rule_releases() {
+        let cfg = GpuConfig::test_small();
+        let prog = add_one_wide(512, 0x10_000, 0x80_000);
+        let kctx = KernelCtx::new(&prog);
+        let mut sm = Sm::new(0, &cfg);
+        sm.launch_cta(
+            &cfg,
+            &kctx,
+            0,
+            0,
+            &mut NullCoProcessor,
+            &mut SimStats::default(),
+        );
+        let warps = kctx.warps_per_cta;
+        let targets: Vec<DefTarget> = (0..prog.kernel.num_regs)
+            .map(DefTarget::Reg)
+            .chain((0..prog.kernel.num_preds).map(DefTarget::Pred))
+            .collect();
+        let latencies = [0, 1, cfg.alu_latency, cfg.sfu_latency, cfg.shared_latency];
+        let mut model: Vec<(u64, usize, DefTarget)> = Vec::new();
+        let mut rng = Rng(0xCA1E_17DA);
+        let mut released = 0;
+        for now in 0..20_000u64 {
+            sm.dirty.clear();
+            sm.drain_writebacks(now);
+            let mut dirty: Vec<usize> = Vec::new();
+            model.retain(|&(at, w, _)| {
+                if at <= now {
+                    dirty.push(w);
+                }
+                at > now
+            });
+            released += dirty.len();
+            sm.dirty.sort_unstable();
+            dirty.sort_unstable();
+            assert_eq!(sm.dirty, dirty, "cycle {now}");
+            let depth = format!(" writeback={} ", model.len());
+            assert!(sm.stall_state().contains(&depth), "cycle {now}: {depth}");
+            for w in 0..warps {
+                let warp = sm.warps[w].as_ref().unwrap();
+                for &t in &targets {
+                    let pending = match t {
+                        DefTarget::Reg(r) => warp.reg_pending(r),
+                        DefTarget::Pred(p) => warp.pred_pending(p),
+                    };
+                    let expect = model.iter().any(|&(_, mw, mt)| (mw, mt) == (w, t));
+                    assert_eq!(pending, expect, "cycle {now} warp {w} {t:?}");
+                }
+            }
+            // Bursts and lulls, so buckets both pile up and run empty.
+            for _ in 0..rng.below(if now / 500 % 2 == 0 { 6 } else { 2 }) {
+                let w = rng.below(warps as u64) as usize;
+                let t = targets[rng.below(targets.len() as u64) as usize];
+                let lat = latencies[rng.below(latencies.len() as u64) as usize];
+                // One outstanding write per target, as the scoreboard
+                // guarantees at issue.
+                if model.iter().any(|&(_, mw, mt)| (mw, mt) == (w, t)) {
+                    continue;
+                }
+                let warp = sm.warps[w].as_mut().unwrap();
+                match t {
+                    DefTarget::Reg(r) => warp.mark_reg_pending(r),
+                    DefTarget::Pred(p) => warp.mark_pred_pending(p),
+                }
+                sm.schedule_writeback(now, lat, w, t);
+                model.push((now + lat, w, t));
+            }
+        }
+        assert!(released > 10_000, "{released}");
     }
 
     /// The class structure is sized from `max_warps_per_sm`, not from a
