@@ -21,7 +21,6 @@
 
 use simt_ir::{Instr, Op, Operand, Program, SpecialReg};
 use simt_sim::{CoProcessor, IssueCost, SimStats};
-use std::collections::HashMap;
 
 /// CAE configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +63,10 @@ impl Tag {
 pub struct Cae {
     #[allow(dead_code)]
     cfg: CaeConfig,
-    /// Per-SM map of warp → register tags.
-    sms: Vec<HashMap<usize, Vec<Tag>>>,
+    /// Per-SM register tags, `[warp * num_regs + r]`. A warp's tags start
+    /// as `Vector` on its first issue and are never reset within a kernel:
+    /// a reused warp slot inherits the tags its previous CTA left.
+    sms: Vec<Vec<Tag>>,
     num_regs: usize,
     /// Can `tid.x` be treated as one warp-wide stride? (innermost block
     /// dimension ≥ 32 and a multiple of 32.)
@@ -127,7 +128,7 @@ impl CoProcessor for Cae {
 
     fn on_kernel_launch(&mut self, program: &Program, num_sms: usize) {
         self.sms.clear();
-        self.sms.resize_with(num_sms, HashMap::new);
+        self.sms.resize_with(num_sms, Vec::new);
         self.num_regs = program.kernel.num_regs as usize;
         let bx = program.launch.block.x;
         self.tidx_affine = bx >= 32 && bx.is_multiple_of(32);
@@ -141,67 +142,81 @@ impl CoProcessor for Cae {
         active: u32,
         stats: &mut SimStats,
     ) -> IssueCost {
-        let tidx_affine = self.tidx_affine;
         let num_regs = self.num_regs;
         if self.sms.len() <= sm {
-            self.sms.resize_with(sm + 1, HashMap::new);
+            self.sms.resize_with(sm + 1, Vec::new);
         }
-        let tags = self.sms[sm]
-            .entry(warp)
-            .or_insert_with(|| vec![Tag::Vector; num_regs]);
-        let diverged = active != u32::MAX;
-        match instr {
-            Instr::Alu {
-                op,
-                dst,
-                srcs,
-                guard,
-            } => {
-                let a = self_src(tags, srcs[0], tidx_affine);
-                let b = self_src(tags, srcs[1], tidx_affine);
-                let c = self_src(tags, srcs[2], tidx_affine);
-                let mut t = Self::alu_tag(*op, a, b, c);
-                // Divergence or a guard poisons affine tracking (§5.4);
-                // a guarded scalar result stays scalar.
-                if diverged || (guard.is_some() && t != Tag::Scalar) {
-                    t = Tag::Vector;
-                }
-                let eligible = !diverged && guard.is_none() && t != Tag::Vector;
-                if let Some(slot) = tags.get_mut(*dst as usize) {
-                    *slot = t;
-                }
-                if eligible {
-                    stats.cae_affine_instructions += 1;
-                    return IssueCost::Fast;
-                }
-                IssueCost::Normal
-            }
-            Instr::SetP { a, b, guard, .. } => {
-                let ta = self_src(tags, *a, tidx_affine);
-                let tb = self_src(tags, *b, tidx_affine);
-                let one_scalar = ta == Tag::Scalar || tb == Tag::Scalar;
-                let both_ok = ta != Tag::Vector && tb != Tag::Vector;
-                if !diverged && guard.is_none() && one_scalar && both_ok {
-                    stats.cae_affine_instructions += 1;
-                    IssueCost::Fast
-                } else {
-                    IssueCost::Normal
-                }
-            }
-            Instr::Sel { dst, .. } => {
-                if let Some(slot) = tags.get_mut(*dst as usize) {
-                    *slot = Tag::Vector;
-                }
-                IssueCost::Normal
-            }
-            Instr::Ld { dst, .. } | Instr::Atom { dst, .. } => {
-                if let Some(slot) = tags.get_mut(*dst as usize) {
-                    *slot = Tag::Vector;
-                }
-                IssueCost::Normal
-            }
-            _ => IssueCost::Normal,
+        let table = &mut self.sms[sm];
+        let end = (warp + 1) * num_regs;
+        if table.len() < end {
+            table.resize(end, Tag::Vector);
         }
+        let tags = &mut table[warp * num_regs..end];
+        warp_issue_cost(tags, instr, active, self.tidx_affine, stats)
+    }
+}
+
+/// Issue cost of `instr` on a warp whose register tags are `tags`,
+/// updating the destination's tag.
+fn warp_issue_cost(
+    tags: &mut [Tag],
+    instr: &Instr,
+    active: u32,
+    tidx_affine: bool,
+    stats: &mut SimStats,
+) -> IssueCost {
+    let diverged = active != u32::MAX;
+    match instr {
+        Instr::Alu {
+            op,
+            dst,
+            srcs,
+            guard,
+        } => {
+            let a = self_src(tags, srcs[0], tidx_affine);
+            let b = self_src(tags, srcs[1], tidx_affine);
+            let c = self_src(tags, srcs[2], tidx_affine);
+            let mut t = Cae::alu_tag(*op, a, b, c);
+            // Divergence or a guard poisons affine tracking (§5.4);
+            // a guarded scalar result stays scalar.
+            if diverged || (guard.is_some() && t != Tag::Scalar) {
+                t = Tag::Vector;
+            }
+            let eligible = !diverged && guard.is_none() && t != Tag::Vector;
+            if let Some(slot) = tags.get_mut(*dst as usize) {
+                *slot = t;
+            }
+            if eligible {
+                stats.cae_affine_instructions += 1;
+                return IssueCost::Fast;
+            }
+            IssueCost::Normal
+        }
+        Instr::SetP { a, b, guard, .. } => {
+            let ta = self_src(tags, *a, tidx_affine);
+            let tb = self_src(tags, *b, tidx_affine);
+            let one_scalar = ta == Tag::Scalar || tb == Tag::Scalar;
+            let both_ok = ta != Tag::Vector && tb != Tag::Vector;
+            if !diverged && guard.is_none() && one_scalar && both_ok {
+                stats.cae_affine_instructions += 1;
+                IssueCost::Fast
+            } else {
+                IssueCost::Normal
+            }
+        }
+        Instr::Sel { dst, .. } => {
+            if let Some(slot) = tags.get_mut(*dst as usize) {
+                *slot = Tag::Vector;
+            }
+            IssueCost::Normal
+        }
+        Instr::Ld { dst, .. } | Instr::Atom { dst, .. } => {
+            if let Some(slot) = tags.get_mut(*dst as usize) {
+                *slot = Tag::Vector;
+            }
+            IssueCost::Normal
+        }
+        _ => IssueCost::Normal,
     }
 }
 
@@ -391,4 +406,142 @@ mod tests {
     }
 
     use simt_ir::SpecialReg;
+
+    /// The tag store the flat table replaced: per SM, a map from warp to
+    /// that warp's register tags, created all-`Vector` on its first issue.
+    struct MapTags {
+        sms: Vec<simt_mem::FxHashMap<usize, Vec<Tag>>>,
+        num_regs: usize,
+    }
+
+    impl MapTags {
+        fn tags(&mut self, sm: usize, warp: usize) -> &mut [Tag] {
+            if self.sms.len() <= sm {
+                self.sms.resize_with(sm + 1, Default::default);
+            }
+            let num_regs = self.num_regs;
+            self.sms[sm]
+                .entry(warp)
+                .or_insert_with(|| vec![Tag::Vector; num_regs])
+        }
+    }
+
+    /// Seeded issue streams over a few launches, each reusing warp slots
+    /// across many instructions: the flat tag table gives the map store's
+    /// `IssueCost` and `cae_affine_instructions` at every issue.
+    #[test]
+    fn flat_tags_match_the_map_store() {
+        fn below(x: &mut u64, n: u64) -> u64 {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            *x % n
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rng = |n: u64| below(&mut x, n);
+        let ops = [
+            Op::Add,
+            Op::Sub,
+            Op::Mul,
+            Op::Mad,
+            Op::Shl,
+            Op::Mov,
+            Op::Neg,
+            Op::Rem,
+            Op::Min,
+        ];
+        let specials = [
+            SpecialReg::TidX,
+            SpecialReg::TidY,
+            SpecialReg::CtaIdX,
+            SpecialReg::NTidX,
+        ];
+        let mut cae = Cae::new(CaeConfig::default());
+        for launch in 0..6 {
+            let mut b = KernelBuilder::new("k", 2);
+            b.exit();
+            let mut kernel = b.build();
+            kernel.num_regs = [0, 1, 5, 12][launch % 4];
+            kernel.regs_per_thread = kernel.num_regs;
+            let block = [Dim3::x(64), Dim3::xy(16, 4), Dim3::x(96)][launch % 3];
+            let prog = Program::new(
+                kernel,
+                LaunchConfig {
+                    grid: Dim3::x(4),
+                    block,
+                    params: vec![1, 2],
+                },
+            )
+            .unwrap();
+            cae.on_kernel_launch(&prog, 2);
+            let num_regs = prog.kernel.num_regs as usize;
+            let mut model = MapTags {
+                sms: Vec::new(),
+                num_regs,
+            };
+            model.sms.resize_with(2, Default::default);
+            let (mut stats, mut model_stats) = (SimStats::default(), SimStats::default());
+            for _ in 0..3000 {
+                let reg = |r: u64| (r % (num_regs as u64 + 2)) as u16;
+                let mut operand = || {
+                    let r = rng(64);
+                    match r % 4 {
+                        0 => Operand::Reg(reg(r / 4)),
+                        1 => Operand::Imm((r / 4) as i64),
+                        2 => Operand::Param(0),
+                        _ => Operand::Special(specials[(r / 4) as usize % specials.len()]),
+                    }
+                };
+                let srcs = [operand(), operand(), operand()];
+                let guard = (rng(5) == 0).then_some(simt_ir::instr::Guard {
+                    pred: 0,
+                    negate: false,
+                });
+                let instr = match rng(6) {
+                    0..=2 => Instr::Alu {
+                        op: ops[rng(ops.len() as u64) as usize],
+                        dst: reg(rng(64)),
+                        srcs,
+                        guard,
+                    },
+                    3 => Instr::SetP {
+                        dst: 0,
+                        cmp: simt_ir::CmpOp::Lt,
+                        a: srcs[0],
+                        b: srcs[1],
+                        float: false,
+                        guard,
+                    },
+                    4 => Instr::Ld {
+                        dst: reg(rng(64)),
+                        space: Space::Global,
+                        addr: simt_ir::AddrMode::Reg(0, 0),
+                        width: Width::W32,
+                        guard,
+                    },
+                    _ => Instr::Sel {
+                        dst: reg(rng(64)),
+                        pred: simt_ir::instr::Guard {
+                            pred: 0,
+                            negate: false,
+                        },
+                        a: srcs[0],
+                        b: srcs[1],
+                    },
+                };
+                let sm = rng(3) as usize;
+                let warp = rng(12) as usize;
+                let active = if rng(4) == 0 { 0xFFFF } else { u32::MAX };
+                let cost = cae.issue_cost(sm, warp, &instr, active, &mut stats);
+                let tags = model.tags(sm, warp);
+                let want = warp_issue_cost(tags, &instr, active, cae.tidx_affine, &mut model_stats);
+                assert_eq!(cost, want, "launch {launch}: {instr:?}");
+                assert_eq!(
+                    stats.cae_affine_instructions,
+                    model_stats.cae_affine_instructions
+                );
+            }
+            assert!(stats.cae_affine_instructions > 0);
+        }
+    }
 }

@@ -10,7 +10,7 @@
 //! watches the buffer's evicted-but-unused rate and scales the prefetch
 //! degree down when pollution rises (§5.5).
 
-use simt_ir::{Instr, Program, Space};
+use simt_ir::{Program, Space};
 use simt_mem::{AccessOutcome, Client, MemRequest, ReqKind};
 use simt_sim::{CoCtx, CoProcessor, SimStats};
 use std::collections::{HashMap, VecDeque};
@@ -129,16 +129,6 @@ impl CoProcessor for Mta {
                 ..Default::default()
             })
             .collect();
-    }
-
-    fn can_issue(
-        &mut self,
-        _sm: usize,
-        _warp: usize,
-        _instr: &Instr,
-        _stats: &mut SimStats,
-    ) -> bool {
-        true
     }
 
     fn observe_mem(

@@ -257,7 +257,7 @@ common options:
   --designs a,b,...  design points: baseline, cae, mta, dac, perfect
   --set KEY=VALUE    config override (repeatable, each knob once); knobs:
                      atq_entries, pwaq_total, pwpq_total, lock_lines,
-                     divergent_tuples, num_sms, max_warps_per_sm,
+                     num_sms, max_warps_per_sm,
                      streams (multi-kernel scenario: smem_pressure,
                      reg_pressure, pipeline), cta_policy (greedy|rr)
   --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as

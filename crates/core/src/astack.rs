@@ -4,8 +4,8 @@
 //! reconvergence stack carries one lane mask *per non-affine warp*. The
 //! Warp Level Stack (WLS) encodes each warp's mask in two bits — `11` (all
 //! active), `00` (none), `10` (mixed) — and only mixed warps touch their
-//! Per Warp Stack (PWS). We track full masks for correctness and count the
-//! WLS/PWS update split for the energy model.
+//! Per Warp Stack (PWS). We track full masks and do not model the split:
+//! the energy model charges one PWS access per AEU record instead.
 
 /// One affine-stack entry: a path with per-warp lane masks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,10 +29,6 @@ impl AffineStackEntry {
 pub struct AffineStack {
     entries: Vec<AffineStackEntry>,
     exited: Vec<u32>,
-    /// Warp-level (2-bit) mask updates — cheap WLS traffic.
-    pub wls_updates: u64,
-    /// Per-thread mask updates (mixed warps) — PWS traffic.
-    pub pws_updates: u64,
 }
 
 impl AffineStack {
@@ -46,8 +42,6 @@ impl AffineStack {
                 masks: launch_masks,
             }],
             exited: vec![0; n],
-            wls_updates: 0,
-            pws_updates: 0,
         }
     }
 
@@ -86,15 +80,6 @@ impl AffineStack {
         self.entries.len()
     }
 
-    fn count_updates(&mut self, masks: &[u32]) {
-        for &m in masks {
-            self.wls_updates += 1;
-            if m != 0 && m != u32::MAX {
-                self.pws_updates += 1;
-            }
-        }
-    }
-
     fn settle(&mut self) {
         loop {
             let Some(top) = self.entries.last() else {
@@ -118,13 +103,6 @@ impl AffineStack {
         self.settle();
     }
 
-    /// Jump the current path to an arbitrary PC (barrier bookkeeping never
-    /// needs this; kept for engine-level control).
-    pub fn set_pc(&mut self, pc: usize) {
-        self.entries.last_mut().expect("affine stack empty").pc = pc;
-        self.settle();
-    }
-
     /// Execute a branch with per-warp taken masks. Semantics mirror the
     /// per-warp [`simt_sim::SimtStack`] exactly (taken path runs first), so
     /// the affine and non-affine streams visit paths in the same order —
@@ -136,7 +114,6 @@ impl AffineStack {
         let fallthrough = self.pc() + 1;
         let any_taken = taken.iter().any(|&m| m != 0);
         let any_nt = not_taken.iter().any(|&m| m != 0);
-        self.count_updates(&taken);
         if !any_nt {
             self.entries.last_mut().unwrap().pc = target;
             self.settle();
@@ -215,19 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn intra_warp_divergence_counts_pws() {
+    fn intra_warp_divergence_splits_lane_masks() {
         let mut s = AffineStack::new(vec![u32::MAX]);
         s.branch(&[0x0000_FFFF], 4, 8);
-        assert!(s.pws_updates > 0, "mixed warp must touch the PWS");
         assert_eq!(s.active(0), 0x0000_FFFF);
-    }
-
-    #[test]
-    fn uniform_warps_avoid_pws() {
-        let mut s = AffineStack::new(vec![u32::MAX, u32::MAX]);
-        s.branch(&[u32::MAX, 0], 4, 8);
-        assert_eq!(s.pws_updates, 0, "all-or-nothing warps are WLS-only");
-        assert!(s.wls_updates > 0);
     }
 
     #[test]

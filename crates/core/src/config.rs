@@ -11,9 +11,6 @@ pub struct DacConfig {
     /// Per-Warp Predicate Queue entries per SM, partitioned like the PWAQ
     /// (Table 1: 192).
     pub pwpq_total: usize,
-    /// Support divergent affine tuples (§4.6) — disabling is the ablation
-    /// that degrades DAC to convergent-only decoupling.
-    pub divergent_tuples: bool,
     /// Lock early-requested lines in L1 (§4.2) — disabling turns early
     /// requests into plain (evictable) requests, an ablation knob.
     pub lock_lines: bool,
@@ -26,7 +23,6 @@ impl DacConfig {
             atq_entries: 24,
             pwaq_total: 192,
             pwpq_total: 192,
-            divergent_tuples: true,
             lock_lines: true,
         }
     }
@@ -55,7 +51,6 @@ mod tests {
         assert_eq!(c.pwpq_total, 192);
         // At the 48-warp maximum the partition is Table 1's 4 per warp.
         assert_eq!(DacConfig::per_warp_cap(c.pwaq_total, 48), 4);
-        assert!(c.divergent_tuples);
         assert!(c.lock_lines);
     }
 

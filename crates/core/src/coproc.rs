@@ -3,14 +3,14 @@
 //! [`simt_sim::CoProcessor`] hooks (paper Figure 9).
 
 use crate::config::DacConfig;
-use crate::engine::{AffineCtx, ExecOutcome, PeuClass};
-use crate::queues::DacQueues;
+use crate::engine::{reconvergence_table, AffineCtx, ExecOutcome, LaunchCtx, PeuClass};
+use crate::queues::{unique_lines, DacQueues};
 use affine::DecoupledKernel;
-use simt_ir::{AddrMode, Cfg, Instr, PredSrc, Program, QueueKind};
-use simt_mem::{AccessOutcome, Client, FxHashSet, MemRequest, MemResponse, ReqKind};
+use simt_ir::{AddrMode, Instr, PredSrc, Program, QueueKind};
+use simt_mem::{AccessOutcome, Client, MemRequest, MemResponse, ReqKind};
 use simt_sim::{AddrRecord, CoCtx, CoProcessor, RecordKind, SimStats};
 use simt_trace::TraceEvent;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-SM DAC state.
 struct SmDac {
@@ -21,6 +21,13 @@ struct SmDac {
     /// Barriers passed by each CTA slot's non-affine warps (gates the
     /// expansion units, §4.2).
     nonaffine_epoch: Vec<u32>,
+    /// May an expansion unit's scan find work? Cleared when neither unit's
+    /// scan finds any; set by every event that can change a scan's answer
+    /// (an ATQ push, a dequeue, a barrier release, a CTA launch or retire).
+    /// The scans read only the ATQ, the epochs and the per-warp queue
+    /// lengths and caps, and only those events change them, so no scan
+    /// runs while the flag is clear and none is missed.
+    wake: bool,
     /// Pending early line requests `(record id, line)` awaiting fabric
     /// acceptance.
     pending_lines: VecDeque<(u64, u64)>,
@@ -37,13 +44,52 @@ struct SmDac {
     rr: usize,
 }
 
+impl SmDac {
+    /// The ATQ entry the PEU (`pred`) or the AEU would expand next: the
+    /// oldest tuple of its kind whose CTA has passed the tuple's barrier
+    /// epoch and whose next warp has room in its queue (per-CTA
+    /// accumulators let a unit skip tuples of blocked CTAs, §4.2).
+    fn pick(&self, pred: bool) -> Option<usize> {
+        // CTA slots are per-SM hardware resources (far fewer than 64), so a
+        // bitmask tracks the blocked ones.
+        let mut blocked_slots = 0u64;
+        for (i, e) in self.queues.atq.iter().enumerate() {
+            if (e.kind == QueueKind::Pred) != pred {
+                continue;
+            }
+            debug_assert!(e.slot < 64);
+            if blocked_slots & (1 << e.slot) != 0 {
+                continue;
+            }
+            if e.epoch > self.nonaffine_epoch[e.slot] {
+                blocked_slots |= 1 << e.slot;
+                continue;
+            }
+            let warp = e.per_warp[e.next].warp_global;
+            let room = if pred {
+                self.queues.pwpq_has_space(warp)
+            } else {
+                self.queues.pwaq_has_space(warp)
+            };
+            if !room {
+                blocked_slots |= 1 << e.slot;
+                continue;
+            }
+            return Some(i);
+        }
+        None
+    }
+}
+
 /// The Decoupled Affine Computation hardware, attached to every SM.
 pub struct Dac {
     cfg: DacConfig,
     dk: DecoupledKernel,
-    /// Reconvergence PCs of the affine stream.
-    affine_reconv: HashMap<usize, usize>,
-    launch: Option<simt_ir::LaunchConfig>,
+    /// Reconvergence PC of every affine-stream branch, indexed by PC.
+    affine_reconv: Vec<usize>,
+    /// Is the affine-stream instruction at each PC an `enq`?
+    is_enq: Vec<bool>,
+    launch: Option<LaunchCtx>,
     sms: Vec<SmDac>,
     /// Queue items discarded at CTA retire (should stay 0 for matched
     /// streams; nonzero indicates a decoupling bug).
@@ -53,11 +99,18 @@ pub struct Dac {
 impl Dac {
     /// Build the coprocessor for a decoupled kernel.
     pub fn new(cfg: DacConfig, dk: DecoupledKernel) -> Self {
-        let affine_reconv = Cfg::build(&dk.affine).reconvergence;
+        let affine_reconv = reconvergence_table(&dk.affine);
+        let is_enq = dk
+            .affine
+            .instrs
+            .iter()
+            .map(|i| matches!(i, Instr::Enq { .. }))
+            .collect();
         Dac {
             cfg,
             dk,
             affine_reconv,
+            is_enq,
             launch: None,
             sms: Vec::new(),
             dropped_at_retire: 0,
@@ -101,118 +154,64 @@ impl Dac {
     }
 
     /// One Address Expansion Unit work unit: expand one warp record of the
-    /// oldest expandable Data/Addr tuple (per-CTA accumulators let the AEU
-    /// skip tuples of blocked CTAs, §4.2).
-    fn aeu_step(&mut self, sm: usize, ctx: &mut CoCtx<'_>) {
-        let line_bytes = ctx.line_bytes;
+    /// oldest expandable Data/Addr tuple. Returns whether it did any.
+    fn aeu_step(&mut self, sm: usize, ctx: &mut CoCtx<'_>) -> bool {
+        let launch = self.launch.as_ref().expect("kernel not launched");
         let s = &mut self.sms[sm];
-        // CTA slots are per-SM hardware resources (far fewer than 64), so a
-        // bitmask replaces the per-cycle HashSet this loop used to allocate.
-        let mut blocked_slots = 0u64;
-        let mut chosen: Option<usize> = None;
-        for (i, e) in s.queues.atq.iter().enumerate() {
-            if e.kind == QueueKind::Pred {
-                continue;
-            }
-            debug_assert!(e.slot < 64);
-            if blocked_slots & (1 << e.slot) != 0 {
-                continue;
-            }
-            if e.epoch > s.nonaffine_epoch[e.slot] {
-                blocked_slots |= 1 << e.slot;
-                continue;
-            }
-            let warp = e.per_warp[e.next].warp_global;
-            if !s.queues.pwaq_has_space(warp) {
-                blocked_slots |= 1 << e.slot;
-                continue;
-            }
-            chosen = Some(i);
-            break;
-        }
-        let Some(i) = chosen else { return };
+        let Some(i) = s.pick(false) else {
+            return false;
+        };
         let entry = &mut s.queues.atq[i];
-        let w = entry.per_warp[entry.next].clone();
-        let kind = entry.kind;
-        let width = entry.width;
-        let space = entry.space;
-        entry.next += 1;
-        let finished = entry.next == entry.per_warp.len();
-        if finished {
-            s.queues.atq.remove(i);
-        }
-        // Coalesce the warp's lanes into unique lines.
-        let mut lines: Vec<u64> = Vec::new();
-        for (_, a) in w.addrs.active() {
-            let line = a & !(line_bytes - 1);
-            if !lines.contains(&line) {
-                lines.push(line);
-            }
-        }
-        let prefetch = kind == QueueKind::Data;
+        let warp = entry.per_warp[entry.next].warp_global;
+        let thread_addrs = entry.lane_addrs(entry.next, launch);
+        let prefetch = entry.kind == QueueKind::Data;
         let record = AddrRecord {
             kind: if prefetch {
                 RecordKind::Data
             } else {
                 RecordKind::Addr
             },
-            thread_addrs: w.addrs,
-            lines: lines.clone(),
-            space,
-            width,
+            thread_addrs,
+            space: entry.space,
+            width: entry.width,
         };
-        let pending = if prefetch { lines.len() } else { 0 };
-        let id = s.queues.push_record(w.warp_global, record, pending);
-        if prefetch {
-            for line in lines {
-                s.pending_lines.push_back((id, line));
-            }
+        entry.next += 1;
+        if entry.next == entry.per_warp.len() {
+            s.queues.atq.remove(i);
         }
+        // A Data record's lines are requested early; an Addr record has none.
+        let (lines, n) = if prefetch {
+            unique_lines(&thread_addrs, ctx.line_bytes)
+        } else {
+            ([0; 32], 0)
+        };
+        let id = s.queues.push_record(warp, record, n);
+        s.pending_lines
+            .extend(lines[..n].iter().map(|&line| (id, line)));
         ctx.stats.aeu_records += 1;
         if ctx.tracer.enabled() {
             ctx.tracer.emit(
                 ctx.now,
                 TraceEvent::Expand {
                     sm: sm as u32,
-                    warp: w.warp_global as u32,
+                    warp: warp as u32,
                     pred: false,
                 },
             );
         }
+        true
     }
 
     /// One Predicate Expansion Unit work unit. Returns whether it did any.
     fn peu_step(&mut self, sm: usize, ctx: &mut CoCtx<'_>) -> bool {
         let s = &mut self.sms[sm];
-        // Bitmask, not HashSet — see aeu_step.
-        let mut blocked_slots = 0u64;
-        let mut chosen: Option<usize> = None;
-        for (i, e) in s.queues.atq.iter().enumerate() {
-            if e.kind != QueueKind::Pred {
-                continue;
-            }
-            debug_assert!(e.slot < 64);
-            if blocked_slots & (1 << e.slot) != 0 {
-                continue;
-            }
-            if e.epoch > s.nonaffine_epoch[e.slot] {
-                blocked_slots |= 1 << e.slot;
-                continue;
-            }
-            let warp = e.per_warp[e.next].warp_global;
-            if !s.queues.pwpq_has_space(warp) {
-                blocked_slots |= 1 << e.slot;
-                continue;
-            }
-            chosen = Some(i);
-            break;
-        }
-        let Some(i) = chosen else { return false };
+        let Some(i) = s.pick(true) else {
+            return false;
+        };
         let entry = &mut s.queues.atq[i];
-        let w = entry.per_warp[entry.next].clone();
+        let w = entry.per_warp[entry.next];
         entry.next += 1;
-        let finished = entry.next == entry.per_warp.len();
-        if finished {
+        if entry.next == entry.per_warp.len() {
             s.queues.atq.remove(i);
         }
         s.queues.push_pred(w.warp_global, w.bits);
@@ -239,9 +238,11 @@ impl Dac {
         let launch = self.launch.as_ref().expect("kernel not launched");
         let s = &mut self.sms[sm];
         let nslots = s.slots.len();
-        if nslots == 0 {
-            return;
-        }
+        // `exec_one` answers `AtqFull` exactly when the instruction is an
+        // `enq` and the ATQ is full, and nothing fills the ATQ before this
+        // loop issues an instruction and returns: a context waiting at an
+        // `enq` behind a full ATQ is credited its stall without a call.
+        let atq_full = !s.queues.atq_has_space();
         for k in 0..nslots {
             let slot = (s.rr + k) % nslots;
             let Some(actx) = s.slots[slot].as_mut() else {
@@ -251,37 +252,36 @@ impl Dac {
                 continue;
             }
             let pc = actx.stack.pc();
+            if atq_full && self.is_enq[pc] {
+                ctx.stats.enq_full_stalls += 1;
+                continue;
+            }
             let (outcome, peu) =
                 actx.exec_one(&self.dk.affine, &self.affine_reconv, launch, &mut s.queues);
-            match outcome {
-                ExecOutcome::Executed => {
-                    ctx.stats.affine_instructions += 1;
-                    if ctx.tracer.enabled() {
-                        ctx.tracer.emit(
-                            ctx.now,
-                            TraceEvent::AffineIssue {
-                                sm: sm as u32,
-                                slot: slot as u32,
-                                pc: pc as u32,
-                            },
-                        );
-                    }
-                    match peu {
-                        Some(PeuClass::Scalar) => s.peu_scalar += 1,
-                        Some(PeuClass::TwoCompare) => s.peu_two_compare += 1,
-                        Some(PeuClass::Full) => s.peu_full += 1,
-                        None => {}
-                    }
-                    *ctx.issue_slot = false;
-                    s.rr = (slot + 1) % nslots;
-                    return;
-                }
-                ExecOutcome::AtqFull => {
-                    ctx.stats.enq_full_stalls += 1;
-                    // Try another CTA slot's context.
-                }
-                ExecOutcome::Done => {}
+            debug_assert_eq!(outcome, ExecOutcome::Executed);
+            ctx.stats.affine_instructions += 1;
+            if ctx.tracer.enabled() {
+                ctx.tracer.emit(
+                    ctx.now,
+                    TraceEvent::AffineIssue {
+                        sm: sm as u32,
+                        slot: slot as u32,
+                        pc: pc as u32,
+                    },
+                );
             }
+            match peu {
+                Some(PeuClass::Scalar) => s.peu_scalar += 1,
+                Some(PeuClass::TwoCompare) => s.peu_two_compare += 1,
+                Some(PeuClass::Full) => s.peu_full += 1,
+                None => {}
+            }
+            if self.is_enq[pc] {
+                s.wake = true;
+            }
+            *ctx.issue_slot = false;
+            s.rr = (slot + 1) % nslots;
+            return;
         }
     }
 }
@@ -292,7 +292,7 @@ impl CoProcessor for Dac {
     }
 
     fn on_kernel_launch(&mut self, program: &Program, num_sms: usize) {
-        self.launch = Some(program.launch.clone());
+        self.launch = Some(LaunchCtx::new(&program.launch));
         self.sms = (0..num_sms)
             .map(|_| SmDac {
                 queues: DacQueues::new(
@@ -304,6 +304,7 @@ impl CoProcessor for Dac {
                 slots: Vec::new(),
                 slot_warps: Vec::new(),
                 nonaffine_epoch: Vec::new(),
+                wake: false,
                 pending_lines: VecDeque::new(),
                 pump_capture: None,
                 peu_scalar: 0,
@@ -318,7 +319,7 @@ impl CoProcessor for Dac {
         if !self.active() {
             return;
         }
-        let launch = self.launch.as_ref().expect("kernel not launched").clone();
+        let launch = &self.launch.as_ref().expect("kernel not launched").config;
         let s = &mut self.sms[sm];
         if s.slots.len() <= slot {
             s.slots.resize_with(slot + 1, || None);
@@ -349,6 +350,7 @@ impl CoProcessor for Dac {
         ));
         s.slot_warps[slot] = warps.to_vec();
         s.nonaffine_epoch[slot] = 0;
+        s.wake = true;
         self.repartition(sm);
     }
 
@@ -364,11 +366,15 @@ impl CoProcessor for Dac {
         let warps = std::mem::take(&mut s.slot_warps[slot]);
         let dropped = s.queues.drop_warps(slot, &warps);
         self.dropped_at_retire += dropped as u64;
-        // Drop pending line requests for discarded records.
+        // Drop pending line requests for discarded records. A line still
+        // waiting for the fabric has had no response, so its record, if
+        // still queued, is awaiting one.
         if dropped > 0 {
-            let live: FxHashSet<u64> = s.queues.records.keys().copied().collect();
-            s.pending_lines.retain(|(id, _)| live.contains(id));
+            let queues = &s.queues;
+            s.pending_lines
+                .retain(|&(id, _)| queues.awaits_response(id));
         }
+        s.wake = true;
         self.repartition(sm);
     }
 
@@ -379,6 +385,7 @@ impl CoProcessor for Dac {
         let s = &mut self.sms[sm];
         if slot < s.nonaffine_epoch.len() {
             s.nonaffine_epoch[slot] += 1;
+            s.wake = true;
         }
     }
 
@@ -436,11 +443,15 @@ impl CoProcessor for Dac {
     }
 
     fn deq_record(&mut self, sm: usize, warp: usize) -> Option<AddrRecord> {
-        self.sms[sm].queues.pop_record(warp)
+        let s = &mut self.sms[sm];
+        s.wake = true;
+        s.queues.pop_record(warp)
     }
 
     fn deq_pred_bits(&mut self, sm: usize, warp: usize) -> Option<u32> {
-        self.sms[sm].queues.pop_pred(warp)
+        let s = &mut self.sms[sm];
+        s.wake = true;
+        s.queues.pop_pred(warp)
     }
 
     fn on_response(&mut self, resp: &MemResponse) {
@@ -454,15 +465,23 @@ impl CoProcessor for Dac {
             return;
         }
         let sm = ctx.sm;
+        let s = &mut self.sms[sm];
         // Latch the line request the fabric will see this cycle (submitted
         // by `pump`), before the expansion units can push new lines.
-        self.sms[sm].pump_capture = self.sms[sm].pending_lines.front().copied();
+        s.pump_capture = s.pending_lines.front().copied();
+        debug_assert!(
+            s.wake || (s.pick(true).is_none() && s.pick(false).is_none()),
+            "an expansion unit slept through work it could do"
+        );
         // Two expansion ALUs per SM (§4.8). The PEU claims one when it has
         // predicate work; otherwise both serve address expansion.
-        let did_pred = self.peu_step(sm, ctx);
-        self.aeu_step(sm, ctx);
-        if !did_pred {
-            self.aeu_step(sm, ctx);
+        if s.wake {
+            let did_pred = self.peu_step(sm, ctx);
+            let did_addr = self.aeu_step(sm, ctx);
+            if !did_pred && did_addr {
+                self.aeu_step(sm, ctx);
+            }
+            self.sms[sm].wake = did_pred || did_addr;
         }
         self.affine_issue(sm, ctx);
         // Sample queue occupancy and run-ahead distance every cycle the DAC
@@ -471,8 +490,8 @@ impl CoProcessor for Dac {
         // reports identical statistics to an untraced one.
         let s = &self.sms[sm];
         let atq = s.queues.atq.len() as u64;
-        let pwaq = s.queues.records.len() as u64;
-        let pwpq: u64 = s.queues.pwpq.iter().map(|q| q.len() as u64).sum();
+        let pwaq = s.queues.records_len() as u64;
+        let pwpq = s.queues.preds_len() as u64;
         ctx.stats.atq_occupancy_sum += atq;
         ctx.stats.pwaq_occupancy_sum += pwaq;
         ctx.stats.pwpq_occupancy_sum += pwpq;

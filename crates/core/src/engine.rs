@@ -9,12 +9,54 @@
 //! vector path.
 
 use crate::astack::AffineStack;
-use crate::queues::{AtqEntry, DacQueues, WarpExpansion};
+use crate::queues::{AtqEntry, AtqWarp, DacQueues};
 use affine::value::DivergentVal;
 use affine::{tuple::tuple_op, AffineTuple, AffineVal, PredVal};
-use simt_ir::{Instr, Kernel, LaunchConfig, Op, Operand, PredSrc, QueueKind, Space, SpecialReg};
-use simt_mem::LaneAddrs;
-use simt_sim::sm::{LOCAL_BASE, LOCAL_STRIDE};
+use simt_ir::{
+    Cfg, Instr, Kernel, LaunchConfig, Op, Operand, PredSrc, QueueKind, Space, SpecialReg,
+};
+
+/// A kernel launch as the affine warp and the AEU read it: the launch
+/// configuration plus the coordinates of every thread of a CTA, computed
+/// once per launch so neither unit unflattens a thread index per lane.
+#[derive(Debug, Clone)]
+pub struct LaunchCtx {
+    /// The launch.
+    pub config: LaunchConfig,
+    /// `coords[warp * 32 + lane]`: that thread's `(x, y, z)` in its CTA.
+    coords: Vec<(u32, u32, u32)>,
+}
+
+impl LaunchCtx {
+    /// Tabulate `launch`'s thread coordinates.
+    pub fn new(launch: &LaunchConfig) -> Self {
+        let lanes = launch.warps_per_cta() as u64 * 32;
+        LaunchCtx {
+            config: launch.clone(),
+            coords: (0..lanes).map(|t| launch.block.unflatten(t)).collect(),
+        }
+    }
+
+    /// Coordinates of `lane` of warp `warp` (warp index within the CTA).
+    pub fn coords(&self, warp: usize, lane: usize) -> (u32, u32, u32) {
+        self.coords[warp * 32 + lane]
+    }
+
+    /// Threads per CTA.
+    pub fn threads_per_cta(&self) -> u64 {
+        self.config.threads_per_cta() as u64
+    }
+}
+
+/// Reconvergence PC of every branch of `kernel`, indexed by PC
+/// (`usize::MAX` = exit, and at every PC that is not a branch).
+pub fn reconvergence_table(kernel: &Kernel) -> Vec<usize> {
+    let mut table = vec![usize::MAX; kernel.instrs.len()];
+    for (pc, rpc) in Cfg::build(kernel).reconvergence {
+        table[pc] = rpc;
+    }
+    table
+}
 
 /// How the PEU would have produced a predicate (drives Figure-level stats:
 /// 64% scalar, 93% ≤ two comparisons in the paper §4.3).
@@ -95,11 +137,8 @@ impl AffineCtx {
         self.warps.len()
     }
 
-    fn thread_coords(&self, warp: usize, lane: usize, launch: &LaunchConfig) -> (u32, u32, u32) {
-        launch.block.unflatten(warp as u64 * 32 + lane as u64)
-    }
-
-    fn operand_val(&self, op: Operand, launch: &LaunchConfig) -> AffineVal {
+    fn operand_val(&self, op: Operand, launch: &LaunchCtx) -> AffineVal {
+        let launch = &launch.config;
         match op {
             Operand::Reg(r) => self
                 .regs
@@ -160,11 +199,15 @@ impl AffineCtx {
     /// Panics if the combination is not representable — the decoupling
     /// compiler's eligibility rules are supposed to prevent that, so a
     /// panic here is a compiler bug, not a workload property.
-    fn eval_alu(&self, op: Op, vals: &[AffineVal], launch: &LaunchConfig) -> AffineVal {
+    fn eval_alu(&self, op: Op, vals: &[AffineVal], launch: &LaunchCtx) -> AffineVal {
         let all_single = vals.iter().all(|v| matches!(v, AffineVal::Tuple(_)));
         if all_single {
-            let tuples: Vec<AffineTuple> = vals.iter().map(|v| *v.as_tuple().unwrap()).collect();
-            if let Some(t) = tuple_op(op, &tuples) {
+            let mut tuples = [AffineTuple::scalar(0); 3];
+            for (t, v) in tuples.iter_mut().zip(vals) {
+                *t = *v.as_tuple().unwrap();
+            }
+            let tuples = &tuples[..vals.len()];
+            if let Some(t) = tuple_op(op, tuples) {
                 return AffineVal::Tuple(t);
             }
             if matches!(op, Op::Min | Op::Max | Op::Abs) {
@@ -208,14 +251,14 @@ impl AffineCtx {
 
     /// Divergence-extended ops (§4.6): `min`/`max`/`abs` pick one of the
     /// source tuples per thread.
-    fn eval_select_op(&self, op: Op, vals: &[AffineVal], launch: &LaunchConfig) -> AffineVal {
+    fn eval_select_op(&self, op: Op, vals: &[AffineVal], launch: &LaunchCtx) -> AffineVal {
         let nw = self.num_warps();
         let mut tuples: Vec<AffineTuple> = Vec::new();
         let mut select = vec![[0u8; 32]; nw];
         let neg_tuple = |t: &AffineTuple| t.neg().expect("abs of mod tuple");
         for (w, sel) in select.iter_mut().enumerate() {
             for (lane, s) in sel.iter_mut().enumerate() {
-                let coords = self.thread_coords(w, lane, launch);
+                let coords = launch.coords(w, lane);
                 let pick: AffineTuple = match op {
                     Op::Min | Op::Max => {
                         let ta = *self.lane_tuple(&vals[0], w, lane);
@@ -305,7 +348,7 @@ impl AffineCtx {
         a: &AffineVal,
         b: &AffineVal,
         float: bool,
-        launch: &LaunchConfig,
+        launch: &LaunchCtx,
     ) -> (PredVal, PeuClass) {
         let scalar_ab = match (a, b) {
             (AffineVal::Tuple(ta), AffineVal::Tuple(tb)) => ta.as_scalar().zip(tb.as_scalar()),
@@ -325,7 +368,7 @@ impl AffineCtx {
         for w in 0..nw {
             let mut bits = 0u32;
             for lane in 0..32 {
-                let coords = self.thread_coords(w, lane, launch);
+                let coords = launch.coords(w, lane);
                 let va = self.lane_tuple(a, w, lane).eval(coords);
                 let vb = self.lane_tuple(b, w, lane).eval(coords);
                 let r = if float {
@@ -350,13 +393,13 @@ impl AffineCtx {
         (PredVal::PerWarp(per_warp), class)
     }
 
-    /// Execute one instruction of the affine stream. `reconv` maps branch
-    /// PCs to reconvergence PCs in the *affine* kernel.
+    /// Execute one instruction of the affine stream. `reconv` is the
+    /// *affine* kernel's [`reconvergence_table`].
     pub fn exec_one(
         &mut self,
         kernel: &Kernel,
-        reconv: &std::collections::HashMap<usize, usize>,
-        launch: &LaunchConfig,
+        reconv: &[usize],
+        launch: &LaunchCtx,
         queues: &mut DacQueues,
     ) -> (ExecOutcome, Option<PeuClass>) {
         if self.done() {
@@ -448,13 +491,12 @@ impl AffineCtx {
                 space,
                 guard,
             } => {
-                let entry =
-                    self.build_enq(*kind, *src, *pred, *width, *space, *guard, launch, kernel);
+                let entry = self.build_enq(*kind, *src, *pred, *width, *space, *guard);
                 queues.push_atq(entry);
                 self.stack.advance();
             }
             Instr::Bra { target, pred } => {
-                let rpc = reconv.get(&pc).copied().unwrap_or(usize::MAX);
+                let rpc = reconv[pc];
                 let taken: Vec<u32> = match pred {
                     None => vec![u32::MAX; self.num_warps()],
                     Some(PredSrc::Reg(g)) => (0..self.num_warps())
@@ -482,8 +524,9 @@ impl AffineCtx {
         (ExecOutcome::Executed, peu_class)
     }
 
-    /// Build the ATQ entry for an enqueue: per-warp concrete expansions.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the ATQ entry for an enqueue: the tuple as it stands now and,
+    /// for every warp that reaches the enqueue, its lane mask (Data/Addr)
+    /// or predicate bits (Pred). The AEU computes the addresses.
     fn build_enq(
         &self,
         kind: QueueKind,
@@ -492,70 +535,42 @@ impl AffineCtx {
         width: simt_ir::Width,
         space: Space,
         guard: Option<simt_ir::instr::Guard>,
-        launch: &LaunchConfig,
-        _kernel: &Kernel,
     ) -> AtqEntry {
-        let nw = self.num_warps();
-        let mut per_warp = Vec::new();
-        let tpc = launch.threads_per_cta() as u64;
-        for w in 0..nw {
-            let active = self.stack.active(w);
-            if active == 0 {
-                continue; // the non-affine warp never reaches this enq
+        let (val, pred) = match kind {
+            QueueKind::Data | QueueKind::Addr => {
+                let r = src.expect("enq.data/enq.addr names a register") as usize;
+                let val = self.regs.get(r).and_then(|v| v.clone());
+                (val.unwrap_or_else(|| AffineVal::scalar(0)), None)
             }
-            match kind {
-                QueueKind::Data | QueueKind::Addr => {
-                    let val = self
-                        .regs
-                        .get(src.unwrap() as usize)
-                        .and_then(|v| v.clone())
-                        .unwrap_or_else(|| AffineVal::scalar(0));
-                    let gbits = self.guard_bits(guard, w);
-                    let mut addrs = LaneAddrs {
-                        mask: active & gbits,
-                        ..LaneAddrs::default()
-                    };
-                    for lane in 0..32 {
-                        if addrs.mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let coords = self.thread_coords(w, lane, launch);
-                        let a = val.eval(w, lane, coords);
-                        addrs.addrs[lane] = if space == Space::Local {
-                            let gtid = self.cta_linear * tpc + (w as u64 * 32 + lane as u64);
-                            LOCAL_BASE + gtid * LOCAL_STRIDE + (a % LOCAL_STRIDE)
-                        } else {
-                            a
-                        };
-                    }
-                    per_warp.push(WarpExpansion {
-                        warp_global: self.warps[w],
-                        addrs,
-                        bits: 0,
-                        active,
-                    });
-                }
-                QueueKind::Pred => {
-                    let bits = self
-                        .preds
-                        .get(pred.unwrap() as usize)
-                        .and_then(|p| p.as_ref())
-                        .map(|p| p.warp_bits(w))
-                        .unwrap_or(0);
-                    per_warp.push(WarpExpansion {
-                        warp_global: self.warps[w],
-                        addrs: LaneAddrs::default(),
-                        bits,
-                        active,
-                    });
-                }
+            QueueKind::Pred => {
+                let p = pred.expect("enq.pred names a predicate") as usize;
+                (
+                    AffineVal::scalar(0),
+                    self.preds.get(p).and_then(|p| p.as_ref()),
+                )
             }
-        }
+        };
+        let per_warp = (0..self.num_warps())
+            .filter_map(|w| {
+                let active = self.stack.active(w);
+                // A warp with no active lane never reaches this enq.
+                (active != 0).then(|| AtqWarp {
+                    warp: w,
+                    warp_global: self.warps[w],
+                    bits: match kind {
+                        QueueKind::Pred => pred.map_or(0, |p| p.warp_bits(w)),
+                        _ => active & self.guard_bits(guard, w),
+                    },
+                })
+            })
+            .collect();
         AtqEntry {
             slot: self.slot,
             kind,
             width,
             space,
+            val,
+            cta_linear: self.cta_linear,
             per_warp,
             next: 0,
             epoch: self.epoch,
@@ -569,7 +584,7 @@ mod tests {
     use affine::{decouple, AffineAnalysis};
     use simt_ir::Dim3;
 
-    fn figure4_affine() -> (Kernel, LaunchConfig) {
+    fn figure4_affine() -> (Kernel, LaunchCtx) {
         let k = simt_ir::asm::parse_kernel(
             r#"
 .kernel example
@@ -603,24 +618,24 @@ LOOP:
             block: Dim3::x(64),
             params: vec![0x10000, 0x20000, 3, 64],
         };
-        (d.affine, launch)
+        (d.affine, LaunchCtx::new(&launch))
     }
 
-    fn run_ctx(kernel: &Kernel, launch: &LaunchConfig, cta: u64) -> (AffineCtx, DacQueues) {
-        let cfg = simt_ir::Cfg::build(kernel);
+    fn run_ctx(kernel: &Kernel, launch: &LaunchCtx, cta: u64) -> (AffineCtx, DacQueues) {
+        let reconv = reconvergence_table(kernel);
         let mut queues = DacQueues::new(16, 64, 64, 64);
-        let nw = launch.warps_per_cta() as usize;
+        let nw = launch.config.warps_per_cta() as usize;
         let mut ctx = AffineCtx::new(
             0,
             cta,
-            launch.grid.unflatten(cta),
+            launch.config.grid.unflatten(cta),
             (0..nw).collect(),
             vec![u32::MAX; nw],
             kernel,
         );
         let mut fuel = 10_000;
         while !ctx.done() {
-            let (o, _) = ctx.exec_one(kernel, &cfg.reconvergence, launch, &mut queues);
+            let (o, _) = ctx.exec_one(kernel, &reconv, launch, &mut queues);
             assert_eq!(o, ExecOutcome::Executed);
             fuel -= 1;
             assert!(fuel > 0, "affine stream did not terminate");
@@ -655,12 +670,12 @@ LOOP:
         // warp 0 lane 0 → 0x10000 + 64*4.
         let e0 = data[0];
         assert_eq!(e0.per_warp.len(), 2); // 64 threads = 2 warps
-        assert_eq!(e0.per_warp[0].addrs.get(0), Some(0x10000 + 256));
-        assert_eq!(e0.per_warp[0].addrs.get(5), Some(0x10000 + 256 + 20));
-        assert_eq!(e0.per_warp[1].addrs.get(0), Some(0x10000 + 256 + 128));
+        assert_eq!(e0.lane_addrs(0, &launch).get(0), Some(0x10000 + 256));
+        assert_eq!(e0.lane_addrs(0, &launch).get(5), Some(0x10000 + 256 + 20));
+        assert_eq!(e0.lane_addrs(1, &launch).get(0), Some(0x10000 + 256 + 128));
         // Second iteration advances by num*4 = 256 bytes.
         let e1 = data[1];
-        assert_eq!(e1.per_warp[0].addrs.get(0), Some(0x10000 + 512));
+        assert_eq!(e1.lane_addrs(0, &launch).get(0), Some(0x10000 + 512));
     }
 
     #[test]
@@ -704,24 +719,25 @@ JOIN:
             block: Dim3::x(64),
             params: vec![0x1000, 40],
         };
+        let launch = LaunchCtx::new(&launch);
         let (_ctx, queues) = run_ctx(&k, &launch, 0);
         let e = &queues.atq[0];
         // Lanes 0..32 (warp 0): tid < 40 ⇒ addr = base.
-        assert_eq!(e.per_warp[0].addrs.get(3), Some(0x1000));
+        assert_eq!(e.lane_addrs(0, &launch).get(3), Some(0x1000));
         // Warp 1 lane 7 → tid 39 < 40 ⇒ base; lane 8 → tid 40 ⇒ base+160.
-        assert_eq!(e.per_warp[1].addrs.get(7), Some(0x1000));
-        assert_eq!(e.per_warp[1].addrs.get(8), Some(0x1000 + 160));
+        assert_eq!(e.lane_addrs(1, &launch).get(7), Some(0x1000));
+        assert_eq!(e.lane_addrs(1, &launch).get(8), Some(0x1000 + 160));
     }
 
     #[test]
     fn setp_classes() {
         let (kernel, launch) = figure4_affine();
-        let cfg = simt_ir::Cfg::build(&kernel);
+        let reconv = reconvergence_table(&kernel);
         let mut queues = DacQueues::new(16, 64, 64, 64);
         let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), vec![0, 1], vec![u32::MAX; 2], &kernel);
         let mut classes = Vec::new();
         while !ctx.done() {
-            let (o, c) = ctx.exec_one(&kernel, &cfg.reconvergence, &launch, &mut queues);
+            let (o, c) = ctx.exec_one(&kernel, &reconv, &launch, &mut queues);
             assert_eq!(o, ExecOutcome::Executed);
             if let Some(c) = c {
                 classes.push(c);
@@ -735,12 +751,12 @@ JOIN:
     #[test]
     fn atq_full_blocks_enq() {
         let (kernel, launch) = figure4_affine();
-        let cfg = simt_ir::Cfg::build(&kernel);
+        let reconv = reconvergence_table(&kernel);
         let mut queues = DacQueues::new(16, 2, 64, 64); // tiny ATQ
         let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), vec![0, 1], vec![u32::MAX; 2], &kernel);
         let mut outcomes = Vec::new();
         for _ in 0..64 {
-            let (o, _) = ctx.exec_one(&kernel, &cfg.reconvergence, &launch, &mut queues);
+            let (o, _) = ctx.exec_one(&kernel, &reconv, &launch, &mut queues);
             outcomes.push(o);
             if o == ExecOutcome::AtqFull {
                 break;
@@ -761,7 +777,7 @@ JOIN:
             block: Dim3::x(32),
             params: vec![0x2000],
         };
-        let (ctx, queues) = run_ctx(&k, &launch, 0);
+        let (ctx, queues) = run_ctx(&k, &LaunchCtx::new(&launch), 0);
         assert_eq!(ctx.epoch, 1);
         assert_eq!(queues.atq[0].epoch, 1);
     }

@@ -1,26 +1,31 @@
 //! DAC's queues: the Affine Tuple Queue and the per-warp address and
 //! predicate queues (paper Figure 9, Table 1).
 
+use crate::engine::LaunchCtx;
+use affine::AffineVal;
 use simt_ir::{QueueKind, Space, Width};
 use simt_mem::{FxHashMap, LaneAddrs};
+use simt_sim::sm::{LOCAL_BASE, LOCAL_STRIDE};
 use simt_sim::AddrRecord;
 use std::collections::VecDeque;
 
-/// The concrete expansion of one enqueue for one non-affine warp,
-/// precomputed by the affine engine (the AEU/PEU charge the timing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarpExpansion {
-    /// SM warp slot the expansion is destined for.
+/// One warp's share of an ATQ entry: the record the AEU/PEU will expand
+/// for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AtqWarp {
+    /// Warp index within the CTA (picks thread coordinates and
+    /// divergent-tuple selectors).
+    pub warp: usize,
+    /// SM warp slot the record is destined for.
     pub warp_global: usize,
-    /// Per-lane addresses (Data/Addr kinds; no lanes for Pred).
-    pub addrs: LaneAddrs,
-    /// Predicate bits (Pred kind).
+    /// Lanes taking part in the access (Data/Addr), or the predicate bits
+    /// (Pred).
     pub bits: u32,
-    /// Lanes active at the enqueue (drives PEU cost classification).
-    pub active: u32,
 }
 
-/// One Affine Tuple Queue entry: an enqueued tuple awaiting expansion.
+/// One Affine Tuple Queue entry: an enqueued tuple awaiting expansion. It
+/// holds the tuple itself, not its lane addresses — the AEU computes one
+/// warp's addresses when it expands that warp's record (§4.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtqEntry {
     /// CTA slot the tuple belongs to.
@@ -31,13 +36,59 @@ pub struct AtqEntry {
     pub width: Width,
     /// Memory space of the original access.
     pub space: Space,
-    /// Per-warp expansions, in warp order.
-    pub per_warp: Vec<WarpExpansion>,
+    /// The enqueued value as it stood at the enqueue (Data/Addr; a scalar
+    /// zero for Pred).
+    pub val: AffineVal,
+    /// Linear id of the CTA (local-space addresses are per thread).
+    pub cta_linear: u64,
+    /// Warps that reach the enqueue, in warp order.
+    pub per_warp: Vec<AtqWarp>,
     /// Expansion progress: next warp index to process.
     pub next: usize,
     /// Barrier epoch at enqueue (§4.2: the AEU only expands for CTAs that
     /// have passed the matching barrier).
     pub epoch: u32,
+}
+
+impl AtqEntry {
+    /// The lane addresses of `per_warp[k]`'s record. Lanes outside the
+    /// record's mask stay zero.
+    pub fn lane_addrs(&self, k: usize, launch: &LaunchCtx) -> LaneAddrs {
+        let w = self.per_warp[k];
+        let mut out = LaneAddrs {
+            mask: w.bits,
+            ..LaneAddrs::default()
+        };
+        let first = self.cta_linear * launch.threads_per_cta() + w.warp as u64 * 32;
+        let mut rest = w.bits;
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let a = self.val.eval(w.warp, lane, launch.coords(w.warp, lane));
+            out.addrs[lane] = if self.space == Space::Local {
+                let gtid = first + lane as u64;
+                LOCAL_BASE + gtid * LOCAL_STRIDE + (a % LOCAL_STRIDE)
+            } else {
+                a
+            };
+        }
+        out
+    }
+}
+
+/// The unique cache lines `addrs` touches, in first-lane order: the AEU's
+/// coalescer. Returns the lines and how many of the 32 slots are used.
+pub fn unique_lines(addrs: &LaneAddrs, line_bytes: u64) -> ([u64; 32], usize) {
+    let mut lines = [0u64; 32];
+    let mut n = 0;
+    for (_, a) in addrs.active() {
+        let line = a & !(line_bytes - 1);
+        if !lines[..n].contains(&line) {
+            lines[n] = line;
+            n += 1;
+        }
+    }
+    (lines, n)
 }
 
 /// A produced address record waiting in a PWAQ, plus its readiness.
@@ -61,14 +112,18 @@ impl RecordState {
 pub struct DacQueues {
     /// The shared Affine Tuple Queue.
     pub atq: VecDeque<AtqEntry>,
-    /// Per-warp address queues (record ids).
-    pub pwaq: Vec<VecDeque<u64>>,
+    /// Per-warp address queues: `(record id, record)`, ids ascending.
+    pwaq: Vec<VecDeque<(u64, RecordState)>>,
     /// Per-warp predicate queues (bit vectors).
-    pub pwpq: Vec<VecDeque<u32>>,
-    /// Record store. Fx-hashed: lookups/inserts/removes only — the one
-    /// place keys are enumerated collects them into a membership set, so
-    /// iteration order never reaches a simulation result.
-    pub records: FxHashMap<u64, RecordState>,
+    pwpq: Vec<VecDeque<u32>>,
+    /// Warp of every queued record still awaiting early-request responses
+    /// (a fill response names its record only by id). Fx-hashed: lookups,
+    /// inserts and removes only, never iterated.
+    awaiting: FxHashMap<u64, usize>,
+    /// Records queued across all PWAQs.
+    pwaq_len: usize,
+    /// Bit vectors queued across all PWPQs.
+    pwpq_len: usize,
     atq_cap: usize,
     pwaq_cap: usize,
     pwpq_cap: usize,
@@ -82,7 +137,9 @@ impl DacQueues {
             atq: VecDeque::new(),
             pwaq: vec![VecDeque::new(); warps],
             pwpq: vec![VecDeque::new(); warps],
-            records: FxHashMap::default(),
+            awaiting: FxHashMap::default(),
+            pwaq_len: 0,
+            pwpq_len: 0,
             atq_cap,
             pwaq_cap,
             pwpq_cap,
@@ -107,8 +164,7 @@ impl DacQueues {
 
     /// Kind and readiness of the head record in `warp`'s PWAQ.
     pub fn pwaq_front_kind(&self, warp: usize) -> Option<(simt_sim::RecordKind, bool)> {
-        let id = self.pwaq.get(warp)?.front()?;
-        let r = self.records.get(id)?;
+        let (_, r) = self.pwaq.get(warp)?.front()?;
         Some((r.record.kind, r.ready()))
     }
 
@@ -142,34 +198,63 @@ impl DacQueues {
         self.pwpq[warp].len() < self.pwpq_cap
     }
 
+    /// Records queued across all PWAQs.
+    pub fn records_len(&self) -> usize {
+        self.pwaq_len
+    }
+
+    /// Predicate bit vectors queued across all PWPQs.
+    pub fn preds_len(&self) -> usize {
+        self.pwpq_len
+    }
+
+    /// Is record `id` queued and still waiting for an early-request
+    /// response?
+    pub fn awaits_response(&self, id: u64) -> bool {
+        self.awaiting.contains_key(&id)
+    }
+
     /// Store a new record and queue it for `warp`. Returns the record id.
     pub fn push_record(&mut self, warp: usize, record: AddrRecord, pending: usize) -> u64 {
         debug_assert!(self.pwaq_has_space(warp));
         let id = self.next_rec;
         self.next_rec += 1;
-        self.records.insert(id, RecordState { record, pending });
-        self.pwaq[warp].push_back(id);
+        if pending > 0 {
+            self.awaiting.insert(id, warp);
+        }
+        self.pwaq[warp].push_back((id, RecordState { record, pending }));
+        self.pwaq_len += 1;
         id
     }
 
     /// Is the head record of `warp`'s PWAQ present and ready?
     pub fn front_ready(&self, warp: usize) -> bool {
-        match self.pwaq[warp].front() {
-            Some(id) => self.records.get(id).map(|r| r.ready()).unwrap_or(false),
-            None => false,
-        }
+        self.pwaq[warp].front().is_some_and(|(_, r)| r.ready())
     }
 
     /// Pop the head record for `warp`.
     pub fn pop_record(&mut self, warp: usize) -> Option<AddrRecord> {
-        let id = self.pwaq[warp].pop_front()?;
-        self.records.remove(&id).map(|r| r.record)
+        let (id, r) = self.pwaq[warp].pop_front()?;
+        self.pwaq_len -= 1;
+        if r.pending > 0 {
+            self.awaiting.remove(&id);
+        }
+        Some(r.record)
     }
 
     /// A fill response arrived for record `id`.
     pub fn record_response(&mut self, id: u64) {
-        if let Some(r) = self.records.get_mut(&id) {
-            r.pending = r.pending.saturating_sub(1);
+        let Some(&warp) = self.awaiting.get(&id) else {
+            return;
+        };
+        let q = &mut self.pwaq[warp];
+        let i = q
+            .binary_search_by_key(&id, |(rid, _)| *rid)
+            .expect("an awaiting record is queued");
+        let r = &mut q[i].1;
+        r.pending -= 1;
+        if r.pending == 0 {
+            self.awaiting.remove(&id);
         }
     }
 
@@ -177,33 +262,36 @@ impl DacQueues {
     pub fn push_pred(&mut self, warp: usize, bits: u32) {
         debug_assert!(self.pwpq_has_space(warp));
         self.pwpq[warp].push_back(bits);
+        self.pwpq_len += 1;
     }
 
     /// Pop predicate bits for `warp`.
     pub fn pop_pred(&mut self, warp: usize) -> Option<u32> {
-        self.pwpq[warp].pop_front()
+        let bits = self.pwpq[warp].pop_front()?;
+        self.pwpq_len -= 1;
+        Some(bits)
     }
 
     /// Any queued work left anywhere?
     pub fn empty(&self) -> bool {
-        self.atq.is_empty()
-            && self.records.is_empty()
-            && self.pwaq.iter().all(|q| q.is_empty())
-            && self.pwpq.iter().all(|q| q.is_empty())
+        self.atq.is_empty() && self.pwaq_len == 0 && self.pwpq_len == 0
     }
 
     /// Drop queued state belonging to `warps` (defensive cleanup at CTA
     /// retire; matched streams leave nothing behind). Returns how many
     /// items were discarded.
     pub fn drop_warps(&mut self, slot: usize, warps: &[usize]) -> usize {
-        let mut dropped = 0;
         let before = self.atq.len();
         self.atq.retain(|e| e.slot != slot);
-        dropped += before - self.atq.len();
+        let mut dropped = before - self.atq.len();
         for &w in warps {
             dropped += self.pwaq[w].len() + self.pwpq[w].len();
-            for id in self.pwaq[w].drain(..) {
-                self.records.remove(&id);
+            self.pwaq_len -= self.pwaq[w].len();
+            self.pwpq_len -= self.pwpq[w].len();
+            for (id, r) in self.pwaq[w].drain(..) {
+                if r.pending > 0 {
+                    self.awaiting.remove(&id);
+                }
             }
             self.pwpq[w].clear();
         }
@@ -214,6 +302,9 @@ impl DacQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use affine::value::DivergentVal;
+    use affine::{tuple::ModExt, AffineTuple};
+    use simt_ir::{Dim3, LaunchConfig};
     use simt_sim::RecordKind;
 
     fn rec() -> AddrRecord {
@@ -223,7 +314,6 @@ mod tests {
                 addrs: [0; 32],
                 mask: u32::MAX,
             },
-            lines: vec![0],
             space: Space::Global,
             width: Width::W32,
         }
@@ -233,20 +323,26 @@ mod tests {
         DacQueues::new(4, 2, 2, 2)
     }
 
+    fn entry(slot: usize) -> AtqEntry {
+        AtqEntry {
+            slot,
+            kind: simt_ir::QueueKind::Data,
+            width: Width::W32,
+            space: Space::Global,
+            val: AffineVal::scalar(0),
+            cta_linear: 0,
+            per_warp: vec![],
+            next: 0,
+            epoch: 0,
+        }
+    }
+
     #[test]
     fn atq_capacity() {
         let mut q = queues();
         assert!(q.atq_has_space());
         for _ in 0..2 {
-            q.push_atq(AtqEntry {
-                slot: 0,
-                kind: simt_ir::QueueKind::Data,
-                width: Width::W32,
-                space: Space::Global,
-                per_warp: vec![],
-                next: 0,
-                epoch: 0,
-            });
+            q.push_atq(entry(0));
         }
         assert!(!q.atq_has_space());
     }
@@ -288,19 +384,271 @@ mod tests {
     #[test]
     fn drop_warps_cleans_up() {
         let mut q = queues();
-        q.push_atq(AtqEntry {
-            slot: 3,
-            kind: simt_ir::QueueKind::Data,
-            width: Width::W32,
-            space: Space::Global,
-            per_warp: vec![],
-            next: 0,
-            epoch: 0,
-        });
+        q.push_atq(entry(3));
         q.push_record(0, rec(), 1);
         q.push_pred(0, 1);
         let dropped = q.drop_warps(3, &[0]);
         assert_eq!(dropped, 3);
         assert!(q.empty());
+    }
+
+    /// Deterministic xorshift stream for the reference-model tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The record store the inline PWAQ replaced: ids in the per-warp
+    /// queues, records in one id-keyed map.
+    struct RefStore {
+        pwaq: Vec<VecDeque<u64>>,
+        records: FxHashMap<u64, RecordState>,
+        next_rec: u64,
+    }
+
+    impl RefStore {
+        fn push_record(&mut self, warp: usize, record: AddrRecord, pending: usize) -> u64 {
+            let id = self.next_rec;
+            self.next_rec += 1;
+            self.records.insert(id, RecordState { record, pending });
+            self.pwaq[warp].push_back(id);
+            id
+        }
+
+        fn pwaq_front_kind(&self, warp: usize) -> Option<(RecordKind, bool)> {
+            let r = self.records.get(self.pwaq.get(warp)?.front()?)?;
+            Some((r.record.kind, r.ready()))
+        }
+
+        fn pop_record(&mut self, warp: usize) -> Option<AddrRecord> {
+            let id = self.pwaq[warp].pop_front()?;
+            self.records.remove(&id).map(|r| r.record)
+        }
+
+        fn record_response(&mut self, id: u64) {
+            if let Some(r) = self.records.get_mut(&id) {
+                r.pending = r.pending.saturating_sub(1);
+            }
+        }
+
+        fn drop_warps(&mut self, warps: &[usize]) {
+            for &w in warps {
+                for id in self.pwaq[w].drain(..) {
+                    self.records.remove(&id);
+                }
+            }
+        }
+    }
+
+    /// Seeded push / response / pop / drop streams: the inline PWAQ agrees
+    /// with the id-keyed record store on every head, every popped record
+    /// and the occupancy count, including responses for records already
+    /// popped or dropped.
+    #[test]
+    fn inline_records_match_the_record_store() {
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let warps = 1 + rng.below(6) as usize;
+            let mut q = DacQueues::new(warps, 4, 1 << 20, 4);
+            let mut model = RefStore {
+                pwaq: vec![VecDeque::new(); warps],
+                records: FxHashMap::default(),
+                next_rec: 0,
+            };
+            let mut issued: Vec<u64> = Vec::new();
+            for step in 0..600 {
+                let w = rng.below(warps as u64) as usize;
+                match rng.below(10) {
+                    0..=3 => {
+                        let mut r = rec();
+                        r.kind = if rng.below(3) == 0 {
+                            RecordKind::Addr
+                        } else {
+                            RecordKind::Data
+                        };
+                        r.thread_addrs.addrs[0] = step;
+                        let pending = rng.below(4) as usize;
+                        let id = q.push_record(w, r.clone(), pending);
+                        assert_eq!(id, model.push_record(w, r, pending));
+                        issued.push(id);
+                    }
+                    4..=6 if !issued.is_empty() => {
+                        let id = issued[rng.below(issued.len() as u64) as usize];
+                        q.record_response(id);
+                        model.record_response(id);
+                    }
+                    7 | 8 => assert_eq!(q.pop_record(w), model.pop_record(w)),
+                    _ => {
+                        q.drop_warps(usize::MAX, &[w]);
+                        model.drop_warps(&[w]);
+                    }
+                }
+                for w in 0..warps {
+                    assert_eq!(q.pwaq_front_kind(w), model.pwaq_front_kind(w));
+                }
+                assert_eq!(q.records_len(), model.records.len(), "seed {seed}");
+            }
+        }
+    }
+
+    /// The eager expansion the ATQ used to hold: at the enqueue, every
+    /// warp's 32 lane addresses through `Dim3::unflatten`, then the AEU's
+    /// `Vec::contains` coalescer.
+    fn eager_expansion(
+        val: &AffineVal,
+        masks: &[u32],
+        cta_linear: u64,
+        launch: &LaunchConfig,
+        space: Space,
+        line_bytes: u64,
+    ) -> Vec<(LaneAddrs, Vec<u64>)> {
+        let tpc = launch.threads_per_cta() as u64;
+        let mut out = Vec::new();
+        for (w, &mask) in masks.iter().enumerate() {
+            let mut addrs = LaneAddrs {
+                mask,
+                ..LaneAddrs::default()
+            };
+            for lane in 0..32 {
+                if addrs.mask & (1 << lane) == 0 {
+                    continue;
+                }
+                let coords = launch.block.unflatten(w as u64 * 32 + lane as u64);
+                let a = val.eval(w, lane, coords);
+                addrs.addrs[lane] = if space == Space::Local {
+                    let gtid = cta_linear * tpc + (w as u64 * 32 + lane as u64);
+                    LOCAL_BASE + gtid * LOCAL_STRIDE + (a % LOCAL_STRIDE)
+                } else {
+                    a
+                };
+            }
+            let mut lines: Vec<u64> = Vec::new();
+            for (_, a) in addrs.active() {
+                let line = a & !(line_bytes - 1);
+                if !lines.contains(&line) {
+                    lines.push(line);
+                }
+            }
+            out.push((addrs, lines));
+        }
+        out
+    }
+
+    fn random_tuple(rng: &mut Rng) -> AffineTuple {
+        let small = |rng: &mut Rng| rng.below(41) as i64 - 8;
+        let mut t = AffineTuple {
+            base: match rng.below(3) {
+                0 => rng.below(64) as i64,
+                1 => 0x10_0000 + rng.below(1 << 16) as i64 * 4,
+                _ => rng.next() as i64,
+            },
+            off: [small(rng) * 4, small(rng) * 64, small(rng)],
+            mod_ext: None,
+        };
+        match rng.below(5) {
+            0 => t.off = [0; 3],
+            1 => {
+                t.mod_ext = Some(ModExt {
+                    mod_base: rng.below(100) as i64,
+                    divisor: 1 + rng.below(512) as i64,
+                })
+            }
+            _ => {}
+        }
+        t
+    }
+
+    /// Seeded single, divergent and mod tuples under guards, partial last
+    /// warps, 1-D/2-D/3-D blocks and every space: expanding the compact
+    /// tuple at the AEU gives the eager model's lane addresses and lines
+    /// for every warp record.
+    #[test]
+    fn lazy_expansion_matches_eager_model() {
+        let blocks = [
+            Dim3::x(64),
+            Dim3::x(100),
+            Dim3::x(7),
+            Dim3::xy(16, 5),
+            Dim3::xy(48, 3),
+            Dim3 { x: 8, y: 4, z: 3 },
+            Dim3 { x: 5, y: 3, z: 7 },
+        ];
+        for seed in 1..=300u64 {
+            let mut rng = Rng(seed.wrapping_mul(0xD134_2543_DE82_EF95) | 1);
+            let block = blocks[rng.below(blocks.len() as u64) as usize];
+            let launch = LaunchConfig {
+                grid: Dim3::xy(6, 4),
+                block,
+                params: vec![],
+            };
+            let ctx = LaunchCtx::new(&launch);
+            let nw = launch.warps_per_cta() as usize;
+            let threads = launch.threads_per_cta() as u64;
+            let val = if rng.below(3) == 0 {
+                let n = 2 + rng.below(3) as usize;
+                let tuples: Vec<AffineTuple> = (0..n).map(|_| random_tuple(&mut rng)).collect();
+                let select = (0..nw)
+                    .map(|_| std::array::from_fn(|_| rng.below(n as u64) as u8))
+                    .collect();
+                AffineVal::Divergent(DivergentVal { tuples, select })
+            } else {
+                AffineVal::Tuple(random_tuple(&mut rng))
+            };
+            let space = [Space::Global, Space::Shared, Space::Local][rng.below(3) as usize];
+            // Live lanes of each warp, narrowed by a random guard.
+            let masks: Vec<u32> = (0..nw)
+                .map(|w| {
+                    let live = threads.saturating_sub(w as u64 * 32).min(32) as u32;
+                    let exist = if live == 32 {
+                        u32::MAX
+                    } else {
+                        (1u32 << live) - 1
+                    };
+                    match rng.below(3) {
+                        0 => exist & rng.next() as u32,
+                        1 => 0,
+                        _ => exist,
+                    }
+                })
+                .collect();
+            let cta_linear = rng.below(24);
+            let e = AtqEntry {
+                slot: 0,
+                kind: QueueKind::Data,
+                width: Width::W32,
+                space,
+                val: val.clone(),
+                cta_linear,
+                per_warp: masks
+                    .iter()
+                    .enumerate()
+                    .map(|(w, &bits)| AtqWarp {
+                        warp: w,
+                        warp_global: 40 + w,
+                        bits,
+                    })
+                    .collect(),
+                next: 0,
+                epoch: 0,
+            };
+            let line_bytes = [32u64, 128][rng.below(2) as usize];
+            let eager = eager_expansion(&val, &masks, cta_linear, &launch, space, line_bytes);
+            for (k, (addrs, lines)) in eager.iter().enumerate() {
+                let lazy = e.lane_addrs(k, &ctx);
+                assert_eq!(&lazy, addrs, "seed {seed} warp {k}");
+                let (uniq, n) = unique_lines(&lazy, line_bytes);
+                assert_eq!(&uniq[..n], &lines[..], "seed {seed} warp {k}");
+            }
+        }
     }
 }

@@ -88,8 +88,6 @@ pub struct Overrides {
     pub pwpq_total: Option<usize>,
     /// L1 line locking (DAC only; paper: on).
     pub lock_lines: Option<bool>,
-    /// Divergent affine tuples, §4.6 (DAC only; paper: on).
-    pub divergent_tuples: Option<bool>,
     /// Number of SMs (all designs; paper: 15).
     pub num_sms: Option<usize>,
     /// Resident warps per SM (all designs; paper: 48).
@@ -142,9 +140,6 @@ impl Overrides {
         if let Some(b) = self.lock_lines {
             cfg.lock_lines = b;
         }
-        if let Some(b) = self.divergent_tuples {
-            cfg.divergent_tuples = b;
-        }
         cfg
     }
 
@@ -187,7 +182,6 @@ impl Overrides {
             "pwaq_total" => self.pwaq_total = Some(num(key, value)?),
             "pwpq_total" => self.pwpq_total = Some(num(key, value)?),
             "lock_lines" => self.lock_lines = Some(flag(key, value)?),
-            "divergent_tuples" => self.divergent_tuples = Some(flag(key, value)?),
             "num_sms" => self.num_sms = Some(machine_dim(key, value)?),
             "max_warps_per_sm" => self.max_warps_per_sm = Some(machine_dim(key, value)?),
             "streams" => {
@@ -207,8 +201,7 @@ impl Overrides {
             _ => {
                 return Err(format!(
                     "unknown config knob {key:?} (expected one of: atq_entries, pwaq_total, \
-                     pwpq_total, lock_lines, divergent_tuples, num_sms, max_warps_per_sm, \
-                     streams, cta_policy)"
+                     pwpq_total, lock_lines, num_sms, max_warps_per_sm, streams, cta_policy)"
                 ))
             }
         }
@@ -232,9 +225,6 @@ impl Overrides {
             }
             if let Some(b) = self.lock_lines {
                 out.push(("lock_lines", b.to_string()));
-            }
-            if let Some(b) = self.divergent_tuples {
-                out.push(("divergent_tuples", b.to_string()));
             }
         }
         if let Some(n) = self.num_sms {
@@ -590,6 +580,13 @@ mod tests {
         assert!(o.set("atq_entries", "many").is_err());
         assert!(o.set("lock_lines", "2").is_err());
         assert!(o.set("warp_speed", "9").is_err());
+        // Nothing in the simulator ever read `divergent_tuples`, so it is not
+        // a knob: an "ablation" through it would change nothing.
+        let err = o.set("divergent_tuples", "off").unwrap_err();
+        assert!(
+            err.starts_with("unknown config knob \"divergent_tuples\"") && !err.contains('\n'),
+            "{err}"
+        );
         // A machine with no SMs or no warp slots is a `--set` error, not a
         // simulation that dies at the deadlock guard.
         for key in ["num_sms", "max_warps_per_sm"] {

@@ -73,6 +73,21 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
             Some("scale: must be at most 64")
         );
     }
+    // A knob the simulator does not have is rejected, not silently keyed.
+    let no_such_knob = json::parse(
+        r#"{"benches": ["LIB"], "designs": ["dac"], "overrides": {"divergent_tuples": false}}"#,
+    )
+    .unwrap();
+    let rejected = client.post("/sweeps", Some(&no_such_knob)).unwrap();
+    assert_eq!(
+        rejected.status, 400,
+        "divergent_tuples must be a bad request"
+    );
+    let error = rejected.body.get("error").and_then(json::Value::as_str);
+    assert!(
+        error.is_some_and(|e| e.starts_with("unknown config knob \"divergent_tuples\"")),
+        "{error:?}"
+    );
     let status = client.get("/status").unwrap().ok().unwrap();
     let sweeps = status.get("sweeps").and_then(json::Value::as_arr).unwrap();
     assert!(sweeps.is_empty(), "a rejected grid registered: {status:?}");

@@ -41,10 +41,9 @@ pub enum RecordKind {
 pub struct AddrRecord {
     /// Data (pre-requested, L1-locked) or bare address.
     pub kind: RecordKind,
-    /// Per-lane effective byte addresses.
+    /// Per-lane effective byte addresses (the SM coalesces them again to
+    /// unlock the lines a Data record's early requests locked).
     pub thread_addrs: LaneAddrs,
-    /// Unique cache lines covered (for unlocking and statistics).
-    pub lines: Vec<u64>,
     /// Memory space of the original access.
     pub space: Space,
     /// Access granularity.
