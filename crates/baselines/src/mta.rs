@@ -64,6 +64,8 @@ struct SmMta {
     /// queue entry — which keeps enqueue decisions independent of fabric
     /// admission and therefore identical across thread counts.
     pending_pump: Option<u64>,
+    /// The fabric refused the prefetch submitted this cycle.
+    pump_refused: bool,
     last_eval: u64,
     last_unused: u64,
     last_fills: u64,
@@ -251,6 +253,7 @@ impl CoProcessor for Mta {
         }
         let line_bytes = fabric.config().line_bytes;
         let s = &mut self.sms[sm];
+        s.pump_refused = false;
         let Some(predicted) = s.pending_pump.take() else {
             return;
         };
@@ -266,9 +269,23 @@ impl CoProcessor for Mta {
                 stats.prefetches_issued += 1;
             }
             AccessOutcome::Stall(_) => {
-                self.sms[sm].queue.push_front(predicted);
+                let s = &mut self.sms[sm];
+                s.queue.push_front(predicted);
+                s.pump_refused = true;
             }
         }
+    }
+
+    /// Quiet when no prediction waits but one the fabric just refused; the
+    /// deadline is the SM's next throttle evaluation, which reads the
+    /// chip-wide prefetch-buffer counters of its own cycle. A quiet step
+    /// counts nothing, so the default `credit_quiet` is exact.
+    fn quiet_until(&self, sm: usize) -> Option<u64> {
+        let Some(s) = self.sms.get(sm) else {
+            return Some(u64::MAX);
+        };
+        (s.queue.is_empty() || s.pump_refused)
+            .then_some(s.last_eval.saturating_add(self.cfg.throttle_period))
     }
 
     /// The throttle evaluation is the only consumer of the prefetch-buffer

@@ -8,7 +8,7 @@ use crate::queues::{unique_lines, DacQueues};
 use affine::DecoupledKernel;
 use simt_ir::{AddrMode, Instr, PredSrc, Program, QueueKind};
 use simt_mem::{AccessOutcome, Client, MemRequest, MemResponse, ReqKind};
-use simt_sim::{AddrRecord, CoCtx, CoProcessor, RecordKind, SimStats};
+use simt_sim::{AddrRecord, CoCtx, CoProcessor, DeqGate, RecordKind, SimStats};
 use simt_trace::TraceEvent;
 use std::collections::VecDeque;
 
@@ -31,6 +31,8 @@ struct SmDac {
     /// Pending early line requests `(record id, line)` awaiting fabric
     /// acceptance.
     pending_lines: VecDeque<(u64, u64)>,
+    /// The fabric refused the line request submitted this cycle.
+    pump_refused: bool,
     /// Front of `pending_lines` captured by [`Dac`]'s `step`, submitted to
     /// the fabric by `pump`. Captured before the expansion units push new
     /// lines, so the request submitted each cycle is the one that headed
@@ -42,9 +44,49 @@ struct SmDac {
     peu_full: u64,
     /// Round-robin pointer over CTA slots for the affine warp.
     rr: usize,
+    /// Contexts whose affine stream has not finished.
+    live: usize,
+    /// Live contexts whose next instruction is an `enq`.
+    parked: usize,
+}
+
+/// Is `ctx` live (its affine stream not finished), and if so, parked at an
+/// `enq` (`is_enq` indexed by PC)?
+fn live_parked(ctx: &AffineCtx, is_enq: &[bool]) -> (usize, usize) {
+    if ctx.done() {
+        (0, 0)
+    } else {
+        (1, is_enq[ctx.stack.pc()] as usize)
+    }
 }
 
 impl SmDac {
+    /// `enq_full_stalls` one affine issue slot charges without issuing:
+    /// with the ATQ full and every live context parked at an `enq`, the
+    /// round-robin visits each once and each stalls. (Any other state
+    /// issues an instruction, or has no live context and charges 0.)
+    fn parked_stalls(&self) -> u64 {
+        if !self.queues.atq_has_space() && self.parked == self.live {
+            self.live as u64
+        } else {
+            0
+        }
+    }
+
+    /// Add `n` cycles' queue-occupancy samples. The sums feed
+    /// mean-occupancy stats; counted every cycle the DAC is live, traced
+    /// or not.
+    fn sample(&self, n: u64, stats: &mut SimStats) {
+        let atq = self.queues.atq.len() as u64;
+        let pwaq = self.queues.records_len() as u64;
+        stats.atq_occupancy_sum += atq * n;
+        stats.pwaq_occupancy_sum += pwaq * n;
+        stats.pwpq_occupancy_sum += self.queues.preds_len() as u64 * n;
+        // Run-ahead distance: affine-stream products not yet consumed by
+        // the non-affine stream (ATQ tuples + expanded records in flight).
+        stats.affine_runahead_sum += (atq + pwaq) * n;
+    }
+
     /// The ATQ entry the PEU (`pred`) or the AEU would expand next: the
     /// oldest tuple of its kind whose CTA has passed the tuple's barrier
     /// epoch and whose next warp has room in its queue (per-CTA
@@ -185,6 +227,9 @@ impl Dac {
         } else {
             ([0; 32], 0)
         };
+        if s.queues.pwaq_front_kind(warp).is_none() {
+            ctx.dirty.push(warp);
+        }
         let id = s.queues.push_record(warp, record, n);
         s.pending_lines
             .extend(lines[..n].iter().map(|&line| (id, line)));
@@ -214,6 +259,9 @@ impl Dac {
         if entry.next == entry.per_warp.len() {
             s.queues.atq.remove(i);
         }
+        if !s.queues.pred_available(w.warp_global) {
+            ctx.dirty.push(w.warp_global);
+        }
         s.queues.push_pred(w.warp_global, w.bits);
         ctx.stats.peu_records += 1;
         if ctx.tracer.enabled() {
@@ -241,8 +289,13 @@ impl Dac {
         // `exec_one` answers `AtqFull` exactly when the instruction is an
         // `enq` and the ATQ is full, and nothing fills the ATQ before this
         // loop issues an instruction and returns: a context waiting at an
-        // `enq` behind a full ATQ is credited its stall without a call.
+        // `enq` behind a full ATQ is credited its stall without a call, and
+        // when every live context waits so, all of them without the walk.
         let atq_full = !s.queues.atq_has_space();
+        if atq_full && s.parked == s.live {
+            ctx.stats.enq_full_stalls += s.parked_stalls();
+            return;
+        }
         for k in 0..nslots {
             let slot = (s.rr + k) % nslots;
             let Some(actx) = s.slots[slot].as_mut() else {
@@ -259,6 +312,9 @@ impl Dac {
             let (outcome, peu) =
                 actx.exec_one(&self.dk.affine, &self.affine_reconv, launch, &mut s.queues);
             debug_assert_eq!(outcome, ExecOutcome::Executed);
+            let (live, parked) = live_parked(actx, &self.is_enq);
+            s.live = s.live + live - 1;
+            s.parked = s.parked + parked - self.is_enq[pc] as usize;
             ctx.stats.affine_instructions += 1;
             if ctx.tracer.enabled() {
                 ctx.tracer.emit(
@@ -306,11 +362,14 @@ impl CoProcessor for Dac {
                 nonaffine_epoch: Vec::new(),
                 wake: false,
                 pending_lines: VecDeque::new(),
+                pump_refused: false,
                 pump_capture: None,
                 peu_scalar: 0,
                 peu_two_compare: 0,
                 peu_full: 0,
                 rr: 0,
+                live: 0,
+                parked: 0,
             })
             .collect();
     }
@@ -340,14 +399,19 @@ impl CoProcessor for Dac {
                 }
             })
             .collect();
-        s.slots[slot] = Some(AffineCtx::new(
+        let actx = AffineCtx::new(
             slot,
             cta_linear,
             launch.grid.unflatten(cta_linear),
             warps.to_vec(),
             masks,
             &self.dk.affine,
-        ));
+        );
+        let (live, parked) = live_parked(&actx, &self.is_enq);
+        s.live += live;
+        s.parked += parked;
+        debug_assert!(s.slots[slot].is_none(), "CTA slot {slot} launched twice");
+        s.slots[slot] = Some(actx);
         s.slot_warps[slot] = warps.to_vec();
         s.nonaffine_epoch[slot] = 0;
         s.wake = true;
@@ -362,7 +426,11 @@ impl CoProcessor for Dac {
         if slot >= s.slots.len() {
             return;
         }
-        s.slots[slot] = None;
+        if let Some(actx) = s.slots[slot].take() {
+            let (live, parked) = live_parked(&actx, &self.is_enq);
+            s.live -= live;
+            s.parked -= parked;
+        }
         let warps = std::mem::take(&mut s.slot_warps[slot]);
         let dropped = s.queues.drop_warps(slot, &warps);
         self.dropped_at_retire += dropped as u64;
@@ -389,9 +457,9 @@ impl CoProcessor for Dac {
         }
     }
 
-    fn can_issue(&mut self, sm: usize, warp: usize, instr: &Instr, stats: &mut SimStats) -> bool {
+    fn deq_gate(&self, sm: usize, warp: usize, instr: &Instr) -> DeqGate {
         if !self.active() {
-            return true;
+            return DeqGate::Open;
         }
         let q = &self.sms[sm].queues;
         match instr {
@@ -399,16 +467,14 @@ impl CoProcessor for Dac {
                 addr: AddrMode::DeqData,
                 ..
             } => match q.pwaq_front_kind(warp) {
-                None => {
-                    stats.deq_empty_stalls += 1;
-                    false
-                }
+                None => DeqGate::Empty,
                 Some((kind, ready)) => {
                     debug_assert_eq!(kind, RecordKind::Data, "stream misalignment");
-                    if !ready {
-                        stats.deq_data_stalls += 1;
+                    if ready {
+                        DeqGate::Open
+                    } else {
+                        DeqGate::DataPending
                     }
-                    ready
                 }
             },
             Instr::Ld {
@@ -419,26 +485,17 @@ impl CoProcessor for Dac {
                 addr: AddrMode::DeqAddr,
                 ..
             } => match q.pwaq_front_kind(warp) {
-                None => {
-                    stats.deq_empty_stalls += 1;
-                    false
-                }
+                None => DeqGate::Empty,
                 Some((kind, _)) => {
                     debug_assert_eq!(kind, RecordKind::Addr, "stream misalignment");
-                    true
+                    DeqGate::Open
                 }
             },
             Instr::Bra {
                 pred: Some(PredSrc::Deq { .. }),
                 ..
-            } => {
-                let ok = q.pred_available(warp);
-                if !ok {
-                    stats.deq_empty_stalls += 1;
-                }
-                ok
-            }
-            _ => true,
+            } if !q.pred_available(warp) => DeqGate::Empty,
+            _ => DeqGate::Open,
         }
     }
 
@@ -454,10 +511,11 @@ impl CoProcessor for Dac {
         s.queues.pop_pred(warp)
     }
 
-    fn on_response(&mut self, resp: &MemResponse) {
-        if resp.client == Client::Dac {
-            self.sms[resp.sm].queues.record_response(resp.token);
+    fn on_response(&mut self, resp: &MemResponse) -> Option<usize> {
+        if resp.client != Client::Dac {
+            return None;
         }
+        self.sms[resp.sm].queues.record_response(resp.token)
     }
 
     fn step(&mut self, ctx: &mut CoCtx<'_>) {
@@ -473,6 +531,14 @@ impl CoProcessor for Dac {
             s.wake || (s.pick(true).is_none() && s.pick(false).is_none()),
             "an expansion unit slept through work it could do"
         );
+        debug_assert_eq!(
+            (s.live, s.parked),
+            s.slots.iter().flatten().fold((0, 0), |(l, p), c| {
+                let (live, parked) = live_parked(c, &self.is_enq);
+                (l + live, p + parked)
+            }),
+            "live/parked context counts out of step"
+        );
         // Two expansion ALUs per SM (§4.8). The PEU claims one when it has
         // predicate work; otherwise both serve address expansion.
         if s.wake {
@@ -484,30 +550,19 @@ impl CoProcessor for Dac {
             self.sms[sm].wake = did_pred || did_addr;
         }
         self.affine_issue(sm, ctx);
-        // Sample queue occupancy and run-ahead distance every cycle the DAC
-        // is live. The sums feed mean-occupancy stats; the trace event feeds
-        // the Chrome counter track. Counted unconditionally so a traced run
-        // reports identical statistics to an untraced one.
         let s = &self.sms[sm];
-        let atq = s.queues.atq.len() as u64;
-        let pwaq = s.queues.records_len() as u64;
-        let pwpq = s.queues.preds_len() as u64;
-        ctx.stats.atq_occupancy_sum += atq;
-        ctx.stats.pwaq_occupancy_sum += pwaq;
-        ctx.stats.pwpq_occupancy_sum += pwpq;
-        // Run-ahead distance: affine-stream products not yet consumed by the
-        // non-affine stream (ATQ tuples + expanded records in flight).
-        let runahead = atq + pwaq;
-        ctx.stats.affine_runahead_sum += runahead;
+        s.sample(1, ctx.stats);
         if ctx.tracer.enabled() {
+            let atq = s.queues.atq.len() as u32;
+            let pwaq = s.queues.records_len() as u32;
             ctx.tracer.emit(
                 ctx.now,
                 TraceEvent::QueueSample {
                     sm: sm as u32,
-                    atq: atq as u32,
-                    pwaq: pwaq as u32,
-                    pwpq: pwpq as u32,
-                    runahead: runahead as u32,
+                    atq,
+                    pwaq,
+                    pwpq: s.queues.preds_len() as u32,
+                    runahead: atq + pwaq,
                 },
             );
         }
@@ -528,6 +583,7 @@ impl CoProcessor for Dac {
             return;
         }
         let s = &mut self.sms[sm];
+        s.pump_refused = false;
         let Some((id, line)) = s.pump_capture.take() else {
             return;
         };
@@ -548,8 +604,38 @@ impl CoProcessor for Dac {
                 debug_assert_eq!(s.pending_lines.front(), Some(&(id, line)));
                 s.pending_lines.pop_front();
             }
-            AccessOutcome::Stall(_) => {}
+            AccessOutcome::Stall(_) => s.pump_refused = true,
         }
+    }
+
+    /// Quiet when no expansion unit can find work (the `wake` flag is
+    /// clear), the affine warp cannot issue (no live context, or the ATQ
+    /// full and every live context parked at an `enq`), and no early line
+    /// request waits but one the fabric just refused. No deadline: every
+    /// event that changes this — an ATQ push, a dequeue, a response, a
+    /// barrier release, a CTA launch or retire — is a hook the SM calls
+    /// awake.
+    fn quiet_until(&self, sm: usize) -> Option<u64> {
+        if !self.active() || self.sms.is_empty() {
+            return Some(u64::MAX);
+        }
+        let s = &self.sms[sm];
+        let affine_stuck = s.live == 0 || (!s.queues.atq_has_space() && s.parked == s.live);
+        let lines_stuck = s.pending_lines.is_empty() || s.pump_refused;
+        (!s.wake && affine_stuck && lines_stuck).then_some(u64::MAX)
+    }
+
+    /// A quiet step charges the parked contexts' `enq_full_stalls` (the
+    /// affine slot is free in every quiet cycle) and the occupancy samples.
+    fn credit_quiet(&mut self, sm: usize, cycles: u64, stats: &mut SimStats) -> bool {
+        if !self.active() || self.sms.is_empty() {
+            return false;
+        }
+        let s = &self.sms[sm];
+        let parked = s.parked_stalls();
+        stats.enq_full_stalls += parked * cycles;
+        s.sample(cycles, stats);
+        parked > 0
     }
 
     fn quiescent(&self) -> bool {

@@ -242,20 +242,22 @@ impl DacQueues {
         Some(r.record)
     }
 
-    /// A fill response arrived for record `id`.
-    pub fn record_response(&mut self, id: u64) {
-        let Some(&warp) = self.awaiting.get(&id) else {
-            return;
-        };
+    /// A fill response arrived for record `id`. Returns the record's warp
+    /// when that was the last line its warp's head record waited for —
+    /// the response opened the warp's `deq.data` gate.
+    pub fn record_response(&mut self, id: u64) -> Option<usize> {
+        let &warp = self.awaiting.get(&id)?;
         let q = &mut self.pwaq[warp];
         let i = q
             .binary_search_by_key(&id, |(rid, _)| *rid)
             .expect("an awaiting record is queued");
         let r = &mut q[i].1;
         r.pending -= 1;
-        if r.pending == 0 {
-            self.awaiting.remove(&id);
+        if r.pending > 0 {
+            return None;
         }
+        self.awaiting.remove(&id);
+        (i == 0).then_some(warp)
     }
 
     /// Push predicate bits for `warp`.
@@ -484,8 +486,18 @@ mod tests {
                     }
                     4..=6 if !issued.is_empty() => {
                         let id = issued[rng.below(issued.len() as u64) as usize];
-                        q.record_response(id);
+                        let heads: Vec<_> = (0..warps).map(|w| model.pwaq_front_kind(w)).collect();
+                        let opened = q.record_response(id);
                         model.record_response(id);
+                        // The response opened a gate exactly when it
+                        // turned one warp's head record ready.
+                        let turned: Vec<usize> = (0..warps)
+                            .filter(|&w| {
+                                heads[w].is_some_and(|(_, ready)| !ready)
+                                    && model.pwaq_front_kind(w).is_some_and(|(_, ready)| ready)
+                            })
+                            .collect();
+                        assert_eq!(opened.into_iter().collect::<Vec<_>>(), turned);
                     }
                     7 | 8 => assert_eq!(q.pop_record(w), model.pop_record(w)),
                     _ => {

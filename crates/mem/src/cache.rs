@@ -63,6 +63,9 @@ pub struct Cache {
     /// Looked up and counted, never visited in order, so the hasher cannot
     /// reach a result.
     pending_locks: FxHashMap<u64, u32>,
+    /// Keys of `pending_locks` per set, so the lock budget reads one count
+    /// instead of scanning every key.
+    pending_lines: Vec<u32>,
     // Statistics.
     /// Demand hits.
     pub hits: u64,
@@ -94,6 +97,7 @@ impl Cache {
             line_shift: line_bytes.trailing_zeros(),
             tick: 0,
             pending_locks: FxHashMap::default(),
+            pending_lines: vec![0; num_sets],
             hits: 0,
             misses: 0,
             unused_evictions: 0,
@@ -167,13 +171,16 @@ impl Cache {
     /// [`Cache::can_reserve_lock`].
     pub fn fill(&mut self, line: u64, locks: u32) -> Option<u64> {
         self.tick += 1;
-        self.pending_locks.remove(&line);
+        let s = self.set_index(line);
+        if self.pending_locks.remove(&line).is_some() {
+            self.pending_lines[s] -= 1;
+        }
         if let Some(i) = self.find(line) {
             // Already resident (e.g. raced with another fill): merge locks.
             self.lines[i].locks += locks;
             return None;
         }
-        let set = self.set_range(self.set_index(line));
+        let set = self.set_range(s);
         let base = set.start;
         let victim = self.lines[set]
             .iter()
@@ -224,17 +231,17 @@ impl Cache {
             .iter()
             .filter(|l| l.valid && l.locks > 0)
             .count();
-        let pending_locked = self
-            .pending_locks
-            .keys()
-            .filter(|&&l| self.set_index(l) == s)
-            .count();
-        resident_locked + pending_locked < self.ways - 1
+        resident_locked + (self.pending_lines[s] as usize) < self.ways - 1
     }
 
     /// Reserve a lock for an in-flight fill of `line`.
     pub fn reserve_pending_lock(&mut self, line: u64) {
-        *self.pending_locks.entry(line).or_insert(0) += 1;
+        let s = self.set_index(line);
+        let locks = self.pending_locks.entry(line).or_insert(0);
+        if *locks == 0 {
+            self.pending_lines[s] += 1;
+        }
+        *locks += 1;
     }
 
     /// Pending lock count for `line` (consumed by [`Cache::fill`]).
@@ -272,6 +279,7 @@ impl Cache {
     pub fn flush(&mut self) {
         self.lines.fill(LineState::empty());
         self.pending_locks.clear();
+        self.pending_lines.fill(0);
     }
 }
 
@@ -433,6 +441,63 @@ mod tests {
             let locked = m.sets.iter().flatten().filter(|l| l.valid && l.locks > 0);
             assert_eq!(c.locked_lines(), locked.count());
             assert!(m.counters.iter().all(|&n| n > 100), "{:?}", m.counters);
+        }
+    }
+
+    /// `can_reserve_lock` as it was before the per-set counts: the
+    /// in-flight locked lines of the set found by scanning every
+    /// `pending_locks` key.
+    fn can_reserve_lock_by_scan(c: &Cache, line: u64) -> bool {
+        let s = c.set_index(line);
+        if c.find(line).is_some_and(|i| c.lines[i].locks > 0) || c.pending_locks.contains_key(&line)
+        {
+            return true;
+        }
+        let resident = c.lines[c.set_range(s)]
+            .iter()
+            .filter(|l| l.valid && l.locks > 0)
+            .count();
+        let pending = c.pending_locks.keys().filter(|&&l| c.set_index(l) == s);
+        resident + pending.count() < c.ways - 1
+    }
+
+    /// A seeded reserve / fill / lock / unlock / flush stream over
+    /// conflict-heavy geometries (one set, eight, the L1's 96): after every
+    /// operation each set's pending-line count equals a scan of the keys,
+    /// and the budget answers as the scan did for the operation's line.
+    #[test]
+    fn pending_line_counts_match_the_key_scan() {
+        for (seed, sets, ways) in [(0x10C4_u64, 1u64, 2usize), (0xB0D6, 8, 4), (0x5CA7, 96, 4)] {
+            let mut rng = Rng(seed);
+            let mut c = Cache::new(sets * ways as u64 * 128, ways, 128);
+            let (mut reserved, mut refused) = (0, 0);
+            for op in 0..20_000 {
+                let line = 128 * rng.below(3 * sets * ways as u64);
+                let ok = can_reserve_lock_by_scan(&c, line);
+                assert_eq!(c.can_reserve_lock(line), ok, "op {op} line {line:#x}");
+                match rng.below(20) {
+                    0..=7 if ok => {
+                        c.reserve_pending_lock(line);
+                        reserved += 1;
+                    }
+                    0..=7 => refused += 1,
+                    8..=11 => {
+                        let locks = c.pending_locks_for(line);
+                        c.fill(line, locks);
+                    }
+                    12..=13 => {
+                        c.lock_resident(line);
+                    }
+                    14..=18 => c.unlock(line),
+                    _ if rng.below(40) == 0 => c.flush(),
+                    _ => {}
+                }
+                for s in 0..c.num_sets() {
+                    let keys = c.pending_locks.keys().filter(|&&l| c.set_index(l) == s);
+                    assert_eq!(c.pending_lines[s] as usize, keys.count(), "op {op} set {s}");
+                }
+            }
+            assert!(reserved > 1000 && refused > 100, "{reserved} {refused}");
         }
     }
 

@@ -7,7 +7,10 @@
 //! [`MemoryFabric::drain_responses_into`]. The fabric owns all timing:
 //! structural stalls are reported synchronously as
 //! [`AccessOutcome::Stall`] so callers can retry (that retry *is* the
-//! stall).
+//! stall). A client that stops retrying while its SM sleeps is credited
+//! the retries it skipped when it next calls ([`MemoryFabric::access_traced`]),
+//! and [`MemoryFabric::wakes`] names the cycles at which a sleeping SM's
+//! port or refused request can have changed.
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::MemConfig;
@@ -18,6 +21,9 @@ use crate::stats::MemStats;
 use simt_trace::{NullTracer, StallCause, TraceClient, TraceEvent, TraceReqKind, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// Clients per SM port (`Client::to_u8` indexes them).
+const CLIENTS: usize = 3;
 
 /// Who issued a request (routes the response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,9 +162,24 @@ enum PartEvent {
     Direct(MemResponse),
 }
 
+/// The last request the fabric refused a client, and when. Every client
+/// retries a refused request on each cycle its SM ticks, so a gap between
+/// two calls with the same request is cycles the SM slept through.
+#[derive(Debug, Clone, Copy)]
+struct Refusal {
+    req: MemRequest,
+    reason: StallReason,
+    at: u64,
+    /// The partition whose full input queue refused it (`QueueFull` only).
+    full_queue: Option<usize>,
+}
+
 #[derive(Debug)]
 struct Partition {
     inq: VecDeque<(u64, MemRequest)>,
+    /// Last cycle the input-queue head left (`u64::MAX`: never) — the only
+    /// way a full queue gets room.
+    popped: u64,
     l2: Cache,
     dram: DramPartition,
     /// Outstanding DRAM reads by id. FxHashMap: hot path, never iterated.
@@ -174,25 +195,32 @@ struct SmPort {
     l1: Cache,
     mshr: MshrTable,
     pbuf: Option<Cache>,
-    /// (ready_cycle, seq, ord, slot): fill/direct events from partitions.
-    /// Payloads live in a slab (`Vec<Option<..>>` + free list) instead of a
-    /// `HashMap` keyed by event id. Slab slots are reused, so the heap
-    /// carries a monotone `ord` as the tiebreaker — several ready events
-    /// can share one `(at, seq)` (an MSHR fill releasing merged targets)
-    /// and must drain in insertion order.
-    incoming: BinaryHeap<Reverse<(u64, u64, usize, usize)>>,
-    incoming_slab: Vec<Option<PartEvent>>,
-    incoming_free: Vec<usize>,
-    next_ev: usize,
-    /// Responses ready for the client to drain.
+    /// `(ready_cycle, seq, event)`: fills and direct responses from the
+    /// partitions, in push order. Every push is due `l2_latency +
+    /// icnt_latency` after the cycle that pushes it and takes a rising
+    /// `seq`, so push order is `(at, seq)` order and the front is the
+    /// next event due.
+    incoming: VecDeque<(u64, u64, PartEvent)>,
+    /// Last cycle an incoming event matured here (`u64::MAX`: never): the
+    /// only way anything but this SM's own clients changes the port.
+    matured: u64,
+    /// (ready_cycle, seq, ord, slot): responses ready for the client to
+    /// drain. Payloads live in a slab (`Vec<Option<..>>` + free list).
+    /// Slab slots are reused, so the heap carries a monotone `ord` as the
+    /// tiebreaker — several ready responses can share one `(at, seq)` (an
+    /// MSHR fill releasing merged targets) and must drain in insertion
+    /// order.
     ready: BinaryHeap<Reverse<(u64, u64, usize, usize)>>,
     ready_slab: Vec<Option<MemResponse>>,
     ready_free: Vec<usize>,
+    next_ev: usize,
     /// Port-local sequence counter: `seq` only ever tie-breaks within this
-    /// port's two heaps. Each cycle assigns it to partition events first
+    /// port's queues. Each cycle assigns it to partition events first
     /// (partitions cycle in index order and deliver as they generate),
     /// then to this SM's client accesses.
     seq: u64,
+    /// The last refusal of each client, until it is accepted.
+    refused: [Option<Refusal>; CLIENTS],
     /// Fills delivered into the prefetch buffer (port-local slice of
     /// [`MemStats::pbuf_fills`]).
     pbuf_fills: u64,
@@ -206,20 +234,9 @@ impl SmPort {
 
     /// A partition's fill or direct response, due at `at`.
     fn push_incoming(&mut self, at: u64, ev: PartEvent) {
+        debug_assert!(self.incoming.back().is_none_or(|&(last, ..)| last <= at));
         let seq = self.next_seq();
-        let ord = self.next_ev;
-        self.next_ev += 1;
-        let slot = match self.incoming_free.pop() {
-            Some(i) => {
-                self.incoming_slab[i] = Some(ev);
-                i
-            }
-            None => {
-                self.incoming_slab.push(Some(ev));
-                self.incoming_slab.len() - 1
-            }
-        };
-        self.incoming.push(Reverse((at, seq, ord, slot)));
+        self.incoming.push_back((at, seq, ev));
     }
 
     fn push_ready(&mut self, at: u64, seq: u64, r: MemResponse) {
@@ -241,15 +258,12 @@ impl SmPort {
     /// Process matured incoming events: MSHR releases, L1/prefetch-buffer
     /// fills, and direct responses. Entirely port-local.
     fn incoming_cycle(&mut self, sm: usize, now: u64, tracer: &mut dyn Tracer) {
-        loop {
-            let pop = matches!(self.incoming.peek(),
-                Some(&Reverse((at, _, _, _))) if at <= now);
-            if !pop {
+        while let Some(&(at, seq, ev)) = self.incoming.front() {
+            if at > now {
                 break;
             }
-            let Reverse((_, seq, _, slot)) = self.incoming.pop().unwrap();
-            let ev = self.incoming_slab[slot].take().unwrap();
-            self.incoming_free.push(slot);
+            self.incoming.pop_front();
+            self.matured = now;
             match ev {
                 PartEvent::Direct(resp) => {
                     self.push_ready(now, seq, resp);
@@ -381,6 +395,7 @@ impl Partition {
             };
             if proceed {
                 self.inq.pop_front();
+                self.popped = now;
                 if tracer.enabled() {
                     tracer.emit(
                         now,
@@ -457,20 +472,21 @@ impl MemoryFabric {
                 mshr: MshrTable::new(cfg.mshr_entries, cfg.mshr_merge),
                 pbuf: (cfg.prefetch_buffer_size > 0)
                     .then(|| Cache::new(cfg.prefetch_buffer_size, 8, cfg.line_bytes)),
-                incoming: BinaryHeap::new(),
-                incoming_slab: Vec::new(),
-                incoming_free: Vec::new(),
-                next_ev: 0,
+                incoming: VecDeque::new(),
+                matured: u64::MAX,
                 ready: BinaryHeap::new(),
                 ready_slab: Vec::new(),
                 ready_free: Vec::new(),
+                next_ev: 0,
                 seq: 0,
+                refused: [None; CLIENTS],
                 pbuf_fills: 0,
             })
             .collect();
         let parts = (0..cfg.num_partitions)
             .map(|_| Partition {
                 inq: VecDeque::new(),
+                popped: u64::MAX,
                 l2: Cache::new(cfg.l2_size_per_partition, cfg.l2_ways, cfg.line_bytes),
                 dram: DramPartition::new(
                     cfg.dram_banks,
@@ -510,6 +526,12 @@ impl MemoryFabric {
     /// `tracer`. Accepted requests with responses also record their
     /// acceptance cycle so [`MemoryFabric::drain_responses_into`] can
     /// report end-to-end latency.
+    ///
+    /// A client retries a refused request on every cycle its SM ticks, so
+    /// when the same request comes back after a gap, its SM slept through
+    /// the gap — and slept only while nothing that refused the request
+    /// changed ([`MemoryFabric::wakes`]). Each skipped retry would have
+    /// been refused for the same reason, and is counted as one here.
     pub fn access_traced(
         &mut self,
         now: u64,
@@ -517,6 +539,12 @@ impl MemoryFabric {
         tracer: &mut dyn Tracer,
     ) -> AccessOutcome {
         debug_assert_eq!(req.line % self.cfg.line_bytes, 0, "unaligned line");
+        let client = req.client.to_u8() as usize;
+        if let Some(r) = self.sms[req.sm].refused[client] {
+            if r.req == req && now > r.at + 1 {
+                self.count_refusals(&req, r.reason, now - r.at - 1);
+            }
+        }
         let out = if self.cfg.perfect {
             self.access_perfect(now, req)
         } else {
@@ -526,6 +554,16 @@ impl MemoryFabric {
                 ReqKind::Atomic => self.access_atomic(now, req),
                 ReqKind::Prefetch => self.access_prefetch(now, req),
             }
+        };
+        self.sms[req.sm].refused[client] = match out {
+            AccessOutcome::Accepted => None,
+            AccessOutcome::Stall(reason) => Some(Refusal {
+                req,
+                reason,
+                at: now,
+                full_queue: (reason == StallReason::QueueFull)
+                    .then(|| self.cfg.partition_of(req.line)),
+            }),
         };
         if tracer.enabled() {
             match out {
@@ -632,19 +670,16 @@ impl MemoryFabric {
         }
         // Miss: MSHR + lock budget + partition queue gates first...
         if !self.sms[sm].mshr.can_accept(req.line) {
-            self.sms[sm].mshr.note_full_stall();
-            return AccessOutcome::Stall(StallReason::MshrFull);
+            return self.refuse(&req, StallReason::MshrFull);
         }
         if lock && !self.sms[sm].l1.can_reserve_lock(req.line) {
-            self.stats_extra.lock_budget_stalls += 1;
-            return AccessOutcome::Stall(StallReason::LockBudget);
+            return self.refuse(&req, StallReason::LockBudget);
         }
         let will_forward = !self.sms[sm].mshr.contains(req.line);
         if will_forward {
             let p = self.cfg.partition_of(req.line);
             if self.parts[p].inq.len() >= self.cfg.l2_queue {
-                self.stats_extra.queue_full_stalls += 1;
-                return AccessOutcome::Stall(StallReason::QueueFull);
+                return self.refuse(&req, StallReason::QueueFull);
             }
             let arrive = now + self.cfg.icnt_latency;
             self.parts[p].inq.push_back((arrive, req));
@@ -671,8 +706,7 @@ impl MemoryFabric {
     fn access_store(&mut self, now: u64, req: MemRequest) -> AccessOutcome {
         let p = self.cfg.partition_of(req.line);
         if self.parts[p].inq.len() >= self.cfg.l2_queue {
-            self.stats_extra.queue_full_stalls += 1;
-            return AccessOutcome::Stall(StallReason::QueueFull);
+            return self.refuse(&req, StallReason::QueueFull);
         }
         // Write-through, no-allocate at L1 (Fermi global stores).
         let _ = self.sms[req.sm].l1.access(req.line, false);
@@ -685,8 +719,7 @@ impl MemoryFabric {
     fn access_atomic(&mut self, now: u64, req: MemRequest) -> AccessOutcome {
         let p = self.cfg.partition_of(req.line);
         if self.parts[p].inq.len() >= self.cfg.l2_queue {
-            self.stats_extra.queue_full_stalls += 1;
-            return AccessOutcome::Stall(StallReason::QueueFull);
+            return self.refuse(&req, StallReason::QueueFull);
         }
         let arrive = now + self.cfg.icnt_latency;
         self.parts[p].inq.push_back((arrive, req));
@@ -714,14 +747,14 @@ impl MemoryFabric {
         if !self.sms[sm].mshr.can_accept(req.line)
             || self.sms[sm].mshr.outstanding() + reserve >= self.cfg.mshr_entries
         {
-            return AccessOutcome::Stall(StallReason::MshrFull);
+            return self.refuse(&req, StallReason::MshrFull);
         }
         let p = self.cfg.partition_of(req.line);
         // Prefetches yield to demand traffic: they enter only a
         // half-empty partition queue (keeps speculation off the critical
         // path without starving it).
         if self.parts[p].inq.len() >= self.cfg.l2_queue / 2 {
-            return AccessOutcome::Stall(StallReason::QueueFull);
+            return self.refuse(&req, StallReason::QueueFull);
         }
         self.sms[sm].mshr.allocate(
             req.line,
@@ -733,6 +766,43 @@ impl MemoryFabric {
         let arrive = now + self.cfg.icnt_latency;
         self.parts[p].inq.push_back((arrive, req));
         AccessOutcome::Accepted
+    }
+
+    /// Refuse `req` for `reason`, counting the refusal.
+    fn refuse(&mut self, req: &MemRequest, reason: StallReason) -> AccessOutcome {
+        self.count_refusals(req, reason, 1);
+        AccessOutcome::Stall(reason)
+    }
+
+    /// Count `n` refusals of `req` for `reason` in the stall counters.
+    /// Speculative prefetches are refused uncounted.
+    fn count_refusals(&mut self, req: &MemRequest, reason: StallReason, n: u64) {
+        if req.kind == ReqKind::Prefetch {
+            return;
+        }
+        match reason {
+            StallReason::MshrFull => self.sms[req.sm].mshr.full_stalls += n,
+            StallReason::QueueFull => self.stats_extra.queue_full_stalls += n,
+            StallReason::LockBudget => self.stats_extra.lock_budget_stalls += n,
+        }
+    }
+
+    /// Can a sleeping `sm` have been woken at cycle `now`? True when this
+    /// cycle matured an incoming event at its port (a fill changes the L1,
+    /// the prefetch buffer, the MSHRs and the pending locks — everything a
+    /// refused load or lock is refused on, besides the SM's own accesses),
+    /// when a response is ready for it, or when a partition whose full
+    /// queue refused one of its clients popped its head. Asked after
+    /// [`MemoryFabric::cycle_traced`] and before the SM's tick.
+    pub fn wakes(&self, sm: usize, now: u64) -> bool {
+        let port = &self.sms[sm];
+        port.matured == now
+            || matches!(port.ready.peek(), Some(&Reverse((at, ..))) if at <= now)
+            || port
+                .refused
+                .iter()
+                .flatten()
+                .any(|r| r.full_queue.is_some_and(|p| self.parts[p].popped == now))
     }
 
     /// Advance the hierarchy one cycle.

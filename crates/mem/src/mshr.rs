@@ -88,11 +88,6 @@ impl MshrTable {
         }
     }
 
-    /// Record a structural stall (table full) for statistics.
-    pub fn note_full_stall(&mut self) {
-        self.full_stalls += 1;
-    }
-
     /// The fill for `line` arrived: release the entry and return everyone
     /// waiting on it.
     pub fn release(&mut self, line: u64) -> Vec<MshrTarget> {

@@ -15,7 +15,7 @@
 //! its inputs — the same tie-break discipline as the warp scheduler.
 
 use crate::config::GpuConfig;
-use crate::coproc::{AddrRecord, CoCtx, CoProcessor, IssueCost};
+use crate::coproc::{AddrRecord, CoCtx, CoProcessor, DeqGate, IssueCost};
 use crate::sm::{KernelCtx, Sm};
 use crate::stats::SimStats;
 use simt_ir::Instr;
@@ -193,7 +193,9 @@ impl CommandProcessor {
     /// One dispatch round, run at the top of every cycle: release SMs
     /// whose kernel has nothing left for them, then place pending CTAs
     /// breadth-first — one CTA per SM per pass, so work spreads across
-    /// the chip before SMs fill up (as the hardware scheduler does).
+    /// the chip before SMs fill up (as the hardware scheduler does). A
+    /// sleeping SM is woken before it is bound, released or given a CTA,
+    /// so the cycles it slept are credited to the kernel it slept under.
     #[allow(clippy::too_many_arguments)]
     pub fn dispatch(
         &mut self,
@@ -211,7 +213,7 @@ impl CommandProcessor {
         // another kernel. The `sm_quiescent` guard keeps coprocessor
         // response routing sound across the re-bind.
         if self.states.len() > 1 {
-            for (sm, s) in sms.iter().enumerate() {
+            for (sm, s) in sms.iter_mut().enumerate() {
                 let Some(k) = self.bindings[sm] else {
                     continue;
                 };
@@ -221,6 +223,7 @@ impl CommandProcessor {
                     && s.idle()
                     && coproc.sm_quiescent(sm)
                 {
+                    s.wake(now, cfg, coproc, &mut rows[sm][k]);
                     self.bindings[sm] = None;
                     coproc.on_sm_bound(sm, None);
                 }
@@ -251,6 +254,8 @@ impl CommandProcessor {
                 if !sms[sm].can_accept_cta(cfg, &kctxs[k]) {
                     continue;
                 }
+                let bin = self.bindings[sm].unwrap_or(self.states.len());
+                sms[sm].wake(now, cfg, coproc, &mut rows[sm][bin]);
                 if self.bindings[sm] != Some(k) {
                     self.bindings[sm] = Some(k);
                     coproc.on_sm_bound(sm, Some(k));
@@ -311,6 +316,11 @@ impl<'a> MultiCoProcessor<'a> {
             None => None,
         }
     }
+
+    fn child(&self, sm: usize) -> Option<&dyn CoProcessor> {
+        let k = self.bindings.get(sm).copied().flatten()?;
+        Some(&*self.children[k])
+    }
 }
 
 impl CoProcessor for MultiCoProcessor<'_> {
@@ -347,10 +357,10 @@ impl CoProcessor for MultiCoProcessor<'_> {
         }
     }
 
-    fn can_issue(&mut self, sm: usize, warp: usize, instr: &Instr, stats: &mut SimStats) -> bool {
-        match self.child_for(sm) {
-            Some(c) => c.can_issue(sm, warp, instr, stats),
-            None => true,
+    fn deq_gate(&self, sm: usize, warp: usize, instr: &Instr) -> DeqGate {
+        match self.child(sm) {
+            Some(c) => c.deq_gate(sm, warp, instr),
+            None => DeqGate::Open,
         }
     }
 
@@ -390,12 +400,15 @@ impl CoProcessor for MultiCoProcessor<'_> {
         }
     }
 
-    fn on_response(&mut self, resp: &MemResponse) {
+    fn on_response(&mut self, resp: &MemResponse) -> Option<usize> {
         // The re-bind guard (`sm_quiescent`) guarantees a response's SM is
         // still bound to the kernel that issued the request.
         match self.child_for(resp.sm) {
             Some(c) => c.on_response(resp),
-            None => debug_assert!(false, "coprocessor response for unbound SM {}", resp.sm),
+            None => {
+                debug_assert!(false, "coprocessor response for unbound SM {}", resp.sm);
+                None
+            }
         }
     }
 
@@ -420,6 +433,20 @@ impl CoProcessor for MultiCoProcessor<'_> {
 
     fn wants_pbuf_stats(&self, now: u64) -> bool {
         self.children.iter().any(|c| c.wants_pbuf_stats(now))
+    }
+
+    fn quiet_until(&self, sm: usize) -> Option<u64> {
+        match self.child(sm) {
+            Some(c) => c.quiet_until(sm),
+            None => Some(u64::MAX),
+        }
+    }
+
+    fn credit_quiet(&mut self, sm: usize, cycles: u64, stats: &mut SimStats) -> bool {
+        match self.child_for(sm) {
+            Some(c) => c.credit_quiet(sm, cycles, stats),
+            None => false,
+        }
     }
 
     fn quiescent(&self) -> bool {

@@ -3,9 +3,11 @@
 //! The core simulator stays agnostic of any accelerator; instead it calls
 //! into a [`CoProcessor`] at well-defined points:
 //!
-//! * **issue gating** — [`CoProcessor::can_issue`] lets DAC hold back a warp
-//!   whose `deq.*` operand is not ready (empty per-warp queue or data still
-//!   in flight); the scheduler consults it for those instructions only;
+//! * **issue gating** — [`CoProcessor::deq_gate`] says whether a warp's
+//!   `deq.*` operand is ready (DAC: empty per-warp queue or data still in
+//!   flight). The SM folds the answer into the warp's issue class and asks
+//!   again only when the coprocessor reports that the warp's queue head
+//!   changed ([`CoCtx::dirty`], [`CoProcessor::on_response`]);
 //! * **issue cost** — [`CoProcessor::issue_cost`] lets CAE issue
 //!   affine-eligible instructions at initiation interval 1 on its affine
 //!   units instead of 2 on the SIMT lanes;
@@ -18,7 +20,11 @@
 //! * **execution** — [`CoProcessor::step`] runs once per SM per cycle with
 //!   mutable access to the SM's issue slot, which is where DAC's affine
 //!   warp and expansion units live; [`CoProcessor::pump`] then submits
-//!   the cycle's fabric request.
+//!   the cycle's fabric request;
+//! * **sleep** — [`CoProcessor::quiet_until`] lets an SM whose next cycle
+//!   could only repeat this one's counters sleep, and
+//!   [`CoProcessor::credit_quiet`] credits the coprocessor's share of the
+//!   cycles it slept.
 
 use crate::stats::SimStats;
 use simt_ir::{Instr, Program, Space, Width};
@@ -48,6 +54,18 @@ pub struct AddrRecord {
     pub space: Space,
     /// Access granularity.
     pub width: Width,
+}
+
+/// What a warp's `deq.*` operand says about issuing its instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeqGate {
+    /// The queue head is there (and, for `deq.data`, its lines arrived).
+    Open,
+    /// The warp's queue is empty (`deq_empty_stalls`).
+    Empty,
+    /// The head Data record's early lines are still in flight
+    /// (`deq_data_stalls`; loads only).
+    DataPending,
 }
 
 /// Relative cost of issuing one warp instruction.
@@ -80,6 +98,10 @@ pub struct CoCtx<'a> {
     /// True while this SM still has an unconsumed issue slot this cycle;
     /// set it to `false` to model the affine warp occupying the slot.
     pub issue_slot: &'a mut bool,
+    /// Push every warp slot whose `deq.*` queue head this step changed (a
+    /// record or predicate pushed into an empty queue): the SM re-reads
+    /// its [`CoProcessor::deq_gate`] before the issue stage.
+    pub dirty: &'a mut Vec<usize>,
     /// Shared statistics sink.
     pub stats: &'a mut SimStats,
     /// Event tracer (a `NullTracer` outside traced runs). Coprocessors
@@ -132,14 +154,14 @@ pub trait CoProcessor {
         let _ = (sm, slot);
     }
 
-    /// May `warp` issue `instr` this cycle? DAC returns false when a
-    /// dequeue operand is not ready. Asked only about instructions with a
-    /// `deq.*` operand ([`Instr::has_deq`]) — the only ones a coprocessor
-    /// may hold back — once per scheduler visit, so implementations may
-    /// count stalls here.
-    fn can_issue(&mut self, sm: usize, warp: usize, instr: &Instr, stats: &mut SimStats) -> bool {
-        let _ = (sm, warp, instr, stats);
-        true
+    /// Is the `deq.*` operand of `instr`, the next instruction of `warp`,
+    /// ready? Asked only about instructions with one ([`Instr::has_deq`]),
+    /// whenever the SM classifies the warp: after the warp's own issue and
+    /// after the coprocessor reported its queue head changed. A pure
+    /// query — the SM counts the stalls it implies.
+    fn deq_gate(&self, sm: usize, warp: usize, instr: &Instr) -> DeqGate {
+        let _ = (sm, warp, instr);
+        DeqGate::Open
     }
 
     /// Issue cost of `instr` on `warp` (CAE redirects affine-eligible
@@ -186,8 +208,11 @@ pub trait CoProcessor {
     }
 
     /// A fabric response addressed to this coprocessor's client id.
-    fn on_response(&mut self, resp: &MemResponse) {
+    /// Returns the warp slot whose `deq.*` gate the response opened, if
+    /// any (the last early line of its head record arrived).
+    fn on_response(&mut self, resp: &MemResponse) -> Option<usize> {
         let _ = resp;
+        None
     }
 
     /// Per-SM, per-cycle execution (affine warp, expansion units,
@@ -221,6 +246,29 @@ pub trait CoProcessor {
         false
     }
 
+    /// May `sm` sleep after this cycle as far as the coprocessor is
+    /// concerned? `None` when its next [`CoProcessor::step`] and
+    /// [`CoProcessor::pump`] on `sm` could do more than repeat the
+    /// counters of [`CoProcessor::credit_quiet`] — nothing may change
+    /// state, and a fabric request may be retried only if it was just
+    /// refused. Otherwise the first cycle at which it must step again
+    /// whatever happens (`u64::MAX`: none). Every other change to a
+    /// coprocessor's per-SM state comes through a hook the sleeping SM
+    /// would have to be awake to call.
+    fn quiet_until(&self, sm: usize) -> Option<u64> {
+        let _ = sm;
+        Some(u64::MAX)
+    }
+
+    /// Credit `cycles` quiet steps of `sm`: the counters each would have
+    /// added (once per step in a ticking cycle, in bulk for cycles slept).
+    /// Returns whether each of them charged `enq_full_stalls` (the
+    /// `slot_enq_full` bucket's condition).
+    fn credit_quiet(&mut self, sm: usize, cycles: u64, stats: &mut SimStats) -> bool {
+        let _ = (sm, cycles, stats);
+        false
+    }
+
     /// Is the coprocessor fully drained (no queued work that should keep
     /// the simulation alive)?
     fn quiescent(&self) -> bool {
@@ -247,7 +295,10 @@ mod tests {
         let mut c = NullCoProcessor;
         let mut stats = SimStats::default();
         assert_eq!(c.name(), "baseline");
-        assert!(c.can_issue(0, 0, &Instr::Exit, &mut stats));
+        assert_eq!(c.deq_gate(0, 0, &Instr::Exit), DeqGate::Open);
+        assert_eq!(c.quiet_until(0), Some(u64::MAX));
+        assert!(!c.credit_quiet(0, 9, &mut stats));
+        assert_eq!(stats, SimStats::default());
         assert_eq!(
             c.issue_cost(0, 0, &Instr::Exit, u32::MAX, &mut stats),
             IssueCost::Normal

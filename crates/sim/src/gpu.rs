@@ -373,6 +373,8 @@ impl GpuSim {
 
             now += 1;
             if now >= cfg.max_cycles {
+                // The report names every open sleep (`Sm::stall_state`);
+                // the counters it would credit die with the panic.
                 panic!(
                     "{}",
                     deadlock_report(now, cfg, &sms, &fabric, coproc, &cmdproc, &flat)
@@ -380,7 +382,12 @@ impl GpuSim {
             }
         }
 
-        // The loop above executed SM cycles for now = 0..=now inclusive.
+        // The loop above executed SM cycles for now = 0..=now inclusive;
+        // an SM still asleep skipped the last of them.
+        for (i, sm) in sms.iter_mut().enumerate() {
+            let bin = cmdproc.binding(i).unwrap_or(nk);
+            sm.settle_sleep(now + 1, cfg, coproc, &mut rows[i][bin]);
+        }
         let mut stats = SimStats::default();
         for b in rows.iter().flatten() {
             stats.accumulate(b);

@@ -37,7 +37,7 @@ pub mod warp;
 
 pub use cmdproc::{CommandProcessor, LaunchState, MultiCoProcessor, PlacementPolicy};
 pub use config::GpuConfig;
-pub use coproc::{AddrRecord, CoCtx, CoProcessor, IssueCost, NullCoProcessor, RecordKind};
+pub use coproc::{AddrRecord, CoCtx, CoProcessor, DeqGate, IssueCost, NullCoProcessor, RecordKind};
 pub use gpu::{GpuSim, KernelReport, SimReport, StreamReport};
 pub use stack::SimtStack;
 pub use stats::SimStats;

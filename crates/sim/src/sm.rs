@@ -5,11 +5,14 @@
 //! every warp slot carries an [`IssueClass`] that is recomputed only when
 //! an event touches that warp, so a scheduler hunting for a ready warp
 //! reads one byte per candidate instead of re-deriving its readiness from
-//! the warp's stack, instruction and scoreboard every cycle.
+//! the warp's stack, instruction, scoreboard and `deq.*` queue every cycle.
+//! So is the SM as a whole (DESIGN.md "Per-SM sleep"): after a cycle that
+//! could only repeat itself it sleeps, and the run loop skips it until an
+//! event reaches it.
 
 use crate::coalesce::{coalesce_into, Transaction};
 use crate::config::GpuConfig;
-use crate::coproc::{CoCtx, CoProcessor, IssueCost, RecordKind};
+use crate::coproc::{CoCtx, CoProcessor, DeqGate, IssueCost, RecordKind};
 use crate::stats::SimStats;
 use crate::warp::WarpState;
 use simt_ir::cfg::DefTarget;
@@ -153,11 +156,12 @@ struct LsuTxn {
 }
 
 /// What stands between a warp slot and issue, as far as the warp's own
-/// state decides it. One byte per slot on the [`Sm`], recomputed by
-/// [`Sm::classify`] only when an event touches the warp (own issue,
-/// scoreboard release, barrier release, CTA launch/retire). What the
-/// class cannot capture is read live by the scheduler: LSU occupancy for
-/// the memory classes, the coprocessor's queues for the gated ones.
+/// state and its `deq.*` queue decide it. One byte per slot on the
+/// [`Sm`], recomputed by [`Sm::classify`] only when an event touches the
+/// warp (own issue, scoreboard release, barrier release, CTA
+/// launch/retire, a coprocessor report that its queue head changed). What
+/// the class cannot capture is read live by the scheduler: LSU occupancy
+/// for the memory classes, which binds before the `deq.*` gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueClass {
     /// Empty slot or finished warp — not schedulable, not a stall.
@@ -166,19 +170,26 @@ enum IssueClass {
     Barrier,
     /// A source or destination of the next instruction awaits writeback.
     Scoreboard,
-    /// Nothing in the way.
+    /// Nothing in the way (a ready `deq.*` operand included).
     Plain,
     /// Memory instruction: ready iff the LSU queue has room.
     Mem,
-    /// `deq.*` operand: ready iff the coprocessor says so.
-    Gated,
-    /// Both: LSU room first, then the coprocessor gate.
-    GatedMem,
+    /// `@deq.pred` branch with an empty predicate queue.
+    DeqEmpty,
+    /// Memory instruction whose `deq.*` address queue is empty.
+    MemDeqEmpty,
+    /// `ld [deq.data]` whose head record's early lines are in flight.
+    MemDeqData,
 }
 
 /// How many of one scheduler's warp slots are in each [`IssueClass`],
 /// indexed by `class as usize`.
-type Census = [u32; IssueClass::GatedMem as usize + 1];
+type Census = [u32; IssueClass::MemDeqData as usize + 1];
+
+/// Can a hunt over slots counted in `census` find a warp that issues?
+fn has_candidate(census: &Census, lsu_full: bool) -> bool {
+    census[IssueClass::Plain as usize] > 0 || (!lsu_full && census[IssueClass::Mem as usize] > 0)
+}
 
 /// Stall causes observed while one scheduler hunted for a ready warp this
 /// cycle. When the hunt comes up empty, the tally attributes the slot to
@@ -193,12 +204,46 @@ struct StallTally {
 }
 
 impl StallTally {
-    /// Charge one empty issue slot to a bucket: majority stall cause over
+    /// The tally of a hunt with no candidate in `census`: it visits every
+    /// non-absent slot once, and each stalls for the first cause that
+    /// binds (LSU room before the `deq.*` gate).
+    fn of_census(census: &Census, lsu_full: bool) -> Self {
+        debug_assert!(!has_candidate(census, lsu_full));
+        let count = |c: IssueClass| census[c as usize] as u64;
+        let past_lsu = |c: IssueClass| if lsu_full { 0 } else { count(c) };
+        let mem = [
+            IssueClass::Mem,
+            IssueClass::MemDeqEmpty,
+            IssueClass::MemDeqData,
+        ];
+        StallTally {
+            scoreboard: count(IssueClass::Scoreboard),
+            lsu_full: if lsu_full {
+                mem.map(count).iter().sum()
+            } else {
+                0
+            },
+            barrier: count(IssueClass::Barrier),
+            deq_empty: count(IssueClass::DeqEmpty) + past_lsu(IssueClass::MemDeqEmpty),
+            deq_data: past_lsu(IssueClass::MemDeqData),
+        }
+    }
+
+    /// Add `n` hunts' worth of this tally to the per-cause stall counters.
+    fn charge(&self, n: u64, stats: &mut SimStats) {
+        stats.stall_barrier += self.barrier * n;
+        stats.stall_scoreboard += self.scoreboard * n;
+        stats.stall_lsu_full += self.lsu_full * n;
+        stats.deq_empty_stalls += self.deq_empty * n;
+        stats.deq_data_stalls += self.deq_data * n;
+    }
+
+    /// Charge `n` empty issue slots to a bucket: majority stall cause over
     /// the warps considered, ties broken by a fixed order (back-pressure
     /// causes first) so attribution is deterministic. Slots where no warp
     /// was even considered are `enq_full` when the affine engine was
     /// blocked on a full ATQ this cycle, else `idle`.
-    fn attribute(&self, enq_pressure: bool, stats: &mut SimStats) {
+    fn attribute(&self, n: u64, enq_pressure: bool, stats: &mut SimStats) {
         let ranked = [
             self.deq_data,
             self.deq_empty,
@@ -208,26 +253,38 @@ impl StallTally {
         ];
         if ranked.iter().sum::<u64>() == 0 {
             if enq_pressure {
-                stats.slot_enq_full += 1;
+                stats.slot_enq_full += n;
             } else {
-                stats.slot_idle += 1;
+                stats.slot_idle += n;
             }
             return;
         }
         let mut best = 0;
-        for (i, &n) in ranked.iter().enumerate().skip(1) {
-            if n > ranked[best] {
+        for (i, &c) in ranked.iter().enumerate().skip(1) {
+            if c > ranked[best] {
                 best = i;
             }
         }
         match best {
-            0 => stats.slot_deq_data += 1,
-            1 => stats.slot_deq_empty += 1,
-            2 => stats.slot_lsu_full += 1,
-            3 => stats.slot_scoreboard += 1,
-            _ => stats.slot_barrier += 1,
+            0 => stats.slot_deq_data += n,
+            1 => stats.slot_deq_empty += n,
+            2 => stats.slot_lsu_full += n,
+            3 => stats.slot_scoreboard += n,
+            _ => stats.slot_barrier += n,
         }
     }
+}
+
+/// How one scheduler's hunt for a ready warp ended.
+enum Hunt {
+    /// This warp issues.
+    Issue(usize),
+    /// The walk visited every owned warp and none could issue; the tally
+    /// holds what stopped them.
+    Stalled(StallTally),
+    /// The census showed no candidate, so nothing was visited
+    /// ([`Sm::dry_hunts`] counts it).
+    Dry,
 }
 
 #[derive(Debug, Clone)]
@@ -276,7 +333,20 @@ pub struct Sm {
     /// Releases in the calendar, so a cycle with none pending (most of a
     /// memory-bound run) never touches the buckets.
     writeback_pending: usize,
+    /// No pending release is due before this cycle: lowered by every
+    /// schedule, raised to the next due release when the SM goes to sleep.
+    writeback_next: u64,
     lsu: VecDeque<LsuTxn>,
+    /// The fabric accepted the LSU head in this cycle's `pump_lsu` (else
+    /// the LSU was empty or its head was refused).
+    lsu_sent: bool,
+    /// First cycle of the current sleep (`None`: awake). Cycles from here
+    /// on are skipped until a wake event, then credited by
+    /// [`Sm::settle_sleep`].
+    asleep_since: Option<u64>,
+    /// While asleep: the first cycle a timed event — the next writeback
+    /// due, a coprocessor deadline — wakes the SM (`u64::MAX`: none).
+    wake_at: u64,
     /// In-flight loads/atomics by token. A short linear-scan Vec, not a
     /// map: a handful of entries at most, and removal order never matters.
     outstanding: Vec<(u64, LoadTrack)>,
@@ -341,7 +411,11 @@ impl Sm {
                 vec![Vec::new(); (horizon.max(1) as usize + 1).next_power_of_two()]
             },
             writeback_pending: 0,
+            writeback_next: 0,
             lsu: VecDeque::new(),
+            lsu_sent: false,
+            asleep_since: None,
+            wake_at: u64::MAX,
             outstanding: Vec::new(),
             next_token: 0,
             resp_scratch: Vec::new(),
@@ -359,27 +433,36 @@ impl Sm {
         }
     }
 
-    /// One line of live state for the deadlock report: what the SM holds
-    /// and what stands between each warp slot and issue (classes as of the
-    /// last scheduler hunt).
+    /// One line of live state for the deadlock report: what the SM holds,
+    /// what stands between each warp slot and issue (classes as of the
+    /// last scheduler hunt), and whether it sleeps — since which cycle and
+    /// until which timed event (`timer:none`: only an external event can
+    /// wake it).
     pub(crate) fn stall_state(&self) -> String {
         let count =
             |c: IssueClass| -> u32 { self.schedulers.iter().map(|s| s.census[c as usize]).sum() };
+        let sleep = match self.asleep_since {
+            None => "awake".to_string(),
+            Some(since) if self.wake_at == u64::MAX => format!("since:{since},timer:none"),
+            Some(since) => format!("since:{since},timer:{}", self.wake_at),
+        };
         format!(
-            "ctas={} warps[absent={} barrier={} scoreboard={} plain={} mem={} gated={} \
-             gated_mem={}] writeback={} head={:?} lsu={} idle={}",
+            "ctas={} warps[absent={} barrier={} scoreboard={} plain={} mem={} deq_empty={} \
+             mem_deq_empty={} mem_deq_data={}] writeback={} head={:?} lsu={} idle={} sleep={}",
             self.resident,
             count(IssueClass::Absent),
             count(IssueClass::Barrier),
             count(IssueClass::Scoreboard),
             count(IssueClass::Plain),
             count(IssueClass::Mem),
-            count(IssueClass::Gated),
-            count(IssueClass::GatedMem),
+            count(IssueClass::DeqEmpty),
+            count(IssueClass::MemDeqEmpty),
+            count(IssueClass::MemDeqData),
             self.writeback_pending,
             self.writeback.iter().flatten().map(|&(at, ..)| at).min(),
             self.lsu.len(),
-            self.idle()
+            self.idle(),
+            sleep
         )
     }
 
@@ -515,6 +598,23 @@ impl Sm {
         };
         self.writeback[(at & mask) as usize].push((at, warp as u32, enc));
         self.writeback_pending += 1;
+        self.writeback_next = self.writeback_next.min(at);
+    }
+
+    /// The cycle the earliest pending release is due (`u64::MAX`: none),
+    /// from `writeback_next` on. Every pending release is due within one
+    /// lap of the ring after `now`, so the first non-empty bucket holds it.
+    fn next_writeback(&mut self, now: u64) -> u64 {
+        if self.writeback_pending == 0 {
+            return u64::MAX;
+        }
+        let mask = self.writeback.len() as u64 - 1;
+        let mut at = self.writeback_next.max(now + 1);
+        while self.writeback[(at & mask) as usize].is_empty() {
+            at += 1;
+        }
+        self.writeback_next = at;
+        at
     }
 
     /// One SM cycle: writeback and fabric-response drains, the coprocessor
@@ -525,6 +625,11 @@ impl Sm {
     /// The run loop calls this once per SM in index order, so SM index
     /// orders every same-cycle access to `mem` and every partition-queue
     /// admission.
+    ///
+    /// A sleeping SM returns at once unless a wake event has reached it:
+    /// its timer, or [`MemoryFabric::wakes`]. Waking credits the cycles
+    /// slept, then the cycle runs as usual. A cycle that issued and drained
+    /// nothing ends with [`Sm::try_sleep`].
     #[allow(clippy::too_many_arguments)]
     pub fn cycle(
         &mut self,
@@ -537,11 +642,14 @@ impl Sm {
         stats: &mut SimStats,
         tracer: &mut dyn Tracer,
     ) {
-        self.drain_writebacks(now);
-        self.drain_responses(now, fabric, coproc, tracer);
-        // Everything since the last issue stage (these drains, last
-        // cycle's barrier releases and retires, this cycle's launches).
-        self.reclassify(kctx);
+        if self.asleep_since.is_some() {
+            if now < self.wake_at && !fabric.wakes(self.id, now) {
+                return;
+            }
+            self.wake(now, cfg, coproc, stats);
+        }
+        let wrote_back = self.drain_writebacks(now);
+        let responded = self.drain_responses(now, fabric, coproc, tracer);
 
         // Coprocessor gets first crack at issue slot 0 (the affine warp
         // shares the SM's issue bandwidth, paper §4.4).
@@ -555,11 +663,16 @@ impl Sm {
                 line_bytes: cfg.mem.line_bytes,
                 pbuf_stats: coproc.wants_pbuf_stats(now).then(|| fabric.pbuf_stats()),
                 issue_slot: &mut slot0_free,
+                dirty: &mut self.dirty,
                 stats,
                 tracer,
             };
             coproc.step(&mut ctx);
         }
+        // Everything since the last issue stage (these drains, the step's
+        // queue heads, last cycle's barrier releases and retires, this
+        // cycle's launches).
+        self.reclassify(kctx, coproc);
         let enq_pressure = stats.enq_full_stalls > enq_before;
         let affine_consumed = slot0_was_free && !slot0_free;
         if affine_consumed {
@@ -568,6 +681,7 @@ impl Sm {
             stats.affine_issue_slots += 1;
         }
 
+        let mut issued = affine_consumed;
         for s in 0..self.schedulers.len() {
             if self.schedulers[s].busy_until > now {
                 // An affine-consumed slot 0 is already bucketed as
@@ -578,33 +692,138 @@ impl Sm {
                 }
                 continue;
             }
-            let mut tally = StallTally::default();
-            if let Some(w) = self.pick_warp(s, now, cfg, kctx, coproc, stats, tracer, &mut tally) {
-                stats.slot_issued += 1;
-                let cost = self.issue(w, now, cfg, kctx, mem, coproc, stats, tracer);
-                self.reclassify(kctx);
-                let busy = match cost {
-                    IssueCost::Normal => cfg.issue_interval,
-                    IssueCost::Fast => 1,
-                };
-                self.schedulers[s].busy_until = now + busy;
-            } else {
-                stats.idle_scheduler_cycles += 1;
-                tally.attribute(s == 0 && enq_pressure, stats);
+            match self.pick_warp(s, now, cfg, stats, tracer) {
+                Hunt::Issue(w) => {
+                    stats.slot_issued += 1;
+                    let cost = self.issue(w, now, cfg, kctx, mem, coproc, stats, tracer);
+                    self.reclassify(kctx, coproc);
+                    let busy = match cost {
+                        IssueCost::Normal => cfg.issue_interval,
+                        IssueCost::Fast => 1,
+                    };
+                    self.schedulers[s].busy_until = now + busy;
+                    issued = true;
+                }
+                Hunt::Stalled(tally) => {
+                    stats.idle_scheduler_cycles += 1;
+                    tally.attribute(1, s == 0 && enq_pressure, stats);
+                }
+                Hunt::Dry => self.dry_hunts(s, 1, cfg, s == 0 && enq_pressure, stats),
             }
         }
 
         self.resolve_barriers(coproc);
         coproc.pump(self.id, now, fabric, stats, tracer);
         self.pump_lsu(now, fabric, tracer);
+        if !(issued || wrote_back || responded || tracer.enabled()) {
+            self.try_sleep(now, cfg, coproc);
+        }
     }
 
-    fn drain_writebacks(&mut self, now: u64) {
-        if self.writeback_pending == 0 {
+    /// Charge `n` hunts of scheduler `s` that its census answers: with no
+    /// candidate, a walk would visit every owned non-absent slot once and
+    /// issue nothing, so the stall counters, `idle_scheduler_cycles` and
+    /// the slot bucket follow from the class counts. The one place such a
+    /// hunt is counted — `n` = 1 in a ticking cycle, the cycles slept on
+    /// waking.
+    fn dry_hunts(
+        &self,
+        s: usize,
+        n: u64,
+        cfg: &GpuConfig,
+        enq_pressure: bool,
+        stats: &mut SimStats,
+    ) {
+        let lsu_full = self.lsu.len() >= cfg.lsu_queue;
+        let tally = StallTally::of_census(&self.schedulers[s].census, lsu_full);
+        tally.charge(n, stats);
+        stats.idle_scheduler_cycles += n;
+        tally.attribute(n, enq_pressure, stats);
+    }
+
+    /// End of a cycle that issued and drained nothing, untraced: if the
+    /// next cycle could only repeat this one's counters, sleep from it.
+    /// That needs every scheduler free and without a candidate (and no
+    /// pool sweep pending), the LSU empty or its head just refused, and
+    /// the coprocessor quiet ([`CoProcessor::quiet_until`]); nothing on
+    /// the SM can then change until a wake event. The timer is the next
+    /// writeback due or the coprocessor's deadline, whichever comes first.
+    fn try_sleep(&mut self, now: u64, cfg: &GpuConfig, coproc: &dyn CoProcessor) {
+        debug_assert!(self.dirty.is_empty() && self.cta_dirty.is_empty());
+        // An accepted LSU request leaves a head not yet tried, and it
+        // changed the port after the coprocessor's request was refused
+        // this cycle (the MSHR it took can make a refused prefetch
+        // redundant).
+        if self.lsu_sent {
             return;
+        }
+        let next = now + 1;
+        let lsu_full = self.lsu.len() >= cfg.lsu_queue;
+        if self
+            .schedulers
+            .iter()
+            .any(|s| s.busy_until > next || s.pool_stale || has_candidate(&s.census, lsu_full))
+        {
+            return;
+        }
+        let Some(deadline) = coproc.quiet_until(self.id) else {
+            return;
+        };
+        let wake_at = deadline.min(self.next_writeback(now));
+        if wake_at > next {
+            self.asleep_since = Some(next);
+            self.wake_at = wake_at;
+        }
+    }
+
+    /// Credit the cycles slept so far, up to (not including) `until`, as
+    /// the ticking cycles would have counted them: the coprocessor's share
+    /// ([`CoProcessor::credit_quiet`]), then every scheduler's dry hunts.
+    /// The SM stays asleep; nothing it holds changed while it slept, so
+    /// one cycle's counts times the cycles is exact. Called on waking,
+    /// when the run ends and before a deadlock report.
+    pub(crate) fn settle_sleep(
+        &mut self,
+        until: u64,
+        cfg: &GpuConfig,
+        coproc: &mut dyn CoProcessor,
+        stats: &mut SimStats,
+    ) {
+        let Some(since) = self.asleep_since else {
+            return;
+        };
+        if until > since {
+            let n = until - since;
+            let enq_pressure = coproc.credit_quiet(self.id, n, stats);
+            for s in 0..self.schedulers.len() {
+                self.dry_hunts(s, n, cfg, s == 0 && enq_pressure, stats);
+            }
+            self.asleep_since = Some(until);
+        }
+    }
+
+    /// Wake at cycle `now` if asleep, crediting the cycles slept. The
+    /// command processor calls this before it binds, releases or launches
+    /// onto the SM.
+    pub(crate) fn wake(
+        &mut self,
+        now: u64,
+        cfg: &GpuConfig,
+        coproc: &mut dyn CoProcessor,
+        stats: &mut SimStats,
+    ) {
+        self.settle_sleep(now, cfg, coproc, stats);
+        self.asleep_since = None;
+    }
+
+    /// Release the writebacks due at `now`; did any?
+    fn drain_writebacks(&mut self, now: u64) -> bool {
+        if self.writeback_pending == 0 {
+            return false;
         }
         let bucket = (now & (self.writeback.len() as u64 - 1)) as usize;
         let mut due = std::mem::take(&mut self.writeback[bucket]);
+        let released = !due.is_empty();
         self.writeback_pending -= due.len();
         for (at, warp, enc) in due.drain(..) {
             debug_assert_eq!(at, now, "SM {}: calendar bucket out of step", self.id);
@@ -620,6 +839,7 @@ impl Sm {
         }
         // Hand the (empty) allocation back for the bucket's next lap.
         self.writeback[bucket] = due;
+        released
     }
 
     /// A scoreboard release landed on resident warp `w`: a live warp may
@@ -644,16 +864,18 @@ impl Sm {
         }
     }
 
+    /// Deliver the fabric responses ready at `now`; were there any?
     fn drain_responses(
         &mut self,
         now: u64,
         fabric: &mut MemoryFabric,
         coproc: &mut dyn CoProcessor,
         tracer: &mut dyn Tracer,
-    ) {
+    ) -> bool {
         let mut resps = std::mem::take(&mut self.resp_scratch);
         resps.clear();
         fabric.drain_responses_into(self.id, now, tracer, &mut resps);
+        let responded = !resps.is_empty();
         for resp in &resps {
             match resp.client {
                 Client::Lsu => {
@@ -670,17 +892,22 @@ impl Sm {
                         }
                     }
                 }
-                Client::Dac | Client::Mta => coproc.on_response(resp),
+                Client::Dac | Client::Mta => {
+                    if let Some(w) = coproc.on_response(resp) {
+                        self.dirty.push(w);
+                    }
+                }
             }
         }
         self.resp_scratch = resps;
+        responded
     }
 
     /// The one classification function: what stands between warp slot `w`
-    /// and issue, from the warp's own state (in the order the checks
-    /// bind: existence, barrier, scoreboard, then what the instruction
-    /// needs from the LSU and the coprocessor).
-    fn classify(&self, w: usize, kctx: &KernelCtx<'_>) -> IssueClass {
+    /// and issue, from the warp's own state and its `deq.*` queue (in the
+    /// order the checks bind: existence, barrier, scoreboard, then what the
+    /// instruction needs from the coprocessor and the LSU).
+    fn classify(&self, w: usize, kctx: &KernelCtx<'_>, coproc: &dyn CoProcessor) -> IssueClass {
         let Some(warp) = self.warps[w].as_ref() else {
             return IssueClass::Absent;
         };
@@ -690,29 +917,44 @@ impl Sm {
         if warp.at_barrier {
             return IssueClass::Barrier;
         }
-        let info = &kctx.issue_info[warp.stack.pc()];
+        let pc = warp.stack.pc();
+        let info = &kctx.issue_info[pc];
         if info.scoreboard_blocked(warp) {
             return IssueClass::Scoreboard;
         }
-        match (info.has_deq, info.is_mem) {
-            (false, false) => IssueClass::Plain,
-            (false, true) => IssueClass::Mem,
-            (true, false) => IssueClass::Gated,
-            (true, true) => IssueClass::GatedMem,
+        let gate = if info.has_deq {
+            coproc.deq_gate(self.id, w, &kctx.program.kernel.instrs[pc])
+        } else {
+            DeqGate::Open
+        };
+        match (gate, info.is_mem) {
+            (DeqGate::Open, false) => IssueClass::Plain,
+            (DeqGate::Open, true) => IssueClass::Mem,
+            (DeqGate::Empty, false) => IssueClass::DeqEmpty,
+            (DeqGate::Empty, true) => IssueClass::MemDeqEmpty,
+            (DeqGate::DataPending, true) => IssueClass::MemDeqData,
+            (DeqGate::DataPending, false) => unreachable!("only loads dequeue data"),
         }
     }
 
-    /// Bring the class of every event-touched warp slot up to date.
-    fn reclassify(&mut self, kctx: &KernelCtx<'_>) {
+    /// Bring the class of every event-touched warp slot up to date. Runs
+    /// right before every scheduler hunt, so debug builds check the whole
+    /// class structure here.
+    fn reclassify(&mut self, kctx: &KernelCtx<'_>, coproc: &dyn CoProcessor) {
         let nsched = self.schedulers.len();
         while let Some(w) = self.dirty.pop() {
-            let class = self.classify(w, kctx);
+            let class = self.classify(w, kctx, coproc);
             let sched = &mut self.schedulers[w % nsched];
             sched.census[self.class[w] as usize] -= 1;
             sched.census[class as usize] += 1;
             sched.pool_stale |= class == IssueClass::Absent && self.in_pool[w];
             self.class[w] = class;
         }
+        debug_assert!(
+            self.classes_current(kctx, coproc),
+            "SM {}: issue classes out of sync with warp state",
+            self.id
+        );
     }
 
     /// Does the incrementally maintained class structure equal a
@@ -720,11 +962,11 @@ impl Sm {
     /// census a recount of its slots, `in_pool` the pools' membership, and
     /// does every pool holding an `Absent` member know it is stale? (Debug
     /// builds assert this before every scheduler hunt.)
-    fn classes_current(&self, kctx: &KernelCtx<'_>) -> bool {
+    fn classes_current(&self, kctx: &KernelCtx<'_>, coproc: &dyn CoProcessor) -> bool {
         let nsched = self.schedulers.len();
         self.dirty.is_empty()
             && (0..self.class.len()).all(|w| {
-                self.class[w] == self.classify(w, kctx)
+                self.class[w] == self.classify(w, kctx, coproc)
                     && self.in_pool[w] == self.schedulers[w % nsched].active.contains(&w)
             })
             && self.schedulers.iter().enumerate().all(|(s, sched)| {
@@ -745,23 +987,14 @@ impl Sm {
     /// Visits warps in a fixed order (rotating pool, then ascending
     /// pending slots) because every stalled warp visited before the pick
     /// is counted and traced.
-    #[allow(clippy::too_many_arguments)]
     fn pick_warp(
         &mut self,
         s: usize,
         now: u64,
         cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
         tracer: &mut dyn Tracer,
-        tally: &mut StallTally,
-    ) -> Option<usize> {
-        debug_assert!(
-            self.classes_current(kctx),
-            "SM {}: issue classes out of sync with warp state at cycle {now}",
-            self.id
-        );
+    ) -> Hunt {
         let nsched = self.schedulers.len();
         // Evict finished warps from the pool.
         let Sm {
@@ -781,34 +1014,24 @@ impl Sm {
         // No warp this scheduler owns can issue, and nobody wants per-warp
         // stall events: the walk below would visit each non-absent owned
         // slot exactly once (pool, then the pending rest) and count it by
-        // class, so credit the counts directly.
-        let census = &self.schedulers[s].census;
-        let count = |c: IssueClass| census[c as usize] as u64;
-        let mem = count(IssueClass::Mem) + count(IssueClass::GatedMem);
+        // class, so the caller credits the counts directly.
         let lsu_full = self.lsu.len() >= cfg.lsu_queue;
-        let candidates =
-            count(IssueClass::Plain) + count(IssueClass::Gated) + if lsu_full { 0 } else { mem };
-        if candidates == 0 && !tracer.enabled() {
-            tally.barrier += count(IssueClass::Barrier);
-            tally.scoreboard += count(IssueClass::Scoreboard);
-            tally.lsu_full += mem;
-            stats.stall_barrier += count(IssueClass::Barrier);
-            stats.stall_scoreboard += count(IssueClass::Scoreboard);
-            stats.stall_lsu_full += mem;
-            return None;
+        if !has_candidate(&self.schedulers[s].census, lsu_full) && !tracer.enabled() {
+            return Hunt::Dry;
         }
+        let mut tally = StallTally::default();
         // 1. Ready warp already in the active pool (rotating order). The
         // pool is only mutated on a successful pick, so indexed iteration
         // sees exactly the snapshot a copy would.
         let pool_len = self.schedulers[s].active.len();
         for pos in 0..pool_len {
             let w = self.schedulers[s].active[pos];
-            if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) {
+            if self.warp_check(w, now, lsu_full, stats, tracer, &mut tally) {
                 // Rotate the pool so the warp after `w` gets priority next.
                 self.schedulers[s]
                     .active
                     .rotate_left((pos + 1) % pool_len.max(1));
-                return Some(w);
+                return Hunt::Issue(w);
             }
         }
         // 2. Swap in a ready pending warp.
@@ -816,7 +1039,7 @@ impl Sm {
             if self.class[w] == IssueClass::Absent || self.in_pool[w] {
                 continue;
             }
-            if self.warp_check(w, now, cfg, kctx, coproc, stats, tracer, tally) {
+            if self.warp_check(w, now, lsu_full, stats, tracer, &mut tally) {
                 let pool = &mut self.schedulers[s].active;
                 if pool.len() >= cfg.active_pool {
                     if let Some(evicted) = pool.pop_front() {
@@ -825,33 +1048,27 @@ impl Sm {
                 }
                 pool.push_back(w);
                 self.in_pool[w] = true;
-                return Some(w);
+                return Hunt::Issue(w);
             }
         }
-        None
+        Hunt::Stalled(tally)
     }
 
-    /// Can resident warp `w` issue this cycle? Reads the warp's class,
-    /// LSU occupancy for memory instructions, and the coprocessor gate
-    /// for `deq.*` ones (the only instructions a coprocessor holds back,
-    /// so the only ones it is asked about). A stalled warp is counted by
-    /// cause (identically whether tracing is on or off) and gets a
-    /// [`TraceEvent::WarpStall`] when a tracer is attached.
-    #[allow(clippy::too_many_arguments)]
+    /// Can resident warp `w` issue this cycle? Reads the warp's class and,
+    /// for memory instructions, LSU occupancy (which binds before the
+    /// `deq.*` gate). A stalled warp is counted by cause (identically
+    /// whether tracing is on or off) and gets a [`TraceEvent::WarpStall`]
+    /// when a tracer is attached.
     fn warp_check(
         &self,
         w: usize,
         now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        coproc: &mut dyn CoProcessor,
+        lsu_full: bool,
         stats: &mut SimStats,
         tracer: &mut dyn Tracer,
         tally: &mut StallTally,
     ) -> bool {
-        let class = self.class[w];
-        let lsu_full = self.lsu.len() >= cfg.lsu_queue;
-        let cause = match class {
+        let cause = match self.class[w] {
             IssueClass::Absent => unreachable!("scheduler visited empty warp slot {w}"),
             IssueClass::Barrier => {
                 stats.stall_barrier += 1;
@@ -863,27 +1080,20 @@ impl Sm {
                 tally.scoreboard += 1;
                 StallCause::Scoreboard
             }
-            IssueClass::Mem | IssueClass::GatedMem if lsu_full => {
+            IssueClass::Mem | IssueClass::MemDeqEmpty | IssueClass::MemDeqData if lsu_full => {
                 stats.stall_lsu_full += 1;
                 tally.lsu_full += 1;
                 StallCause::LsuFull
             }
             IssueClass::Plain | IssueClass::Mem => return true,
-            IssueClass::Gated | IssueClass::GatedMem => {
-                let pc = self.warps[w].as_ref().unwrap().stack.pc();
-                let instr = &kctx.program.kernel.instrs[pc];
-                let deq_data_before = stats.deq_data_stalls;
-                if coproc.can_issue(self.id, w, instr, stats) {
-                    return true;
-                }
-                // Coprocessor gates keep their own counters
-                // (deq_empty_stalls / deq_data_stalls); split the tally
-                // the same way by watching which counter moved.
-                if stats.deq_data_stalls > deq_data_before {
-                    tally.deq_data += 1;
-                } else {
-                    tally.deq_empty += 1;
-                }
+            IssueClass::DeqEmpty | IssueClass::MemDeqEmpty => {
+                stats.deq_empty_stalls += 1;
+                tally.deq_empty += 1;
+                StallCause::CoprocGate
+            }
+            IssueClass::MemDeqData => {
+                stats.deq_data_stalls += 1;
+                tally.deq_data += 1;
                 StallCause::CoprocGate
             }
         };
@@ -1402,11 +1612,13 @@ impl Sm {
     }
 
     fn pump_lsu(&mut self, now: u64, fabric: &mut MemoryFabric, tracer: &mut dyn Tracer) {
+        self.lsu_sent = false;
         // One transaction per cycle reaches the L1 (one coalesced access
         // per cycle, as on Fermi).
         if let Some(txn) = self.lsu.front() {
             match fabric.access_traced(now, txn.req, tracer) {
                 AccessOutcome::Accepted => {
+                    self.lsu_sent = true;
                     let txn = self.lsu.pop_front().unwrap();
                     // Stores need no tracking (they were never inserted).
                     debug_assert!(
@@ -1676,8 +1888,8 @@ mod tests {
             "six 16-warp CTAs fit 100 slots, a seventh does not"
         );
         assert_eq!((sm.free_warps, sm.resident_ctas()), (4, 6));
-        sm.reclassify(&kctx);
-        assert!(sm.classes_current(&kctx));
+        sm.reclassify(&kctx, &NullCoProcessor);
+        assert!(sm.classes_current(&kctx, &NullCoProcessor));
         assert_eq!(sm.class.len(), 100);
         assert!(sm.class[..96].iter().all(|&c| c == IssueClass::Plain));
         assert!(sm.class[96..].iter().all(|&c| c == IssueClass::Absent));

@@ -6,25 +6,18 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use simt_ir::{KernelBuilder, LaunchConfig, Operand, Program};
+use simt_ir::{KernelBuilder, LaunchConfig, Op, Operand, Program, Space, Width};
 use simt_mem::SparseMemory;
 use simt_sim::{GpuConfig, GpuSim};
 
-/// Run a two-instruction kernel under a 1-cycle budget (no kernel can
-/// finish dispatch + pipeline + retire that fast) and return the guard's
-/// panic message.
-fn guard_message() -> String {
-    let mut k = KernelBuilder::new("tiny", 0);
-    k.mov(Operand::Imm(7));
-    k.exit();
-    // More warps than the machine has issue slots in one cycle, so the
-    // run cannot complete inside the 1-cycle budget.
-    let prog = Program::new(k.build(), LaunchConfig::linear(8, 256, vec![])).unwrap();
+/// Run `prog` under a `budget`-cycle limit it cannot meet and return the
+/// guard's panic message.
+fn guard_message(prog: &Program, budget: u64) -> String {
     let mut cfg = GpuConfig::test_small();
-    cfg.max_cycles = 1;
+    cfg.max_cycles = budget;
     let gpu = GpuSim::new(cfg);
     let err = catch_unwind(AssertUnwindSafe(|| {
-        gpu.run(&prog, &mut SparseMemory::new());
+        gpu.run(prog, &mut SparseMemory::new());
     }))
     .expect_err("a 1-cycle budget must trip the deadlock guard");
     err.downcast_ref::<String>()
@@ -33,9 +26,17 @@ fn guard_message() -> String {
         .expect("guard panics with a message")
 }
 
+/// A two-instruction kernel under a 1-cycle budget (no kernel can finish
+/// dispatch + pipeline + retire that fast).
 #[test]
 fn deadlock_guard_reports_what_each_unit_waits_for() {
-    let msg = guard_message();
+    let mut k = KernelBuilder::new("tiny", 0);
+    k.mov(Operand::Imm(7));
+    k.exit();
+    // More warps than the machine has issue slots in one cycle, so the
+    // run cannot complete inside the 1-cycle budget.
+    let prog = Program::new(k.build(), LaunchConfig::linear(8, 256, vec![])).unwrap();
+    let msg = guard_message(&prog, 1);
     for needle in [
         "deadlock",
         "stalled at cycle 1",
@@ -44,8 +45,8 @@ fn deadlock_guard_reports_what_each_unit_waits_for() {
         // test_small: 2 SMs x 16 warp slots, so each SM holds two 8-warp
         // CTAs; in cycle 0 both schedulers issued one `mov` (ALU latency
         // 8), leaving every warp with an unblocked next instruction.
-        "sm0: ctas=2 warps[absent=0 barrier=0 scoreboard=0 plain=16 mem=0 gated=0 gated_mem=0] \
-         writeback=2 head=Some(8) lsu=0 idle=false",
+        "sm0: ctas=2 warps[absent=0 barrier=0 scoreboard=0 plain=16 mem=0 deq_empty=0 \
+         mem_deq_empty=0 mem_deq_data=0] writeback=2 head=Some(8) lsu=0 idle=false sleep=awake",
         "sm1: ctas=2 warps[",
         "fabric: quiescent=true",
         "partitions (inq/dram-reads/dram-queue): 0/0/0",
@@ -57,5 +58,28 @@ fn deadlock_guard_reports_what_each_unit_waits_for() {
     // The counters and wake deadlines that only fast-forward maintained.
     for gone in ["progress=", "wake="] {
         assert!(!msg.contains(gone), "report still has {gone:?}:\n{msg}");
+    }
+}
+
+/// One warp waits on a DRAM load past a 100-cycle budget. SM 1 never
+/// gets a CTA and sleeps from cycle 1 with no timer; SM 0 sleeps once the
+/// load has left its LSU, waiting on the fabric — and the report says so.
+#[test]
+fn deadlock_report_shows_which_sms_sleep() {
+    let mut k = KernelBuilder::new("wait", 1);
+    let a = k.mov(Operand::Param(0));
+    let v = k.ld(Space::Global, a, 0, Width::W32);
+    k.alu2(Op::Add, Operand::Reg(v), Operand::Imm(1));
+    k.exit();
+    let prog = Program::new(k.build(), LaunchConfig::linear(1, 32, vec![0x4000])).unwrap();
+    let msg = guard_message(&prog, 100);
+    for needle in [
+        "stalled at cycle 100",
+        "sm0: ctas=1 warps[absent=15 barrier=0 scoreboard=1 plain=0",
+        "writeback=0 head=None lsu=0 idle=false sleep=since:",
+        "sm1: ctas=0 warps[absent=16",
+        "lsu=0 idle=true sleep=since:1,timer:none",
+    ] {
+        assert!(msg.contains(needle), "report missing {needle:?}:\n{msg}");
     }
 }
