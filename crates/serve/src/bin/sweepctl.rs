@@ -1,9 +1,9 @@
 //! `sweepctl` — client for the sweep daemon (`serve`).
 //!
 //! Submits design-space grids, watches them to completion, fetches raw
-//! `dac-run/v1` artifacts out of the shared store, and runs the serving
-//! benchmark that produces `BENCH_pr7.json`. Machine-readable output (JSON
-//! documents) goes to stdout; progress lines go to stderr.
+//! `dac-run/v1` artifacts out of the shared store, and validates
+//! `dac-log/v1` logs. Machine-readable output (JSON documents) goes to
+//! stdout; progress lines go to stderr.
 
 use simt_harness::json::{self, Value};
 use simt_serve::client::Client;
@@ -27,12 +27,6 @@ commands:
   metrics      print service counters and p50/p90/p99 endpoint latency;
                --prom prints the Prometheus text exposition instead
   shutdown     stop the daemon
-  bench        run the cold/overlap/warm serving benchmark and write
-               BENCH_pr7.json (--out FILE, --benches A,B,C,D, --designs D,
-               --scale N)
-  check-bench FILE
-               validate FILE against the bench schema it declares
-               (dac-bench-pr7/v1 or dac-bench-pr8/v1)
   check-log FILE
                validate every dac-log/v1 line in FILE against
                schemas/log_v1.schema.json
@@ -41,7 +35,7 @@ connection options (all commands):
   --addr HOST:PORT   daemon address (default 127.0.0.1:7878)
   --port-file PATH   read the port from PATH (as written by serve
                      --port-file), host 127.0.0.1
-  --timeout SECS     watch/bench completion timeout (default 600)";
+  --timeout SECS     watch/tail completion timeout (default 600)";
 
 fn usage_exit(error: &str) -> ! {
     if error == "help" {
@@ -183,11 +177,6 @@ fn main() {
                 .unwrap_or_else(|e| fail(&e));
             println!("{}", v.to_json());
         }
-        "bench" => bench(&client, &common),
-        "check-bench" => {
-            let (path, _) = one_arg("check-bench", &common.rest, Some("a file"), None);
-            std::process::exit(check_bench_file(Path::new(&path)));
-        }
         "check-log" => {
             let (path, _) = one_arg("check-log", &common.rest, Some("a file"), None);
             std::process::exit(check_log_file(Path::new(&path)));
@@ -204,7 +193,7 @@ fn print_endpoint(client: &Client, path: &str) {
     println!("{}", v.to_json());
 }
 
-/// Build a grid-request JSON document from `submit`/`bench` style flags.
+/// Build a grid-request JSON document from `submit`'s flags.
 fn grid_json(
     benches: &[String],
     scenarios: &[String],
@@ -454,239 +443,9 @@ fn fetch(client: &Client, common: &Common) {
     }
 }
 
-/// One measured phase of the serving benchmark.
-struct Phase {
-    points: u64,
-    executed: u64,
-    wall_s: f64,
-}
-
-impl Phase {
-    fn to_json(&self) -> Value {
-        let hits = self.points - self.executed;
-        let rate = if self.points > 0 {
-            hits as f64 / self.points as f64
-        } else {
-            0.0
-        };
-        Value::Obj(vec![
-            ("points".into(), Value::Int(self.points)),
-            ("executed".into(), Value::Int(self.executed)),
-            ("hits".into(), Value::Int(hits)),
-            ("cache_hit_rate".into(), Value::Float(rate)),
-            ("wall_s".into(), Value::Float(self.wall_s)),
-            (
-                "points_per_sec".into(),
-                Value::Float(if self.wall_s > 0.0 {
-                    self.points as f64 / self.wall_s
-                } else {
-                    0.0
-                }),
-            ),
-        ])
-    }
-}
-
-/// Fresh-execution counter from `/metrics` — phase deltas of this counter
-/// are what "point served without simulating" is measured against.
-fn executed_counter(client: &Client) -> u64 {
-    client
-        .get("/metrics")
-        .and_then(|r| r.ok())
-        .unwrap_or_else(|e| fail(&e))
-        .get("executed")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| fail("metrics has no executed counter"))
-}
-
-/// Submit one grid, block until it completes, and measure how many of its
-/// points needed a fresh simulation (daemon-wide counter delta — run the
-/// benchmark against an otherwise idle daemon).
-fn run_phase(
-    client: &Client,
-    benches: &[String],
-    designs: &[String],
-    scale: u64,
-    timeout: Duration,
-) -> Phase {
-    let before = executed_counter(client);
-    let t0 = Instant::now();
-    let receipt = client
-        .post(
-            "/sweeps",
-            Some(&grid_json(benches, &[], designs, scale, &[])),
-        )
-        .and_then(|r| r.ok())
-        .unwrap_or_else(|e| fail(&e));
-    let id = receipt
-        .get("id")
-        .and_then(Value::as_str)
-        .unwrap_or_else(|| fail("receipt has no id"))
-        .to_string();
-    let status = watch(client, &id, timeout);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let after = executed_counter(client);
-    Phase {
-        points: status.get("total").and_then(Value::as_u64).unwrap_or(0),
-        executed: after - before,
-        wall_s,
-    }
-}
-
-/// The serving benchmark behind `BENCH_pr7.json`: a cold grid, an
-/// overlapping grid (sharing all but one benchmark), and an identical
-/// re-submission. Warm must execute nothing — the schema pins it.
-fn bench(client: &Client, common: &Common) {
-    let mut out = "BENCH_pr7.json".to_string();
-    let mut benches = split_list("BFS,LIB,MQ,SPV");
-    let mut designs = split_list("baseline,dac");
-    let mut scale = 1u64;
-    let mut it = common.rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| usage_exit(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--benches" => benches = split_list(&value("--benches")),
-            "--designs" => designs = split_list(&value("--designs")),
-            "--scale" => {
-                scale = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--scale: expected an integer"))
-            }
-            other => usage_exit(&format!("unknown bench option {other:?}")),
-        }
-    }
-    if benches.len() < 2 {
-        usage_exit("bench needs at least two benchmarks to overlap");
-    }
-    // Cold grid = all but the last benchmark; overlapping grid = all but
-    // the first. They share benches[1..n-1] — those points must be served,
-    // not re-simulated.
-    let cold = &benches[..benches.len() - 1];
-    let overlap = &benches[1..];
-
-    eprintln!("sweepctl: bench phase 1/3: cold {}", cold.join(","));
-    let cold_phase = run_phase(client, cold, &designs, scale, common.timeout);
-    eprintln!("sweepctl: bench phase 2/3: overlap {}", overlap.join(","));
-    let overlap_phase = run_phase(client, overlap, &designs, scale, common.timeout);
-    eprintln!("sweepctl: bench phase 3/3: warm {}", cold.join(","));
-    let warm_phase = run_phase(client, cold, &designs, scale, common.timeout);
-    if warm_phase.executed != 0 {
-        fail(&format!(
-            "warm phase re-executed {} point(s); the store is not serving",
-            warm_phase.executed
-        ));
-    }
-
-    let workers = client
-        .get("/status")
-        .and_then(|r| r.ok())
-        .unwrap_or_else(|e| fail(&e))
-        .get("workers")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    let total_points = cold_phase.points + overlap_phase.points + warm_phase.points;
-    let total_executed = cold_phase.executed + overlap_phase.executed;
-    let total_wall = cold_phase.wall_s + overlap_phase.wall_s + warm_phase.wall_s;
-    let strs = |items: &[String]| Value::Arr(items.iter().map(|s| Value::Str(s.clone())).collect());
-    let record = Value::Obj(vec![
-        ("schema".into(), Value::Str("dac-bench-pr7/v1".into())),
-        ("workers".into(), Value::Int(workers)),
-        ("scale".into(), Value::Int(scale)),
-        ("benches".into(), strs(&benches)),
-        ("designs".into(), strs(&designs)),
-        (
-            "phases".into(),
-            Value::Obj(vec![
-                ("cold".into(), cold_phase.to_json()),
-                ("overlap".into(), overlap_phase.to_json()),
-                ("warm".into(), warm_phase.to_json()),
-            ]),
-        ),
-        (
-            "totals".into(),
-            Phase {
-                points: total_points,
-                executed: total_executed,
-                wall_s: total_wall,
-            }
-            .to_json(),
-        ),
-    ]);
-    let text = record.to_json();
-    std::fs::write(&out, format!("{text}\n"))
-        .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-    eprintln!("sweepctl: bench record -> {out}");
-    println!("{text}");
-}
-
-/// Load and parse a checked-in schema file; `Err` is the process exit code.
-fn load_schema(schema_path: &Path) -> Result<Value, i32> {
-    let schema_text = match std::fs::read_to_string(schema_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("sweepctl: cannot read {}: {e}", schema_path.display());
-            return Err(2);
-        }
-    };
-    match json::parse(&schema_text) {
-        Ok(v) => Ok(v),
-        Err(e) => {
-            eprintln!("sweepctl: {} is invalid JSON: {e}", schema_path.display());
-            Err(1)
-        }
-    }
-}
-
-/// Validate a bench record against the schema it declares (`dac-bench-pr7/v1`
-/// or `dac-bench-pr8/v1`). Returns the process exit code (0 = valid).
-fn check_bench_file(path: &Path) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("sweepctl: cannot read {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("sweepctl: {} is invalid JSON: {e}", path.display());
-            return 1;
-        }
-    };
-    let declared = value.get("schema").and_then(Value::as_str);
-    let (name, schema_path) = match declared {
-        Some("dac-bench-pr7/v1") => ("dac-bench-pr7/v1", "schemas/bench_pr7.schema.json"),
-        Some("dac-bench-pr8/v1") => ("dac-bench-pr8/v1", "schemas/bench_pr8.schema.json"),
-        _ => {
-            eprintln!(
-                "sweepctl: {} declares unknown schema {declared:?}",
-                path.display()
-            );
-            return 1;
-        }
-    };
-    let schema = match load_schema(Path::new(schema_path)) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let mut errors = Vec::new();
-    json::validate(&value, &schema, "$", &mut errors);
-    if errors.is_empty() {
-        println!("sweepctl: {} is a valid {name} record", path.display());
-        0
-    } else {
-        for e in &errors {
-            eprintln!("sweepctl: {}: {e}", path.display());
-        }
-        1
-    }
-}
+/// The checked-in `dac-log/v1` schema, compiled in so that `check-log`
+/// works from any directory while the repository file stays the one source.
+const LOG_SCHEMA: &str = include_str!("../../../../schemas/log_v1.schema.json");
 
 /// Validate every `dac-log/v1` line in a log file against
 /// `schemas/log_v1.schema.json`. Non-JSON lines (CLI progress output mixed
@@ -701,10 +460,7 @@ fn check_log_file(path: &Path) -> i32 {
             return 2;
         }
     };
-    let schema = match load_schema(Path::new("schemas/log_v1.schema.json")) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let schema = json::parse(LOG_SCHEMA).expect("the compiled-in log schema is valid JSON");
     let mut checked = 0usize;
     let mut bad = 0usize;
     for (lineno, line) in text.lines().enumerate() {

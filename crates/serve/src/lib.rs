@@ -1,7 +1,7 @@
 //! `simt-serve`: a persistent design-space sweep service over the shared
 //! result store.
 //!
-//! The CLI tools (`sweep`, `perf`) are one-shot: they run a grid, write
+//! The CLI tools (`sweep`, `figures`) are one-shot: they run a grid, write
 //! artifacts, and exit. This crate adds the long-running counterpart the
 //! roadmap calls for — a daemon that owns `results/` and turns design-space
 //! exploration into a service:

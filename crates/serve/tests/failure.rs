@@ -165,14 +165,7 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
     // `shutdown --adr HOST` would otherwise stop whatever daemon the
     // defaults reach. (`--addr` here points every probe at this daemon, so
     // a `shutdown` that got through would be seen.)
-    for (args, offending) in [
-        (&["status", "--port", "1"][..], "--port"),
-        (&["shutdown", "--adr", "x"], "--adr"),
-        (&["status", "extra"], "extra"),
-        (&["metrics", "--prom", "--json"], "--json"),
-        (&["watch", &id, "--json"], "--json"),
-        (&["tail", &id, "again"], "again"),
-    ] {
+    let rejected = |args: &[&str], needle: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_sweepctl"))
             .args(args)
             .args(["--addr", &addr])
@@ -181,9 +174,22 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        let needle = format!("unknown {} option {offending:?}", args[0]);
-        assert!(stderr.contains(&needle), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a reply");
+    };
+    for (args, offending) in [
+        (&["status", "--port", "1"][..], "--port"),
+        (&["shutdown", "--adr", "x"], "--adr"),
+        (&["status", "extra"], "extra"),
+        (&["metrics", "--prom", "--json"], "--json"),
+        (&["watch", &id, "--json"], "--json"),
+        (&["tail", &id, "again"], "again"),
+    ] {
+        rejected(args, &format!("unknown {} option {offending:?}", args[0]));
+    }
+    // Retired commands fail the same way, as unknown commands.
+    for args in [&["bench"][..], &["check-bench", "record.json"]] {
+        rejected(args, &format!("unknown command {:?}", args[0]));
     }
     // The forms each command does take still work, against a daemon the
     // rejected `shutdown` left running.
@@ -201,4 +207,34 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
     client.post("/shutdown", None).unwrap().ok().unwrap();
     serving.join().unwrap();
     let _ = fs::remove_dir_all(&results);
+}
+
+/// `check-log` validates against the schema compiled into the binary, so
+/// it gives the same verdict from any working directory.
+#[test]
+fn check_log_works_outside_the_repository() {
+    let dir = std::env::temp_dir().join(format!("dac-check-log-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let line = |level: &str| {
+        format!(
+            r#"{{"schema":"dac-log/v1","ts_us":1,"level":"{level}","target":"t","msg":"m","fields":{{}}}}"#
+        )
+    };
+    fs::write(
+        dir.join("valid.log"),
+        format!("progress line\n{}\n", line("info")),
+    )
+    .unwrap();
+    fs::write(dir.join("invalid.log"), format!("{}\n", line("loud"))).unwrap();
+    for (file, code) in [("valid.log", 0), ("invalid.log", 1)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweepctl"))
+            .args(["check-log", file])
+            .current_dir(&dir)
+            .output()
+            .expect("run sweepctl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{file}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,10 @@
 //! End-to-end observability tests over a real socket: the per-sweep event
 //! journal long-poll (`GET /sweeps/:id/events`) and the Prometheus text
-//! exposition (`GET /metrics?format=prom`) plus the HTML dashboard.
+//! exposition (`GET /metrics?format=prom`) plus the HTML dashboard; and the
+//! `dac-log/v1` lines the logger writes, against the checked-in schema.
 
 use simt_harness::json;
+use simt_obs::log::{self, Format, Level};
 use simt_serve::client::Client;
 use simt_serve::http::Server;
 use simt_serve::{ServeConfig, SweepService};
@@ -198,4 +200,64 @@ fn prom_exposition_and_dashboard_over_http() {
 
     client.post("/shutdown", None).unwrap().ok().unwrap();
     serving.join().unwrap();
+}
+
+fn schema_errors(line: &json::Value) -> Vec<String> {
+    let schema = json::parse(include_str!("../../../schemas/log_v1.schema.json")).unwrap();
+    let mut errors = Vec::new();
+    json::validate(line, &schema, "$", &mut errors);
+    errors
+}
+
+#[test]
+fn json_log_lines_conform_to_the_checked_in_schema() {
+    // The logger is process-global and the other tests here run daemons
+    // that log too: switch to JSON before capturing, so every captured line
+    // is a dac-log/v1 document, and validate all of them.
+    log::set_level(Level::Debug);
+    log::set_format(Format::Json);
+    let cap = log::capture();
+    let awkward = "quote \" backslash \\ newline \n non-ASCII é→✓";
+    simt_obs::error!("obs.schema", "error event"; code = 7u64);
+    simt_obs::warn!("obs.schema", "warn event"; ratio = 0.5f64, ok = false);
+    simt_obs::info!("obs.schema", awkward; text = awkward);
+    simt_obs::debug!("obs.schema", "debug event"; delta = -3i64);
+    simt_obs::log_at!(
+        Level::Info,
+        Some(log::next_span()),
+        "obs.schema",
+        "spanned event"
+    );
+    let out = cap.take();
+    drop(cap);
+    log::set_format(Format::Text);
+    log::set_level(Level::Info);
+
+    let mut ours = Vec::new();
+    for line in out.lines() {
+        let value = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let errors = schema_errors(&value);
+        assert!(errors.is_empty(), "{line}: {errors:?}");
+        if value.get("target").and_then(json::Value::as_str) == Some("obs.schema") {
+            ours.push(value);
+        }
+    }
+    let levels: Vec<&str> = ours.iter().map(|v| s(v, "level")).collect();
+    assert_eq!(levels, ["error", "warn", "info", "debug", "info"]);
+    assert_eq!(s(&ours[2], "msg"), awkward, "message escaping round-trips");
+    let fields = ours[2].get("fields").unwrap();
+    assert_eq!(s(fields, "text"), awkward, "field escaping round-trips");
+    assert!(ours[..4].iter().all(|v| v.get("span").is_none()));
+    assert!(u(&ours[4], "span") >= 1);
+
+    // Narrowing the validator must not turn it into accepting everything:
+    // an unknown level and a span of 0 are each reported.
+    let bad = json::parse(
+        r#"{"schema":"dac-log/v1","ts_us":1,"level":"trace","target":"t","msg":"m","span":0,"fields":{}}"#,
+    )
+    .unwrap();
+    let errors = schema_errors(&bad);
+    assert_eq!(errors.len(), 2, "{errors:?}");
+    assert!(errors[0].starts_with("$.level"), "{errors:?}");
+    assert!(errors[1].starts_with("$.span"), "{errors:?}");
 }
