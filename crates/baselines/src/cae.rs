@@ -250,6 +250,7 @@ mod tests {
     use simt_ir::{Dim3, KernelBuilder, LaunchConfig, Op, Operand, Program, Space, Width};
     use simt_mem::SparseMemory;
     use simt_sim::{GpuConfig, GpuSim};
+    use simt_trace::NullTracer;
 
     fn streaming_compute_kernel() -> simt_ir::Kernel {
         // Address math is affine, plus a chunk of scalar compute.
@@ -284,7 +285,7 @@ mod tests {
 
         let mut mem2 = SparseMemory::new();
         let mut cae = Cae::new(CaeConfig::default());
-        let rep = gpu.run_with(&prog, &mut mem2, &mut cae);
+        let rep = gpu.run_traced(&prog, &mut mem2, &mut cae, &mut NullTracer);
 
         assert!(rep.stats.cae_affine_instructions > 0);
         // Same result.

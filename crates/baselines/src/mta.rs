@@ -205,33 +205,30 @@ impl CoProcessor for Mta {
         if self.sms.is_empty() {
             return;
         }
-        // Throttle: compare the prefetch buffer's unused-eviction rate.
-        // The counters move only during the fabric cycle, so the post-fabric
-        // snapshot in `ctx.pbuf_stats` (requested via `wants_pbuf_stats`)
-        // equals what a direct read would see.
+        // Throttle: compare the prefetch buffer's unused-eviction rate,
+        // read from the fabric on this SM's evaluation deadline only (the
+        // read walks every port).
         let (period, threshold) = (self.cfg.throttle_period, self.cfg.pollution_threshold);
-        if let Some((pbuf_unused, pbuf_fills)) = ctx.pbuf_stats {
-            let s = &mut self.sms[sm];
-            if ctx.now.saturating_sub(s.last_eval) >= period {
-                s.last_eval = ctx.now;
-                let unused = pbuf_unused.saturating_sub(s.last_unused);
-                let fills = pbuf_fills.saturating_sub(s.last_fills);
-                s.last_unused = pbuf_unused;
-                s.last_fills = pbuf_fills;
-                if fills > 8 {
-                    let ratio = unused as f64 / fills as f64;
-                    if ratio > threshold && s.degree > 1 {
-                        s.degree -= 1;
-                        s.throttled += 1;
-                    } else if ratio < threshold / 2.0 && s.degree < self.cfg.max_degree {
-                        s.degree += 1;
-                    }
+        let s = &mut self.sms[sm];
+        if ctx.now.saturating_sub(s.last_eval) >= period {
+            let (pbuf_unused, pbuf_fills) = ctx.fabric.pbuf_stats();
+            s.last_eval = ctx.now;
+            let unused = pbuf_unused.saturating_sub(s.last_unused);
+            let fills = pbuf_fills.saturating_sub(s.last_fills);
+            s.last_unused = pbuf_unused;
+            s.last_fills = pbuf_fills;
+            if fills > 8 {
+                let ratio = unused as f64 / fills as f64;
+                if ratio > threshold && s.degree > 1 {
+                    s.degree -= 1;
+                    s.throttled += 1;
+                } else if ratio < threshold / 2.0 && s.degree < self.cfg.max_degree {
+                    s.degree += 1;
                 }
             }
         }
         // Latch one prefetch per cycle into the port latch; `pump` submits
         // it to the fabric after the SM's issue stage.
-        let s = &mut self.sms[sm];
         debug_assert!(s.pending_pump.is_none(), "pump did not drain the latch");
         s.pending_pump = s.queue.pop_front();
     }
@@ -264,7 +261,7 @@ impl CoProcessor for Mta {
             client: Client::Mta,
             token: 0,
         };
-        match fabric.access_traced(now, req, tracer) {
+        match fabric.access(now, req, tracer) {
             AccessOutcome::Accepted => {
                 stats.prefetches_issued += 1;
             }
@@ -287,14 +284,6 @@ impl CoProcessor for Mta {
         (s.queue.is_empty() || s.pump_refused)
             .then_some(s.last_eval.saturating_add(self.cfg.throttle_period))
     }
-
-    /// The throttle evaluation is the only consumer of the prefetch-buffer
-    /// counter snapshot; ask for it exactly on evaluation deadlines.
-    fn wants_pbuf_stats(&self, now: u64) -> bool {
-        self.sms
-            .iter()
-            .any(|s| now.saturating_sub(s.last_eval) >= self.cfg.throttle_period)
-    }
 }
 
 #[cfg(test)]
@@ -303,6 +292,7 @@ mod tests {
     use simt_ir::{CmpOp, Dim3, KernelBuilder, LaunchConfig, Op, Operand, Program, Width};
     use simt_mem::{MemConfig, SparseMemory};
     use simt_sim::{GpuConfig, GpuSim};
+    use simt_trace::NullTracer;
 
     /// Strided streaming loop: ideal prefetcher food.
     fn streaming_loop_kernel() -> simt_ir::Kernel {
@@ -355,7 +345,7 @@ mod tests {
         let mut mem_m = SparseMemory::new();
         mem_m.write_u32_slice(0x100_0000, &input);
         let mut mta = Mta::default();
-        let rep = pf_gpu().run_with(&prog, &mut mem_m, &mut mta);
+        let rep = pf_gpu().run_traced(&prog, &mut mem_m, &mut mta, &mut NullTracer);
 
         // Correctness unchanged (prefetching is invisible).
         assert_eq!(

@@ -2,14 +2,14 @@
 //!
 //! The observability front end: runs a single cycle-level simulation with
 //! the event tracer attached, writes a Chrome `trace_event` JSON (load it
-//! in `chrome://tracing` or Perfetto) plus a `dac-trace/v1` JSONL, then
-//! validates the written JSON by re-parsing it and prints derived
-//! time-series summaries (IPC windows, queue occupancy, run-ahead
-//! histogram).
+//! in `chrome://tracing` or Perfetto) plus a `dac-trace/v1` JSONL through
+//! the same writer as `sweep --trace`, then validates both files by
+//! re-parsing them and prints derived time-series summaries (IPC windows,
+//! queue occupancy, run-ahead histogram).
 
 use dac_bench::cli::{require_runnable, CommonArgs, COMMON_USAGE};
-use simt_harness::{json, DesignPoint, Job};
-use simt_trace::{chrome, jsonl, series, RingSink, TraceEvent};
+use simt_harness::{json, write_trace, DesignPoint, Job};
+use simt_trace::{series, RingSink, TraceEvent};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -74,33 +74,17 @@ fn main() {
         result.wall_ms / 1e3
     );
 
-    // Export both formats.
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("trace: cannot create {}: {e}", dir.display());
+    let [chrome_path, jsonl_path] = write_trace(&dir, &job, &sink).unwrap_or_else(|e| {
+        eprintln!("trace: cannot write to {}: {e}", dir.display());
         std::process::exit(1);
-    }
-    let stem = format!(
-        "{}-s{}-{}",
-        job.bench().to_ascii_lowercase(),
-        job.scale,
-        point.name()
-    );
-    let chrome_path = dir.join(format!("{stem}.trace.json"));
-    let jsonl_path = dir.join(format!("{stem}.trace.jsonl"));
-    let chrome_text = chrome::export(sink.events(), sink.dropped());
-    let scale = args.scale.to_string();
-    let meta = [
-        ("bench", job.bench()),
-        ("scale", scale.as_str()),
-        ("design", point.name()),
-    ];
-    let jsonl_text = jsonl::export(sink.events(), &meta, sink.dropped());
-    for (path, text) in [(&chrome_path, &chrome_text), (&jsonl_path, &jsonl_text)] {
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("trace: cannot write {}: {e}", path.display());
+    });
+    let read = |path: &PathBuf| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("trace: cannot read back {}: {e}", path.display());
             std::process::exit(1);
-        }
-    }
+        })
+    };
+    let (chrome_text, jsonl_text) = (read(&chrome_path), read(&jsonl_path));
 
     // Validate what was written: the Chrome file must parse as JSON and
     // carry every retained event; every JSONL line must parse too.

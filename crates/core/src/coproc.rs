@@ -223,7 +223,7 @@ impl Dac {
         }
         // A Data record's lines are requested early; an Addr record has none.
         let (lines, n) = if prefetch {
-            unique_lines(&thread_addrs, ctx.line_bytes)
+            unique_lines(&thread_addrs, ctx.fabric.config().line_bytes)
         } else {
             ([0; 32], 0)
         };
@@ -599,7 +599,7 @@ impl CoProcessor for Dac {
             client: Client::Dac,
             token: id,
         };
-        match fabric.access_traced(now, req, tracer) {
+        match fabric.access(now, req, tracer) {
             AccessOutcome::Accepted => {
                 debug_assert_eq!(s.pending_lines.front(), Some(&(id, line)));
                 s.pending_lines.pop_front();
@@ -652,6 +652,7 @@ mod tests {
     use simt_ir::{Dim3, Kernel, LaunchConfig};
     use simt_mem::SparseMemory;
     use simt_sim::{GpuConfig, GpuSim};
+    use simt_trace::NullTracer;
 
     fn figure4_kernel() -> Kernel {
         simt_ir::asm::parse_kernel(
@@ -712,7 +713,7 @@ LOOP:
         let mut dac = Dac::new(DacConfig::paper(), dk);
         let mut mem_d = SparseMemory::new();
         mem_d.write_u32_slice(a_base, &input);
-        let rep = gpu.run_with(&dac_prog, &mut mem_d, &mut dac);
+        let rep = gpu.run_traced(&dac_prog, &mut mem_d, &mut dac, &mut NullTracer);
 
         // Functional equivalence.
         assert_eq!(
@@ -762,7 +763,12 @@ LOOP:
         let prog = simt_ir::Program::new(dk.non_affine.clone(), launch).unwrap();
         let mut dac = Dac::new(DacConfig::paper(), dk);
         let mut mem = SparseMemory::new();
-        let rep = GpuSim::new(GpuConfig::test_small()).run_with(&prog, &mut mem, &mut dac);
+        let rep = GpuSim::new(GpuConfig::test_small()).run_traced(
+            &prog,
+            &mut mem,
+            &mut dac,
+            &mut NullTracer,
+        );
         assert_eq!(rep.stats.affine_instructions, 0);
         assert_eq!(rep.stats.decoupled_loads, 0);
     }
@@ -811,7 +817,7 @@ DONE:
         let mut dac = Dac::new(DacConfig::paper(), dk);
         let mut mem_d = SparseMemory::new();
         mem_d.write_u32_slice(0x4000, &input);
-        let rep = gpu.run_with(&prog, &mut mem_d, &mut dac);
+        let rep = gpu.run_traced(&prog, &mut mem_d, &mut dac, &mut NullTracer);
 
         assert_eq!(
             mem_b.read_u32_vec(0x9000, 128),
@@ -848,7 +854,12 @@ DONE:
         let mut dac = Dac::new(cfg, dk);
         let mut mem = SparseMemory::new();
         mem.write_u32_slice(0x10_0000, &input);
-        let rep = GpuSim::new(GpuConfig::test_small()).run_with(&prog, &mut mem, &mut dac);
+        let rep = GpuSim::new(GpuConfig::test_small()).run_traced(
+            &prog,
+            &mut mem,
+            &mut dac,
+            &mut NullTracer,
+        );
         for i in 0..n {
             assert_eq!(mem.read_u32(0x80_0000 + 4 * i as u64), i as u32 + 1);
         }

@@ -28,6 +28,7 @@
 //! use simt_ir::{Program, LaunchConfig};
 //! use simt_sim::{GpuSim, GpuConfig};
 //! use simt_mem::SparseMemory;
+//! use simt_trace::NullTracer;
 //!
 //! # fn demo(kernel: simt_ir::Kernel, launch: LaunchConfig) {
 //! let analysis = AffineAnalysis::run(&kernel);
@@ -35,7 +36,8 @@
 //! let program = Program::new(dk.non_affine.clone(), launch).unwrap();
 //! let mut dac = Dac::new(DacConfig::default(), dk);
 //! let mut mem = SparseMemory::new();
-//! let report = GpuSim::new(GpuConfig::gtx480()).run_with(&program, &mut mem, &mut dac);
+//! let gpu = GpuSim::new(GpuConfig::gtx480());
+//! let report = gpu.run_traced(&program, &mut mem, &mut dac, &mut NullTracer);
 //! println!("{} cycles", report.cycles);
 //! # }
 //! ```

@@ -7,6 +7,7 @@ use dac_core::{Dac, DacConfig};
 use simt_ir::{asm, LaunchConfig, Program};
 use simt_mem::SparseMemory;
 use simt_sim::{GpuConfig, GpuSim};
+use simt_trace::NullTracer;
 
 fn run_both(
     text: &str,
@@ -29,7 +30,7 @@ fn run_both(
     let mut dac = Dac::new(cfg, dk);
     let mut m2 = SparseMemory::new();
     init(&mut m2);
-    let rep = gpu.run_with(&dprog, &mut m2, &mut dac);
+    let rep = gpu.run_traced(&dprog, &mut m2, &mut dac, &mut NullTracer);
     (
         m1.read_u32_vec(out.0, out.1),
         m2.read_u32_vec(out.0, out.1),

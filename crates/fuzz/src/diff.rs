@@ -17,10 +17,11 @@ use crate::oracle::{run_oracle, OracleError};
 use crate::spec::{A_WORDS, GEN_VERSION};
 use dac_core::DacConfig;
 use gpu_workloads::kernels::{ARR_A, ARR_B};
-use gpu_workloads::{gpu_for, run_dac, run_design, BenchRun, Design, Workload};
+use gpu_workloads::{gpu_for, run_design, BenchRun, Design, Workload};
 use simt_harness::Overrides;
 use simt_profile::CpiStack;
 use simt_sim::{GpuSim, SimReport};
+use simt_trace::NullTracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What the driver checks and on which machine shape.
@@ -144,10 +145,8 @@ impl std::fmt::Display for DiffFailure {
 /// config derivation), returning the full [`BenchRun`].
 pub fn run_one(w: &Workload, design: Design, ov: &Overrides) -> BenchRun {
     let gpu = GpuSim::new(ov.apply_gpu(gpu_for(design)));
-    match design {
-        Design::Dac => run_dac(w, &gpu, ov.apply_dac(DacConfig::paper())),
-        d => run_design(w, d, &gpu),
-    }
+    let dac = ov.apply_dac(DacConfig::paper());
+    run_design(w, design, &gpu, dac, &mut NullTracer)
 }
 
 fn run_caught(w: &Workload, design: Design, ov: &Overrides) -> Result<BenchRun, DiffFailure> {

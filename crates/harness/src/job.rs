@@ -4,10 +4,7 @@
 
 use crate::cache::fnv1a64;
 use dac_core::DacConfig;
-use gpu_workloads::{
-    gpu_for, run_dac_traced, run_design_traced, run_scenario_design_traced, Design, Scenario,
-    Workload,
-};
+use gpu_workloads::{gpu_for, run_design, run_scenario_design, Design, Scenario, Workload};
 use simt_sim::{GpuConfig, GpuSim, KernelReport, PlacementPolicy, SimReport};
 use simt_trace::{NullTracer, Tracer};
 use std::sync::Arc;
@@ -414,33 +411,22 @@ impl Job {
         }
     }
 
+    /// The design whose coprocessor the job runs: perfect memory is the
+    /// baseline design on a perfect-memory machine ([`Job::gpu`]).
+    fn design(&self) -> Design {
+        match self.point {
+            DesignPoint::PerfectMem => Design::Baseline,
+            DesignPoint::Hw(d) => d,
+        }
+    }
+
     fn execute_bench(&self, w: &Workload, tracer: &mut dyn Tracer) -> JobResult {
         let t0 = Instant::now();
-        let gpu = self.gpu();
-        let (report, memory) = match self.point {
-            DesignPoint::PerfectMem => {
-                let mut memory = w.fresh_memory();
-                let mut nop = simt_sim::NullCoProcessor;
-                let report = gpu.run_traced(&w.program(), &mut memory, &mut nop, tracer);
-                (report, memory)
-            }
-            DesignPoint::Hw(Design::Dac) => {
-                let run = run_dac_traced(
-                    w,
-                    &gpu,
-                    self.overrides.apply_dac(DacConfig::paper()),
-                    tracer,
-                );
-                (run.report, run.memory)
-            }
-            DesignPoint::Hw(design) => {
-                let run = run_design_traced(w, design, &gpu, tracer);
-                (run.report, run.memory)
-            }
-        };
-        let words = memory.read_u32_vec(w.output.0, w.output.1);
+        let dac = self.overrides.apply_dac(DacConfig::paper());
+        let run = run_design(w, self.design(), &self.gpu(), dac, tracer);
+        let words = run.memory.read_u32_vec(w.output.0, w.output.1);
         JobResult {
-            report,
+            report: run.report,
             per_kernel: Vec::new(),
             output_digest: digest_words(&words),
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -450,19 +436,8 @@ impl Job {
 
     fn execute_scenario(&self, sc: &Scenario, tracer: &mut dyn Tracer) -> JobResult {
         let t0 = Instant::now();
-        let design = match self.point {
-            DesignPoint::PerfectMem => Design::Baseline,
-            DesignPoint::Hw(d) => d,
-        };
-        let gpu = self.gpu();
-        let run = run_scenario_design_traced(
-            sc,
-            design,
-            &gpu,
-            self.policy(),
-            self.overrides.apply_dac(DacConfig::paper()),
-            tracer,
-        );
+        let dac = self.overrides.apply_dac(DacConfig::paper());
+        let run = run_scenario_design(sc, self.design(), &self.gpu(), self.policy(), dac, tracer);
         let words = sc.output_words(&run.memory);
         JobResult {
             report: SimReport {

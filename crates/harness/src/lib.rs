@@ -47,7 +47,7 @@ pub use pool::WorkerPool;
 use gpu_workloads::{Scenario, Workload};
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -258,7 +258,7 @@ impl Harness {
                 Some(spec) => {
                     let mut sink = simt_trace::RingSink::new(spec.events);
                     let result = job.execute_traced(&mut sink);
-                    if let Err(e) = write_trace(spec, &job, &sink) {
+                    if let Err(e) = write_trace(&spec.dir, &job, &sink) {
                         simt_obs::warn!("harness.run", "trace write failed";
                             job = job.label(), error = e.to_string());
                     }
@@ -307,18 +307,27 @@ impl Harness {
 }
 
 /// Write one Chrome-JSON and one `dac-trace/v1` JSONL file for a traced
-/// job. File names fold in workload, scale, and design so a sweep's traces
-/// land side by side without clobbering each other.
-fn write_trace(spec: &TraceSpec, job: &Job, sink: &simt_trace::RingSink) -> std::io::Result<()> {
-    fs::create_dir_all(&spec.dir)?;
+/// job into `dir`, returning their paths in that order. File names fold in
+/// workload, scale, and design so a sweep's traces land side by side
+/// without clobbering each other.
+pub fn write_trace(
+    dir: &Path,
+    job: &Job,
+    sink: &simt_trace::RingSink,
+) -> std::io::Result<[PathBuf; 2]> {
+    fs::create_dir_all(dir)?;
     let stem = format!(
         "{}-s{}-{}",
         job.bench().to_ascii_lowercase(),
         job.scale,
         job.point.name()
     );
+    let paths = [
+        dir.join(format!("{stem}.trace.json")),
+        dir.join(format!("{stem}.trace.jsonl")),
+    ];
     let chrome = simt_trace::chrome::export(sink.events(), sink.dropped());
-    fs::write(spec.dir.join(format!("{stem}.trace.json")), chrome)?;
+    fs::write(&paths[0], chrome)?;
     let scale = job.scale.to_string();
     let meta = [
         ("bench", job.bench()),
@@ -326,8 +335,8 @@ fn write_trace(spec: &TraceSpec, job: &Job, sink: &simt_trace::RingSink) -> std:
         ("design", job.point.name()),
     ];
     let jsonl = simt_trace::jsonl::export(sink.events(), &meta, sink.dropped());
-    fs::write(spec.dir.join(format!("{stem}.trace.jsonl")), jsonl)?;
-    Ok(())
+    fs::write(&paths[1], jsonl)?;
+    Ok(paths)
 }
 
 /// Write one JSONL line per job into a fresh file under `dir`.

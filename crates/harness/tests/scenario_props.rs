@@ -10,7 +10,7 @@
 //! identical to serial ones.
 
 use dac_core::DacConfig;
-use gpu_workloads::{all_scenarios, run_scenario_design_traced, Design, Scenario};
+use gpu_workloads::{all_scenarios, run_scenario_design, Design, Scenario};
 use simt_harness::{artifact, scenario_jobs, DesignPoint, Harness, Job, Overrides};
 use simt_sim::{GpuConfig, GpuSim, PlacementPolicy};
 use simt_trace::{RingSink, TraceEvent};
@@ -123,7 +123,7 @@ fn resident_ctas_never_exceed_sm_limits() {
         for design in Design::ALL {
             for policy in [PlacementPolicy::Greedy, PlacementPolicy::RoundRobin] {
                 let mut sink = RingSink::new(1 << 20);
-                let run = run_scenario_design_traced(
+                let run = run_scenario_design(
                     &sc,
                     design,
                     &GpuSim::new(gpu.clone()),
@@ -155,7 +155,7 @@ fn all_ctas_of_all_streams_launch_and_retire() {
     let gpu = small_gpu();
     for sc in all_scenarios(1) {
         let mut sink = RingSink::new(1 << 20);
-        let run = run_scenario_design_traced(
+        let run = run_scenario_design(
             &sc,
             Design::Baseline,
             &GpuSim::new(gpu.clone()),

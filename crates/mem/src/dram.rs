@@ -1,7 +1,8 @@
 //! Banked DRAM with open-row (row-buffer) timing and a bandwidth-limited
 //! data bus.
 
-use simt_trace::{NullTracer, TraceEvent, Tracer};
+use crate::config::MemConfig;
+use simt_trace::{TraceEvent, Tracer};
 use std::collections::VecDeque;
 
 /// A memory request as seen by DRAM: just a line address plus whether it is
@@ -68,18 +69,8 @@ pub struct DramPartition {
 }
 
 impl DramPartition {
-    /// Create a partition.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        banks: usize,
-        row_bytes: u64,
-        row_hit_latency: u64,
-        row_miss_latency: u64,
-        row_hit_busy: u64,
-        row_miss_busy: u64,
-        burst_cycles: u64,
-        queue_capacity: usize,
-    ) -> Self {
+    /// Create a partition with `cfg`'s DRAM geometry and timing.
+    pub fn new(cfg: &MemConfig) -> Self {
         DramPartition {
             queue: VecDeque::new(),
             banks: vec![
@@ -87,15 +78,15 @@ impl DramPartition {
                     open_row: None,
                     busy_until: 0
                 };
-                banks
+                cfg.dram_banks
             ],
-            row_bytes,
-            row_hit_latency,
-            row_miss_latency,
-            row_hit_busy,
-            row_miss_busy,
-            burst_cycles,
-            queue_capacity,
+            row_bytes: cfg.dram_row_bytes,
+            row_hit_latency: cfg.dram_row_hit_latency,
+            row_miss_latency: cfg.dram_row_miss_latency,
+            row_hit_busy: cfg.dram_row_hit_busy,
+            row_miss_busy: cfg.dram_row_miss_busy,
+            burst_cycles: cfg.dram_burst_cycles,
+            queue_capacity: cfg.dram_queue,
             bus_free_at: 0,
             blocked_until: 0,
             done: VecDeque::new(),
@@ -132,13 +123,9 @@ impl DramPartition {
     /// Advance one cycle: FR-FCFS scheduling — prefer the oldest request
     /// that hits an open row in a free bank, then the oldest request whose
     /// bank is free (one scheduling decision per cycle, deterministic).
-    pub fn cycle(&mut self, now: u64) {
-        self.cycle_traced(now, 0, &mut NullTracer);
-    }
-
-    /// [`DramPartition::cycle`] emitting a [`TraceEvent::DramAccess`] per
-    /// scheduling decision. `partition` is only used to label the event.
-    pub fn cycle_traced(&mut self, now: u64, partition: usize, tracer: &mut dyn Tracer) {
+    /// Emits a [`TraceEvent::DramAccess`] per scheduling decision;
+    /// `partition` only labels the event.
+    pub fn cycle(&mut self, now: u64, partition: usize, tracer: &mut dyn Tracer) {
         if self.queue.is_empty() {
             return;
         }
@@ -223,9 +210,20 @@ impl DramPartition {
 mod tests {
     use super::*;
     use crate::test_rng::Rng;
+    use simt_trace::NullTracer;
 
     fn dram() -> DramPartition {
-        DramPartition::new(4, 2048, 60, 180, 16, 56, 4, 8)
+        DramPartition::new(&MemConfig {
+            dram_banks: 4,
+            dram_row_bytes: 2048,
+            dram_row_hit_latency: 60,
+            dram_row_miss_latency: 180,
+            dram_row_hit_busy: 16,
+            dram_row_miss_busy: 56,
+            dram_burst_cycles: 4,
+            dram_queue: 8,
+            ..MemConfig::gtx480()
+        })
     }
 
     fn req(line: u64, id: u64) -> DramRequest {
@@ -313,7 +311,7 @@ mod tests {
                 d.push(req);
                 m.queue.push(req);
             }
-            d.cycle(now);
+            d.cycle(now, 0, &mut NullTracer);
             m.cycle(now);
             loop {
                 let ready = matches!(m.done.front(), Some(&(at, _)) if at <= now);
@@ -334,7 +332,7 @@ mod tests {
     fn first_access_is_row_miss() {
         let mut d = dram();
         d.push(req(0, 1));
-        d.cycle(0);
+        d.cycle(0, 0, &mut NullTracer);
         assert_eq!(d.row_misses, 1);
         assert!(d.pop_done(0).is_none());
         assert!(d.pop_done(184).is_some()); // 180 + 4 burst
@@ -345,11 +343,11 @@ mod tests {
         let mut d = dram();
         d.push(req(0, 1));
         d.push(req(128, 2)); // same 2 KB row, same bank
-        d.cycle(0);
+        d.cycle(0, 0, &mut NullTracer);
         // Bank occupied for the miss's busy window; then the hit issues.
         let mut t = 1;
         while d.serviced < 2 {
-            d.cycle(t);
+            d.cycle(t, 0, &mut NullTracer);
             t += 1;
             assert!(t < 1000);
         }
@@ -368,7 +366,7 @@ mod tests {
             d.push(req(i * 128, i));
         }
         while d.serviced < 8 {
-            d.cycle(t);
+            d.cycle(t, 0, &mut NullTracer);
             t += 1;
             assert!(t < 2000);
         }
@@ -380,8 +378,8 @@ mod tests {
         let mut d = dram();
         d.push(req(0, 1));
         d.push(req(2048, 2)); // next bank
-        d.cycle(0);
-        d.cycle(1);
+        d.cycle(0, 0, &mut NullTracer);
+        d.cycle(1, 0, &mut NullTracer);
         // Both scheduled within 2 cycles (banks independent, bus staggers).
         assert_eq!(d.serviced, 2);
     }
@@ -394,7 +392,7 @@ mod tests {
         }
         let mut t = 0;
         while d.serviced < 4 {
-            d.cycle(t);
+            d.cycle(t, 0, &mut NullTracer);
             t += 1;
         }
         // The bus serializes: 4 bursts × 4 cycles each ⇒ ≥ 12 cycles of
@@ -411,7 +409,7 @@ mod tests {
             write: true,
             id: 9,
         });
-        d.cycle(0);
+        d.cycle(0, 0, &mut NullTracer);
         for t in 0..1000 {
             assert!(d.pop_done(t).is_none());
         }

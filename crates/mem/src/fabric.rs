@@ -8,7 +8,7 @@
 //! structural stalls are reported synchronously as
 //! [`AccessOutcome::Stall`] so callers can retry (that retry *is* the
 //! stall). A client that stops retrying while its SM sleeps is credited
-//! the retries it skipped when it next calls ([`MemoryFabric::access_traced`]),
+//! the retries it skipped when it next calls ([`MemoryFabric::access`]),
 //! and [`MemoryFabric::wakes`] names the cycles at which a sleeping SM's
 //! port or refused request can have changed.
 
@@ -18,7 +18,7 @@ use crate::dram::{DramPartition, DramRequest};
 use crate::fxhash::FxHashMap;
 use crate::mshr::{MshrTable, MshrTarget};
 use crate::stats::MemStats;
-use simt_trace::{NullTracer, StallCause, TraceClient, TraceEvent, TraceReqKind, Tracer};
+use simt_trace::{StallCause, TraceClient, TraceEvent, TraceReqKind, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -410,7 +410,7 @@ impl Partition {
             }
         }
         // 2. DRAM.
-        self.dram.cycle_traced(now, p, tracer);
+        self.dram.cycle(now, p, tracer);
         // 3. Completed DRAM reads → fill L2, route to SM.
         while let Some(done) = self.dram.pop_done(now) {
             let req = match self.inflight.remove(&done.id) {
@@ -488,16 +488,7 @@ impl MemoryFabric {
                 inq: VecDeque::new(),
                 popped: u64::MAX,
                 l2: Cache::new(cfg.l2_size_per_partition, cfg.l2_ways, cfg.line_bytes),
-                dram: DramPartition::new(
-                    cfg.dram_banks,
-                    cfg.dram_row_bytes,
-                    cfg.dram_row_hit_latency,
-                    cfg.dram_row_miss_latency,
-                    cfg.dram_row_hit_busy,
-                    cfg.dram_row_miss_busy,
-                    cfg.dram_burst_cycles,
-                    cfg.dram_queue,
-                ),
+                dram: DramPartition::new(&cfg),
                 inflight: FxHashMap::default(),
                 next_id: 0,
                 writebacks: 0,
@@ -517,27 +508,17 @@ impl MemoryFabric {
         &self.cfg
     }
 
-    /// Submit a request at cycle `now`.
-    pub fn access(&mut self, now: u64, req: MemRequest) -> AccessOutcome {
-        self.access_traced(now, req, &mut NullTracer)
-    }
-
-    /// [`MemoryFabric::access`] with request/stall events emitted into
-    /// `tracer`. Accepted requests with responses also record their
-    /// acceptance cycle so [`MemoryFabric::drain_responses_into`] can
-    /// report end-to-end latency.
+    /// Submit a request at cycle `now`, emitting its request or stall
+    /// event into `tracer`. While tracing, accepted requests with responses
+    /// also record their acceptance cycle so
+    /// [`MemoryFabric::drain_responses_into`] can report end-to-end latency.
     ///
     /// A client retries a refused request on every cycle its SM ticks, so
     /// when the same request comes back after a gap, its SM slept through
     /// the gap — and slept only while nothing that refused the request
     /// changed ([`MemoryFabric::wakes`]). Each skipped retry would have
     /// been refused for the same reason, and is counted as one here.
-    pub fn access_traced(
-        &mut self,
-        now: u64,
-        req: MemRequest,
-        tracer: &mut dyn Tracer,
-    ) -> AccessOutcome {
+    pub fn access(&mut self, now: u64, req: MemRequest, tracer: &mut dyn Tracer) -> AccessOutcome {
         debug_assert_eq!(req.line % self.cfg.line_bytes, 0, "unaligned line");
         let client = req.client.to_u8() as usize;
         if let Some(r) = self.sms[req.sm].refused[client] {
@@ -793,7 +774,7 @@ impl MemoryFabric {
     /// refused load or lock is refused on, besides the SM's own accesses),
     /// when a response is ready for it, or when a partition whose full
     /// queue refused one of its clients popped its head. Asked after
-    /// [`MemoryFabric::cycle_traced`] and before the SM's tick.
+    /// [`MemoryFabric::cycle`] and before the SM's tick.
     pub fn wakes(&self, sm: usize, now: u64) -> bool {
         let port = &self.sms[sm];
         port.matured == now
@@ -805,16 +786,11 @@ impl MemoryFabric {
                 .any(|r| r.full_queue.is_some_and(|p| self.parts[p].popped == now))
     }
 
-    /// Advance the hierarchy one cycle.
-    pub fn cycle(&mut self, now: u64) {
-        self.cycle_traced(now, &mut NullTracer);
-    }
-
-    /// [`MemoryFabric::cycle`] with L2-access and SM-fill events emitted
-    /// into `tracer`. Two phases: every partition cycles in index order
-    /// (delivering fills and direct responses to the ports), then every
-    /// port processes its matured events.
-    pub fn cycle_traced(&mut self, now: u64, tracer: &mut dyn Tracer) {
+    /// Advance the hierarchy one cycle, emitting L2-access, DRAM and
+    /// SM-fill events into `tracer`. Two phases: every partition cycles in
+    /// index order (delivering fills and direct responses to the ports),
+    /// then every port processes its matured events.
+    pub fn cycle(&mut self, now: u64, tracer: &mut dyn Tracer) {
         for (p, part) in self.parts.iter_mut().enumerate() {
             part.cycle(&self.cfg, p, now, &mut self.sms, tracer);
         }
@@ -969,6 +945,7 @@ impl MemoryFabric {
 mod tests {
     use super::*;
     use crate::test_rng::Rng;
+    use simt_trace::NullTracer;
 
     fn fabric() -> MemoryFabric {
         MemoryFabric::new(MemConfig::gtx480(), 2)
@@ -999,7 +976,7 @@ mod tests {
         limit: u64,
     ) -> (u64, Vec<MemResponse>) {
         for t in start..start + limit {
-            f.cycle(t);
+            f.cycle(t, &mut NullTracer);
             let r = drain(f, sm, t);
             if !r.is_empty() {
                 return (t, r);
@@ -1011,7 +988,10 @@ mod tests {
     #[test]
     fn cold_load_misses_to_dram_and_returns() {
         let mut f = fabric();
-        assert_eq!(f.access(0, load(0, 0, 42)), AccessOutcome::Accepted);
+        assert_eq!(
+            f.access(0, load(0, 0, 42), &mut NullTracer),
+            AccessOutcome::Accepted
+        );
         let (t, resps) = run_until_response(&mut f, 0, 0, 2000);
         assert_eq!(resps[0].token, 42);
         // Cold miss must pay icnt + L2 + DRAM row miss + return.
@@ -1025,9 +1005,9 @@ mod tests {
     #[test]
     fn second_load_hits_l1_fast() {
         let mut f = fabric();
-        f.access(0, load(0, 0, 1));
+        f.access(0, load(0, 0, 1), &mut NullTracer);
         let (t0, _) = run_until_response(&mut f, 0, 0, 2000);
-        f.access(t0 + 1, load(0, 0, 2));
+        f.access(t0 + 1, load(0, 0, 2), &mut NullTracer);
         let (t1, resps) = run_until_response(&mut f, 0, t0 + 1, 100);
         assert_eq!(resps[0].token, 2);
         assert!(t1 - t0 <= 29, "L1 hit latency too long: {}", t1 - t0);
@@ -1037,8 +1017,8 @@ mod tests {
     #[test]
     fn mshr_merges_same_line() {
         let mut f = fabric();
-        f.access(0, load(0, 0, 1));
-        f.access(0, load(0, 0, 2));
+        f.access(0, load(0, 0, 1), &mut NullTracer);
+        f.access(0, load(0, 0, 2), &mut NullTracer);
         // Both come back together in one fill.
         let (_, resps) = run_until_response(&mut f, 0, 0, 2000);
         let mut tokens: Vec<u64> = resps.iter().map(|r| r.token).collect();
@@ -1057,17 +1037,17 @@ mod tests {
             client: Client::Dac,
             token: 7,
         };
-        assert_eq!(f.access(0, req), AccessOutcome::Accepted);
+        assert_eq!(f.access(0, req, &mut NullTracer), AccessOutcome::Accepted);
         let (t, resps) = run_until_response(&mut f, 0, 0, 2000);
         assert_eq!(resps[0].client, Client::Dac);
         assert_eq!(f.locked_lines(0), 1);
         // Thrash the set: lines mapping to the same set are 96 sets apart.
         let stride = 128 * 96;
         for i in 1..=8u64 {
-            f.access(t + i, load(0, i * stride, 100 + i));
+            f.access(t + i, load(0, i * stride, 100 + i), &mut NullTracer);
         }
         for now in t + 9..t + 5009 {
-            f.cycle(now);
+            f.cycle(now, &mut NullTracer);
             drain(&mut f, 0, now);
             if f.quiescent() {
                 break;
@@ -1091,7 +1071,7 @@ mod tests {
                 client: Client::Dac,
                 token: i,
             };
-            if f.access(0, req) == AccessOutcome::Accepted {
+            if f.access(0, req, &mut NullTracer) == AccessOutcome::Accepted {
                 accepted += 1;
             }
         }
@@ -1110,10 +1090,10 @@ mod tests {
             client: Client::Lsu,
             token: 0,
         };
-        assert_eq!(f.access(0, st), AccessOutcome::Accepted);
+        assert_eq!(f.access(0, st, &mut NullTracer), AccessOutcome::Accepted);
         let mut now = 1;
         while !f.quiescent() && now < 3000 {
-            f.cycle(now);
+            f.cycle(now, &mut NullTracer);
             assert!(drain(&mut f, 0, now).is_empty());
             now += 1;
         }
@@ -1131,7 +1111,7 @@ mod tests {
             client: Client::Lsu,
             token: 5,
         };
-        assert_eq!(f.access(0, at), AccessOutcome::Accepted);
+        assert_eq!(f.access(0, at, &mut NullTracer), AccessOutcome::Accepted);
         let (_, resps) = run_until_response(&mut f, 1, 0, 3000);
         assert_eq!(resps[0].token, 5);
         assert!(!f.probe_l1(1, 256), "atomics must not fill L1");
@@ -1148,17 +1128,17 @@ mod tests {
             client: Client::Mta,
             token: 0,
         };
-        assert_eq!(f.access(0, pf), AccessOutcome::Accepted);
+        assert_eq!(f.access(0, pf, &mut NullTracer), AccessOutcome::Accepted);
         let mut now = 1;
         while !f.quiescent() && now < 3000 {
-            f.cycle(now);
+            f.cycle(now, &mut NullTracer);
             drain(&mut f, 0, now);
             now += 1;
         }
         assert_eq!(f.stats().pbuf_fills, 1);
         assert!(!f.probe_l1(0, 512));
         // Demand load now hits the prefetch buffer.
-        f.access(now, load(0, 512, 9));
+        f.access(now, load(0, 512, 9), &mut NullTracer);
         let (t, resps) = run_until_response(&mut f, 0, now, 100);
         assert_eq!(resps[0].token, 9);
         assert!(t - now <= 29);
@@ -1175,10 +1155,10 @@ mod tests {
             client: Client::Mta,
             token: 0,
         };
-        f.access(0, pf);
+        f.access(0, pf, &mut NullTracer);
         // Demand for the same line while prefetch is in flight merges and
         // upgrades the fill destination to L1.
-        f.access(1, load(0, 512, 3));
+        f.access(1, load(0, 512, 3), &mut NullTracer);
         let (_, resps) = run_until_response(&mut f, 0, 1, 3000);
         assert_eq!(resps.len(), 1);
         assert_eq!(resps[0].token, 3);
@@ -1188,7 +1168,7 @@ mod tests {
     #[test]
     fn redundant_prefetch_dropped() {
         let mut f = MemoryFabric::new(MemConfig::gtx480_with_prefetch_buffer(), 1);
-        f.access(0, load(0, 0, 1));
+        f.access(0, load(0, 0, 1), &mut NullTracer);
         let pf = MemRequest {
             sm: 0,
             line: 0,
@@ -1196,16 +1176,16 @@ mod tests {
             client: Client::Mta,
             token: 0,
         };
-        assert_eq!(f.access(0, pf), AccessOutcome::Accepted);
+        assert_eq!(f.access(0, pf, &mut NullTracer), AccessOutcome::Accepted);
         assert_eq!(f.stats().redundant_prefetches, 1);
     }
 
     #[test]
     fn perfect_memory_is_flat_and_fast() {
         let mut f = MemoryFabric::new(MemConfig::perfect(), 1);
-        f.access(0, load(0, 0, 1));
-        f.access(0, load(0, 128 * 999, 2));
-        f.cycle(1);
+        f.access(0, load(0, 0, 1), &mut NullTracer);
+        f.access(0, load(0, 128 * 999, 2), &mut NullTracer);
+        f.cycle(1, &mut NullTracer);
         let resps = drain(&mut f, 0, 1);
         assert_eq!(resps.len(), 2);
     }
@@ -1215,9 +1195,12 @@ mod tests {
         let mut cfg = MemConfig::gtx480();
         cfg.mshr_entries = 1;
         let mut f = MemoryFabric::new(cfg, 1);
-        assert_eq!(f.access(0, load(0, 0, 1)), AccessOutcome::Accepted);
         assert_eq!(
-            f.access(0, load(0, 128, 2)),
+            f.access(0, load(0, 0, 1), &mut NullTracer),
+            AccessOutcome::Accepted
+        );
+        assert_eq!(
+            f.access(0, load(0, 128, 2), &mut NullTracer),
             AccessOutcome::Stall(StallReason::MshrFull)
         );
         assert!(f.stats().mshr_full_stalls >= 1);
@@ -1254,7 +1237,7 @@ mod tests {
         let mut next_token = 0u64;
         let mut resps = Vec::new();
         for t in 0..20_000u64 {
-            f.cycle(t);
+            f.cycle(t, &mut NullTracer);
             // Offered load per slot per cycle, in percent: saturating,
             // nearly idle, moderate.
             let rate = [90, 10, 40][(t / 2500 % 3) as usize];
@@ -1298,7 +1281,7 @@ mod tests {
                         });
                     }
                     if let Some(req) = *pending {
-                        if f.access(t, req) == AccessOutcome::Accepted {
+                        if f.access(t, req, &mut NullTracer) == AccessOutcome::Accepted {
                             *pending = None;
                         }
                     }
@@ -1340,11 +1323,12 @@ mod tests {
         while got < n && now < 100_000 {
             if issued < n {
                 let line = 128 * issued;
-                if f.access(now, load(0, line, issued)) == AccessOutcome::Accepted {
+                if f.access(now, load(0, line, issued), &mut NullTracer) == AccessOutcome::Accepted
+                {
                     issued += 1;
                 }
             }
-            f.cycle(now);
+            f.cycle(now, &mut NullTracer);
             got += drain(&mut f, 0, now).len() as u64;
             now += 1;
         }

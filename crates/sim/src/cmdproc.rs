@@ -77,6 +77,8 @@ pub struct LaunchState {
 /// when. Replaces the old inline `next_cta` loop in `gpu.rs`.
 #[derive(Debug)]
 pub struct CommandProcessor {
+    /// The machine dispatched onto.
+    cfg: GpuConfig,
     policy: PlacementPolicy,
     /// Launch ids per stream, in issue order (ids are flattened
     /// stream-major: stream 0's launches first).
@@ -94,9 +96,9 @@ pub struct CommandProcessor {
 
 impl CommandProcessor {
     /// A command processor for `ctas_by_stream[s][i]` CTAs in launch `i`
-    /// of stream `s`, dispatching onto `num_sms` SMs. Launch ids are
+    /// of stream `s`, dispatching onto the SMs of `cfg`. Launch ids are
     /// assigned stream-major.
-    pub fn new(policy: PlacementPolicy, ctas_by_stream: &[Vec<u64>], num_sms: usize) -> Self {
+    pub fn new(policy: PlacementPolicy, ctas_by_stream: &[Vec<u64>], cfg: &GpuConfig) -> Self {
         let mut streams = Vec::with_capacity(ctas_by_stream.len());
         let mut states = Vec::new();
         for (s, launches) in ctas_by_stream.iter().enumerate() {
@@ -117,11 +119,12 @@ impl CommandProcessor {
         }
         let head = vec![0; streams.len()];
         CommandProcessor {
+            cfg: cfg.clone(),
             policy,
             streams,
             head,
             states,
-            bindings: vec![None; num_sms],
+            bindings: vec![None; cfg.num_sms],
             rr_sm: 0,
             rr_stream: 0,
         }
@@ -164,7 +167,7 @@ impl CommandProcessor {
     /// Pick a kernel for an unbound SM: each stream's head launch with
     /// CTAs left to dispatch is a candidate; the first whose CTA fits
     /// wins. Greedy scans streams from 0; round-robin rotates the start.
-    fn pick_kernel(&mut self, cfg: &GpuConfig, sm: &Sm, kctxs: &[KernelCtx<'_>]) -> Option<usize> {
+    fn pick_kernel(&mut self, sm: &Sm, kctxs: &[KernelCtx<'_>]) -> Option<usize> {
         let n = self.streams.len();
         let start = match self.policy {
             PlacementPolicy::Greedy => 0,
@@ -179,7 +182,7 @@ impl CommandProcessor {
             if st.next_cta == st.total_ctas {
                 continue; // head is draining; nothing left to place
             }
-            if !sm.can_accept_cta(cfg, &kctxs[k]) {
+            if !sm.can_accept_cta(&self.cfg, &kctxs[k]) {
                 continue;
             }
             if self.policy == PlacementPolicy::RoundRobin {
@@ -196,11 +199,9 @@ impl CommandProcessor {
     /// the chip before SMs fill up (as the hardware scheduler does). A
     /// sleeping SM is woken before it is bound, released or given a CTA,
     /// so the cycles it slept are credited to the kernel it slept under.
-    #[allow(clippy::too_many_arguments)]
     pub fn dispatch(
         &mut self,
         now: u64,
-        cfg: &GpuConfig,
         sms: &mut [Sm],
         kctxs: &[KernelCtx<'_>],
         coproc: &mut dyn CoProcessor,
@@ -223,7 +224,7 @@ impl CommandProcessor {
                     && s.idle()
                     && coproc.sm_quiescent(sm)
                 {
-                    s.wake(now, cfg, coproc, &mut rows[sm][k]);
+                    s.wake(now, &self.cfg, coproc, &mut rows[sm][k]);
                     self.bindings[sm] = None;
                     coproc.on_sm_bound(sm, None);
                 }
@@ -246,11 +247,12 @@ impl CommandProcessor {
                         }
                         k
                     }
-                    None => match self.pick_kernel(cfg, &sms[sm], kctxs) {
+                    None => match self.pick_kernel(&sms[sm], kctxs) {
                         Some(k) => k,
                         None => continue,
                     },
                 };
+                let cfg = &self.cfg;
                 if !sms[sm].can_accept_cta(cfg, &kctxs[k]) {
                     continue;
                 }
@@ -431,10 +433,6 @@ impl CoProcessor for MultiCoProcessor<'_> {
         }
     }
 
-    fn wants_pbuf_stats(&self, now: u64) -> bool {
-        self.children.iter().any(|c| c.wants_pbuf_stats(now))
-    }
-
     fn quiet_until(&self, sm: usize) -> Option<u64> {
         match self.child(sm) {
             Some(c) => c.quiet_until(sm),
@@ -479,7 +477,11 @@ mod tests {
 
     #[test]
     fn launch_ids_flatten_stream_major() {
-        let cp = CommandProcessor::new(PlacementPolicy::Greedy, &[vec![4, 2], vec![8]], 2);
+        let cfg = GpuConfig {
+            num_sms: 2,
+            ..GpuConfig::test_small()
+        };
+        let cp = CommandProcessor::new(PlacementPolicy::Greedy, &[vec![4, 2], vec![8]], &cfg);
         assert_eq!(cp.num_kernels(), 3);
         assert_eq!(
             (cp.state(0).stream, cp.state(0).seq, cp.state(0).total_ctas),

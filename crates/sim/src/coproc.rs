@@ -19,8 +19,10 @@
 //!   to [`simt_mem::Client::Dac`] / [`simt_mem::Client::Mta`];
 //! * **execution** — [`CoProcessor::step`] runs once per SM per cycle with
 //!   mutable access to the SM's issue slot, which is where DAC's affine
-//!   warp and expansion units live; [`CoProcessor::pump`] then submits
-//!   the cycle's fabric request;
+//!   warp and expansion units live, and a read-only view of the fabric
+//!   (MTA's throttle reads the prefetch-buffer counters there);
+//!   [`CoProcessor::pump`] then submits the cycle's fabric request after
+//!   the SM's issue stage (the AEU shares the L1 port with the LSU, §4.2);
 //! * **sleep** — [`CoProcessor::quiet_until`] lets an SM whose next cycle
 //!   could only repeat this one's counters sleep, and
 //!   [`CoProcessor::credit_quiet`] credits the coprocessor's share of the
@@ -78,23 +80,20 @@ pub enum IssueCost {
     Fast,
 }
 
-/// Mutable per-SM, per-cycle context handed to [`CoProcessor::step`].
+/// The per-SM, per-cycle context handed to [`CoProcessor::step`]: the
+/// coprocessor's non-generic view of the SM's tick.
 ///
-/// Fabric-free: `step` runs before the SM's issue stage and only latches
-/// requests; [`CoProcessor::pump`] submits them at the end of the SM's
-/// tick.
+/// The fabric is read-only here: `step` runs before the SM's issue stage
+/// and only latches requests; [`CoProcessor::pump`] submits them at the
+/// end of the SM's tick.
 pub struct CoCtx<'a> {
     /// Current cycle.
     pub now: u64,
     /// SM index.
     pub sm: usize,
-    /// Cache-line size (the only fabric geometry coprocessors need).
-    pub line_bytes: u64,
-    /// `(pbuf_unused_evictions, pbuf_fills)` snapshot taken after the
-    /// fabric cycle, present only on cycles where
-    /// [`CoProcessor::wants_pbuf_stats`] asked for it (MTA's periodic
-    /// throttle re-evaluation).
-    pub pbuf_stats: Option<(u64, u64)>,
+    /// The memory fabric as this SM's tick finds it (its geometry, and
+    /// [`MemoryFabric::pbuf_stats`] for MTA's throttle).
+    pub fabric: &'a MemoryFabric,
     /// True while this SM still has an unconsumed issue slot this cycle;
     /// set it to `false` to model the affine warp occupying the slot.
     pub issue_slot: &'a mut bool,
@@ -216,8 +215,9 @@ pub trait CoProcessor {
     }
 
     /// Per-SM, per-cycle execution (affine warp, expansion units,
-    /// prefetch bookkeeping). No fabric access: requests captured here are
-    /// submitted by [`CoProcessor::pump`] after the SM's issue stage.
+    /// prefetch bookkeeping). The fabric is read-only here: requests
+    /// captured here are submitted by [`CoProcessor::pump`] after the SM's
+    /// issue stage.
     fn step(&mut self, ctx: &mut CoCtx<'_>) {
         let _ = ctx;
     }
@@ -235,15 +235,6 @@ pub trait CoProcessor {
         tracer: &mut dyn Tracer,
     ) {
         let _ = (sm, now, fabric, stats, tracer);
-    }
-
-    /// Does [`CoProcessor::step`] need the prefetch-buffer counter
-    /// snapshot (`CoCtx::pbuf_stats`) this cycle? Computing it walks every
-    /// port, so the run loop only takes the snapshot when some coprocessor
-    /// asks (MTA, on throttle-evaluation deadlines).
-    fn wants_pbuf_stats(&self, now: u64) -> bool {
-        let _ = now;
-        false
     }
 
     /// May `sm` sleep after this cycle as far as the coprocessor is

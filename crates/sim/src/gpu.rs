@@ -6,7 +6,7 @@
 use crate::cmdproc::{CommandProcessor, MultiCoProcessor, PlacementPolicy};
 use crate::config::GpuConfig;
 use crate::coproc::{CoProcessor, NullCoProcessor};
-use crate::sm::{KernelCtx, Sm};
+use crate::sm::{KernelCtx, Sm, Tick};
 use crate::stats::SimStats;
 use crate::stream::{Stream, StreamLaunch};
 use simt_ir::{Kernel, LaunchConfig, Program};
@@ -182,35 +182,21 @@ impl GpuSim {
         }
     }
 
-    /// Run `program` on the baseline GPU (no coprocessor).
+    /// Run `program` on the baseline GPU (no coprocessor, no tracer).
     ///
     /// # Panics
     ///
     /// Panics if the program is malformed or the run exceeds
     /// `cfg.max_cycles` (deadlock guard).
     pub fn run(&self, program: &Program, mem: &mut SparseMemory) -> SimReport {
-        let mut null = NullCoProcessor;
-        self.run_with(program, mem, &mut null)
+        self.run_traced(program, mem, &mut NullCoProcessor, &mut NullTracer)
     }
 
-    /// Run `program` with a coprocessor attached (DAC / CAE / MTA).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program is malformed or the run exceeds
-    /// `cfg.max_cycles` (deadlock guard).
-    pub fn run_with(
-        &self,
-        program: &Program,
-        mem: &mut SparseMemory,
-        coproc: &mut dyn CoProcessor,
-    ) -> SimReport {
-        self.run_traced(program, mem, coproc, &mut NullTracer)
-    }
-
-    /// [`GpuSim::run_with`] with a tracer attached. Tracing is pure
-    /// observation: the returned [`SimReport`] is identical to an untraced
-    /// run (the harness determinism test asserts this).
+    /// Run `program` with a coprocessor attached (DAC / CAE / MTA, or
+    /// [`NullCoProcessor`]) and events emitted into `tracer` (a
+    /// [`NullTracer`] for an untraced run). Tracing is pure observation:
+    /// the returned [`SimReport`] is identical to an untraced run (the
+    /// harness determinism test asserts this).
     ///
     /// # Panics
     ///
@@ -237,24 +223,8 @@ impl GpuSim {
         }
     }
 
-    /// Run multiple kernel streams concurrently (untraced). See
-    /// [`GpuSim::run_streams_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any program is malformed, `coprocs` does not hold one
-    /// coprocessor per launch, or the run exceeds `cfg.max_cycles`.
-    pub fn run_streams(
-        &self,
-        streams: &[Stream],
-        mem: &mut SparseMemory,
-        coprocs: Vec<&mut dyn CoProcessor>,
-        policy: PlacementPolicy,
-    ) -> StreamReport {
-        self.run_streams_traced(streams, mem, coprocs, policy, &mut NullTracer)
-    }
-
-    /// Run multiple kernel streams concurrently. The command processor
+    /// Run multiple kernel streams concurrently, emitting events into
+    /// `tracer` (a [`NullTracer`] for an untraced run). The command processor
     /// dispatches CTAs of each stream's head launch onto SMs under the
     /// full occupancy model (CTA slots, warp slots, shared memory,
     /// register file); streams are in-order internally and compete for
@@ -323,7 +293,7 @@ impl GpuSim {
                     .collect()
             })
             .collect();
-        let mut cmdproc = CommandProcessor::new(policy, &ctas_by_stream, cfg.num_sms);
+        let mut cmdproc = CommandProcessor::new(policy, &ctas_by_stream, cfg);
 
         let mut router = if nk == 1 {
             Router::Single(coprocs.pop().unwrap())
@@ -338,26 +308,36 @@ impl GpuSim {
         let mut now = 0u64;
 
         loop {
-            cmdproc.dispatch(now, cfg, &mut sms, &kctxs, coproc, &mut rows, tracer);
+            cmdproc.dispatch(now, &mut sms, &kctxs, coproc, &mut rows, tracer);
 
-            fabric.cycle_traced(now, tracer);
+            fabric.cycle(now, tracer);
+            // An unbound SM ticks against kernel 0's context (it has no
+            // warps to read it) and the unbound attribution bin.
             for (i, sm) in sms.iter_mut().enumerate() {
-                // An unbound SM ticks against kernel 0's context (it has no
-                // warps to read it) and the unbound attribution bin.
                 let binding = cmdproc.binding(i);
-                sm.cycle(
+                sm.cycle(&mut Tick {
                     now,
                     cfg,
-                    &kctxs[binding.unwrap_or(0)],
+                    kctx: &kctxs[binding.unwrap_or(0)],
                     mem,
-                    &mut fabric,
+                    fabric: &mut fabric,
                     coproc,
-                    &mut rows[i][binding.unwrap_or(nk)],
+                    stats: &mut rows[i][binding.unwrap_or(nk)],
                     tracer,
-                );
+                });
             }
-            for (i, s) in sms.iter_mut().enumerate() {
-                let retired = s.retire_ctas(coproc, tracer, now);
+            for (i, sm) in sms.iter_mut().enumerate() {
+                let binding = cmdproc.binding(i);
+                let retired = sm.retire_ctas(&mut Tick {
+                    now,
+                    cfg,
+                    kctx: &kctxs[binding.unwrap_or(0)],
+                    mem,
+                    fabric: &mut fabric,
+                    coproc,
+                    stats: &mut rows[i][binding.unwrap_or(nk)],
+                    tracer,
+                });
                 if retired > 0 {
                     cmdproc.note_retired(i, retired as u64, now);
                 }

@@ -17,9 +17,7 @@ use crate::stats::SimStats;
 use crate::warp::WarpState;
 use simt_ir::cfg::DefTarget;
 use simt_ir::eval::{cmp_lanes, eval_lanes, Lanes};
-use simt_ir::{
-    AddrMode, AtomOp, Cfg, Instr, Operand, PredId, PredSrc, Program, RegId, Space, Width,
-};
+use simt_ir::{AddrMode, AtomOp, Cfg, Instr, PredId, PredSrc, Program, RegId, Space};
 use simt_mem::{
     AccessOutcome, Client, LaneAddrs, MemRequest, MemResponse, MemoryFabric, ReqKind, SparseMemory,
 };
@@ -123,6 +121,32 @@ impl<'a> KernelCtx<'a> {
             cta_regs: warps * 32 * program.kernel.regs_per_thread as u32,
         }
     }
+}
+
+/// Everything one SM's cycle borrows besides the SM itself: the cycle,
+/// the machine, the kernel the SM is bound to, functional memory, the
+/// fabric, the coprocessor, the SM's attribution bin and the tracer. The
+/// SM owns its own state; the run loop builds one of these per SM per
+/// cycle, and the coprocessor sees the part it needs as a [`CoCtx`].
+pub(crate) struct Tick<'a> {
+    /// Current cycle.
+    pub now: u64,
+    /// The machine.
+    pub cfg: &'a GpuConfig,
+    /// The bound kernel (kernel 0's for an unbound SM, which has no warps
+    /// to read it).
+    pub kctx: &'a KernelCtx<'a>,
+    /// Functional memory: loads, stores and atomics execute at issue.
+    pub mem: &'a mut SparseMemory,
+    /// The memory hierarchy.
+    pub fabric: &'a mut MemoryFabric,
+    /// The coprocessor (or the router over one per kernel).
+    pub coproc: &'a mut dyn CoProcessor,
+    /// The attribution bin of the SM's bound kernel (the unbound bin
+    /// while it has none).
+    pub stats: &'a mut SimStats,
+    /// Event tracer (a `NullTracer` outside traced runs).
+    pub tracer: &'a mut dyn Tracer,
 }
 
 /// A CTA resident on an SM.
@@ -527,16 +551,7 @@ impl Sm {
             } else {
                 (1u32 << live) - 1
             };
-            self.warps[id] = Some(WarpState::new(
-                id,
-                slot,
-                cta_linear,
-                w,
-                launch,
-                kernel.num_regs,
-                kernel.num_preds,
-                mask,
-            ));
+            self.warps[id] = Some(WarpState::new(id, slot, cta_linear, w, kctx.program, mask));
             warp_ids.push(id);
         }
         self.dirty.extend_from_slice(&warp_ids);
@@ -630,55 +645,41 @@ impl Sm {
     /// its timer, or [`MemoryFabric::wakes`]. Waking credits the cycles
     /// slept, then the cycle runs as usual. A cycle that issued and drained
     /// nothing ends with [`Sm::try_sleep`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn cycle(
-        &mut self,
-        now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        mem: &mut SparseMemory,
-        fabric: &mut MemoryFabric,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
+    pub(crate) fn cycle(&mut self, t: &mut Tick<'_>) {
+        let (now, cfg) = (t.now, t.cfg);
         if self.asleep_since.is_some() {
-            if now < self.wake_at && !fabric.wakes(self.id, now) {
+            if now < self.wake_at && !t.fabric.wakes(self.id, now) {
                 return;
             }
-            self.wake(now, cfg, coproc, stats);
+            self.wake(now, cfg, t.coproc, t.stats);
         }
         let wrote_back = self.drain_writebacks(now);
-        let responded = self.drain_responses(now, fabric, coproc, tracer);
+        let responded = self.drain_responses(t);
 
         // Coprocessor gets first crack at issue slot 0 (the affine warp
         // shares the SM's issue bandwidth, paper §4.4).
         let mut slot0_free = self.schedulers[0].busy_until <= now;
         let slot0_was_free = slot0_free;
-        let enq_before = stats.enq_full_stalls;
-        {
-            let mut ctx = CoCtx {
-                now,
-                sm: self.id,
-                line_bytes: cfg.mem.line_bytes,
-                pbuf_stats: coproc.wants_pbuf_stats(now).then(|| fabric.pbuf_stats()),
-                issue_slot: &mut slot0_free,
-                dirty: &mut self.dirty,
-                stats,
-                tracer,
-            };
-            coproc.step(&mut ctx);
-        }
+        let enq_before = t.stats.enq_full_stalls;
+        t.coproc.step(&mut CoCtx {
+            now,
+            sm: self.id,
+            fabric: t.fabric,
+            issue_slot: &mut slot0_free,
+            dirty: &mut self.dirty,
+            stats: t.stats,
+            tracer: t.tracer,
+        });
         // Everything since the last issue stage (these drains, the step's
         // queue heads, last cycle's barrier releases and retires, this
         // cycle's launches).
-        self.reclassify(kctx, coproc);
-        let enq_pressure = stats.enq_full_stalls > enq_before;
+        self.reclassify(t.kctx, t.coproc);
+        let enq_pressure = t.stats.enq_full_stalls > enq_before;
         let affine_consumed = slot0_was_free && !slot0_free;
         if affine_consumed {
             // Affine warp consumed scheduler 0 for one instruction.
             self.schedulers[0].busy_until = now + 1;
-            stats.affine_issue_slots += 1;
+            t.stats.affine_issue_slots += 1;
         }
 
         let mut issued = affine_consumed;
@@ -688,15 +689,15 @@ impl Sm {
                 // `affine_issue_slots`; any other busy scheduler is still
                 // occupied by a prior multi-cycle issue.
                 if s != 0 || !affine_consumed {
-                    stats.slot_busy += 1;
+                    t.stats.slot_busy += 1;
                 }
                 continue;
             }
-            match self.pick_warp(s, now, cfg, stats, tracer) {
+            match self.pick_warp(s, t) {
                 Hunt::Issue(w) => {
-                    stats.slot_issued += 1;
-                    let cost = self.issue(w, now, cfg, kctx, mem, coproc, stats, tracer);
-                    self.reclassify(kctx, coproc);
+                    t.stats.slot_issued += 1;
+                    let cost = self.issue(w, t);
+                    self.reclassify(t.kctx, t.coproc);
                     let busy = match cost {
                         IssueCost::Normal => cfg.issue_interval,
                         IssueCost::Fast => 1,
@@ -705,18 +706,18 @@ impl Sm {
                     issued = true;
                 }
                 Hunt::Stalled(tally) => {
-                    stats.idle_scheduler_cycles += 1;
-                    tally.attribute(1, s == 0 && enq_pressure, stats);
+                    t.stats.idle_scheduler_cycles += 1;
+                    tally.attribute(1, s == 0 && enq_pressure, t.stats);
                 }
-                Hunt::Dry => self.dry_hunts(s, 1, cfg, s == 0 && enq_pressure, stats),
+                Hunt::Dry => self.dry_hunts(s, 1, cfg, s == 0 && enq_pressure, t.stats),
             }
         }
 
-        self.resolve_barriers(coproc);
-        coproc.pump(self.id, now, fabric, stats, tracer);
-        self.pump_lsu(now, fabric, tracer);
-        if !(issued || wrote_back || responded || tracer.enabled()) {
-            self.try_sleep(now, cfg, coproc);
+        self.resolve_barriers(t.coproc);
+        t.coproc.pump(self.id, now, t.fabric, t.stats, t.tracer);
+        self.pump_lsu(t);
+        if !(issued || wrote_back || responded || t.tracer.enabled()) {
+            self.try_sleep(now, cfg, t.coproc);
         }
     }
 
@@ -865,16 +866,11 @@ impl Sm {
     }
 
     /// Deliver the fabric responses ready at `now`; were there any?
-    fn drain_responses(
-        &mut self,
-        now: u64,
-        fabric: &mut MemoryFabric,
-        coproc: &mut dyn CoProcessor,
-        tracer: &mut dyn Tracer,
-    ) -> bool {
+    fn drain_responses(&mut self, t: &mut Tick<'_>) -> bool {
         let mut resps = std::mem::take(&mut self.resp_scratch);
         resps.clear();
-        fabric.drain_responses_into(self.id, now, tracer, &mut resps);
+        t.fabric
+            .drain_responses_into(self.id, t.now, t.tracer, &mut resps);
         let responded = !resps.is_empty();
         for resp in &resps {
             match resp.client {
@@ -882,7 +878,7 @@ impl Sm {
                     if let Some(pos) = self.outstanding.iter().position(|&(t, _)| t == resp.token) {
                         let (_, track) = self.outstanding.swap_remove(pos);
                         if let Some(line) = track.unlock_line {
-                            fabric.unlock(self.id, line);
+                            t.fabric.unlock(self.id, line);
                         }
                         if let Some(w) = self.warps[track.warp].as_mut() {
                             if let Some(r) = track.dst {
@@ -893,7 +889,7 @@ impl Sm {
                     }
                 }
                 Client::Dac | Client::Mta => {
-                    if let Some(w) = coproc.on_response(resp) {
+                    if let Some(w) = t.coproc.on_response(resp) {
                         self.dirty.push(w);
                     }
                 }
@@ -987,14 +983,7 @@ impl Sm {
     /// Visits warps in a fixed order (rotating pool, then ascending
     /// pending slots) because every stalled warp visited before the pick
     /// is counted and traced.
-    fn pick_warp(
-        &mut self,
-        s: usize,
-        now: u64,
-        cfg: &GpuConfig,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) -> Hunt {
+    fn pick_warp(&mut self, s: usize, t: &mut Tick<'_>) -> Hunt {
         let nsched = self.schedulers.len();
         // Evict finished warps from the pool.
         let Sm {
@@ -1015,8 +1004,8 @@ impl Sm {
         // stall events: the walk below would visit each non-absent owned
         // slot exactly once (pool, then the pending rest) and count it by
         // class, so the caller credits the counts directly.
-        let lsu_full = self.lsu.len() >= cfg.lsu_queue;
-        if !has_candidate(&self.schedulers[s].census, lsu_full) && !tracer.enabled() {
+        let lsu_full = self.lsu.len() >= t.cfg.lsu_queue;
+        if !has_candidate(&self.schedulers[s].census, lsu_full) && !t.tracer.enabled() {
             return Hunt::Dry;
         }
         let mut tally = StallTally::default();
@@ -1026,7 +1015,7 @@ impl Sm {
         let pool_len = self.schedulers[s].active.len();
         for pos in 0..pool_len {
             let w = self.schedulers[s].active[pos];
-            if self.warp_check(w, now, lsu_full, stats, tracer, &mut tally) {
+            if self.warp_check(w, lsu_full, t, &mut tally) {
                 // Rotate the pool so the warp after `w` gets priority next.
                 self.schedulers[s]
                     .active
@@ -1039,9 +1028,9 @@ impl Sm {
             if self.class[w] == IssueClass::Absent || self.in_pool[w] {
                 continue;
             }
-            if self.warp_check(w, now, lsu_full, stats, tracer, &mut tally) {
+            if self.warp_check(w, lsu_full, t, &mut tally) {
                 let pool = &mut self.schedulers[s].active;
-                if pool.len() >= cfg.active_pool {
+                if pool.len() >= t.cfg.active_pool {
                     if let Some(evicted) = pool.pop_front() {
                         self.in_pool[evicted] = false;
                     }
@@ -1062,12 +1051,11 @@ impl Sm {
     fn warp_check(
         &self,
         w: usize,
-        now: u64,
         lsu_full: bool,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
+        t: &mut Tick<'_>,
         tally: &mut StallTally,
     ) -> bool {
+        let stats = &mut *t.stats;
         let cause = match self.class[w] {
             IssueClass::Absent => unreachable!("scheduler visited empty warp slot {w}"),
             IssueClass::Barrier => {
@@ -1097,10 +1085,10 @@ impl Sm {
                 StallCause::CoprocGate
             }
         };
-        if tracer.enabled() {
+        if t.tracer.enabled() {
             let pc = self.warps[w].as_ref().unwrap().stack.pc();
-            tracer.emit(
-                now,
+            t.tracer.emit(
+                t.now,
                 TraceEvent::WarpStall {
                     sm: self.id as u32,
                     warp: w as u32,
@@ -1113,30 +1101,20 @@ impl Sm {
     }
 
     /// Issue and functionally execute one instruction of warp `w`.
-    #[allow(clippy::too_many_arguments)]
-    fn issue(
-        &mut self,
-        w: usize,
-        now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        mem: &mut SparseMemory,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) -> IssueCost {
+    fn issue(&mut self, w: usize, t: &mut Tick<'_>) -> IssueCost {
+        let (now, cfg, kctx) = (t.now, t.cfg, t.kctx);
         let launch = &kctx.program.launch;
         let pc = self.warps[w].as_ref().unwrap().stack.pc();
         // Borrow the instruction from the shared program — kctx outlives
         // the `&mut self` uses below, so no per-issue clone is needed.
         let instr = &kctx.program.kernel.instrs[pc];
-        stats.warp_instructions += 1;
+        t.stats.warp_instructions += 1;
         let active = self.warps[w].as_ref().unwrap().stack.active_mask();
-        let cost = coproc.issue_cost(self.id, w, instr, active, stats);
+        let cost = t.coproc.issue_cost(self.id, w, instr, active, t.stats);
         self.warps[w].as_mut().unwrap().last_issue = now;
         let depth_before = self.warps[w].as_ref().unwrap().stack.depth();
-        if tracer.enabled() {
-            tracer.emit(
+        if t.tracer.enabled() {
+            t.tracer.emit(
                 now,
                 TraceEvent::WarpIssue {
                     sm: self.id as u32,
@@ -1158,6 +1136,7 @@ impl Sm {
             }
         };
         let lanes = eff_mask.count_ones() as u64;
+        let stats = &mut *t.stats;
 
         match instr {
             Instr::Alu { op, dst, srcs, .. } => {
@@ -1231,36 +1210,16 @@ impl Sm {
                 stats.regfile_accesses += lanes * 3;
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
-            Instr::Ld {
-                dst,
-                space,
-                addr,
-                width,
-                ..
-            } => {
-                self.exec_load(
-                    w, pc, *dst, *space, *addr, *width, eff_mask, now, cfg, kctx, mem, coproc,
-                    stats, tracer,
-                );
+            Instr::Ld { .. } => {
+                self.exec_load(w, pc, eff_mask, t);
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
-            Instr::St {
-                space,
-                addr,
-                src,
-                width,
-                ..
-            } => {
-                self.exec_store(
-                    w, pc, *space, *addr, *src, *width, eff_mask, now, cfg, kctx, mem, coproc,
-                    stats, tracer,
-                );
+            Instr::St { .. } => {
+                self.exec_store(w, pc, eff_mask, t);
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
-            Instr::Atom {
-                op, dst, addr, src, ..
-            } => {
-                self.exec_atomic(w, *op, *dst, *addr, *src, eff_mask, cfg, kctx, mem, stats);
+            Instr::Atom { .. } => {
+                self.exec_atomic(w, pc, eff_mask, t);
                 self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::Bra { target, pred } => {
@@ -1277,7 +1236,8 @@ impl Sm {
                         }
                     }
                     Some(PredSrc::Deq { negate }) => {
-                        let bits = coproc
+                        let bits = t
+                            .coproc
                             .deq_pred_bits(self.id, w)
                             .expect("deq.pred issued with empty PWPQ");
                         if *negate {
@@ -1306,10 +1266,10 @@ impl Sm {
                 unreachable!("enq must only appear in the affine stream");
             }
         }
-        if tracer.enabled() {
+        if t.tracer.enabled() {
             let depth_after = self.warps[w].as_ref().unwrap().stack.depth();
             if depth_after != depth_before {
-                tracer.emit(
+                t.tracer.emit(
                     now,
                     TraceEvent::StackDepth {
                         sm: self.id as u32,
@@ -1333,25 +1293,20 @@ impl Sm {
         cost
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_load(
-        &mut self,
-        w: usize,
-        pc: usize,
-        dst: u16,
-        space: Space,
-        addr: AddrMode,
-        width: Width,
-        eff_mask: u32,
-        now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        mem: &mut SparseMemory,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
-        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, coproc);
+    /// Execute the `ld` at `pc` for warp `w` on the lanes of `eff_mask`.
+    fn exec_load(&mut self, w: usize, pc: usize, eff_mask: u32, t: &mut Tick<'_>) {
+        let Instr::Ld {
+            dst,
+            space,
+            addr,
+            width,
+            ..
+        } = t.kctx.program.kernel.instrs[pc]
+        else {
+            unreachable!("exec_load of a non-load at pc {pc}");
+        };
+        let (now, cfg, stats) = (t.now, t.cfg, &mut *t.stats);
+        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, t.coproc);
         let lanes = addrs.mask.count_ones();
         stats.regfile_accesses += lanes as u64 * 2;
         let nbytes = width.bytes() as usize;
@@ -1370,17 +1325,18 @@ impl Sm {
                 // AEU applied the local window when it issued the early
                 // requests).
                 if record.is_none() {
-                    self.translate_local(w, space, &mut addrs, kctx);
+                    self.translate_local(w, space, &mut addrs, t.kctx);
                 }
                 let warp = self.warps[w].as_mut().unwrap();
-                warp.set_reg_lanes(dst, &mem.read_lanes(&addrs, nbytes), addrs.mask);
+                warp.set_reg_lanes(dst, &t.mem.read_lanes(&addrs, nbytes), addrs.mask);
                 let mut txns = std::mem::take(&mut self.txn_scratch);
                 coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
                 self.line_scratch.clear();
                 self.line_scratch.extend(txns.iter().map(|t| t.line));
-                coproc.observe_mem(self.id, w, pc, space, false, &self.line_scratch);
-                if tracer.enabled() {
-                    tracer.emit(
+                t.coproc
+                    .observe_mem(self.id, w, pc, space, false, &self.line_scratch);
+                if t.tracer.enabled() {
+                    t.tracer.emit(
                         now,
                         TraceEvent::Coalesce {
                             sm: self.id as u32,
@@ -1426,26 +1382,21 @@ impl Sm {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_store(
-        &mut self,
-        w: usize,
-        pc: usize,
-        space: Space,
-        addr: AddrMode,
-        src: Operand,
-        width: Width,
-        eff_mask: u32,
-        now: u64,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        mem: &mut SparseMemory,
-        coproc: &mut dyn CoProcessor,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
-        let launch = &kctx.program.launch;
-        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, coproc);
+    /// Execute the `st` at `pc` for warp `w` on the lanes of `eff_mask`.
+    fn exec_store(&mut self, w: usize, pc: usize, eff_mask: u32, t: &mut Tick<'_>) {
+        let Instr::St {
+            space,
+            addr,
+            src,
+            width,
+            ..
+        } = t.kctx.program.kernel.instrs[pc]
+        else {
+            unreachable!("exec_store of a non-store at pc {pc}");
+        };
+        let (now, cfg, stats) = (t.now, t.cfg, &mut *t.stats);
+        let launch = &t.kctx.program.launch;
+        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, t.coproc);
         let lanes = addrs.mask.count_ones();
         stats.regfile_accesses += lanes as u64 * 2;
         let nbytes = width.bytes() as usize;
@@ -1460,18 +1411,19 @@ impl Sm {
             Space::Global | Space::Local => {
                 stats.global_stores += 1;
                 if record.is_none() {
-                    self.translate_local(w, space, &mut addrs, kctx);
+                    self.translate_local(w, space, &mut addrs, t.kctx);
                 }
                 let warp = self.warps[w].as_ref().unwrap();
                 let vals = warp.operand_lanes(src, launch, &mut self.lane_scratch[0]);
-                mem.write_lanes(&addrs, vals, nbytes);
+                t.mem.write_lanes(&addrs, vals, nbytes);
                 let mut txns = std::mem::take(&mut self.txn_scratch);
                 coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
                 self.line_scratch.clear();
                 self.line_scratch.extend(txns.iter().map(|t| t.line));
-                coproc.observe_mem(self.id, w, pc, space, true, &self.line_scratch);
-                if tracer.enabled() {
-                    tracer.emit(
+                t.coproc
+                    .observe_mem(self.id, w, pc, space, true, &self.line_scratch);
+                if t.tracer.enabled() {
+                    t.tracer.emit(
                         now,
                         TraceEvent::Coalesce {
                             sm: self.id as u32,
@@ -1501,22 +1453,17 @@ impl Sm {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_atomic(
-        &mut self,
-        w: usize,
-        op: AtomOp,
-        dst: u16,
-        addr: AddrMode,
-        src: Operand,
-        eff_mask: u32,
-        cfg: &GpuConfig,
-        kctx: &KernelCtx<'_>,
-        mem: &mut SparseMemory,
-        stats: &mut SimStats,
-    ) {
+    /// Execute the `atom` at `pc` for warp `w` on the lanes of `eff_mask`.
+    fn exec_atomic(&mut self, w: usize, pc: usize, eff_mask: u32, t: &mut Tick<'_>) {
+        let Instr::Atom {
+            op, dst, addr, src, ..
+        } = t.kctx.program.kernel.instrs[pc]
+        else {
+            unreachable!("exec_atomic of a non-atomic at pc {pc}");
+        };
+        let (cfg, mem, stats) = (t.cfg, &mut *t.mem, &mut *t.stats);
         stats.atomic_instructions += 1;
-        let launch = &kctx.program.launch;
+        let launch = &t.kctx.program.launch;
         let (addrs, _) = self.resolve_addrs(w, addr, eff_mask, &mut crate::coproc::NullCoProcessor);
         // Lanes serialize in ascending order against memory; the old value
         // lands in `dst` (held pending by the scoreboard until the fabric
@@ -1611,12 +1558,12 @@ impl Sm {
         }
     }
 
-    fn pump_lsu(&mut self, now: u64, fabric: &mut MemoryFabric, tracer: &mut dyn Tracer) {
+    fn pump_lsu(&mut self, t: &mut Tick<'_>) {
         self.lsu_sent = false;
         // One transaction per cycle reaches the L1 (one coalesced access
         // per cycle, as on Fermi).
         if let Some(txn) = self.lsu.front() {
-            match fabric.access_traced(now, txn.req, tracer) {
+            match t.fabric.access(t.now, txn.req, t.tracer) {
                 AccessOutcome::Accepted => {
                     self.lsu_sent = true;
                     let txn = self.lsu.pop_front().unwrap();
@@ -1682,12 +1629,7 @@ impl Sm {
     /// where one of the CTA's warps exited or an exited warp's last
     /// writeback or memory response drained. Allocation-free: the
     /// retiring `CtaInfo` is moved out of its slot, never cloned.
-    pub fn retire_ctas(
-        &mut self,
-        coproc: &mut dyn CoProcessor,
-        tracer: &mut dyn Tracer,
-        now: u64,
-    ) -> usize {
+    pub(crate) fn retire_ctas(&mut self, t: &mut Tick<'_>) -> usize {
         if self.cta_dirty.is_empty() {
             return 0;
         }
@@ -1724,10 +1666,10 @@ impl Sm {
             debug_assert!(self.used_regs >= cta.regs && self.used_shared >= cta.shared_bytes);
             self.used_regs -= cta.regs;
             self.used_shared -= cta.shared_bytes;
-            coproc.on_cta_retire(self.id, slot);
-            if tracer.enabled() {
-                tracer.emit(
-                    now,
+            t.coproc.on_cta_retire(self.id, slot);
+            if t.tracer.enabled() {
+                t.tracer.emit(
+                    t.now,
                     TraceEvent::CtaRetire {
                         sm: self.id as u32,
                         slot: slot as u32,
@@ -1748,7 +1690,7 @@ mod tests {
     use super::*;
     use crate::coproc::NullCoProcessor;
     use crate::gpu::GpuSim;
-    use simt_ir::{CmpOp, KernelBuilder, LaunchConfig, Op};
+    use simt_ir::{CmpOp, KernelBuilder, LaunchConfig, Op, Operand, Width};
 
     /// `B[i] = A[i] + 1` over `n` elements in 512-thread (16-warp) CTAs.
     fn add_one_wide(n: u32, a: u64, b: u64) -> Program {

@@ -2,7 +2,7 @@
 
 use crate::stack::SimtStack;
 use simt_ir::eval::Lanes;
-use simt_ir::{LaunchConfig, Operand, PredId, RegId, SpecialReg, Value};
+use simt_ir::{LaunchConfig, Operand, PredId, Program, RegId, SpecialReg, Value};
 
 /// Full architectural + pipeline state of one resident warp.
 #[derive(Debug, Clone)]
@@ -42,20 +42,19 @@ pub struct WarpState {
 }
 
 impl WarpState {
-    /// Create warp `warp_in_cta` of CTA `cta_linear` (a `launch.block`
-    /// shaped block at `launch.grid` coordinates) with
-    /// `num_regs`/`num_preds` storage and `mask` live lanes.
-    #[allow(clippy::too_many_arguments)]
+    /// Create warp `warp_in_cta` of CTA `cta_linear` of `program` (a
+    /// `launch.block` shaped block at `launch.grid` coordinates) with the
+    /// kernel's register and predicate storage and `mask` live lanes.
     pub fn new(
         id: usize,
         cta_slot: usize,
         cta_linear: u64,
         warp_in_cta: usize,
-        launch: &LaunchConfig,
-        num_regs: u16,
-        num_preds: u16,
+        program: &Program,
         mask: u32,
     ) -> Self {
+        let launch = &program.launch;
+        let (num_regs, num_preds) = (program.kernel.num_regs, program.kernel.num_preds);
         let first = warp_in_cta as u64 * 32;
         let coords: [_; 32] =
             std::array::from_fn(|lane| launch.block.unflatten(first + lane as u64));
@@ -215,7 +214,7 @@ impl WarpState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_ir::Dim3;
+    use simt_ir::{Dim3, Instr, Kernel};
 
     fn launch() -> LaunchConfig {
         LaunchConfig {
@@ -226,7 +225,20 @@ mod tests {
     }
 
     fn warp(l: &LaunchConfig, cta_linear: u64, warp_in_cta: usize, mask: u32) -> WarpState {
-        WarpState::new(0, 0, cta_linear, warp_in_cta, l, 4, 2, mask)
+        let kernel = Kernel {
+            name: "warp".to_string(),
+            instrs: vec![Instr::Exit],
+            num_regs: 4,
+            num_preds: 2,
+            num_params: 2,
+            shared_bytes: 0,
+            regs_per_thread: 4,
+        };
+        let program = Program {
+            kernel,
+            launch: l.clone(),
+        };
+        WarpState::new(0, 0, cta_linear, warp_in_cta, &program, mask)
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * **Zero-cost when disabled.** Every emit site in the simulators is
 //!   written `if tracer.enabled() { tracer.emit(..) }`; with the
 //!   [`NullTracer`] the branch is one virtual call returning a constant,
-//!   and no event value is ever built. Entry points keep their original
-//!   untraced signatures (`MemoryFabric::cycle`, `GpuSim::run_with`, …)
-//!   delegating to `*_traced` twins with a `NullTracer`.
+//!   and no event value is ever built. There is one path per behaviour:
+//!   every entry point that can emit takes a `&mut dyn Tracer`
+//!   (`MemoryFabric::cycle`, `GpuSim::run_traced`, …) and an untraced run
+//!   passes a [`NullTracer`].
 //! * **Pure observation.** A tracer receives copies of state and has no
 //!   way to influence timing, so a `SimReport` is byte-identical with
 //!   tracing on or off (asserted by the harness determinism test).

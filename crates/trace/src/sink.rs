@@ -24,9 +24,8 @@ pub trait Tracer {
     fn emit(&mut self, cycle: u64, event: TraceEvent);
 }
 
-/// The disabled tracer: `enabled()` is `false`, `emit` is a no-op. Every
-/// untraced entry point in the stack delegates to its traced twin with one
-/// of these.
+/// The disabled tracer: `enabled()` is `false`, `emit` is a no-op. An
+/// untraced run passes one of these wherever the stack takes a tracer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullTracer;
 

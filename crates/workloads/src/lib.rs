@@ -25,8 +25,7 @@ use simt_mem::SparseMemory;
 
 pub use kernels::ALL_ABBRS;
 pub use runner::{
-    classify, gpu_for, run_dac, run_dac_traced, run_design, run_design_traced, run_scenario_design,
-    run_scenario_design_traced, BenchRun, Design, ScenarioRun,
+    classify, gpu_for, run_design, run_scenario_design, BenchRun, Design, ScenarioRun,
 };
 pub use scenarios::{all_scenarios, scenario, Scenario, ScenarioKernel, ALL_SCENARIOS};
 

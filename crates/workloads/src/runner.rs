@@ -3,15 +3,16 @@
 
 use crate::scenarios::Scenario;
 use crate::Workload;
-use affine::{decouple, AffineAnalysis, DecoupledKernel};
+use affine::{decouple, AffineAnalysis};
 use dac_core::{Dac, DacConfig};
 use gpu_baselines::{Cae, CaeConfig, Mta, MtaConfig};
+use simt_ir::{Kernel, LaunchConfig, Program};
 use simt_mem::{MemConfig, SparseMemory};
 use simt_sim::{
     CoProcessor, GpuConfig, GpuSim, NullCoProcessor, PlacementPolicy, SimReport, Stream,
     StreamLaunch, StreamReport,
 };
-use simt_trace::{NullTracer, Tracer};
+use simt_trace::Tracer;
 
 /// The four hardware designs of Figure 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,81 +60,6 @@ pub struct BenchRun {
     pub report: SimReport,
     /// Final memory (for cross-design output checks).
     pub memory: SparseMemory,
-    /// The decoupling result, for DAC runs.
-    pub decoupled: Option<DecoupledKernel>,
-}
-
-/// Run `w` under `design` on `gpu` (pass [`gpu_for`]'s result, or a custom
-/// configuration for ablations).
-pub fn run_design(w: &Workload, design: Design, gpu: &GpuSim) -> BenchRun {
-    run_design_traced(w, design, gpu, &mut NullTracer)
-}
-
-/// [`run_design`] with an event tracer attached. Tracing is pure
-/// observation: the returned report is identical to the untraced run.
-pub fn run_design_traced(
-    w: &Workload,
-    design: Design,
-    gpu: &GpuSim,
-    tracer: &mut dyn Tracer,
-) -> BenchRun {
-    let mut memory = w.fresh_memory();
-    match design {
-        Design::Baseline => {
-            let mut nop = simt_sim::NullCoProcessor;
-            let report = gpu.run_traced(&w.program(), &mut memory, &mut nop, tracer);
-            BenchRun {
-                report,
-                memory,
-                decoupled: None,
-            }
-        }
-        Design::Cae => {
-            let mut cae = Cae::new(CaeConfig::default());
-            let report = gpu.run_traced(&w.program(), &mut memory, &mut cae, tracer);
-            BenchRun {
-                report,
-                memory,
-                decoupled: None,
-            }
-        }
-        Design::Mta => {
-            let mut mta = Mta::new(MtaConfig::default());
-            let report = gpu.run_traced(&w.program(), &mut memory, &mut mta, tracer);
-            BenchRun {
-                report,
-                memory,
-                decoupled: None,
-            }
-        }
-        Design::Dac => run_dac_traced(w, gpu, DacConfig::paper(), tracer),
-    }
-}
-
-/// Run DAC with an explicit configuration (ablation entry point).
-pub fn run_dac(w: &Workload, gpu: &GpuSim, cfg: DacConfig) -> BenchRun {
-    run_dac_traced(w, gpu, cfg, &mut NullTracer)
-}
-
-/// [`run_dac`] with an event tracer attached.
-pub fn run_dac_traced(
-    w: &Workload,
-    gpu: &GpuSim,
-    cfg: DacConfig,
-    tracer: &mut dyn Tracer,
-) -> BenchRun {
-    let analysis = AffineAnalysis::run(&w.kernel);
-    let dk = decouple(&w.kernel, &analysis);
-    let mut memory = w.fresh_memory();
-    let program = simt_ir::Program::new(dk.non_affine.clone(), w.launch.clone())
-        .expect("decoupled kernel invalid");
-    let mut dac = Dac::new(cfg, dk);
-    let report = gpu.run_traced(&program, &mut memory, &mut dac, tracer);
-    BenchRun {
-        report,
-        memory,
-        decoupled: Some(dac.decoupled().clone()),
-    }
 }
 
 /// One scenario run: the stream report (chip-wide + per-kernel stats)
@@ -146,42 +72,50 @@ pub struct ScenarioRun {
     pub memory: SparseMemory,
 }
 
-/// Owned per-kernel coprocessor storage for a scenario run (one instance
-/// per launch; the GPU routes per-SM hooks to the owning kernel's
-/// instance).
-enum ScenarioCo {
-    Null(NullCoProcessor),
-    Cae(Box<Cae>),
-    Mta(Box<Mta>),
-    Dac(Box<Dac>),
-}
-
-impl ScenarioCo {
-    fn as_dyn(&mut self) -> &mut dyn CoProcessor {
-        match self {
-            ScenarioCo::Null(c) => c,
-            ScenarioCo::Cae(c) => &mut **c,
-            ScenarioCo::Mta(c) => &mut **c,
-            ScenarioCo::Dac(c) => &mut **c,
+/// The program and coprocessor of one kernel launch under `design`: DAC
+/// runs the non-affine stream of the decoupled kernel on a `dac`-configured
+/// engine, the other designs the kernel as is.
+fn lower(
+    kernel: &Kernel,
+    launch: &LaunchConfig,
+    design: Design,
+    dac: &DacConfig,
+) -> (Program, Box<dyn CoProcessor>) {
+    let program = |k: &Kernel| Program::new(k.clone(), launch.clone()).expect("invalid kernel");
+    match design {
+        Design::Baseline => (program(kernel), Box::new(NullCoProcessor)),
+        Design::Cae => (program(kernel), Box::new(Cae::new(CaeConfig::default()))),
+        Design::Mta => (program(kernel), Box::new(Mta::new(MtaConfig::default()))),
+        Design::Dac => {
+            let analysis = AffineAnalysis::run(kernel);
+            let dk = decouple(kernel, &analysis);
+            (program(&dk.non_affine), Box::new(Dac::new(dac.clone(), dk)))
         }
     }
 }
 
-/// Run a multi-kernel scenario under `design` at paper-default DAC
-/// configuration. Each launch gets its own coprocessor instance (for DAC,
-/// its own decoupled kernel); streams run concurrently under `policy`.
-pub fn run_scenario_design(
-    sc: &Scenario,
+/// Run `w` under `design` on `gpu` (pass [`gpu_for`]'s result, or a custom
+/// configuration for ablations). `dac` configures the DAC engine and is
+/// read only when `design` is [`Design::Dac`]; events go to `tracer` (a
+/// [`simt_trace::NullTracer`] for an untraced run). Tracing is pure
+/// observation: the report is identical to the untraced run.
+pub fn run_design(
+    w: &Workload,
     design: Design,
     gpu: &GpuSim,
-    policy: PlacementPolicy,
-) -> ScenarioRun {
-    run_scenario_design_traced(sc, design, gpu, policy, DacConfig::paper(), &mut NullTracer)
+    dac: DacConfig,
+    tracer: &mut dyn Tracer,
+) -> BenchRun {
+    let (program, mut co) = lower(&w.kernel, &w.launch, design, &dac);
+    let mut memory = w.fresh_memory();
+    let report = gpu.run_traced(&program, &mut memory, co.as_mut(), tracer);
+    BenchRun { report, memory }
 }
 
-/// [`run_scenario_design`] with an explicit DAC configuration (used only
-/// when `design` is [`Design::Dac`]) and an event tracer attached.
-pub fn run_scenario_design_traced(
+/// Run a multi-kernel scenario under `design`, as [`run_design`] runs one
+/// benchmark. Each launch gets its own coprocessor instance (for DAC, its
+/// own decoupled kernel); streams run concurrently under `policy`.
+pub fn run_scenario_design(
     sc: &Scenario,
     design: Design,
     gpu: &GpuSim,
@@ -191,37 +125,17 @@ pub fn run_scenario_design_traced(
 ) -> ScenarioRun {
     let mut memory = sc.fresh_memory();
     let mut streams: Vec<Stream> = Vec::new();
-    let mut owned: Vec<ScenarioCo> = Vec::new();
+    let mut owned: Vec<Box<dyn CoProcessor>> = Vec::new();
     for s in &sc.streams {
         let mut launches = Vec::new();
         for k in s {
-            let (program, co) = match design {
-                Design::Baseline => (k.program(), ScenarioCo::Null(NullCoProcessor)),
-                Design::Cae => (
-                    k.program(),
-                    ScenarioCo::Cae(Box::new(Cae::new(CaeConfig::default()))),
-                ),
-                Design::Mta => (
-                    k.program(),
-                    ScenarioCo::Mta(Box::new(Mta::new(MtaConfig::default()))),
-                ),
-                Design::Dac => {
-                    let analysis = AffineAnalysis::run(&k.kernel);
-                    let dk = decouple(&k.kernel, &analysis);
-                    let program = simt_ir::Program::new(dk.non_affine.clone(), k.launch.clone())
-                        .expect("decoupled scenario kernel invalid");
-                    (
-                        program,
-                        ScenarioCo::Dac(Box::new(Dac::new(dac.clone(), dk))),
-                    )
-                }
-            };
+            let (program, co) = lower(&k.kernel, &k.launch, design, &dac);
             launches.push(StreamLaunch::labelled(program, k.label));
             owned.push(co);
         }
         streams.push(Stream::of(launches));
     }
-    let coprocs: Vec<&mut dyn CoProcessor> = owned.iter_mut().map(ScenarioCo::as_dyn).collect();
+    let coprocs: Vec<&mut dyn CoProcessor> = owned.iter_mut().map(|c| c.as_mut() as _).collect();
     let report = gpu.run_streams_traced(&streams, &mut memory, coprocs, policy, tracer);
     ScenarioRun { report, memory }
 }
@@ -242,6 +156,7 @@ pub fn classify(w: &Workload) -> (bool, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simt_trace::NullTracer;
 
     #[test]
     fn designs_have_names() {
@@ -262,6 +177,8 @@ mod tests {
                 Design::Baseline,
                 &GpuSim::new(simt_sim::GpuConfig::test_small()),
                 PlacementPolicy::Greedy,
+                DacConfig::paper(),
+                &mut NullTracer,
             );
             let golden = sc.output_words(&base.memory);
             assert_eq!(base.report.per_kernel.len(), sc.kernels().len());
@@ -276,7 +193,14 @@ mod tests {
                         mem: gpu_for(d).mem,
                         ..simt_sim::GpuConfig::test_small()
                     });
-                    let run = run_scenario_design(&sc, d, &gpu, policy);
+                    let run = run_scenario_design(
+                        &sc,
+                        d,
+                        &gpu,
+                        policy,
+                        DacConfig::paper(),
+                        &mut NullTracer,
+                    );
                     assert_eq!(
                         sc.output_words(&run.memory),
                         golden,
@@ -299,6 +223,8 @@ mod tests {
             &w,
             Design::Baseline,
             &GpuSim::new(simt_sim::GpuConfig::test_small()),
+            DacConfig::paper(),
+            &mut NullTracer,
         );
         let golden = base.memory.read_u32_vec(w.output.0, w.output.1);
         for d in [Design::Cae, Design::Mta, Design::Dac] {
@@ -306,7 +232,7 @@ mod tests {
                 mem: gpu_for(d).mem,
                 ..simt_sim::GpuConfig::test_small()
             });
-            let run = run_design(&w, d, &gpu);
+            let run = run_design(&w, d, &gpu, DacConfig::paper(), &mut NullTracer);
             assert_eq!(
                 run.memory.read_u32_vec(w.output.0, w.output.1),
                 golden,

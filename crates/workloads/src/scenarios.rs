@@ -40,19 +40,6 @@ pub struct ScenarioKernel {
     pub output: (u64, usize),
 }
 
-impl ScenarioKernel {
-    /// The program (validated kernel + launch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel is malformed — scenario constructors are
-    /// tested.
-    pub fn program(&self) -> simt_ir::Program {
-        simt_ir::Program::new(self.kernel.clone(), self.launch.clone())
-            .expect("invalid scenario kernel")
-    }
-}
-
 /// A multi-kernel workload: streams of kernels over one shared (but
 /// disjointly partitioned) memory image.
 #[derive(Clone)]

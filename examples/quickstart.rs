@@ -10,6 +10,7 @@ use dac_gpu::dac::{Dac, DacConfig};
 use dac_gpu::ir::{asm, LaunchConfig, Program};
 use dac_gpu::mem::SparseMemory;
 use dac_gpu::sim::{GpuConfig, GpuSim};
+use simt_trace::NullTracer;
 
 fn main() {
     // The kernel from the paper's Figure 4: B[i*num+tid] = A[i*num+tid] + 1.
@@ -65,7 +66,7 @@ LOOP:
     let mut dac = Dac::new(DacConfig::paper(), dk);
     let mut mem2 = SparseMemory::new();
     mem2.write_u32_slice(a, &input);
-    let rep = gpu.run_with(&dac_prog, &mut mem2, &mut dac);
+    let rep = gpu.run_traced(&dac_prog, &mut mem2, &mut dac, &mut NullTracer);
 
     assert_eq!(
         mem.read_u32_vec(b, n),

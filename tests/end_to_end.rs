@@ -8,6 +8,7 @@ use dac_gpu::dac::{Dac, DacConfig};
 use dac_gpu::ir::{asm, Kernel, LaunchConfig, Program};
 use dac_gpu::mem::{MemConfig, SparseMemory};
 use dac_gpu::sim::{GpuConfig, GpuSim};
+use simt_trace::NullTracer;
 
 fn small_gpu() -> GpuSim {
     GpuSim::new(GpuConfig::test_small())
@@ -37,13 +38,13 @@ fn race_all_designs(
     let mut mem_cae = SparseMemory::new();
     init(&mut mem_cae);
     let mut cae = Cae::new(CaeConfig::default());
-    small_gpu().run_with(&program, &mut mem_cae, &mut cae);
+    small_gpu().run_traced(&program, &mut mem_cae, &mut cae, &mut NullTracer);
     assert_eq!(mem_cae.read_u32_vec(out.0, out.1), golden, "CAE diverged");
 
     let mut mem_mta = SparseMemory::new();
     init(&mut mem_mta);
     let mut mta = Mta::new(MtaConfig::default());
-    small_gpu_with_pbuf().run_with(&program, &mut mem_mta, &mut mta);
+    small_gpu_with_pbuf().run_traced(&program, &mut mem_mta, &mut mta, &mut NullTracer);
     assert_eq!(mem_mta.read_u32_vec(out.0, out.1), golden, "MTA diverged");
 
     let analysis = AffineAnalysis::run(kernel);
@@ -52,7 +53,7 @@ fn race_all_designs(
     let mut dac = Dac::new(DacConfig::paper(), dk);
     let mut mem_dac = SparseMemory::new();
     init(&mut mem_dac);
-    let rep = small_gpu().run_with(&dac_prog, &mut mem_dac, &mut dac);
+    let rep = small_gpu().run_traced(&dac_prog, &mut mem_dac, &mut dac, &mut NullTracer);
     assert_eq!(mem_dac.read_u32_vec(out.0, out.1), golden, "DAC diverged");
 
     (base.cycles, rep.cycles, rep.stats)
@@ -261,7 +262,7 @@ fn whole_suite_smoke_at_tiny_scale() {
         let prog = Program::new(dk.non_affine.clone(), w.launch.clone()).unwrap();
         let mut dac = Dac::new(DacConfig::paper(), dk);
         let mut m2 = w.fresh_memory();
-        gpu.run_with(&prog, &mut m2, &mut dac);
+        gpu.run_traced(&prog, &mut m2, &mut dac, &mut NullTracer);
         assert_eq!(
             base.0.read_u32_vec(w.output.0, w.output.1),
             m2.read_u32_vec(w.output.0, w.output.1),
@@ -280,7 +281,8 @@ fn dac_is_deterministic() {
         let prog = Program::new(dk.non_affine.clone(), w.launch.clone()).unwrap();
         let mut dac = Dac::new(DacConfig::paper(), dk);
         let mut m = w.fresh_memory();
-        gpu.run_with(&prog, &mut m, &mut dac).cycles
+        gpu.run_traced(&prog, &mut m, &mut dac, &mut NullTracer)
+            .cycles
     };
     let gpu = small_gpu();
     assert_eq!(run(&gpu), run(&gpu));

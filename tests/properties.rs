@@ -11,6 +11,7 @@ use dac_gpu::ir::{
 use dac_gpu::mem::SparseMemory;
 use dac_gpu::sim::{GpuConfig, GpuSim};
 use dac_gpu::workloads::kernels::SplitMix64;
+use simt_trace::NullTracer;
 
 // ---------- affine tuple algebra vs. per-thread scalar evaluation ----------
 
@@ -188,7 +189,7 @@ fn decoupling_preserves_streaming_semantics() {
         let mut dac = Dac::new(DacConfig::paper(), dk);
         let mut m2 = SparseMemory::new();
         m2.write_u32_slice(0x10_0000, &input);
-        gpu.run_with(&dprog, &mut m2, &mut dac);
+        gpu.run_traced(&dprog, &mut m2, &mut dac, &mut NullTracer);
 
         assert_eq!(
             m1.read_u32_vec(0x200_0000, span),
