@@ -40,16 +40,7 @@ fn main() {
     simt_obs::log::init_from_env();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = CommonArgs::parse(&raw).unwrap_or_else(|e| usage_exit(&e));
-    if args.positional.len() > 1 {
-        usage_exit(&format!(
-            "expected one experiment, got {:?}",
-            args.positional
-        ));
-    }
-    let cmd = args
-        .positional
-        .first()
-        .map_or("all".to_string(), Clone::clone);
+    let cmd = args.experiment().unwrap_or_else(|e| usage_exit(&e));
 
     match cmd.as_str() {
         "table1" => table1(),

@@ -5,12 +5,15 @@
 //! second identical invocation simulates nothing) and one JSONL record per
 //! job lands under `results/runs/`. The printed table and the artifact are
 //! byte-identical for any `--jobs N` — results are aggregated by job
-//! index, not completion order.
+//! index, not completion order. It is also the one front end for the
+//! observers: `--trace` writes a timeline per job, `--profile DIR` one
+//! bottleneck report over the run.
 
 use dac_bench::cli::{exit_unrunnable, CommonArgs, COMMON_USAGE};
 use dac_bench::geomean;
 use gpu_workloads::Design;
-use simt_harness::{scenario_jobs, suite_jobs, DesignPoint};
+use simt_harness::{scenario_jobs, suite_jobs, DesignPoint, RunOutput};
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 usage: sweep [options]
@@ -23,7 +26,12 @@ hits results/cache and simulates nothing.
 With --set streams=NAME the sweep instead runs that multi-kernel stream
 scenario under every selected design (concurrent kernel streams dispatched
 by the command processor; --set cta_policy=greedy|rr picks the placement
-policy) and prints chip-wide plus per-kernel cycle counts.";
+policy) and prints chip-wide plus per-kernel cycle counts.
+
+--trace writes one event timeline per job (Chrome JSON + dac-trace/v1
+JSONL); --profile DIR writes one bottleneck report over every job
+(report.md + dac-profile/v1 profile.json). Either one simulates every job:
+the cache is stored to but not read.";
 
 fn usage_exit(error: &str) -> ! {
     if error == "help" {
@@ -62,7 +70,7 @@ fn main() {
         points.len(),
         harness.workers()
     );
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let out = harness
         .try_run(&jobs)
         .unwrap_or_else(|f| exit_unrunnable("sweep", &f));
@@ -99,6 +107,11 @@ fn main() {
             geomean(dac_speedups)
         );
     }
+    summarize(&args, &out, wall);
+}
+
+/// The stderr tail of a run: what was simulated and where its files went.
+fn summarize(args: &CommonArgs, out: &RunOutput, wall: Duration) {
     eprintln!(
         "sweep: {} simulated, {} from cache in {:.1}s",
         out.executed,
@@ -110,6 +123,9 @@ fn main() {
     }
     if let Some(dir) = &args.trace_dir {
         eprintln!("sweep: traces -> {}", dir.display());
+    }
+    if let Some([md, js]) = &out.profile_paths {
+        eprintln!("sweep: profile -> {} / {}", md.display(), js.display());
     }
     if out.trace_drops > 0 {
         simt_obs::warn!("bench.sweep",
@@ -138,7 +154,7 @@ fn scenario_sweep(args: &CommonArgs, name: &str, points: &[DesignPoint]) {
         points.len(),
         harness.workers()
     );
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let out = harness
         .try_run(&jobs)
         .unwrap_or_else(|f| exit_unrunnable("sweep", &f));
@@ -172,13 +188,5 @@ fn scenario_sweep(args: &CommonArgs, name: &str, points: &[DesignPoint]) {
             );
         }
     }
-    eprintln!(
-        "sweep: {} simulated, {} from cache in {:.1}s",
-        out.executed,
-        out.cache_hits,
-        wall.as_secs_f64()
-    );
-    if let Some(path) = &out.artifact_path {
-        eprintln!("sweep: artifacts -> {}", path.display());
-    }
+    summarize(args, &out, wall);
 }

@@ -6,7 +6,7 @@
 
 use gpu_workloads::ALL_ABBRS;
 use simt_harness::job::MAX_SCALE;
-use simt_harness::{DesignPoint, Harness, Job, Overrides, ResultCache};
+use simt_harness::{DesignPoint, Harness, Observe, Overrides, ResultCache};
 use std::path::PathBuf;
 
 /// Default per-job ring-buffer capacity for `--trace` (newest events kept).
@@ -41,6 +41,9 @@ pub struct CommonArgs {
     pub trace_dir: Option<PathBuf>,
     /// `--trace-events N` — ring-buffer capacity per traced job.
     pub trace_events: usize,
+    /// `--profile DIR` — write one bottleneck report over the run here
+    /// (`None` = profiling off; excludes every `--trace*` flag).
+    pub profile: Option<PathBuf>,
     /// `--quiet` — suppress per-job progress lines.
     pub quiet: bool,
     /// Positional arguments (the experiment name for `figures`).
@@ -61,6 +64,7 @@ impl Default for CommonArgs {
             full_chip: false,
             trace_dir: None,
             trace_events: DEFAULT_TRACE_EVENTS,
+            profile: None,
             quiet: false,
             positional: Vec::new(),
         }
@@ -74,6 +78,7 @@ impl CommonArgs {
     pub fn parse(args: &[String]) -> Result<CommonArgs, String> {
         let mut out = CommonArgs::default();
         let mut set_keys: Vec<String> = Vec::new();
+        let mut traced = false;
         let mut it = args.iter();
         let value = |flag: &str, it: &mut std::slice::Iter<String>| -> Result<String, String> {
             it.next()
@@ -164,16 +169,20 @@ impl CommonArgs {
                 "--trace" => {
                     out.trace_dir
                         .get_or_insert_with(|| PathBuf::from("results/traces"));
+                    traced = true;
                 }
                 "--trace-dir" => {
                     out.trace_dir = Some(PathBuf::from(value("--trace-dir", &mut it)?));
+                    traced = true;
                 }
                 "--trace-events" => {
                     let v = value("--trace-events", &mut it)?;
                     out.trace_events = v
                         .parse()
                         .map_err(|_| format!("--trace-events: expected a number, got {v:?}"))?;
+                    traced = true;
                 }
+                "--profile" => out.profile = Some(PathBuf::from(value("--profile", &mut it)?)),
                 "--quiet" | "-q" => out.quiet = true,
                 flag if flag.starts_with('-') => {
                     return Err(format!("unknown flag {flag:?}"));
@@ -181,7 +190,26 @@ impl CommonArgs {
                 _ => out.positional.push(arg.clone()),
             }
         }
+        if traced && out.profile.is_some() {
+            return Err(
+                "--profile cannot be combined with --trace, --trace-dir or --trace-events".into(),
+            );
+        }
         Ok(out)
+    }
+
+    /// `figures`' experiment name (default `all`). `Err` on more than one
+    /// positional argument, and on `--profile`: `ablate` and `all` run
+    /// several harness batches, and each would overwrite the report.
+    pub fn experiment(&self) -> Result<String, String> {
+        if self.profile.is_some() {
+            return Err("--profile is a sweep option (figures runs several batches)".into());
+        }
+        match self.positional.as_slice() {
+            [] => Ok("all".into()),
+            [one] => Ok(one.clone()),
+            more => Err(format!("expected one experiment, got {more:?}")),
+        }
     }
 
     /// Build the harness these arguments describe. `artifacts_default`
@@ -200,7 +228,13 @@ impl CommonArgs {
             h = h.with_artifacts(dir);
         }
         if let Some(dir) = &self.trace_dir {
-            h = h.with_trace(dir, self.trace_events);
+            h = h.observe(Observe::Trace {
+                dir: dir.clone(),
+                events: self.trace_events,
+            });
+        }
+        if let Some(dir) = &self.profile {
+            h = h.observe(Observe::Profile(dir.clone()));
         }
         h
     }
@@ -238,13 +272,6 @@ pub fn exit_unrunnable(tool: &str, failures: &[String]) -> ! {
     std::process::exit(1);
 }
 
-/// [`exit_unrunnable`] unless `job` can run on its configured machine.
-pub fn require_runnable(tool: &str, job: &Job) {
-    if let Err(e) = job.check() {
-        exit_unrunnable(tool, &[format!("{}: {e}", job.label())]);
-    }
-}
-
 /// The flag reference shared by both binaries' usage text.
 pub const COMMON_USAGE: &str = "\
 common options:
@@ -265,6 +292,8 @@ common options:
   --trace            write per-job event traces to results/traces
   --trace-dir DIR    write per-job event traces to DIR (implies --trace)
   --trace-events N   trace ring-buffer capacity (default 1000000)
+  --profile DIR      sweep only: profile every job and write one bottleneck
+                     report (report.md + profile.json) to DIR
   --quiet, -q        no per-job progress on stderr
   --help, -h         this text";
 
@@ -346,6 +375,11 @@ mod tests {
             vec!["--set", "num_sms=40000000000"],
             vec!["--frobnicate"],
             vec!["--threads", "2"],
+            vec!["--debug", "dac"],
+            vec!["--bench-json", "x"],
+            vec!["--check-bench", "x"],
+            vec!["--profile"],
+            vec!["--profile", "D", "--trace"],
         ] {
             assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
         }
@@ -363,6 +397,10 @@ mod tests {
             parse(&["--no-fast-forward"]).unwrap_err(),
             "unknown flag \"--no-fast-forward\""
         );
+        // `figures` parses the common flags, then refuses `--profile`.
+        let figures = parse(&["fig16", "--profile", "D"]).unwrap();
+        assert!(figures.experiment().unwrap_err().starts_with("--profile"));
+        assert_eq!(parse(&["fig16"]).unwrap().experiment().unwrap(), "fig16");
     }
 
     #[test]
@@ -398,6 +436,13 @@ mod tests {
             Some(std::path::Path::new("/tmp/tr"))
         );
         assert!(parse(&["--trace-events", "lots"]).is_err());
+        let profiled = parse(&["--profile", "/tmp/pr"]).unwrap();
+        assert_eq!(
+            profiled.profile.as_deref(),
+            Some(std::path::Path::new("/tmp/pr"))
+        );
+        assert!(profiled.trace_dir.is_none());
+        assert!(off.profile.is_none());
     }
 
     #[test]

@@ -373,6 +373,16 @@ impl Job {
         GpuSim::new(self.overrides.apply_gpu(base))
     }
 
+    /// The response latency at or below which a memory access on this
+    /// job's machine was an L1 or prefetch-buffer hit: the cutoff a
+    /// `simt_profile::ProfileSink` keeps hits out of its miss histograms
+    /// with.
+    pub(crate) fn profile_cutoff(&self) -> u64 {
+        let gpu = self.gpu();
+        let mem = &gpu.config().mem;
+        mem.l1_hit_latency.max(mem.prefetch_buffer_latency)
+    }
+
     /// Can this job run at all? `Err` is the one-line reason when a CTA of
     /// one of its kernels can never be placed on the configured machine
     /// (e.g. `max_warps_per_sm` overridden below the kernel's warps per

@@ -5,6 +5,7 @@
 //! needs. Objects keep insertion order, which makes serialized artifacts
 //! deterministic — the determinism test compares them byte for byte.
 
+use simt_trace::write_json_str;
 use std::fmt::Write as _;
 
 /// A JSON value. Integers are kept separate from floats so 64-bit counters
@@ -108,7 +109,7 @@ impl Value {
                     out.push_str("null"); // JSON has no NaN/Inf
                 }
             }
-            Value::Str(s) => write_str(out, s),
+            Value::Str(s) => write_json_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -125,7 +126,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(out, k);
+                    write_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -133,24 +134,6 @@ impl Value {
             }
         }
     }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Validate `value` against a minimal JSON-Schema subset: `type`,

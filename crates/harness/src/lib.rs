@@ -14,7 +14,9 @@
 //!   hash of the job, so repeated invocations skip unchanged simulations;
 //! * [`artifact`] — machine-readable JSONL records (hand-rolled
 //!   serializer; the build environment is offline, so no serde) written
-//!   under `results/runs/`.
+//!   under `results/runs/`;
+//! * [`Observe`] — the one place a run gets an event sink attached: a
+//!   timeline per job, or one bottleneck report over the whole run.
 //!
 //! ```no_run
 //! use simt_harness::{DesignPoint, Harness, Overrides, ResultCache};
@@ -45,8 +47,9 @@ pub use job::{DesignPoint, Job, JobResult, Overrides, Payload, CACHE_VERSION};
 pub use pool::WorkerPool;
 
 use gpu_workloads::{Scenario, Workload};
+use simt_profile::{report, DesignProfile, ProfileSink, WorkloadProfile};
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -118,25 +121,38 @@ pub struct RunOutput {
     pub trace_drops: u64,
     /// Number of traced jobs that dropped at least one event.
     pub trace_dropped_jobs: usize,
+    /// The bottleneck report written for this run (`report.md`,
+    /// `profile.json`), when profiling is on.
+    pub profile_paths: Option<[PathBuf; 2]>,
 }
 
-/// Where and how much to trace when the harness runs with tracing on.
+/// What a harness attaches to every job it executes. Observing forces
+/// execution: cache reads are skipped so each job actually simulates and
+/// emits its events. Results are still stored back, and stay
+/// byte-identical to unobserved runs.
 #[derive(Debug, Clone)]
-pub struct TraceSpec {
-    /// Directory receiving one Chrome-JSON + one JSONL file per job.
-    pub dir: PathBuf,
-    /// Ring-buffer capacity: the newest `events` events are kept.
-    pub events: usize,
+pub enum Observe {
+    /// Trace every job: one Chrome-JSON and one `dac-trace/v1` JSONL file
+    /// per job into `dir`.
+    Trace {
+        /// Directory receiving the timelines.
+        dir: PathBuf,
+        /// Ring-buffer capacity: the newest `events` events are kept.
+        events: usize,
+    },
+    /// Profile every job and write one bottleneck report over the run
+    /// (`report.md` + `profile.json`) into this directory.
+    Profile(PathBuf),
 }
 
 /// The experiment orchestrator: a worker count plus optional cache,
-/// artifact, and trace sinks.
+/// artifacts, and observer.
 #[derive(Debug, Clone)]
 pub struct Harness {
     workers: usize,
     cache: Option<ResultCache>,
     artifact_dir: Option<PathBuf>,
-    trace: Option<TraceSpec>,
+    observe: Option<Observe>,
     verbose: bool,
 }
 
@@ -149,7 +165,7 @@ impl Harness {
             workers: workers.max(1),
             cache: None,
             artifact_dir: None,
-            trace: None,
+            observe: None,
             verbose: false,
         }
     }
@@ -171,16 +187,9 @@ impl Harness {
         self
     }
 
-    /// Trace every job into `dir` (one Chrome-JSON + one JSONL file per
-    /// job, keeping the newest `events` events). Tracing forces execution:
-    /// cache reads are skipped so each job actually simulates and emits its
-    /// timeline — results are still stored back, and stay byte-identical to
-    /// untraced runs.
-    pub fn with_trace(mut self, dir: impl Into<PathBuf>, events: usize) -> Self {
-        self.trace = Some(TraceSpec {
-            dir: dir.into(),
-            events,
-        });
+    /// Attach an observer to every job this harness executes.
+    pub fn observe(mut self, observe: Observe) -> Self {
+        self.observe = Some(observe);
         self
     }
 
@@ -231,8 +240,8 @@ impl Harness {
         let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
         let mut misses: Vec<(usize, Job)> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
-            // Tracing forces execution: a cache hit has no timeline.
-            let hit = if self.trace.is_some() {
+            // Observing forces execution: a cache hit has no events.
+            let hit = if self.observe.is_some() {
                 None
             } else {
                 self.cache.as_ref().and_then(|c| c.load(job))
@@ -251,33 +260,42 @@ impl Harness {
         let executed = misses.len();
 
         let verbose = self.verbose;
-        let trace = self.trace.clone();
+        let observe = self.observe.clone();
         let fresh = pool::run_indexed(self.workers, misses, move |_, (i, job)| {
-            let (result, dropped) = match &trace {
-                None => (job.execute(), 0),
-                Some(spec) => {
-                    let mut sink = simt_trace::RingSink::new(spec.events);
+            let (result, dropped, profile) = match &observe {
+                None => (job.execute(), 0, None),
+                Some(Observe::Trace { dir, events }) => {
+                    let mut sink = simt_trace::RingSink::new(*events);
                     let result = job.execute_traced(&mut sink);
-                    if let Err(e) = write_trace(&spec.dir, &job, &sink) {
+                    if let Err(e) = write_trace(dir, &job, &sink) {
                         simt_obs::warn!("harness.run", "trace write failed";
                             job = job.label(), error = e.to_string());
                     }
-                    (result, sink.dropped())
+                    (result, sink.dropped(), None)
+                }
+                Some(Observe::Profile(_)) => {
+                    let mut sink = ProfileSink::new(job.profile_cutoff());
+                    let result = job.execute_traced(&mut sink);
+                    let profile = DesignProfile::new(job.point.name(), &result.report, sink);
+                    (result, 0, Some(profile))
                 }
             };
             if verbose {
                 eprintln!("  {:<20} ok ({:.1}s)", job.label(), result.wall_ms / 1e3);
             }
-            (i, job, result, dropped)
+            (i, job, result, dropped, profile)
         });
         let mut trace_drops = 0u64;
         let mut trace_dropped_jobs = 0usize;
-        for (i, job, result, dropped) in fresh {
+        // Observed runs execute every job, so `fresh` is in job order.
+        let mut profiles = Vec::new();
+        for (i, job, result, dropped, profile) in fresh {
             if let Some(cache) = &self.cache {
                 cache.store(&job, &result);
             }
             trace_drops += dropped;
             trace_dropped_jobs += usize::from(dropped > 0);
+            profiles.extend(profile);
             results[i] = Some(result);
         }
         let results: Vec<JobResult> = results
@@ -294,6 +312,15 @@ impl Harness {
                 simt_obs::warn!("harness.run", "artifact write failed"; error = e.to_string());
                 None
             });
+        let profile_paths = match &self.observe {
+            Some(Observe::Profile(dir)) => write_profile(dir, jobs, profiles)
+                .map(Some)
+                .unwrap_or_else(|e| {
+                    simt_obs::warn!("harness.run", "profile write failed"; error = e.to_string());
+                    None
+                }),
+            _ => None,
+        };
 
         Ok(RunOutput {
             results,
@@ -302,19 +329,15 @@ impl Harness {
             executed,
             trace_drops,
             trace_dropped_jobs,
+            profile_paths,
         })
     }
 }
 
 /// Write one Chrome-JSON and one `dac-trace/v1` JSONL file for a traced
-/// job into `dir`, returning their paths in that order. File names fold in
-/// workload, scale, and design so a sweep's traces land side by side
-/// without clobbering each other.
-pub fn write_trace(
-    dir: &Path,
-    job: &Job,
-    sink: &simt_trace::RingSink,
-) -> std::io::Result<[PathBuf; 2]> {
+/// job into `dir`. File names fold in workload, scale, and design so a
+/// sweep's traces land side by side without clobbering each other.
+fn write_trace(dir: &Path, job: &Job, sink: &simt_trace::RingSink) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let stem = format!(
         "{}-s{}-{}",
@@ -322,12 +345,8 @@ pub fn write_trace(
         job.scale,
         job.point.name()
     );
-    let paths = [
-        dir.join(format!("{stem}.trace.json")),
-        dir.join(format!("{stem}.trace.jsonl")),
-    ];
     let chrome = simt_trace::chrome::export(sink.events(), sink.dropped());
-    fs::write(&paths[0], chrome)?;
+    fs::write(dir.join(format!("{stem}.trace.json")), chrome)?;
     let scale = job.scale.to_string();
     let meta = [
         ("bench", job.bench()),
@@ -335,12 +354,49 @@ pub fn write_trace(
         ("design", job.point.name()),
     ];
     let jsonl = simt_trace::jsonl::export(sink.events(), &meta, sink.dropped());
-    fs::write(&paths[1], jsonl)?;
+    fs::write(dir.join(format!("{stem}.trace.jsonl")), jsonl)
+}
+
+/// Write the bottleneck report of a profiled run into `dir`: one
+/// [`WorkloadProfile`] per payload (consecutive jobs on the same payload,
+/// one column per design, in job order), rendered as `report.md` and as
+/// the `dac-profile/v1` `profile.json`, which must parse back. Returns the
+/// two paths in that order.
+fn write_profile(
+    dir: &Path,
+    jobs: &[Job],
+    profiles: Vec<DesignProfile>,
+) -> io::Result<[PathBuf; 2]> {
+    let mut workloads: Vec<WorkloadProfile> = Vec::new();
+    for (job, profile) in jobs.iter().zip(profiles) {
+        match workloads.last_mut() {
+            Some(wp) if wp.bench == job.bench() && wp.scale == job.scale => {
+                wp.designs.push(profile);
+            }
+            _ => workloads.push(WorkloadProfile {
+                bench: job.bench().to_string(),
+                scale: job.scale,
+                designs: vec![profile],
+            }),
+        }
+    }
+    let md = report::markdown(&workloads);
+    let js = report::json(&workloads);
+    json::parse(&js).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("profile.json is invalid JSON: {e}"),
+        )
+    })?;
+    fs::create_dir_all(dir)?;
+    let paths = [dir.join("report.md"), dir.join("profile.json")];
+    fs::write(&paths[0], md)?;
+    fs::write(&paths[1], js)?;
     Ok(paths)
 }
 
 /// Write one JSONL line per job into a fresh file under `dir`.
-fn write_artifact(dir: &PathBuf, jobs: &[Job], results: &[JobResult]) -> std::io::Result<PathBuf> {
+fn write_artifact(dir: &PathBuf, jobs: &[Job], results: &[JobResult]) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let now = SystemTime::now()
         .duration_since(UNIX_EPOCH)

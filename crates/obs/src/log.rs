@@ -17,6 +17,7 @@
 //! allocates nothing and formats nothing. Events below the configured
 //! level disappear; everything else is written line-atomically.
 
+use simt_trace::write_json_str;
 use std::fmt::Display;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -207,24 +208,6 @@ impl From<String> for FieldValue {
     }
 }
 
-fn escape_json_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_field_json(out: &mut String, value: &FieldValue) {
     match value {
         FieldValue::U64(n) => {
@@ -238,7 +221,7 @@ fn write_field_json(out: &mut String, value: &FieldValue) {
         }
         FieldValue::F64(_) => out.push_str("null"),
         FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        FieldValue::Str(s) => escape_json_into(out, s),
+        FieldValue::Str(s) => write_json_str(out, s),
     }
 }
 
@@ -287,9 +270,9 @@ pub fn write_event(
             .as_micros() as u64;
         let _ = write!(line, "{{\"schema\":\"{SCHEMA}\",\"ts_us\":{ts_us}");
         let _ = write!(line, ",\"level\":\"{}\",\"target\":", level.name());
-        escape_json_into(&mut line, target);
+        write_json_str(&mut line, target);
         line.push_str(",\"msg\":");
-        escape_json_into(&mut line, &msg.to_string());
+        write_json_str(&mut line, &msg.to_string());
         if let Some(span) = span {
             let _ = write!(line, ",\"span\":{span}");
         }
@@ -298,7 +281,7 @@ pub fn write_event(
             if i > 0 {
                 line.push(',');
             }
-            escape_json_into(&mut line, k);
+            write_json_str(&mut line, k);
             line.push(':');
             write_field_json(&mut line, v);
         }

@@ -60,7 +60,7 @@ impl Client {
         })
     }
 
-    /// GET a non-JSON endpoint (`/metrics?format=prom`, `/dashboard`):
+    /// GET a non-JSON endpoint (`/metrics?format=prom`):
     /// status plus the raw body, no parsing.
     pub fn get_text(&self, path: &str) -> Result<(u16, String), String> {
         self.request("GET", path, None)

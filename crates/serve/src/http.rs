@@ -12,7 +12,6 @@
 //! | GET    | `/runs/:key`         | —            | raw `dac-run/v1` artifact     |
 //! | GET    | `/status`            | —            | service overview              |
 //! | GET    | `/metrics`           | —            | counters + p50/p90/p99 endpoint latency (`?format=prom` for Prometheus text) |
-//! | GET    | `/dashboard`         | —            | read-only HTML overview       |
 //! | POST   | `/shutdown`          | —            | ack, then the daemon exits    |
 
 use crate::grid::GridRequest;
@@ -153,14 +152,6 @@ impl Response {
         }
     }
 
-    fn html(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "text/html; charset=utf-8",
-            body,
-        }
-    }
-
     fn error(status: u16, message: &str) -> Response {
         Response::json(
             status,
@@ -208,10 +199,6 @@ fn route(req: &Request, service: &SweepService) -> (&'static str, Response) {
             };
             ("GET /metrics", response)
         }
-        ("GET", "/dashboard") => (
-            "GET /dashboard",
-            Response::html(200, crate::dashboard::render(service)),
-        ),
         ("POST", "/shutdown") => (
             // The caller triggers the actual stop after the response is
             // written; here we only acknowledge.

@@ -17,10 +17,8 @@
 //!   record);
 //! * [`http`] — a dependency-free HTTP/1.1 front end exposing
 //!   `POST /sweeps`, `GET /sweeps/:id`, `GET /sweeps/:id/events`
-//!   (long-poll), `GET /runs/:key`, `GET /status`, `GET /metrics`
-//!   (JSON or Prometheus text), and `GET /dashboard`;
-//! * [`dashboard`] — the read-only HTML overview rendered from the same
-//!   status/metrics documents the JSON endpoints serve;
+//!   (long-poll), `GET /runs/:key`, `GET /status` and `GET /metrics`
+//!   (JSON or Prometheus text);
 //! * [`client`] — the tiny blocking HTTP client behind `sweepctl` and the
 //!   end-to-end tests.
 //!
@@ -34,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod dashboard;
 pub mod grid;
 pub mod http;
 pub mod manifest;

@@ -17,29 +17,6 @@
 use crate::event::{TimedEvent, TraceEvent};
 use std::fmt::Write as _;
 
-/// Escape `s` as the *contents* of a JSON string literal (no surrounding
-/// quotes). Handles quotes, backslashes, and all control characters; any
-/// non-ASCII scalar passes through as UTF-8 (valid JSON).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // Memory-lane tids: keep warp tids (0..max_warps) clear of lifecycle lanes.
 fn client_tid(client: crate::event::TraceClient) -> u32 {
     match client {
@@ -286,8 +263,7 @@ pub fn export<'a>(events: impl Iterator<Item = &'a TimedEvent>, dropped: u64) ->
     let _ = write!(
         out,
         "\n], \"displayTimeUnit\": \"ns\", \
-         \"otherData\": {{\"schema\": \"{}\", \"dropped\": {dropped}}}}}\n",
-        escape_json("dac-trace/v1 (chrome)"),
+         \"otherData\": {{\"schema\": \"dac-trace/v1 (chrome)\", \"dropped\": {dropped}}}}}\n",
     );
     out
 }
@@ -296,18 +272,6 @@ pub fn export<'a>(events: impl Iterator<Item = &'a TimedEvent>, dropped: u64) ->
 mod tests {
     use super::*;
     use crate::event::{StallCause, TraceClient, TraceEvent, TraceReqKind};
-
-    #[test]
-    fn escaping_covers_specials_and_controls() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b"), "a\\\"b");
-        assert_eq!(escape_json("back\\slash"), "back\\\\slash");
-        assert_eq!(escape_json("nl\ncr\rtab\t"), "nl\\ncr\\rtab\\t");
-        assert_eq!(escape_json("\u{08}\u{0c}"), "\\b\\f");
-        assert_eq!(escape_json("\u{01}\u{1f}"), "\\u0001\\u001f");
-        // Non-ASCII passes through unescaped (valid JSON as UTF-8).
-        assert_eq!(escape_json("µops"), "µops");
-    }
 
     #[test]
     fn export_produces_balanced_json() {

@@ -6,8 +6,8 @@
 //! first, followed by the event's own fields in a fixed order, so the
 //! output is deterministic and greppable (`grep '"ev": "mem_resp"'`).
 
-use crate::chrome::escape_json;
 use crate::event::{TimedEvent, TraceEvent};
+use crate::write_json_str;
 use std::fmt::Write as _;
 
 /// Schema identifier written in the header line.
@@ -24,7 +24,10 @@ pub fn export<'a>(
     let mut out = String::new();
     let _ = write!(out, "{{\"schema\": \"{SCHEMA}\", \"dropped\": {dropped}");
     for (k, v) in meta {
-        let _ = write!(out, ", \"{}\": \"{}\"", escape_json(k), escape_json(v));
+        out.push_str(", ");
+        write_json_str(&mut out, k);
+        out.push_str(": ");
+        write_json_str(&mut out, v);
     }
     out.push_str("}\n");
     for te in events {
