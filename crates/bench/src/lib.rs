@@ -102,12 +102,6 @@ impl FullRow {
     pub fn energy(&self, d: Design, model: &EnergyModel) -> EnergyBreakdown {
         energy_of(self.report(d), model)
     }
-
-    /// Normalized total energy of DAC vs baseline.
-    pub fn dac_energy_ratio(&self, model: &EnergyModel) -> f64 {
-        self.energy(Design::Dac, model)
-            .normalized_to(&self.energy(Design::Baseline, model))
-    }
 }
 
 /// The five design points behind a [`FullRow`]: the four hardware designs

@@ -96,11 +96,6 @@ impl EnergyBreakdown {
     pub fn dynamic(&self) -> f64 {
         self.total() - self.static_
     }
-
-    /// This run's total relative to a baseline run (Figure 21 bar height).
-    pub fn normalized_to(&self, baseline: &EnergyBreakdown) -> f64 {
-        self.total() / baseline.total()
-    }
 }
 
 /// Convert a run's statistics into an energy breakdown.
@@ -194,7 +189,6 @@ mod tests {
         let ea = energy_of(&report(10_000, a, MemStats::default()), &m);
         let eb = energy_of(&report(8_000, b, MemStats::default()), &m);
         assert!(eb.total() < ea.total());
-        assert!(eb.normalized_to(&ea) < 1.0);
         assert!(eb.static_ < ea.static_, "shorter runs save leakage");
     }
 

@@ -107,11 +107,6 @@ pub struct Overrides {
 }
 
 impl Overrides {
-    /// True when every knob is at its paper default.
-    pub fn is_default(&self) -> bool {
-        *self == Overrides::default()
-    }
-
     /// Apply the GPU-wide knobs to a core configuration.
     pub fn apply_gpu(&self, mut cfg: GpuConfig) -> GpuConfig {
         if let Some(n) = self.num_sms {

@@ -1,6 +1,6 @@
 //! Programmatic kernel construction with labels and forward references.
 
-use crate::instr::{AddrMode, AtomOp, CmpOp, Guard, Instr, Op, PredSrc, QueueKind};
+use crate::instr::{AddrMode, AtomOp, CmpOp, Guard, Instr, Op, PredSrc};
 use crate::kernel::Kernel;
 use crate::types::{Operand, PredId, RegId, Space, SpecialReg, Width};
 use std::collections::HashMap;
@@ -312,42 +312,6 @@ impl KernelBuilder {
         self
     }
 
-    /// Enqueue an affine load address (DAC affine stream).
-    pub fn enq_data(&mut self, src: RegId, width: Width) -> &mut Self {
-        self.push(Instr::Enq {
-            kind: QueueKind::Data,
-            src: Some(src),
-            pred: None,
-            width,
-            space: Space::Global,
-            guard: None,
-        })
-    }
-
-    /// Enqueue an affine store address (DAC affine stream).
-    pub fn enq_addr(&mut self, src: RegId, width: Width) -> &mut Self {
-        self.push(Instr::Enq {
-            kind: QueueKind::Addr,
-            src: Some(src),
-            pred: None,
-            width,
-            space: Space::Global,
-            guard: None,
-        })
-    }
-
-    /// Enqueue an affine predicate (DAC affine stream).
-    pub fn enq_pred(&mut self, pred: PredId) -> &mut Self {
-        self.push(Instr::Enq {
-            kind: QueueKind::Pred,
-            src: None,
-            pred: Some(pred),
-            width: Width::W32,
-            space: Space::Global,
-            guard: None,
-        })
-    }
-
     /// Emit the canonical linear thread id: `ctaid.x * ntid.x + tid.x`.
     pub fn tid_linear_x(&mut self) -> RegId {
         self.alu3(
@@ -355,17 +319,6 @@ impl KernelBuilder {
             Operand::Special(SpecialReg::CtaIdX),
             Operand::Special(SpecialReg::NTidX),
             Operand::Special(SpecialReg::TidX),
-        )
-    }
-
-    /// Emit a byte offset `tid * width` and add it to a base-pointer param:
-    /// returns the register holding `param(base) + tid * elem_bytes`.
-    pub fn param_elem_addr(&mut self, param: u16, tid: RegId, elem_bytes: i64) -> RegId {
-        self.alu3(
-            Op::Mad,
-            Operand::Reg(tid),
-            Operand::Imm(elem_bytes),
-            Operand::Param(param),
         )
     }
 

@@ -137,25 +137,6 @@ impl Cfg {
         }
     }
 
-    /// Nearest common post-dominator of two blocks (`None` ⇒ exit).
-    pub fn common_postdom(&self, a: usize, b: usize) -> Option<usize> {
-        // Walk a's ipostdom chain into a set, then walk b's chain until a hit.
-        let mut chain = Vec::new();
-        let mut x = Some(a);
-        while let Some(cur) = x {
-            chain.push(cur);
-            x = self.ipostdom[cur];
-        }
-        let mut y = Some(b);
-        while let Some(cur) = y {
-            if chain.contains(&cur) {
-                return Some(cur);
-            }
-            y = self.ipostdom[cur];
-        }
-        None
-    }
-
     /// Number of basic blocks.
     pub fn len(&self) -> usize {
         self.blocks.len()
@@ -414,7 +395,6 @@ mod tests {
         // ipostdom of blocks 1 and 2 is block 3.
         assert_eq!(cfg.ipostdom[1], Some(3));
         assert_eq!(cfg.ipostdom[2], Some(3));
-        assert_eq!(cfg.common_postdom(1, 2), Some(3));
     }
 
     #[test]

@@ -96,30 +96,6 @@ impl Op {
             Op::FSqrt | Op::FRcp | Op::FExp2 | Op::FLog2 | Op::FSin | Op::FCos | Op::FDiv
         )
     }
-
-    /// True for floating-point ops (including conversions' float side).
-    pub fn is_float(self) -> bool {
-        matches!(
-            self,
-            Op::FAdd
-                | Op::FSub
-                | Op::FMul
-                | Op::FMad
-                | Op::FDiv
-                | Op::FMin
-                | Op::FMax
-                | Op::FAbs
-                | Op::FNeg
-                | Op::FSqrt
-                | Op::FRcp
-                | Op::FExp2
-                | Op::FLog2
-                | Op::FSin
-                | Op::FCos
-                | Op::I2F
-                | Op::F2I
-        )
-    }
 }
 
 impl fmt::Display for Op {
@@ -545,11 +521,6 @@ impl Instr {
         }
     }
 
-    /// True if the instruction can transfer control (branch or exit).
-    pub fn is_control(&self) -> bool {
-        matches!(self, Instr::Bra { .. } | Instr::Exit)
-    }
-
     /// True if this is a memory access through the LSU (ld/st/atom).
     pub fn is_mem(&self) -> bool {
         matches!(
@@ -734,8 +705,6 @@ mod tests {
         assert_eq!(Op::Add.arity(), 2);
         assert!(Op::FSqrt.is_sfu());
         assert!(!Op::Add.is_sfu());
-        assert!(Op::FAdd.is_float());
-        assert!(!Op::Shl.is_float());
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl MemConfig {
         }
     }
 
-    /// Align an address down to its cache line.
-    #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.line_bytes - 1)
-    }
-
     /// The L2 partition servicing `line` (interleaved by line address).
     #[inline]
     pub fn partition_of(&self, line: u64) -> usize {
@@ -144,9 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn line_and_partition_mapping() {
+    fn partition_mapping() {
         let c = MemConfig::gtx480();
-        assert_eq!(c.line_of(0x1234), 0x1200);
         assert_eq!(c.partition_of(0), 0);
         assert_eq!(c.partition_of(128), 1);
         assert_eq!(c.partition_of(128 * 6), 0);

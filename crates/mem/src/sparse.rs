@@ -209,16 +209,6 @@ impl SparseMemory {
         self.write_bytes(addr, v as u64, 4);
     }
 
-    /// Read an `f32` stored at `addr`.
-    pub fn read_f32(&self, addr: u64) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Write an `f32` at `addr`.
-    pub fn write_f32(&mut self, addr: u64, v: f32) {
-        self.write_u32(addr, v.to_bits());
-    }
-
     /// Write a run of 32-bit words page-by-page: one page-table lookup per
     /// touched page instead of one per byte.
     fn write_word_run(&mut self, base: u64, words: impl Fn(usize) -> u32, len: usize) {
@@ -259,13 +249,6 @@ impl SparseMemory {
             .collect()
     }
 
-    /// Read `len` `f32` values starting at `base`.
-    pub fn read_f32_vec(&self, base: u64, len: usize) -> Vec<f32> {
-        (0..len)
-            .map(|i| self.read_f32(base + 4 * i as u64))
-            .collect()
-    }
-
     /// Number of resident 4 KiB pages (observability for tests).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
@@ -297,7 +280,7 @@ mod tests {
         let mut m = SparseMemory::new();
         let data = [1.0f32, -2.5, 3.75];
         m.write_f32_slice(0x1000, &data);
-        assert_eq!(m.read_f32_vec(0x1000, 3), data.to_vec());
+        assert_eq!(m.read_u32_vec(0x1000, 3), data.map(f32::to_bits));
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn set_off() {
 }
 
 /// Apply a level by name (`error|warn|info|debug|off`), as accepted by
-/// `SIMT_LOG` and the `--log-level` flags.
+/// `SIMT_LOG`.
 pub fn set_level_str(text: &str) -> Result<(), String> {
     if text.eq_ignore_ascii_case("off") {
         set_off();
@@ -115,8 +115,7 @@ pub fn set_format(format: Format) {
     FORMAT.store(matches!(format, Format::Json) as u8, Ordering::Relaxed);
 }
 
-/// Apply a format by name (`text|json`), as accepted by `SIMT_LOG_FORMAT`
-/// and the `--log-format` flags.
+/// Apply a format by name (`text|json`), as accepted by `SIMT_LOG_FORMAT`.
 pub fn set_format_str(text: &str) -> Result<(), String> {
     match text.to_ascii_lowercase().as_str() {
         "text" => {
@@ -134,7 +133,7 @@ pub fn set_format_str(text: &str) -> Result<(), String> {
 /// Configure the logger from `SIMT_LOG` (level) and `SIMT_LOG_FORMAT`
 /// (format). Unset variables leave the defaults (info, text); invalid
 /// values are reported on stderr and ignored. Every binary calls this
-/// first thing in `main`; CLI flags may override afterwards.
+/// first thing in `main`; no binary has a flag for either.
 pub fn init_from_env() {
     if let Ok(level) = std::env::var("SIMT_LOG") {
         if let Err(e) = set_level_str(&level) {

@@ -13,7 +13,10 @@ const USAGE: &str = "\
 usage: serve [options]
 
 Starts the sweep service daemon: a job queue with single-flight dedup over
-the shared result store in --results. Submit grids with `sweepctl`.
+the shared result store in --results. Submit grids with `sweepctl`. The
+log level and format come from SIMT_LOG (error|warn|info|debug|off,
+default info) and SIMT_LOG_FORMAT (text|json dac-log/v1 lines, default
+text), as for every binary here.
 
 options:
   --addr HOST          bind address (default 127.0.0.1)
@@ -24,9 +27,6 @@ options:
                        (default: available cores)
   --execute-budget N   simulate at most N fresh points this session, then
                        leave the rest queued for the next session
-  --log-level LEVEL    error|warn|info|debug|off (default info; env SIMT_LOG)
-  --log-format FORMAT  text|json dac-log/v1 lines (default text;
-                       env SIMT_LOG_FORMAT)
   -q, --quiet          no per-point progress lines
   -h, --help           this message";
 
@@ -90,10 +90,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|_| usage_exit("--execute-budget: expected an integer")),
                 )
             }
-            "--log-level" => simt_obs::log::set_level_str(&value("--log-level"))
-                .unwrap_or_else(|e| usage_exit(&format!("--log-level: {e}"))),
-            "--log-format" => simt_obs::log::set_format_str(&value("--log-format"))
-                .unwrap_or_else(|e| usage_exit(&format!("--log-format: {e}"))),
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => usage_exit("help"),
             other => usage_exit(&format!("unknown option {other:?}")),

@@ -1,12 +1,13 @@
 //! `sweepctl` — client for the sweep daemon (`serve`).
 //!
-//! Submits design-space grids, watches them to completion, fetches raw
+//! Submits design-space grids, follows them to completion, fetches raw
 //! `dac-run/v1` artifacts out of the shared store, and validates
 //! `dac-log/v1` logs. Machine-readable output (JSON documents) goes to
 //! stdout; progress lines go to stderr.
 
 use simt_harness::json::{self, Value};
 use simt_serve::client::Client;
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -15,9 +16,9 @@ usage: sweepctl <command> [options]
 
 commands:
   submit       submit a grid (--bench A,B --scenarios S --designs D --scale N
-               --set k=v ...); add --watch to block until it completes
-  watch ID     poll a sweep until it completes, printing a one-line
-               progress summary (done/executed/hits/shared) as it moves
+               --set k=v ...); add --watch to follow its event journal
+               (on stderr) until it completes, then print its final
+               status document
   tail ID      stream the sweep's event journal live (point started /
                finished / failed, resolution, wall time); --json prints
                the raw event documents instead of human lines
@@ -35,7 +36,7 @@ connection options (all commands):
   --addr HOST:PORT   daemon address (default 127.0.0.1:7878)
   --port-file PATH   read the port from PATH (as written by serve
                      --port-file), host 127.0.0.1
-  --timeout SECS     watch/tail completion timeout (default 600)";
+  --timeout SECS     submit --watch / tail completion timeout (default 600)";
 
 fn usage_exit(error: &str) -> ! {
     if error == "help" {
@@ -142,14 +143,9 @@ fn main() {
     let client = Client::new(common.addr.clone());
     match command.as_str() {
         "submit" => submit(&client, &common),
-        "watch" => {
-            let (id, _) = one_arg("watch", &common.rest, Some("a sweep id"), None);
-            let status = watch(&client, &id, common.timeout);
-            println!("{}", status.to_json());
-        }
         "tail" => {
             let (id, json_mode) = one_arg("tail", &common.rest, Some("a sweep id"), Some("--json"));
-            tail(&client, &id, common.timeout, json_mode);
+            tail(&client, &id, common.timeout, json_mode, &mut io::stdout());
         }
         "fetch" => fetch(&client, &common),
         "status" => {
@@ -292,62 +288,29 @@ fn submit(client: &Client, common: &Common) {
             .unwrap_or(0),
     );
     if watch_it {
-        let status = watch(client, &id, common.timeout);
-        println!("{}", status.to_json());
+        tail(client, &id, common.timeout, false, &mut io::stderr());
+        print_endpoint(client, &format!("/sweeps/{id}"));
     } else {
         println!("{}", receipt.to_json());
     }
 }
 
-/// Poll a sweep until it completes, printing a one-line progress summary
-/// whenever it changes; exits the process on timeout or if any point
-/// failed. Returns the final status document.
-fn watch(client: &Client, id: &str, timeout: Duration) -> Value {
-    let deadline = Instant::now() + timeout;
-    let mut last_line = String::new();
-    loop {
-        let status = client
-            .get(&format!("/sweeps/{id}"))
-            .and_then(|r| r.ok())
-            .unwrap_or_else(|e| fail(&e));
-        let field = |name: &str| status.get(name).and_then(Value::as_u64).unwrap_or(0);
-        let (done, failed, total) = (field("done"), field("failed"), field("total"));
-        let line = format!(
-            "{done}/{total} done ({} executed, {} from cache, {} shared), \
-             {} running, {failed} failed",
-            field("executed"),
-            field("cache_hits"),
-            field("shared"),
-            field("running"),
-        );
-        if line != last_line {
-            eprintln!("sweepctl: {id}: {line}");
-            last_line = line;
-        }
-        if status.get("complete").and_then(Value::as_bool) == Some(true) {
-            if failed > 0 {
-                fail(&format!("{id}: {failed} point(s) failed"));
-            }
-            return status;
-        }
-        if Instant::now() >= deadline {
-            fail(&format!("{id}: timed out after {}s", timeout.as_secs()));
-        }
-        std::thread::sleep(Duration::from_millis(200));
-    }
-}
-
 /// Follow a sweep's event journal live: long-poll `/sweeps/:id/events`
-/// with a `since` cursor, printing each event as it arrives, until the
-/// sweep completes. Exits 1 if any point failed.
-fn tail(client: &Client, id: &str, timeout: Duration, json_mode: bool) {
+/// with a `since` cursor, writing each event to `out` as it arrives (one
+/// human line, or the raw document with `json_mode`), until the sweep
+/// completes. Exits 1 on timeout or if any point failed.
+fn tail(client: &Client, id: &str, timeout: Duration, json_mode: bool, out: &mut dyn Write) {
     let deadline = Instant::now() + timeout;
     let mut since = 0u64;
     let mut failures = 0u64;
     loop {
+        let wait_ms = deadline
+            .saturating_duration_since(Instant::now())
+            .as_millis()
+            .min(10_000);
         let reply = client
             .get(&format!(
-                "/sweeps/{id}/events?since={since}&timeout_ms=10000"
+                "/sweeps/{id}/events?since={since}&timeout_ms={wait_ms}"
             ))
             .and_then(|r| r.ok())
             .unwrap_or_else(|e| fail(&e));
@@ -364,11 +327,12 @@ fn tail(client: &Client, id: &str, timeout: Duration, json_mode: bool) {
             .map(<[Value]>::to_vec)
             .unwrap_or_default();
         for event in &events {
-            if json_mode {
-                println!("{}", event.to_json());
+            let line = if json_mode {
+                event.to_json()
             } else {
-                print_event(id, event);
-            }
+                event_line(id, event)
+            };
+            let _ = writeln!(out, "{line}");
             if event.get("kind").and_then(Value::as_str) == Some("failed") {
                 failures += 1;
             }
@@ -389,23 +353,23 @@ fn tail(client: &Client, id: &str, timeout: Duration, json_mode: bool) {
     }
 }
 
-/// One human-readable line per journal event.
-fn print_event(id: &str, event: &Value) {
+/// The human-readable line for one journal event.
+fn event_line(id: &str, event: &Value) -> String {
     let s = |name: &str| event.get(name).and_then(Value::as_str).unwrap_or("");
     let wall_s = event.get("wall_us").and_then(Value::as_u64).unwrap_or(0) as f64 / 1e6;
     match s("kind") {
-        "started" => println!("{} started", s("label")),
+        "started" => format!("{} started", s("label")),
         "finished" => {
             let cycles = event.get("cycles").and_then(Value::as_u64).unwrap_or(0);
-            println!(
+            format!(
                 "{} finished ({}, {wall_s:.3}s, {cycles} cycles)",
                 s("label"),
                 s("resolution"),
-            );
+            )
         }
-        "failed" => println!("{} FAILED: {}", s("label"), s("error")),
-        "complete" => println!("{id} complete ({wall_s:.3}s)"),
-        other => println!("{} {other}", s("label")),
+        "failed" => format!("{} FAILED: {}", s("label"), s("error")),
+        "complete" => format!("{id} complete ({wall_s:.3}s)"),
+        other => format!("{} {other}", s("label")),
     }
 }
 

@@ -26,8 +26,7 @@
 //! exposition) comes from `simt-obs`; the daemon initializes the logger
 //! and every warning in this crate is a structured `dac-log/v1` event.
 //!
-//! Binaries: `serve` (the daemon) and `sweepctl` (submit / watch / tail /
-//! fetch).
+//! Binaries: `serve` (the daemon) and `sweepctl` (submit / tail / fetch).
 
 #![forbid(unsafe_code)]
 

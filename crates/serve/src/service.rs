@@ -22,7 +22,7 @@
 use crate::grid::GridRequest;
 use crate::manifest;
 use simt_harness::{json, Job, ResultCache, WorkerPool};
-use simt_obs::metrics::{Registry, SeriesValue};
+use simt_obs::metrics::{FamilySnapshot, Kind, Registry, SeriesSnapshot, SeriesValue};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -87,6 +87,15 @@ enum Resolution {
     CacheHit,
 }
 
+impl Resolution {
+    fn name(self) -> &'static str {
+        match self {
+            Resolution::Executed => "executed",
+            Resolution::CacheHit => "cache_hit",
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum PointStatus {
     Queued,
@@ -110,6 +119,46 @@ impl PointStatus {
     }
 }
 
+/// Point counts by status over a set of points. A point resolves at most
+/// once per session, so over every point this is also the session's
+/// resolution count: the point table is the service's only record of
+/// what it executed, served from the store, or failed.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Tally {
+    queued: u64,
+    running: u64,
+    failed: u64,
+    executed: u64,
+    cache_hits: u64,
+}
+
+impl Tally {
+    fn of<'a>(statuses: impl IntoIterator<Item = &'a PointStatus>) -> Tally {
+        let mut tally = Tally::default();
+        for status in statuses {
+            match status {
+                PointStatus::Queued => tally.queued += 1,
+                PointStatus::Running => tally.running += 1,
+                PointStatus::Done {
+                    resolution: Resolution::Executed,
+                    ..
+                } => tally.executed += 1,
+                PointStatus::Done {
+                    resolution: Resolution::CacheHit,
+                    ..
+                } => tally.cache_hits += 1,
+                PointStatus::Failed(_) => tally.failed += 1,
+            }
+        }
+        tally
+    }
+
+    /// Points with a result (failed points are terminal but not done).
+    fn done(&self) -> u64 {
+        self.executed + self.cache_hits
+    }
+}
+
 /// One entry in the single-flight registry.
 struct PointEntry {
     job: Job,
@@ -119,45 +168,55 @@ struct PointEntry {
     status: PointStatus,
 }
 
-/// One entry in a sweep's bounded event journal (see
-/// [`SweepService::sweep_events`]).
-#[derive(Debug, Clone)]
-struct SweepEvent {
-    seq: u64,
-    /// `started` | `finished` | `failed` | `complete`.
-    kind: &'static str,
-    label: String,
-    /// Point key hash (16 hex digits); empty for sweep-level events.
-    run: String,
-    /// `executed` | `cache_hit`, on `finished` events.
-    resolution: Option<&'static str>,
-    wall_us: Option<u64>,
-    cycles: Option<u64>,
-    error: Option<String>,
+/// A journal event as served, minus the leading `seq` that
+/// [`SweepState::push_event`] assigns: `kind`, `label`, `run` (the point's
+/// 16-hex key; empty on `complete`), then whichever of `resolution`,
+/// `wall_us`, `cycles` and `error` apply.
+type EventBody = Vec<(String, json::Value)>;
+
+fn event(kind: &str, label: &str, run: String) -> EventBody {
+    vec![
+        ("kind".into(), json::Value::Str(kind.into())),
+        ("label".into(), json::Value::Str(label.into())),
+        ("run".into(), json::Value::Str(run)),
+    ]
 }
 
-impl SweepEvent {
-    fn to_json(&self) -> json::Value {
-        let mut fields = vec![
-            ("seq".into(), json::Value::Int(self.seq)),
-            ("kind".into(), json::Value::Str(self.kind.into())),
-            ("label".into(), json::Value::Str(self.label.clone())),
-            ("run".into(), json::Value::Str(self.run.clone())),
-        ];
-        if let Some(r) = self.resolution {
-            fields.push(("resolution".into(), json::Value::Str(r.into())));
+fn started_event(hash: u64, label: &str) -> EventBody {
+    event("started", label, format!("{hash:016x}"))
+}
+
+/// The `finished` or `failed` event of a terminal point. `wall_us` is the
+/// time it took when the event is emitted live; a replay into a sweep
+/// submitted after the fact has none.
+fn terminal_event(hash: u64, label: &str, status: &PointStatus, wall_us: Option<u64>) -> EventBody {
+    let run = format!("{hash:016x}");
+    let wall_us = wall_us.map(|w| ("wall_us".into(), json::Value::Int(w)));
+    match status {
+        PointStatus::Done { cycles, resolution } => {
+            let mut body = event("finished", label, run);
+            body.push((
+                "resolution".into(),
+                json::Value::Str(resolution.name().into()),
+            ));
+            body.extend(wall_us);
+            body.push(("cycles".into(), json::Value::Int(*cycles)));
+            body
         }
-        if let Some(w) = self.wall_us {
-            fields.push(("wall_us".into(), json::Value::Int(w)));
+        PointStatus::Failed(msg) => {
+            let mut body = event("failed", label, run);
+            body.extend(wall_us);
+            body.push(("error".into(), json::Value::Str(msg.clone())));
+            body
         }
-        if let Some(c) = self.cycles {
-            fields.push(("cycles".into(), json::Value::Int(c)));
-        }
-        if let Some(e) = &self.error {
-            fields.push(("error".into(), json::Value::Str(e.clone())));
-        }
-        json::Value::Obj(fields)
+        _ => unreachable!("terminal event for a point still in flight"),
     }
+}
+
+fn complete_event(wall_us: u64) -> EventBody {
+    let mut body = event("complete", "", String::new());
+    body.push(("wall_us".into(), json::Value::Int(wall_us)));
+    body
 }
 
 struct SweepState {
@@ -165,8 +224,10 @@ struct SweepState {
     submitted: Instant,
     /// Wall seconds from submission to the last point completing.
     done_wall_s: Option<f64>,
-    /// Bounded journal of point lifecycle events, seq-numbered from 0.
-    events: VecDeque<SweepEvent>,
+    /// Bounded journal of point lifecycle events, seq-numbered from 0 and
+    /// kept as served. Seqs are dense, so the event at index `i` has seq
+    /// `dropped_events + i`.
+    events: VecDeque<json::Value>,
     next_seq: u64,
     /// Events pushed out of the bounded journal before anyone read them.
     dropped_events: u64,
@@ -175,28 +236,25 @@ struct SweepState {
 }
 
 impl SweepState {
-    fn push_event(&mut self, mut event: SweepEvent) {
-        event.seq = self.next_seq;
+    fn push_event(&mut self, body: &[(String, json::Value)]) {
+        let mut fields = Vec::with_capacity(body.len() + 1);
+        fields.push(("seq".into(), json::Value::Int(self.next_seq)));
+        fields.extend_from_slice(body);
         self.next_seq += 1;
         if self.events.len() == EVENT_CAP {
             self.events.pop_front();
             self.dropped_events += 1;
         }
-        self.events.push_back(event);
+        self.events.push_back(json::Value::Obj(fields));
     }
 }
 
 struct State {
     points: HashMap<u64, PointEntry>,
     sweeps: BTreeMap<String, SweepState>,
-    /// Fresh simulations this session.
-    executed: u64,
-    /// Points resolved from the on-disk store this session.
-    cache_hits: u64,
     /// Submitted points that attached to an existing entry (single-flight
     /// shares plus resubmissions).
     shared_submissions: u64,
-    failed: u64,
     budget_left: Option<usize>,
     /// Dispatched pool tasks not yet finished (for idle detection).
     pending: usize,
@@ -204,14 +262,57 @@ struct State {
 }
 
 impl State {
-    /// Append a point lifecycle event to the journal of every sweep that
-    /// names `hash`. Callers must hold the state lock and notify the
+    /// The tally over every point this session knows.
+    fn tally(&self) -> Tally {
+        Tally::of(self.points.values().map(|p| &p.status))
+    }
+
+    /// The tally over one sweep's points.
+    fn sweep_tally(&self, sweep: &SweepState) -> Tally {
+        Tally::of(sweep.hashes.iter().map(|h| &self.points[h].status))
+    }
+
+    /// Append a point lifecycle event to the journal of every open sweep
+    /// that names `hash`. Callers must hold the state lock and notify the
     /// condvar afterwards (event polls wait on it).
-    fn push_point_event(&mut self, hash: u64, event: SweepEvent) {
+    fn push_point_event(&mut self, hash: u64, body: &[(String, json::Value)]) {
         for sweep in self.sweeps.values_mut() {
             if sweep.done_wall_s.is_none() && sweep.hashes.contains(&hash) {
-                sweep.push_event(event.clone());
+                sweep.push_event(body);
             }
+        }
+    }
+
+    /// Publish a point's terminal status: set it, journal it to every open
+    /// sweep naming the point, count its task down, and close out the
+    /// sweeps it completes — in that order, so a point's `finished` or
+    /// `failed` event precedes its sweep's `complete`. Callers notify the
+    /// condvar afterwards.
+    fn resolve(&mut self, hash: u64, status: PointStatus, wall_us: u64) {
+        let entry = self
+            .points
+            .get_mut(&hash)
+            .expect("dispatched point is registered");
+        let body = terminal_event(hash, &entry.label, &status, Some(wall_us));
+        entry.status = status;
+        self.push_point_event(hash, &body);
+        self.pending -= 1;
+        // Close out sweeps whose last point this was. O(sweeps × points),
+        // fine at service scale and only on completions.
+        let points = &self.points;
+        for (id, sw) in self.sweeps.iter_mut() {
+            if sw.done_wall_s.is_some()
+                || !sw.hashes.contains(&hash)
+                || !sw.hashes.iter().all(|h| points[h].status.is_terminal())
+            {
+                continue;
+            }
+            let wall_s = sw.submitted.elapsed().as_secs_f64();
+            sw.done_wall_s = Some(wall_s);
+            sw.push_event(&complete_event((wall_s * 1e6) as u64));
+            simt_obs::log_at!(simt_obs::log::Level::Info, Some(sw.span),
+                "serve.service", "sweep complete";
+                sweep = id.clone(), wall_s = wall_s);
         }
     }
 }
@@ -264,10 +365,11 @@ pub struct SweepService {
     state: Arc<(Mutex<State>, Condvar)>,
     pool: WorkerPool,
     started: Instant,
-    /// Service-local metric registry (endpoint latency, point histograms,
-    /// session counters). Per-instance so concurrent in-process services —
-    /// the tests run several — do not share series; `/metrics?format=prom`
-    /// concatenates this with the process-global registry (cache, logger).
+    /// Service-local metric registry (endpoint latency, point wall-time
+    /// histograms, the gauges `prom_metrics` sets). Per-instance so
+    /// concurrent in-process services — the tests run several — do not
+    /// share series; `/metrics?format=prom` concatenates this with the
+    /// process-global registry (cache, logger).
     registry: Arc<Registry>,
 }
 
@@ -280,10 +382,7 @@ impl SweepService {
             Mutex::new(State {
                 points: HashMap::new(),
                 sweeps: BTreeMap::new(),
-                executed: 0,
-                cache_hits: 0,
                 shared_submissions: 0,
-                failed: 0,
                 budget_left: cfg.execute_budget,
                 pending: 0,
                 stopping: false,
@@ -299,17 +398,6 @@ impl SweepService {
             started: Instant::now(),
             registry: Arc::new(Registry::new()),
         }
-    }
-
-    /// The service-local metric registry (exposed for tests and the
-    /// Prometheus endpoint).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The configuration this session runs under.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// The shared result store.
@@ -373,18 +461,10 @@ impl SweepService {
                 return Err("service is shutting down".into());
             }
             if st.sweeps.contains_key(&id) {
-                let receipt = Self::resubmission_receipt(&st, &id);
+                let receipt = Self::receipt(&st, &id, true, 0);
                 st.shared_submissions += receipt.total as u64;
                 return Ok(receipt);
             }
-            let mut receipt = Receipt {
-                id: id.clone(),
-                resubmitted: false,
-                total: 0,
-                new: 0,
-                already_done: 0,
-                inflight_shared: 0,
-            };
             let mut hashes = Vec::with_capacity(jobs.len());
             let mut sweep = SweepState {
                 hashes: Vec::new(),
@@ -401,20 +481,14 @@ impl SweepService {
                     continue; // duplicate point inside one grid
                 }
                 hashes.push(hash);
-                receipt.total += 1;
                 match st.points.get(&hash) {
-                    Some(entry) => {
-                        if entry.status.is_terminal() {
-                            receipt.already_done += 1;
-                            // Replay the terminal outcome into the fresh
-                            // journal so `sweepctl tail` of this sweep sees
-                            // every point, not just the newly-enqueued ones.
-                            sweep.push_event(Self::terminal_event(hash, entry));
-                        } else {
-                            receipt.inflight_shared += 1;
-                        }
-                        st.shared_submissions += 1;
+                    // Replay the terminal outcome into the fresh journal so
+                    // `sweepctl tail` of this sweep sees every point, not
+                    // just the newly-enqueued ones.
+                    Some(entry) if entry.status.is_terminal() => {
+                        sweep.push_event(&terminal_event(hash, &entry.label, &entry.status, None));
                     }
+                    Some(_) => {}
                     None => {
                         st.points.insert(
                             hash,
@@ -425,7 +499,6 @@ impl SweepService {
                                 status: PointStatus::Queued,
                             },
                         );
-                        receipt.new += 1;
                         to_enqueue.push(hash);
                     }
                 }
@@ -439,19 +512,12 @@ impl SweepService {
             sweep.hashes = hashes;
             if already_complete {
                 sweep.done_wall_s = Some(0.0);
-                sweep.push_event(SweepEvent {
-                    seq: 0,
-                    kind: "complete",
-                    label: String::new(),
-                    run: String::new(),
-                    resolution: None,
-                    wall_us: Some(0),
-                    cycles: None,
-                    error: None,
-                });
+                sweep.push_event(&complete_event(0));
             }
             let span = sweep.span;
             st.sweeps.insert(id.clone(), sweep);
+            let receipt = Self::receipt(&st, &id, false, to_enqueue.len());
+            st.shared_submissions += (receipt.total - receipt.new) as u64;
             simt_obs::log_at!(simt_obs::log::Level::Info, Some(span), "serve.service",
                 "sweep submitted";
                 sweep = id.clone(), total = receipt.total, new = receipt.new,
@@ -472,288 +538,146 @@ impl SweepService {
         Ok(receipt)
     }
 
-    /// The journal event describing an already-terminal point (used when a
-    /// new sweep attaches to points finished under another sweep).
-    fn terminal_event(hash: u64, entry: &PointEntry) -> SweepEvent {
-        match &entry.status {
-            PointStatus::Done { cycles, resolution } => SweepEvent {
-                seq: 0,
-                kind: "finished",
-                label: entry.label.clone(),
-                run: format!("{hash:016x}"),
-                resolution: Some(match resolution {
-                    Resolution::Executed => "executed",
-                    Resolution::CacheHit => "cache_hit",
-                }),
-                wall_us: None,
-                cycles: Some(*cycles),
-                error: None,
-            },
-            PointStatus::Failed(msg) => SweepEvent {
-                seq: 0,
-                kind: "failed",
-                label: entry.label.clone(),
-                run: format!("{hash:016x}"),
-                resolution: None,
-                wall_us: None,
-                cycles: None,
-                error: Some(msg.clone()),
-            },
-            // Only called for terminal points.
-            _ => unreachable!("terminal_event on non-terminal point"),
-        }
-    }
-
-    fn resubmission_receipt(st: &State, id: &str) -> Receipt {
+    /// The receipt for registered sweep `id`, of which this submission
+    /// enqueued `new` points: every other point is either already terminal
+    /// or shared with the sweep whose run is still in flight.
+    fn receipt(st: &State, id: &str, resubmitted: bool, new: usize) -> Receipt {
         let sweep = &st.sweeps[id];
-        let mut receipt = Receipt {
+        let tally = st.sweep_tally(sweep);
+        let total = sweep.hashes.len();
+        let already_done = (tally.done() + tally.failed) as usize;
+        Receipt {
             id: id.to_string(),
-            resubmitted: true,
-            total: sweep.hashes.len(),
-            new: 0,
-            already_done: 0,
-            inflight_shared: 0,
-        };
-        for hash in &sweep.hashes {
-            if st.points[hash].status.is_terminal() {
-                receipt.already_done += 1;
-            } else {
-                receipt.inflight_shared += 1;
-            }
+            resubmitted,
+            total,
+            new,
+            already_done,
+            inflight_shared: total - new - already_done,
         }
-        receipt
     }
 
-    /// Run one registered point on the pool: cache first, simulate on a
-    /// miss (budget permitting), store, publish.
+    /// Run one registered point on the pool and publish its outcome.
     fn dispatch(&self, hash: u64) {
         let state = Arc::clone(&self.state);
         let cache = self.cache.clone();
         let registry = Arc::clone(&self.registry);
         let verbose = self.cfg.verbose;
         self.pool.submit(move || {
+            let resolved = Self::run_point(&state, &cache, &registry, hash, verbose);
             let (lock, cvar) = &*state;
-            let job = {
-                let mut st = lock.lock().unwrap();
-                if st.stopping {
-                    // Leave the point queued: the manifest resumes it next
-                    // session. The task still counts down `pending`.
-                    st.pending -= 1;
-                    cvar.notify_all();
-                    return;
-                }
-                st.points[&hash].job.clone()
-            };
-            let run = format!("{hash:016x}");
-
-            // Store lookup outside the lock — it reads the filesystem.
-            let lookup_started = Instant::now();
-            if let Some(hit) = cache.load(&job) {
-                let wall_us = lookup_started.elapsed().as_micros() as u64;
-                registry.counter_add(
-                    "simt_points_resolved_total",
-                    "Sweep points resolved this session, by how.",
-                    &[("resolution", "cache_hit")],
-                    1,
-                );
-                let mut st = lock.lock().unwrap();
-                st.cache_hits += 1;
-                st.push_point_event(
-                    hash,
-                    SweepEvent {
-                        seq: 0,
-                        kind: "finished",
-                        label: job.label(),
-                        run,
-                        resolution: Some("cache_hit"),
-                        wall_us: Some(wall_us),
-                        cycles: Some(hit.report.cycles),
-                        error: None,
-                    },
-                );
-                Self::complete(
-                    &mut st,
-                    hash,
-                    PointStatus::Done {
-                        cycles: hit.report.cycles,
-                        resolution: Resolution::CacheHit,
-                    },
-                );
-                if verbose {
-                    eprintln!("  {:<24} cached", job.label());
-                }
-                cvar.notify_all();
-                return;
-            }
-
-            {
-                let mut st = lock.lock().unwrap();
-                if st.stopping {
-                    st.pending -= 1;
-                    cvar.notify_all();
-                    return;
-                }
-                if let Some(budget) = &mut st.budget_left {
-                    if *budget == 0 {
-                        // Out of budget: the point stays queued for the
-                        // next session.
-                        st.pending -= 1;
-                        cvar.notify_all();
-                        return;
-                    }
-                    *budget -= 1;
-                }
-                if let Some(entry) = st.points.get_mut(&hash) {
-                    entry.status = PointStatus::Running;
-                }
-                st.push_point_event(
-                    hash,
-                    SweepEvent {
-                        seq: 0,
-                        kind: "started",
-                        label: job.label(),
-                        run: run.clone(),
-                        resolution: None,
-                        wall_us: None,
-                        cycles: None,
-                        error: None,
-                    },
-                );
-                cvar.notify_all();
-            }
-
-            let sim_started = Instant::now();
-            // A point that can never run fails with its one-line reason;
-            // anything else that goes wrong inside the simulator is a panic.
-            let outcome = match job.check() {
-                Ok(()) => catch_unwind(AssertUnwindSafe(|| job.execute())),
-                Err(reason) => Err(Box::new(reason) as Box<dyn std::any::Any + Send>),
-            };
-            let wall_us = sim_started.elapsed().as_micros() as u64;
             let mut st = lock.lock().unwrap();
-            match outcome {
-                Ok(result) => {
-                    cache.store(&job, &result);
-                    let cycles = result.report.cycles;
-                    registry.counter_add(
-                        "simt_points_resolved_total",
-                        "Sweep points resolved this session, by how.",
-                        &[("resolution", "executed")],
-                        1,
-                    );
-                    registry.observe(
-                        "simt_point_wall_us",
-                        "Fresh-simulation wall time per point, microseconds.",
-                        &[],
-                        POINT_WALL_US.0,
-                        POINT_WALL_US.1,
-                        wall_us,
-                    );
-                    if wall_us > 0 {
-                        registry.observe(
-                            "simt_point_cycles_per_sec",
-                            "Simulation throughput per executed point, cycles per second.",
-                            &[],
-                            POINT_CPS.0,
-                            POINT_CPS.1,
-                            (cycles as u128 * 1_000_000 / wall_us as u128) as u64,
-                        );
-                    }
-                    st.executed += 1;
-                    st.push_point_event(
-                        hash,
-                        SweepEvent {
-                            seq: 0,
-                            kind: "finished",
-                            label: job.label(),
-                            run,
-                            resolution: Some("executed"),
-                            wall_us: Some(wall_us),
-                            cycles: Some(cycles),
-                            error: None,
-                        },
-                    );
-                    Self::complete(
-                        &mut st,
-                        hash,
-                        PointStatus::Done {
-                            cycles,
-                            resolution: Resolution::Executed,
-                        },
-                    );
-                    if verbose {
-                        eprintln!("  {:<24} ok ({:.1}s)", job.label(), result.wall_ms / 1e3);
-                    }
-                }
-                Err(p) => {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "simulation panicked".into());
-                    registry.counter_add(
-                        "simt_points_resolved_total",
-                        "Sweep points resolved this session, by how.",
-                        &[("resolution", "failed")],
-                        1,
-                    );
-                    st.failed += 1;
-                    st.push_point_event(
-                        hash,
-                        SweepEvent {
-                            seq: 0,
-                            kind: "failed",
-                            label: job.label(),
-                            run,
-                            resolution: None,
-                            wall_us: Some(wall_us),
-                            cycles: None,
-                            error: Some(msg.clone()),
-                        },
-                    );
-                    Self::complete(&mut st, hash, PointStatus::Failed(msg.clone()));
-                    simt_obs::warn!("serve.service", "point failed";
-                        point = job.label(), error = msg);
-                }
+            match resolved {
+                Some((status, wall_us)) => st.resolve(hash, status, wall_us),
+                // Left queued: the manifest resumes it next session. The
+                // task still counts down `pending`.
+                None => st.pending -= 1,
             }
             cvar.notify_all();
         });
     }
 
-    /// Publish a terminal status for a point and close out any sweep this
-    /// completes. Called with the state lock held.
-    fn complete(st: &mut State, hash: u64, status: PointStatus) {
-        if let Some(entry) = st.points.get_mut(&hash) {
-            entry.status = status;
-        }
-        st.pending -= 1;
-        // Close out sweeps whose last point this was. O(sweeps × points),
-        // fine at service scale and only on completions.
-        let done_sweeps: Vec<(String, f64)> = st
-            .sweeps
-            .iter()
-            .filter(|(_, sw)| sw.done_wall_s.is_none() && sw.hashes.contains(&hash))
-            .filter(|(_, sw)| sw.hashes.iter().all(|h| st.points[h].status.is_terminal()))
-            .map(|(id, sw)| (id.clone(), sw.submitted.elapsed().as_secs_f64()))
-            .collect();
-        for (id, wall_s) in done_sweeps {
-            if let Some(sw) = st.sweeps.get_mut(&id) {
-                sw.done_wall_s = Some(wall_s);
-                sw.push_event(SweepEvent {
-                    seq: 0,
-                    kind: "complete",
-                    label: String::new(),
-                    run: String::new(),
-                    resolution: None,
-                    wall_us: Some((wall_s * 1e6) as u64),
-                    cycles: None,
-                    error: None,
-                });
-                simt_obs::log_at!(simt_obs::log::Level::Info, Some(sw.span),
-                    "serve.service", "sweep complete";
-                    sweep = id.clone(), wall_s = wall_s);
+    /// Resolve one point — from the store, else by simulating it — and
+    /// return its terminal status with the time that took. `None` leaves
+    /// the point queued: the service is stopping, or the execute budget is
+    /// spent.
+    fn run_point(
+        state: &(Mutex<State>, Condvar),
+        cache: &ResultCache,
+        registry: &Registry,
+        hash: u64,
+        verbose: bool,
+    ) -> Option<(PointStatus, u64)> {
+        let (lock, cvar) = state;
+        let job = {
+            let st = lock.lock().unwrap();
+            if st.stopping {
+                return None;
             }
+            st.points[&hash].job.clone()
+        };
+
+        // Store lookup outside the lock — it reads the filesystem.
+        let lookup_started = Instant::now();
+        if let Some(hit) = cache.load(&job) {
+            let wall_us = lookup_started.elapsed().as_micros() as u64;
+            if verbose {
+                eprintln!("  {:<24} cached", job.label());
+            }
+            let status = PointStatus::Done {
+                cycles: hit.report.cycles,
+                resolution: Resolution::CacheHit,
+            };
+            return Some((status, wall_us));
         }
+
+        {
+            let mut st = lock.lock().unwrap();
+            if st.stopping || st.budget_left == Some(0) {
+                return None;
+            }
+            if let Some(budget) = &mut st.budget_left {
+                *budget -= 1;
+            }
+            let entry = st
+                .points
+                .get_mut(&hash)
+                .expect("dispatched point is registered");
+            entry.status = PointStatus::Running;
+            let body = started_event(hash, &entry.label);
+            st.push_point_event(hash, &body);
+            cvar.notify_all();
+        }
+
+        let sim_started = Instant::now();
+        // A point that can never run fails with its one-line reason;
+        // anything else that goes wrong inside the simulator is a panic.
+        let outcome = match job.check() {
+            Ok(()) => catch_unwind(AssertUnwindSafe(|| job.execute())),
+            Err(reason) => Err(Box::new(reason) as Box<dyn std::any::Any + Send>),
+        };
+        let wall_us = sim_started.elapsed().as_micros() as u64;
+        let status = match outcome {
+            Ok(result) => {
+                cache.store(&job, &result);
+                let cycles = result.report.cycles;
+                registry.observe(
+                    "simt_point_wall_us",
+                    "Fresh-simulation wall time per point, microseconds.",
+                    &[],
+                    POINT_WALL_US.0,
+                    POINT_WALL_US.1,
+                    wall_us,
+                );
+                if wall_us > 0 {
+                    registry.observe(
+                        "simt_point_cycles_per_sec",
+                        "Simulation throughput per executed point, cycles per second.",
+                        &[],
+                        POINT_CPS.0,
+                        POINT_CPS.1,
+                        (cycles as u128 * 1_000_000 / wall_us as u128) as u64,
+                    );
+                }
+                if verbose {
+                    eprintln!("  {:<24} ok ({:.1}s)", job.label(), result.wall_ms / 1e3);
+                }
+                PointStatus::Done {
+                    cycles,
+                    resolution: Resolution::Executed,
+                }
+            }
+            Err(p) => {
+                let msg = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "simulation panicked".into());
+                simt_obs::warn!("serve.service", "point failed";
+                    point = job.label(), error = msg.clone());
+                PointStatus::Failed(msg)
+            }
+        };
+        Some((status, wall_us))
     }
 
     /// Stop accepting work and stop starting simulations; queued points
@@ -827,45 +751,34 @@ impl SweepService {
     /// exist (returning early once the sweep is complete — there will be
     /// no further events). The reply carries `next`, the cursor to pass as
     /// the following poll's `since`, and `dropped`, the number of events
-    /// that aged out of the bounded journal before being read.
+    /// that aged out of the bounded journal before being read. A poll that
+    /// times out gets the same document with no events.
     pub fn sweep_events(&self, id: &str, since: u64, wait: Duration) -> Option<json::Value> {
         let deadline = Instant::now() + wait;
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock().unwrap();
         loop {
             let sweep = st.sweeps.get(id)?;
-            let has_new = sweep.next_seq > since;
-            if has_new || sweep.done_wall_s.is_some() {
-                let events: Vec<json::Value> = sweep
+            let complete = sweep.done_wall_s.is_some();
+            let now = Instant::now();
+            if sweep.next_seq > since || complete || now >= deadline {
+                // Seqs are dense from `dropped_events`, so the events at or
+                // after `since` are the journal's tail.
+                let first = since.saturating_sub(sweep.dropped_events);
+                let events = sweep
                     .events
                     .iter()
-                    .filter(|e| e.seq >= since)
-                    .map(SweepEvent::to_json)
+                    .skip(usize::try_from(first).unwrap_or(usize::MAX))
+                    .cloned()
                     .collect();
                 return Some(json::Value::Obj(vec![
                     ("schema".into(), json::Value::Str(EVENTS_SCHEMA.into())),
                     ("id".into(), json::Value::Str(id.into())),
                     ("since".into(), json::Value::Int(since)),
                     ("next".into(), json::Value::Int(sweep.next_seq)),
-                    (
-                        "complete".into(),
-                        json::Value::Bool(sweep.done_wall_s.is_some()),
-                    ),
+                    ("complete".into(), json::Value::Bool(complete)),
                     ("dropped".into(), json::Value::Int(sweep.dropped_events)),
                     ("events".into(), json::Value::Arr(events)),
-                ]));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // Timed out with nothing new: an empty, well-formed reply.
-                return Some(json::Value::Obj(vec![
-                    ("schema".into(), json::Value::Str(EVENTS_SCHEMA.into())),
-                    ("id".into(), json::Value::Str(id.into())),
-                    ("since".into(), json::Value::Int(since)),
-                    ("next".into(), json::Value::Int(sweep.next_seq)),
-                    ("complete".into(), json::Value::Bool(false)),
-                    ("dropped".into(), json::Value::Int(sweep.dropped_events)),
-                    ("events".into(), json::Value::Arr(Vec::new())),
                 ]));
             }
             let (guard, _) = cvar.wait_timeout(st, deadline - now).unwrap();
@@ -879,12 +792,12 @@ impl SweepService {
         let (lock, _) = &*self.state;
         let st = lock.lock().unwrap();
         let sweep = st.sweeps.get(id)?;
-        let mut by_status = BTreeMap::<&str, u64>::new();
+        let tally = st.sweep_tally(sweep);
+        // The points this sweep owns, by resolution; the rest it shares.
         let (mut executed, mut cache_hits, mut shared) = (0u64, 0u64, 0u64);
         let mut points = Vec::new();
         for hash in &sweep.hashes {
             let entry = &st.points[hash];
-            *by_status.entry(entry.status.name()).or_default() += 1;
             if entry.owner == id {
                 if let PointStatus::Done { resolution, .. } = entry.status {
                     match resolution {
@@ -915,8 +828,6 @@ impl SweepService {
             points.push(json::Value::Obj(fields));
         }
         let total = sweep.hashes.len() as u64;
-        let done = by_status.get("done").copied().unwrap_or(0);
-        let failed = by_status.get("failed").copied().unwrap_or(0);
         let complete = sweep.done_wall_s.is_some();
         let wall_s = sweep
             .done_wall_s
@@ -926,16 +837,10 @@ impl SweepService {
             ("id".into(), json::Value::Str(id.into())),
             ("complete".into(), json::Value::Bool(complete)),
             ("total".into(), json::Value::Int(total)),
-            ("done".into(), json::Value::Int(done)),
-            (
-                "queued".into(),
-                json::Value::Int(by_status.get("queued").copied().unwrap_or(0)),
-            ),
-            (
-                "running".into(),
-                json::Value::Int(by_status.get("running").copied().unwrap_or(0)),
-            ),
-            ("failed".into(), json::Value::Int(failed)),
+            ("done".into(), json::Value::Int(tally.done())),
+            ("queued".into(), json::Value::Int(tally.queued)),
+            ("running".into(), json::Value::Int(tally.running)),
+            ("failed".into(), json::Value::Int(tally.failed)),
             ("executed".into(), json::Value::Int(executed)),
             ("cache_hits".into(), json::Value::Int(cache_hits)),
             ("shared".into(), json::Value::Int(shared)),
@@ -951,34 +856,22 @@ impl SweepService {
         Some(json::Value::Obj(fields))
     }
 
-    /// The service overview document (`GET /status`).
+    /// The service overview document (`GET /status`). A sweep's `done`
+    /// here counts its failed points too (every point that is finished).
     pub fn status(&self) -> json::Value {
         let (lock, _) = &*self.state;
         let st = lock.lock().unwrap();
-        let queued = st
-            .points
-            .values()
-            .filter(|p| matches!(p.status, PointStatus::Queued))
-            .count() as u64;
-        let running = st
-            .points
-            .values()
-            .filter(|p| matches!(p.status, PointStatus::Running))
-            .count() as u64;
-        let paused = st.budget_left == Some(0) && queued > 0;
+        let tally = st.tally();
+        let paused = st.budget_left == Some(0) && tally.queued > 0;
         let sweeps = st
             .sweeps
             .iter()
             .map(|(id, sw)| {
-                let done = sw
-                    .hashes
-                    .iter()
-                    .filter(|h| st.points[h].status.is_terminal())
-                    .count() as u64;
+                let sweep = st.sweep_tally(sw);
                 json::Value::Obj(vec![
                     ("id".into(), json::Value::Str(id.clone())),
                     ("total".into(), json::Value::Int(sw.hashes.len() as u64)),
-                    ("done".into(), json::Value::Int(done)),
+                    ("done".into(), json::Value::Int(sweep.done() + sweep.failed)),
                     (
                         "complete".into(),
                         json::Value::Bool(sw.done_wall_s.is_some()),
@@ -1004,8 +897,8 @@ impl SweepService {
                 },
             ),
             ("paused".into(), json::Value::Bool(paused)),
-            ("queue_depth".into(), json::Value::Int(queued)),
-            ("running".into(), json::Value::Int(running)),
+            ("queue_depth".into(), json::Value::Int(tally.queued)),
+            ("running".into(), json::Value::Int(tally.running)),
             ("sweeps".into(), json::Value::Arr(sweeps)),
         ])
     }
@@ -1015,19 +908,10 @@ impl SweepService {
     pub fn metrics(&self) -> json::Value {
         let (lock, _) = &*self.state;
         let st = lock.lock().unwrap();
-        let queued = st
-            .points
-            .values()
-            .filter(|p| matches!(p.status, PointStatus::Queued))
-            .count() as u64;
-        let running = st
-            .points
-            .values()
-            .filter(|p| matches!(p.status, PointStatus::Running))
-            .count() as u64;
-        let resolved = st.executed + st.cache_hits;
+        let tally = st.tally();
+        let resolved = tally.done();
         let hit_rate = if resolved > 0 {
-            st.cache_hits as f64 / resolved as f64
+            tally.cache_hits as f64 / resolved as f64
         } else {
             0.0
         };
@@ -1066,15 +950,15 @@ impl SweepService {
         json::Value::Obj(vec![
             ("schema".into(), json::Value::Str(SCHEMA.into())),
             ("uptime_s".into(), json::Value::Float(uptime)),
-            ("queue_depth".into(), json::Value::Int(queued)),
-            ("in_flight".into(), json::Value::Int(running)),
-            ("executed".into(), json::Value::Int(st.executed)),
-            ("cache_hits".into(), json::Value::Int(st.cache_hits)),
+            ("queue_depth".into(), json::Value::Int(tally.queued)),
+            ("in_flight".into(), json::Value::Int(tally.running)),
+            ("executed".into(), json::Value::Int(tally.executed)),
+            ("cache_hits".into(), json::Value::Int(tally.cache_hits)),
             (
                 "shared_submissions".into(),
                 json::Value::Int(st.shared_submissions),
             ),
-            ("failed".into(), json::Value::Int(st.failed)),
+            ("failed".into(), json::Value::Int(tally.failed)),
             ("cache_hit_rate".into(), json::Value::Float(hit_rate)),
             (
                 "points_per_sec".into(),
@@ -1089,37 +973,28 @@ impl SweepService {
     }
 
     /// The Prometheus text exposition (`GET /metrics?format=prom`):
-    /// the service registry (request latency, point histograms, resolution
-    /// counters, freshly-set gauges) concatenated with the process-global
-    /// registry (harness cache counters, logger self-counters). Family
-    /// names are disjoint between the two; output is sorted by name.
+    /// the service registry (request latency, point histograms, freshly-set
+    /// gauges) and the resolution counters read off the point table,
+    /// concatenated with the process-global registry (harness cache
+    /// counters, logger self-counters). Family names are disjoint between
+    /// them; output is sorted by name.
     pub fn prom_metrics(&self) -> String {
-        let (queued, running, shared) = {
+        let (tally, shared) = {
             let (lock, _) = &*self.state;
             let st = lock.lock().unwrap();
-            (
-                st.points
-                    .values()
-                    .filter(|p| matches!(p.status, PointStatus::Queued))
-                    .count(),
-                st.points
-                    .values()
-                    .filter(|p| matches!(p.status, PointStatus::Running))
-                    .count(),
-                st.shared_submissions,
-            )
+            (st.tally(), st.shared_submissions)
         };
         self.registry.gauge_set(
             "simt_queue_depth",
             "Points registered but not yet resolved or running.",
             &[],
-            queued as f64,
+            tally.queued as f64,
         );
         self.registry.gauge_set(
             "simt_in_flight",
             "Points currently simulating.",
             &[],
-            running as f64,
+            tally.running as f64,
         );
         self.registry.gauge_set(
             "simt_uptime_seconds",
@@ -1134,6 +1009,27 @@ impl SweepService {
             shared as f64,
         );
         let mut families = self.registry.snapshot();
+        // One series per resolution seen this session, in label order.
+        let resolved: Vec<SeriesSnapshot> = [
+            ("cache_hit", tally.cache_hits),
+            ("executed", tally.executed),
+            ("failed", tally.failed),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(how, n)| SeriesSnapshot {
+            labels: vec![("resolution".into(), how.into())],
+            value: SeriesValue::Counter(n),
+        })
+        .collect();
+        if !resolved.is_empty() {
+            families.push(FamilySnapshot {
+                name: "simt_points_resolved_total",
+                help: "Sweep points resolved this session, by how.",
+                kind: Kind::Counter,
+                series: resolved,
+            });
+        }
         families.extend(simt_obs::metrics::global().snapshot());
         families.sort_by(|a, b| a.name.cmp(b.name));
         simt_obs::prom::render(&families)
@@ -1144,7 +1040,13 @@ impl SweepService {
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         let (lock, _) = &*self.state;
         let st = lock.lock().unwrap();
-        (st.executed, st.cache_hits, st.shared_submissions, st.failed)
+        let tally = st.tally();
+        (
+            tally.executed,
+            tally.cache_hits,
+            st.shared_submissions,
+            tally.failed,
+        )
     }
 }
 
@@ -1153,5 +1055,49 @@ impl Drop for SweepService {
         // Stop starting new simulations; the pool's own Drop then joins
         // the workers (queued tasks see `stopping` and return instantly).
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tally_counts_each_status_once() {
+        let statuses = [
+            PointStatus::Queued,
+            PointStatus::Running,
+            PointStatus::Running,
+            PointStatus::Done {
+                cycles: 7,
+                resolution: Resolution::Executed,
+            },
+            PointStatus::Done {
+                cycles: 9,
+                resolution: Resolution::CacheHit,
+            },
+            PointStatus::Done {
+                cycles: 9,
+                resolution: Resolution::CacheHit,
+            },
+            PointStatus::Done {
+                cycles: 9,
+                resolution: Resolution::CacheHit,
+            },
+            PointStatus::Failed("can never be placed".into()),
+        ];
+        let tally = Tally::of(&statuses);
+        assert_eq!(
+            tally,
+            Tally {
+                queued: 1,
+                running: 2,
+                failed: 1,
+                executed: 1,
+                cache_hits: 3,
+            }
+        );
+        assert_eq!(tally.done(), 4);
+        assert_eq!(Tally::of(&[]), Tally::default());
     }
 }

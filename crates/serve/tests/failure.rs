@@ -143,6 +143,17 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
         1
     );
 
+    // Every counter of the failure reads the same point table.
+    let metrics = client.get("/metrics").unwrap().ok().unwrap();
+    assert_eq!(u(&metrics, "failed"), 1, "{metrics:?}");
+    let (_, text) = client.get_text("/metrics?format=prom").unwrap();
+    assert!(
+        text.lines()
+            .any(|l| l == r#"simt_points_resolved_total{resolution="failed"} 1"#),
+        "{text}"
+    );
+    assert_eq!(service.counters().3, 1);
+
     // `sweepctl tail` replays the journal and exits 1 on the failure.
     let out = Command::new(env!("CARGO_BIN_EXE_sweepctl"))
         .args(["tail", "--addr", &addr, "--timeout", "60", &id])
@@ -182,14 +193,33 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
         (&["shutdown", "--adr", "x"], "--adr"),
         (&["status", "extra"], "extra"),
         (&["metrics", "--prom", "--json"], "--json"),
-        (&["watch", &id, "--json"], "--json"),
         (&["tail", &id, "again"], "again"),
     ] {
         rejected(args, &format!("unknown {} option {offending:?}", args[0]));
     }
-    // Retired commands fail the same way, as unknown commands.
-    for args in [&["bench"][..], &["check-bench", "record.json"]] {
+    // Retired commands fail the same way, as unknown commands (`tail` and
+    // `submit --watch` follow a sweep; `watch` is gone).
+    for args in [
+        &["bench"][..],
+        &["check-bench", "record.json"],
+        &["watch", &id],
+    ] {
         rejected(args, &format!("unknown command {:?}", args[0]));
+    }
+    // The daemon's log is set by SIMT_LOG / SIMT_LOG_FORMAT only; the flags
+    // are unknown options, refused before anything binds.
+    for flag in ["--log-level", "--log-format"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args([flag, "debug", "--port", "0"])
+            .output()
+            .expect("run serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {flag:?}")),
+            "{flag}: {stderr}"
+        );
     }
     // The forms each command does take still work, against a daemon the
     // rejected `shutdown` left running.

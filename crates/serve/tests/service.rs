@@ -52,6 +52,23 @@ fn field(status: &json::Value, name: &str) -> u64 {
     status.get(name).and_then(json::Value::as_u64).unwrap()
 }
 
+/// The scraped `simt_points_resolved_total` series, by resolution.
+fn resolved(service: &SweepService) -> BTreeMap<String, f64> {
+    simt_obs::prom::parse(&service.prom_metrics())
+        .unwrap()
+        .into_iter()
+        .filter(|s| s.name == "simt_points_resolved_total")
+        .map(|s| {
+            let (_, how) = s
+                .labels
+                .into_iter()
+                .find(|(k, _)| k == "resolution")
+                .unwrap();
+            (how, s.value)
+        })
+        .collect()
+}
+
 /// Two overlapping grids submitted concurrently must produce artifacts
 /// byte-identical to running them serially, with every shared point
 /// executed exactly once (the overlap resolves by single-flight sharing,
@@ -178,6 +195,15 @@ fn restarted_daemon_resumes_sweep_without_reexecution() {
         assert_eq!(executed, 2, "budget caps session 1 at 2 simulations");
         assert_eq!(cache_hits, 0);
         assert_eq!(failed, 0);
+        // The two points the budget left are queued, not resolved.
+        let metrics = service.metrics();
+        assert_eq!(field(&metrics, "queue_depth"), 2);
+        assert_eq!(field(&metrics, "in_flight"), 0);
+        assert_eq!(
+            resolved(&service),
+            BTreeMap::from([("executed".to_string(), 2.0)]),
+            "budget-left points count under no resolution"
+        );
     } // drop = daemon killed
 
     assert_eq!(
@@ -203,6 +229,11 @@ fn restarted_daemon_resumes_sweep_without_reexecution() {
         assert_eq!(executed, 2, "only the unfinished points execute");
         assert_eq!(cache_hits, 2, "finished points served from the store");
         assert_eq!(failed, 0);
+        assert_eq!(
+            resolved(&service).get("cache_hit").copied(),
+            Some(cache_hits as f64),
+            "the scrape and the counters read one tally"
+        );
         let status = service.sweep_status(&resumed[0]).unwrap();
         assert_eq!(field(&status, "done"), 4);
         assert_eq!(

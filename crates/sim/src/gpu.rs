@@ -28,13 +28,6 @@ pub struct SimReport {
     pub mem: MemStats,
 }
 
-impl SimReport {
-    /// Speedup of this run relative to `baseline` (cycles ratio).
-    pub fn speedup_over(&self, baseline: &SimReport) -> f64 {
-        baseline.cycles as f64 / self.cycles as f64
-    }
-}
-
 /// Per-kernel slice of a multi-stream run.
 #[derive(Debug, Clone)]
 pub struct KernelReport {

@@ -24,9 +24,7 @@ use simt_ir::{Kernel, LaunchConfig, Program};
 use simt_mem::SparseMemory;
 
 pub use kernels::ALL_ABBRS;
-pub use runner::{
-    classify, gpu_for, run_design, run_scenario_design, BenchRun, Design, ScenarioRun,
-};
+pub use runner::{gpu_for, run_design, run_scenario_design, BenchRun, Design, ScenarioRun};
 pub use scenarios::{all_scenarios, scenario, Scenario, ScenarioKernel, ALL_SCENARIOS};
 
 /// Benchmark suite of origin (Table 2).

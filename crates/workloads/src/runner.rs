@@ -1,5 +1,5 @@
-//! Run benchmarks under each design (baseline / CAE / MTA / DAC) and
-//! classify them as compute- or memory-intensive (paper §5.1.2).
+//! Run benchmarks and multi-kernel scenarios under each design (baseline /
+//! CAE / MTA / DAC).
 
 use crate::scenarios::Scenario;
 use crate::Workload;
@@ -138,19 +138,6 @@ pub fn run_scenario_design(
     let coprocs: Vec<&mut dyn CoProcessor> = owned.iter_mut().map(|c| c.as_mut() as _).collect();
     let report = gpu.run_streams_traced(&streams, &mut memory, coprocs, policy, tracer);
     ScenarioRun { report, memory }
-}
-
-/// Classify a benchmark: memory-intensive iff perfect memory yields ≥ 1.5×
-/// (paper §5.1.2). Returns `(is_memory_intensive, perfect_speedup)`.
-pub fn classify(w: &Workload) -> (bool, f64) {
-    let gpu = GpuSim::new(GpuConfig::gtx480());
-    let mut m1 = w.fresh_memory();
-    let base = gpu.run(&w.program(), &mut m1);
-    let perfect_gpu = GpuSim::new(GpuConfig::gtx480_perfect_mem());
-    let mut m2 = w.fresh_memory();
-    let perf = perfect_gpu.run(&w.program(), &mut m2);
-    let speedup = base.cycles as f64 / perf.cycles as f64;
-    (speedup >= 1.5, speedup)
 }
 
 #[cfg(test)]
