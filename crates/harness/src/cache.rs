@@ -83,13 +83,19 @@ impl ResultCache {
         Some(text)
     }
 
-    /// Look up a job. A missing file is a plain miss; a file that exists
-    /// but does not parse back to this job's key (truncated write, disk
-    /// corruption, stale schema) is **evicted** — warned about once and
-    /// deleted — so the run recomputes it instead of tripping over the
-    /// same bad bytes on every sweep. The cache never fails a run.
+    /// Look up a job: [`ResultCache::load_by_key`] of its cache key.
     pub fn load(&self, job: &Job) -> Option<JobResult> {
-        let key = job.cache_key();
+        self.load_by_key(&job.cache_key())
+    }
+
+    /// Look up the result stored under a canonical cache key (see
+    /// [`crate::cache_key`]). A missing file is a plain miss; a file that
+    /// exists but does not parse back to exactly this key (truncated
+    /// write, disk corruption, stale schema, hash collision) is
+    /// **evicted** — warned about once and deleted — so the run recomputes
+    /// it instead of tripping over the same bad bytes on every sweep. The
+    /// cache never fails a run.
+    pub fn load_by_key(&self, key: &str) -> Option<JobResult> {
         let hash = fnv1a64(key.as_bytes());
         let path = self.entry_path_for_hash(hash);
         let text = match fs::read_to_string(&path) {

@@ -240,6 +240,53 @@ pub enum Payload {
     Scenario(Arc<Scenario>),
 }
 
+impl Payload {
+    /// Which registry the payload comes from.
+    pub fn kind(&self) -> PayloadKind {
+        match self {
+            Payload::Bench(_) => PayloadKind::Bench,
+            Payload::Scenario(_) => PayloadKind::Scenario,
+        }
+    }
+}
+
+/// Which registry a payload name refers to: the benchmarks
+/// (`gpu_workloads::benchmark`) or the stream scenarios
+/// (`gpu_workloads::scenario`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadKind {
+    Bench,
+    Scenario,
+}
+
+/// The canonical cache key of a run of the payload `name` of `kind` at
+/// `scale`, under `point` and `overrides`: every input that determines the
+/// result, spelled from names alone, so a run can be looked up before its
+/// workload is built. [`Job::cache_key`] is this function of the job.
+pub fn cache_key(
+    kind: PayloadKind,
+    name: &str,
+    scale: u32,
+    point: DesignPoint,
+    overrides: &Overrides,
+) -> String {
+    let mut key = match kind {
+        PayloadKind::Bench => format!(
+            "{CACHE_VERSION}|bench={name}|scale={scale}|design={}",
+            point.name()
+        ),
+        PayloadKind::Scenario => format!(
+            "{CACHE_VERSION}|scenario={name}|cta_policy={}|scale={scale}|design={}",
+            overrides.cta_policy.unwrap_or_default().name(),
+            point.name()
+        ),
+    };
+    for (k, v) in overrides.relevant(point) {
+        key.push_str(&format!("|{k}={v}"));
+    }
+    key
+}
+
 /// One schedulable simulation.
 #[derive(Clone)]
 pub struct Job {
@@ -322,28 +369,17 @@ impl Job {
         self.overrides.cta_policy.unwrap_or_default()
     }
 
-    /// The canonical cache key: every input that determines the result.
-    /// Hash this (the cache does) rather than parsing it.
+    /// The canonical cache key ([`cache_key`]): every input that
+    /// determines the result. Hash this (the cache does) rather than
+    /// parsing it.
     pub fn cache_key(&self) -> String {
-        let mut key = match &self.payload {
-            Payload::Bench(w) => format!(
-                "{CACHE_VERSION}|bench={}|scale={}|design={}",
-                w.abbr,
-                self.scale,
-                self.point.name()
-            ),
-            Payload::Scenario(sc) => format!(
-                "{CACHE_VERSION}|scenario={}|cta_policy={}|scale={}|design={}",
-                sc.name,
-                self.policy().name(),
-                self.scale,
-                self.point.name()
-            ),
-        };
-        for (k, v) in self.overrides.relevant(self.point) {
-            key.push_str(&format!("|{k}={v}"));
-        }
-        key
+        cache_key(
+            self.payload.kind(),
+            self.bench(),
+            self.scale,
+            self.point,
+            &self.overrides,
+        )
     }
 
     /// The FNV-1a hash of the canonical cache key — the stable short id a

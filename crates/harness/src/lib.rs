@@ -43,7 +43,9 @@ pub mod pool;
 
 pub use cache::{fnv1a64, ResultCache};
 pub use gpu_workloads::Design;
-pub use job::{DesignPoint, Job, JobResult, Overrides, Payload, CACHE_VERSION};
+pub use job::{
+    cache_key, DesignPoint, Job, JobResult, Overrides, Payload, PayloadKind, CACHE_VERSION,
+};
 pub use pool::WorkerPool;
 
 use gpu_workloads::{Scenario, Workload};

@@ -1,10 +1,21 @@
 //! The tiny blocking HTTP client behind `sweepctl` and the end-to-end
-//! tests. Speaks exactly the dialect [`crate::http`] serves: HTTP/1.1,
-//! `Connection: close`, JSON bodies.
+//! tests. Speaks exactly the dialect [`crate::http`] serves: HTTP/1.1 with
+//! persistent connections, responses framed by `Content-Length`, JSON
+//! bodies.
+//!
+//! A [`Client`] and all its clones share one pool of idle connections: a
+//! request takes one, or opens a new one, and hands it back unless the
+//! server said `Connection: close`. A pooled connection the server has
+//! since closed (its idle timeout, or a shutdown) fails before the first
+//! byte of the status line; the request is then sent once more on a fresh
+//! connection. That is safe even for a `POST`: the server closes a
+//! kept-alive connection only while it is idle or stopping, and in both
+//! cases it has not routed the request.
 
 use simt_harness::json;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A response: HTTP status plus the parsed JSON body.
@@ -35,11 +46,13 @@ impl ApiResponse {
     }
 }
 
-/// A client bound to one daemon address (`host:port`).
+/// A client bound to one daemon address (`host:port`). Clones share its
+/// pool of idle connections.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: String,
     timeout: Duration,
+    idle: Arc<Mutex<Vec<BufReader<TcpStream>>>>,
 }
 
 impl Client {
@@ -47,6 +60,7 @@ impl Client {
         Client {
             addr: addr.into(),
             timeout: Duration::from_secs(30),
+            idle: Arc::default(),
         }
     }
 
@@ -76,39 +90,95 @@ impl Client {
         })
     }
 
-    /// One request/response exchange: (status, raw body).
+    /// One request/response exchange: (status, raw body). Tries an idle
+    /// pooled connection first; if the server had closed it, sends the
+    /// request once more on a fresh one.
     fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<String>,
     ) -> Result<(u16, String), String> {
-        let mut stream = TcpStream::connect(&self.addr)
+        let body = body.unwrap_or_default();
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n{body}",
+            self.addr,
+            body.len(),
+        );
+        let pooled = self.idle.lock().expect("connection pool lock").pop();
+        if let Some(mut conn) = pooled {
+            if send(&mut conn, message.as_bytes())? {
+                return self.read_response(conn);
+            }
+        }
+        let stream = TcpStream::connect(&self.addr)
             .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
         stream.set_read_timeout(Some(self.timeout)).ok();
         stream.set_write_timeout(Some(self.timeout)).ok();
-        let body = body.unwrap_or_default();
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            self.addr,
-            body.len(),
-            body
-        )
-        .map_err(|e| format!("request write failed: {e}"))?;
-        let mut raw = String::new();
-        stream
-            .read_to_string(&mut raw)
-            .map_err(|e| format!("response read failed: {e}"))?;
-        let (head, body) = raw
-            .split_once("\r\n\r\n")
-            .ok_or("malformed HTTP response")?;
-        let status_line = head.lines().next().ok_or("empty HTTP response")?;
+        stream.set_nodelay(true).ok();
+        let mut conn = BufReader::new(stream);
+        if !send(&mut conn, message.as_bytes())? {
+            return Err(format!(
+                "{}: connection closed before a response",
+                self.addr
+            ));
+        }
+        self.read_response(conn)
+    }
+
+    /// Read a response framed by its `Content-Length`, handing the
+    /// connection back to the pool unless the server closes it.
+    fn read_response(&self, mut conn: BufReader<TcpStream>) -> Result<(u16, String), String> {
+        let read_failed = |e: std::io::Error| format!("response read failed: {e}");
+        let mut status_line = String::new();
+        conn.read_line(&mut status_line).map_err(read_failed)?;
         let status = status_line
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-        Ok((status, body.to_string()))
+            .ok_or_else(|| format!("bad status line {:?}", status_line.trim_end()))?;
+        let mut length = None;
+        let mut close = false;
+        loop {
+            let mut header = String::new();
+            if conn.read_line(&mut header).map_err(read_failed)? == 0 {
+                return Err("malformed HTTP response".into());
+            }
+            let header = header.trim();
+            if header.is_empty() {
+                break;
+            }
+            let (name, value) = header.split_once(':').unwrap_or((header, ""));
+            match name.trim().to_ascii_lowercase().as_str() {
+                "content-length" => length = value.trim().parse::<usize>().ok(),
+                "connection" => close |= value.trim().eq_ignore_ascii_case("close"),
+                _ => {}
+            }
+        }
+        let mut body = vec![0; length.ok_or("response without a Content-Length")?];
+        conn.read_exact(&mut body).map_err(read_failed)?;
+        let body = String::from_utf8(body).map_err(|_| "response body is not UTF-8")?;
+        if !close {
+            self.idle.lock().expect("connection pool lock").push(conn);
+        }
+        Ok((status, body))
+    }
+}
+
+/// Send a request on `conn` and wait for the first byte of its answer.
+/// `Ok(false)` when the connection turns out closed first: the server
+/// closed it while idle or stopping, before routing the request, so the
+/// request may be sent again. A timeout is a slow server, not a closed
+/// connection.
+fn send(conn: &mut BufReader<TcpStream>, message: &[u8]) -> Result<bool, String> {
+    if conn.get_mut().write_all(message).is_err() {
+        return Ok(false);
+    }
+    match conn.fill_buf() {
+        Ok(buf) => Ok(!buf.is_empty()),
+        Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
+            Err(format!("response read failed: {e}"))
+        }
+        Err(_) => Ok(false),
     }
 }

@@ -5,12 +5,16 @@
 //! multi-kernel scenarios), exactly the cross product the CLI `sweep`
 //! binary runs — but expressed as data so it can arrive over the wire,
 //! persist in a manifest, and canonicalize to a stable identity. Every
-//! point of a grid lowers to an ordinary harness [`Job`], so its cache
-//! key (and therefore its result) is **identical** to what the CLI
-//! computes: the daemon and one-shot sweeps share one result store.
+//! point of a grid lowers to a [`GridPoint`] keyed from names alone by
+//! the harness's one key function ([`simt_harness::cache_key`]), so its
+//! cache key (and therefore its result) is **identical** to what the CLI
+//! computes: the daemon and one-shot sweeps share one result store. A
+//! point builds its workload into an ordinary harness [`Job`] only when it
+//! has to simulate; a warm point never does.
 
 use simt_harness::job::MAX_SCALE;
-use simt_harness::{fnv1a64, json, scenario_jobs, suite_jobs, DesignPoint, Job, Overrides};
+use simt_harness::{cache_key, fnv1a64, json, DesignPoint, Job, Overrides, Payload, PayloadKind};
+use std::sync::Arc;
 
 /// A parsed, validated grid request.
 #[derive(Debug, Clone)]
@@ -126,7 +130,12 @@ impl GridRequest {
         }
         if let Some(overrides) = v.get("overrides") {
             let fields = overrides.as_obj().ok_or("overrides: expected an object")?;
-            for (key, val) in fields {
+            for (i, (key, val)) in fields.iter().enumerate() {
+                if fields[..i].iter().any(|(k, _)| k == key) {
+                    return Err(format!(
+                        "overrides: duplicate knob {key:?} (each knob may be set once)"
+                    ));
+                }
                 let text = match val {
                     json::Value::Bool(b) => b.to_string(),
                     json::Value::Int(n) => n.to_string(),
@@ -162,32 +171,36 @@ impl GridRequest {
         Ok(())
     }
 
-    /// The grid lowered to harness jobs: benches in request order × designs,
-    /// then scenarios × designs — the same deterministic order a serial CLI
-    /// sweep would run.
-    ///
-    /// # Panics
-    ///
-    /// Never for a request built by [`GridRequest::from_json`] /
-    /// [`GridRequest::set_override`], which validate every name.
+    /// The grid lowered to name-keyed points: benches in request order ×
+    /// designs, then scenarios × designs — the same deterministic order a
+    /// serial CLI sweep would run. Builds no workload.
+    pub fn points(&self) -> Vec<GridPoint> {
+        let benches = self.benches.iter().map(|b| (PayloadKind::Bench, b));
+        let scenarios = self.scenarios.iter().map(|s| (PayloadKind::Scenario, s));
+        benches
+            .chain(scenarios)
+            .flat_map(|(kind, name)| {
+                self.designs.iter().map(move |&point| {
+                    GridPoint::new(kind, name, self.scale, point, &self.overrides)
+                })
+            })
+            .collect()
+    }
+
+    /// The grid lowered to harness jobs, one per [`GridRequest::points`]
+    /// entry and in that order. Each workload is built once and shared by
+    /// its designs.
     pub fn jobs(&self) -> Vec<Job> {
-        let benches = self
-            .benches
-            .iter()
-            .map(|abbr| gpu_workloads::benchmark(abbr, self.scale).expect("validated benchmark"))
-            .collect();
-        let mut jobs = suite_jobs(benches, self.scale, &self.designs, &self.overrides);
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|name| gpu_workloads::scenario(name, self.scale).expect("validated scenario"))
-            .collect::<Vec<_>>();
-        jobs.extend(scenario_jobs(
-            scenarios,
-            self.scale,
-            &self.designs,
-            &self.overrides,
-        ));
+        let mut jobs: Vec<Job> = Vec::new();
+        for point in self.points() {
+            let job = match jobs.last() {
+                Some(prev) if prev.payload.kind() == point.kind && prev.bench() == point.name => {
+                    point.job_with(prev.payload.clone())
+                }
+                _ => point.job(),
+            };
+            jobs.push(job);
+        }
         jobs
     }
 
@@ -196,9 +209,9 @@ impl GridRequest {
     /// naming the same set of points get the same id regardless of
     /// listing order, so a re-submitted grid resumes/joins its prior
     /// sweep instead of spawning a duplicate.
-    pub fn sweep_id(jobs: &[Job]) -> String {
-        let mut keys: Vec<String> = jobs.iter().map(Job::cache_key).collect();
-        keys.sort();
+    pub fn sweep_id(points: &[GridPoint]) -> String {
+        let mut keys: Vec<&str> = points.iter().map(|p| p.key.as_str()).collect();
+        keys.sort_unstable();
         keys.dedup();
         format!("sweep-{:016x}", fnv1a64(keys.join("\n").as_bytes()))
     }
@@ -236,6 +249,75 @@ impl GridRequest {
             ("scale".into(), json::Value::Int(self.scale as u64)),
             ("overrides".into(), json::Value::Obj(overrides)),
         ])
+    }
+}
+
+/// One point of a grid, keyed from names alone: what the service
+/// registers, persists in manifests and looks up in the store.
+#[derive(Debug, Clone)]
+pub struct GridPoint {
+    /// Whether `name` is a benchmark or a scenario.
+    kind: PayloadKind,
+    /// Benchmark abbreviation or scenario name, as validated.
+    name: String,
+    scale: u32,
+    point: DesignPoint,
+    overrides: Overrides,
+    /// The canonical cache key, exactly [`Job::cache_key`] of
+    /// [`GridPoint::job`].
+    pub(crate) key: String,
+    /// FNV-1a of `key`: the point's identity and its `/runs/:key` name.
+    pub(crate) hash: u64,
+    /// `NAME/design`, as [`Job::label`] spells it.
+    pub(crate) label: String,
+}
+
+impl GridPoint {
+    fn new(
+        kind: PayloadKind,
+        name: &str,
+        scale: u32,
+        point: DesignPoint,
+        overrides: &Overrides,
+    ) -> GridPoint {
+        let key = cache_key(kind, name, scale, point, overrides);
+        GridPoint {
+            kind,
+            name: name.to_string(),
+            scale,
+            point,
+            overrides: overrides.clone(),
+            hash: fnv1a64(key.as_bytes()),
+            key,
+            label: format!("{name}/{}", point.name()),
+        }
+    }
+
+    /// The point as a harness job, building its workload now.
+    ///
+    /// # Panics
+    ///
+    /// Never for a point of a request built by [`GridRequest::from_json`] /
+    /// [`GridRequest::set_override`], which validate every name.
+    pub fn job(&self) -> Job {
+        let payload = match self.kind {
+            PayloadKind::Bench => Payload::Bench(Arc::new(
+                gpu_workloads::benchmark(&self.name, self.scale).expect("validated benchmark"),
+            )),
+            PayloadKind::Scenario => Payload::Scenario(Arc::new(
+                gpu_workloads::scenario(&self.name, self.scale).expect("validated scenario"),
+            )),
+        };
+        self.job_with(payload)
+    }
+
+    fn job_with(&self, payload: Payload) -> Job {
+        Job {
+            payload,
+            scale: self.scale,
+            point: self.point,
+            overrides: self.overrides.clone(),
+        }
     }
 }
 
@@ -279,8 +361,46 @@ mod tests {
             let err = parse(&format!(r#"{{"benches": ["LIB"], "scale": {scale}}}"#)).unwrap_err();
             assert_eq!(err, "scale: must be at most 64", "scale {scale}");
         }
+        // A knob named twice is the CLI's duplicate `--set`, not "last wins".
+        let err = parse(r#"{"benches": ["LIB"], "overrides": {"num_sms": 2, "num_sms": 4}}"#)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            r#"overrides: duplicate knob "num_sms" (each knob may be set once)"#
+        );
         let ok = parse(r#"{"benches": ["LIB"], "scale": 64}"#).unwrap();
         assert_eq!(ok.scale, MAX_SCALE);
+    }
+
+    /// Every point keys, hashes and labels exactly as the job it builds:
+    /// all benchmarks and scenarios, every design, DAC-only knobs and a
+    /// placement policy.
+    #[test]
+    fn points_key_exactly_as_their_jobs() {
+        let mut grid = parse(r#"{"benches": ["LIB"]}"#).unwrap();
+        grid.benches = gpu_workloads::ALL_ABBRS.map(String::from).to_vec();
+        grid.scenarios = gpu_workloads::ALL_SCENARIOS.map(String::from).to_vec();
+        grid.designs.push(DesignPoint::PerfectMem);
+        grid.scale = 2;
+        for (k, v) in [
+            ("num_sms", "2"),
+            ("atq_entries", "8"),
+            ("lock_lines", "false"),
+            ("cta_policy", "rr"),
+        ] {
+            grid.set_override(k, v).unwrap();
+        }
+        let (points, jobs) = (grid.points(), grid.jobs());
+        assert_eq!(points.len(), (29 + 3) * 5);
+        assert_eq!(points.len(), jobs.len());
+        for (point, job) in points.iter().zip(&jobs) {
+            assert_eq!(point.key, job.cache_key());
+            assert_eq!(point.hash, job.cache_hash());
+            assert_eq!(point.label, job.label());
+        }
+        let last = points.last().unwrap();
+        assert_eq!(last.job().cache_key(), last.key);
+        assert!(last.key.contains("|cta_policy=rr|scale=2|design=perfect"));
     }
 
     #[test]
@@ -289,14 +409,14 @@ mod tests {
         let b = parse(r#"{"benches": ["MQ", "LIB"], "designs": ["baseline"]}"#).unwrap();
         let c = parse(r#"{"benches": ["LIB", "MQ"], "designs": ["dac"]}"#).unwrap();
         assert_eq!(
-            GridRequest::sweep_id(&a.jobs()),
-            GridRequest::sweep_id(&b.jobs())
+            GridRequest::sweep_id(&a.points()),
+            GridRequest::sweep_id(&b.points())
         );
         assert_ne!(
-            GridRequest::sweep_id(&a.jobs()),
-            GridRequest::sweep_id(&c.jobs())
+            GridRequest::sweep_id(&a.points()),
+            GridRequest::sweep_id(&c.points())
         );
-        assert!(GridRequest::sweep_id(&a.jobs()).starts_with("sweep-"));
+        assert!(GridRequest::sweep_id(&a.points()).starts_with("sweep-"));
     }
 
     #[test]
@@ -313,11 +433,8 @@ mod tests {
         assert_eq!(back.scenarios, req.scenarios);
         assert_eq!(back.scale, req.scale);
         assert_eq!(back.overrides, req.overrides);
-        let (ja, jb) = (req.jobs(), back.jobs());
-        assert_eq!(
-            ja.iter().map(Job::cache_key).collect::<Vec<_>>(),
-            jb.iter().map(Job::cache_key).collect::<Vec<_>>()
-        );
+        let keys = |r: &GridRequest| r.points().into_iter().map(|p| p.key).collect::<Vec<_>>();
+        assert_eq!(keys(&req), keys(&back));
     }
 
     #[test]

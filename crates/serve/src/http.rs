@@ -1,8 +1,21 @@
 //! A dependency-free HTTP/1.1 front end for the sweep service.
 //!
-//! Deliberately minimal: thread-per-connection, `Connection: close`, JSON
-//! bodies only. That is all a lab daemon needs, and it keeps the build
-//! offline-clean (no async runtime, no TLS, no frameworks).
+//! Deliberately minimal: thread-per-connection, JSON bodies only, no
+//! async runtime, no TLS, no frameworks — all a lab daemon needs, and it
+//! keeps the build offline-clean.
+//!
+//! Connections are persistent (HTTP/1.1 keep-alive): a handler reads
+//! requests off one buffered connection until the client closes it or
+//! stays idle past [`READ_TIMEOUT`]. A request is framed by its
+//! `Content-Length` alone; one with an unparsable or repeated
+//! `Content-Length`, or with any `Transfer-Encoding`, is a 400 and ends
+//! the connection, so no leftover body byte is ever read as a request.
+//! Every response is written with one `write_all` and says
+//! `Connection: keep-alive` or `Connection: close`. The server closes
+//! after answering a request that says `Connection: close`, is not
+//! HTTP/1.1, is malformed, or is `POST /shutdown`; once a shutdown is
+//! acknowledged, every other connection closes at its next request
+//! unanswered, or at its idle timeout.
 //!
 //! | Method | Path                 | Body         | Response                      |
 //! |--------|----------------------|--------------|-------------------------------|
@@ -18,21 +31,22 @@ use crate::grid::GridRequest;
 use crate::service::SweepService;
 use simt_harness::json;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Largest request body we accept (a grid request is a few hundred bytes;
-/// this is purely a safety bound against garbage input).
+/// this is purely a safety bound against garbage input). Per request.
 const MAX_BODY: usize = 1 << 20;
 
-/// Largest request line + header block we accept; a client streaming
-/// endless headers gets a 400, not an ever-growing buffer.
+/// Largest request line + header block we accept, per request; a client
+/// streaming endless headers gets a 400, not an ever-growing buffer.
 const MAX_HEAD: u64 = 16 << 10;
 
-/// Per-connection read timeout: a client that connects and goes silent
-/// must not pin a handler thread forever.
+/// Per-connection read timeout, which is also the idle limit between
+/// requests: a client that connects and goes silent must not pin a
+/// handler thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default `/sweeps/:id/events` long-poll hold when the request names no
@@ -93,8 +107,9 @@ impl Server {
     }
 
     /// Serve until [`ServerHandle::shutdown`] (or `POST /shutdown`).
-    /// Blocks the calling thread; connections are handled on short-lived
-    /// threads so a slow client never blocks a status poll.
+    /// Blocks the calling thread; each connection is handled on a thread
+    /// of its own for as long as it stays open, so a slow client never
+    /// blocks a status poll.
     pub fn serve(self) {
         for conn in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
@@ -116,6 +131,9 @@ struct Request {
     /// Raw query string (no leading `?`; empty when absent).
     query: String,
     body: String,
+    /// HTTP/1.1 without `Connection: close`: the client may send another
+    /// request on this connection.
+    keep_alive: bool,
 }
 
 impl Request {
@@ -161,27 +179,51 @@ impl Response {
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     service: &SweepService,
     handle: &ServerHandle,
 ) -> std::io::Result<()> {
-    let request = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(msg) => {
-            return write_response(&mut stream, &Response::error(400, &msg));
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_nodelay(true)?;
+    let mut conn = BufReader::new(stream);
+    loop {
+        let request = match read_request(&mut conn) {
+            Ok(Some(request)) => request,
+            Ok(None) => return Ok(()),
+            Err(msg) => return reject(conn, &msg),
+        };
+        // An acknowledged shutdown answers nothing more.
+        if handle.stop.load(Ordering::SeqCst) {
+            return Ok(());
         }
-    };
-    let started = Instant::now();
-    let (label, response) = route(&request, service);
-    service.record_endpoint(label, started.elapsed().as_micros() as u64);
-    let written = write_response(&mut stream, &response);
-    if label == "POST /shutdown" {
-        // Signal only after the ack is on the wire, so the client never
-        // sees a torn response when the process exits right behind us.
-        service.stop();
-        handle.shutdown();
+        let started = Instant::now();
+        let (label, response) = route(&request, service);
+        service.record_endpoint(label, started.elapsed().as_micros() as u64);
+        let shutdown = label == "POST /shutdown";
+        let keep_alive = request.keep_alive && !shutdown;
+        let written = write_response(conn.get_mut(), &response, keep_alive);
+        if shutdown {
+            // Signal only after the ack is on the wire, so the client never
+            // sees a torn response when the process exits right behind us.
+            service.stop();
+            handle.shutdown();
+        }
+        written?;
+        if !keep_alive {
+            return Ok(());
+        }
     }
-    written
+}
+
+/// Answer a malformed request with a 400 and end the connection. The
+/// request's unread rest is drained (up to [`MAX_BODY`] bytes) after the
+/// write side closes: closing a socket with unread input resets it, and
+/// the reset can destroy the 400 before the client reads it.
+fn reject(mut conn: BufReader<TcpStream>, msg: &str) -> std::io::Result<()> {
+    write_response(conn.get_mut(), &Response::error(400, msg), false)?;
+    conn.get_ref().shutdown(Shutdown::Write)?;
+    let _ = std::io::copy(&mut conn.take(MAX_BODY as u64), &mut std::io::sink());
+    Ok(())
 }
 
 /// Dispatch one request. Returns the endpoint label used for latency
@@ -281,25 +323,33 @@ fn post_sweeps(req: &Request, service: &SweepService) -> Response {
     }
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    stream
-        .set_read_timeout(Some(READ_TIMEOUT))
-        .map_err(|e| format!("cannot set read timeout: {e}"))?;
-    let mut reader = BufReader::new(stream);
+/// Read the next request off a connection. `Ok(None)` when the client
+/// closed it, or left it idle past [`READ_TIMEOUT`], before sending a byte
+/// of one. `Err` is the 400 message of a malformed request.
+fn read_request(conn: &mut BufReader<TcpStream>) -> Result<Option<Request>, String> {
+    if conn.fill_buf().map_or(true, |buf| buf.is_empty()) {
+        return Ok(None);
+    }
     // The head (request line + headers) reads through a byte-capped
     // handle; once the cap is hit, read_line returns Ok(0) and we bail.
-    let mut head = (&mut reader).take(MAX_HEAD);
+    let mut head = (&mut *conn).take(MAX_HEAD);
     let mut line = String::new();
     head.read_line(&mut line)
         .map_err(|e| format!("bad request line: {e}"))?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("missing request path")?;
+    let version = parts
+        .next()
+        .filter(|v| v.starts_with("HTTP/") && parts.next().is_none())
+        .ok_or("request line must end in an HTTP version")?;
+    let http11 = version == "HTTP/1.1";
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
     };
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
+    let mut close = false;
     loop {
         let mut header = String::new();
         let n = head
@@ -312,33 +362,51 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         if header.is_empty() {
             break;
         }
-        if let Some(value) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            content_length = value;
+        let (name, value) = header.split_once(':').unwrap_or((header, ""));
+        let value = value.trim();
+        match name.trim().to_ascii_lowercase().as_str() {
+            "content-length" => {
+                let n = Some(value)
+                    .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .ok_or_else(|| format!("bad Content-Length {value:?}"))?;
+                if content_length.replace(n).is_some() {
+                    return Err("repeated Content-Length".into());
+                }
+            }
+            "transfer-encoding" => {
+                return Err("Transfer-Encoding is not supported (send a Content-Length)".into())
+            }
+            "connection" => {
+                close |= value
+                    .split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"));
+            }
+            _ => {}
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(format!("body too large ({content_length} bytes)"));
     }
     let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader
-            .read_exact(&mut body)
-            .map_err(|e| format!("short body: {e}"))?;
-    }
-    Ok(Request {
+    conn.read_exact(&mut body)
+        .map_err(|e| format!("short body: {e}"))?;
+    Ok(Some(Request {
         method,
         path,
         query,
         body: String::from_utf8_lossy(&body).into_owned(),
-    })
+        keep_alive: http11 && !close,
+    }))
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+/// Write a whole response — head and body — with one `write_all`.
+fn write_response(
+    stream: &mut TcpStream,
+    response: &Response,
+    keep_alive: bool,
+) -> std::io::Result<()> {
     let reason = match response.status {
         200 => "OK",
         400 => "Bad Request",
@@ -346,14 +414,13 @@ fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Resul
         503 => "Service Unavailable",
         _ => "Error",
     };
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let message = format!(
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{}",
         response.status,
-        reason,
         response.content_type,
         response.body.len(),
         response.body
-    )?;
-    stream.flush()
+    );
+    stream.write_all(message.as_bytes())
 }

@@ -7,20 +7,22 @@
 //! exploration into a service:
 //!
 //! * [`grid`] — grid requests (`workloads × designs × config`), validated
-//!   and lowered to ordinary harness jobs with the **same cache keys** the
-//!   CLI computes;
+//!   and lowered to points keyed from their names with the **same cache
+//!   keys** the CLI computes; a point builds its harness job only when it
+//!   has to simulate;
 //! * [`service`] — the job-queue core: single-flight dedup across
 //!   overlapping sweeps, a non-blocking worker pool, budget/stop handling,
 //!   and the status/metrics documents;
 //! * [`manifest`] — durable `dac-sweep/v1` manifests that make sweeps
 //!   resumable across daemon restarts (the cache itself is the progress
 //!   record);
-//! * [`http`] — a dependency-free HTTP/1.1 front end exposing
+//! * [`http`] — a dependency-free HTTP/1.1 front end with persistent
+//!   connections, exposing
 //!   `POST /sweeps`, `GET /sweeps/:id`, `GET /sweeps/:id/events`
 //!   (long-poll), `GET /runs/:key`, `GET /status` and `GET /metrics`
 //!   (JSON or Prometheus text);
 //! * [`client`] — the tiny blocking HTTP client behind `sweepctl` and the
-//!   end-to-end tests.
+//!   end-to-end tests, pooling its kept-alive connections.
 //!
 //! Telemetry (structured logs, the metric registries, Prometheus
 //! exposition) comes from `simt-obs`; the daemon initializes the logger

@@ -12,8 +12,8 @@
 //! re-enqueues every point, and the finished ones resolve instantly as
 //! cache hits — no re-execution, no bookkeeping to keep consistent.
 
-use crate::grid::GridRequest;
-use simt_harness::{json, Job};
+use crate::grid::{GridPoint, GridRequest};
+use simt_harness::json;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -41,17 +41,14 @@ fn path(results: &Path, id: &str) -> PathBuf {
 /// Serialize a manifest (the request plus the resolved point list — the
 /// points are derivable from the request, but listing them makes manifests
 /// self-describing for humans and `GET /sweeps/:id` cheap for machines).
-pub fn to_json(id: &str, request: &GridRequest, jobs: &[Job]) -> json::Value {
-    let points = jobs
+pub fn to_json(id: &str, request: &GridRequest, points: &[GridPoint]) -> json::Value {
+    let points = points
         .iter()
-        .map(|job| {
+        .map(|p| {
             json::Value::Obj(vec![
-                ("label".into(), json::Value::Str(job.label())),
-                (
-                    "run".into(),
-                    json::Value::Str(format!("{:016x}", job.cache_hash())),
-                ),
-                ("key".into(), json::Value::Str(job.cache_key())),
+                ("label".into(), json::Value::Str(p.label.clone())),
+                ("run".into(), json::Value::Str(format!("{:016x}", p.hash))),
+                ("key".into(), json::Value::Str(p.key.clone())),
             ])
         })
         .collect();
@@ -66,14 +63,19 @@ pub fn to_json(id: &str, request: &GridRequest, jobs: &[Job]) -> json::Value {
 /// Write the manifest for a newly submitted sweep, atomically. An existing
 /// manifest is left untouched (identical content by construction: the id
 /// is a hash of the points).
-pub fn store(results: &Path, id: &str, request: &GridRequest, jobs: &[Job]) -> std::io::Result<()> {
+pub fn store(
+    results: &Path,
+    id: &str,
+    request: &GridRequest,
+    points: &[GridPoint],
+) -> std::io::Result<()> {
     let path = path(results, id);
     if path.exists() {
         return Ok(());
     }
     fs::create_dir_all(dir(results))?;
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    fs::write(&tmp, to_json(id, request, jobs).to_json().as_bytes())?;
+    fs::write(&tmp, to_json(id, request, points).to_json().as_bytes())?;
     fs::rename(&tmp, &path)
 }
 
@@ -136,29 +138,29 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let jobs = req.jobs();
-        let id = GridRequest::sweep_id(&jobs);
-        store(&results, &id, &req, &jobs).unwrap();
+        let points = req.points();
+        let id = GridRequest::sweep_id(&points);
+        store(&results, &id, &req, &points).unwrap();
         // Storing again is a no-op, not an error.
-        store(&results, &id, &req, &jobs).unwrap();
+        store(&results, &id, &req, &points).unwrap();
         // A corrupt sibling is skipped with a warning, not fatal.
         fs::write(dir(&results).join("zz-bad.json"), b"{ nope").unwrap();
 
         let loaded = load_all(&results);
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].id, id);
-        let jobs_back = loaded[0].request.jobs();
-        assert_eq!(GridRequest::sweep_id(&jobs_back), id);
-        assert_eq!(jobs_back.len(), jobs.len());
+        let points_back = loaded[0].request.points();
+        assert_eq!(GridRequest::sweep_id(&points_back), id);
+        assert_eq!(points_back.len(), points.len());
 
-        // The manifest lists one point per job with its run hash.
+        // The manifest lists each point with its run hash.
         let text = fs::read_to_string(path(&results, &id)).unwrap();
         let v = json::parse(&text).unwrap();
         let points = v.get("points").and_then(json::Value::as_arr).unwrap();
         assert_eq!(points.len(), 4);
         assert_eq!(
             points[0].get("run").and_then(json::Value::as_str).unwrap(),
-            format!("{:016x}", jobs[0].cache_hash())
+            format!("{:016x}", req.jobs()[0].cache_hash())
         );
         let _ = fs::remove_dir_all(&results);
     }

@@ -1,8 +1,9 @@
 //! The sweep service core: a job queue with **single-flight semantics**
 //! over the shared result store.
 //!
-//! Every submitted grid lowers to harness jobs and canonicalizes each
-//! point to its cache key. The key's hash is the point's identity in a
+//! Every submitted grid lowers to name-keyed points, each carrying its
+//! canonical cache key; a point builds its workload only if the store
+//! misses and it has to simulate. The key's hash is the point's identity in a
 //! service-wide registry: the first sweep to name a point *owns* it (the
 //! service enqueues it once), and every later sweep naming the same point
 //! — concurrently or after the fact — **shares** the one run. Combined
@@ -19,9 +20,9 @@
 //! result is in the cache, so a restarted daemon re-enqueues manifest
 //! points and the finished ones resolve instantly as cache hits.
 
-use crate::grid::GridRequest;
+use crate::grid::{GridPoint, GridRequest};
 use crate::manifest;
-use simt_harness::{json, Job, ResultCache, WorkerPool};
+use simt_harness::{json, ResultCache, WorkerPool};
 use simt_obs::metrics::{FamilySnapshot, Kind, Registry, SeriesSnapshot, SeriesValue};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -161,8 +162,7 @@ impl Tally {
 
 /// One entry in the single-flight registry.
 struct PointEntry {
-    job: Job,
-    label: String,
+    point: GridPoint,
     /// The sweep that first named this point (and thus enqueued it).
     owner: String,
     status: PointStatus,
@@ -293,7 +293,7 @@ impl State {
             .points
             .get_mut(&hash)
             .expect("dispatched point is registered");
-        let body = terminal_event(hash, &entry.label, &status, Some(wall_us));
+        let body = terminal_event(hash, &entry.point.label, &status, Some(wall_us));
         entry.status = status;
         self.push_point_event(hash, &body);
         self.pending -= 1;
@@ -417,9 +417,9 @@ impl SweepService {
             // point is finished iff its cache entry exists.
             let unfinished = m
                 .request
-                .jobs()
+                .points()
                 .iter()
-                .filter(|j| !self.cache.entry_path_for_hash(j.cache_hash()).exists())
+                .filter(|p| !self.cache.entry_path_for_hash(p.hash).exists())
                 .count();
             let receipt = match self.submit(m.request.clone()) {
                 Ok(r) => r,
@@ -448,11 +448,11 @@ impl SweepService {
     /// poll [`SweepService::sweep_status`] or wait on
     /// [`SweepService::wait_for_sweep`] for completion.
     pub fn submit(&self, request: GridRequest) -> Result<Receipt, String> {
-        let jobs = request.jobs();
-        if jobs.is_empty() {
+        let points = request.points();
+        if points.is_empty() {
             return Err("empty grid".into());
         }
-        let id = GridRequest::sweep_id(&jobs);
+        let id = GridRequest::sweep_id(&points);
         let mut to_enqueue: Vec<u64> = Vec::new();
         let receipt = {
             let (lock, _) = &*self.state;
@@ -465,7 +465,7 @@ impl SweepService {
                 st.shared_submissions += receipt.total as u64;
                 return Ok(receipt);
             }
-            let mut hashes = Vec::with_capacity(jobs.len());
+            let mut hashes = Vec::with_capacity(points.len());
             let mut sweep = SweepState {
                 hashes: Vec::new(),
                 submitted: Instant::now(),
@@ -475,8 +475,8 @@ impl SweepService {
                 dropped_events: 0,
                 span: simt_obs::log::next_span(),
             };
-            for job in &jobs {
-                let hash = job.cache_hash();
+            for point in &points {
+                let hash = point.hash;
                 if hashes.contains(&hash) {
                     continue; // duplicate point inside one grid
                 }
@@ -486,15 +486,15 @@ impl SweepService {
                     // `sweepctl tail` of this sweep sees every point, not
                     // just the newly-enqueued ones.
                     Some(entry) if entry.status.is_terminal() => {
-                        sweep.push_event(&terminal_event(hash, &entry.label, &entry.status, None));
+                        let label = &entry.point.label;
+                        sweep.push_event(&terminal_event(hash, label, &entry.status, None));
                     }
                     Some(_) => {}
                     None => {
                         st.points.insert(
                             hash,
                             PointEntry {
-                                label: job.label(),
-                                job: job.clone(),
+                                point: point.clone(),
                                 owner: id.clone(),
                                 status: PointStatus::Queued,
                             },
@@ -526,7 +526,7 @@ impl SweepService {
         };
         let (_, cvar) = &*self.state;
         cvar.notify_all(); // replayed events may satisfy a waiting poll
-        if let Err(e) = manifest::store(&self.cfg.results_dir, &id, &request, &jobs) {
+        if let Err(e) = manifest::store(&self.cfg.results_dir, &id, &request, &points) {
             // Non-fatal: the sweep still runs, it just won't survive a
             // restart (mirrors the cache's read-only-checkout behaviour).
             simt_obs::warn!("serve.service", "manifest write failed";
@@ -588,20 +588,20 @@ impl SweepService {
         verbose: bool,
     ) -> Option<(PointStatus, u64)> {
         let (lock, cvar) = state;
-        let job = {
+        let point = {
             let st = lock.lock().unwrap();
             if st.stopping {
                 return None;
             }
-            st.points[&hash].job.clone()
+            st.points[&hash].point.clone()
         };
 
         // Store lookup outside the lock — it reads the filesystem.
         let lookup_started = Instant::now();
-        if let Some(hit) = cache.load(&job) {
+        if let Some(hit) = cache.load_by_key(&point.key) {
             let wall_us = lookup_started.elapsed().as_micros() as u64;
             if verbose {
-                eprintln!("  {:<24} cached", job.label());
+                eprintln!("  {:<24} cached", point.label);
             }
             let status = PointStatus::Done {
                 cycles: hit.report.cycles,
@@ -623,11 +623,13 @@ impl SweepService {
                 .get_mut(&hash)
                 .expect("dispatched point is registered");
             entry.status = PointStatus::Running;
-            let body = started_event(hash, &entry.label);
+            let body = started_event(hash, &entry.point.label);
             st.push_point_event(hash, &body);
             cvar.notify_all();
         }
 
+        // Only a point that simulates needs its workload.
+        let job = point.job();
         let sim_started = Instant::now();
         // A point that can never run fails with its one-line reason;
         // anything else that goes wrong inside the simulator is a panic.
@@ -659,7 +661,7 @@ impl SweepService {
                     );
                 }
                 if verbose {
-                    eprintln!("  {:<24} ok ({:.1}s)", job.label(), result.wall_ms / 1e3);
+                    eprintln!("  {:<24} ok ({:.1}s)", point.label, result.wall_ms / 1e3);
                 }
                 PointStatus::Done {
                     cycles,
@@ -673,7 +675,7 @@ impl SweepService {
                     .or_else(|| p.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "simulation panicked".into());
                 simt_obs::warn!("serve.service", "point failed";
-                    point = job.label(), error = msg.clone());
+                    point = point.label.clone(), error = msg.clone());
                 PointStatus::Failed(msg)
             }
         };
@@ -809,7 +811,7 @@ impl SweepService {
                 shared += 1;
             }
             let mut fields = vec![
-                ("label".into(), json::Value::Str(entry.label.clone())),
+                ("label".into(), json::Value::Str(entry.point.label.clone())),
                 ("run".into(), json::Value::Str(format!("{hash:016x}"))),
                 (
                     "status".into(),
