@@ -1,27 +1,29 @@
-//! Run the benchmark × design matrix and emit machine-readable artifacts.
+//! The one experiment front end: run the benchmark × design matrix, or
+//! print one of the paper's tables and figures.
 //!
-//! The workhorse for bulk experiments: every (workload, design) pair
-//! becomes one harness job, results stream into `results/cache/` (so a
-//! second identical invocation simulates nothing) and one JSONL record per
-//! job lands under `results/runs/`. The printed table and the artifact are
-//! byte-identical for any `--jobs N` — results are aggregated by job
-//! index, not completion order. It is also the one front end for the
+//! With no experiment, every (workload, design) pair becomes one harness
+//! job, results stream into `results/cache/` (so a second identical
+//! invocation simulates nothing) and one JSONL record per job lands under
+//! `results/runs/`. The printed table and the artifact are byte-identical
+//! for any `--jobs N` — results are aggregated by job index, not
+//! completion order. The matrix is also the one front end for the
 //! observers: `--trace` writes a timeline per job, `--profile DIR` one
-//! bottleneck report over the run.
+//! bottleneck report over the run. `sweep EXPERIMENT` prints that part of
+//! the paper's evaluation instead ([`dac_bench::figures`]).
 
-use dac_bench::cli::{exit_unrunnable, CommonArgs, COMMON_USAGE};
-use dac_bench::geomean;
+use dac_bench::cli::{exit_unrunnable, CommonArgs};
+use dac_bench::{figures, geomean};
 use gpu_workloads::Design;
 use simt_harness::{scenario_jobs, suite_jobs, DesignPoint, RunOutput};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
-usage: sweep [options]
+usage: sweep [EXPERIMENT] [options]
 
-Runs every selected benchmark under every selected design (default:
-baseline, cae, mta, dac) and writes one JSONL record per simulation to
---out (default results/runs). Fully cached: rerunning an identical sweep
-hits results/cache and simulates nothing.
+Without an EXPERIMENT, runs every selected benchmark under every selected
+design (default: baseline, cae, mta, dac) and writes one JSONL record per
+simulation to --out (default results/runs). Fully cached: rerunning an
+identical sweep hits results/cache and simulates nothing.
 
 With --set streams=NAME the sweep instead runs that multi-kernel stream
 scenario under every selected design (concurrent kernel streams dispatched
@@ -31,15 +33,56 @@ policy) and prints chip-wide plus per-kernel cycle counts.
 --trace writes one event timeline per job (Chrome JSON + dac-trace/v1
 JSONL); --profile DIR writes one bottleneck report over every job
 (report.md + dac-profile/v1 profile.json). Either one simulates every job:
-the cache is stored to but not read.";
+the cache is stored to but not read.
+
+With an EXPERIMENT, prints that part of the paper's evaluation over the
+selected benchmarks (cached; artifacts only with --out):
+  table1   simulator configuration
+  table2   benchmark list + measured compute/memory classification
+  fig6     % static instructions that are potentially affine
+  fig16    speedups of CAE / MTA / DAC over baseline
+  fig17    DAC warp-instruction count normalized to baseline
+  fig18    affine coverage, DAC vs CAE (compute-intensive set)
+  fig19    % of loads issued by the affine warp (memory-intensive set)
+  fig20    MTA prefetcher coverage (memory-intensive set)
+  fig21    energy normalized to baseline
+  mem      L1 / L2 / DRAM row-buffer hit rates per design
+  area     DAC area overhead (§4.8)
+  ablate   DAC queue-size / ATQ / line-locking ablations (beyond paper)
+  all      everything above
+
+options:
+  --scale N          workload scale factor (default 1)
+  --bench A,B,...    only these benchmarks (Table 2 abbreviations)
+  --jobs N, -j N     worker threads (default: all cores)
+  --no-cache         ignore and do not update results/cache
+  --cache-dir DIR    result cache location (default results/cache)
+  --out DIR          write JSONL run artifacts to DIR
+  --designs a,b,...  matrix only: design points baseline, cae, mta, dac,
+                     perfect
+  --set KEY=VALUE    config override (repeatable, each knob once); knobs:
+                     atq_entries, pwaq_total, pwpq_total, lock_lines,
+                     num_sms, max_warps_per_sm,
+                     streams (multi-kernel scenario: smem_pressure,
+                     reg_pressure, pipeline; matrix only), cta_policy
+                     (greedy|rr)
+  --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as
+                     explicit num_sms/max_warps_per_sm overrides
+  --trace            write per-job event traces to results/traces
+  --trace-dir DIR    write per-job event traces to DIR (implies --trace)
+  --trace-events N   trace ring-buffer capacity (default 1000000)
+  --profile DIR      matrix only: profile every job and write one bottleneck
+                     report (report.md + profile.json) to DIR
+  --quiet, -q        no per-job progress on stderr
+  --help, -h         this text";
 
 fn usage_exit(error: &str) -> ! {
     if error == "help" {
-        println!("{USAGE}\n\n{COMMON_USAGE}");
+        println!("{USAGE}");
         std::process::exit(0);
     }
     // One line, not the usage dump: parse errors already name the valid
-    // choices, and burying them under 40 lines of usage hides the message.
+    // choices, and burying them under 60 lines of usage hides the message.
     eprintln!("sweep: {error} (run `sweep --help` for usage)");
     std::process::exit(2);
 }
@@ -48,8 +91,10 @@ fn main() {
     simt_obs::log::init_from_env();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = CommonArgs::parse(&raw).unwrap_or_else(|e| usage_exit(&e));
-    if let Some(stray) = args.positional.first() {
-        usage_exit(&format!("unexpected argument {stray:?}"));
+    match args.positional.as_slice() {
+        [] => {}
+        [name] => return figures::run(name, &args).unwrap_or_else(|e| usage_exit(&e)),
+        more => usage_exit(&format!("expected at most one experiment, got {more:?}")),
     }
     let points = args
         .designs
@@ -73,7 +118,7 @@ fn main() {
     let t0 = Instant::now();
     let out = harness
         .try_run(&jobs)
-        .unwrap_or_else(|f| exit_unrunnable("sweep", &f));
+        .unwrap_or_else(|f| exit_unrunnable(&f));
     let wall = t0.elapsed();
 
     // One row per benchmark, one column per design; speedups are relative
@@ -157,7 +202,7 @@ fn scenario_sweep(args: &CommonArgs, name: &str, points: &[DesignPoint]) {
     let t0 = Instant::now();
     let out = harness
         .try_run(&jobs)
-        .unwrap_or_else(|f| exit_unrunnable("sweep", &f));
+        .unwrap_or_else(|f| exit_unrunnable(&f));
     let wall = t0.elapsed();
 
     let base_col = points

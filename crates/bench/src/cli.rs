@@ -1,8 +1,8 @@
-//! Shared command-line parsing for the `figures` and `sweep` binaries.
+//! Command-line parsing for `sweep`.
 //!
-//! Parsing never panics: errors come back as `Err(message)` so binaries can
-//! print the message plus their usage text and exit non-zero, instead of
-//! dumping a backtrace at the user.
+//! Parsing never panics: errors come back as `Err(message)` so `sweep` can
+//! print the message and exit non-zero, instead of dumping a backtrace at
+//! the user.
 
 use gpu_workloads::ALL_ABBRS;
 use simt_harness::job::MAX_SCALE;
@@ -12,7 +12,7 @@ use std::path::PathBuf;
 /// Default per-job ring-buffer capacity for `--trace` (newest events kept).
 pub const DEFAULT_TRACE_EVENTS: usize = 1_000_000;
 
-/// Options shared by every experiment binary.
+/// `sweep`'s options, shared by the matrix and every experiment.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// `--scale N` — workload scale factor (default 1).
@@ -25,17 +25,14 @@ pub struct CommonArgs {
     pub cache: bool,
     /// Cache directory (default `results/cache`).
     pub cache_dir: PathBuf,
-    /// `--out DIR` — write JSONL run artifacts here (sweep defaults to
-    /// `results/runs`; figures defaults to off).
+    /// `--out DIR` — write JSONL run artifacts here (the matrix defaults
+    /// to `results/runs`; an experiment to off).
     pub out: Option<PathBuf>,
-    /// `--designs a,b,...` — design points to run (default: sweep runs
+    /// `--designs a,b,...` — design points the matrix runs (default:
     /// baseline/cae/mta/dac).
     pub designs: Option<Vec<DesignPoint>>,
     /// `--set key=value` (repeatable) — configuration overrides.
     pub overrides: Overrides,
-    /// `--full-chip` — pin the full GTX 480 chip (15 SMs, 48 warps/SM)
-    /// as explicit overrides, so artifacts record the machine size.
-    pub full_chip: bool,
     /// `--trace` / `--trace-dir DIR` — write per-job event traces here
     /// (`None` = tracing off).
     pub trace_dir: Option<PathBuf>,
@@ -46,7 +43,7 @@ pub struct CommonArgs {
     pub profile: Option<PathBuf>,
     /// `--quiet` — suppress per-job progress lines.
     pub quiet: bool,
-    /// Positional arguments (the experiment name for `figures`).
+    /// Positional arguments (the experiment name, if any).
     pub positional: Vec<String>,
 }
 
@@ -61,7 +58,6 @@ impl Default for CommonArgs {
             out: None,
             designs: None,
             overrides: Overrides::default(),
-            full_chip: false,
             trace_dir: None,
             trace_events: DEFAULT_TRACE_EVENTS,
             profile: None,
@@ -164,7 +160,6 @@ impl CommonArgs {
                         out.overrides.set(k, v)?;
                         set_keys.push(k.to_string());
                     }
-                    out.full_chip = true;
                 }
                 "--trace" => {
                     out.trace_dir
@@ -198,23 +193,9 @@ impl CommonArgs {
         Ok(out)
     }
 
-    /// `figures`' experiment name (default `all`). `Err` on more than one
-    /// positional argument, and on `--profile`: `ablate` and `all` run
-    /// several harness batches, and each would overwrite the report.
-    pub fn experiment(&self) -> Result<String, String> {
-        if self.profile.is_some() {
-            return Err("--profile is a sweep option (figures runs several batches)".into());
-        }
-        match self.positional.as_slice() {
-            [] => Ok("all".into()),
-            [one] => Ok(one.clone()),
-            more => Err(format!("expected one experiment, got {more:?}")),
-        }
-    }
-
     /// Build the harness these arguments describe. `artifacts_default`
-    /// supplies the binary's default artifact directory when `--out` was
-    /// not given (`None` = artifacts off unless requested).
+    /// supplies the default artifact directory when `--out` was not given
+    /// (`None` = artifacts off unless requested).
     pub fn harness(&self, artifacts_default: Option<&str>) -> Harness {
         let mut h = Harness::new(self.jobs).verbose(!self.quiet);
         if self.cache {
@@ -262,40 +243,15 @@ impl CommonArgs {
 }
 
 /// Report jobs that can never run (see [`Harness::try_run`]) — one
-/// `tool: label: reason` line each on stderr — and exit 1. Distinct from
+/// `sweep: label: reason` line each on stderr — and exit 1. Distinct from
 /// usage errors (exit 2): the command line parsed, the machine it
 /// describes just cannot hold these kernels.
-pub fn exit_unrunnable(tool: &str, failures: &[String]) -> ! {
+pub fn exit_unrunnable(failures: &[String]) -> ! {
     for line in failures {
-        eprintln!("{tool}: {line}");
+        eprintln!("sweep: {line}");
     }
     std::process::exit(1);
 }
-
-/// The flag reference shared by both binaries' usage text.
-pub const COMMON_USAGE: &str = "\
-common options:
-  --scale N          workload scale factor (default 1)
-  --bench A,B,...    only these benchmarks (Table 2 abbreviations)
-  --jobs N, -j N     worker threads (default: all cores)
-  --no-cache         ignore and do not update results/cache
-  --cache-dir DIR    result cache location (default results/cache)
-  --out DIR          write JSONL run artifacts to DIR
-  --designs a,b,...  design points: baseline, cae, mta, dac, perfect
-  --set KEY=VALUE    config override (repeatable, each knob once); knobs:
-                     atq_entries, pwaq_total, pwpq_total, lock_lines,
-                     num_sms, max_warps_per_sm,
-                     streams (multi-kernel scenario: smem_pressure,
-                     reg_pressure, pipeline), cta_policy (greedy|rr)
-  --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as
-                     explicit num_sms/max_warps_per_sm overrides
-  --trace            write per-job event traces to results/traces
-  --trace-dir DIR    write per-job event traces to DIR (implies --trace)
-  --trace-events N   trace ring-buffer capacity (default 1000000)
-  --profile DIR      sweep only: profile every job and write one bottleneck
-                     report (report.md + profile.json) to DIR
-  --quiet, -q        no per-job progress on stderr
-  --help, -h         this text";
 
 #[cfg(test)]
 mod tests {
@@ -397,10 +353,6 @@ mod tests {
             parse(&["--no-fast-forward"]).unwrap_err(),
             "unknown flag \"--no-fast-forward\""
         );
-        // `figures` parses the common flags, then refuses `--profile`.
-        let figures = parse(&["fig16", "--profile", "D"]).unwrap();
-        assert!(figures.experiment().unwrap_err().starts_with("--profile"));
-        assert_eq!(parse(&["fig16"]).unwrap().experiment().unwrap(), "fig16");
     }
 
     #[test]
@@ -448,7 +400,6 @@ mod tests {
     #[test]
     fn full_chip_preset() {
         let a = parse(&["--full-chip"]).unwrap();
-        assert!(a.full_chip);
         assert_eq!(a.overrides.num_sms, Some(15));
         assert_eq!(a.overrides.max_warps_per_sm, Some(48));
         // Conflicting machine-size overrides are rejected in either order.

@@ -1,96 +1,76 @@
-//! Regenerate every table and figure of the paper.
+//! The paper's evaluation (§5): every table and figure `sweep EXPERIMENT`
+//! prints, derived from [`evaluate_all`]'s rows (see EXPERIMENTS.md for
+//! the index).
 
-use dac_bench::cli::{exit_unrunnable, CommonArgs, COMMON_USAGE};
-use dac_bench::{evaluate_all, geomean, FullRow};
+use crate::cli::{exit_unrunnable, CommonArgs};
+use crate::{evaluate_all, geomean, FullRow};
 use dac_core::DacConfig;
 use gpu_energy::EnergyModel;
 use gpu_workloads::{gpu_for, Design, Workload};
-use simt_harness::{DesignPoint, Harness, Job};
+use simt_harness::{DesignPoint, Harness, Job, Overrides, Payload};
 use simt_sim::GpuConfig;
 use std::sync::Arc;
 
-const USAGE: &str = "\
-usage: figures <experiment> [options]
-
-experiments:
-  table1   simulator configuration
-  table2   benchmark list + measured compute/memory classification
-  fig6     % static instructions that are potentially affine
-  fig16    speedups of CAE / MTA / DAC over baseline
-  fig17    DAC warp-instruction count normalized to baseline
-  fig18    affine coverage, DAC vs CAE (compute-intensive set)
-  fig19    % of loads issued by the affine warp (memory-intensive set)
-  fig20    MTA prefetcher coverage (memory-intensive set)
-  fig21    energy normalized to baseline
-  mem      L1 / L2 / DRAM row-buffer hit rates per design
-  area     DAC area overhead (§4.8)
-  ablate   queue-size / locking / divergence ablations (beyond paper)
-  all      everything above";
-
-fn usage_exit(error: &str) -> ! {
-    if error == "help" {
-        println!("{USAGE}\n\n{COMMON_USAGE}");
-        std::process::exit(0);
-    }
-    eprintln!("figures: {error}\n\n{USAGE}\n\n{COMMON_USAGE}");
-    std::process::exit(2);
-}
-
-fn main() {
-    simt_obs::log::init_from_env();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = CommonArgs::parse(&raw).unwrap_or_else(|e| usage_exit(&e));
-    let cmd = args.experiment().unwrap_or_else(|e| usage_exit(&e));
-
-    match cmd.as_str() {
-        "table1" => table1(),
-        "area" => area(),
-        _ => {
-            let benches = args.benchmarks().unwrap_or_else(|e| usage_exit(&e));
-            // Figures cache by default (results/cache) so re-running an
-            // experiment only simulates what changed; artifacts are
-            // opt-in via --out.
-            let harness = args.harness(None);
-            let run_rows = |benches: Vec<Workload>| -> Vec<FullRow> {
-                eprintln!(
-                    "running {} benchmarks at scale {} on {} workers...",
-                    benches.len(),
-                    args.scale,
-                    harness.workers()
-                );
-                evaluate_all(&harness, benches, args.scale, &args.overrides)
-                    .unwrap_or_else(|f| exit_unrunnable("figures", &f))
-            };
-            match cmd.as_str() {
-                "table2" => table2(&run_rows(benches)),
-                "fig6" => fig6(&run_rows(benches)),
-                "fig16" => fig16(&run_rows(benches)),
-                "fig17" => fig17(&run_rows(benches)),
-                "fig18" => fig18(&run_rows(benches)),
-                "fig19" => fig19(&run_rows(benches)),
-                "fig20" => fig20(&run_rows(benches)),
-                "fig21" => fig21(&run_rows(benches)),
-                "mem" => mem_rates(&run_rows(benches)),
-                "ablate" => ablate(&harness, &args, benches),
-                "all" => {
-                    let rows = run_rows(benches.clone());
-                    table1();
-                    table2(&rows);
-                    fig6(&rows);
-                    fig16(&rows);
-                    fig17(&rows);
-                    fig18(&rows);
-                    fig19(&rows);
-                    fig20(&rows);
-                    fig21(&rows);
-                    mem_rates(&rows);
-                    area();
-                    ablate(&harness, &args, benches);
-                }
-                other => usage_exit(&format!("unknown experiment {other:?}")),
-            }
+/// Print experiment `name` over the benchmarks `args` selects. Experiments
+/// cache by default (`results/cache`) so a re-run only simulates what
+/// changed; artifacts are written only under `--out`. `Err` is a usage
+/// error: an unknown experiment or benchmark, or a matrix option an
+/// experiment would silently ignore (it picks its own design points and
+/// runs several batches, each of which would overwrite a `--profile`
+/// report).
+pub fn run(name: &str, args: &CommonArgs) -> Result<(), String> {
+    for (given, flag) in [
+        (args.designs.is_some(), "--designs"),
+        (args.overrides.streams.is_some(), "--set streams"),
+        (args.profile.is_some(), "--profile"),
+    ] {
+        if given {
+            return Err(format!("{flag} is a matrix option, not an experiment one"));
         }
     }
+    let benches = args.benchmarks()?;
+    let harness = args.harness(None);
+    let rows = |benches: Vec<Workload>| -> Vec<FullRow> {
+        eprintln!(
+            "running {} benchmarks at scale {} on {} workers...",
+            benches.len(),
+            args.scale,
+            harness.workers()
+        );
+        evaluate_all(&harness, benches, args.scale, &args.overrides)
+            .unwrap_or_else(|f| exit_unrunnable(&f))
+    };
+    match name {
+        "table1" => table1(),
+        "table2" => table2(&rows(benches)),
+        "fig6" => fig6(&rows(benches)),
+        "fig16" => fig16(&rows(benches)),
+        "fig17" => fig17(&rows(benches)),
+        "fig18" => fig18(&rows(benches)),
+        "fig19" => fig19(&rows(benches)),
+        "fig20" => fig20(&rows(benches)),
+        "fig21" => fig21(&rows(benches)),
+        "mem" => mem_rates(&rows(benches)),
+        "area" => area(),
+        "ablate" => ablate(&harness, args, benches),
+        "all" => {
+            let rows = rows(benches.clone());
+            table1();
+            table2(&rows);
+            fig6(&rows);
+            fig16(&rows);
+            fig17(&rows);
+            fig18(&rows);
+            fig19(&rows);
+            fig20(&rows);
+            fig21(&rows);
+            mem_rates(&rows);
+            area();
+            ablate(&harness, args, benches);
+        }
+        other => return Err(format!("unknown experiment {other:?}")),
+    }
+    Ok(())
 }
 
 fn hdr(title: &str) {
@@ -388,8 +368,8 @@ fn area() {
     );
 }
 
-/// Design-space ablations beyond the paper: queue depth, line locking,
-/// divergent-tuple support. Every configuration is an [`Overrides`] delta,
+/// Design-space ablations beyond the paper: queue depth, ATQ size and
+/// line locking. Every configuration is an [`Overrides`] delta,
 /// so the whole sweep is one harness batch and the baseline runs (which no
 /// DAC knob affects) are shared through the cache.
 fn ablate(harness: &Harness, args: &CommonArgs, benches: Vec<Workload>) {
@@ -426,28 +406,24 @@ fn ablate(harness: &Harness, args: &CommonArgs, benches: Vec<Workload>) {
     ];
 
     // One batch: a baseline job per benchmark, then each DAC variant.
-    let mut jobs: Vec<Job> = subset
-        .iter()
-        .map(|w| Job {
-            payload: simt_harness::Payload::Bench(w.clone()),
-            scale: args.scale,
-            point: DesignPoint::Hw(Design::Baseline),
-            overrides: args.overrides.clone(),
-        })
-        .collect();
-    for (_, overrides) in &configs {
-        for w in &subset {
-            jobs.push(Job {
-                payload: simt_harness::Payload::Bench(w.clone()),
+    let jobs_at = |design, overrides: &Overrides| -> Vec<Job> {
+        subset
+            .iter()
+            .map(|w| Job {
+                payload: Payload::Bench(w.clone()),
                 scale: args.scale,
-                point: DesignPoint::Hw(Design::Dac),
+                point: DesignPoint::Hw(design),
                 overrides: overrides.clone(),
-            });
-        }
+            })
+            .collect()
+    };
+    let mut jobs = jobs_at(Design::Baseline, &args.overrides);
+    for (_, overrides) in &configs {
+        jobs.extend(jobs_at(Design::Dac, overrides));
     }
     let out = harness
         .try_run(&jobs)
-        .unwrap_or_else(|f| exit_unrunnable("figures", &f));
+        .unwrap_or_else(|f| exit_unrunnable(&f));
 
     let base_cycles: Vec<f64> = out.results[..subset.len()]
         .iter()

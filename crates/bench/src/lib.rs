@@ -1,11 +1,12 @@
-//! `dac-bench` — the evaluation front end: turns benchmarks into
-//! [`simt_harness`] jobs, runs them (in parallel, cached), and derives each
-//! table and figure of the paper from the results (see EXPERIMENTS.md for
-//! the index).
+//! `dac-bench` — the evaluation front end behind `sweep`: turns benchmarks
+//! into [`simt_harness`] jobs, runs them (in parallel, cached), and derives
+//! each table and figure of the paper from the results ([`figures`]; see
+//! EXPERIMENTS.md for the index).
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod figures;
 
 use affine::AffineAnalysis;
 use gpu_energy::{energy_of, EnergyBreakdown, EnergyModel};
@@ -171,20 +172,6 @@ fn assemble_row(w: &Arc<Workload>, jobs: &[Job], results: &[JobResult]) -> FullR
     }
 }
 
-/// Evaluate one benchmark serially at paper defaults — the single-workload
-/// convenience wrapper over [`evaluate_all`].
-pub fn evaluate(w: &Workload) -> FullRow {
-    evaluate_all(
-        &Harness::serial(),
-        vec![w.clone()],
-        1,
-        &Overrides::default(),
-    )
-    .expect("every benchmark fits the paper-default machine")
-    .pop()
-    .expect("one workload in, one row out")
-}
-
 /// Geometric mean.
 pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
     let v: Vec<f64> = xs.into_iter().collect();
@@ -211,7 +198,9 @@ mod tests {
     #[test]
     fn evaluate_lib_end_to_end() {
         let w = gpu_workloads::benchmark("LIB", 1).unwrap();
-        let row = evaluate(&w);
+        let row = evaluate_all(&Harness::serial(), vec![w], 1, &Overrides::default())
+            .unwrap()
+            .remove(0);
         assert!(row.memory_intensive, "LIB must be memory-intensive");
         assert!(
             row.speedup(Design::Dac) > 1.05,

@@ -1,10 +1,10 @@
 //! `simt-serve`: a persistent design-space sweep service over the shared
 //! result store.
 //!
-//! The CLI tools (`sweep`, `figures`) are one-shot: they run a grid, write
-//! artifacts, and exit. This crate adds the long-running counterpart the
-//! roadmap calls for — a daemon that owns `results/` and turns design-space
-//! exploration into a service:
+//! The CLI (`sweep`) is one-shot: it runs a grid, writes artifacts, and
+//! exits. This crate adds the long-running counterpart the roadmap calls
+//! for — a daemon that owns `results/` and turns design-space exploration
+//! into a service:
 //!
 //! * [`grid`] — grid requests (`workloads × designs × config`), validated
 //!   and lowered to points keyed from their names with the **same cache

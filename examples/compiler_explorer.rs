@@ -128,16 +128,21 @@ fn explore(title: &str, text: &str) {
     println!();
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+pub fn main() {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    run(&paths);
+}
+
+/// Explore each kernel file in `paths`, or the built-in demos if none.
+pub fn run(paths: &[String]) {
+    if paths.is_empty() {
         for (title, text) in DEMOS {
             explore(title, text);
         }
     } else {
-        for path in args {
-            match std::fs::read_to_string(&path) {
-                Ok(text) => explore(&path, &text),
+        for path in paths {
+            match std::fs::read_to_string(path) {
+                Ok(text) => explore(path, &text),
                 Err(e) => eprintln!("{path}: {e}"),
             }
         }

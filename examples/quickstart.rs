@@ -12,7 +12,7 @@ use dac_gpu::mem::SparseMemory;
 use dac_gpu::sim::{GpuConfig, GpuSim};
 use simt_trace::NullTracer;
 
-fn main() {
+pub fn main() {
     // The kernel from the paper's Figure 4: B[i*num+tid] = A[i*num+tid] + 1.
     let kernel = asm::parse_kernel(
         r#"
