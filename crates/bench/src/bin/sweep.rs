@@ -14,7 +14,7 @@
 use dac_bench::cli::{exit_unrunnable, CommonArgs};
 use dac_bench::{figures, geomean};
 use gpu_workloads::Design;
-use simt_harness::{scenario_jobs, suite_jobs, DesignPoint, RunOutput};
+use simt_harness::{refuse_idle_knobs, scenario_jobs, suite_jobs, DesignPoint, RunOutput, KNOBS};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -27,8 +27,8 @@ identical sweep hits results/cache and simulates nothing.
 
 With --set streams=NAME the sweep instead runs that multi-kernel stream
 scenario under every selected design (concurrent kernel streams dispatched
-by the command processor; --set cta_policy=greedy|rr picks the placement
-policy) and prints chip-wide plus per-kernel cycle counts.
+by the command processor; --set cta_policy picks the placement policy)
+and prints chip-wide plus per-kernel cycle counts.
 
 --trace writes one event timeline per job (Chrome JSON + dac-trace/v1
 JSONL); --profile DIR writes one bottleneck report over every job
@@ -60,12 +60,8 @@ options:
   --out DIR          write JSONL run artifacts to DIR
   --designs a,b,...  matrix only: design points baseline, cae, mta, dac,
                      perfect
-  --set KEY=VALUE    config override (repeatable, each knob once); knobs:
-                     atq_entries, pwaq_total, pwpq_total, lock_lines,
-                     num_sms, max_warps_per_sm,
-                     streams (multi-kernel scenario: smem_pressure,
-                     reg_pressure, pipeline; matrix only), cta_policy
-                     (greedy|rr)
+  --set KEY=VALUE    config override (repeatable, each knob once; knobs
+                     below)
   --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as
                      explicit num_sms/max_warps_per_sm overrides
   --trace            write per-job event traces to results/traces
@@ -74,11 +70,19 @@ options:
   --profile DIR      matrix only: profile every job and write one bottleneck
                      report (report.md + profile.json) to DIR
   --quiet, -q        no per-job progress on stderr
-  --help, -h         this text";
+  --help, -h         this text
+
+knobs, as KEY (scope): VALUES. A knob that would change no point of the
+run (scope dac without the dac design, scenario or payload without a
+stream scenario) is refused:";
 
 fn usage_exit(error: &str) -> ! {
     if error == "help" {
         println!("{USAGE}");
+        for knob in KNOBS {
+            println!("  {} ({}): {}", knob.name, knob.scope.name(), knob.domain);
+            println!("      {}", knob.doc);
+        }
         std::process::exit(0);
     }
     // One line, not the usage dump: parse errors already name the valid
@@ -100,7 +104,10 @@ fn main() {
         .designs
         .clone()
         .unwrap_or_else(|| DesignPoint::HW_ALL.to_vec());
-    if let Some(name) = args.overrides.streams.clone() {
+    let streams = args.overrides.streams.clone();
+    refuse_idle_knobs(&args.overrides, &points, streams.is_some())
+        .unwrap_or_else(|e| usage_exit(&e));
+    if let Some(name) = streams {
         scenario_sweep(&args, &name, &points);
         return;
     }
@@ -185,12 +192,7 @@ fn summarize(args: &CommonArgs, out: &RunOutput, wall: Duration) {
 /// Run one multi-kernel stream scenario under every selected design and
 /// print chip-wide plus per-kernel cycle counts.
 fn scenario_sweep(args: &CommonArgs, name: &str, points: &[DesignPoint]) {
-    let sc = gpu_workloads::scenario(name, args.scale).unwrap_or_else(|| {
-        usage_exit(&format!(
-            "unknown scenario {name:?} (expected one of: {})",
-            gpu_workloads::ALL_SCENARIOS.join(", ")
-        ))
-    });
+    let sc = gpu_workloads::scenario(name, args.scale).expect("`--set streams` names a scenario");
     let harness = args.harness(Some("results/runs"));
     let jobs = scenario_jobs(vec![sc], args.scale, points, &args.overrides);
     eprintln!(

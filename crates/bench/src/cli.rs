@@ -7,6 +7,7 @@
 use gpu_workloads::ALL_ABBRS;
 use simt_harness::job::MAX_SCALE;
 use simt_harness::{DesignPoint, Harness, Observe, Overrides, ResultCache};
+use simt_sim::GpuConfig;
 use std::path::PathBuf;
 
 /// Default per-job ring-buffer capacity for `--trace` (newest events kept).
@@ -73,7 +74,6 @@ impl CommonArgs {
     /// special message `"help"` means `-h`/`--help` was given.
     pub fn parse(args: &[String]) -> Result<CommonArgs, String> {
         let mut out = CommonArgs::default();
-        let mut set_keys: Vec<String> = Vec::new();
         let mut traced = false;
         let mut it = args.iter();
         let value = |flag: &str, it: &mut std::slice::Iter<String>| -> Result<String, String> {
@@ -140,26 +140,19 @@ impl CommonArgs {
                     let (key, val) = v
                         .split_once('=')
                         .ok_or_else(|| format!("--set: expected key=value, got {v:?}"))?;
-                    let key = key.trim();
-                    if set_keys.iter().any(|k| k == key) {
-                        return Err(format!(
-                            "--set: duplicate knob {key:?} (each knob may be set once)"
-                        ));
-                    }
-                    out.overrides.set(key, val.trim())?;
-                    set_keys.push(key.to_string());
+                    out.overrides.set(key.trim(), val.trim())?;
                 }
                 "--full-chip" => {
                     // The preset is spelled as ordinary overrides so the
                     // machine size lands in cache keys and artifacts, and
-                    // the duplicate-knob check catches conflicting --set.
-                    for (k, v) in [("num_sms", "15"), ("max_warps_per_sm", "48")] {
-                        if set_keys.iter().any(|s| s == k) {
-                            return Err(format!("--full-chip conflicts with --set {k}"));
-                        }
-                        out.overrides.set(k, v)?;
-                        set_keys.push(k.to_string());
+                    // a later --set of either is a duplicate knob.
+                    let o = &mut out.overrides;
+                    if o.num_sms.is_some() || o.max_warps_per_sm.is_some() {
+                        return Err("--full-chip conflicts with --set of the machine size".into());
                     }
+                    let chip = GpuConfig::gtx480();
+                    o.num_sms = Some(chip.num_sms);
+                    o.max_warps_per_sm = Some(chip.max_warps_per_sm);
                 }
                 "--trace" => {
                     out.trace_dir

@@ -7,7 +7,7 @@ use crate::{evaluate_all, geomean, FullRow};
 use dac_core::DacConfig;
 use gpu_energy::EnergyModel;
 use gpu_workloads::{gpu_for, Design, Workload};
-use simt_harness::{DesignPoint, Harness, Job, Overrides, Payload};
+use simt_harness::{refuse_idle_knobs, DesignPoint, Harness, Job, Overrides, Payload};
 use simt_sim::GpuConfig;
 use std::sync::Arc;
 
@@ -21,13 +21,13 @@ use std::sync::Arc;
 pub fn run(name: &str, args: &CommonArgs) -> Result<(), String> {
     for (given, flag) in [
         (args.designs.is_some(), "--designs"),
-        (args.overrides.streams.is_some(), "--set streams"),
         (args.profile.is_some(), "--profile"),
     ] {
         if given {
             return Err(format!("{flag} is a matrix option, not an experiment one"));
         }
     }
+    refuse_idle_knobs(&args.overrides, &DesignPoint::HW_ALL, false)?;
     let benches = args.benchmarks()?;
     let harness = args.harness(None);
     let rows = |benches: Vec<Workload>| -> Vec<FullRow> {
@@ -384,25 +384,23 @@ fn ablate(harness: &Harness, args: &CommonArgs, benches: Vec<Workload>) {
         println!("(no matching benchmarks in filter)");
         return;
     }
-    let cfg = |label: &'static str, set: &[(&str, &str)]| {
+    let with = |edit: fn(&mut Overrides)| {
         let mut o = args.overrides.clone();
-        for (k, v) in set {
-            o.set(k, v).expect("ablation knobs are well-formed");
-        }
-        (label, o)
+        edit(&mut o);
+        o
     };
     let configs = [
-        cfg("paper (ATQ24, PWQ192, lock)", &[]),
-        cfg(
+        ("paper (ATQ24, PWQ192, lock)", with(|_| {})),
+        (
             "shallow queues (PWQ48)",
-            &[("pwaq_total", "48"), ("pwpq_total", "48")],
+            with(|o| (o.pwaq_total, o.pwpq_total) = (Some(48), Some(48))),
         ),
-        cfg(
+        (
             "deep queues (PWQ768)",
-            &[("pwaq_total", "768"), ("pwpq_total", "768")],
+            with(|o| (o.pwaq_total, o.pwpq_total) = (Some(768), Some(768))),
         ),
-        cfg("no line locking", &[("lock_lines", "off")]),
-        cfg("tiny ATQ (4)", &[("atq_entries", "4")]),
+        ("no line locking", with(|o| o.lock_lines = Some(false))),
+        ("tiny ATQ (4)", with(|o| o.atq_entries = Some(4))),
     ];
 
     // One batch: a baseline job per benchmark, then each DAC variant.

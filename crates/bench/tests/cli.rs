@@ -74,3 +74,30 @@ fn experiments_reject_what_they_would_ignore() {
     assert_usage_error(&["nope"], "unknown experiment \"nope\"");
     assert_usage_error(&["table1", "area"], "at most one experiment");
 }
+
+#[test]
+fn knobs_that_would_change_nothing_are_refused() {
+    assert_usage_error(
+        &["--bench", "LIB", "--set", "cta_policy=rr"],
+        "--set cta_policy: changes no point of this run",
+    );
+    assert_usage_error(
+        &["--designs", "baseline", "--set", "atq_entries=4"],
+        "--set atq_entries: changes no point of this run",
+    );
+    assert_usage_error(
+        &["--set", "pwaq_total=0"],
+        "--set pwaq_total: must be at least 1",
+    );
+}
+
+#[test]
+fn help_lists_every_knob_with_its_domain() {
+    let out = sweep(&["--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    for knob in simt_harness::KNOBS {
+        let line = format!("  {} ({}): {}\n", knob.name, knob.scope.name(), knob.domain);
+        assert!(help.contains(&line), "{line:?} missing from:\n{help}");
+    }
+}

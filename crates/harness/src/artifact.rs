@@ -30,19 +30,7 @@ pub const SCHEMA: &str = "dac-run/v1";
 
 /// The overrides relevant at `point`, as a typed JSON object.
 fn overrides_to_json(o: &Overrides, point: DesignPoint) -> Value {
-    let fields = o
-        .relevant(point)
-        .into_iter()
-        .map(|(k, v)| {
-            let val = match v.as_str() {
-                "true" => Value::Bool(true),
-                "false" => Value::Bool(false),
-                _ => Value::Int(v.parse::<u64>().expect("numeric override")),
-            };
-            (k.to_string(), val)
-        })
-        .collect();
-    Value::Obj(fields)
+    Value::Obj(o.relevant(point).map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 fn counters_to_json(fields: Vec<(&'static str, u64)>) -> Value {
@@ -200,7 +188,9 @@ pub fn to_json(
         ),
     ]);
     if job.scenario().is_some() {
-        fields.push(("cta_policy".into(), Value::Str(job.policy().name().into())));
+        for (k, v) in job.overrides.scenario_values() {
+            fields.push((k.into(), Value::Str(v.into())));
+        }
     }
     if !result.per_kernel.is_empty() {
         fields.push((

@@ -7,6 +7,7 @@ use dac_core::DacConfig;
 use gpu_workloads::{gpu_for, run_design, run_scenario_design, Design, Scenario, Workload};
 use simt_sim::{GpuConfig, GpuSim, KernelReport, PlacementPolicy, SimReport};
 use simt_trace::{NullTracer, Tracer};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,7 +60,7 @@ impl DesignPoint {
     }
 }
 
-/// Largest `num_sms` / `max_warps_per_sm` that [`Overrides::set`] accepts:
+/// Largest `num_sms` / `max_warps_per_sm` (the machine knobs' ceiling):
 /// several times any shipped GPU (the paper's GTX 480 is 15 × 48), small
 /// enough that the largest accepted machine allocates tens of MiB.
 pub const MAX_MACHINE_DIM: usize = 256;
@@ -72,9 +73,9 @@ pub const MAX_MACHINE_DIM: usize = 256;
 pub const MAX_SCALE: u32 = 64;
 
 /// Configuration overrides applied on top of the paper's defaults. `None`
-/// means "leave the paper value"; only the knobs relevant to a job's design
-/// enter its cache key, so e.g. a DAC queue-size sweep does not re-run the
-/// baseline.
+/// means "leave the paper value". Every field but `no_fast_forward` is a
+/// [`crate::knobs::KNOBS`] row, which says what the knob changes, which
+/// values it takes, and how it keys a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Overrides {
     /// Affine Tuple Queue entries per SM (DAC only; paper: 24).
@@ -89,20 +90,14 @@ pub struct Overrides {
     pub num_sms: Option<usize>,
     /// Resident warps per SM (all designs; paper: 48).
     pub max_warps_per_sm: Option<usize>,
-    /// No-op: idle-cycle fast-forward is gone, nothing reads this and no
-    /// CLI or HTTP input sets it. It stays only because `benchmark/`'s
-    /// `sim.ff_off_ratio` probe assigns it and that package is frozen for
-    /// non-benchmark PRs; it leaves with the probe (ROADMAP item 4).
+    /// No-op: nothing reads it and no knob sets it. `benchmark/`'s frozen
+    /// `sim.ff_off_ratio` probe assigns it; it leaves with the probe
+    /// (ROADMAP, "The `[benchmark]` PR").
     pub no_fast_forward: bool,
-    /// Multi-kernel scenario selected with `--set streams=NAME`. Not a
-    /// per-job knob: the CLIs consume it to build scenario jobs (the
-    /// scenario name enters the cache key through the job payload, so it
-    /// is excluded from [`Overrides::relevant`]).
+    /// Multi-kernel scenario (`--set streams=NAME`): the CLIs build scenario
+    /// jobs from it, whose payload keys the name.
     pub streams: Option<String>,
-    /// CTA placement policy for scenario jobs (`--set cta_policy=greedy`
-    /// or `rr`). Single-kernel runs always place greedily, so like
-    /// `streams` this keys through the scenario section of the cache key
-    /// rather than [`Overrides::relevant`].
+    /// CTA placement policy of scenario jobs (`--set cta_policy=greedy|rr`).
     pub cta_policy: Option<PlacementPolicy>,
 }
 
@@ -133,99 +128,6 @@ impl Overrides {
             cfg.lock_lines = b;
         }
         cfg
-    }
-
-    /// Set a knob from a CLI-style `key=value` pair.
-    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        fn num(key: &str, value: &str) -> Result<usize, String> {
-            value
-                .parse::<usize>()
-                .map_err(|_| format!("--set {key}: expected a number, got {value:?}"))
-        }
-        // A chip with no SMs, SMs with no warp slots, or a DAC with no
-        // ATQ entry (the affine warp can never enqueue a tuple) can run
-        // nothing.
-        fn positive(key: &str, value: &str) -> Result<usize, String> {
-            match num(key, value)? {
-                0 => Err(format!("--set {key}: must be at least 1")),
-                n => Ok(n),
-            }
-        }
-        // Machine dimensions size up-front allocations (every SM, every
-        // warp slot), and a failed allocation aborts the process — it is
-        // not a panic a worker could contain.
-        fn machine_dim(key: &str, value: &str) -> Result<usize, String> {
-            match positive(key, value)? {
-                n if n > MAX_MACHINE_DIM => {
-                    Err(format!("--set {key}: must be at most {MAX_MACHINE_DIM}"))
-                }
-                n => Ok(n),
-            }
-        }
-        fn flag(key: &str, value: &str) -> Result<bool, String> {
-            match value {
-                "true" | "on" | "1" => Ok(true),
-                "false" | "off" | "0" => Ok(false),
-                _ => Err(format!("--set {key}: expected true/false, got {value:?}")),
-            }
-        }
-        match key {
-            "atq_entries" => self.atq_entries = Some(positive(key, value)?),
-            "pwaq_total" => self.pwaq_total = Some(num(key, value)?),
-            "pwpq_total" => self.pwpq_total = Some(num(key, value)?),
-            "lock_lines" => self.lock_lines = Some(flag(key, value)?),
-            "num_sms" => self.num_sms = Some(machine_dim(key, value)?),
-            "max_warps_per_sm" => self.max_warps_per_sm = Some(machine_dim(key, value)?),
-            "streams" => {
-                if gpu_workloads::scenario(value, 1).is_none() {
-                    return Err(format!(
-                        "--set streams: unknown scenario {value:?} (expected one of: {})",
-                        gpu_workloads::ALL_SCENARIOS.join(", ")
-                    ));
-                }
-                self.streams = Some(value.to_ascii_lowercase());
-            }
-            "cta_policy" => {
-                self.cta_policy = Some(PlacementPolicy::parse(value).ok_or_else(|| {
-                    format!("--set cta_policy: expected greedy or rr, got {value:?}")
-                })?);
-            }
-            _ => {
-                return Err(format!(
-                    "unknown config knob {key:?} (expected one of: atq_entries, pwaq_total, \
-                     pwpq_total, lock_lines, num_sms, max_warps_per_sm, streams, cta_policy)"
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// The knobs that affect a run at `point`, as stable `key=value` pairs
-    /// for cache keys and artifacts. DAC-only knobs are dropped for other
-    /// designs so they share cache entries across a DAC ablation sweep.
-    pub fn relevant(&self, point: DesignPoint) -> Vec<(&'static str, String)> {
-        let mut out = Vec::new();
-        if point == DesignPoint::Hw(Design::Dac) {
-            if let Some(n) = self.atq_entries {
-                out.push(("atq_entries", n.to_string()));
-            }
-            if let Some(n) = self.pwaq_total {
-                out.push(("pwaq_total", n.to_string()));
-            }
-            if let Some(n) = self.pwpq_total {
-                out.push(("pwpq_total", n.to_string()));
-            }
-            if let Some(b) = self.lock_lines {
-                out.push(("lock_lines", b.to_string()));
-            }
-        }
-        if let Some(n) = self.num_sms {
-            out.push(("num_sms", n.to_string()));
-        }
-        if let Some(n) = self.max_warps_per_sm {
-            out.push(("max_warps_per_sm", n.to_string()));
-        }
-        out
     }
 }
 
@@ -275,14 +177,20 @@ pub fn cache_key(
             "{CACHE_VERSION}|bench={name}|scale={scale}|design={}",
             point.name()
         ),
-        PayloadKind::Scenario => format!(
-            "{CACHE_VERSION}|scenario={name}|cta_policy={}|scale={scale}|design={}",
-            overrides.cta_policy.unwrap_or_default().name(),
-            point.name()
-        ),
+        PayloadKind::Scenario => {
+            let mut key = format!("{CACHE_VERSION}|scenario={name}");
+            for (k, v) in overrides.scenario_values() {
+                let _ = write!(key, "|{k}={v}");
+            }
+            let _ = write!(key, "|scale={scale}|design={}", point.name());
+            key
+        }
     };
     for (k, v) in overrides.relevant(point) {
-        key.push_str(&format!("|{k}={v}"));
+        key.push('|');
+        key.push_str(k);
+        key.push('=');
+        v.write(&mut key);
     }
     key
 }
@@ -590,15 +498,17 @@ mod tests {
 
     #[test]
     fn overrides_set_rejects_garbage() {
+        // Each knob may be set once, so every probe gets fresh overrides.
+        let set = |key: &str, value: &str| Overrides::default().set(key, value);
         let mut o = Overrides::default();
         assert!(o.set("atq_entries", "12").is_ok());
         assert!(o.set("lock_lines", "off").is_ok());
-        assert!(o.set("atq_entries", "many").is_err());
-        assert!(o.set("lock_lines", "2").is_err());
-        assert!(o.set("warp_speed", "9").is_err());
+        assert!(set("atq_entries", "many").is_err());
+        assert!(set("lock_lines", "2").is_err());
+        assert!(set("warp_speed", "9").is_err());
         // Nothing in the simulator ever read `divergent_tuples`, so it is not
         // a knob: an "ablation" through it would change nothing.
-        let err = o.set("divergent_tuples", "off").unwrap_err();
+        let err = set("divergent_tuples", "off").unwrap_err();
         assert!(
             err.starts_with("unknown config knob \"divergent_tuples\"") && !err.contains('\n'),
             "{err}"
@@ -606,25 +516,25 @@ mod tests {
         // A machine with no SMs or no warp slots is a `--set` error, not a
         // simulation that dies at the deadlock guard.
         for key in ["num_sms", "max_warps_per_sm"] {
-            let err = o.set(key, "0").unwrap_err();
+            let err = set(key, "0").unwrap_err();
             assert!(err.contains(key) && !err.contains('\n'), "{err}");
-            assert!(o.set(key, "1").is_ok());
+            assert!(set(key, "1").is_ok());
             // Nor is one whose allocation would abort the process.
             for huge in ["257", "40000000000", "18446744073709551615"] {
                 assert_eq!(
-                    o.set(key, huge).unwrap_err(),
+                    set(key, huge).unwrap_err(),
                     format!("--set {key}: must be at most 256")
                 );
             }
-            assert!(o.set(key, "256").is_ok());
+            assert!(set(key, "256").is_ok());
         }
-        // So is a DAC with no ATQ entry (the run would deadlock); the
-        // other two queues run to completion empty-sized.
+        // So is a DAC with no ATQ entry (the run would deadlock), and queue
+        // totals of 0, which the one-entry-per-warp floor would override.
         assert_eq!(
-            o.set("atq_entries", "0").unwrap_err(),
+            set("atq_entries", "0").unwrap_err(),
             "--set atq_entries: must be at least 1"
         );
-        assert!(o.set("pwaq_total", "0").is_ok() && o.set("pwpq_total", "0").is_ok());
+        assert!(set("pwaq_total", "0").is_err() && set("pwpq_total", "0").is_err());
         assert_eq!(o.atq_entries, Some(12));
         assert_eq!(o.lock_lines, Some(false));
     }

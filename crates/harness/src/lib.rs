@@ -7,6 +7,7 @@
 //! them at scale:
 //!
 //! * [`Job`] — one simulation: `workload × design × config overrides`;
+//! * [`KNOBS`] — the one table of configuration knobs (`--set KEY=VALUE`);
 //! * [`pool`] — a channel-based thread pool over `std::thread` with
 //!   deterministic, index-ordered result aggregation (`--jobs N` output is
 //!   bit-identical to a serial run);
@@ -39,6 +40,7 @@ pub mod artifact;
 pub mod cache;
 pub mod job;
 pub mod json;
+pub mod knobs;
 pub mod pool;
 
 pub use cache::{fnv1a64, ResultCache};
@@ -46,6 +48,7 @@ pub use gpu_workloads::Design;
 pub use job::{
     cache_key, DesignPoint, Job, JobResult, Overrides, Payload, PayloadKind, CACHE_VERSION,
 };
+pub use knobs::{refuse_idle_knobs, Knob, KNOBS};
 pub use pool::WorkerPool;
 
 use gpu_workloads::{Scenario, Workload};

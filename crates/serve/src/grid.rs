@@ -13,7 +13,9 @@
 //! has to simulate; a warm point never does.
 
 use simt_harness::job::MAX_SCALE;
-use simt_harness::{cache_key, fnv1a64, json, DesignPoint, Job, Overrides, Payload, PayloadKind};
+use simt_harness::{
+    cache_key, fnv1a64, json, refuse_idle_knobs, DesignPoint, Job, Overrides, Payload, PayloadKind,
+};
 use std::sync::Arc;
 
 /// A parsed, validated grid request.
@@ -27,12 +29,9 @@ pub struct GridRequest {
     pub designs: Vec<DesignPoint>,
     /// Workload scale factor.
     pub scale: u32,
-    /// Configuration overrides applied to every point.
+    /// Configuration overrides applied to every point (`streams` is
+    /// routed into `scenarios`, so it is never set here).
     pub overrides: Overrides,
-    /// The override knobs exactly as submitted (`key=value` string pairs
-    /// accepted by [`Overrides::set`]) — kept so manifests round-trip the
-    /// request without a reverse serializer for every knob.
-    pub override_pairs: Vec<(String, String)>,
 }
 
 impl GridRequest {
@@ -47,8 +46,10 @@ impl GridRequest {
     /// Every field is optional except that at least one workload (bench or
     /// scenario) must be named; `designs` defaults to the four hardware
     /// designs. Unknown benchmarks, scenarios, designs, and override knobs
-    /// are rejected with the list of valid names — a daemon must turn a
-    /// bad request into a 400, never into a panic.
+    /// are rejected with the list of valid names, and so are knobs that
+    /// would change none of the grid's points
+    /// ([`simt_harness::refuse_idle_knobs`]) — a daemon must turn a bad
+    /// request into a 400, never into a panic.
     pub fn from_json(v: &json::Value) -> Result<GridRequest, String> {
         if v.as_obj().is_none() {
             return Err("request body must be a JSON object".into());
@@ -59,7 +60,6 @@ impl GridRequest {
             designs: DesignPoint::HW_ALL.to_vec(),
             scale: 1,
             overrides: Overrides::default(),
-            override_pairs: Vec::new(),
         };
         if let Some(scale) = v.get("scale") {
             let n = scale
@@ -130,12 +130,7 @@ impl GridRequest {
         }
         if let Some(overrides) = v.get("overrides") {
             let fields = overrides.as_obj().ok_or("overrides: expected an object")?;
-            for (i, (key, val)) in fields.iter().enumerate() {
-                if fields[..i].iter().any(|(k, _)| k == key) {
-                    return Err(format!(
-                        "overrides: duplicate knob {key:?} (each knob may be set once)"
-                    ));
-                }
+            for (key, val) in fields {
                 let text = match val {
                     json::Value::Bool(b) => b.to_string(),
                     json::Value::Int(n) => n.to_string(),
@@ -146,12 +141,14 @@ impl GridRequest {
                         ))
                     }
                 };
-                req.set_override(key, &text)?;
+                req.overrides.set(key, &text)?;
             }
+            req.adopt_streams();
         }
         if req.benches.is_empty() && req.scenarios.is_empty() {
             return Err("empty grid: name at least one benchmark or scenario".into());
         }
+        refuse_idle_knobs(&req.overrides, &req.designs, !req.scenarios.is_empty())?;
         Ok(req)
     }
 
@@ -160,15 +157,17 @@ impl GridRequest {
     /// a config knob — but CLI-shaped requests still work).
     pub fn set_override(&mut self, key: &str, value: &str) -> Result<(), String> {
         self.overrides.set(key, value)?;
-        if key == "streams" {
-            let name = self.overrides.streams.take().unwrap_or_default();
+        self.adopt_streams();
+        Ok(())
+    }
+
+    /// Move a `streams` override into the scenario list.
+    fn adopt_streams(&mut self) {
+        if let Some(name) = self.overrides.streams.take() {
             if !self.scenarios.contains(&name) {
                 self.scenarios.push(name);
             }
-        } else {
-            self.override_pairs.push((key.into(), value.into()));
         }
-        Ok(())
     }
 
     /// The grid lowered to name-keyed points: benches in request order ×
@@ -216,24 +215,18 @@ impl GridRequest {
         format!("sweep-{:016x}", fnv1a64(keys.join("\n").as_bytes()))
     }
 
-    /// The request's canonical JSON form (manifests, status endpoints).
-    /// Round-trips exactly through [`GridRequest::from_json`].
+    /// The request's canonical JSON form (manifests, status endpoints),
+    /// overrides typed and in [`simt_harness::KNOBS`] order. Round-trips
+    /// exactly through [`GridRequest::from_json`].
     pub fn to_json(&self) -> json::Value {
         let strs = |items: &[String]| {
             json::Value::Arr(items.iter().map(|s| json::Value::Str(s.clone())).collect())
         };
-        let mut overrides = Vec::new();
-        for (k, v) in &self.override_pairs {
-            let val = match v.as_str() {
-                "true" => json::Value::Bool(true),
-                "false" => json::Value::Bool(false),
-                _ => match v.parse::<u64>() {
-                    Ok(n) => json::Value::Int(n),
-                    Err(_) => json::Value::Str(v.clone()),
-                },
-            };
-            overrides.push((k.clone(), val));
-        }
+        let overrides = self
+            .overrides
+            .values()
+            .map(|(knob, v)| (knob.name.to_string(), v))
+            .collect();
         json::Value::Obj(vec![
             ("benches".into(), strs(&self.benches)),
             ("scenarios".into(), strs(&self.scenarios)),
@@ -366,8 +359,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            r#"overrides: duplicate knob "num_sms" (each knob may be set once)"#
+            r#"--set: duplicate knob "num_sms" (each knob may be set once)"#
         );
+        let err =
+            parse(r#"{"overrides": {"streams": "pipeline", "streams": "pipeline"}}"#).unwrap_err();
+        assert!(err.contains("duplicate knob \"streams\""), "{err}");
         let ok = parse(r#"{"benches": ["LIB"], "scale": 64}"#).unwrap();
         assert_eq!(ok.scale, MAX_SCALE);
     }
@@ -435,6 +431,20 @@ mod tests {
         assert_eq!(back.overrides, req.overrides);
         let keys = |r: &GridRequest| r.points().into_iter().map(|p| p.key).collect::<Vec<_>>();
         assert_eq!(keys(&req), keys(&back));
+        // Manifests written before the knob table kept the overrides as
+        // submitted: in request order, with flags in any accepted spelling.
+        // They resume as the same points and the same sweep.
+        let old = parse(
+            r#"{"benches": ["LIB"], "scenarios": ["pipeline"], "designs": ["dac"],
+                "scale": 2, "overrides": {"cta_policy": "rr", "lock_lines": "off",
+                "num_sms": 2}}"#,
+        )
+        .unwrap();
+        assert_eq!(keys(&old), keys(&req));
+        assert_eq!(
+            GridRequest::sweep_id(&old.points()),
+            GridRequest::sweep_id(&req.points())
+        );
     }
 
     #[test]

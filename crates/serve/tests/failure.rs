@@ -9,7 +9,8 @@
 //! failure) rather than tearing the daemon down. (A machine with *no*
 //! warp slots, SMs or ATQ entries, or with more SMs or warp slots than
 //! `MAX_MACHINE_DIM`, or a `scale` above `MAX_SCALE`, never gets that
-//! far: the request parser turns it into a 400.)
+//! far: the request parser turns it into a 400, as it does a knob that
+//! would change none of the grid's points.)
 
 use simt_harness::json;
 use simt_serve::client::Client;
@@ -88,6 +89,35 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
         error.is_some_and(|e| e.starts_with("unknown config knob \"divergent_tuples\"")),
         "{error:?}"
     );
+    // So is a knob that would change none of the grid's points: a
+    // placement policy without a scenario, a DAC knob without the DAC
+    // design, and a queue total the per-warp floor would override.
+    for (overrides, designs, needle) in [
+        (
+            r#"{"cta_policy": "rr"}"#,
+            r#"["baseline", "dac"]"#,
+            "--set cta_policy: changes no point",
+        ),
+        (
+            r#"{"atq_entries": 4}"#,
+            r#"["baseline"]"#,
+            "--set atq_entries: changes no point",
+        ),
+        (
+            r#"{"pwaq_total": 0}"#,
+            r#"["dac"]"#,
+            "--set pwaq_total: must be at least 1",
+        ),
+    ] {
+        let idle = json::parse(&format!(
+            r#"{{"benches": ["LIB"], "designs": {designs}, "overrides": {overrides}}}"#
+        ))
+        .unwrap();
+        let rejected = client.post("/sweeps", Some(&idle)).unwrap();
+        assert_eq!(rejected.status, 400, "{overrides} must be a bad request");
+        let error = rejected.body.get("error").and_then(json::Value::as_str);
+        assert!(error.is_some_and(|e| e.starts_with(needle)), "{error:?}");
+    }
     let status = client.get("/status").unwrap().ok().unwrap();
     let sweeps = status.get("sweeps").and_then(json::Value::as_arr).unwrap();
     assert!(sweeps.is_empty(), "a rejected grid registered: {status:?}");
