@@ -1,8 +1,11 @@
 //! `sweep`'s command line, end to end through the built binary: the
 //! experiments that simulate nothing print the pinned bytes of
 //! `results/figures.txt`, and every option an experiment would silently
-//! ignore is a one-line usage error. Nothing here simulates, so it stays
-//! cheap in debug builds.
+//! ignore is a one-line usage error. Only the ignored `sweep all` pin
+//! simulates; the rest stays cheap in debug builds.
+
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
 
 use std::process::{Command, Output};
 
@@ -31,8 +34,8 @@ fn assert_usage_error(args: &[&str], needle: &str) {
 
 /// The section of the pinned `sweep all` output that starts with `title`.
 fn pinned_section(title: &str) -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/figures.txt");
-    let all = std::fs::read_to_string(path).expect("results/figures.txt");
+    let all = std::fs::read_to_string(pin::repo_path("results/figures.txt"))
+        .expect("results/figures.txt");
     let start = all
         .find(&format!("\n=== {title}"))
         .expect("section present");
@@ -53,6 +56,22 @@ fn experiments_without_runs_print_the_pinned_sections() {
             "{experiment}"
         );
     }
+}
+
+/// `results/figures.txt` is `sweep all`'s output, byte for byte.
+#[test]
+#[ignore = "the whole evaluation: run in release mode"]
+fn sweep_all_reproduces_the_shipped_figures() {
+    let out = sweep(&["all"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    pin::check(
+        "results/figures.txt",
+        &String::from_utf8(out.stdout).unwrap(),
+    );
 }
 
 #[test]

@@ -19,11 +19,20 @@ fn count(name: &'static str, help: &'static str) {
 
 /// 64-bit FNV-1a. Stable across platforms and releases — cache file names
 /// and output digests must not change under us (unlike `DefaultHasher`).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+pub const fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_parts(&[bytes])
+}
+
+/// [`fnv1a64`] of the concatenation of `parts`.
+pub(crate) const fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
+    let (mut h, mut p) = (0xcbf2_9ce4_8422_2325u64, 0);
+    while p < parts.len() {
+        let mut i = 0;
+        while i < parts[p].len() {
+            h = (h ^ parts[p][i] as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            i += 1;
+        }
+        p += 1;
     }
     h
 }

@@ -2,7 +2,7 @@
 //! configuration overrides`, plus everything needed to key it in the result
 //! cache and serialize it into artifacts.
 
-use crate::cache::fnv1a64;
+use crate::cache::{fnv1a64, fnv1a64_parts};
 use dac_core::DacConfig;
 use gpu_workloads::{gpu_for, run_design, run_scenario_design, Design, Scenario, Workload};
 use simt_sim::{GpuConfig, GpuSim, KernelReport, PlacementPolicy, SimReport};
@@ -11,14 +11,31 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Version tag folded into every cache key. Bump whenever simulator
-/// behaviour changes in a way that invalidates cached results (the
-/// golden-stats test catches unintended shifts). v5: MTA prefetches pop
-/// into a one-entry port latch before the fabric admission attempt, so
-/// enqueue decisions no longer depend on admission timing (required by
-/// the deterministic intra-run parallel schedule; shifts MTA cycle
-/// counts slightly).
-pub const CACHE_VERSION: &str = "dac-cache-v5";
+/// Version tag folded into every cache key: `dac-cache-` and the FNV-1a of
+/// the files that pin the model (DESIGN.md § "Fixed points"). A re-pin
+/// re-keys the store, so no result of an older model is read as current.
+pub const CACHE_VERSION: &str = match std::str::from_utf8(&VERSION_TAG) {
+    Ok(tag) => tag,
+    Err(_) => panic!("the version tag is ASCII"),
+};
+
+const VERSION_TAG: [u8; 26] = {
+    let h = fnv1a64_parts(&[
+        include_bytes!("../../../results/pins/counters.txt"),
+        include_bytes!("../../../results/pins/fabric_traffic.txt"),
+        include_bytes!("../../../results/pins/trace_digests.txt"),
+        include_bytes!("../../../results/profile/profile.json"),
+        include_bytes!("../../../results/profile/report.md"),
+        include_bytes!("../../../results/figures.txt"),
+    ]);
+    let mut tag = *b"dac-cache-0000000000000000";
+    let mut digit = 0;
+    while digit < 16 {
+        tag[10 + digit] = b"0123456789abcdef"[(h >> (60 - 4 * digit)) as usize & 15];
+        digit += 1;
+    }
+    tag
+};
 
 /// A point in the design space: one of the paper's four hardware designs,
 /// or the perfect-memory machine used for the §5.1.2 compute/memory

@@ -98,10 +98,8 @@ macro_rules! all_cmps {
 /// c[i])`. Dispatches on `op` once — each arm is a straight loop over
 /// [`eval`] with the op a constant, so `eval`'s own `match` folds away and
 /// the arithmetic stays defined in one place. Every lane is computed
-/// (`eval` is total: no traps, `div`/`rem` guard zero); the caller decides
-/// which lanes of `out` are observed. Results equal per-lane `eval` bit
-/// for bit, with the one freedom any two compilations of `eval` have:
-/// which payload survives when a float op meets two NaNs.
+/// (`eval` is total: no traps, `div`/`rem` guard zero) bit for bit as
+/// `eval` would; the caller decides which lanes of `out` are observed.
 pub fn eval_lanes(op: Op, a: &Lanes, b: &Lanes, c: &Lanes, out: &mut Lanes) {
     macro_rules! arms {
         ($($k:ident)*) => {
@@ -189,6 +187,27 @@ mod tests {
         assert_eq!(value_as_f32(eval(Op::I2F, 5, 0, 0)), 5.0);
     }
 
+    /// A float op that yields a NaN yields the one canonical NaN, whatever
+    /// the payloads and signs it met.
+    #[test]
+    fn float_nans_are_canonical() {
+        let (a, b) = (0x7FA0_0001, 0xFFC0_1234); // signalling, negative quiet
+        for op in [
+            Op::FAdd,
+            Op::FMul,
+            Op::FMad,
+            Op::FMin,
+            Op::FAbs,
+            Op::FNeg,
+            Op::FSqrt,
+        ] {
+            assert_eq!(eval(op, a, b, b), 0x7FC0_0000, "{op:?}");
+            assert_eq!(eval(op, b, a, a), 0x7FC0_0000, "{op:?}");
+        }
+        let inf = f32_as_value(f32::INFINITY);
+        assert_eq!(eval(Op::FMul, inf, f32_as_value(0.0), 0), 0x7FC0_0000);
+    }
+
     /// Deterministic SplitMix64 stream (no external crates offline).
     struct Rng(u64);
     impl Rng {
@@ -263,26 +282,9 @@ mod tests {
         })
     }
 
-    /// The one freedom two compilations of the same float expression
-    /// have: when a float op with several operands meets more than one NaN
-    /// (or makes one, `0·inf`, next to another), IEEE 754 and Rust leave
-    /// open whose payload the result carries, and operand order is up to
-    /// codegen — scalar vs packed, or one scalar call site vs another. Both
-    /// results must then be NaNs of the same width; every other result,
-    /// single-NaN propagation included, must match bit for bit.
-    fn nan_meets_nan(op: Op, got: Value, want: Value) -> bool {
-        let several_float_operands = matches!(
-            op,
-            Op::FAdd | Op::FSub | Op::FMul | Op::FMad | Op::FDiv | Op::FMin | Op::FMax
-        );
-        let nan32 = |v: Value| v >> 32 == 0 && value_as_f32(v).is_nan();
-        several_float_operands && nan32(got) && nan32(want)
-    }
-
-    /// `eval_lanes` is scalar `eval` lane by lane, bit for bit (inf and
-    /// single-NaN payloads included; see [`nan_meets_nan`] for the one
-    /// exception), for every op — over every pair of edge values and over
-    /// mixed random lanes.
+    /// `eval_lanes` is scalar `eval` lane by lane, bit for bit (infinities
+    /// and NaNs included), for every op — over every pair of edge values
+    /// and over mixed random lanes.
     #[test]
     fn eval_lanes_matches_scalar_eval() {
         macro_rules! list {
@@ -320,13 +322,10 @@ mod tests {
                 eval_lanes(op, a, b, c, &mut out);
                 for i in 0..32 {
                     let want = eval(op, a[i], b[i], c[i]);
-                    assert!(
-                        out[i] == want || nan_meets_nan(op, out[i], want),
-                        "{op:?} lane {i}: a={:#x} b={:#x} c={:#x}: got {:#x}, want {want:#x}",
-                        a[i],
-                        b[i],
-                        c[i],
-                        out[i]
+                    assert_eq!(
+                        out[i], want,
+                        "{op:?} lane {i}: a={:#x} b={:#x} c={:#x}",
+                        a[i], b[i], c[i]
                     );
                 }
             }

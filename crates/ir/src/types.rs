@@ -22,10 +22,11 @@ pub fn value_as_f32(v: Value) -> f32 {
     f32::from_bits(v as u32)
 }
 
-/// Pack an `f32` into a register value (zero-extended).
+/// Pack an `f32` into a register value (zero-extended), every NaN as the
+/// quiet NaN `0x7FC0_0000`, so no payload choice is left to codegen.
 #[inline]
 pub fn f32_as_value(f: f32) -> Value {
-    f.to_bits() as Value
+    (if f.is_nan() { 0x7FC0_0000 } else { f.to_bits() }) as Value
 }
 
 /// Memory spaces of the machine, mirroring PTX state spaces.

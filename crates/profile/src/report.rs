@@ -3,7 +3,7 @@
 //!
 //! Everything here is derived from counters and online aggregates — no
 //! wall-clock values — so report bytes are identical across runs and
-//! machines (pinned by a golden test).
+//! machines (pinned in `results/profile/`).
 
 use crate::cpi::CpiStack;
 use crate::hist::Histogram;

@@ -430,8 +430,8 @@ impl SweepService {
                 }
             };
             if receipt.id != m.id {
-                // Keys changed under us (e.g. a CACHE_VERSION bump): the
-                // grid resumes under its new identity.
+                // Keys changed under us (a re-pin moved CACHE_VERSION):
+                // the grid resumes under its new identity.
                 simt_obs::warn!("serve.service",
                     "manifest re-registered under a new id (cache keys changed)";
                     old = m.id.clone(), new = receipt.id.clone());

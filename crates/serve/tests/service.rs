@@ -1,10 +1,11 @@
 //! Service-level integration tests: single-flight dedup under concurrent
-//! overlapping submissions, and resumable sweeps across a daemon restart.
+//! overlapping submissions, and resumable sweeps across a daemon restart
+//! and across a change of `CACHE_VERSION`.
 //!
 //! Everything runs on the small 2-SM machine so the whole file stays in
 //! test-suite time budget.
 
-use simt_harness::json;
+use simt_harness::{fnv1a64, json, CACHE_VERSION};
 use simt_serve::{GridRequest, ServeConfig, SweepService};
 use std::collections::BTreeMap;
 use std::fs;
@@ -253,6 +254,69 @@ fn restarted_daemon_resumes_sweep_without_reexecution() {
         assert_eq!(executed, 0, "warm store: zero re-executions");
         assert_eq!(cache_hits, 4);
     }
+
+    let _ = fs::remove_dir_all(&results);
+}
+
+/// The keying switch: a sweep whose manifest and store entries were written
+/// under an older `CACHE_VERSION` resumes under its new id, and every point
+/// simulates again; no entry of the older model is read as current.
+#[test]
+fn manifest_from_an_older_cache_version_resumes_under_its_new_id() {
+    let results = tmp_dir("rekey");
+    let new_id = {
+        let service = SweepService::new(ServeConfig::new(&results, 2));
+        let receipt = service.submit(grid(&["LIB"])).unwrap();
+        assert!(service.wait_for_sweep(&receipt.id, WAIT), "sweep completes");
+        receipt.id
+    };
+
+    // Rewrite what that session wrote into what the older version wrote:
+    // every key under the old tag, each entry named by its key's hash, and
+    // the manifest under the id its keys give.
+    let old = |text: &str| text.replace(CACHE_VERSION, "dac-cache-v5");
+    let key_hash = |key: &str| format!("{:016x}", fnv1a64(key.as_bytes()));
+    for (name, bytes) in cache_entries(&results) {
+        let text = old(&String::from_utf8(bytes).unwrap());
+        let record = json::parse(&text).unwrap();
+        let key = record.get("key").and_then(json::Value::as_str).unwrap();
+        fs::write(results.join(format!("cache/{}.json", key_hash(key))), &text).unwrap();
+        fs::remove_file(results.join("cache").join(name)).unwrap();
+    }
+    let manifest = results.join(format!("sweeps/{new_id}.json"));
+    let text = old(&fs::read_to_string(&manifest).unwrap());
+    let manifest_json = json::parse(&text).unwrap();
+    let mut keys: Vec<&str> = manifest_json
+        .get("points")
+        .and_then(json::Value::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(|p| p.get("key")?.as_str())
+        .collect();
+    keys.sort();
+    let old_id = format!("sweep-{}", key_hash(&keys.join("\n")));
+    assert_ne!(old_id, new_id);
+    fs::write(
+        results.join(format!("sweeps/{old_id}.json")),
+        text.replace(&new_id, &old_id),
+    )
+    .unwrap();
+    fs::remove_file(&manifest).unwrap();
+
+    let service = SweepService::new(ServeConfig::new(&results, 2));
+    assert_eq!(
+        service.resume(),
+        [new_id.as_str()],
+        "re-registered under its new id"
+    );
+    assert!(service.wait_for_sweep(&new_id, WAIT), "sweep completes");
+    let (executed, cache_hits, _, failed) = service.counters();
+    assert_eq!(
+        (executed, cache_hits, failed),
+        (2, 0, 0),
+        "every point re-simulated"
+    );
+    assert!(results.join(format!("sweeps/{new_id}.json")).exists());
 
     let _ = fs::remove_dir_all(&results);
 }

@@ -10,7 +10,7 @@ use simt_mem::SparseMemory;
 
 /// Deterministic SplitMix64 stream (Steele et al.), used for input
 /// generation so the crate needs no external PRNG: the build environment is
-/// offline, and the exact stream is pinned by the golden-stats tests.
+/// offline, and the exact stream is pinned in `results/pins/counters.txt`.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 

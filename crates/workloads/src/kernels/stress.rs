@@ -10,8 +10,8 @@
 //!
 //! They deliberately live outside [`crate::kernels::all`]: the 29-benchmark
 //! registry reproduces the paper's Table 2, while this set exists for
-//! validation (golden pins in `simt-harness` and the affine-coverage table
-//! in EXPERIMENTS.md).
+//! validation (pinned in `results/pins/counters.txt`, and the
+//! affine-coverage table in EXPERIMENTS.md).
 
 use super::{SplitMix64, ARR_A, ARR_B, ARR_C};
 use crate::{PaperClass, Suite, Workload};

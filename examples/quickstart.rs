@@ -13,6 +13,14 @@ use dac_gpu::sim::{GpuConfig, GpuSim};
 use simt_trace::NullTracer;
 
 pub fn main() {
+    for line in run() {
+        println!("{line}");
+    }
+}
+
+/// Prints the decoupled streams and returns the race's result lines, the
+/// block README's quickstart quotes.
+pub fn run() -> Vec<String> {
     // The kernel from the paper's Figure 4: B[i*num+tid] = A[i*num+tid] + 1.
     let kernel = asm::parse_kernel(
         r#"
@@ -45,21 +53,20 @@ LOOP:
     let n = (dim * num) as usize;
     let input: Vec<u32> = (0..n as u32).collect();
 
-    // Baseline GTX 480.
-    let gpu = GpuSim::new(GpuConfig::gtx480());
-    let program = Program::new(kernel.clone(), launch.clone()).unwrap();
-    let mut mem = SparseMemory::new();
-    mem.write_u32_slice(a, &input);
-    let base = gpu.run(&program, &mut mem);
-    println!("baseline: {} cycles", base.cycles);
-
     // Compile: classify operands, find candidates, split the streams.
     let analysis = AffineAnalysis::run(&kernel);
     let dk = decouple(&kernel, &analysis);
-    println!("\naffine stream (runs once per CTA on the affine warp):");
+    println!("affine stream (runs once per CTA on the affine warp):");
     println!("{}", dk.affine.disassemble());
     println!("non-affine stream (what the SIMT warps now execute):");
     println!("{}", dk.non_affine.disassemble());
+
+    // Baseline GTX 480.
+    let gpu = GpuSim::new(GpuConfig::gtx480());
+    let program = Program::new(kernel, launch.clone()).unwrap();
+    let mut mem = SparseMemory::new();
+    mem.write_u32_slice(a, &input);
+    let base = gpu.run(&program, &mut mem);
 
     // Run with the DAC hardware attached.
     let dac_prog = Program::new(dk.non_affine.clone(), launch).unwrap();
@@ -73,15 +80,18 @@ LOOP:
         mem2.read_u32_vec(b, n),
         "DAC must preserve program semantics"
     );
-    println!(
-        "DAC:      {} cycles  ({:.2}x speedup)",
-        rep.cycles,
-        base.cycles as f64 / rep.cycles as f64
-    );
-    println!(
-        "          {:.1}% of loads decoupled, warp instructions {:.2}x of baseline",
-        100.0 * rep.stats.decoupled_load_fraction(),
-        rep.stats.warp_instructions as f64 / base.stats.warp_instructions as f64,
-    );
-    println!("          outputs verified bit-identical");
+    vec![
+        format!("baseline: {} cycles", base.cycles),
+        format!(
+            "DAC:      {} cycles  ({:.2}x speedup)",
+            rep.cycles,
+            base.cycles as f64 / rep.cycles as f64
+        ),
+        format!(
+            "          {:.1}% of loads decoupled, warp instructions {:.2}x of baseline",
+            100.0 * rep.stats.decoupled_load_fraction(),
+            rep.stats.warp_instructions as f64 / base.stats.warp_instructions as f64,
+        ),
+        "          outputs verified bit-identical".to_string(),
+    ]
 }

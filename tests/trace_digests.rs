@@ -1,14 +1,17 @@
-//! The `dac-trace/v1` event stream, pinned: FNV-1a digests of the JSONL
-//! bytes `trace` and `sweep --trace` write, for benchmark × design runs on
-//! one SM. A change to where or in which order the simulator emits trace
-//! events (the SM tick, the fabric, a coprocessor's `step` or `pump`)
-//! moves a digest; a change that only restructures the code does not.
+//! The `dac-trace/v1` event stream, pinned in
+//! `results/pins/trace_digests.txt`: FNV-1a digests of the JSONL bytes
+//! `sweep --trace` writes, for benchmark × design runs on one SM. A
+//! change to where or in which order the simulator emits trace events (the
+//! SM tick, the fabric, a coprocessor's `step` or `pump`) moves a digest;
+//! a change that only restructures the code does not.
 //!
 //! PF under DAC runs the affine warp, both expansion units and the early
 //! line requests through a `bar.sync` kernel; LIB under MTA runs the
 //! prefetcher past many of its prefetch-buffer throttle evaluations (one
-//! every 2048 cycles). The digests were taken before the tracer twins were
-//! collapsed into one path and have not been edited since.
+//! every 2048 cycles).
+
+#[path = "support/pin.rs"]
+mod pin;
 
 use dac_gpu::harness::{fnv1a64, Design, DesignPoint, Job};
 use dac_gpu::workloads::benchmark;
@@ -39,12 +42,12 @@ fn trace_digest(abbr: &str, design: Design) -> (u64, u64) {
 
 #[test]
 fn trace_streams_are_pinned() {
-    assert_eq!(
-        trace_digest("PF", Design::Dac),
-        (0x37b3_fe69_4479_9eed, 91_310)
-    );
-    assert_eq!(
-        trace_digest("LIB", Design::Mta),
-        (0x27e7_da6a_3ff9_794d, 39_810)
-    );
+    let rows = [("PF", Design::Dac), ("LIB", Design::Mta)].map(|(abbr, design)| {
+        let (digest, cycles) = trace_digest(abbr, design);
+        format!(
+            "{abbr}/{} cycles={cycles} jsonl={digest:#018x}",
+            design.name()
+        )
+    });
+    pin::check("results/pins/trace_digests.txt", &pin::lines(rows));
 }
