@@ -15,7 +15,7 @@ use simt_fuzz::gen::gen_spec;
 use simt_fuzz::oracle::run_oracle;
 use simt_fuzz::reduce::{reduce, repro_asm};
 use simt_harness::json::Value;
-use simt_harness::{pool, DesignPoint, Job, JobResult, ResultCache};
+use simt_harness::{DesignPoint, Job, JobResult, ResultCache, WorkerPool};
 use simt_profile::CpiStack;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -152,8 +152,9 @@ fn main() {
     let t0 = std::time::Instant::now();
 
     let indices: Vec<u64> = (0..args.count).collect();
-    let outcomes: Vec<Outcome> = pool::run_indexed(args.jobs, indices, |_, index| {
-        run_case(args.seed, index, &diff_cfg, cache.as_ref())
+    let (seed, cfg) = (args.seed, diff_cfg.clone());
+    let outcomes: Vec<Outcome> = WorkerPool::batch(args.jobs, indices, move |index| {
+        run_case(seed, index, &cfg, cache.as_ref())
     });
 
     // Deterministic summary: one JSONL line per kernel, index order, no

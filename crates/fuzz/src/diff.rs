@@ -18,7 +18,7 @@ use crate::spec::{A_WORDS, GEN_VERSION};
 use dac_core::DacConfig;
 use gpu_workloads::kernels::{ARR_A, ARR_B};
 use gpu_workloads::{gpu_for, run_design, BenchRun, Design, Workload};
-use simt_harness::Overrides;
+use simt_harness::{panic_message, Overrides};
 use simt_profile::CpiStack;
 use simt_sim::{GpuSim, SimReport};
 use simt_trace::NullTracer;
@@ -150,13 +150,9 @@ pub fn run_one(w: &Workload, design: Design, ov: &Overrides) -> BenchRun {
 }
 
 fn run_caught(w: &Workload, design: Design, ov: &Overrides) -> Result<BenchRun, DiffFailure> {
-    catch_unwind(AssertUnwindSafe(|| run_one(w, design, ov))).map_err(|p| {
-        let msg = p
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".into());
-        DiffFailure::Panic { design, msg }
+    catch_unwind(AssertUnwindSafe(|| run_one(w, design, ov))).map_err(|p| DiffFailure::Panic {
+        design,
+        msg: panic_message(&*p),
     })
 }
 

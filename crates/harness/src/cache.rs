@@ -12,6 +12,7 @@ use crate::job::{Job, JobResult};
 use crate::json;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn count(name: &'static str, help: &'static str) {
     simt_obs::metrics::global().counter_add(name, help, &[], 1);
@@ -155,15 +156,18 @@ impl ResultCache {
 
     /// Store a fresh result. Write failures are reported but non-fatal
     /// (a read-only checkout still runs, just without caching); writes go
-    /// through a temp file + rename so concurrent invocations never observe
-    /// a torn entry.
+    /// through a temp file + rename so concurrent writers — processes, or
+    /// pool workers storing the same key — never observe a torn entry.
     pub fn store(&self, job: &Job, result: &JobResult) {
+        // One temp file per writer: process id plus a process-wide count.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let key = job.cache_key();
         let path = self.entry_path(&key);
         let record = artifact::to_json(job, result, None, Some(&key)).to_json();
         let write = || -> std::io::Result<()> {
             fs::create_dir_all(&self.dir)?;
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+            let writer = WRITES.fetch_add(1, Ordering::Relaxed);
+            let tmp = path.with_extension(format!("tmp.{}.{writer}", std::process::id()));
             fs::write(&tmp, record.as_bytes())?;
             fs::rename(&tmp, &path)
         };
@@ -263,6 +267,36 @@ mod tests {
 
         // A missing entry is a plain miss: nothing to evict, no warning.
         assert!(cache.load(&job).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_never_expose_a_torn_entry() {
+        let dir = tmp_dir("concurrent");
+        let cache = ResultCache::new(&dir);
+        let job = small_job();
+        let result = job.execute();
+        let key = job.cache_key();
+        cache.store(&job, &result);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        cache.store(&job, &result);
+                    }
+                });
+            }
+            // Every read while the writers race sees one whole entry.
+            for _ in 0..200 {
+                let hit = cache.load_by_key(&key).expect("torn or missing entry");
+                assert_eq!(hit.report.cycles, result.report.cycles);
+            }
+        });
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 1, "one entry and no temp file: {names:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,9 +8,12 @@
 //!
 //! * [`Job`] — one simulation: `workload × design × config overrides`;
 //! * [`KNOBS`] — the one table of configuration knobs (`--set KEY=VALUE`);
-//! * [`pool`] — a channel-based thread pool over `std::thread` with
-//!   deterministic, index-ordered result aggregation (`--jobs N` output is
-//!   bit-identical to a serial run);
+//! * [`WorkerPool`] — the one thread pool over `std::thread`: non-blocking
+//!   submission for the sweep service, and batches whose results come
+//!   back in item order (`--jobs N` output is bit-identical to a serial
+//!   run);
+//! * [`Harness::resolve`] — the one path from a cache key to a result:
+//!   a store hit, or check, execute, catch a panic, and store;
 //! * [`ResultCache`] — a content-addressed on-disk cache keyed by a stable
 //!   hash of the job, so repeated invocations skip unchanged simulations;
 //! * [`artifact`] — machine-readable JSONL records (hand-rolled
@@ -49,12 +52,14 @@ pub use job::{
     cache_key, DesignPoint, Job, JobResult, Overrides, Payload, PayloadKind, CACHE_VERSION,
 };
 pub use knobs::{refuse_idle_knobs, Knob, KNOBS};
-pub use pool::WorkerPool;
+pub use pool::{panic_message, WorkerPool};
 
 use gpu_workloads::{Scenario, Workload};
 use simt_profile::{report, DesignProfile, ProfileSink, WorkloadProfile};
+use std::any::Any;
 use std::fs;
 use std::io::{self, Write as _};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -67,21 +72,8 @@ pub fn suite_jobs(
     points: &[DesignPoint],
     overrides: &Overrides,
 ) -> Vec<Job> {
-    workloads
-        .into_iter()
-        .flat_map(|w| {
-            let w = Arc::new(w);
-            points
-                .iter()
-                .map(|&point| Job {
-                    payload: Payload::Bench(w.clone()),
-                    scale,
-                    point,
-                    overrides: overrides.clone(),
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect()
+    let payloads = workloads.into_iter().map(|w| Payload::Bench(Arc::new(w)));
+    cross(payloads, scale, points, overrides)
 }
 
 /// The cross product `scenarios × points` for multi-kernel stream runs,
@@ -92,19 +84,26 @@ pub fn scenario_jobs(
     points: &[DesignPoint],
     overrides: &Overrides,
 ) -> Vec<Job> {
-    scenarios
+    let payloads = scenarios
         .into_iter()
-        .flat_map(|sc| {
-            let sc = Arc::new(sc);
-            points
-                .iter()
-                .map(|&point| Job {
-                    payload: Payload::Scenario(sc.clone()),
-                    scale,
-                    point,
-                    overrides: overrides.clone(),
-                })
-                .collect::<Vec<_>>()
+        .map(|s| Payload::Scenario(Arc::new(s)));
+    cross(payloads, scale, points, overrides)
+}
+
+fn cross(
+    payloads: impl Iterator<Item = Payload>,
+    scale: u32,
+    points: &[DesignPoint],
+    overrides: &Overrides,
+) -> Vec<Job> {
+    payloads
+        .flat_map(|payload| {
+            points.iter().map(move |&point| Job {
+                payload: payload.clone(),
+                scale,
+                point,
+                overrides: overrides.clone(),
+            })
         })
         .collect()
 }
@@ -222,8 +221,9 @@ impl Harness {
             .unwrap_or_else(|failures| panic!("{}", failures.join("\n")))
     }
 
-    /// Run every job: serve cache hits, simulate misses on the pool, store
-    /// fresh results, and append one artifact line per job (in job order).
+    /// Run every job through [`Harness::resolve`] on a
+    /// [`WorkerPool::batch`]: cache hits are served, misses simulated and
+    /// stored, and one artifact line is appended per job (in job order).
     ///
     /// Nothing is simulated unless every job passes [`Job::check`]:
     /// otherwise `Err` holds one `label: reason` line per job that can
@@ -233,7 +233,7 @@ impl Harness {
     /// # Panics
     ///
     /// Propagates simulator panics (correctness violations, deadlock
-    /// guard) from worker threads.
+    /// guard) from worker threads with their original payload.
     pub fn try_run(&self, jobs: &[Job]) -> Result<RunOutput, Vec<String>> {
         let failures: Vec<String> = jobs
             .iter()
@@ -242,70 +242,38 @@ impl Harness {
         if !failures.is_empty() {
             return Err(failures);
         }
-        let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
-        let mut misses: Vec<(usize, Job)> = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            // Observing forces execution: a cache hit has no events.
-            let hit = if self.observe.is_some() {
-                None
-            } else {
-                self.cache.as_ref().and_then(|c| c.load(job))
-            };
-            match hit {
-                Some(hit) => {
-                    if self.verbose {
-                        eprintln!("  {:<20} cached", job.label());
-                    }
-                    results[i] = Some(hit);
-                }
-                None => misses.push((i, job.clone())),
+        let harness = self.clone();
+        let resolved = WorkerPool::batch(self.workers, jobs.to_vec(), move |job: Job| {
+            let (key, label) = (job.cache_key(), job.label());
+            match harness.resolve(&key, &label, || Some(job)) {
+                Resolved::Failed(payload) => resume_unwind(payload),
+                resolved => resolved,
             }
-        }
-        let cache_hits = jobs.len() - misses.len();
-        let executed = misses.len();
-
-        let verbose = self.verbose;
-        let observe = self.observe.clone();
-        let fresh = pool::run_indexed(self.workers, misses, move |_, (i, job)| {
-            let (result, dropped, profile) = match &observe {
-                None => (job.execute(), 0, None),
-                Some(Observe::Trace { dir, events }) => {
-                    let mut sink = simt_trace::RingSink::new(*events);
-                    let result = job.execute_traced(&mut sink);
-                    if let Err(e) = write_trace(dir, &job, &sink) {
-                        simt_obs::warn!("harness.run", "trace write failed";
-                            job = job.label(), error = e.to_string());
-                    }
-                    (result, sink.dropped(), None)
-                }
-                Some(Observe::Profile(_)) => {
-                    let mut sink = ProfileSink::new(job.profile_cutoff());
-                    let result = job.execute_traced(&mut sink);
-                    let profile = DesignProfile::new(job.point.name(), &result.report, sink);
-                    (result, 0, Some(profile))
-                }
-            };
-            if verbose {
-                eprintln!("  {:<20} ok ({:.1}s)", job.label(), result.wall_ms / 1e3);
-            }
-            (i, job, result, dropped, profile)
         });
-        let mut trace_drops = 0u64;
-        let mut trace_dropped_jobs = 0usize;
-        // Observed runs execute every job, so `fresh` is in job order.
+        let (mut cache_hits, mut trace_drops, mut trace_dropped_jobs) = (0, 0, 0);
+        // Observed runs execute every job, so `profiles` is in job order.
         let mut profiles = Vec::new();
-        for (i, job, result, dropped, profile) in fresh {
-            if let Some(cache) = &self.cache {
-                cache.store(&job, &result);
-            }
-            trace_drops += dropped;
-            trace_dropped_jobs += usize::from(dropped > 0);
-            profiles.extend(profile);
-            results[i] = Some(result);
-        }
-        let results: Vec<JobResult> = results
+        let results: Vec<JobResult> = resolved
             .into_iter()
-            .map(|r| r.expect("job neither cached nor executed"))
+            .map(|r| match r {
+                Resolved::Hit(result) => {
+                    cache_hits += 1;
+                    result
+                }
+                Resolved::Executed {
+                    result,
+                    trace_drops: dropped,
+                    profile,
+                } => {
+                    trace_drops += dropped;
+                    trace_dropped_jobs += usize::from(dropped > 0);
+                    profiles.extend(profile.map(|p| *p));
+                    result
+                }
+                Resolved::Declined | Resolved::Failed(_) => {
+                    unreachable!("every job builds, and failures unwound")
+                }
+            })
             .collect();
 
         let artifact_path = self
@@ -331,12 +299,95 @@ impl Harness {
             results,
             artifact_path,
             cache_hits,
-            executed,
+            executed: jobs.len() - cache_hits,
             trace_drops,
             trace_dropped_jobs,
             profile_paths,
         })
     }
+
+    /// The one path from a cache key to a result, for `sweep` and the
+    /// sweep service alike. A hit is one [`ResultCache::load_by_key`] of
+    /// `key` and builds nothing (observing forces execution, so an
+    /// observed harness skips the lookup). On a miss `job` builds the job
+    /// — `None` declines, and nothing runs — which is then checked,
+    /// executed under the harness's [`Observe`] with panics caught, and
+    /// stored. `key` must be the built job's [`Job::cache_key`], and
+    /// `label` its [`Job::label`] (for progress lines).
+    pub fn resolve(&self, key: &str, label: &str, job: impl FnOnce() -> Option<Job>) -> Resolved {
+        let cache = self.cache.as_ref().filter(|_| self.observe.is_none());
+        if let Some(hit) = cache.and_then(|c| c.load_by_key(key)) {
+            if self.verbose {
+                eprintln!("  {label:<20} cached");
+            }
+            return Resolved::Hit(hit);
+        }
+        let Some(job) = job() else {
+            return Resolved::Declined;
+        };
+        if let Err(reason) = job.check() {
+            return Resolved::Failed(Box::new(reason));
+        }
+        let executed = catch_unwind(AssertUnwindSafe(|| self.execute(&job)));
+        let (result, trace_drops, profile) = match executed {
+            Ok(executed) => executed,
+            Err(payload) => return Resolved::Failed(payload),
+        };
+        if let Some(cache) = &self.cache {
+            cache.store(&job, &result);
+        }
+        if self.verbose {
+            eprintln!("  {label:<20} ok ({:.1}s)", result.wall_ms / 1e3);
+        }
+        Resolved::Executed {
+            result,
+            trace_drops,
+            profile,
+        }
+    }
+
+    /// Execute `job` under the harness's observer: the result, the trace
+    /// events its ring buffer dropped, and its profile when profiling.
+    fn execute(&self, job: &Job) -> (JobResult, u64, Option<Box<DesignProfile>>) {
+        match &self.observe {
+            None => (job.execute(), 0, None),
+            Some(Observe::Trace { dir, events }) => {
+                let mut sink = simt_trace::RingSink::new(*events);
+                let result = job.execute_traced(&mut sink);
+                if let Err(e) = write_trace(dir, job, &sink) {
+                    simt_obs::warn!("harness.run", "trace write failed";
+                        job = job.label(), error = e.to_string());
+                }
+                (result, sink.dropped(), None)
+            }
+            Some(Observe::Profile(_)) => {
+                let mut sink = ProfileSink::new(job.profile_cutoff());
+                let result = job.execute_traced(&mut sink);
+                let profile = DesignProfile::new(job.point.name(), &result.report, sink);
+                (result, 0, Some(Box::new(profile)))
+            }
+        }
+    }
+}
+
+/// How [`Harness::resolve`] settled one job.
+pub enum Resolved {
+    /// Served from the store; nothing was built.
+    Hit(JobResult),
+    /// Simulated and stored.
+    Executed {
+        /// The fresh result.
+        result: JobResult,
+        /// Trace events the job's ring buffer dropped (0 untraced).
+        trace_drops: u64,
+        /// The job's profile, when the harness profiles.
+        profile: Option<Box<DesignProfile>>,
+    },
+    /// The job builder declined (returned `None`); nothing ran.
+    Declined,
+    /// The job can never run (a `String` payload: [`Job::check`]'s reason), or the
+    /// simulator panicked (its payload). [`panic_message`] reads either.
+    Failed(Box<dyn Any + Send>),
 }
 
 /// Write one Chrome-JSON and one `dac-trace/v1` JSONL file for a traced
@@ -498,6 +549,50 @@ mod tests {
             assert!(b.cached);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hit_builds_nothing_and_a_miss_builds_once() {
+        let dir = std::env::temp_dir().join(format!("dac-resolve-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let harness = Harness::serial().with_cache(ResultCache::new(&dir));
+        let job = small_suite().remove(0);
+        let (key, label) = (job.cache_key(), job.label());
+        let builds = std::cell::Cell::new(0);
+        let build = || {
+            builds.set(builds.get() + 1);
+            Some(job.clone())
+        };
+        // A builder that declines leaves the point unresolved and unstored.
+        assert!(matches!(
+            harness.resolve(&key, &label, || None),
+            Resolved::Declined
+        ));
+        assert!(matches!(
+            harness.resolve(&key, &label, build),
+            Resolved::Executed { .. }
+        ));
+        assert_eq!(builds.get(), 1, "a miss builds the job once");
+        for _ in 0..3 {
+            assert!(matches!(
+                harness.resolve(&key, &label, build),
+                Resolved::Hit(_)
+            ));
+        }
+        assert_eq!(builds.get(), 1, "a hit builds nothing");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unrunnable_job_fails_with_its_reason() {
+        let mut job = small_suite().remove(0);
+        job.overrides.max_warps_per_sm = Some(1);
+        let reason = job.check().expect_err("LIB needs 4 warp slots");
+        let resolved = Harness::serial().resolve(&job.cache_key(), &job.label(), || Some(job));
+        let Resolved::Failed(payload) = resolved else {
+            panic!("an unrunnable job must fail");
+        };
+        assert_eq!(panic_message(&*payload), reason);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl ProfileSink {
         }
     }
 
-    /// L2 hit rate for one client (by [`CLIENT_NAMES`] index), in [0, 1].
+    /// L2 hit rate for one client (0 `lsu`, 1 `dac`, 2 `mta`), in [0, 1].
     pub fn l2_hit_rate(&self, client: usize) -> f64 {
         let total = self.l2_hits[client] + self.l2_misses[client];
         if total == 0 {

@@ -6,7 +6,7 @@
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive): a handler reads
 //! requests off one buffered connection until the client closes it or
-//! stays idle past [`READ_TIMEOUT`]. A request is framed by its
+//! stays idle past a 10 s read timeout. A request is framed by its
 //! `Content-Length` alone; one with an unparsable or repeated
 //! `Content-Length`, or with any `Transfer-Encoding`, is a 400 and ends
 //! the connection, so no leftover body byte is ever read as a request.

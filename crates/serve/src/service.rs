@@ -14,18 +14,21 @@
 //! * point in flight → second submitter attaches to the running job;
 //! * warm point → resolved from the store, zero execution.
 //!
-//! Execution happens on a [`WorkerPool`] (non-blocking submission), so
-//! the daemon keeps accepting requests while earlier grids simulate.
-//! Progress is durable without any progress file: a point is done iff its
-//! result is in the cache, so a restarted daemon re-enqueues manifest
-//! points and the finished ones resolve instantly as cache hits.
+//! Each point resolves through [`Harness::resolve`], the one miss path
+//! `sweep` runs too: one store lookup by key, and only on a miss the
+//! execute budget is taken, the workload built, checked, simulated with
+//! panics caught, and stored. The tasks run on the harness's one
+//! [`WorkerPool`] (non-blocking submission), so the daemon keeps
+//! accepting requests while earlier grids simulate. Progress is durable
+//! without any progress file: a point is done iff its result is in the
+//! cache, so a restarted daemon re-enqueues manifest points and the
+//! finished ones resolve instantly as cache hits.
 
 use crate::grid::{GridPoint, GridRequest};
 use crate::manifest;
-use simt_harness::{json, ResultCache, WorkerPool};
+use simt_harness::{json, panic_message, Harness, Resolved, ResultCache, WorkerPool};
 use simt_obs::metrics::{FamilySnapshot, Kind, Registry, SeriesSnapshot, SeriesValue};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -79,42 +82,29 @@ impl ServeConfig {
     }
 }
 
-/// How a completed point got its result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolution {
-    /// Simulated fresh by this daemon session.
-    Executed,
-    /// Served from the on-disk result store.
-    CacheHit,
-}
-
-impl Resolution {
-    fn name(self) -> &'static str {
-        match self {
-            Resolution::Executed => "executed",
-            Resolution::CacheHit => "cache_hit",
-        }
-    }
-}
-
+/// Where a point is in its lifecycle. A point with a result carries its
+/// cycle count and how it got it.
 #[derive(Debug, Clone)]
 enum PointStatus {
     Queued,
     Running,
-    Done { cycles: u64, resolution: Resolution },
+    /// Simulated fresh by this daemon session.
+    Executed(u64),
+    /// Served from the on-disk result store.
+    CacheHit(u64),
     Failed(String),
 }
 
 impl PointStatus {
     fn is_terminal(&self) -> bool {
-        matches!(self, PointStatus::Done { .. } | PointStatus::Failed(_))
+        !matches!(self, PointStatus::Queued | PointStatus::Running)
     }
 
     fn name(&self) -> &'static str {
         match self {
             PointStatus::Queued => "queued",
             PointStatus::Running => "running",
-            PointStatus::Done { .. } => "done",
+            PointStatus::Executed(_) | PointStatus::CacheHit(_) => "done",
             PointStatus::Failed(_) => "failed",
         }
     }
@@ -140,14 +130,8 @@ impl Tally {
             match status {
                 PointStatus::Queued => tally.queued += 1,
                 PointStatus::Running => tally.running += 1,
-                PointStatus::Done {
-                    resolution: Resolution::Executed,
-                    ..
-                } => tally.executed += 1,
-                PointStatus::Done {
-                    resolution: Resolution::CacheHit,
-                    ..
-                } => tally.cache_hits += 1,
+                PointStatus::Executed(_) => tally.executed += 1,
+                PointStatus::CacheHit(_) => tally.cache_hits += 1,
                 PointStatus::Failed(_) => tally.failed += 1,
             }
         }
@@ -193,12 +177,13 @@ fn terminal_event(hash: u64, label: &str, status: &PointStatus, wall_us: Option<
     let run = format!("{hash:016x}");
     let wall_us = wall_us.map(|w| ("wall_us".into(), json::Value::Int(w)));
     match status {
-        PointStatus::Done { cycles, resolution } => {
+        PointStatus::Executed(cycles) | PointStatus::CacheHit(cycles) => {
             let mut body = event("finished", label, run);
-            body.push((
-                "resolution".into(),
-                json::Value::Str(resolution.name().into()),
-            ));
+            let resolution = match status {
+                PointStatus::Executed(_) => "executed",
+                _ => "cache_hit",
+            };
+            body.push(("resolution".into(), json::Value::Str(resolution.into())));
             body.extend(wall_us);
             body.push(("cycles".into(), json::Value::Int(*cycles)));
             body
@@ -362,6 +347,8 @@ impl Receipt {
 pub struct SweepService {
     cfg: ServeConfig,
     cache: ResultCache,
+    /// Resolves every point: the one miss path `sweep` runs too.
+    harness: Harness,
     state: Arc<(Mutex<State>, Condvar)>,
     pool: WorkerPool,
     started: Instant,
@@ -390,9 +377,13 @@ impl SweepService {
             Condvar::new(),
         ));
         let pool = WorkerPool::new(cfg.workers);
+        let harness = Harness::serial()
+            .with_cache(cache.clone())
+            .verbose(cfg.verbose);
         SweepService {
             cfg,
             cache,
+            harness,
             state,
             pool,
             started: Instant::now(),
@@ -559,11 +550,10 @@ impl SweepService {
     /// Run one registered point on the pool and publish its outcome.
     fn dispatch(&self, hash: u64) {
         let state = Arc::clone(&self.state);
-        let cache = self.cache.clone();
+        let harness = self.harness.clone();
         let registry = Arc::clone(&self.registry);
-        let verbose = self.cfg.verbose;
         self.pool.submit(move || {
-            let resolved = Self::run_point(&state, &cache, &registry, hash, verbose);
+            let resolved = Self::run_point(&state, &harness, &registry, hash);
             let (lock, cvar) = &*state;
             let mut st = lock.lock().unwrap();
             match resolved {
@@ -576,16 +566,15 @@ impl SweepService {
         });
     }
 
-    /// Resolve one point — from the store, else by simulating it — and
-    /// return its terminal status with the time that took. `None` leaves
-    /// the point queued: the service is stopping, or the execute budget is
-    /// spent.
+    /// Resolve one point through [`Harness::resolve`] — from the store,
+    /// else by building and simulating it — and return its terminal
+    /// status with the time that took. `None` leaves the point queued:
+    /// the service is stopping, or the execute budget is spent.
     fn run_point(
         state: &(Mutex<State>, Condvar),
-        cache: &ResultCache,
+        harness: &Harness,
         registry: &Registry,
         hash: u64,
-        verbose: bool,
     ) -> Option<(PointStatus, u64)> {
         let (lock, cvar) = state;
         let point = {
@@ -595,22 +584,10 @@ impl SweepService {
             }
             st.points[&hash].point.clone()
         };
-
-        // Store lookup outside the lock — it reads the filesystem.
-        let lookup_started = Instant::now();
-        if let Some(hit) = cache.load_by_key(&point.key) {
-            let wall_us = lookup_started.elapsed().as_micros() as u64;
-            if verbose {
-                eprintln!("  {:<24} cached", point.label);
-            }
-            let status = PointStatus::Done {
-                cycles: hit.report.cycles,
-                resolution: Resolution::CacheHit,
-            };
-            return Some((status, wall_us));
-        }
-
-        {
+        let started = Instant::now();
+        // Only a point that misses the store takes budget and builds its
+        // workload.
+        let resolved = harness.resolve(&point.key, &point.label, || {
             let mut st = lock.lock().unwrap();
             if st.stopping || st.budget_left == Some(0) {
                 return None;
@@ -626,21 +603,13 @@ impl SweepService {
             let body = started_event(hash, &entry.point.label);
             st.push_point_event(hash, &body);
             cvar.notify_all();
-        }
-
-        // Only a point that simulates needs its workload.
-        let job = point.job();
-        let sim_started = Instant::now();
-        // A point that can never run fails with its one-line reason;
-        // anything else that goes wrong inside the simulator is a panic.
-        let outcome = match job.check() {
-            Ok(()) => catch_unwind(AssertUnwindSafe(|| job.execute())),
-            Err(reason) => Err(Box::new(reason) as Box<dyn std::any::Any + Send>),
-        };
-        let wall_us = sim_started.elapsed().as_micros() as u64;
-        let status = match outcome {
-            Ok(result) => {
-                cache.store(&job, &result);
+            drop(st);
+            Some(point.job())
+        });
+        let wall_us = started.elapsed().as_micros() as u64;
+        let status = match resolved {
+            Resolved::Hit(hit) => PointStatus::CacheHit(hit.report.cycles),
+            Resolved::Executed { result, .. } => {
                 let cycles = result.report.cycles;
                 registry.observe(
                     "simt_point_wall_us",
@@ -660,20 +629,13 @@ impl SweepService {
                         (cycles as u128 * 1_000_000 / wall_us as u128) as u64,
                     );
                 }
-                if verbose {
-                    eprintln!("  {:<24} ok ({:.1}s)", point.label, result.wall_ms / 1e3);
-                }
-                PointStatus::Done {
-                    cycles,
-                    resolution: Resolution::Executed,
-                }
+                PointStatus::Executed(cycles)
             }
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "simulation panicked".into());
+            Resolved::Declined => return None,
+            // A point that can never run fails with its one-line reason;
+            // anything else that goes wrong inside the simulator panicked.
+            Resolved::Failed(payload) => {
+                let msg = panic_message(&*payload);
                 simt_obs::warn!("serve.service", "point failed";
                     point = point.label.clone(), error = msg.clone());
                 PointStatus::Failed(msg)
@@ -691,47 +653,44 @@ impl SweepService {
         cvar.notify_all();
     }
 
-    /// Block until the sweep has no unfinished points, the service stalls
-    /// (budget exhausted / stopping), or the timeout elapses. Returns true
-    /// iff the sweep completed.
-    pub fn wait_for_sweep(&self, id: &str, timeout: Duration) -> bool {
+    /// Hold the state lock until `settle` answers. It is asked again each
+    /// time the state changes, and with `expired` set once `timeout` has
+    /// elapsed, when it must answer.
+    fn wait_on<T>(
+        &self,
+        timeout: Duration,
+        mut settle: impl FnMut(&State, bool) -> Option<T>,
+    ) -> T {
         let deadline = Instant::now() + timeout;
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock().unwrap();
         loop {
-            let Some(sweep) = st.sweeps.get(id) else {
-                return false;
-            };
-            if sweep.done_wall_s.is_some() {
-                return true;
-            }
-            if st.pending == 0 {
-                return false; // stalled: budget ran out or stopping
-            }
             let now = Instant::now();
-            if now >= deadline {
-                return false;
+            if let Some(answer) = settle(&st, now >= deadline) {
+                return answer;
             }
-            let (guard, _) = cvar.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
+            st = cvar.wait_timeout(st, deadline - now).unwrap().0;
         }
+    }
+
+    /// Block until the sweep has no unfinished points, the service stalls
+    /// (budget exhausted / stopping), or the timeout elapses. Returns true
+    /// iff the sweep completed.
+    pub fn wait_for_sweep(&self, id: &str, timeout: Duration) -> bool {
+        self.wait_on(timeout, |st, expired| match st.sweeps.get(id) {
+            None => Some(false),
+            Some(sweep) if sweep.done_wall_s.is_some() => Some(true),
+            // `pending == 0` is a stall: the budget ran out, or stopping.
+            Some(_) => (st.pending == 0 || expired).then_some(false),
+        })
     }
 
     /// Block until no dispatched work remains (completed or stalled), or
     /// the timeout elapses. Returns true iff the service went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock().unwrap();
-        while st.pending > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = cvar.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
-        true
+        self.wait_on(timeout, |st, expired| {
+            (st.pending == 0 || expired).then_some(st.pending == 0)
+        })
     }
 
     /// Record one served HTTP request for `/metrics` latency accounting.
@@ -756,36 +715,33 @@ impl SweepService {
     /// that aged out of the bounded journal before being read. A poll that
     /// times out gets the same document with no events.
     pub fn sweep_events(&self, id: &str, since: u64, wait: Duration) -> Option<json::Value> {
-        let deadline = Instant::now() + wait;
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock().unwrap();
-        loop {
-            let sweep = st.sweeps.get(id)?;
+        self.wait_on(wait, |st, expired| {
+            let Some(sweep) = st.sweeps.get(id) else {
+                return Some(None);
+            };
             let complete = sweep.done_wall_s.is_some();
-            let now = Instant::now();
-            if sweep.next_seq > since || complete || now >= deadline {
-                // Seqs are dense from `dropped_events`, so the events at or
-                // after `since` are the journal's tail.
-                let first = since.saturating_sub(sweep.dropped_events);
-                let events = sweep
-                    .events
-                    .iter()
-                    .skip(usize::try_from(first).unwrap_or(usize::MAX))
-                    .cloned()
-                    .collect();
-                return Some(json::Value::Obj(vec![
-                    ("schema".into(), json::Value::Str(EVENTS_SCHEMA.into())),
-                    ("id".into(), json::Value::Str(id.into())),
-                    ("since".into(), json::Value::Int(since)),
-                    ("next".into(), json::Value::Int(sweep.next_seq)),
-                    ("complete".into(), json::Value::Bool(complete)),
-                    ("dropped".into(), json::Value::Int(sweep.dropped_events)),
-                    ("events".into(), json::Value::Arr(events)),
-                ]));
+            if sweep.next_seq <= since && !complete && !expired {
+                return None;
             }
-            let (guard, _) = cvar.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
+            // Seqs are dense from `dropped_events`, so the events at or
+            // after `since` are the journal's tail.
+            let first = since.saturating_sub(sweep.dropped_events);
+            let events = sweep
+                .events
+                .iter()
+                .skip(usize::try_from(first).unwrap_or(usize::MAX))
+                .cloned()
+                .collect();
+            Some(Some(json::Value::Obj(vec![
+                ("schema".into(), json::Value::Str(EVENTS_SCHEMA.into())),
+                ("id".into(), json::Value::Str(id.into())),
+                ("since".into(), json::Value::Int(since)),
+                ("next".into(), json::Value::Int(sweep.next_seq)),
+                ("complete".into(), json::Value::Bool(complete)),
+                ("dropped".into(), json::Value::Int(sweep.dropped_events)),
+                ("events".into(), json::Value::Arr(events)),
+            ])))
+        })
     }
 
     /// The status document for one sweep (`GET /sweeps/:id`), or `None`
@@ -795,21 +751,12 @@ impl SweepService {
         let st = lock.lock().unwrap();
         let sweep = st.sweeps.get(id)?;
         let tally = st.sweep_tally(sweep);
+        let entries: Vec<&PointEntry> = sweep.hashes.iter().map(|h| &st.points[h]).collect();
         // The points this sweep owns, by resolution; the rest it shares.
-        let (mut executed, mut cache_hits, mut shared) = (0u64, 0u64, 0u64);
+        let owned = Tally::of(entries.iter().filter(|e| e.owner == id).map(|e| &e.status));
+        let shared = entries.iter().filter(|e| e.owner != id).count() as u64;
         let mut points = Vec::new();
-        for hash in &sweep.hashes {
-            let entry = &st.points[hash];
-            if entry.owner == id {
-                if let PointStatus::Done { resolution, .. } = entry.status {
-                    match resolution {
-                        Resolution::Executed => executed += 1,
-                        Resolution::CacheHit => cache_hits += 1,
-                    }
-                }
-            } else {
-                shared += 1;
-            }
+        for (hash, entry) in sweep.hashes.iter().zip(entries) {
             let mut fields = vec![
                 ("label".into(), json::Value::Str(entry.point.label.clone())),
                 ("run".into(), json::Value::Str(format!("{hash:016x}"))),
@@ -819,7 +766,7 @@ impl SweepService {
                 ),
             ];
             match &entry.status {
-                PointStatus::Done { cycles, .. } => {
+                PointStatus::Executed(cycles) | PointStatus::CacheHit(cycles) => {
                     fields.push(("cycles".into(), json::Value::Int(*cycles)));
                 }
                 PointStatus::Failed(msg) => {
@@ -843,8 +790,8 @@ impl SweepService {
             ("queued".into(), json::Value::Int(tally.queued)),
             ("running".into(), json::Value::Int(tally.running)),
             ("failed".into(), json::Value::Int(tally.failed)),
-            ("executed".into(), json::Value::Int(executed)),
-            ("cache_hits".into(), json::Value::Int(cache_hits)),
+            ("executed".into(), json::Value::Int(owned.executed)),
+            ("cache_hits".into(), json::Value::Int(owned.cache_hits)),
             ("shared".into(), json::Value::Int(shared)),
             ("wall_s".into(), json::Value::Float(wall_s)),
         ];
@@ -1070,22 +1017,10 @@ mod tests {
             PointStatus::Queued,
             PointStatus::Running,
             PointStatus::Running,
-            PointStatus::Done {
-                cycles: 7,
-                resolution: Resolution::Executed,
-            },
-            PointStatus::Done {
-                cycles: 9,
-                resolution: Resolution::CacheHit,
-            },
-            PointStatus::Done {
-                cycles: 9,
-                resolution: Resolution::CacheHit,
-            },
-            PointStatus::Done {
-                cycles: 9,
-                resolution: Resolution::CacheHit,
-            },
+            PointStatus::Executed(7),
+            PointStatus::CacheHit(9),
+            PointStatus::CacheHit(9),
+            PointStatus::CacheHit(9),
             PointStatus::Failed("can never be placed".into()),
         ];
         let tally = Tally::of(&statuses);

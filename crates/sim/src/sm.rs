@@ -2,7 +2,7 @@
 //! execution, LSU, barriers, and CTA residency.
 //!
 //! The issue stage is event-driven (DESIGN.md "Event-driven issue stage"):
-//! every warp slot carries an [`IssueClass`] that is recomputed only when
+//! every warp slot carries an `IssueClass` that is recomputed only when
 //! an event touches that warp, so a scheduler hunting for a ready warp
 //! reads one byte per candidate instead of re-deriving its readiness from
 //! the warp's stack, instruction, scoreboard and `deq.*` queue every cycle.
