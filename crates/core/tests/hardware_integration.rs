@@ -7,7 +7,7 @@ use dac_core::{Dac, DacConfig};
 use simt_ir::{asm, LaunchConfig, Program};
 use simt_mem::SparseMemory;
 use simt_sim::{GpuConfig, GpuSim};
-use simt_trace::NullTracer;
+use simt_trace::{jsonl, NullTracer, RingSink};
 
 fn run_both(
     text: &str,
@@ -237,4 +237,55 @@ L:
     );
     let share = stats.affine_instruction_fraction();
     assert!(share > 0.0 && share < 0.5, "affine share {share}");
+}
+
+/// An SM the command processor never binds runs no coprocessor: one CTA
+/// on the two-SM machine leaves SM 1 without a kernel for the whole run,
+/// so a traced DAC run emits no event for it (not even DAC's per-cycle
+/// `queue_sample`), and the counters equal the untraced run's.
+#[test]
+fn an_unbound_sm_runs_no_coprocessor() {
+    let kernel = asm::parse_kernel(
+        r#"
+.kernel inc
+.params 2
+    mul r0, %ctaid.x, %ntid.x;
+    add r1, r0, %tid.x;
+    shl r2, r1, 2;
+    add r3, %p0, r2;
+    ld.global r4, [r3];
+    add r5, r4, 1;
+    add r6, %p1, r2;
+    st.global [r6], r5;
+    exit;
+"#,
+    )
+    .unwrap();
+    let dk = decouple(&kernel, &AffineAnalysis::run(&kernel));
+    assert!(dk.any_decoupled, "kernel must decouple");
+    let launch = LaunchConfig::linear(1, 64, vec![0x1_0000, 0x2_0000]);
+    let program = Program::new(dk.non_affine.clone(), launch).unwrap();
+    let gpu = GpuSim::new(GpuConfig::test_small());
+    assert_eq!(gpu.config().num_sms, 2);
+    let run = |tracer: &mut dyn simt_trace::Tracer| {
+        let mut dac = Dac::new(DacConfig::paper(), dk.clone());
+        gpu.run_traced(&program, &mut SparseMemory::new(), &mut dac, tracer)
+    };
+
+    let mut sink = RingSink::new(1 << 16);
+    let traced = run(&mut sink);
+    assert_eq!(sink.dropped(), 0);
+    let text = jsonl::export(sink.events(), &[], 0);
+    let on_sm = |sm: u32| {
+        let field = format!("\"sm\": {sm}, ");
+        text.lines().filter(|l| l.contains(&field)).count()
+    };
+    assert!(on_sm(0) > 0, "SM 0 runs the CTA");
+    assert_eq!(on_sm(1), 0, "SM 1 never holds a CTA, so nothing runs on it");
+    assert!(traced.stats.decoupled_loads > 0);
+
+    let plain = run(&mut NullTracer);
+    assert_eq!(traced.cycles, plain.cycles);
+    assert_eq!(traced.stats, plain.stats);
+    assert_eq!(traced.mem, plain.mem);
 }

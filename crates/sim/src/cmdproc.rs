@@ -1,13 +1,16 @@
 //! The command processor: occupancy-limited CTA dispatch over one or more
-//! kernel streams, plus the per-SM coprocessor router that lets concurrent
-//! kernels each keep their own DAC/CAE/MTA instance.
+//! kernel streams.
 //!
 //! SM-granular kernel binding, as on Fermi: an SM hosts CTAs of at most
 //! one kernel at a time, so concurrent kernels partition the chip rather
-//! than interleave within an SM. The binding doubles as the routing key
-//! for every per-SM coprocessor hook (issue gating, dequeue supply,
-//! fabric responses), which is what makes per-kernel coprocessor state
-//! sound without tagging every token with a kernel id.
+//! than interleave within an SM. Each kernel launch brings its own
+//! DAC/CAE/MTA instance, and the binding says whose an SM runs: the run
+//! loop hands each SM the coprocessor of its bound launch (a
+//! [`NullCoProcessor`](crate::coproc::NullCoProcessor) while it has
+//! none), so per-kernel coprocessor state is sound without tagging every
+//! token with a kernel id. An SM is re-bound only once its launch's
+//! coprocessor is quiescent, so no fabric response outlives the binding
+//! that issued its request.
 //!
 //! Determinism: dispatch visits SMs and streams in fixed, state-derived
 //! orders (index order for [`PlacementPolicy::Greedy`], rotating cursors
@@ -15,11 +18,9 @@
 //! its inputs — the same tie-break discipline as the warp scheduler.
 
 use crate::config::GpuConfig;
-use crate::coproc::{AddrRecord, CoCtx, CoProcessor, DeqGate, IssueCost};
+use crate::coproc::CoProcessor;
 use crate::sm::{KernelCtx, Sm};
 use crate::stats::SimStats;
-use simt_ir::Instr;
-use simt_mem::MemResponse;
 use simt_trace::{TraceEvent, Tracer};
 
 /// How the command processor picks SMs (and streams) when placing CTAs.
@@ -44,11 +45,11 @@ impl PlacementPolicy {
         }
     }
 
-    /// Parse the `--set cta_policy=...` spelling.
+    /// The policy [`PlacementPolicy::name`] calls `s`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "greedy" => Some(PlacementPolicy::Greedy),
-            "rr" | "round-robin" | "round_robin" => Some(PlacementPolicy::RoundRobin),
+            "rr" => Some(PlacementPolicy::RoundRobin),
             _ => None,
         }
     }
@@ -74,7 +75,7 @@ pub struct LaunchState {
 }
 
 /// Owns kernel dispatch: which CTA of which kernel goes to which SM, and
-/// when. Replaces the old inline `next_cta` loop in `gpu.rs`.
+/// when.
 #[derive(Debug)]
 pub struct CommandProcessor {
     /// The machine dispatched onto.
@@ -88,7 +89,7 @@ pub struct CommandProcessor {
     head: Vec<usize>,
     states: Vec<LaunchState>,
     /// Per-SM kernel binding (launch id). An SM runs CTAs of one kernel
-    /// at a time.
+    /// at a time, and its coprocessor.
     bindings: Vec<Option<usize>>,
     rr_sm: usize,
     rr_stream: usize,
@@ -138,6 +139,13 @@ impl CommandProcessor {
     /// The kernel currently bound to `sm`, if any.
     pub fn binding(&self, sm: usize) -> Option<usize> {
         self.bindings[sm]
+    }
+
+    /// The index of `sm` into every per-launch table of the run — its
+    /// attribution bin, its coprocessor: the bound launch's id, or
+    /// [`CommandProcessor::num_kernels`] while it is unbound.
+    pub fn bin(&self, sm: usize) -> usize {
+        self.bindings[sm].unwrap_or(self.states.len())
     }
 
     /// Dispatch state of launch `k`.
@@ -199,20 +207,22 @@ impl CommandProcessor {
     /// the chip before SMs fill up (as the hardware scheduler does). A
     /// sleeping SM is woken before it is bound, released or given a CTA,
     /// so the cycles it slept are credited to the kernel it slept under.
+    /// `coprocs` and every row of `rows` are indexed by
+    /// [`CommandProcessor::bin`]: one entry per launch, then the unbound
+    /// SMs' `NullCoProcessor` and bin.
     pub fn dispatch(
         &mut self,
         now: u64,
         sms: &mut [Sm],
         kctxs: &[KernelCtx<'_>],
-        coproc: &mut dyn CoProcessor,
+        coprocs: &mut [&mut dyn CoProcessor],
         rows: &mut [Vec<SimStats>],
         tracer: &mut dyn Tracer,
     ) {
         // Release pass (only meaningful with several kernels): an SM whose
         // bound kernel has dispatched its last CTA, holds nothing resident
-        // here, and has no in-flight traffic for this SM can be handed to
-        // another kernel. The `sm_quiescent` guard keeps coprocessor
-        // response routing sound across the re-bind.
+        // here, and whose launch's coprocessor has drained can be handed
+        // to another kernel.
         if self.states.len() > 1 {
             for (sm, s) in sms.iter_mut().enumerate() {
                 let Some(k) = self.bindings[sm] else {
@@ -222,11 +232,10 @@ impl CommandProcessor {
                 if st.next_cta == st.total_ctas
                     && s.resident_ctas() == 0
                     && s.idle()
-                    && coproc.sm_quiescent(sm)
+                    && coprocs[k].quiescent()
                 {
-                    s.wake(now, &self.cfg, coproc, &mut rows[sm][k]);
+                    s.wake(now, &self.cfg, coprocs[k], &mut rows[sm][k]);
                     self.bindings[sm] = None;
-                    coproc.on_sm_bound(sm, None);
                 }
             }
         }
@@ -256,19 +265,16 @@ impl CommandProcessor {
                 if !sms[sm].can_accept_cta(cfg, &kctxs[k]) {
                     continue;
                 }
-                let bin = self.bindings[sm].unwrap_or(self.states.len());
-                sms[sm].wake(now, cfg, coproc, &mut rows[sm][bin]);
-                if self.bindings[sm] != Some(k) {
-                    self.bindings[sm] = Some(k);
-                    coproc.on_sm_bound(sm, Some(k));
-                }
+                let bin = self.bin(sm);
+                sms[sm].wake(now, cfg, coprocs[bin], &mut rows[sm][bin]);
+                self.bindings[sm] = Some(k);
                 let st = &mut self.states[k];
                 let cta = st.next_cta;
                 st.next_cta += 1;
                 if st.first_cycle.is_none() {
                     st.first_cycle = Some(now);
                 }
-                let slot = sms[sm].launch_cta(cfg, &kctxs[k], k, cta, coproc, &mut rows[sm][k]);
+                let slot = sms[sm].launch_cta(cfg, &kctxs[k], k, cta, coprocs[k], &mut rows[sm][k]);
                 if tracer.enabled() {
                     tracer.emit(
                         now,
@@ -292,187 +298,18 @@ impl CommandProcessor {
     }
 }
 
-/// Routes every per-SM coprocessor hook to the child owning that SM's
-/// bound kernel. One child per kernel launch; the command processor
-/// maintains the bindings through [`CoProcessor::on_sm_bound`]. With a
-/// single kernel the GPU loop skips the router entirely and hands the
-/// child straight to the SMs.
-pub struct MultiCoProcessor<'a> {
-    children: Vec<&'a mut dyn CoProcessor>,
-    bindings: Vec<Option<usize>>,
-}
-
-impl<'a> MultiCoProcessor<'a> {
-    /// A router over one coprocessor per kernel launch (flattened
-    /// stream-major, matching the command processor's launch ids).
-    pub fn new(children: Vec<&'a mut dyn CoProcessor>, num_sms: usize) -> Self {
-        MultiCoProcessor {
-            children,
-            bindings: vec![None; num_sms],
-        }
-    }
-
-    fn child_for(&mut self, sm: usize) -> Option<&mut &'a mut dyn CoProcessor> {
-        match self.bindings.get(sm).copied().flatten() {
-            Some(k) => Some(&mut self.children[k]),
-            None => None,
-        }
-    }
-
-    fn child(&self, sm: usize) -> Option<&dyn CoProcessor> {
-        let k = self.bindings.get(sm).copied().flatten()?;
-        Some(&*self.children[k])
-    }
-}
-
-impl CoProcessor for MultiCoProcessor<'_> {
-    fn name(&self) -> &'static str {
-        "multi"
-    }
-
-    fn on_sm_bound(&mut self, sm: usize, kernel: Option<usize>) {
-        self.bindings[sm] = kernel;
-    }
-
-    fn sm_quiescent(&self, sm: usize) -> bool {
-        match self.bindings[sm] {
-            Some(k) => self.children[k].sm_quiescent(sm),
-            None => true,
-        }
-    }
-
-    fn on_cta_launch(&mut self, sm: usize, slot: usize, cta_linear: u64, warps: &[usize]) {
-        if let Some(c) = self.child_for(sm) {
-            c.on_cta_launch(sm, slot, cta_linear, warps);
-        }
-    }
-
-    fn on_cta_retire(&mut self, sm: usize, slot: usize) {
-        if let Some(c) = self.child_for(sm) {
-            c.on_cta_retire(sm, slot);
-        }
-    }
-
-    fn on_barrier_release(&mut self, sm: usize, slot: usize) {
-        if let Some(c) = self.child_for(sm) {
-            c.on_barrier_release(sm, slot);
-        }
-    }
-
-    fn deq_gate(&self, sm: usize, warp: usize, instr: &Instr) -> DeqGate {
-        match self.child(sm) {
-            Some(c) => c.deq_gate(sm, warp, instr),
-            None => DeqGate::Open,
-        }
-    }
-
-    fn issue_cost(
-        &mut self,
-        sm: usize,
-        warp: usize,
-        instr: &Instr,
-        active: u32,
-        stats: &mut SimStats,
-    ) -> IssueCost {
-        match self.child_for(sm) {
-            Some(c) => c.issue_cost(sm, warp, instr, active, stats),
-            None => IssueCost::Normal,
-        }
-    }
-
-    fn deq_record(&mut self, sm: usize, warp: usize) -> Option<AddrRecord> {
-        self.child_for(sm).and_then(|c| c.deq_record(sm, warp))
-    }
-
-    fn deq_pred_bits(&mut self, sm: usize, warp: usize) -> Option<u32> {
-        self.child_for(sm).and_then(|c| c.deq_pred_bits(sm, warp))
-    }
-
-    fn observe_mem(
-        &mut self,
-        sm: usize,
-        warp: usize,
-        pc: usize,
-        space: simt_ir::Space,
-        is_store: bool,
-        lines: &[u64],
-    ) {
-        if let Some(c) = self.child_for(sm) {
-            c.observe_mem(sm, warp, pc, space, is_store, lines);
-        }
-    }
-
-    fn on_response(&mut self, resp: &MemResponse) -> Option<usize> {
-        // The re-bind guard (`sm_quiescent`) guarantees a response's SM is
-        // still bound to the kernel that issued the request.
-        match self.child_for(resp.sm) {
-            Some(c) => c.on_response(resp),
-            None => {
-                debug_assert!(false, "coprocessor response for unbound SM {}", resp.sm);
-                None
-            }
-        }
-    }
-
-    fn step(&mut self, ctx: &mut CoCtx<'_>) {
-        if let Some(k) = self.bindings.get(ctx.sm).copied().flatten() {
-            self.children[k].step(ctx);
-        }
-    }
-
-    fn pump(
-        &mut self,
-        sm: usize,
-        now: u64,
-        fabric: &mut simt_mem::MemoryFabric,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
-        if let Some(k) = self.bindings.get(sm).copied().flatten() {
-            self.children[k].pump(sm, now, fabric, stats, tracer);
-        }
-    }
-
-    fn quiet_until(&self, sm: usize) -> Option<u64> {
-        match self.child(sm) {
-            Some(c) => c.quiet_until(sm),
-            None => Some(u64::MAX),
-        }
-    }
-
-    fn credit_quiet(&mut self, sm: usize, cycles: u64, stats: &mut SimStats) -> bool {
-        match self.child_for(sm) {
-            Some(c) => c.credit_quiet(sm, cycles, stats),
-            None => false,
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        self.children.iter().all(|c| c.quiescent())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn policy_parse_and_name() {
-        assert_eq!(
-            PlacementPolicy::parse("greedy"),
-            Some(PlacementPolicy::Greedy)
-        );
-        assert_eq!(
-            PlacementPolicy::parse("rr"),
-            Some(PlacementPolicy::RoundRobin)
-        );
-        assert_eq!(
-            PlacementPolicy::parse("round-robin"),
-            Some(PlacementPolicy::RoundRobin)
-        );
-        assert_eq!(PlacementPolicy::parse("nope"), None);
-        assert_eq!(PlacementPolicy::Greedy.name(), "greedy");
-        assert_eq!(PlacementPolicy::RoundRobin.name(), "rr");
+    fn policy_parse_is_the_inverse_of_name() {
+        for policy in [PlacementPolicy::Greedy, PlacementPolicy::RoundRobin] {
+            assert_eq!(PlacementPolicy::parse(policy.name()), Some(policy));
+        }
+        for other in ["nope", "round-robin", "round_robin", "RR", ""] {
+            assert_eq!(PlacementPolicy::parse(other), None, "{other:?}");
+        }
     }
 
     #[test]

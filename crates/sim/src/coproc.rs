@@ -110,6 +110,13 @@ pub struct CoCtx<'a> {
 
 /// Hooks implemented by DAC, CAE, and MTA. All methods default to no-ops so
 /// implementations override only what they need.
+///
+/// A run holds one instance per kernel launch. An SM runs the instance of
+/// the launch the command processor bound it to, and a
+/// [`NullCoProcessor`] while it is unbound, so an instance's per-SM hooks
+/// only ever see SMs running its kernel. An SM is re-bound only once its
+/// launch's instance is [`CoProcessor::quiescent`], so every fabric
+/// response reaches the instance that sent its request.
 pub trait CoProcessor {
     /// Identifying name for reports.
     fn name(&self) -> &'static str;
@@ -117,25 +124,6 @@ pub trait CoProcessor {
     /// A kernel is about to run on `num_sms` SMs.
     fn on_kernel_launch(&mut self, program: &Program, num_sms: usize) {
         let _ = (program, num_sms);
-    }
-
-    /// The command processor bound `sm` to kernel `kernel` (`None` =
-    /// unbound). Single-kernel coprocessors ignore this; the multi-kernel
-    /// router (`MultiCoProcessor`) re-targets the SM's hooks at the owning
-    /// kernel's coprocessor.
-    fn on_sm_bound(&mut self, sm: usize, kernel: Option<usize>) {
-        let _ = (sm, kernel);
-    }
-
-    /// Is the coprocessor drained *as far as `sm` is concerned* — no
-    /// per-SM queue entries and no in-flight fabric requests that will
-    /// come back to this SM? The command processor only re-binds an SM to
-    /// a different kernel when this holds, so responses never route to a
-    /// stale owner. The default conservatively reuses the global
-    /// [`CoProcessor::quiescent`].
-    fn sm_quiescent(&self, sm: usize) -> bool {
-        let _ = sm;
-        self.quiescent()
     }
 
     /// CTA `cta_linear` occupied `slot` on `sm`, owning warp ids `warps`.
@@ -261,7 +249,7 @@ pub trait CoProcessor {
     }
 
     /// Is the coprocessor fully drained (no queued work that should keep
-    /// the simulation alive)?
+    /// the simulation alive, no request in flight)?
     fn quiescent(&self) -> bool {
         true
     }

@@ -1,9 +1,9 @@
 //! The top-level GPU: the main cycle loop and reports. CTA dispatch is
 //! owned by the command processor (`cmdproc.rs`); single-kernel runs are
-//! one-stream, one-launch multi-stream runs, so they reduce to the
-//! classic behaviour by construction.
+//! one-stream, one-launch multi-stream runs, so every run takes the same
+//! path.
 
-use crate::cmdproc::{CommandProcessor, MultiCoProcessor, PlacementPolicy};
+use crate::cmdproc::{CommandProcessor, PlacementPolicy};
 use crate::config::GpuConfig;
 use crate::coproc::{CoProcessor, NullCoProcessor};
 use crate::sm::{KernelCtx, Sm, Tick};
@@ -68,26 +68,24 @@ pub struct StreamReport {
 }
 
 /// Build the deadlock-guard panic message from state the tick already
-/// maintains: the stalled cycle, dispatch state, what every SM holds and
-/// what its warps wait for, and every fabric queue's depth — so a hang is
-/// diagnosable from the panic alone.
+/// maintains: the stalled cycle, each launch's dispatch state and
+/// coprocessor, what every SM holds and what its warps wait for, and
+/// every fabric queue's depth — so a hang is diagnosable from the panic
+/// alone.
 fn deadlock_report(
     now: u64,
     cfg: &GpuConfig,
     sms: &[Sm],
     fabric: &MemoryFabric,
-    coproc: &dyn CoProcessor,
+    coprocs: &[&mut dyn CoProcessor],
     cmdproc: &CommandProcessor,
     flat: &[(usize, usize, &StreamLaunch)],
 ) -> String {
     use std::fmt::Write as _;
     let mut r = format!(
         "simulation exceeded {} cycles — deadlock? stalled at cycle {} \
-         (first kernel={} coproc={})\n",
-        cfg.max_cycles,
-        now,
-        flat[0].2.program.kernel.name,
-        coproc.name(),
+         (first kernel={})\n",
+        cfg.max_cycles, now, flat[0].2.program.kernel.name,
     );
     let _ = writeln!(
         r,
@@ -96,8 +94,13 @@ fn deadlock_report(
             .map(|k| {
                 let st = cmdproc.state(k);
                 format!(
-                    "k{}[{}/{} dispatched, {} retired]",
-                    k, st.next_cta, st.total_ctas, st.retired_ctas
+                    "k{}[{}/{} dispatched, {} retired, coproc={} quiescent={}]",
+                    k,
+                    st.next_cta,
+                    st.total_ctas,
+                    st.retired_ctas,
+                    coprocs[k].name(),
+                    coprocs[k].quiescent()
                 )
             })
             .collect::<Vec<_>>()
@@ -110,16 +113,7 @@ fn deadlock_report(
     for line in fabric.stall_state() {
         let _ = writeln!(r, "  fabric {line}");
     }
-    let _ = write!(r, "  coproc: quiescent={}", coproc.quiescent());
     r
-}
-
-/// The per-SM coprocessor view of a run: a single child is handed
-/// straight to the SMs (no routing overhead on the classic path); two or
-/// more go through the [`MultiCoProcessor`] router.
-enum Router<'a> {
-    Single(&'a mut dyn CoProcessor),
-    Multi(MultiCoProcessor<'a>),
 }
 
 /// The whole GPU.
@@ -222,9 +216,9 @@ impl GpuSim {
     /// full occupancy model (CTA slots, warp slots, shared memory,
     /// register file); streams are in-order internally and compete for
     /// SMs against each other. `coprocs` holds one coprocessor per kernel
-    /// launch, flattened stream-major; per-SM hooks route to the owning
-    /// kernel's instance. Deterministic by construction — no host-order
-    /// or timing dependence anywhere.
+    /// launch, flattened stream-major; each SM runs the one of the launch
+    /// it is bound to, and none while it is unbound. Deterministic by
+    /// construction — no host-order or timing dependence anywhere.
     ///
     /// # Panics
     ///
@@ -276,6 +270,15 @@ impl GpuSim {
         for (k, c) in coprocs.iter_mut().enumerate() {
             c.on_kernel_launch(&flat[k].2.program, cfg.num_sms);
         }
+        // One coprocessor per launch, then the one an unbound SM runs,
+        // indexed like the attribution rows by `CommandProcessor::bin`
+        // (collected anew so the vector can also borrow a local).
+        let mut unbound = NullCoProcessor;
+        let mut coprocs: Vec<&mut dyn CoProcessor> = coprocs
+            .into_iter()
+            .map(|c| -> &mut dyn CoProcessor { c })
+            .collect();
+        coprocs.push(&mut unbound);
 
         let ctas_by_stream: Vec<Vec<u64>> = streams
             .iter()
@@ -288,47 +291,37 @@ impl GpuSim {
             .collect();
         let mut cmdproc = CommandProcessor::new(policy, &ctas_by_stream, cfg);
 
-        let mut router = if nk == 1 {
-            Router::Single(coprocs.pop().unwrap())
-        } else {
-            Router::Multi(MultiCoProcessor::new(coprocs, cfg.num_sms))
-        };
-        let coproc: &mut dyn CoProcessor = match &mut router {
-            Router::Single(c) => &mut **c,
-            Router::Multi(m) => m,
-        };
-
         let mut now = 0u64;
 
         loop {
-            cmdproc.dispatch(now, &mut sms, &kctxs, coproc, &mut rows, tracer);
+            cmdproc.dispatch(now, &mut sms, &kctxs, &mut coprocs, &mut rows, tracer);
 
             fabric.cycle(now, tracer);
             // An unbound SM ticks against kernel 0's context (it has no
-            // warps to read it) and the unbound attribution bin.
+            // warps to read it).
             for (i, sm) in sms.iter_mut().enumerate() {
-                let binding = cmdproc.binding(i);
+                let bin = cmdproc.bin(i);
                 sm.cycle(&mut Tick {
                     now,
                     cfg,
-                    kctx: &kctxs[binding.unwrap_or(0)],
+                    kctx: &kctxs[cmdproc.binding(i).unwrap_or(0)],
                     mem,
                     fabric: &mut fabric,
-                    coproc,
-                    stats: &mut rows[i][binding.unwrap_or(nk)],
+                    coproc: &mut *coprocs[bin],
+                    stats: &mut rows[i][bin],
                     tracer,
                 });
             }
             for (i, sm) in sms.iter_mut().enumerate() {
-                let binding = cmdproc.binding(i);
+                let bin = cmdproc.bin(i);
                 let retired = sm.retire_ctas(&mut Tick {
                     now,
                     cfg,
-                    kctx: &kctxs[binding.unwrap_or(0)],
+                    kctx: &kctxs[cmdproc.binding(i).unwrap_or(0)],
                     mem,
                     fabric: &mut fabric,
-                    coproc,
-                    stats: &mut rows[i][binding.unwrap_or(nk)],
+                    coproc: &mut *coprocs[bin],
+                    stats: &mut rows[i][bin],
                     tracer,
                 });
                 if retired > 0 {
@@ -339,7 +332,7 @@ impl GpuSim {
             let done = cmdproc.all_complete()
                 && sms.iter().all(|s| s.idle())
                 && fabric.quiescent()
-                && coproc.quiescent();
+                && coprocs.iter().all(|c| c.quiescent());
             if done {
                 break;
             }
@@ -350,7 +343,7 @@ impl GpuSim {
                 // the counters it would credit die with the panic.
                 panic!(
                     "{}",
-                    deadlock_report(now, cfg, &sms, &fabric, coproc, &cmdproc, &flat)
+                    deadlock_report(now, cfg, &sms, &fabric, &coprocs, &cmdproc, &flat)
                 );
             }
         }
@@ -358,8 +351,8 @@ impl GpuSim {
         // The loop above executed SM cycles for now = 0..=now inclusive;
         // an SM still asleep skipped the last of them.
         for (i, sm) in sms.iter_mut().enumerate() {
-            let bin = cmdproc.binding(i).unwrap_or(nk);
-            sm.settle_sleep(now + 1, cfg, coproc, &mut rows[i][bin]);
+            let bin = cmdproc.bin(i);
+            sm.settle_sleep(now + 1, cfg, &mut *coprocs[bin], &mut rows[i][bin]);
         }
         let mut stats = SimStats::default();
         for b in rows.iter().flatten() {
@@ -371,13 +364,13 @@ impl GpuSim {
             stats.issue_slots_total(),
             expected_slots,
             "issue-slot accounting broken: buckets {:?} must sum to \
-             cycles({}) x schedulers({}) x SMs({}) for kernel={} coproc={}",
+             cycles({}) x schedulers({}) x SMs({}) for kernel={} coprocs={}",
             stats.issue_slot_buckets(),
             stats.cycles,
             cfg.schedulers,
             cfg.num_sms,
             flat[0].2.program.kernel.name,
-            coproc.name()
+            coproc_names.join(",")
         );
         let per_kernel = flat
             .iter()

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod stream;
 pub mod warp;
 
-pub use cmdproc::{CommandProcessor, LaunchState, MultiCoProcessor, PlacementPolicy};
+pub use cmdproc::{CommandProcessor, LaunchState, PlacementPolicy};
 pub use config::GpuConfig;
 pub use coproc::{AddrRecord, CoCtx, CoProcessor, DeqGate, IssueCost, NullCoProcessor, RecordKind};
 pub use gpu::{GpuSim, KernelReport, SimReport, StreamReport};

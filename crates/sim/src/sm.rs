@@ -140,7 +140,8 @@ pub(crate) struct Tick<'a> {
     pub mem: &'a mut SparseMemory,
     /// The memory hierarchy.
     pub fabric: &'a mut MemoryFabric,
-    /// The coprocessor (or the router over one per kernel).
+    /// The bound launch's coprocessor (a `NullCoProcessor` for an
+    /// unbound SM).
     pub coproc: &'a mut dyn CoProcessor,
     /// The attribution bin of the SM's bound kernel (the unbound bin
     /// while it has none).

@@ -222,7 +222,8 @@ pub enum TraceEvent {
         /// Cycles between fabric acceptance and delivery.
         latency: u64,
     },
-    /// Per-cycle sample of DAC queue occupancy on one SM.
+    /// Per-cycle sample of DAC queue occupancy on one SM bound to a DAC
+    /// launch (an unbound SM runs no coprocessor and emits none).
     QueueSample {
         /// SM index.
         sm: u32,
