@@ -64,9 +64,8 @@ fn deadlock_guard_reports_what_each_unit_waits_for() {
     ] {
         assert!(msg.contains(needle), "report missing {needle:?}:\n{msg}");
     }
-    // The counters and wake deadlines that only fast-forward maintained,
-    // and the one coprocessor line that named no launch.
-    for gone in ["progress=", "wake=", "coproc: "] {
+    // The counters and wake deadlines that only fast-forward maintained.
+    for gone in ["progress=", "wake="] {
         assert!(!msg.contains(gone), "report still has {gone:?}:\n{msg}");
     }
 }
