@@ -54,7 +54,7 @@ selected benchmarks (cached; artifacts only with --out):
 options:
   --scale N          workload scale factor (default 1)
   --bench A,B,...    only these benchmarks (Table 2 abbreviations)
-  --jobs N, -j N     worker threads (default: all cores)
+  --jobs N, -j N     worker threads, at most 256 (default: all cores)
   --no-cache         ignore and do not update results/cache
   --cache-dir DIR    result cache location (default results/cache)
   --out DIR          write JSONL run artifacts to DIR
@@ -62,8 +62,6 @@ options:
                      perfect
   --set KEY=VALUE    config override (repeatable, each knob once; knobs
                      below)
-  --full-chip        full GTX 480 preset: 15 SMs, 48 warps/SM, recorded as
-                     explicit num_sms/max_warps_per_sm overrides
   --trace            write per-job event traces to results/traces
   --trace-dir DIR    write per-job event traces to DIR (implies --trace)
   --trace-events N   trace ring-buffer capacity (default 1000000)

@@ -5,9 +5,8 @@
 //! the user.
 
 use gpu_workloads::ALL_ABBRS;
-use simt_harness::job::MAX_SCALE;
+use simt_harness::job::{MAX_JOBS, MAX_SCALE};
 use simt_harness::{DesignPoint, Harness, Observe, Overrides, ResultCache};
-use simt_sim::GpuConfig;
 use std::path::PathBuf;
 
 /// Default per-job ring-buffer capacity for `--trace` (newest events kept).
@@ -20,7 +19,8 @@ pub struct CommonArgs {
     pub scale: u32,
     /// `--bench A,B,...` — restrict to these abbreviations (default: all).
     pub bench_filter: Option<Vec<String>>,
-    /// `--jobs N` — worker threads (default: available parallelism).
+    /// `--jobs N` — worker threads (default: available parallelism; at
+    /// most [`MAX_JOBS`]).
     pub jobs: usize,
     /// `--no-cache` clears this; `--cache-dir DIR` moves the cache root.
     pub cache: bool,
@@ -53,7 +53,7 @@ impl Default for CommonArgs {
         CommonArgs {
             scale: 1,
             bench_filter: None,
-            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_JOBS)),
             cache: true,
             cache_dir: ResultCache::default_dir(),
             out: None,
@@ -115,6 +115,9 @@ impl CommonArgs {
                     if out.jobs == 0 {
                         return Err("--jobs must be at least 1".into());
                     }
+                    if out.jobs > MAX_JOBS {
+                        return Err(format!("--jobs must be at most {MAX_JOBS}"));
+                    }
                 }
                 "--no-cache" => out.cache = false,
                 "--cache-dir" => out.cache_dir = PathBuf::from(value("--cache-dir", &mut it)?),
@@ -141,18 +144,6 @@ impl CommonArgs {
                         .split_once('=')
                         .ok_or_else(|| format!("--set: expected key=value, got {v:?}"))?;
                     out.overrides.set(key.trim(), val.trim())?;
-                }
-                "--full-chip" => {
-                    // The preset is spelled as ordinary overrides so the
-                    // machine size lands in cache keys and artifacts, and
-                    // a later --set of either is a duplicate knob.
-                    let o = &mut out.overrides;
-                    if o.num_sms.is_some() || o.max_warps_per_sm.is_some() {
-                        return Err("--full-chip conflicts with --set of the machine size".into());
-                    }
-                    let chip = GpuConfig::gtx480();
-                    o.num_sms = Some(chip.num_sms);
-                    o.max_warps_per_sm = Some(chip.max_warps_per_sm);
                 }
                 "--trace" => {
                     out.trace_dir
@@ -261,7 +252,7 @@ mod tests {
         let a = parse(&[]).unwrap();
         assert_eq!(a.scale, 1);
         assert!(a.cache);
-        assert!(a.jobs >= 1);
+        assert!((1..=MAX_JOBS).contains(&a.jobs));
         assert!(a.positional.is_empty());
     }
 
@@ -316,6 +307,8 @@ mod tests {
             vec!["--designs", ","],
             vec!["--no-fast-forward"],
             vec!["--jobs", "-3"],
+            vec!["--jobs", "257"],
+            vec!["--full-chip"],
             vec!["--designs", "warp9"],
             vec!["--set", "atq_entries"],
             vec!["--set", "warp_speed=9"],
@@ -338,6 +331,15 @@ mod tests {
             "--scale: must be at most 64"
         );
         assert_eq!(parse(&["--scale", "64"]).unwrap().scale, MAX_SCALE);
+        assert_eq!(
+            parse(&["--jobs", &(MAX_JOBS + 1).to_string()]).unwrap_err(),
+            "--jobs must be at most 256"
+        );
+        assert_eq!(parse(&["--jobs", "256"]).unwrap().jobs, MAX_JOBS);
+        assert_eq!(
+            parse(&["--full-chip"]).unwrap_err(),
+            "unknown flag \"--full-chip\""
+        );
         assert_eq!(
             parse(&["--bench", ","]).unwrap_err(),
             "--bench requires at least one benchmark"
@@ -388,16 +390,6 @@ mod tests {
         );
         assert!(profiled.trace_dir.is_none());
         assert!(off.profile.is_none());
-    }
-
-    #[test]
-    fn full_chip_preset() {
-        let a = parse(&["--full-chip"]).unwrap();
-        assert_eq!(a.overrides.num_sms, Some(15));
-        assert_eq!(a.overrides.max_warps_per_sm, Some(48));
-        // Conflicting machine-size overrides are rejected in either order.
-        assert!(parse(&["--full-chip", "--set", "num_sms=2"]).is_err());
-        assert!(parse(&["--set", "num_sms=2", "--full-chip"]).is_err());
     }
 
     #[test]

@@ -5,22 +5,18 @@
 //! deterministic: the same seed/count/designs produce the same kernels, the
 //! same verdicts, and a byte-identical summary file for any `--jobs N`.
 //!
-//! Wired into the harness result cache: each (kernel, design) pair is a
-//! regular cache entry keyed by a content-addressed workload abbreviation,
-//! so re-running a seed window verifies cached digests/statistics against
-//! the oracle without re-simulating.
+//! Every run simulates every kernel on every selected design: a verdict is
+//! always about the simulator this binary was built from.
 
-use simt_fuzz::diff::{check_workload, digest_words, DiffConfig, DiffFailure};
+use simt_fuzz::diff::{check_designs, digest_words, oracle_memory, DiffConfig, DiffFailure};
 use simt_fuzz::gen::gen_spec;
-use simt_fuzz::oracle::run_oracle;
 use simt_fuzz::reduce::{reduce, repro_asm};
+use simt_harness::job::MAX_JOBS;
 use simt_harness::json::Value;
-use simt_harness::{DesignPoint, Job, JobResult, ResultCache, WorkerPool};
-use simt_profile::CpiStack;
+use simt_harness::WorkerPool;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use gpu_workloads::{gpu_for, Design};
+use gpu_workloads::Design;
 
 const USAGE: &str = "\
 usage: fuzz [options]
@@ -33,11 +29,9 @@ options:
   --seed N          generator seed (default 1)
   --count N         kernels to generate (default 100)
   --designs LIST    comma-separated subset of baseline,cae,mta,dac
-  --jobs N          worker threads, one kernel each (default 1; verdicts
-                    are order-stable)
+  --jobs N          worker threads, one kernel each, at most 256 (default
+                    1; verdicts are order-stable)
   --reduce          shrink failing kernels to minimal repros
-  --cache-dir DIR   harness result cache (default results/cache)
-  --no-cache        disable the result cache
   --out DIR         repro + summary directory (default results/fuzz)";
 
 fn fail_usage(msg: &str) -> ! {
@@ -51,7 +45,6 @@ struct Args {
     designs: Vec<Design>,
     jobs: usize,
     reduce: bool,
-    cache_dir: Option<PathBuf>,
     out: PathBuf,
 }
 
@@ -62,7 +55,6 @@ fn parse_args() -> Args {
         designs: Design::ALL.to_vec(),
         jobs: 1,
         reduce: false,
-        cache_dir: Some(PathBuf::from("results/cache")),
         out: PathBuf::from("results/fuzz"),
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -86,19 +78,19 @@ fn parse_args() -> Args {
                 args.count = parse_u64(&value(&mut i), "--count");
             }
             "--designs" => {
-                let v = value(&mut i);
-                args.designs = v
-                    .split(',')
-                    .map(|d| match d.trim().to_ascii_lowercase().as_str() {
+                args.designs.clear();
+                for d in value(&mut i).split(',') {
+                    let design = match d.trim().to_ascii_lowercase().as_str() {
                         "baseline" => Design::Baseline,
                         "cae" => Design::Cae,
                         "mta" => Design::Mta,
                         "dac" => Design::Dac,
                         other => fail_usage(&format!("unknown design {other:?}")),
-                    })
-                    .collect();
-                if args.designs.is_empty() {
-                    fail_usage("--designs: empty list");
+                    };
+                    if args.designs.contains(&design) {
+                        fail_usage(&format!("design {:?} given twice", design.name()));
+                    }
+                    args.designs.push(design);
                 }
             }
             "--jobs" => {
@@ -106,10 +98,11 @@ fn parse_args() -> Args {
                 if args.jobs == 0 {
                     fail_usage("--jobs must be at least 1");
                 }
+                if args.jobs > MAX_JOBS {
+                    fail_usage(&format!("--jobs must be at most {MAX_JOBS}"));
+                }
             }
             "--reduce" => args.reduce = true,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value(&mut i))),
-            "--no-cache" => args.cache_dir = None,
             "--out" => args.out = PathBuf::from(value(&mut i)),
             other => fail_usage(&format!("unexpected argument {other:?}")),
         }
@@ -127,7 +120,7 @@ fn parse_u64(v: &str, flag: &str) -> u64 {
 struct Outcome {
     index: u64,
     abbr: String,
-    /// (design name, cycles) for every design that ran or was cached.
+    /// (design name, cycles) for every design, once all passed.
     cycles: Vec<(&'static str, u64)>,
     oracle_digest: u64,
     failure: Option<DiffFailure>,
@@ -139,26 +132,23 @@ fn main() {
         designs: args.designs.clone(),
         ..DiffConfig::default()
     };
-    let cache = args.cache_dir.as_ref().map(|d| ResultCache::new(d.clone()));
 
     eprintln!(
-        "fuzz: seed {:#x}, {} kernels x {} designs on {} workers{}",
+        "fuzz: seed {:#x}, {} kernels x {} designs on {} workers",
         args.seed,
         args.count,
         args.designs.len(),
-        args.jobs,
-        if cache.is_some() { " (cached)" } else { "" }
+        args.jobs
     );
     let t0 = std::time::Instant::now();
 
     let indices: Vec<u64> = (0..args.count).collect();
     let (seed, cfg) = (args.seed, diff_cfg.clone());
-    let outcomes: Vec<Outcome> = WorkerPool::batch(args.jobs, indices, move |index| {
-        run_case(seed, index, &cfg, cache.as_ref())
-    });
+    let outcomes: Vec<Outcome> =
+        WorkerPool::batch(args.jobs, indices, move |index| run_case(seed, index, &cfg));
 
     // Deterministic summary: one JSONL line per kernel, index order, no
-    // wall-clock — byte-identical across --jobs and cache temperature.
+    // wall-clock — byte-identical across --jobs.
     std::fs::create_dir_all(&args.out).ok();
     let summary_path = args.out.join(format!("summary-{:x}.jsonl", args.seed));
     let mut summary = String::new();
@@ -231,116 +221,27 @@ fn main() {
     }
 }
 
-/// Generate, check, and (if caching) verify-or-populate one kernel.
-fn run_case(seed: u64, index: u64, cfg: &DiffConfig, cache: Option<&ResultCache>) -> Outcome {
-    let spec = gen_spec(seed, index);
-    let workload = Arc::new(spec.build_workload());
-    let abbr = workload.abbr.to_string();
-
-    // The oracle is cheap (one pass per thread) and is the ground truth for
-    // both the fresh and the cached path.
-    let mut omem = workload.fresh_memory();
-    if let Err(e) = run_oracle(&workload.kernel, &workload.launch, &mut omem) {
-        return Outcome {
-            index,
-            abbr,
-            cycles: Vec::new(),
-            oracle_digest: 0,
-            failure: Some(DiffFailure::Oracle(e)),
-        };
-    }
-    let oracle_digest = digest_words(&omem.read_u32_vec(workload.output.0, workload.output.1));
-
-    let jobs: Vec<Job> = cfg
-        .designs
-        .iter()
-        .map(|&d| {
-            let mut j = Job::new(workload.clone(), 1, DesignPoint::Hw(d));
-            j.overrides = cfg.overrides.clone();
-            j
-        })
-        .collect();
-
-    // Cached fast path: if every design is cached, verify digests and the
-    // bucket-sum invariant against the stored reports without simulating.
-    if let Some(cache) = cache {
-        let hits: Vec<Option<JobResult>> = jobs.iter().map(|j| cache.load(j)).collect();
-        if hits.iter().all(|h| h.is_some()) {
-            let mut cycles = Vec::new();
-            for (&design, hit) in cfg.designs.iter().zip(&hits) {
-                let r = hit.as_ref().unwrap();
-                if r.output_digest != oracle_digest {
-                    return Outcome {
-                        index,
-                        abbr,
-                        cycles,
-                        oracle_digest,
-                        failure: Some(DiffFailure::DigestMismatch {
-                            design,
-                            got: r.output_digest,
-                            want: oracle_digest,
-                        }),
-                    };
-                }
-                let gcfg = cfg.overrides.apply_gpu(gpu_for(design));
-                let cpi = CpiStack::from_stats(&r.report.stats);
-                if !cpi.check(r.report.stats.cycles, gcfg.schedulers, gcfg.num_sms) {
-                    return Outcome {
-                        index,
-                        abbr,
-                        cycles,
-                        oracle_digest,
-                        failure: Some(DiffFailure::BucketSum {
-                            design,
-                            total: cpi.total(),
-                            want: r.report.stats.cycles * (gcfg.schedulers * gcfg.num_sms) as u64,
-                        }),
-                    };
-                }
-                cycles.push((design.name(), r.report.cycles));
-            }
-            return Outcome {
-                index,
-                abbr,
-                cycles,
-                oracle_digest,
-                failure: None,
-            };
-        }
-    }
-
-    match check_workload(&workload, cfg) {
-        Ok(runs) => {
-            let cycles = runs
-                .iter()
-                .map(|r| (r.design.name(), r.report.cycles))
-                .collect();
-            if let Some(cache) = cache {
-                for (job, run) in jobs.iter().zip(&runs) {
-                    let result = JobResult {
-                        report: run.report.clone(),
-                        per_kernel: Vec::new(),
-                        output_digest: digest_words(&run.output),
-                        wall_ms: 0.0,
-                        cached: false,
-                    };
-                    cache.store(job, &result);
-                }
-            }
-            Outcome {
-                index,
-                abbr,
-                cycles,
-                oracle_digest,
-                failure: None,
-            }
-        }
-        Err(f) => Outcome {
-            index,
-            abbr,
-            cycles: Vec::new(),
-            oracle_digest,
-            failure: Some(f),
-        },
+/// Generate one kernel, run the oracle once, and check every design
+/// against it.
+fn run_case(seed: u64, index: u64, cfg: &DiffConfig) -> Outcome {
+    let w = gen_spec(seed, index).build_workload();
+    let (oracle_digest, checked) = match oracle_memory(&w) {
+        Ok(omem) => (
+            digest_words(&omem.read_u32_vec(w.output.0, w.output.1)),
+            check_designs(&w, &omem, cfg),
+        ),
+        Err(f) => (0, Err(f)),
+    };
+    let cycles = checked.as_ref().map_or(Vec::new(), |runs| {
+        runs.iter()
+            .map(|r| (r.design.name(), r.report.cycles))
+            .collect()
+    });
+    Outcome {
+        index,
+        abbr: w.abbr.to_string(),
+        cycles,
+        oracle_digest,
+        failure: checked.err(),
     }
 }

@@ -5,8 +5,10 @@
 //! Checks per design:
 //! 1. final memory bit-identical to the oracle — the whole output region
 //!    (per-thread words + atomic slots) *and* the read-only input arrays;
-//! 2. the issue-slot bucket-sum invariant from `simt-profile`
-//!    (`Σ buckets == cycles × schedulers × SMs`);
+//! 2. the issue-slot bucket-sum invariant
+//!    (`Σ buckets == cycles × schedulers × SMs`), which the simulator
+//!    asserts at the end of every run, so a broken sum arrives here as a
+//!    [`DiffFailure::Panic`];
 //! 3. DAC-only stall buckets are exactly zero on non-DAC designs.
 //!
 //! A design panic (simulator assertion, decoupler bug, deadlock guard) is
@@ -14,11 +16,12 @@
 //! the reducer can minimize crashing kernels too.
 
 use crate::oracle::{run_oracle, OracleError};
-use crate::spec::{A_WORDS, GEN_VERSION};
+use crate::spec::A_WORDS;
 use dac_core::DacConfig;
 use gpu_workloads::kernels::{ARR_A, ARR_B};
 use gpu_workloads::{gpu_for, run_design, BenchRun, Design, Workload};
 use simt_harness::{panic_message, Overrides};
+use simt_mem::SparseMemory;
 use simt_profile::CpiStack;
 use simt_sim::{GpuSim, SimReport};
 use simt_trace::NullTracer;
@@ -77,20 +80,12 @@ pub enum DiffFailure {
         got: u32,
         want: u32,
     },
-    /// Issue-slot buckets do not sum to `cycles × schedulers × SMs`.
-    BucketSum {
-        design: Design,
-        total: u64,
-        want: u64,
-    },
     /// A DAC-only bucket was non-zero on a non-DAC design.
     ForeignBucket {
         design: Design,
         bucket: &'static str,
         slots: u64,
     },
-    /// A cached harness result's output digest disagrees with the oracle.
-    DigestMismatch { design: Design, got: u64, want: u64 },
     /// The simulator (or decoupler) panicked.
     Panic { design: Design, msg: String },
 }
@@ -111,15 +106,6 @@ impl std::fmt::Display for DiffFailure {
                 "{}: {region}[{word}] = {got:#010x}, oracle says {want:#010x}",
                 design.name()
             ),
-            DiffFailure::BucketSum {
-                design,
-                total,
-                want,
-            } => write!(
-                f,
-                "{}: issue-slot buckets sum to {total}, want {want}",
-                design.name()
-            ),
             DiffFailure::ForeignBucket {
                 design,
                 bucket,
@@ -129,11 +115,6 @@ impl std::fmt::Display for DiffFailure {
                 "{}: DAC-only bucket {bucket} has {slots} slots",
                 design.name()
             ),
-            DiffFailure::DigestMismatch { design, got, want } => write!(
-                f,
-                "{}: cached output digest {got:#018x}, oracle says {want:#018x}",
-                design.name()
-            ),
             DiffFailure::Panic { design, msg } => {
                 write!(f, "{}: panic: {msg}", design.name())
             }
@@ -141,8 +122,8 @@ impl std::fmt::Display for DiffFailure {
     }
 }
 
-/// Execute `w` on `design` exactly the way `Job::execute` would (same
-/// config derivation), returning the full [`BenchRun`].
+/// Execute `w` on `design` with the harness's config derivation (the
+/// design's machine, then `ov`), returning the full [`BenchRun`].
 pub fn run_one(w: &Workload, design: Design, ov: &Overrides) -> BenchRun {
     let gpu = GpuSim::new(ov.apply_gpu(gpu_for(design)));
     let dac = ov.apply_dac(DacConfig::paper());
@@ -160,11 +141,27 @@ fn run_caught(w: &Workload, design: Design, ov: &Overrides) -> Result<BenchRun, 
 /// (their `output` vectors are all equal to the oracle's) or the first
 /// failure encountered.
 pub fn check_workload(w: &Workload, cfg: &DiffConfig) -> Result<Vec<DesignRun>, DiffFailure> {
+    check_designs(w, &oracle_memory(w)?, cfg)
+}
+
+/// Validate `w` and run the oracle on it: the final memory every design
+/// must reproduce.
+pub fn oracle_memory(w: &Workload) -> Result<SparseMemory, DiffFailure> {
     if let Err(e) = w.kernel.validate() {
         return Err(DiffFailure::Invalid(format!("{e:?}")));
     }
     let mut omem = w.fresh_memory();
     run_oracle(&w.kernel, &w.launch, &mut omem).map_err(DiffFailure::Oracle)?;
+    Ok(omem)
+}
+
+/// Run every design of `cfg` on `w` and check each against `omem`, the
+/// oracle's final memory ([`oracle_memory`]).
+pub fn check_designs(
+    w: &Workload,
+    omem: &SparseMemory,
+    cfg: &DiffConfig,
+) -> Result<Vec<DesignRun>, DiffFailure> {
     let want_out = omem.read_u32_vec(w.output.0, w.output.1);
     let want_a = omem.read_u32_vec(ARR_A, A_WORDS as usize);
     let want_b = omem.read_u32_vec(ARR_B, A_WORDS as usize);
@@ -191,16 +188,7 @@ pub fn check_workload(w: &Workload, cfg: &DiffConfig) -> Result<Vec<DesignRun>, 
             }
         }
 
-        let gcfg = cfg.overrides.apply_gpu(gpu_for(design));
-        let stats = &run.report.stats;
-        let cpi = CpiStack::from_stats(stats);
-        if !cpi.check(stats.cycles, gcfg.schedulers, gcfg.num_sms) {
-            return Err(DiffFailure::BucketSum {
-                design,
-                total: cpi.total(),
-                want: stats.cycles * (gcfg.schedulers * gcfg.num_sms) as u64,
-            });
-        }
+        let cpi = CpiStack::from_stats(&run.report.stats);
         if design != Design::Dac {
             for bucket in ["deq_empty", "deq_data", "enq_full"] {
                 let slots = cpi.get(bucket);
@@ -223,21 +211,15 @@ pub fn check_workload(w: &Workload, cfg: &DiffConfig) -> Result<Vec<DesignRun>, 
     Ok(runs)
 }
 
-/// FNV-1a digest of a word vector, little-endian — byte-compatible with the
-/// harness's `JobResult::output_digest`, so oracle output can be checked
-/// against cached results without re-simulating.
+/// FNV-1a digest of a word vector, little-endian: the `oracle_digest` of
+/// a `fuzz` summary line, computed the way the harness digests a job's
+/// output words.
 pub fn digest_words(words: &[u32]) -> u64 {
     let mut bytes = Vec::with_capacity(words.len() * 4);
     for word in words {
         bytes.extend_from_slice(&word.to_le_bytes());
     }
     simt_harness::fnv1a64(&bytes)
-}
-
-/// Human-readable one-line id for a generated kernel, used in logs and
-/// repro file names.
-pub fn case_id(seed: u64, index: u64) -> String {
-    format!("v{GEN_VERSION}-s{seed:x}-i{index}")
 }
 
 #[cfg(test)]
@@ -253,7 +235,7 @@ mod tests {
         for i in 0..6 {
             let w = gen_spec(0xD1FF, i).build_workload();
             let runs = check_workload(&w, &DiffConfig::default())
-                .unwrap_or_else(|f| panic!("kernel {}: {f}", case_id(0xD1FF, i)));
+                .unwrap_or_else(|f| panic!("kernel {}: {f}", w.abbr));
             assert_eq!(runs.len(), 4);
             let first = &runs[0].output;
             assert!(runs.iter().all(|r| &r.output == first));
@@ -269,7 +251,6 @@ mod tests {
         use gpu_workloads::kernels::ARR_C;
         use gpu_workloads::{PaperClass, Suite};
         use simt_ir::{CmpOp, KernelBuilder, LaunchConfig, Op, Operand, Space, Width};
-        use simt_mem::SparseMemory;
 
         let mut b = KernelBuilder::new("race", 4);
         let tid = b.tid_linear_x();

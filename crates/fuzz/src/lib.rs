@@ -25,4 +25,4 @@ pub use diff::{check_workload, small_overrides, DiffConfig, DiffFailure};
 pub use gen::gen_spec;
 pub use oracle::{run_oracle, OracleError};
 pub use reduce::{reduce, reduce_with, repro_asm};
-pub use spec::{KernelSpec, Stmt, GEN_VERSION};
+pub use spec::{case_id, KernelSpec, Stmt, GEN_VERSION};

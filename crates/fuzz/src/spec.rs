@@ -27,10 +27,16 @@ use simt_ir::{
 };
 use simt_mem::SparseMemory;
 
-/// Bump when the grammar or lowering changes observable behaviour: the
-/// version is baked into generated workload abbreviations so stale harness
-/// cache entries can never alias fresh ones.
+/// The generator version. Bump it when the grammar or lowering changes
+/// what a seed and index generate: every case id (and so every repro and
+/// summary line) carries it, so a repro names the generator that made it.
 pub const GEN_VERSION: u32 = 1;
+
+/// The one name of generated case `index` of `seed`: its workload
+/// abbreviation, log and summary label.
+pub fn case_id(seed: u64, index: u64) -> String {
+    format!("v{GEN_VERSION}-s{seed:x}-i{index}")
+}
 
 /// Words in each read-only input array (`A` and `B`).
 pub const A_WORDS: u64 = 4096;
@@ -167,7 +173,7 @@ impl KernelSpec {
     }
 
     /// Build the full workload: kernel, launch, deterministic memory image,
-    /// and a content-addressed abbreviation (sound as a harness cache key).
+    /// with the case id as its abbreviation.
     pub fn build_workload(&self) -> Workload {
         let kernel = self.build_kernel();
         let threads = self.threads();
@@ -187,16 +193,12 @@ impl KernelSpec {
             memory.write_u32(d_base + s * 4, (rng.next_u64() & 0x3FFF_FFFF) as u32);
         }
 
-        let hash = content_hash(self, &kernel);
         Workload {
             name: leak(format!(
                 "fuzz kernel {} (seed {:#x})",
                 self.index, self.seed
             )),
-            abbr: leak(format!(
-                "FZ{}-{:x}-{}-{:016x}",
-                GEN_VERSION, self.seed, self.index, hash
-            )),
+            abbr: leak(case_id(self.seed, self.index)),
             suite: Suite::GpgpuSim,
             paper_class: PaperClass::Compute,
             kernel,
@@ -205,17 +207,6 @@ impl KernelSpec {
             output: (ARR_C, (threads + self.slots as u64) as usize),
         }
     }
-}
-
-/// FNV-1a over everything that determines behaviour: the lowered kernel
-/// text, launch geometry, and the memory-init seed.
-fn content_hash(spec: &KernelSpec, kernel: &Kernel) -> u64 {
-    let mut buf = simt_ir::disasm::to_asm(kernel).into_bytes();
-    buf.extend_from_slice(&spec.grid.to_le_bytes());
-    buf.extend_from_slice(&spec.block.to_le_bytes());
-    buf.extend_from_slice(&spec.slots.to_le_bytes());
-    buf.extend_from_slice(&spec.seed.to_le_bytes());
-    simt_harness::fnv1a64(&buf)
 }
 
 fn leak(s: String) -> &'static str {
@@ -535,10 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn abbr_is_content_addressed() {
+    fn abbr_is_the_case_id() {
         let a = tiny_spec().build_workload();
-        let b = tiny_spec().build_workload();
-        assert_eq!(a.abbr, b.abbr);
+        assert_eq!(a.abbr, "v1-s7-i0");
+        assert_eq!(a.abbr, case_id(7, 0));
         let mut changed = tiny_spec();
         changed.seed = 8;
         assert_ne!(a.abbr, changed.build_workload().abbr);

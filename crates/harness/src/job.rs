@@ -82,6 +82,11 @@ impl DesignPoint {
 /// enough that the largest accepted machine allocates tens of MiB.
 pub const MAX_MACHINE_DIM: usize = 256;
 
+/// Largest `--jobs` (worker threads) `sweep`, `serve` and `fuzz` accept,
+/// and the ceiling of their core-count defaults. A thread that cannot be
+/// spawned panics the pool, so a larger request is refused at parse time.
+pub const MAX_JOBS: usize = 256;
+
 /// Largest workload `scale` the CLIs and the sweep service accept. Memory
 /// images grow linearly with it (≈ 3.7 MiB per unit over the 29-benchmark
 /// suite, so ≈ 250 MB at this ceiling; nothing shipped runs above 4), and

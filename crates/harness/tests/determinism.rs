@@ -20,7 +20,8 @@ fn small(max_warps: Option<usize>) -> Overrides {
     }
 }
 
-/// The full GTX 480 as `--full-chip` records it.
+/// The full GTX 480 (15 SMs x 48 warps) spelled out as overrides: the
+/// machine every job runs on when neither knob is set.
 fn full_chip() -> Overrides {
     Overrides {
         num_sms: Some(15),

@@ -47,11 +47,6 @@ impl CpiStack {
             self.get(name) as f64 / total as f64
         }
     }
-
-    /// Does the accounting invariant hold for this geometry?
-    pub fn check(&self, cycles: u64, schedulers: usize, num_sms: usize) -> bool {
-        self.total() == cycles * schedulers as u64 * num_sms as u64
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +69,6 @@ mod tests {
         assert_eq!(cpi.get("issued"), 12);
         assert_eq!(cpi.get("affine"), 3);
         assert!((cpi.fraction("issued") - 0.6).abs() < 1e-12);
-        assert!(cpi.check(10, 2, 1));
-        assert!(!cpi.check(10, 2, 2));
         assert_eq!(cpi.get("nonsense"), 0);
     }
 }

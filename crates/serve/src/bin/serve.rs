@@ -5,6 +5,7 @@
 //! so a daemon restarted over an interrupted sweep finishes it — already
 //! completed points resolve from the cache, nothing re-executes.
 
+use simt_harness::job::MAX_JOBS;
 use simt_serve::http::Server;
 use simt_serve::{ServeConfig, SweepService};
 use std::sync::Arc;
@@ -23,8 +24,8 @@ options:
   --port N             bind port; 0 picks an ephemeral port (default 7878)
   --port-file PATH     write the bound port to PATH once listening
   --results DIR        results root (default results)
-  --jobs N             simulation worker threads, one point each
-                       (default: available cores)
+  --jobs N             simulation worker threads, one point each, at
+                       most 256 (default: available cores)
   --execute-budget N   simulate at most N fresh points this session, then
                        leave the rest queued for the next session
   -q, --quiet          no per-point progress lines
@@ -55,7 +56,7 @@ fn parse_args() -> Args {
         port: 7878,
         port_file: None,
         results: "results".into(),
-        jobs: std::thread::available_parallelism().map_or(2, |n| n.get()),
+        jobs: std::thread::available_parallelism().map_or(2, |n| n.get().min(MAX_JOBS)),
         execute_budget: None,
         quiet: false,
     };
@@ -81,7 +82,10 @@ fn parse_args() -> Args {
                     .parse()
                     .ok()
                     .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage_exit("--jobs: expected a positive integer"))
+                    .unwrap_or_else(|| usage_exit("--jobs: expected a positive integer"));
+                if args.jobs > MAX_JOBS {
+                    usage_exit(&format!("--jobs must be at most {MAX_JOBS}"));
+                }
             }
             "--execute-budget" => {
                 args.execute_budget = Some(

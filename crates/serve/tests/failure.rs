@@ -269,6 +269,22 @@ fn failing_point_is_journaled_and_tail_exits_nonzero() {
     let _ = fs::remove_dir_all(&results);
 }
 
+/// `serve --jobs` above the ceiling is refused at parse time, before the
+/// worker pool exists. The trailing bad `--port` makes a regression fail
+/// at parse time too, instead of starting a daemon.
+#[test]
+fn oversized_jobs_is_a_usage_error() {
+    let over = (simt_harness::job::MAX_JOBS + 1).to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--jobs", &over, "--port", "x"])
+        .output()
+        .expect("run serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--jobs must be at most 256"), "{stderr}");
+}
+
 /// `check-log` validates against the schema compiled into the binary, so
 /// it gives the same verdict from any working directory.
 #[test]

@@ -6,7 +6,6 @@
 //! this one keeps an independent reference in front of every change to
 //! the simulator.
 
-use simt_fuzz::diff::case_id;
 use simt_fuzz::{check_workload, gen_spec, DiffConfig};
 
 #[test]
@@ -15,8 +14,7 @@ fn generated_kernels_match_the_per_thread_oracle() {
     let cfg = DiffConfig::default();
     for index in 0..25 {
         let w = gen_spec(SEED, index).build_workload();
-        let runs = check_workload(&w, &cfg)
-            .unwrap_or_else(|f| panic!("kernel {} ({}): {f}", case_id(SEED, index), w.abbr));
-        assert_eq!(runs.len(), 4, "kernel {}", case_id(SEED, index));
+        let runs = check_workload(&w, &cfg).unwrap_or_else(|f| panic!("kernel {}: {f}", w.abbr));
+        assert_eq!(runs.len(), 4, "kernel {}", w.abbr);
     }
 }
