@@ -12,7 +12,7 @@
 //! the paper's evaluation instead ([`dac_bench::figures`]).
 
 use dac_bench::cli::{exit_unrunnable, CommonArgs};
-use dac_bench::{figures, geomean};
+use dac_bench::{figures, geomean, outln};
 use gpu_workloads::Design;
 use simt_harness::{refuse_idle_knobs, scenario_jobs, suite_jobs, DesignPoint, RunOutput, KNOBS};
 use std::time::{Duration, Instant};
@@ -76,10 +76,13 @@ stream scenario) is refused:";
 
 fn usage_exit(error: &str) -> ! {
     if error == "help" {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         for knob in KNOBS {
-            println!("  {} ({}): {}", knob.name, knob.scope.name(), knob.domain);
-            println!("      {}", knob.doc);
+            outln!("  {} ({}): {}", knob.name, knob.scope.name(), knob.domain);
+            let default = knob.default.map_or(String::new(), |d| {
+                format!(" (default: {})", d().to_json().trim_matches('"'))
+            });
+            outln!("      {}{default}", knob.doc);
         }
         std::process::exit(0);
     }
@@ -131,8 +134,7 @@ fn main() {
     let base_col = points
         .iter()
         .position(|&p| p == DesignPoint::Hw(Design::Baseline));
-    print!("{:<6} {:>12}", "bench", "design:cycles");
-    println!();
+    outln!("{:<6} {:>12}", "bench", "design:cycles");
     let mut dac_speedups = Vec::new();
     for (row, chunk) in out.results.chunks(points.len()).enumerate() {
         let mut line = format!("{:<6}", jobs[row * points.len()].bench());
@@ -149,10 +151,10 @@ fn main() {
             }
             line.push_str(&format!(" {cell:>24}"));
         }
-        println!("{line}");
+        outln!("{line}");
     }
     if !dac_speedups.is_empty() {
-        println!(
+        outln!(
             "GEOMEAN dac speedup over baseline: {:.3}x",
             geomean(dac_speedups)
         );
@@ -218,9 +220,9 @@ fn scenario_sweep(args: &CommonArgs, name: &str, points: &[DesignPoint]) {
                 ));
             }
         }
-        println!("{head}");
+        outln!("{head}");
         for k in &r.per_kernel {
-            println!(
+            outln!(
                 "  s{}.{} {:<10} {:>10} cycles ({}..{}), {} ctas, {} instrs",
                 k.stream,
                 k.seq,

@@ -126,12 +126,17 @@ impl CommonArgs {
                     let v = value("--designs", &mut it)?;
                     let mut points = Vec::new();
                     for name in v.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        points.push(DesignPoint::parse(name).ok_or_else(|| {
+                        let point = DesignPoint::parse(name).ok_or_else(|| {
                             format!(
                                 "--designs: unknown design {name:?} \
                                  (expected baseline, cae, mta, dac, or perfect)"
                             )
-                        })?);
+                        })?;
+                        // One key would run twice and be recorded twice.
+                        if points.contains(&point) {
+                            return Err(format!("design {:?} given twice", point.name()));
+                        }
+                        points.push(point);
                     }
                     if points.is_empty() {
                         return Err("--designs requires at least one design".into());
@@ -310,6 +315,7 @@ mod tests {
             vec!["--jobs", "257"],
             vec!["--full-chip"],
             vec!["--designs", "warp9"],
+            vec!["--designs", "dac,DAC"],
             vec!["--set", "atq_entries"],
             vec!["--set", "warp_speed=9"],
             vec!["--set", "atq_entries=0"],
@@ -339,6 +345,10 @@ mod tests {
         assert_eq!(
             parse(&["--full-chip"]).unwrap_err(),
             "unknown flag \"--full-chip\""
+        );
+        assert_eq!(
+            parse(&["--designs", "baseline,dac,dac"]).unwrap_err(),
+            "design \"dac\" given twice"
         );
         assert_eq!(
             parse(&["--bench", ","]).unwrap_err(),

@@ -74,49 +74,51 @@ pub fn run(name: &str, args: &CommonArgs) -> Result<(), String> {
 }
 
 fn hdr(title: &str) {
-    println!("\n=== {title} ===");
+    outln!("\n=== {title} ===");
 }
 
 fn table1() {
     hdr("Table 1: Simulation Parameters");
     let g = GpuConfig::gtx480();
-    println!("Baseline GPU");
-    println!(
+    outln!("Baseline GPU");
+    outln!(
         "  GPU        Fermi (GTX480), {} SMs, {} warps/SM",
-        g.num_sms, g.max_warps_per_sm
+        g.num_sms,
+        g.max_warps_per_sm
     );
-    println!(
+    outln!(
         "  SM         {} SIMT lanes, {} schedulers (two-level active)",
-        g.lanes, g.schedulers
+        g.lanes,
+        g.schedulers
     );
-    println!(
+    outln!(
         "  L1         {} KB/SM, {} ways, {} MSHRs",
         g.mem.l1_size / 1024,
         g.mem.l1_ways,
         g.mem.mshr_entries
     );
-    println!(
+    outln!(
         "  L2         {} KB total, {} partitions, {} ways",
         g.mem.l2_size_per_partition * g.mem.num_partitions as u64 / 1024,
         g.mem.num_partitions,
         g.mem.l2_ways
     );
-    println!("GPU Prefetcher (MTA)");
-    println!(
+    outln!("GPU Prefetcher (MTA)");
+    outln!(
         "  Buffer     {} KB/SM (in addition to L1)",
         gpu_for(Design::Mta).mem.prefetch_buffer_size / 1024
     );
-    println!("Compact Affine Execution (CAE)");
-    println!("  Units      2 affine units per SM (one per scheduler)");
+    outln!("Compact Affine Execution (CAE)");
+    outln!("  Units      2 affine units per SM (one per scheduler)");
     let d = DacConfig::paper();
-    println!("Decoupled Affine Computation (DAC)");
-    println!("  ATQ        {} entries/SM", d.atq_entries);
-    println!(
+    outln!("Decoupled Affine Computation (DAC)");
+    outln!("  ATQ        {} entries/SM", d.atq_entries);
+    outln!(
         "  PWAQ       {} entries/SM, partitioned among resident warps ({}/warp at max occupancy)",
         d.pwaq_total,
         d.pwaq_total / g.max_warps_per_sm
     );
-    println!(
+    outln!(
         "  PWPQ       {} entries/SM, partitioned among resident warps ({}/warp at max occupancy)",
         d.pwpq_total,
         d.pwpq_total / g.max_warps_per_sm
@@ -125,12 +127,16 @@ fn table1() {
 
 fn table2(rows: &[FullRow]) {
     hdr("Table 2: Benchmarks and measured classification (perfect-mem speedup ≥ 1.5 ⇒ memory-intensive)");
-    println!(
+    outln!(
         "{:<6} {:<18} {:<6} {:>9} {:<10}",
-        "Abbr", "Name", "Suite", "PerfSpd", "Class"
+        "Abbr",
+        "Name",
+        "Suite",
+        "PerfSpd",
+        "Class"
     );
     for r in rows {
-        println!(
+        outln!(
             "{:<6} {:<18} {:<6} {:>8.2}x {:<10}",
             r.abbr,
             r.name,
@@ -144,7 +150,7 @@ fn table2(rows: &[FullRow]) {
         );
     }
     let mem = rows.iter().filter(|r| r.memory_intensive).count();
-    println!(
+    outln!(
         "-> {} memory-intensive, {} compute-intensive (paper: 18 / 11)",
         mem,
         rows.len() - mem
@@ -153,14 +159,18 @@ fn table2(rows: &[FullRow]) {
 
 fn fig6(rows: &[FullRow]) {
     hdr("Figure 6: % of static instructions that are potentially affine");
-    println!(
+    outln!(
         "{:<6} {:>7} {:>7} {:>7} {:>8}",
-        "Bench", "Arith", "Mem", "Branch", "Total%"
+        "Bench",
+        "Arith",
+        "Mem",
+        "Branch",
+        "Total%"
     );
     let mut fracs = Vec::new();
     for r in rows {
         let t = r.mix.total as f64;
-        println!(
+        outln!(
             "{:<6} {:>6.1}% {:>6.1}% {:>6.1}% {:>7.1}%",
             r.abbr,
             100.0 * r.mix.affine_arithmetic as f64 / t,
@@ -171,7 +181,7 @@ fn fig6(rows: &[FullRow]) {
         fracs.push(r.mix.potential_affine_fraction());
     }
     let mean = fracs.iter().sum::<f64>() / fracs.len().max(1) as f64;
-    println!(
+    outln!(
         "MEAN   potential affine = {:.1}% (paper: ~50%)",
         100.0 * mean
     );
@@ -179,13 +189,17 @@ fn fig6(rows: &[FullRow]) {
 
 fn fig16(rows: &[FullRow]) {
     hdr("Figure 16: Speedup of CAE, MTA, and DAC over the baseline GTX 480");
-    println!(
+    outln!(
         "{:<6} {:<8} {:>7} {:>7} {:>7}",
-        "Bench", "Class", "CAE", "MTA", "DAC"
+        "Bench",
+        "Class",
+        "CAE",
+        "MTA",
+        "DAC"
     );
     let (mut mem_rows, mut cmp_rows) = (Vec::new(), Vec::new());
     for r in rows {
-        println!(
+        outln!(
             "{:<6} {:<8} {:>6.2}x {:>6.2}x {:>6.2}x",
             r.abbr,
             if r.memory_intensive {
@@ -210,14 +224,14 @@ fn fig16(rows: &[FullRow]) {
         if set.is_empty() {
             continue;
         }
-        println!(
+        outln!(
             "GEOMEAN {label:<18} CAE {:.2}x  MTA {:.2}x  DAC {:.2}x   (paper: {paper})",
             geomean(set.iter().map(|r| r.speedup(Design::Cae))),
             geomean(set.iter().map(|r| r.speedup(Design::Mta))),
             geomean(set.iter().map(|r| r.speedup(Design::Dac))),
         );
     }
-    println!(
+    outln!(
         "GEOMEAN all                DAC {:.2}x   (paper: 1.40x)",
         geomean(rows.iter().map(|r| r.speedup(Design::Dac)))
     );
@@ -225,22 +239,25 @@ fn fig16(rows: &[FullRow]) {
 
 fn fig17(rows: &[FullRow]) {
     hdr("Figure 17: DAC warp instructions normalized to baseline (non-affine + affine streams)");
-    println!(
+    outln!(
         "{:<6} {:>10} {:>9} {:>8}",
-        "Bench", "NonAffine", "Affine", "Total"
+        "Bench",
+        "NonAffine",
+        "Affine",
+        "Total"
     );
     let mut totals = Vec::new();
     let mut aff_fracs = Vec::new();
     for r in rows {
         let (na, aff) = r.instr_ratio();
-        println!("{:<6} {:>9.3} {:>9.3} {:>8.3}", r.abbr, na, aff, na + aff);
+        outln!("{:<6} {:>9.3} {:>9.3} {:>8.3}", r.abbr, na, aff, na + aff);
         totals.push(na + aff);
         let s = &r.report(Design::Dac).stats;
         aff_fracs.push(s.affine_instruction_fraction());
     }
     let mean = totals.iter().sum::<f64>() / totals.len().max(1) as f64;
     let afrac = aff_fracs.iter().sum::<f64>() / aff_fracs.len().max(1) as f64;
-    println!(
+    outln!(
         "MEAN   total ratio = {mean:.3} (paper: 0.74), affine share = {:.1}% (paper: 4.6%)",
         100.0 * afrac
     );
@@ -248,10 +265,10 @@ fn fig17(rows: &[FullRow]) {
 
 fn fig18(rows: &[FullRow]) {
     hdr("Figure 18: Affine instruction coverage, DAC vs CAE (compute-intensive set)");
-    println!("{:<6} {:>7} {:>7}", "Bench", "CAE", "DAC");
+    outln!("{:<6} {:>7} {:>7}", "Bench", "CAE", "DAC");
     let set: Vec<&FullRow> = rows.iter().filter(|r| !r.memory_intensive).collect();
     for r in &set {
-        println!(
+        outln!(
             "{:<6} {:>6.1}% {:>6.1}%",
             r.abbr,
             100.0 * r.cae_coverage(),
@@ -259,7 +276,7 @@ fn fig18(rows: &[FullRow]) {
         );
     }
     if !set.is_empty() {
-        println!(
+        outln!(
             "GEOMEAN  CAE {:.1}%  DAC {:.1}%   (paper: CAE 25% / DAC 34%)",
             100.0 * geomean(set.iter().map(|r| r.cae_coverage().max(1e-6))),
             100.0 * geomean(set.iter().map(|r| r.dac_coverage().max(1e-6)))
@@ -269,11 +286,11 @@ fn fig18(rows: &[FullRow]) {
 
 fn fig19(rows: &[FullRow]) {
     hdr("Figure 19: % of global/local load requests issued by the affine warp (memory-intensive set)");
-    println!("{:<6} {:>8}", "Bench", "Affine%");
+    outln!("{:<6} {:>8}", "Bench", "Affine%");
     let set: Vec<&FullRow> = rows.iter().filter(|r| r.memory_intensive).collect();
     let mut fr = Vec::new();
     for r in &set {
-        println!(
+        outln!(
             "{:<6} {:>7.1}%",
             r.abbr,
             100.0 * r.decoupled_load_fraction()
@@ -281,35 +298,41 @@ fn fig19(rows: &[FullRow]) {
         fr.push(r.decoupled_load_fraction());
     }
     let mean = fr.iter().sum::<f64>() / fr.len().max(1) as f64;
-    println!("MEAN   {:.1}% (paper: 79.8%)", 100.0 * mean);
+    outln!("MEAN   {:.1}% (paper: 79.8%)", 100.0 * mean);
 }
 
 fn fig20(rows: &[FullRow]) {
     hdr("Figure 20: MTA prefetcher coverage (memory-intensive set)");
-    println!("{:<6} {:>9}", "Bench", "Coverage");
+    outln!("{:<6} {:>9}", "Bench", "Coverage");
     let set: Vec<&FullRow> = rows.iter().filter(|r| r.memory_intensive).collect();
     let mut cov = Vec::new();
     for r in &set {
-        println!("{:<6} {:>8.1}%", r.abbr, 100.0 * r.mta_coverage());
+        outln!("{:<6} {:>8.1}%", r.abbr, 100.0 * r.mta_coverage());
         cov.push(r.mta_coverage());
     }
     let mean = cov.iter().sum::<f64>() / cov.len().max(1) as f64;
-    println!("MEAN   {:.1}%", 100.0 * mean);
+    outln!("MEAN   {:.1}%", 100.0 * mean);
 }
 
 fn fig21(rows: &[FullRow]) {
     hdr("Figure 21: DAC energy normalized to baseline");
     let model = EnergyModel::gtx480();
-    println!(
+    outln!(
         "{:<6} {:>7} {:>7} {:>7} {:>9} {:>8} {:>7}",
-        "Bench", "ALU", "RF", "OtherD", "DACovhd", "Static", "Total"
+        "Bench",
+        "ALU",
+        "RF",
+        "OtherD",
+        "DACovhd",
+        "Static",
+        "Total"
     );
     let mut totals = Vec::new();
     for r in rows {
         let base = r.energy(Design::Baseline, &model);
         let dac = r.energy(Design::Dac, &model);
         let bt = base.total();
-        println!(
+        outln!(
             "{:<6} {:>7.3} {:>7.3} {:>7.3} {:>9.4} {:>8.3} {:>7.3}",
             r.abbr,
             dac.alu / bt,
@@ -321,7 +344,7 @@ fn fig21(rows: &[FullRow]) {
         );
         totals.push(dac.total() / bt);
     }
-    println!(
+    outln!(
         "GEOMEAN total = {:.3} (paper: 0.798)",
         geomean(totals.iter().copied())
     );
@@ -332,14 +355,18 @@ fn fig21(rows: &[FullRow]) {
 /// miss L2, or how DAC's line locking holds L1 hits up).
 fn mem_rates(rows: &[FullRow]) {
     hdr("Memory hit rates per design (L1 / L2 / DRAM row-buffer)");
-    println!(
+    outln!(
         "{:<6} {:<9} {:>6} {:>6} {:>6}",
-        "Bench", "Design", "L1", "L2", "Row"
+        "Bench",
+        "Design",
+        "L1",
+        "L2",
+        "Row"
     );
     for r in rows {
         for d in Design::ALL {
             let m = &r.report(d).mem;
-            println!(
+            outln!(
                 "{:<6} {:<9} {:>5.1}% {:>5.1}% {:>5.1}%",
                 r.abbr,
                 d.name(),
@@ -354,13 +381,13 @@ fn mem_rates(rows: &[FullRow]) {
 fn area() {
     hdr("Section 4.8: DAC area overhead");
     let sms = GpuConfig::gtx480().num_sms;
-    println!(
+    outln!(
         "SRAM {} B/SM ≈ {:.2} mm²/SM; 2 ALUs ≈ {:.2} mm²/SM",
         gpu_energy::area::SRAM_BYTES_PER_SM,
         gpu_energy::area::SRAM_MM2_PER_SM,
         gpu_energy::area::ALU_MM2_PER_SM
     );
-    println!(
+    outln!(
         "total {:.2} mm² on a {:.0} mm² die = {:.2}% (paper: 1.06%)",
         gpu_energy::area::dac_area_mm2(sms),
         gpu_energy::area::GTX480_DIE_MM2,
@@ -381,7 +408,7 @@ fn ablate(harness: &Harness, args: &CommonArgs, benches: Vec<Workload>) {
         .map(Arc::new)
         .collect();
     if subset.is_empty() {
-        println!("(no matching benchmarks in filter)");
+        outln!("(no matching benchmarks in filter)");
         return;
     }
     let with = |edit: fn(&mut Overrides)| {
@@ -427,13 +454,13 @@ fn ablate(harness: &Harness, args: &CommonArgs, benches: Vec<Workload>) {
         .iter()
         .map(|r| r.report.cycles as f64)
         .collect();
-    println!("{:<28} geomean speedup over baseline", "config");
+    outln!("{:<28} geomean speedup over baseline", "config");
     for (c, (label, _)) in configs.iter().enumerate() {
         let start = subset.len() * (c + 1);
         let speedups = out.results[start..start + subset.len()]
             .iter()
             .zip(&base_cycles)
             .map(|(r, bc)| bc / r.report.cycles as f64);
-        println!("{:<28} {:.3}x", label, geomean(speedups));
+        outln!("{:<28} {:.3}x", label, geomean(speedups));
     }
 }

@@ -5,6 +5,16 @@
 
 #![forbid(unsafe_code)]
 
+/// `println!` for `sweep`'s reports: once stdout's reader has gone
+/// (`sweep all | cmp - FILE` stopping at a difference), [`out`] ends the
+/// process.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub mod cli;
 pub mod figures;
 
@@ -14,6 +24,17 @@ use gpu_workloads::{Design, Workload};
 use simt_harness::{DesignPoint, Harness, Job, JobResult, Overrides};
 use simt_sim::SimReport;
 use std::sync::Arc;
+
+/// Write `args` to stdout as `print!` does, except when the reader has
+/// gone: no one reads the rest, so exit 0 at once, where `print!` panics.
+pub fn out(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+        Ok(()) => {}
+    }
+}
 
 /// Perfect-memory speedup at or above which a benchmark counts as
 /// memory-intensive (§5.1.2).

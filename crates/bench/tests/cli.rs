@@ -7,7 +7,7 @@
 #[path = "../../../tests/support/pin.rs"]
 mod pin;
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const EXPERIMENTS: [&str; 13] = [
     "table1", "table2", "fig6", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "mem",
@@ -119,4 +119,26 @@ fn help_lists_every_knob_with_its_domain() {
         let line = format!("  {} ({}): {}\n", knob.name, knob.scope.name(), knob.domain);
         assert!(help.contains(&line), "{line:?} missing from:\n{help}");
     }
+}
+
+/// `sweep … | cmp - FILE` stops reading at the first difference: `sweep`
+/// then stops printing and exits 0, without a panic.
+#[test]
+fn a_closed_stdout_ends_sweep_quietly() {
+    let out = std::env::temp_dir().join(format!("sweep-closed-stdout-{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args("--bench LIB --designs baseline --set num_sms=2 --set max_warps_per_sm=16".split(' '))
+        .args(["--no-cache", "-q", "--out"])
+        .arg(&out)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sweep runs");
+    // The reader goes while the run simulates, before anything is printed.
+    drop(child.stdout.take());
+    let done = child.wait_with_output().expect("sweep exits");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert_eq!(done.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&out);
 }

@@ -189,7 +189,7 @@ pub fn to_json(
     ]);
     if job.scenario().is_some() {
         for (k, v) in job.overrides.scenario_values() {
-            fields.push((k.into(), Value::Str(v.into())));
+            fields.push((k.into(), v));
         }
     }
     if !result.per_kernel.is_empty() {

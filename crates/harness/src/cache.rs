@@ -7,35 +7,15 @@
 //! is stored inside the entry and verified on load, so a hash collision
 //! degrades to a cache miss instead of returning a wrong result.
 
-use crate::artifact;
 use crate::job::{Job, JobResult};
 use crate::json;
+use crate::{artifact, fnv1a64};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn count(name: &'static str, help: &'static str) {
     simt_obs::metrics::global().counter_add(name, help, &[], 1);
-}
-
-/// 64-bit FNV-1a. Stable across platforms and releases — cache file names
-/// and output digests must not change under us (unlike `DefaultHasher`).
-pub const fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_parts(&[bytes])
-}
-
-/// [`fnv1a64`] of the concatenation of `parts`.
-pub(crate) const fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
-    let (mut h, mut p) = (0xcbf2_9ce4_8422_2325u64, 0);
-    while p < parts.len() {
-        let mut i = 0;
-        while i < parts[p].len() {
-            h = (h ^ parts[p][i] as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            i += 1;
-        }
-        p += 1;
-    }
-    h
 }
 
 /// An on-disk result cache rooted at one directory.
@@ -206,14 +186,6 @@ mod tests {
         job.overrides.num_sms = Some(2);
         job.overrides.max_warps_per_sm = Some(16);
         job
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

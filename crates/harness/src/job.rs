@@ -2,7 +2,7 @@
 //! configuration overrides`, plus everything needed to key it in the result
 //! cache and serialize it into artifacts.
 
-use crate::cache::{fnv1a64, fnv1a64_parts};
+use crate::fnv1a64;
 use dac_core::DacConfig;
 use gpu_workloads::{gpu_for, run_design, run_scenario_design, Design, Scenario, Workload};
 use simt_sim::{GpuConfig, GpuSim, KernelReport, PlacementPolicy, SimReport};
@@ -12,30 +12,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Version tag folded into every cache key: `dac-cache-` and the FNV-1a of
-/// the files that pin the model (DESIGN.md § "Fixed points"). A re-pin
-/// re-keys the store, so no result of an older model is read as current.
-pub const CACHE_VERSION: &str = match std::str::from_utf8(&VERSION_TAG) {
-    Ok(tag) => tag,
-    Err(_) => panic!("the version tag is ASCII"),
-};
-
-const VERSION_TAG: [u8; 26] = {
-    let h = fnv1a64_parts(&[
-        include_bytes!("../../../results/pins/counters.txt"),
-        include_bytes!("../../../results/pins/fabric_traffic.txt"),
-        include_bytes!("../../../results/pins/trace_digests.txt"),
-        include_bytes!("../../../results/profile/profile.json"),
-        include_bytes!("../../../results/profile/report.md"),
-        include_bytes!("../../../results/figures.txt"),
-    ]);
-    let mut tag = *b"dac-cache-0000000000000000";
-    let mut digit = 0;
-    while digit < 16 {
-        tag[10 + digit] = b"0123456789abcdef"[(h >> (60 - 4 * digit)) as usize & 15];
-        digit += 1;
-    }
-    tag
-};
+/// every file under `crates/*/src`, the source every result is computed
+/// from (`build.rs`). Any edit there, a comment included, re-keys the
+/// store, so no result of another build is read as current.
+pub const CACHE_VERSION: &str = concat!("dac-cache-", env!("DAC_SOURCE_HASH"));
 
 /// A point in the design space: one of the paper's four hardware designs,
 /// or the perfect-memory machine used for the §5.1.2 compute/memory
@@ -97,20 +77,20 @@ pub const MAX_SCALE: u32 = 64;
 /// Configuration overrides applied on top of the paper's defaults. `None`
 /// means "leave the paper value". Every field but `no_fast_forward` is a
 /// [`crate::knobs::KNOBS`] row, which says what the knob changes, which
-/// values it takes, and how it keys a run.
+/// values it takes, its default, and how it keys a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Overrides {
-    /// Affine Tuple Queue entries per SM (DAC only; paper: 24).
+    /// Affine Tuple Queue entries per SM (DAC only).
     pub atq_entries: Option<usize>,
-    /// Per-Warp Address Queue entries per SM (DAC only; paper: 192).
+    /// Per-Warp Address Queue entries per SM (DAC only).
     pub pwaq_total: Option<usize>,
-    /// Per-Warp Predicate Queue entries per SM (DAC only; paper: 192).
+    /// Per-Warp Predicate Queue entries per SM (DAC only).
     pub pwpq_total: Option<usize>,
-    /// L1 line locking (DAC only; paper: on).
+    /// L1 line locking (DAC only).
     pub lock_lines: Option<bool>,
-    /// Number of SMs (all designs; paper: 15).
+    /// Number of SMs (all designs).
     pub num_sms: Option<usize>,
-    /// Resident warps per SM (all designs; paper: 48).
+    /// Resident warps per SM (all designs).
     pub max_warps_per_sm: Option<usize>,
     /// No-op: nothing reads it and no knob sets it. `benchmark/`'s frozen
     /// `sim.ff_off_ratio` probe assigns it; it leaves with the probe
@@ -202,7 +182,7 @@ pub fn cache_key(
         PayloadKind::Scenario => {
             let mut key = format!("{CACHE_VERSION}|scenario={name}");
             for (k, v) in overrides.scenario_values() {
-                let _ = write!(key, "|{k}={v}");
+                let _ = write!(key, "|{k}={}", v.as_str().unwrap_or_default());
             }
             let _ = write!(key, "|scale={scale}|design={}", point.name());
             key

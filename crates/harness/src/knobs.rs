@@ -4,8 +4,9 @@
 
 use crate::job::{DesignPoint, Overrides, MAX_MACHINE_DIM};
 use crate::json::Value;
+use dac_core::DacConfig;
 use gpu_workloads::{gpu_for, Design, ALL_SCENARIOS};
-use simt_sim::PlacementPolicy;
+use simt_sim::{GpuConfig, PlacementPolicy};
 use std::fmt;
 
 /// Which runs a knob changes.
@@ -46,7 +47,7 @@ pub enum Domain {
     PerWarpTotal,
     /// `true`/`on`/`1` or `false`/`off`/`0`.
     Flag,
-    /// One of these names, in any case; the first is the default.
+    /// One of these names, in any case.
     Choice(&'static [&'static str]),
 }
 
@@ -101,6 +102,9 @@ pub struct Knob {
     pub scope: Scope,
     /// Which values it takes.
     pub domain: Domain,
+    /// The paper's value, which a run takes with the knob unset, read from
+    /// its configuration. Set to it, the knob keys as unset.
+    pub default: Option<fn() -> Value>,
     /// The value set on the overrides, if any, as a JSON scalar: the
     /// spelling of cache keys, artifacts and manifests.
     pub get: fn(&Overrides) -> Option<Value>,
@@ -113,33 +117,37 @@ pub struct Knob {
 pub const KNOBS: &[Knob] = &[
     Knob {
         name: "atq_entries",
-        doc: "Affine Tuple Queue entries per SM (paper: 24; with none, DAC deadlocks)",
+        doc: "Affine Tuple Queue entries per SM; with none, DAC deadlocks",
         scope: Scope::Dac,
         domain: Domain::Count(1, usize::MAX),
+        default: Some(|| Value::Int(DacConfig::paper().atq_entries as u64)),
         get: |o| o.atq_entries.map(|n| Value::Int(n as u64)),
         put: |o, v| o.atq_entries = v.parse().ok(),
     },
     Knob {
         name: "pwaq_total",
-        doc: "Per-Warp Address Queue entries per SM, split among resident warps (paper: 192)",
+        doc: "Per-Warp Address Queue entries per SM, split among resident warps",
         scope: Scope::Dac,
         domain: Domain::PerWarpTotal,
+        default: Some(|| Value::Int(DacConfig::paper().pwaq_total as u64)),
         get: |o| o.pwaq_total.map(|n| Value::Int(n as u64)),
         put: |o, v| o.pwaq_total = v.parse().ok(),
     },
     Knob {
         name: "pwpq_total",
-        doc: "Per-Warp Predicate Queue entries per SM, split likewise (paper: 192)",
+        doc: "Per-Warp Predicate Queue entries per SM, split likewise",
         scope: Scope::Dac,
         domain: Domain::PerWarpTotal,
+        default: Some(|| Value::Int(DacConfig::paper().pwpq_total as u64)),
         get: |o| o.pwpq_total.map(|n| Value::Int(n as u64)),
         put: |o, v| o.pwpq_total = v.parse().ok(),
     },
     Knob {
         name: "lock_lines",
-        doc: "lock early-requested lines in L1 (paper: on)",
+        doc: "lock early-requested lines in L1",
         scope: Scope::Dac,
         domain: Domain::Flag,
+        default: Some(|| Value::Bool(DacConfig::paper().lock_lines)),
         get: |o| o.lock_lines.map(Value::Bool),
         put: |o, v| o.lock_lines = v.parse().ok(),
     },
@@ -147,17 +155,19 @@ pub const KNOBS: &[Knob] = &[
     // every warp slot) small: a failed allocation aborts the process.
     Knob {
         name: "num_sms",
-        doc: "number of SMs (paper: 15)",
+        doc: "number of SMs",
         scope: Scope::Machine,
         domain: Domain::Count(1, MAX_MACHINE_DIM),
+        default: Some(|| Value::Int(GpuConfig::gtx480().num_sms as u64)),
         get: |o| o.num_sms.map(|n| Value::Int(n as u64)),
         put: |o, v| o.num_sms = v.parse().ok(),
     },
     Knob {
         name: "max_warps_per_sm",
-        doc: "resident warp slots per SM (paper: 48)",
+        doc: "resident warp slots per SM",
         scope: Scope::Machine,
         domain: Domain::Count(1, MAX_MACHINE_DIM),
+        default: Some(|| Value::Int(GpuConfig::gtx480().max_warps_per_sm as u64)),
         get: |o| o.max_warps_per_sm.map(|n| Value::Int(n as u64)),
         put: |o, v| o.max_warps_per_sm = v.parse().ok(),
     },
@@ -166,14 +176,16 @@ pub const KNOBS: &[Knob] = &[
         doc: "run this multi-kernel stream scenario, not the benchmarks (matrix only)",
         scope: Scope::Payload,
         domain: Domain::Choice(&ALL_SCENARIOS),
+        default: None,
         get: |o| o.streams.clone().map(Value::Str),
         put: |o, v| o.streams = Some(v.to_string()),
     },
     Knob {
         name: "cta_policy",
-        doc: "how the command processor places concurrent kernels' CTAs (default: greedy)",
+        doc: "how the command processor places concurrent kernels' CTAs",
         scope: Scope::Scenario,
         domain: Domain::Choice(&["greedy", "rr"]),
+        default: Some(|| Value::Str(PlacementPolicy::default().name().into())),
         get: |o| o.cta_policy.map(|p| Value::Str(p.name().into())),
         put: |o, v| o.cta_policy = PlacementPolicy::parse(v),
     },
@@ -206,32 +218,29 @@ impl Overrides {
 
     /// The knobs that key a run at `point` in [`crate::cache_key`]'s
     /// override section and in artifacts: the machine knobs, and the DAC
-    /// knobs at `dac` points (so a DAC ablation shares its baseline runs).
-    /// Allocates nothing: no row it reads holds a string.
+    /// knobs at `dac` points (so a DAC ablation shares its baseline runs),
+    /// each unless set to its default, so a run keys the same whether a
+    /// default is spelled out or left unset. Allocates nothing: no row it
+    /// reads holds a string.
     pub fn relevant(&self, point: DesignPoint) -> impl Iterator<Item = (&'static str, Value)> + '_ {
         let dac = point == DesignPoint::Hw(Design::Dac);
         KNOBS
             .iter()
             .filter(move |k| k.scope == Scope::Machine || (dac && k.scope == Scope::Dac))
-            .filter_map(|k| Some((k.name, (k.get)(self)?)))
+            .filter_map(|k| {
+                let value = (k.get)(self).filter(|v| k.default.is_none_or(|d| d() != *v))?;
+                Some((k.name, value))
+            })
     }
 
     /// The scenario-scope knobs with the value a scenario job runs under:
-    /// the one set, or else the first choice. Every scenario job's cache
+    /// the one set, or else the row's default. Every scenario job's cache
     /// key and artifact carry them, set or not.
-    pub(crate) fn scenario_values(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
-        KNOBS.iter().filter_map(|k| {
-            let (Scope::Scenario, Domain::Choice(names)) = (k.scope, k.domain) else {
-                return None;
-            };
-            let set = (k.get)(self);
-            let value = names
-                .iter()
-                .find(|&&n| set.as_ref().and_then(Value::as_str) == Some(n));
-            Some((k.name, *value.unwrap_or(&names[0])))
-        })
+    pub(crate) fn scenario_values(&self) -> impl Iterator<Item = (&'static str, Value)> + '_ {
+        KNOBS
+            .iter()
+            .filter(|k| k.scope == Scope::Scenario)
+            .filter_map(|k| Some((k.name, (k.get)(self).or_else(|| k.default.map(|d| d()))?)))
     }
 }
 
@@ -310,11 +319,12 @@ mod tests {
     #[test]
     fn scenario_knobs_default_to_what_scenario_jobs_run() {
         let policy = |o: &Overrides| o.scenario_values().collect::<Vec<_>>();
-        let default = [("cta_policy", PlacementPolicy::default().name())];
+        let name = |p: &str| Value::Str(p.into());
+        let default = [("cta_policy", name(PlacementPolicy::default().name()))];
         assert_eq!(policy(&Overrides::default()), default);
         let mut rr = Overrides::default();
         rr.set("cta_policy", "RR").unwrap();
-        assert_eq!(policy(&rr), [("cta_policy", "rr")]);
+        assert_eq!(policy(&rr), [("cta_policy", name("rr"))]);
     }
 
     #[test]

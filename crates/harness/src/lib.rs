@@ -41,13 +41,15 @@
 
 pub mod artifact;
 pub mod cache;
+mod hash;
 pub mod job;
 pub mod json;
 pub mod knobs;
 pub mod pool;
 
-pub use cache::{fnv1a64, ResultCache};
+pub use cache::ResultCache;
 pub use gpu_workloads::Design;
+pub use hash::fnv1a64;
 pub use job::{
     cache_key, DesignPoint, Job, JobResult, Overrides, Payload, PayloadKind, CACHE_VERSION,
 };

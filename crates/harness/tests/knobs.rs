@@ -1,7 +1,8 @@
 //! Every `--set` knob changes exactly the runs its [`KNOBS`] row scopes it
 //! to: two legal values give different simulations at each design point in
 //! the scope, and the same cache key at every point outside it. A row
-//! added without a probe here fails the test.
+//! added without a probe here fails the test. A knob set to its row's
+//! default keys as unset.
 
 use simt_harness::knobs::Scope;
 use simt_harness::{DesignPoint, Job, Overrides, Payload, PayloadKind, KNOBS};
@@ -117,6 +118,50 @@ fn every_knob_moves_exactly_its_scope() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Spelling a default out changes no run, so it keys none: every point of
+/// a benchmark and a scenario payload gets the key it gets with the knob
+/// unset, and the default is the value every point's configuration holds.
+#[test]
+fn a_knob_at_its_default_keys_as_unset() {
+    let payloads = [
+        build(PayloadKind::Bench, "LIB"),
+        build(PayloadKind::Scenario, "pipeline"),
+    ];
+    let mut machines = gpu_workloads::Design::ALL
+        .map(gpu_workloads::gpu_for)
+        .to_vec();
+    machines.push(simt_sim::GpuConfig::gtx480_perfect_mem());
+    for knob in KNOBS {
+        let Some(default) = knob.default else {
+            continue;
+        };
+        let value = default().to_json();
+        let mut set = Overrides::default();
+        set.set(knob.name, value.trim_matches('"')).unwrap();
+        for payload in &payloads {
+            for point in POINTS {
+                let unset = Job {
+                    payload: payload.clone(),
+                    scale: 1,
+                    point,
+                    overrides: Overrides::default(),
+                };
+                let spelled = Job {
+                    overrides: set.clone(),
+                    ..unset.clone()
+                };
+                let label = format!("{}={value} at {}", knob.name, unset.label());
+                assert_eq!(spelled.cache_key(), unset.cache_key(), "{label}");
+            }
+        }
+        let dac = dac_core::DacConfig::paper();
+        assert_eq!(set.apply_dac(dac.clone()), dac, "{}", knob.name);
+        for gpu in &machines {
+            assert_eq!(set.apply_gpu(gpu.clone()), *gpu, "{}", knob.name);
         }
     }
 }

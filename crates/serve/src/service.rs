@@ -400,7 +400,9 @@ impl SweepService {
     /// points resolve as cache hits; unfinished ones execute. Returns the
     /// ids of the sweeps that resumed with simulation work left to do
     /// (fully warm sweeps re-register silently — their points resolve from
-    /// the store without executing anything).
+    /// the store without executing anything). A daemon rebuilt from other
+    /// source keys every point anew (`CACHE_VERSION`), so it re-runs each
+    /// resumed grid once, under its new key and id.
     pub fn resume(&self) -> Vec<String> {
         let mut resumed = Vec::new();
         for m in manifest::load_all(&self.cfg.results_dir) {
@@ -421,8 +423,9 @@ impl SweepService {
                 }
             };
             if receipt.id != m.id {
-                // Keys changed under us (a re-pin moved CACHE_VERSION):
-                // the grid resumes under its new identity.
+                // Keys changed under us (the daemon was rebuilt from other
+                // source, which moved CACHE_VERSION): the grid resumes
+                // under its new identity.
                 simt_obs::warn!("serve.service",
                     "manifest re-registered under a new id (cache keys changed)";
                     old = m.id.clone(), new = receipt.id.clone());
