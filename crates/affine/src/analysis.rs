@@ -224,13 +224,7 @@ impl AffineAnalysis {
             }
             let (lo, hi) = if *target > pc {
                 // Forward: region up to the reconvergence point.
-                let rpc = self
-                    .cfg
-                    .reconvergence
-                    .get(&pc)
-                    .copied()
-                    .unwrap_or(usize::MAX);
-                (pc + 1, rpc.min(kernel.instrs.len()))
+                (pc + 1, self.cfg.reconvergence[pc].min(kernel.instrs.len()))
             } else {
                 // Backward (data-dependent loop): the whole loop body.
                 (*target, pc + 1)

@@ -12,7 +12,7 @@
 
 use simt_ir::{Program, Space};
 use simt_mem::{AccessOutcome, Client, MemRequest, ReqKind};
-use simt_sim::{CoCtx, CoProcessor, SimStats};
+use simt_sim::{CoCtx, CoProcessor};
 use std::collections::{HashMap, VecDeque};
 
 /// MTA configuration.
@@ -57,15 +57,11 @@ struct PcEntry {
 struct SmMta {
     table: HashMap<usize, PcEntry>,
     queue: VecDeque<u64>,
-    /// Prefetch popped from the queue head this cycle, occupying the port
-    /// latch until the fabric accepts it (`pump` re-queues it at the front
-    /// on a structural stall). While latched it frees its queue slot and is
-    /// invisible to the duplicate check — the latch is port state, not a
-    /// queue entry — which keeps enqueue decisions independent of fabric
-    /// admission and therefore identical across thread counts.
-    pending_pump: Option<u64>,
-    /// The fabric refused the prefetch submitted this cycle.
-    pump_refused: bool,
+    /// A prefetch the fabric refused this cycle, waiting in the L1 port
+    /// until the next `step` submits it ahead of the queue. It is port
+    /// state, not a queue entry: it frees its queue slot and is invisible
+    /// to `enqueue`'s duplicate check.
+    port: Option<u64>,
     last_eval: u64,
     last_unused: u64,
     last_fills: u64,
@@ -227,61 +223,36 @@ impl CoProcessor for Mta {
                 }
             }
         }
-        // Latch one prefetch per cycle into the port latch; `pump` submits
-        // it to the fabric after the SM's issue stage.
-        debug_assert!(s.pending_pump.is_none(), "pump did not drain the latch");
-        s.pending_pump = s.queue.pop_front();
-    }
-
-    /// Submit the latched prefetch. Inter-warp deltas are trained by
-    /// dividing line addresses by warp distance, so a predicted address can
-    /// fall mid-line; prefetch the containing line. On a structural stall
-    /// the prediction returns to the queue head for retry next cycle.
-    fn pump(
-        &mut self,
-        sm: usize,
-        now: u64,
-        fabric: &mut simt_mem::MemoryFabric,
-        stats: &mut SimStats,
-        tracer: &mut dyn simt_trace::Tracer,
-    ) {
-        if self.sms.is_empty() {
-            return;
-        }
-        let line_bytes = fabric.config().line_bytes;
-        let s = &mut self.sms[sm];
-        s.pump_refused = false;
-        let Some(predicted) = s.pending_pump.take() else {
+        // Submit one prefetch per cycle: last cycle's refused one, else the
+        // queue head. Inter-warp deltas are trained by dividing line
+        // addresses by warp distance, so a predicted address can fall
+        // mid-line; prefetch the containing line.
+        let Some(predicted) = s.port.take().or_else(|| s.queue.pop_front()) else {
             return;
         };
         let req = MemRequest {
             sm,
-            line: predicted & !(line_bytes - 1),
+            line: predicted & !(ctx.fabric.config().line_bytes - 1),
             kind: ReqKind::Prefetch,
             client: Client::Mta,
             token: 0,
         };
-        match fabric.access(now, req, tracer) {
-            AccessOutcome::Accepted => {
-                stats.prefetches_issued += 1;
-            }
-            AccessOutcome::Stall(_) => {
-                let s = &mut self.sms[sm];
-                s.queue.push_front(predicted);
-                s.pump_refused = true;
-            }
+        match ctx.fabric.access(ctx.now, req, ctx.tracer) {
+            AccessOutcome::Accepted => ctx.stats.prefetches_issued += 1,
+            AccessOutcome::Stall(_) => s.port = Some(predicted),
         }
     }
 
-    /// Quiet when no prediction waits but one the fabric just refused; the
-    /// deadline is the SM's next throttle evaluation, which reads the
-    /// chip-wide prefetch-buffer counters of its own cycle. A quiet step
-    /// counts nothing, so the default `credit_quiet` is exact.
+    /// Quiet when no prediction waits but one the fabric just refused (it
+    /// sits in the port slot); the deadline is the SM's next throttle
+    /// evaluation, which reads the chip-wide prefetch-buffer counters of
+    /// its own cycle. A quiet step counts nothing, so the default
+    /// `credit_quiet` is exact.
     fn quiet_until(&self, sm: usize) -> Option<u64> {
         let Some(s) = self.sms.get(sm) else {
             return Some(u64::MAX);
         };
-        (s.queue.is_empty() || s.pump_refused)
+        (s.queue.is_empty() || s.port.is_some())
             .then_some(s.last_eval.saturating_add(self.cfg.throttle_period))
     }
 }
@@ -290,8 +261,8 @@ impl CoProcessor for Mta {
 mod tests {
     use super::*;
     use simt_ir::{CmpOp, Dim3, KernelBuilder, LaunchConfig, Op, Operand, Program, Width};
-    use simt_mem::{MemConfig, SparseMemory};
-    use simt_sim::{GpuConfig, GpuSim};
+    use simt_mem::{MemConfig, MemoryFabric, SparseMemory};
+    use simt_sim::{GpuConfig, GpuSim, SimStats};
     use simt_trace::NullTracer;
 
     /// Strided streaming loop: ideal prefetcher food.
@@ -360,6 +331,67 @@ mod tests {
             rep.cycles,
             base.cycles
         );
+    }
+
+    /// One `step` on SM 0 at cycle `now` against `fabric`.
+    fn step_on(mta: &mut Mta, fabric: &mut MemoryFabric, now: u64, stats: &mut SimStats) {
+        mta.step(&mut CoCtx {
+            now,
+            sm: 0,
+            fabric,
+            issue_slot: &mut true,
+            dirty: &mut Vec::new(),
+            stats,
+            tracer: &mut NullTracer,
+        });
+    }
+
+    /// A refused prefetch waits in the port slot, not in the queue: for
+    /// the rest of its cycle the duplicate and capacity checks do not see
+    /// it, and the next `step` submits it before it pops the queue.
+    #[test]
+    fn refused_prefetch_waits_in_the_port_slot() {
+        let prog = Program::new(
+            {
+                let mut b = KernelBuilder::new("x", 0);
+                b.exit();
+                b.build()
+            },
+            LaunchConfig::linear(1, 32, vec![]),
+        )
+        .unwrap();
+        let mut mta = Mta::new(MtaConfig {
+            queue_capacity: 1,
+            ..MtaConfig::default()
+        });
+        mta.on_kernel_launch(&prog, 1);
+        let mem = MemConfig::gtx480_with_prefetch_buffer();
+        // A prefetch enters only a half-empty partition queue: with a
+        // one-entry queue, none does.
+        let mut refusing = MemoryFabric::new(
+            MemConfig {
+                l2_queue: 1,
+                ..mem.clone()
+            },
+            1,
+        );
+        let mut stats = SimStats::default();
+        mta.enqueue(0, 0x1000);
+        step_on(&mut mta, &mut refusing, 1, &mut stats);
+        assert_eq!(mta.sms[0].port, Some(0x1000));
+        assert!(mta.sms[0].queue.is_empty());
+        assert_eq!(mta.quiet_until(0), Some(2048), "a refused retry is quiet");
+        // The same cycle's issue stage: the line is neither a duplicate nor
+        // holding the one queue slot.
+        mta.enqueue(0, 0x1000);
+        mta.enqueue(0, 0x2000);
+        assert_eq!(mta.sms[0].queue, [0x1000]);
+        let mut accepting = MemoryFabric::new(mem, 1);
+        step_on(&mut mta, &mut accepting, 2, &mut stats);
+        assert_eq!(stats.prefetches_issued, 1);
+        assert_eq!(mta.sms[0].port, None);
+        assert_eq!(mta.sms[0].queue, [0x1000], "the port slot went first");
+        assert_eq!(mta.quiet_until(0), None);
     }
 
     #[test]

@@ -76,10 +76,14 @@ impl CommonArgs {
         let mut out = CommonArgs::default();
         let mut traced = false;
         let mut it = args.iter();
+        // An empty value (`--cache-dir ''`) would silently mean the
+        // working directory.
         let value = |flag: &str, it: &mut std::slice::Iter<String>| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
+            match it.next() {
+                None => Err(format!("{flag} requires a value")),
+                Some(v) if v.is_empty() => Err(format!("{flag}: empty value")),
+                Some(v) => Ok(v.clone()),
+            }
         };
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -164,6 +168,9 @@ impl CommonArgs {
                     out.trace_events = v
                         .parse()
                         .map_err(|_| format!("--trace-events: expected a number, got {v:?}"))?;
+                    if out.trace_events == 0 {
+                        return Err("--trace-events must be at least 1".into());
+                    }
                     traced = true;
                 }
                 "--profile" => out.profile = Some(PathBuf::from(value("--profile", &mut it)?)),
@@ -332,6 +339,18 @@ mod tests {
             assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
         }
         assert_eq!(parse(&["--help"]).unwrap_err(), "help");
+        // An empty path would mean the working directory, and an empty
+        // ring would simulate only to write empty timelines.
+        for flag in ["--cache-dir", "--out", "--trace-dir", "--profile"] {
+            assert_eq!(
+                parse(&[flag, ""]).unwrap_err(),
+                format!("{flag}: empty value")
+            );
+        }
+        assert_eq!(
+            parse(&["--trace-events", "0"]).unwrap_err(),
+            "--trace-events must be at least 1"
+        );
         assert_eq!(
             parse(&["--scale", "65"]).unwrap_err(),
             "--scale: must be at most 64"

@@ -3,10 +3,10 @@
 //! [`simt_sim::CoProcessor`] hooks (paper Figure 9).
 
 use crate::config::DacConfig;
-use crate::engine::{reconvergence_table, AffineCtx, ExecOutcome, LaunchCtx, PeuClass};
+use crate::engine::{AffineCtx, ExecOutcome, LaunchCtx, PeuClass};
 use crate::queues::{unique_lines, DacQueues};
 use affine::DecoupledKernel;
-use simt_ir::{AddrMode, Instr, PredSrc, Program, QueueKind};
+use simt_ir::{AddrMode, Cfg, Instr, PredSrc, Program, QueueKind};
 use simt_mem::{AccessOutcome, Client, MemRequest, MemResponse, ReqKind};
 use simt_sim::{AddrRecord, CoCtx, CoProcessor, DeqGate, RecordKind, SimStats};
 use simt_trace::TraceEvent;
@@ -32,12 +32,7 @@ struct SmDac {
     /// acceptance.
     pending_lines: VecDeque<(u64, u64)>,
     /// The fabric refused the line request submitted this cycle.
-    pump_refused: bool,
-    /// Front of `pending_lines` captured by [`Dac`]'s `step`, submitted to
-    /// the fabric by `pump`. Captured before the expansion units push new
-    /// lines, so the request submitted each cycle is the one that headed
-    /// the queue when the cycle began.
-    pump_capture: Option<(u64, u64)>,
+    refused: bool,
     /// PEU cost classification counters.
     peu_scalar: u64,
     peu_two_compare: u64,
@@ -141,7 +136,7 @@ pub struct Dac {
 impl Dac {
     /// Build the coprocessor for a decoupled kernel.
     pub fn new(cfg: DacConfig, dk: DecoupledKernel) -> Self {
-        let affine_reconv = reconvergence_table(&dk.affine);
+        let affine_reconv = Cfg::build(&dk.affine).reconvergence;
         let is_enq = dk
             .affine
             .instrs
@@ -362,8 +357,7 @@ impl CoProcessor for Dac {
                 nonaffine_epoch: Vec::new(),
                 wake: false,
                 pending_lines: VecDeque::new(),
-                pump_refused: false,
-                pump_capture: None,
+                refused: false,
                 peu_scalar: 0,
                 peu_two_compare: 0,
                 peu_full: 0,
@@ -524,9 +518,31 @@ impl CoProcessor for Dac {
         }
         let sm = ctx.sm;
         let s = &mut self.sms[sm];
-        // Latch the line request the fabric will see this cycle (submitted
-        // by `pump`), before the expansion units can push new lines.
-        s.pump_capture = s.pending_lines.front().copied();
+        // One early line request per cycle reaches the L1 (the AEU shares
+        // the cache port, §4.2): the one heading the queue as the cycle
+        // begins, before the expansion units push new lines. Retried on
+        // structural stalls, lock-budget stalls included.
+        s.refused = false;
+        if let Some(&(id, line)) = s.pending_lines.front() {
+            let kind = if self.cfg.lock_lines {
+                ReqKind::PrefetchLock
+            } else {
+                ReqKind::Load
+            };
+            let req = MemRequest {
+                sm,
+                line,
+                kind,
+                client: Client::Dac,
+                token: id,
+            };
+            match ctx.fabric.access(ctx.now, req, ctx.tracer) {
+                AccessOutcome::Accepted => {
+                    s.pending_lines.pop_front();
+                }
+                AccessOutcome::Stall(_) => s.refused = true,
+            }
+        }
         debug_assert!(
             s.wake || (s.pick(true).is_none() && s.pick(false).is_none()),
             "an expansion unit slept through work it could do"
@@ -568,46 +584,6 @@ impl CoProcessor for Dac {
         }
     }
 
-    /// Issue the early line request latched by `step`: one per cycle
-    /// reaches the L1 (the AEU shares the cache port, §4.2). Retries on
-    /// structural stalls — lock-budget stalls included.
-    fn pump(
-        &mut self,
-        sm: usize,
-        now: u64,
-        fabric: &mut simt_mem::MemoryFabric,
-        _stats: &mut SimStats,
-        tracer: &mut dyn simt_trace::Tracer,
-    ) {
-        if !self.active() || self.sms.is_empty() {
-            return;
-        }
-        let s = &mut self.sms[sm];
-        s.pump_refused = false;
-        let Some((id, line)) = s.pump_capture.take() else {
-            return;
-        };
-        let kind = if self.cfg.lock_lines {
-            ReqKind::PrefetchLock
-        } else {
-            ReqKind::Load
-        };
-        let req = MemRequest {
-            sm,
-            line,
-            kind,
-            client: Client::Dac,
-            token: id,
-        };
-        match fabric.access(now, req, tracer) {
-            AccessOutcome::Accepted => {
-                debug_assert_eq!(s.pending_lines.front(), Some(&(id, line)));
-                s.pending_lines.pop_front();
-            }
-            AccessOutcome::Stall(_) => s.pump_refused = true,
-        }
-    }
-
     /// Quiet when no expansion unit can find work (the `wake` flag is
     /// clear), the affine warp cannot issue (no live context, or the ATQ
     /// full and every live context parked at an `enq`), and no early line
@@ -621,7 +597,7 @@ impl CoProcessor for Dac {
         }
         let s = &self.sms[sm];
         let affine_stuck = s.live == 0 || (!s.queues.atq_has_space() && s.parked == s.live);
-        let lines_stuck = s.pending_lines.is_empty() || s.pump_refused;
+        let lines_stuck = s.pending_lines.is_empty() || s.refused;
         (!s.wake && affine_stuck && lines_stuck).then_some(u64::MAX)
     }
 

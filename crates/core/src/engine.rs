@@ -12,9 +12,7 @@ use crate::astack::AffineStack;
 use crate::queues::{AtqEntry, AtqWarp, DacQueues};
 use affine::value::DivergentVal;
 use affine::{tuple::tuple_op, AffineTuple, AffineVal, PredVal};
-use simt_ir::{
-    Cfg, Instr, Kernel, LaunchConfig, Op, Operand, PredSrc, QueueKind, Space, SpecialReg,
-};
+use simt_ir::{Instr, Kernel, LaunchConfig, Op, Operand, PredSrc, QueueKind, Space, SpecialReg};
 
 /// A kernel launch as the affine warp and the AEU read it: the launch
 /// configuration plus the coordinates of every thread of a CTA, computed
@@ -46,16 +44,6 @@ impl LaunchCtx {
     pub fn threads_per_cta(&self) -> u64 {
         self.config.threads_per_cta() as u64
     }
-}
-
-/// Reconvergence PC of every branch of `kernel`, indexed by PC
-/// (`usize::MAX` = exit, and at every PC that is not a branch).
-pub fn reconvergence_table(kernel: &Kernel) -> Vec<usize> {
-    let mut table = vec![usize::MAX; kernel.instrs.len()];
-    for (pc, rpc) in Cfg::build(kernel).reconvergence {
-        table[pc] = rpc;
-    }
-    table
 }
 
 /// How the PEU would have produced a predicate (drives Figure-level stats:
@@ -394,7 +382,7 @@ impl AffineCtx {
     }
 
     /// Execute one instruction of the affine stream. `reconv` is the
-    /// *affine* kernel's [`reconvergence_table`].
+    /// *affine* kernel's [`simt_ir::Cfg::reconvergence`].
     pub fn exec_one(
         &mut self,
         kernel: &Kernel,
@@ -582,7 +570,7 @@ impl AffineCtx {
 mod tests {
     use super::*;
     use affine::{decouple, AffineAnalysis};
-    use simt_ir::Dim3;
+    use simt_ir::{Cfg, Dim3};
 
     fn figure4_affine() -> (Kernel, LaunchCtx) {
         let k = simt_ir::asm::parse_kernel(
@@ -622,7 +610,7 @@ LOOP:
     }
 
     fn run_ctx(kernel: &Kernel, launch: &LaunchCtx, cta: u64) -> (AffineCtx, DacQueues) {
-        let reconv = reconvergence_table(kernel);
+        let reconv = Cfg::build(kernel).reconvergence;
         let mut queues = DacQueues::new(16, 64, 64, 64);
         let nw = launch.config.warps_per_cta() as usize;
         let mut ctx = AffineCtx::new(
@@ -732,7 +720,7 @@ JOIN:
     #[test]
     fn setp_classes() {
         let (kernel, launch) = figure4_affine();
-        let reconv = reconvergence_table(&kernel);
+        let reconv = Cfg::build(&kernel).reconvergence;
         let mut queues = DacQueues::new(16, 64, 64, 64);
         let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), vec![0, 1], vec![u32::MAX; 2], &kernel);
         let mut classes = Vec::new();
@@ -751,7 +739,7 @@ JOIN:
     #[test]
     fn atq_full_blocks_enq() {
         let (kernel, launch) = figure4_affine();
-        let reconv = reconvergence_table(&kernel);
+        let reconv = Cfg::build(&kernel).reconvergence;
         let mut queues = DacQueues::new(16, 2, 64, 64); // tiny ATQ
         let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), vec![0, 1], vec![u32::MAX; 2], &kernel);
         let mut outcomes = Vec::new();

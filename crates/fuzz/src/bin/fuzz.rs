@@ -61,9 +61,11 @@ fn parse_args() -> Args {
     let mut i = 0;
     let value = |i: &mut usize| -> String {
         *i += 1;
-        raw.get(*i)
-            .unwrap_or_else(|| fail_usage(&format!("{} needs a value", raw[*i - 1])))
-            .clone()
+        match raw.get(*i) {
+            None => fail_usage(&format!("{} needs a value", raw[*i - 1])),
+            Some(v) if v.is_empty() => fail_usage(&format!("{}: empty value", raw[*i - 1])),
+            Some(v) => v.clone(),
+        }
     };
     while i < raw.len() {
         match raw[i].as_str() {

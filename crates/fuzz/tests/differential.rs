@@ -87,8 +87,8 @@ fn zero_jobs_is_a_usage_error() {
 }
 
 /// So are a `--jobs` above the ceiling (probed at ceiling + 1, so no test
-/// starts a thread), a repeated or unknown design, and the removed
-/// result-store flags.
+/// starts a thread), a repeated or unknown design, the removed
+/// result-store flags and an empty `--out`.
 #[test]
 fn refused_arguments_are_usage_errors() {
     let over = (simt_harness::job::MAX_JOBS + 1).to_string();
@@ -97,6 +97,8 @@ fn refused_arguments_are_usage_errors() {
     assert_usage_error(&["--designs", "warp9"], "unknown design \"warp9\"");
     assert_usage_error(&["--no-cache"], "unexpected argument \"--no-cache\"");
     assert_usage_error(&["--cache-dir", "X"], "unexpected argument \"--cache-dir\"");
+    // An empty `--out` would write the summary into the working directory.
+    assert_usage_error(&["--out", ""], "--out: empty value");
 }
 
 /// A run writes its summary under `--out` and nothing else: no result

@@ -37,8 +37,9 @@ pub struct Cfg {
     /// Immediate post-dominator of each block (`None` ⇒ post-dominated only
     /// by the virtual exit, i.e. reconverges at thread exit).
     pub ipostdom: Vec<Option<usize>>,
-    /// For each branch PC, the reconvergence PC (`usize::MAX` ⇒ exit).
-    pub reconvergence: HashMap<usize, usize>,
+    /// Reconvergence PC of every instruction, indexed by PC (`usize::MAX`
+    /// ⇒ exit, and at every PC that is not a branch).
+    pub reconvergence: Vec<usize>,
 }
 
 impl Cfg {
@@ -117,15 +118,10 @@ impl Cfg {
         let ipostdom = compute_ipostdom(&blocks);
 
         // Reconvergence PC for every branch instruction.
-        let mut reconvergence = HashMap::new();
+        let mut reconvergence = vec![usize::MAX; n];
         for (pc, i) in kernel.instrs.iter().enumerate() {
-            if let Instr::Bra { .. } = i {
-                let b = block_of[pc];
-                let r = match ipostdom[b] {
-                    Some(p) => blocks[p].start,
-                    None => usize::MAX,
-                };
-                reconvergence.insert(pc, r);
+            if let (Instr::Bra { .. }, Some(p)) = (i, ipostdom[block_of[pc]]) {
+                reconvergence[pc] = blocks[p].start;
             }
         }
 
@@ -391,7 +387,7 @@ mod tests {
         let k = diamond();
         let cfg = Cfg::build(&k);
         // Branch at pc2 reconverges at the join block start (pc6).
-        assert_eq!(cfg.reconvergence[&2], 6);
+        assert_eq!(cfg.reconvergence[2], 6);
         // ipostdom of blocks 1 and 2 is block 3.
         assert_eq!(cfg.ipostdom[1], Some(3));
         assert_eq!(cfg.ipostdom[2], Some(3));
@@ -409,7 +405,7 @@ mod tests {
         let k = b.build();
         let cfg = Cfg::build(&k);
         // Backward branch reconverges at the fall-through exit block.
-        assert_eq!(cfg.reconvergence[&3], 4);
+        assert_eq!(cfg.reconvergence[3], 4);
     }
 
     #[test]
@@ -424,7 +420,7 @@ mod tests {
         b.exit();
         let k = b.build();
         let cfg = Cfg::build(&k);
-        assert_eq!(cfg.reconvergence[&2], usize::MAX);
+        assert_eq!(cfg.reconvergence[2], usize::MAX);
     }
 
     #[test]

@@ -63,10 +63,10 @@ fn parse_args() -> Args {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| usage_exit(&format!("{name} needs a value")))
+        let mut value = |name: &str| match it.next() {
+            None => usage_exit(&format!("{name} needs a value")),
+            Some(v) if v.is_empty() => usage_exit(&format!("{name}: empty value")),
+            Some(v) => v.clone(),
         };
         match flag.as_str() {
             "--addr" => args.addr = value("--addr"),

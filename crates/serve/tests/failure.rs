@@ -285,6 +285,26 @@ fn oversized_jobs_is_a_usage_error() {
     assert!(stderr.contains("--jobs must be at most 256"), "{stderr}");
 }
 
+/// An empty `--results` or `--port-file` would mean the working directory;
+/// both are refused at parse time. The trailing bad `--port` keeps a
+/// regression from starting a daemon.
+#[test]
+fn empty_paths_are_usage_errors() {
+    for flag in ["--results", "--port-file"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args([flag, "", "--port", "x"])
+            .output()
+            .expect("run serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: empty value")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
 /// `check-log` validates against the schema compiled into the binary, so
 /// it gives the same verdict from any working directory.
 #[test]

@@ -17,12 +17,12 @@
 //! * **observation** — [`CoProcessor::observe_mem`] feeds MTA's stride
 //!   tables; [`CoProcessor::on_response`] routes fabric responses addressed
 //!   to [`simt_mem::Client::Dac`] / [`simt_mem::Client::Mta`];
-//! * **execution** — [`CoProcessor::step`] runs once per SM per cycle with
-//!   mutable access to the SM's issue slot, which is where DAC's affine
-//!   warp and expansion units live, and a read-only view of the fabric
-//!   (MTA's throttle reads the prefetch-buffer counters there);
-//!   [`CoProcessor::pump`] then submits the cycle's fabric request after
-//!   the SM's issue stage (the AEU shares the L1 port with the LSU, §4.2);
+//! * **execution** — [`CoProcessor::step`] runs once per SM per cycle,
+//!   before the SM's issue stage, with mutable access to the SM's issue
+//!   slot, which is where DAC's affine warp and expansion units live, and
+//!   to the fabric: it submits the coprocessor's one request of the cycle
+//!   (the AEU shares the L1 port with the LSU, §4.2), and MTA's throttle
+//!   reads the prefetch-buffer counters there;
 //! * **sleep** — [`CoProcessor::quiet_until`] lets an SM whose next cycle
 //!   could only repeat this one's counters sleep, and
 //!   [`CoProcessor::credit_quiet`] credits the coprocessor's share of the
@@ -82,18 +82,16 @@ pub enum IssueCost {
 
 /// The per-SM, per-cycle context handed to [`CoProcessor::step`]: the
 /// coprocessor's non-generic view of the SM's tick.
-///
-/// The fabric is read-only here: `step` runs before the SM's issue stage
-/// and only latches requests; [`CoProcessor::pump`] submits them at the
-/// end of the SM's tick.
 pub struct CoCtx<'a> {
     /// Current cycle.
     pub now: u64,
     /// SM index.
     pub sm: usize,
-    /// The memory fabric as this SM's tick finds it (its geometry, and
-    /// [`MemoryFabric::pbuf_stats`] for MTA's throttle).
-    pub fabric: &'a MemoryFabric,
+    /// The memory fabric, which takes at most one request of the
+    /// coprocessor per SM cycle (DAC's early line, MTA's prefetch), ahead
+    /// of the LSU's; also its geometry, and [`MemoryFabric::pbuf_stats`]
+    /// for MTA's throttle.
+    pub fabric: &'a mut MemoryFabric,
     /// True while this SM still has an unconsumed issue slot this cycle;
     /// set it to `false` to model the affine warp occupying the slot.
     pub issue_slot: &'a mut bool,
@@ -202,33 +200,18 @@ pub trait CoProcessor {
         None
     }
 
-    /// Per-SM, per-cycle execution (affine warp, expansion units,
-    /// prefetch bookkeeping). The fabric is read-only here: requests
-    /// captured here are submitted by [`CoProcessor::pump`] after the SM's
-    /// issue stage.
+    /// Per-SM, per-cycle execution (fabric request, affine warp,
+    /// expansion units, prefetch bookkeeping), before the SM's issue
+    /// stage. The one place a coprocessor touches the fabric: it submits
+    /// at most one request per call.
     fn step(&mut self, ctx: &mut CoCtx<'_>) {
         let _ = ctx;
     }
 
-    /// Submit this SM's fabric traffic for the cycle (AEU early requests,
-    /// MTA prefetches). Runs after the SM's [`CoProcessor::step`] and
-    /// issue stage, just before its LSU access — the single point where
-    /// coprocessors touch the fabric.
-    fn pump(
-        &mut self,
-        sm: usize,
-        now: u64,
-        fabric: &mut MemoryFabric,
-        stats: &mut SimStats,
-        tracer: &mut dyn Tracer,
-    ) {
-        let _ = (sm, now, fabric, stats, tracer);
-    }
-
     /// May `sm` sleep after this cycle as far as the coprocessor is
-    /// concerned? `None` when its next [`CoProcessor::step`] and
-    /// [`CoProcessor::pump`] on `sm` could do more than repeat the
-    /// counters of [`CoProcessor::credit_quiet`] — nothing may change
+    /// concerned? `None` when its next [`CoProcessor::step`] on `sm`
+    /// could do more than repeat the counters of
+    /// [`CoProcessor::credit_quiet`] — nothing may change
     /// state, and a fabric request may be retried only if it was just
     /// refused. Otherwise the first cycle at which it must step again
     /// whatever happens (`u64::MAX`: none). Every other change to a

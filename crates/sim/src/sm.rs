@@ -108,10 +108,7 @@ impl<'a> KernelCtx<'a> {
             .instrs
             .iter()
             .enumerate()
-            .map(|(pc, instr)| {
-                let rpc = cfg.reconvergence.get(&pc).copied().unwrap_or(usize::MAX);
-                IssueInfo::decode(instr, rpc)
-            })
+            .map(|(pc, instr)| IssueInfo::decode(instr, cfg.reconvergence[pc]))
             .collect();
         let warps = program.launch.warps_per_cta();
         KernelCtx {
@@ -634,10 +631,10 @@ impl Sm {
     }
 
     /// One SM cycle: writeback and fabric-response drains, the coprocessor
-    /// step, scheduler picks with functional execution at issue (global
+    /// step (which submits the coprocessor's one fabric request of the
+    /// cycle), scheduler picks with functional execution at issue (global
     /// loads, stores and atomics go straight to `mem`), barrier
-    /// resolution, then this SM's fabric submissions — the coprocessor's
-    /// ([`CoProcessor::pump`]) and the LSU's one transaction per cycle.
+    /// resolution, then the LSU's one fabric transaction per cycle.
     /// The run loop calls this once per SM in index order, so SM index
     /// orders every same-cycle access to `mem` and every partition-queue
     /// admission.
@@ -715,7 +712,6 @@ impl Sm {
         }
 
         self.resolve_barriers(t.coproc);
-        t.coproc.pump(self.id, now, t.fabric, t.stats, t.tracer);
         self.pump_lsu(t);
         if !(issued || wrote_back || responded || t.tracer.enabled()) {
             self.try_sleep(now, cfg, t.coproc);

@@ -3,8 +3,14 @@
 //! `sweep --trace` writes, for benchmark × design runs on one SM and one
 //! stream scenario × design run on two SMs. A
 //! change to where or in which order the simulator emits trace events (the
-//! SM tick, the fabric, a coprocessor's `step` or `pump`) moves a digest;
-//! a change that only restructures the code does not.
+//! SM tick, the fabric, a coprocessor's `step`) moves a digest; a change
+//! that only restructures the code does not.
+//!
+//! The same three streams also state the order of an SM cycle: events
+//! never go back in time, and a coprocessor's fabric request (DAC's early
+//! line, MTA's prefetch; accepted or refused) precedes its SM's first
+//! `warp_issue` of the cycle, because `step` submits it before the issue
+//! stage.
 //!
 //! PF under DAC runs the affine warp, both expansion units and the early
 //! line requests through a `bar.sync` kernel; LIB under MTA runs the
@@ -18,7 +24,8 @@ mod pin;
 
 use dac_gpu::harness::{fnv1a64, Design, DesignPoint, Job};
 use dac_gpu::workloads::{benchmark, scenario};
-use simt_trace::{jsonl, RingSink};
+use simt_trace::{jsonl, RingSink, TimedEvent, TraceClient, TraceEvent};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Ring capacity: above the largest run's event count, so nothing drops.
@@ -30,6 +37,7 @@ fn trace_row(job: &Job) -> String {
     let mut sink = RingSink::new(RING_EVENTS);
     let result = job.execute_traced(&mut sink);
     assert_eq!(sink.dropped(), 0, "{}: ring dropped events", job.label());
+    check_cycle_order(&job.label(), sink.events());
     let design = job.point.name();
     let meta = [("bench", job.bench()), ("scale", "1"), ("design", design)];
     let text = jsonl::export(sink.events(), &meta, sink.dropped());
@@ -39,6 +47,35 @@ fn trace_row(job: &Job) -> String {
         result.report.cycles,
         fnv1a64(text.as_bytes())
     )
+}
+
+/// Panic unless `events` are cycle-monotone and, in each SM-cycle, every
+/// DAC/MTA fabric request comes before that SM's first `warp_issue`.
+fn check_cycle_order<'a>(label: &str, events: impl Iterator<Item = &'a TimedEvent>) {
+    let mut cycle = 0;
+    // SMs that issued a warp instruction in `cycle`.
+    let mut issued = HashSet::new();
+    for e in events {
+        assert!(e.cycle >= cycle, "{label}: cycle {} after {cycle}", e.cycle);
+        if e.cycle > cycle {
+            cycle = e.cycle;
+            issued.clear();
+        }
+        match e.event {
+            TraceEvent::WarpIssue { sm, .. } => {
+                issued.insert(sm);
+            }
+            TraceEvent::MemReq { sm, client, .. } | TraceEvent::MemStall { sm, client, .. }
+                if matches!(client, TraceClient::Dac | TraceClient::Mta) =>
+            {
+                assert!(
+                    !issued.contains(&sm),
+                    "{label}: SM {sm} issued before its coprocessor's request at cycle {cycle}"
+                );
+            }
+            _ => {}
+        }
+    }
 }
 
 /// `job` at scale 1 on `num_sms` SMs with 16 warp slots each.
