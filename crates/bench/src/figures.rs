@@ -8,7 +8,7 @@ use dac_core::DacConfig;
 use gpu_energy::EnergyModel;
 use gpu_workloads::{gpu_for, Design, Workload};
 use simt_harness::{refuse_idle_knobs, DesignPoint, Harness, Job, Overrides, Payload};
-use simt_sim::GpuConfig;
+use simt_sim::{GpuConfig, LEDGER_ROWS};
 use std::sync::Arc;
 
 /// Print experiment `name` over the benchmarks `args` selects. Experiments
@@ -142,11 +142,7 @@ fn table2(rows: &[FullRow]) {
             r.name,
             r.suite,
             r.perfect_speedup,
-            if r.memory_intensive {
-                "memory"
-            } else {
-                "compute"
-            }
+            class(r)
         );
     }
     let mem = rows.iter().filter(|r| r.memory_intensive).count();
@@ -202,11 +198,7 @@ fn fig16(rows: &[FullRow]) {
         outln!(
             "{:<6} {:<8} {:>6.2}x {:>6.2}x {:>6.2}x",
             r.abbr,
-            if r.memory_intensive {
-                "memory"
-            } else {
-                "compute"
-            },
+            class(r),
             r.speedup(Design::Cae),
             r.speedup(Design::Mta),
             r.speedup(Design::Dac)
@@ -235,6 +227,56 @@ fn fig16(rows: &[FullRow]) {
         "GEOMEAN all                DAC {:.2}x   (paper: 1.40x)",
         geomean(rows.iter().map(|r| r.speedup(Design::Dac)))
     );
+
+    // The exact account of each speedup: `SimStats::ledger`'s rows as %
+    // of baseline cycles, summing to 100 × (1 − design / baseline cycles).
+    let ledger = |r: &FullRow, d: Design| -> [f64; 6] {
+        let base = &r.report(Design::Baseline).stats;
+        let rows = base.ledger(&r.report(d).stats);
+        // The five rows, then their total.
+        let mut cells = [rows.iter().sum::<i64>(); 6];
+        cells[..5].copy_from_slice(&rows);
+        cells.map(|v| 100.0 * v as f64 / base.issue_slots_total() as f64)
+    };
+    let line = |bench: &str, class: &str, d: Design, cells: [f64; 6]| {
+        let cells: String = cells.iter().map(|c| format!(" {c:>+11.1}")).collect();
+        outln!("{bench:<6} {class:<8} {:<6}{cells}", d.name());
+    };
+    const DESIGNS: [Design; 3] = [Design::Cae, Design::Mta, Design::Dac];
+    outln!(
+        "Cycle ledger: baseline minus design, % of baseline cycles (total = 100 x (1 - 1/speedup))"
+    );
+    let names: String = LEDGER_ROWS
+        .iter()
+        .chain(&["total"])
+        .map(|n| format!(" {n:>11}"))
+        .collect();
+    outln!("{:<6} {:<8} {:<6}{names}", "Bench", "Class", "Design");
+    for r in rows {
+        for d in DESIGNS {
+            line(r.abbr, class(r), d, ledger(r, d));
+        }
+    }
+    for (label, set) in [("memory", &mem_rows), ("compute", &cmp_rows)] {
+        if set.is_empty() {
+            continue;
+        }
+        for d in DESIGNS {
+            let sums = set.iter().fold([0.0; 6], |acc, r| {
+                let l = ledger(r, d);
+                std::array::from_fn(|i| acc[i] + l[i])
+            });
+            line("MEAN", label, d, sums.map(|s| s / set.len() as f64));
+        }
+    }
+}
+
+fn class(r: &FullRow) -> &'static str {
+    if r.memory_intensive {
+        "memory"
+    } else {
+        "compute"
+    }
 }
 
 fn fig17(rows: &[FullRow]) {

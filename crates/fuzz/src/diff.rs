@@ -22,7 +22,6 @@ use gpu_workloads::kernels::{ARR_A, ARR_B};
 use gpu_workloads::{gpu_for, run_design, BenchRun, Design, Workload};
 use simt_harness::{panic_message, Overrides};
 use simt_mem::SparseMemory;
-use simt_profile::CpiStack;
 use simt_sim::{GpuSim, SimReport};
 use simt_trace::NullTracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -188,10 +187,13 @@ pub fn check_designs(
             }
         }
 
-        let cpi = CpiStack::from_stats(&run.report.stats);
         if design != Design::Dac {
-            for bucket in ["deq_empty", "deq_data", "enq_full"] {
-                let slots = cpi.get(bucket);
+            let s = &run.report.stats;
+            for (bucket, slots) in [
+                ("deq_empty", s.slot_deq_empty),
+                ("deq_data", s.slot_deq_data),
+                ("enq_full", s.slot_enq_full),
+            ] {
                 if slots != 0 {
                     return Err(DiffFailure::ForeignBucket {
                         design,

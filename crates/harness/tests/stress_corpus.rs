@@ -1,13 +1,16 @@
 //! Transparency on the promoted divergence-stress corpus
 //! (`gpu_workloads::divergence_stress`): every design computes the same
-//! memory on the fuzzer-discovered control-flow and divergence patterns.
-//! Their counters are pinned with the rest in `tests/counters.rs`.
+//! memory on the fuzzer-discovered control-flow and divergence patterns,
+//! and each design's cycle ledger against the baseline sums exactly to
+//! the cycles it saves. Their counters are pinned with the rest in
+//! `tests/counters.rs`.
 
 use gpu_workloads::divergence_stress;
 use simt_harness::{suite_jobs, DesignPoint, Harness, Overrides};
 
 /// All four designs agree bit-for-bit on every stress workload's output
-/// region (per-thread words + atomic slots).
+/// region (per-thread words + atomic slots), and in integers
+/// `Σ ledger rows == (base.cycles − d.cycles) × base slots / base.cycles`.
 #[test]
 fn stress_corpus_outputs_agree_across_designs() {
     let overrides = Overrides {
@@ -24,5 +27,18 @@ fn stress_corpus_outputs_agree_across_designs() {
             "{}: designs disagree: {digests:x?}",
             w.abbr
         );
+        let base = &out.results[0].report.stats;
+        for (job, result) in jobs.iter().zip(&out.results) {
+            let rows = base.ledger(&result.report.stats);
+            let saved = (base.cycles as i64 - result.report.cycles as i64)
+                * base.issue_slots_total() as i64
+                / base.cycles as i64;
+            assert_eq!(
+                rows.iter().sum::<i64>(),
+                saved,
+                "{}: ledger {rows:?}",
+                job.label()
+            );
+        }
     }
 }

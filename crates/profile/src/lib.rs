@@ -7,20 +7,17 @@
 //!   histograms with p50/p90/p99;
 //! * [`ProfileSink`] — a [`simt_trace::Tracer`] that aggregates events
 //!   online (no retained event buffer, so it never drops anything);
-//! * [`CpiStack`] — the top-down issue-slot accounting view of
-//!   [`simt_sim::SimStats`], with the checked invariant that every
-//!   scheduler slot of every cycle lands in exactly one bucket;
 //! * [`report`] — deterministic markdown + JSON bottleneck reports
-//!   comparing designs side by side.
+//!   comparing designs side by side: the issue-slot buckets and cycle
+//!   ledger of [`simt_sim::SimStats`], hit rates and the sink's
+//!   histograms.
 
 #![forbid(unsafe_code)]
 
-mod cpi;
 mod hist;
 pub mod report;
 mod sink;
 
-pub use cpi::CpiStack;
 pub use hist::Histogram;
 pub use report::{DesignProfile, WorkloadProfile};
 pub use sink::ProfileSink;

@@ -63,13 +63,19 @@ pub struct Server {
     service: Arc<SweepService>,
     listener: TcpListener,
     stop: Arc<AtomicBool>,
+    quiet: Arc<AtomicBool>,
 }
 
 /// Handle for stopping a running [`Server`] from another thread.
 #[derive(Clone)]
 pub struct ServerHandle {
     addr: SocketAddr,
+    /// The accept loop exits at its next connection.
     stop: Arc<AtomicBool>,
+    /// Connection handlers answer nothing more. Raised before the
+    /// `/shutdown` ack is written, so no request read after the ack is
+    /// answered; `stop` waits until the ack is on the wire.
+    quiet: Arc<AtomicBool>,
 }
 
 impl ServerHandle {
@@ -81,6 +87,7 @@ impl ServerHandle {
     /// Ask the accept loop to exit after the connection in flight (the
     /// self-connect below unblocks `accept` immediately).
     pub fn shutdown(&self) {
+        self.quiet.store(true, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
     }
@@ -95,6 +102,7 @@ impl Server {
             service,
             listener,
             stop: Arc::new(AtomicBool::new(false)),
+            quiet: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -103,6 +111,7 @@ impl Server {
         ServerHandle {
             addr: self.listener.local_addr().expect("bound listener"),
             stop: Arc::clone(&self.stop),
+            quiet: Arc::clone(&self.quiet),
         }
     }
 
@@ -193,7 +202,7 @@ fn handle_connection(
             Err(msg) => return reject(conn, &msg),
         };
         // An acknowledged shutdown answers nothing more.
-        if handle.stop.load(Ordering::SeqCst) {
+        if handle.quiet.load(Ordering::SeqCst) {
             return Ok(());
         }
         let started = Instant::now();
@@ -201,6 +210,11 @@ fn handle_connection(
         service.record_endpoint(label, started.elapsed().as_micros() as u64);
         let shutdown = label == "POST /shutdown";
         let keep_alive = request.keep_alive && !shutdown;
+        if shutdown {
+            // Before the ack: a kept-alive client may send its next
+            // request the moment it reads the ack.
+            handle.quiet.store(true, Ordering::SeqCst);
+        }
         let written = write_response(conn.get_mut(), &response, keep_alive);
         if shutdown {
             // Signal only after the ack is on the wire, so the client never

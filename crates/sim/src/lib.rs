@@ -40,5 +40,5 @@ pub use config::GpuConfig;
 pub use coproc::{AddrRecord, CoCtx, CoProcessor, DeqGate, IssueCost, NullCoProcessor, RecordKind};
 pub use gpu::{GpuSim, KernelReport, SimReport, StreamReport};
 pub use stack::SimtStack;
-pub use stats::SimStats;
+pub use stats::{SimStats, LEDGER_ROWS};
 pub use stream::{Stream, StreamLaunch};

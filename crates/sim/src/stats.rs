@@ -4,6 +4,14 @@
 //! (Fig. 17), decoupled-load percentages (Fig. 19), and the event counts the
 //! energy model converts into Joules (Fig. 21).
 
+/// The rows of [`SimStats::ledger`], each a group of issue-slot buckets
+/// named for the mechanism it measures: `instruction` (issued + affine +
+/// busy: fewer instructions through the SIMT lanes), `latency`
+/// (scoreboard: load latency left exposed), `dac_wait` (deq_empty +
+/// deq_data + enq_full: DAC waiting on its queues), `pipeline` (lsu_full +
+/// barrier) and `idle` (no resident work: occupancy and tail).
+pub const LEDGER_ROWS: [&str; 5] = ["instruction", "latency", "dac_wait", "pipeline", "idle"];
+
 /// Counters accumulated over a kernel run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
@@ -204,6 +212,26 @@ impl SimStats {
         self.issue_slot_buckets().iter().map(|&(_, v)| v).sum()
     }
 
+    /// The cycle ledger of `design` against this baseline run: the issue
+    /// slots of each [`LEDGER_ROWS`] row, baseline minus design. Both runs
+    /// have the same slots per cycle, so the rows sum to
+    /// `(cycles_base − cycles_design) × slots per cycle` with no
+    /// remainder, and a row over the baseline's `issue_slots_total()` is
+    /// its exact share of the baseline's cycles.
+    pub fn ledger(&self, design: &SimStats) -> [i64; 5] {
+        let rows = |s: &SimStats| {
+            [
+                s.slot_issued + s.affine_issue_slots + s.slot_busy,
+                s.slot_scoreboard,
+                s.slot_deq_empty + s.slot_deq_data + s.slot_enq_full,
+                s.slot_lsu_full + s.slot_barrier,
+                s.slot_idle,
+            ]
+        };
+        let (base, d) = (rows(self), rows(design));
+        std::array::from_fn(|i| base[i] as i64 - d[i] as i64)
+    }
+
     /// Total warp instructions across both streams.
     pub fn total_instructions(&self) -> u64 {
         self.warp_instructions + self.affine_instructions
@@ -265,5 +293,25 @@ mod tests {
         assert!((s.affine_instruction_fraction() - 0.05).abs() < 1e-12);
         assert!((s.decoupled_load_fraction() - 0.8).abs() < 1e-12);
         assert!((s.ipc() - 2.0).abs() < 1e-12);
+    }
+
+    /// A counter moves one ledger row by its slots if it is an issue-slot
+    /// bucket, and no row otherwise.
+    #[test]
+    fn every_bucket_lands_in_exactly_one_ledger_row() {
+        for (name, _) in SimStats::default().fields() {
+            let mut base = SimStats::default();
+            assert!(base.set_field(name, 1));
+            let rows = base.ledger(&SimStats::default());
+            let bucket = base.issue_slots_total() == 1;
+            assert_eq!(
+                (
+                    rows.iter().filter(|&&r| r == 1).count(),
+                    rows.iter().sum::<i64>()
+                ),
+                if bucket { (1, 1) } else { (0, 0) },
+                "{name}: rows {rows:?}"
+            );
+        }
     }
 }

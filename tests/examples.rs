@@ -77,7 +77,8 @@ fn compiler_explorer_runs_its_demos() {
 /// README's quickstart block is what the example prints, and every
 /// measured value in EXPERIMENTS.md's headline table appears, at the
 /// precision shown, among the first values on its line of
-/// `results/figures.txt`. Fails once, naming every stale number.
+/// `results/figures.txt`, as does every line of the plain code blocks of
+/// its Fig. 16 section. Fails once, naming every stale number.
 #[test]
 fn documents_quote_the_numbers_they_report() {
     let mut stale = Vec::new();
@@ -134,6 +135,32 @@ fn documents_quote_the_numbers_they_report() {
                     cells[1]
                 ));
             }
+        }
+    }
+
+    // The Fig. 16 section quotes the class-mean ledger lines verbatim.
+    let (_, section) = doc.split_once("\n### Figure 16").unwrap();
+    let section = section.split("\n### ").next().unwrap();
+    let printed = figures
+        .split("\n=== ")
+        .find(|s| s.starts_with("Figure 16"))
+        .unwrap();
+    let quoted: Vec<&str> = section
+        .split("\n```")
+        .skip(1)
+        .step_by(2)
+        .filter_map(|b| b.strip_prefix('\n'))
+        .flat_map(str::lines)
+        .collect();
+    assert!(
+        !quoted.is_empty(),
+        "EXPERIMENTS.md Fig. 16 quotes no ledger"
+    );
+    for line in quoted {
+        if !printed.lines().any(|l| l == line) {
+            stale.push(format!(
+                "EXPERIMENTS.md Fig. 16 quotes {line:?}, not in results/figures.txt"
+            ));
         }
     }
     assert!(
