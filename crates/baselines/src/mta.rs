@@ -203,11 +203,13 @@ impl CoProcessor for Mta {
         }
         // Throttle: compare the prefetch buffer's unused-eviction rate,
         // read from the fabric on this SM's evaluation deadline only (the
-        // read walks every port).
+        // read walks every port and partition). Both counters move only on
+        // the port fill path, so they hold still through every SM's tick.
         let (period, threshold) = (self.cfg.throttle_period, self.cfg.pollution_threshold);
         let s = &mut self.sms[sm];
         if ctx.now.saturating_sub(s.last_eval) >= period {
-            let (pbuf_unused, pbuf_fills) = ctx.fabric.pbuf_stats();
+            let mem = ctx.fabric.stats();
+            let (pbuf_unused, pbuf_fills) = (mem.pbuf_unused_evictions, mem.pbuf_fills);
             s.last_eval = ctx.now;
             let unused = pbuf_unused.saturating_sub(s.last_unused);
             let fills = pbuf_fills.saturating_sub(s.last_fills);

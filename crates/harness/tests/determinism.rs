@@ -1,8 +1,8 @@
 //! The harness's central guarantees, compared as results rather than
 //! trusted: `--jobs N` produces byte-identical aggregated results to a
-//! serial run, for every N; and a traced run — which ticks every SM on
-//! every cycle, so it is the reference for SM sleep — reports exactly
-//! what an untraced run does.
+//! serial run, for every N; and a traced run — which ticks every unit on
+//! every cycle, so it is the reference for the wake protocol — reports
+//! exactly what an untraced run does.
 
 use gpu_workloads::{all_benchmarks, all_scenarios, benchmark, divergence_stress};
 use simt_harness::{
@@ -94,8 +94,9 @@ fn counters(r: &JobResult) -> Vec<(String, u64)> {
     out
 }
 
-/// Run `job` untraced (SMs sleep) and traced (every SM ticks every
-/// cycle); every counter must agree, and the serialized artifacts too.
+/// Run `job` untraced (units tick only when due) and traced (every unit
+/// ticks every cycle); every counter must agree, and the serialized
+/// artifacts too.
 fn assert_sleep_exact(job: &Job) {
     let plain = job.execute();
     let mut tracer = CountingTracer::default();
@@ -116,7 +117,7 @@ fn assert_sleep_exact(job: &Job) {
     );
 }
 
-/// Tracing is pure observation, and a sleeping SM misses nothing: the
+/// Tracing is pure observation, and a sleeping unit misses nothing: the
 /// untraced run of every workload × design reports exactly what the
 /// traced reference does. The tier-1 slice: four workloads from different
 /// corners of the suite (streaming, compute, stencil, DAC's irregular
@@ -146,11 +147,15 @@ fn tracing_does_not_perturb_results() {
     }
 }
 
-/// The sleep reference over everything shipped: the 29 benchmarks × 4
-/// designs on a 2-SM machine and on the full chip, the three scenarios ×
-/// both placement policies and the stress corpus on 2 SMs, and the
-/// `chip_memory` benchmark set (BFS, SPV, LIB at scale 2) on the full
-/// chip. Minutes in a debug build; CI runs it in release mode
+/// The wake-protocol reference over everything shipped: SM sleep, fabric
+/// sleep (partitions, DRAM channels and ports ticking only when due, and
+/// refused retries answered from the fabric's memo) and dispatch rounds
+/// only when due, against a traced run that ticks them all every cycle.
+/// The set: the 29 benchmarks × 4 designs on a 2-SM machine and on the
+/// full chip, the three scenarios × both placement policies and the
+/// stress corpus on 2 SMs, and the `chip_memory` benchmark set (BFS, SPV,
+/// LIB at scale 2) on the full chip. Minutes in a debug build; CI runs it
+/// in release mode
 /// (`cargo test --release -p simt-harness --test determinism --
 /// --include-ignored`).
 #[test]

@@ -1,14 +1,17 @@
-//! Per-SM sleep is exact for every way a sleeping SM can be woken. Each
-//! test shapes a run so that some SM sleeps and depends on one wake source
-//! to resume at the right cycle, then runs it untraced (SMs sleep) and
-//! traced (every SM ticks every cycle — the reference): cycles, every core
-//! counter chip-wide and per kernel, every memory counter and the final
-//! memory image must agree. Without its wake source, each of these runs
-//! sleeps through an event and either diverges or never finishes.
+//! The wake protocol is exact for every way a unit can be woken: a
+//! sleeping SM, an L2 partition with its DRAM channel, an SM port, a
+//! refused fabric client and the command processor. Each test shapes a
+//! run so that some unit waits and depends on one wake source to act at
+//! the right cycle, then runs it untraced (units tick only when due) and
+//! traced (every unit ticks every cycle — the reference): cycles, every
+//! core counter chip-wide and per kernel, every memory counter and the
+//! final memory image must agree. Without its wake source, each of these
+//! runs sleeps through an event and either diverges or never finishes.
 
 use affine::{decouple, AffineAnalysis};
 use dac_core::{Dac, DacConfig};
 use gpu_baselines::{Mta, MtaConfig};
+use simt_harness::{suite_jobs, Design, DesignPoint, Overrides};
 use simt_ir::{CmpOp, KernelBuilder, LaunchConfig, Op, Operand, Program, Space, SpecialReg, Width};
 use simt_mem::{MemConfig, SparseMemory};
 use simt_sim::{
@@ -390,4 +393,211 @@ fn throttle_deadline_wakes_a_sleeping_mta_sm() {
     let plain = run(&mut NullTracer);
     assert_eq!(plain, run(&mut Ticking));
     assert!(plain.4 > 0, "the throttle never moved the degree");
+}
+
+/// `*(p2 + 4 * tid) = value`.
+fn store_to_p2(k: &mut KernelBuilder, value: Operand) {
+    let tid = k.tid_linear_x();
+    let off = k.alu2(Op::Shl, Operand::Reg(tid), Operand::Imm(2));
+    let a = k.alu2(Op::Add, Operand::Param(2), Operand::Reg(off));
+    k.st(Space::Global, a, 0, value, Width::W32);
+}
+
+/// One warp computes for a while, then loads one word. Every partition
+/// has been idle since cycle 0, due only after a push, so the load's
+/// arrival in its partition's input queue is what makes it due.
+#[test]
+fn inq_arrival_wakes_an_idle_partition() {
+    let mut k = KernelBuilder::new("late_load", 3);
+    let r = k.mov(Operand::Imm(1));
+    for _ in 0..16 {
+        k.alu_into(r, Op::Mul, &[Operand::Reg(r), Operand::Imm(3)]);
+    }
+    let zero = k.alu2(Op::And, Operand::Reg(r), Operand::Imm(0));
+    let a = k.alu2(Op::Add, Operand::Param(1), Operand::Reg(zero));
+    let v = k.ld(Space::Global, a, 0, Width::W32);
+    let sum = k.alu2(Op::Add, Operand::Reg(v), Operand::Reg(r));
+    store_to_p2(&mut k, Operand::Reg(sum));
+    k.exit();
+    let launch = LaunchConfig::linear(1, 32, vec![0, 0x9000, 0x4000]);
+    let prog = Program::new(k.build(), launch).unwrap();
+    let mut init = SparseMemory::new();
+    init.write_u32_slice(0x9000, &[5]);
+    let rep = sleep_exact(&machine(), &single(prog), &init, &baseline);
+    assert_eq!(rep.mem.l2_misses, 2, "the load and the store");
+}
+
+/// `v = *(p0 + p1 * tid)`, then `*(p2 + 4 * tid) = v`: with `p1` = 48 KiB
+/// every lane's line maps to one partition and one DRAM bank, each in a
+/// row of its own.
+fn same_bank_loads(warps: u32) -> Program {
+    let mut k = KernelBuilder::new("same_bank", 3);
+    let tid = k.tid_linear_x();
+    let off = k.alu2(Op::Mul, Operand::Reg(tid), Operand::Param(1));
+    let a = k.alu2(Op::Add, Operand::Param(0), Operand::Reg(off));
+    let v = k.ld(Space::Global, a, 0, Width::W32);
+    store_to_p2(&mut k, Operand::Reg(v));
+    k.exit();
+    let launch = LaunchConfig::linear(1, 32 * warps, vec![0x100_0000, 48 * 1024, 0x4000]);
+    Program::new(k.build(), launch).unwrap()
+}
+
+/// One warp's 32 loads queue in one DRAM bank, each a row miss that
+/// keeps the bank busy: after a start, the channel is next due when the
+/// bank frees, and the partition when the next read completes — after
+/// the last push, nothing else makes it due.
+#[test]
+fn bank_free_and_completion_wake_a_partition() {
+    let rep = sleep_exact(
+        &machine(),
+        &single(same_bank_loads(1)),
+        &SparseMemory::new(),
+        &baseline,
+    );
+    let dram = (rep.mem.dram_serviced, rep.mem.dram_row_misses);
+    assert_eq!(dram, (33, 33), "32 loads and the store, each a row miss");
+}
+
+/// The same loads from four warps behind a two-entry DRAM queue: the
+/// partition's input head finds the queue full, is refused, and is due
+/// again only once a start makes room or a fill lands in the L2. Every
+/// refused cycle still looks the head up in the L2 and counts a miss, so
+/// the cycles it waited are credited as misses when it is next served.
+#[test]
+fn dram_queue_room_wakes_a_refused_head() {
+    let cfg = GpuConfig {
+        mem: MemConfig {
+            dram_queue: 2,
+            ..MemConfig::gtx480()
+        },
+        ..machine()
+    };
+    let rep = sleep_exact(
+        &cfg,
+        &single(same_bank_loads(4)),
+        &SparseMemory::new(),
+        &baseline,
+    );
+    assert!(
+        rep.mem.l2_misses > 10 * rep.mem.dram_serviced,
+        "{:?}",
+        rep.mem
+    );
+}
+
+/// One warp loads one line and waits for it. Once its partition sent the
+/// fill, no partition is due: only the port's `incoming` queue is, and
+/// the fabric must tick when the fill matures there.
+#[test]
+fn matured_fill_makes_the_fabric_due() {
+    let mut k = KernelBuilder::new("one_load", 3);
+    let a = k.mov(Operand::Param(1));
+    let v = k.ld(Space::Global, a, 0, Width::W32);
+    store_to_p2(&mut k, Operand::Reg(v));
+    k.exit();
+    let launch = LaunchConfig::linear(1, 32, vec![0, 0x9000, 0x4000]);
+    let prog = Program::new(k.build(), launch).unwrap();
+    let mut init = SparseMemory::new();
+    init.write_u32_slice(0x9000, &[7]);
+    let rep = sleep_exact(&machine(), &single(prog), &init, &baseline);
+    assert_eq!(rep.mem.l1_misses, 2, "the load and the store");
+}
+
+/// Two CTAs, one per SM: warp 0 of each sprays stores over lines of
+/// partition 0 while three warps spin in a loop, so each SM keeps ticking
+/// with its LSU head refused by the full input queue. While the queue
+/// stays full, the fabric answers the retries from its last refusal;
+/// once a pop makes room, the next retry must be looked at again, on an
+/// awake SM and on one the pop woke (the other SM may fill the queue
+/// first).
+#[test]
+fn queue_pop_reaches_a_refused_client_on_an_awake_sm() {
+    let cfg = machine();
+    let mut k = KernelBuilder::new("spray_and_spin", 3);
+    let lane = k.mov(Operand::Special(SpecialReg::TidX));
+    let spin = k.setp(CmpOp::Ge, Operand::Reg(lane), Operand::Imm(32));
+    k.bra_if(spin, "spin");
+    let tid = k.tid_linear_x();
+    let off = k.alu2(Op::Mul, Operand::Reg(tid), Operand::Param(1));
+    let a = k.alu2(Op::Add, Operand::Param(0), Operand::Reg(off));
+    k.st(Space::Global, a, 0, Operand::Reg(tid), Width::W32);
+    k.exit();
+    k.label("spin");
+    let i = k.mov(Operand::Imm(0));
+    k.label("top");
+    k.alu_into(i, Op::Add, &[Operand::Reg(i), Operand::Imm(1)]);
+    let more = k.setp(CmpOp::Lt, Operand::Reg(i), Operand::Param(2));
+    k.bra_if(more, "top");
+    k.exit();
+    let stride = cfg.mem.line_bytes * cfg.mem.num_partitions as u64;
+    let launch = LaunchConfig::linear(2, 128, vec![0x10_0000, stride, 60]);
+    let prog = Program::new(k.build(), launch).unwrap();
+    let rep = sleep_exact(&cfg, &single(prog), &SparseMemory::new(), &baseline);
+    assert!(
+        rep.mem.queue_full_stalls > 50,
+        "{}",
+        rep.mem.queue_full_stalls
+    );
+}
+
+/// Sixteen four-warp CTAs on two SMs of four CTA slots each: the second
+/// wave is placed only by the dispatch round a retire makes due.
+#[test]
+fn retire_makes_dispatch_due() {
+    let mut k = KernelBuilder::new("waves", 1);
+    let tid = k.tid_linear_x();
+    store_per_thread(&mut k, Operand::Reg(tid));
+    k.exit();
+    let prog = Program::new(k.build(), LaunchConfig::linear(16, 128, vec![0x4000])).unwrap();
+    let rep = sleep_exact(&machine(), &single(prog), &SparseMemory::new(), &baseline);
+    assert_eq!(rep.stats.ctas_launched, 16);
+}
+
+/// Kernel A, then kernel B, in one stream on two SMs. Each thread of A
+/// stores to a line of its own and exits, so A's CTAs retire while their
+/// SMs' LSUs still hold most of the stores: after A's last retire, both
+/// SMs wait for release until their LSUs drain, which no retire
+/// announces — dispatch stays due while they wait.
+#[test]
+fn waiting_for_release_keeps_dispatch_due() {
+    let cfg = machine();
+    let mut k = KernelBuilder::new("scatter", 2);
+    let tid = k.tid_linear_x();
+    let off = k.alu2(Op::Mul, Operand::Reg(tid), Operand::Param(1));
+    let a = k.alu2(Op::Add, Operand::Param(0), Operand::Reg(off));
+    k.st(Space::Global, a, 0, Operand::Reg(tid), Width::W32);
+    k.exit();
+    let launch = LaunchConfig::linear(2, 32, vec![0x10_0000, cfg.mem.line_bytes]);
+    let scatter = Program::new(k.build(), launch).unwrap();
+    let streams = vec![Stream::of(vec![
+        StreamLaunch::labelled(scatter, "a"),
+        StreamLaunch::labelled(lopsided("b", 0, 0x5000), "b"),
+    ])];
+    let make = || -> Vec<Box<dyn CoProcessor>> {
+        vec![Box::new(NullCoProcessor), Box::new(NullCoProcessor)]
+    };
+    let rep = sleep_exact(&cfg, &streams, &SparseMemory::new(), &make);
+    let (a, b) = (&rep.per_kernel[0], &rep.per_kernel[1]);
+    assert!(b.first_cycle > a.done_cycle + 1, "{a:?} {b:?}");
+}
+
+/// ST under DAC on two 48-warp SMs: the affine warps' early requests run
+/// into the L1 lock budget. A refused one is answered from the fabric's
+/// memo until something it was refused on changes — here a demand access
+/// that unlocks a line of its SM, with no fill or other request of the SM
+/// in between.
+#[test]
+fn unlock_reaches_a_lock_refused_early_request() {
+    let st = gpu_workloads::benchmark("ST", 1).expect("ST is shipped");
+    let two_sms = Overrides {
+        num_sms: Some(2),
+        ..Overrides::default()
+    };
+    let job = &suite_jobs(vec![st], 1, &[DesignPoint::Hw(Design::Dac)], &two_sms)[0];
+    let (plain, traced) = (job.execute(), job.execute_traced(&mut Ticking));
+    assert_eq!(plain.report.cycles, traced.report.cycles, "cycles");
+    assert_eq!(plain.report.stats, traced.report.stats, "core counters");
+    assert_eq!(plain.report.mem, traced.report.mem, "memory counters");
+    assert_eq!(plain.output_digest, traced.output_digest, "output");
+    assert!(plain.report.mem.lock_budget_stalls > 0);
 }

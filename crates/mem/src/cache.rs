@@ -161,6 +161,14 @@ impl Cache {
         }
     }
 
+    /// Count `n` demand misses of a line that stays absent: what `n`
+    /// [`Cache::access`] calls would change (the miss count and the LRU
+    /// clock), without the lookups.
+    pub fn count_misses(&mut self, n: u64) {
+        self.tick += n;
+        self.misses += n;
+    }
+
     /// Install a line, evicting the LRU *unlocked* way if needed (the
     /// first such way among equally old ones).
     ///

@@ -21,6 +21,8 @@ pub struct DramRequest {
 struct Bank {
     open_row: Option<u64>,
     busy_until: u64,
+    /// Queued requests for this bank.
+    queued: u32,
 }
 
 /// A queued request with its bank and row, decoded once when it entered
@@ -51,11 +53,6 @@ pub struct DramPartition {
     burst_cycles: u64,
     queue_capacity: usize,
     bus_free_at: u64,
-    /// Every queued request waits for a busy bank, the earliest of which
-    /// frees at this cycle. Banks change only when a request starts, so
-    /// until then the queue walk would come out the same; a `push` (which
-    /// may target a free bank) clears it.
-    blocked_until: u64,
     /// Completed (cycle_ready, request) pairs awaiting pickup by the fabric.
     done: VecDeque<(u64, DramRequest)>,
     /// Row-buffer hits.
@@ -64,8 +61,6 @@ pub struct DramPartition {
     pub row_misses: u64,
     /// Requests serviced (reads + writes).
     pub serviced: u64,
-    /// Cycles a request at the queue head could not be scheduled.
-    pub stall_cycles: u64,
 }
 
 impl DramPartition {
@@ -76,7 +71,8 @@ impl DramPartition {
             banks: vec![
                 Bank {
                     open_row: None,
-                    busy_until: 0
+                    busy_until: 0,
+                    queued: 0,
                 };
                 cfg.dram_banks
             ],
@@ -88,12 +84,10 @@ impl DramPartition {
             burst_cycles: cfg.dram_burst_cycles,
             queue_capacity: cfg.dram_queue,
             bus_free_at: 0,
-            blocked_until: 0,
             done: VecDeque::new(),
             row_hits: 0,
             row_misses: 0,
             serviced: 0,
-            stall_cycles: 0,
         }
     }
 
@@ -112,10 +106,11 @@ impl DramPartition {
         assert!(self.can_accept(), "DRAM queue overflow");
         let row_index = req.line / self.row_bytes;
         let banks = self.banks.len() as u64;
-        self.blocked_until = 0;
+        let bank = (row_index % banks) as usize;
+        self.banks[bank].queued += 1;
         self.queue.push_back(Queued {
             req,
-            bank: (row_index % banks) as usize,
+            bank,
             row: row_index / banks,
         });
     }
@@ -125,21 +120,17 @@ impl DramPartition {
     /// bank is free (one scheduling decision per cycle, deterministic).
     /// Emits a [`TraceEvent::DramAccess`] per scheduling decision;
     /// `partition` only labels the event.
-    pub fn cycle(&mut self, now: u64, partition: usize, tracer: &mut dyn Tracer) {
-        if self.queue.is_empty() {
-            return;
-        }
-        if now < self.blocked_until {
-            self.stall_cycles += 1;
-            return;
-        }
+    ///
+    /// Returns the first cycle a walk can start a request, `push` aside:
+    /// when the first bank with a queued request is free (`u64::MAX`:
+    /// empty queue). Banks change state only when a request starts, so a
+    /// walk before then would come out the same and change nothing.
+    pub fn cycle(&mut self, now: u64, partition: usize, tracer: &mut dyn Tracer) -> u64 {
         let mut pick: Option<usize> = None;
         let mut fallback: Option<usize> = None;
-        let mut first_free = u64::MAX;
         for (i, q) in self.queue.iter().enumerate() {
             let bank = &self.banks[q.bank];
             if bank.busy_until > now {
-                first_free = first_free.min(bank.busy_until);
                 continue;
             }
             if bank.open_row == Some(q.row) {
@@ -151,9 +142,7 @@ impl DramPartition {
             }
         }
         let Some(idx) = pick.or(fallback) else {
-            self.blocked_until = first_free;
-            self.stall_cycles += 1;
-            return;
+            return self.next_start(now);
         };
         let Queued { req, bank, row } = self.queue[idx];
         let bank = &mut self.banks[bank];
@@ -178,6 +167,7 @@ impl DramPartition {
         }
         bank.open_row = Some(row);
         bank.busy_until = now + busy;
+        bank.queued -= 1;
         // Bank accesses overlap; the shared data bus serializes transfers.
         let transfer_start = (now + access_latency).max(self.bus_free_at);
         let data_ready = transfer_start + self.burst_cycles;
@@ -187,6 +177,25 @@ impl DramPartition {
         if !req.write {
             self.done.push_back((data_ready, req));
         }
+        self.next_start(now)
+    }
+
+    /// The first cycle after `now` at which a bank with a queued request
+    /// is free.
+    fn next_start(&self, now: u64) -> u64 {
+        self.banks
+            .iter()
+            .filter(|b| b.queued > 0)
+            .map(|b| b.busy_until.max(now + 1))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The cycle the oldest completed read is ready (`u64::MAX`: none).
+    /// Reads complete in start order, so it is the next
+    /// [`DramPartition::pop_done`] to succeed.
+    pub fn next_done(&self) -> u64 {
+        self.done.front().map_or(u64::MAX, |&(ready, _)| ready)
     }
 
     /// Pop a completed read whose data is ready at `now`.
@@ -243,7 +252,7 @@ mod tests {
         banks: [Bank; 4],
         bus_free_at: u64,
         done: VecDeque<(u64, DramRequest)>,
-        counters: [u64; 4], // row_hits, row_misses, serviced, stall_cycles
+        counters: [u64; 3], // row_hits, row_misses, serviced
     }
 
     impl Recompute {
@@ -261,7 +270,6 @@ mod tests {
                 .or_else(|| self.queue.iter().find(free))
                 .copied();
             let Some(req) = choice else {
-                self.counters[3] += !self.queue.is_empty() as u64;
                 return;
             };
             let idx = self.queue.iter().position(|r| *r == req).unwrap();
@@ -284,7 +292,9 @@ mod tests {
     /// 8-entry queue, idle stretches that drain it, reads and writes over
     /// 4 banks × 6 rows): the decode-once queue and the recomputing model
     /// complete the same request ids in the same cycles and agree on all
-    /// four counters after every cycle.
+    /// three counters after every cycle. The model walks every cycle; the
+    /// real queue walks only on the cycle its last walk returned or a
+    /// push, as a partition ticks it.
     #[test]
     fn decoded_queue_matches_recomputing_model() {
         let mut rng = Rng(0xD4A7);
@@ -294,12 +304,14 @@ mod tests {
             banks: [Bank {
                 open_row: None,
                 busy_until: 0,
+                queued: 0,
             }; 4],
             bus_free_at: 0,
             done: VecDeque::new(),
-            counters: [0; 4],
+            counters: [0; 3],
         };
         let mut completed = 0;
+        let mut due = 0;
         for now in 0..60_000u64 {
             let offered = [60, 2, 15][(now / 3000 % 3) as usize];
             if rng.below(100) < offered && d.can_accept() {
@@ -310,8 +322,12 @@ mod tests {
                 };
                 d.push(req);
                 m.queue.push(req);
+                due = now;
             }
-            d.cycle(now, 0, &mut NullTracer);
+            if due <= now {
+                due = d.cycle(now, 0, &mut NullTracer);
+                assert!(due > now, "cycle {now}");
+            }
             m.cycle(now);
             loop {
                 let ready = matches!(m.done.front(), Some(&(at, _)) if at <= now);
@@ -322,7 +338,7 @@ mod tests {
                 }
                 completed += 1;
             }
-            let counters = [d.row_hits, d.row_misses, d.serviced, d.stall_cycles];
+            let counters = [d.row_hits, d.row_misses, d.serviced];
             assert_eq!(counters, m.counters, "cycle {now}");
         }
         assert!(completed > 1000 && m.counters.iter().all(|&n| n > 500));

@@ -8,9 +8,10 @@
 //! structural stalls are reported synchronously as
 //! [`AccessOutcome::Stall`] so callers can retry (that retry *is* the
 //! stall). A client that stops retrying while its SM sleeps is credited
-//! the retries it skipped when it next calls ([`MemoryFabric::access`]),
-//! and [`MemoryFabric::wakes`] names the cycles at which a sleeping SM's
-//! port or refused request can have changed.
+//! the retries it skipped when it next calls ([`MemoryFabric::access`]).
+//! Partitions and ports tick only when due, and the fabric posts a
+//! sleeping SM's wakes ([`MemoryFabric::wake_at`]): DESIGN.md "One wake
+//! protocol".
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::MemConfig;
@@ -109,6 +110,18 @@ pub struct MemRequest {
     pub token: u64,
 }
 
+impl MemRequest {
+    fn response(&self) -> MemResponse {
+        let (sm, line, client, token) = (self.sm, self.line, self.client, self.token);
+        MemResponse {
+            sm,
+            line,
+            client,
+            token,
+        }
+    }
+}
+
 /// A completed request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {
@@ -162,26 +175,44 @@ enum PartEvent {
     Direct(MemResponse),
 }
 
-/// The last request the fabric refused a client, and when. Every client
-/// retries a refused request on each cycle its SM ticks, so a gap between
-/// two calls with the same request is cycles the SM slept through.
+impl PartEvent {
+    /// What a partition sends back for `req`.
+    fn of(req: &MemRequest) -> Self {
+        match req.kind {
+            ReqKind::Atomic => PartEvent::Direct(req.response()),
+            _ => PartEvent::Fill { line: req.line },
+        }
+    }
+}
+
+/// The last request the fabric refused a client: why, when it was last
+/// looked at and the port's `changes` count then. A gap between `at` and
+/// the next look is retries skipped, asleep or answered from here.
 #[derive(Debug, Clone, Copy)]
 struct Refusal {
     req: MemRequest,
     reason: StallReason,
     at: u64,
-    /// The partition whose full input queue refused it (`QueueFull` only).
-    full_queue: Option<usize>,
+    changes: u64,
 }
 
 #[derive(Debug)]
 struct Partition {
     inq: VecDeque<(u64, MemRequest)>,
-    /// Last cycle the input-queue head left (`u64::MAX`: never) — the only
-    /// way a full queue gets room.
-    popped: u64,
+    /// The next cycle its tick can change anything (`u64::MAX`: until a
+    /// push).
+    due: u64,
+    /// SMs a client of which this full input queue refused since its last
+    /// pop, the only way it gets room, one bit each: the pop wakes them.
+    waiters: Vec<u64>,
+    /// The last cycle the input head was served and refused for a full
+    /// DRAM queue, while it still waits (`None`: it does not).
+    blocked_at: Option<u64>,
     l2: Cache,
     dram: DramPartition,
+    /// The next cycle the DRAM queue walk can start a request
+    /// ([`DramPartition::cycle`]), or `now` after a push.
+    dram_due: u64,
     /// Outstanding DRAM reads by id. FxHashMap: hot path, never iterated.
     inflight: FxHashMap<u64, MemRequest>,
     next_id: u64,
@@ -199,11 +230,15 @@ struct SmPort {
     /// partitions, in push order. Every push is due `l2_latency +
     /// icnt_latency` after the cycle that pushes it and takes a rising
     /// `seq`, so push order is `(at, seq)` order and the front is the
-    /// next event due.
+    /// next event due: the port's due cycle.
     incoming: VecDeque<(u64, u64, PartEvent)>,
-    /// Last cycle an incoming event matured here (`u64::MAX`: never): the
-    /// only way anything but this SM's own clients changes the port.
-    matured: u64,
+    /// The wake posted for the SM: the first cycle a response is ready, an
+    /// incoming event matured or a partition that refused one of its
+    /// clients popped (`u64::MAX`: none). A drain resets it.
+    wake: u64,
+    /// Changes to the port state a refusal reads: matured events, unlocks
+    /// and accepted requests of this SM. Nothing else reaches the port.
+    changes: u64,
     /// (ready_cycle, seq, ord, slot): responses ready for the client to
     /// drain. Payloads live in a slab (`Vec<Option<..>>` + free list).
     /// Slab slots are reused, so the heap carries a monotone `ord` as the
@@ -232,6 +267,11 @@ impl SmPort {
         self.seq
     }
 
+    /// The cycle the head of `incoming` matures (`u64::MAX`: empty).
+    fn due(&self) -> u64 {
+        self.incoming.front().map_or(u64::MAX, |&(at, ..)| at)
+    }
+
     /// A partition's fill or direct response, due at `at`.
     fn push_incoming(&mut self, at: u64, ev: PartEvent) {
         debug_assert!(self.incoming.back().is_none_or(|&(last, ..)| last <= at));
@@ -242,6 +282,7 @@ impl SmPort {
     fn push_ready(&mut self, at: u64, seq: u64, r: MemResponse) {
         let ord = self.next_ev;
         self.next_ev += 1;
+        self.wake = self.wake.min(at);
         let slot = match self.ready_free.pop() {
             Some(i) => {
                 self.ready_slab[i] = Some(r);
@@ -263,7 +304,8 @@ impl SmPort {
                 break;
             }
             self.incoming.pop_front();
-            self.matured = now;
+            self.wake = self.wake.min(now);
+            self.changes += 1;
             match ev {
                 PartEvent::Direct(resp) => {
                     self.push_ready(now, seq, resp);
@@ -316,25 +358,42 @@ impl SmPort {
 }
 
 impl Partition {
+    /// Queue `line` for DRAM (the caller checked `can_accept`); its id.
+    fn send_to_dram(&mut self, now: u64, line: u64, write: bool) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.dram.push(DramRequest { line, write, id });
+        self.dram_due = self.dram_due.min(now);
+        id
+    }
+
     /// Advance this partition one cycle: service the input-queue head, run
     /// DRAM, and push each completion onto its SM port's `incoming` heap.
     /// Reads no port state, and no port looks at `incoming` until every
     /// partition has cycled, so each port numbers its events in
-    /// partition-index-then-generation order.
+    /// partition-index-then-generation order. Ends by setting `due`. A
+    /// traced run (`all`) walks the DRAM queue every cycle, the reference
+    /// for `dram_due`.
     fn cycle(
         &mut self,
         cfg: &MemConfig,
         p: usize,
         now: u64,
         ports: &mut [SmPort],
+        all: bool,
         tracer: &mut dyn Tracer,
     ) {
-        let l2_latency = cfg.l2_latency;
-        let icnt = cfg.icnt_latency;
+        // Every event sent back reaches its port at this cycle.
+        let back = now + cfg.l2_latency + cfg.icnt_latency;
         // 1. Service the head of the input queue.
         let pop = matches!(self.inq.front(), Some(&(arrive, _)) if arrive <= now);
         if pop {
             let (_, req) = self.inq.front().copied().unwrap();
+            // Each cycle skipped since the head was last refused would
+            // have looked it up in the L2 and missed again.
+            if let Some(at) = self.blocked_at.take() {
+                self.l2.count_misses(now - at - 1);
+            }
             let mut l2_hit = false;
             let proceed = match req.kind {
                 ReqKind::Store => {
@@ -345,18 +404,11 @@ impl Partition {
                         }
                         CacheOutcome::Miss => {
                             // Write-no-allocate: forward to DRAM if room.
-                            if self.dram.can_accept() {
-                                let id = self.next_id;
-                                self.next_id += 1;
-                                self.dram.push(DramRequest {
-                                    line: req.line,
-                                    write: true,
-                                    id,
-                                });
-                                true
-                            } else {
-                                false
+                            let room = self.dram.can_accept();
+                            if room {
+                                self.send_to_dram(now, req.line, true);
                             }
+                            room
                         }
                     }
                 }
@@ -365,28 +417,11 @@ impl Partition {
                     let hit = self.l2.access(req.line, is_atomic) == CacheOutcome::Hit;
                     l2_hit = hit;
                     if hit {
-                        let at = now + l2_latency + icnt;
-                        let ev = if is_atomic {
-                            PartEvent::Direct(MemResponse {
-                                sm: req.sm,
-                                line: req.line,
-                                client: req.client,
-                                token: req.token,
-                            })
-                        } else {
-                            PartEvent::Fill { line: req.line }
-                        };
-                        ports[req.sm].push_incoming(at, ev);
+                        ports[req.sm].push_incoming(back, PartEvent::of(&req));
                         true
                     } else if self.dram.can_accept() {
-                        let id = self.next_id;
-                        self.next_id += 1;
+                        let id = self.send_to_dram(now, req.line, false);
                         self.inflight.insert(id, req);
-                        self.dram.push(DramRequest {
-                            line: req.line,
-                            write: false,
-                            id,
-                        });
                         true
                     } else {
                         false
@@ -395,7 +430,14 @@ impl Partition {
             };
             if proceed {
                 self.inq.pop_front();
-                self.popped = now;
+                for (w, word) in self.waiters.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        let port = &mut ports[w * 64 + bits.trailing_zeros() as usize];
+                        port.wake = port.wake.min(now);
+                        bits &= bits - 1;
+                    }
+                }
                 if tracer.enabled() {
                     tracer.emit(
                         now,
@@ -407,16 +449,22 @@ impl Partition {
                         },
                     );
                 }
+            } else {
+                self.blocked_at = Some(now);
             }
         }
         // 2. DRAM.
-        self.dram.cycle(now, p, tracer);
+        if all || self.dram_due <= now {
+            self.dram_due = self.dram.cycle(now, p, tracer);
+        }
         // 3. Completed DRAM reads → fill L2, route to SM.
+        let mut filled = false;
         while let Some(done) = self.dram.pop_done(now) {
             let req = match self.inflight.remove(&done.id) {
                 Some(r) => r,
                 None => continue,
             };
+            filled = true;
             // Fill L2 (atomics dirty the line).
             let dirty_evict = self.l2.fill(req.line, 0);
             if req.kind == ReqKind::Atomic {
@@ -425,28 +473,20 @@ impl Partition {
             if let Some(wb_line) = dirty_evict {
                 self.writebacks += 1;
                 if self.dram.can_accept() {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.dram.push(DramRequest {
-                        line: wb_line,
-                        write: true,
-                        id,
-                    });
+                    self.send_to_dram(now, wb_line, true);
                 }
             }
-            let at = now + l2_latency + icnt;
-            let ev = if req.kind == ReqKind::Atomic {
-                PartEvent::Direct(MemResponse {
-                    sm: req.sm,
-                    line: req.line,
-                    client: req.client,
-                    token: req.token,
-                })
-            } else {
-                PartEvent::Fill { line: req.line }
-            };
-            ports[req.sm].push_incoming(at, ev);
+            ports[req.sm].push_incoming(back, PartEvent::of(&req));
         }
+        // A head refused for a full DRAM queue is refused again until the
+        // queue has room or a fill lands in the L2.
+        let mut due = self.dram_due.min(self.dram.next_done());
+        if let Some(&(arrive, _)) = self.inq.front() {
+            if self.blocked_at.is_none() || filled || self.dram.can_accept() {
+                due = due.min(arrive.max(now + 1));
+            }
+        }
+        self.due = due;
     }
 }
 
@@ -456,6 +496,9 @@ pub struct MemoryFabric {
     cfg: MemConfig,
     sms: Vec<SmPort>,
     parts: Vec<Partition>,
+    /// The earliest cycle any partition or port is due: a cycle before it
+    /// has nothing to tick.
+    due: u64,
     stats_extra: MemStats,
     /// Acceptance cycle of in-flight traced requests, keyed by
     /// `(sm, client, token)`. Populated only while a tracer is enabled
@@ -473,7 +516,8 @@ impl MemoryFabric {
                 pbuf: (cfg.prefetch_buffer_size > 0)
                     .then(|| Cache::new(cfg.prefetch_buffer_size, 8, cfg.line_bytes)),
                 incoming: VecDeque::new(),
-                matured: u64::MAX,
+                wake: u64::MAX,
+                changes: 0,
                 ready: BinaryHeap::new(),
                 ready_slab: Vec::new(),
                 ready_free: Vec::new(),
@@ -486,9 +530,12 @@ impl MemoryFabric {
         let parts = (0..cfg.num_partitions)
             .map(|_| Partition {
                 inq: VecDeque::new(),
-                popped: u64::MAX,
+                due: u64::MAX,
+                waiters: vec![0; num_sms.div_ceil(64)],
+                blocked_at: None,
                 l2: Cache::new(cfg.l2_size_per_partition, cfg.l2_ways, cfg.line_bytes),
                 dram: DramPartition::new(&cfg),
+                dram_due: u64::MAX,
                 inflight: FxHashMap::default(),
                 next_id: 0,
                 writebacks: 0,
@@ -498,6 +545,7 @@ impl MemoryFabric {
             cfg,
             sms,
             parts,
+            due: u64::MAX,
             stats_extra: MemStats::default(),
             trace_t0: FxHashMap::default(),
         }
@@ -513,17 +561,30 @@ impl MemoryFabric {
     /// also record their acceptance cycle so
     /// [`MemoryFabric::drain_responses_into`] can report end-to-end latency.
     ///
-    /// A client retries a refused request on every cycle its SM ticks, so
-    /// when the same request comes back after a gap, its SM slept through
-    /// the gap — and slept only while nothing that refused the request
-    /// changed ([`MemoryFabric::wakes`]). Each skipped retry would have
-    /// been refused for the same reason, and is counted as one here.
+    /// A client retries a refused request on every cycle its SM ticks.
+    /// Until the port's `changes` count moves, an untraced retry gets the
+    /// same answer unlooked-at (a `QueueFull` one while the queue is still
+    /// full). Each retry skipped so — or while the SM slept — would have
+    /// been refused alike, and is counted when the request is next looked
+    /// at.
     pub fn access(&mut self, now: u64, req: MemRequest, tracer: &mut dyn Tracer) -> AccessOutcome {
         debug_assert_eq!(req.line % self.cfg.line_bytes, 0, "unaligned line");
         let client = req.client.to_u8() as usize;
-        if let Some(r) = self.sms[req.sm].refused[client] {
-            if r.req == req && now > r.at + 1 {
-                self.count_refusals(&req, r.reason, now - r.at - 1);
+        let port = &self.sms[req.sm];
+        if let Some(r) = port.refused[client] {
+            if r.req == req {
+                if r.changes == port.changes && !tracer.enabled() {
+                    if r.reason != StallReason::QueueFull {
+                        return AccessOutcome::Stall(r.reason);
+                    }
+                    if let Some(p) = self.full_queue(&req) {
+                        self.wait_on(p, req.sm);
+                        return AccessOutcome::Stall(r.reason);
+                    }
+                }
+                if now > r.at + 1 {
+                    self.count_refusals(&req, r.reason, now - r.at - 1);
+                }
             }
         }
         let out = if self.cfg.perfect {
@@ -536,14 +597,17 @@ impl MemoryFabric {
                 ReqKind::Prefetch => self.access_prefetch(now, req),
             }
         };
-        self.sms[req.sm].refused[client] = match out {
-            AccessOutcome::Accepted => None,
+        let port = &mut self.sms[req.sm];
+        port.refused[client] = match out {
+            AccessOutcome::Accepted => {
+                port.changes += 1;
+                None
+            }
             AccessOutcome::Stall(reason) => Some(Refusal {
                 req,
                 reason,
                 at: now,
-                full_queue: (reason == StallReason::QueueFull)
-                    .then(|| self.cfg.partition_of(req.line)),
+                changes: port.changes,
             }),
         };
         if tracer.enabled() {
@@ -587,16 +651,7 @@ impl MemoryFabric {
             _ => {
                 self.stats_extra.loads += 1;
                 let at = now + self.cfg.perfect_latency;
-                self.sms[req.sm].push_ready(
-                    at,
-                    seq,
-                    MemResponse {
-                        sm: req.sm,
-                        line: req.line,
-                        client: req.client,
-                        token: req.token,
-                    },
-                );
+                self.sms[req.sm].push_ready(at, seq, req.response());
             }
         }
         AccessOutcome::Accepted
@@ -608,45 +663,23 @@ impl MemoryFabric {
         let seq = self.sms[sm].next_seq();
         // Probe without updating statistics: structural stalls retry this
         // call every cycle and must not inflate hit/miss counts.
-        if self.sms[sm].l1.probe(req.line) {
-            let _ = self.sms[sm].l1.access(req.line, false); // hit: count + LRU
+        let port = &mut self.sms[sm];
+        let hit_latency = if port.l1.probe(req.line) {
+            let _ = port.l1.access(req.line, false); // hit: count + LRU
             if lock {
-                self.sms[sm].l1.lock_resident(req.line);
+                port.l1.lock_resident(req.line);
             }
-            let at = now + self.cfg.l1_hit_latency;
-            self.sms[sm].push_ready(
-                at,
-                seq,
-                MemResponse {
-                    sm,
-                    line: req.line,
-                    client: req.client,
-                    token: req.token,
-                },
-            );
-            self.stats_extra.loads += 1;
-            return AccessOutcome::Accepted;
-        }
-        let pbuf_hit = self.sms[sm]
-            .pbuf
-            .as_ref()
-            .map(|p| p.probe(req.line))
-            .unwrap_or(false);
-        if pbuf_hit {
-            let _ = self.sms[sm].pbuf.as_mut().unwrap().access(req.line, false);
+            Some(self.cfg.l1_hit_latency)
+        } else if let Some(pbuf) = port.pbuf.as_mut().filter(|p| p.probe(req.line)) {
+            let _ = pbuf.access(req.line, false);
             self.stats_extra.pbuf_hits += 1;
+            Some(self.cfg.prefetch_buffer_latency)
+        } else {
+            None
+        };
+        if let Some(latency) = hit_latency {
+            port.push_ready(now + latency, seq, req.response());
             self.stats_extra.loads += 1;
-            let at = now + self.cfg.prefetch_buffer_latency;
-            self.sms[sm].push_ready(
-                at,
-                seq,
-                MemResponse {
-                    sm,
-                    line: req.line,
-                    client: req.client,
-                    token: req.token,
-                },
-            );
             return AccessOutcome::Accepted;
         }
         // Miss: MSHR + lock budget + partition queue gates first...
@@ -658,12 +691,10 @@ impl MemoryFabric {
         }
         let will_forward = !self.sms[sm].mshr.contains(req.line);
         if will_forward {
-            let p = self.cfg.partition_of(req.line);
-            if self.parts[p].inq.len() >= self.cfg.l2_queue {
-                return self.refuse(&req, StallReason::QueueFull);
+            if let Some(p) = self.full_queue(&req) {
+                return self.refuse_full(p, &req);
             }
-            let arrive = now + self.cfg.icnt_latency;
-            self.parts[p].inq.push_back((arrive, req));
+            self.push_inq(now, req);
         } else if req.client == Client::Lsu && self.sms[sm].mshr.first_client(req.line) == Some(2) {
             // Demand merging into an in-flight MTA prefetch: covered.
             self.stats_extra.prefetch_merged += 1;
@@ -685,25 +716,21 @@ impl MemoryFabric {
     }
 
     fn access_store(&mut self, now: u64, req: MemRequest) -> AccessOutcome {
-        let p = self.cfg.partition_of(req.line);
-        if self.parts[p].inq.len() >= self.cfg.l2_queue {
-            return self.refuse(&req, StallReason::QueueFull);
+        if let Some(p) = self.full_queue(&req) {
+            return self.refuse_full(p, &req);
         }
         // Write-through, no-allocate at L1 (Fermi global stores).
         let _ = self.sms[req.sm].l1.access(req.line, false);
-        let arrive = now + self.cfg.icnt_latency;
-        self.parts[p].inq.push_back((arrive, req));
+        self.push_inq(now, req);
         self.stats_extra.stores += 1;
         AccessOutcome::Accepted
     }
 
     fn access_atomic(&mut self, now: u64, req: MemRequest) -> AccessOutcome {
-        let p = self.cfg.partition_of(req.line);
-        if self.parts[p].inq.len() >= self.cfg.l2_queue {
-            return self.refuse(&req, StallReason::QueueFull);
+        if let Some(p) = self.full_queue(&req) {
+            return self.refuse_full(p, &req);
         }
-        let arrive = now + self.cfg.icnt_latency;
-        self.parts[p].inq.push_back((arrive, req));
+        self.push_inq(now, req);
         self.stats_extra.atomics += 1;
         AccessOutcome::Accepted
     }
@@ -730,12 +757,8 @@ impl MemoryFabric {
         {
             return self.refuse(&req, StallReason::MshrFull);
         }
-        let p = self.cfg.partition_of(req.line);
-        // Prefetches yield to demand traffic: they enter only a
-        // half-empty partition queue (keeps speculation off the critical
-        // path without starving it).
-        if self.parts[p].inq.len() >= self.cfg.l2_queue / 2 {
-            return self.refuse(&req, StallReason::QueueFull);
+        if let Some(p) = self.full_queue(&req) {
+            return self.refuse_full(p, &req);
         }
         self.sms[sm].mshr.allocate(
             req.line,
@@ -744,9 +767,43 @@ impl MemoryFabric {
                 token: req.token,
             },
         );
+        self.push_inq(now, req);
+        AccessOutcome::Accepted
+    }
+
+    /// `req`'s partition, if its input queue is too full to take `req`.
+    /// Prefetches yield to demand traffic: they enter only a half-empty
+    /// queue (keeps speculation off the critical path without starving
+    /// it).
+    fn full_queue(&self, req: &MemRequest) -> Option<usize> {
+        let p = self.cfg.partition_of(req.line);
+        let cap = match req.kind {
+            ReqKind::Prefetch => self.cfg.l2_queue / 2,
+            _ => self.cfg.l2_queue,
+        };
+        (self.parts[p].inq.len() >= cap).then_some(p)
+    }
+
+    /// `req` enters its partition's input queue at `now`, arriving after
+    /// the interconnect latency; the partition is due then.
+    fn push_inq(&mut self, now: u64, req: MemRequest) {
+        let p = self.cfg.partition_of(req.line);
         let arrive = now + self.cfg.icnt_latency;
         self.parts[p].inq.push_back((arrive, req));
-        AccessOutcome::Accepted
+        self.parts[p].due = self.parts[p].due.min(arrive);
+        self.due = self.due.min(arrive);
+    }
+
+    /// Partition `p`'s full input queue refused a client of `sm`: wake
+    /// the SM when the queue pops.
+    fn wait_on(&mut self, p: usize, sm: usize) {
+        self.parts[p].waiters[sm / 64] |= 1 << (sm % 64);
+    }
+
+    /// Refuse `req` for partition `p`'s full input queue.
+    fn refuse_full(&mut self, p: usize, req: &MemRequest) -> AccessOutcome {
+        self.wait_on(p, req.sm);
+        self.refuse(req, StallReason::QueueFull)
     }
 
     /// Refuse `req` for `reason`, counting the refusal.
@@ -768,35 +825,42 @@ impl MemoryFabric {
         }
     }
 
-    /// Can a sleeping `sm` have been woken at cycle `now`? True when this
-    /// cycle matured an incoming event at its port (a fill changes the L1,
-    /// the prefetch buffer, the MSHRs and the pending locks — everything a
-    /// refused load or lock is refused on, besides the SM's own accesses),
-    /// when a response is ready for it, or when a partition whose full
-    /// queue refused one of its clients popped its head. Asked after
+    /// The first cycle the fabric wakes a sleeping `sm`, as posted so far:
+    /// a response comes ready for it, an incoming event matures at its
+    /// port (a fill changes the L1, the prefetch buffer, the MSHRs and the
+    /// pending locks — everything a refused load or lock is refused on,
+    /// besides the SM's own accesses), or a partition whose full queue
+    /// refused one of its clients pops its head. Read after
     /// [`MemoryFabric::cycle`] and before the SM's tick.
-    pub fn wakes(&self, sm: usize, now: u64) -> bool {
-        let port = &self.sms[sm];
-        port.matured == now
-            || matches!(port.ready.peek(), Some(&Reverse((at, ..))) if at <= now)
-            || port
-                .refused
-                .iter()
-                .flatten()
-                .any(|r| r.full_queue.is_some_and(|p| self.parts[p].popped == now))
+    pub fn wake_at(&self, sm: usize) -> u64 {
+        self.sms[sm].wake
     }
 
     /// Advance the hierarchy one cycle, emitting L2-access, DRAM and
-    /// SM-fill events into `tracer`. Two phases: every partition cycles in
-    /// index order (delivering fills and direct responses to the ports),
-    /// then every port processes its matured events.
+    /// SM-fill events into `tracer`. Two phases: every partition due at
+    /// `now` cycles in index order (delivering fills and direct responses
+    /// to the ports), then every port due matures its events. A unit that
+    /// is not due would change nothing; a traced run ticks them all, so it
+    /// stays the reference the due times are checked against.
     pub fn cycle(&mut self, now: u64, tracer: &mut dyn Tracer) {
+        let all = tracer.enabled();
+        if !all && self.due > now {
+            return;
+        }
+        let mut due = u64::MAX;
         for (p, part) in self.parts.iter_mut().enumerate() {
-            part.cycle(&self.cfg, p, now, &mut self.sms, tracer);
+            if all || part.due <= now {
+                part.cycle(&self.cfg, p, now, &mut self.sms, all, tracer);
+            }
+            due = due.min(part.due);
         }
         for (sm, port) in self.sms.iter_mut().enumerate() {
-            port.incoming_cycle(sm, now, tracer);
+            if all || port.due() <= now {
+                port.incoming_cycle(sm, now, tracer);
+            }
+            due = due.min(port.due());
         }
+        self.due = due;
     }
 
     /// Drain all responses ready for `sm` at cycle `now`, appending into
@@ -812,6 +876,9 @@ impl MemoryFabric {
         out: &mut Vec<MemResponse>,
     ) {
         let port = &mut self.sms[sm];
+        if port.wake > now {
+            return; // nothing ready: `wake` is the ready head
+        }
         let start = out.len();
         loop {
             let pop = matches!(port.ready.peek(),
@@ -823,6 +890,7 @@ impl MemoryFabric {
             out.push(port.ready_slab[slot].take().unwrap());
             port.ready_free.push(slot);
         }
+        port.wake = port.ready.peek().map_or(u64::MAX, |&Reverse((at, ..))| at);
         if tracer.enabled() {
             for r in &out[start..] {
                 let key = (r.sm, r.client.to_u8(), r.token);
@@ -847,16 +915,7 @@ impl MemoryFabric {
     /// Unlock a DAC-locked L1 line after its demand access (paper §4.2).
     pub fn unlock(&mut self, sm: usize, line: u64) {
         self.sms[sm].l1.unlock(line);
-    }
-
-    /// Is `line` resident in `sm`'s L1? (observability)
-    pub fn probe_l1(&self, sm: usize, line: u64) -> bool {
-        self.sms[sm].l1.probe(line)
-    }
-
-    /// Number of locked lines in `sm`'s L1 (observability).
-    pub fn locked_lines(&self, sm: usize) -> usize {
-        self.sms[sm].l1.locked_lines()
+        self.sms[sm].changes += 1;
     }
 
     /// Any work still in flight anywhere in the hierarchy?
@@ -893,50 +952,38 @@ impl MemoryFabric {
         s
     }
 
-    /// The two prefetch-buffer counters the MTA throttle reads
-    /// (`pbuf_unused_evictions`, `pbuf_fills`), exactly as
-    /// [`MemoryFabric::stats`] would report them. Both move only on the
-    /// port fill path, so they hold still from the end of the fabric cycle
-    /// through every SM's tick.
-    pub fn pbuf_stats(&self) -> (u64, u64) {
-        let mut unused = self.stats_extra.pbuf_unused_evictions;
-        let mut fills = self.stats_extra.pbuf_fills;
-        for port in &self.sms {
-            fills += port.pbuf_fills;
-            if let Some(p) = &port.pbuf {
-                unused += p.unused_evictions;
-            }
-        }
-        (unused, fills)
-    }
-
     /// Live state for the deadlock report: the depth of every queue
-    /// [`MemoryFabric::quiescent`] tests, one labelled line for the
-    /// partitions and one for the SM ports.
+    /// [`MemoryFabric::quiescent`] tests and the cycle each unit is next
+    /// due (`none`: until a push), one labelled line for the partitions
+    /// and one for the SM ports.
     pub fn stall_state(&self) -> [String; 2] {
-        let parts: Vec<String> = self
-            .parts
-            .iter()
-            .map(|p| format!("{}/{}/{}", p.inq.len(), p.inflight.len(), p.dram.pending()))
-            .collect();
-        let ports: Vec<String> = self
-            .sms
-            .iter()
-            .map(|s| {
-                format!(
-                    "{}/{}/{}",
-                    s.incoming.len(),
-                    s.ready.len(),
-                    s.mshr.outstanding()
-                )
-            })
-            .collect();
+        let line = |label: &str, units: &mut dyn Iterator<Item = (usize, usize, usize, u64)>| {
+            let units: Vec<String> = units
+                .map(|(a, b, c, due)| match due {
+                    u64::MAX => format!("{a}/{b}/{c}@none"),
+                    due => format!("{a}/{b}/{c}@{due}"),
+                })
+                .collect();
+            format!("{label}: {}", units.join(" "))
+        };
+        let parts = self.parts.iter();
+        let ports = self.sms.iter();
         [
-            format!(
-                "partitions (inq/dram-reads/dram-queue): {}",
-                parts.join(" ")
+            line(
+                "partitions (inq/dram-reads/dram-queue@due)",
+                &mut parts.map(|p| (p.inq.len(), p.inflight.len(), p.dram.pending(), p.due)),
             ),
-            format!("sm-ports (incoming/ready/mshr): {}", ports.join(" ")),
+            line(
+                "sm-ports (incoming/ready/mshr@due)",
+                &mut ports.map(|s| {
+                    (
+                        s.incoming.len(),
+                        s.ready.len(),
+                        s.mshr.outstanding(),
+                        s.due(),
+                    )
+                }),
+            ),
         ]
     }
 }
@@ -950,6 +997,16 @@ mod tests {
     use super::*;
     use crate::test_rng::Rng;
     use simt_trace::NullTracer;
+
+    impl MemoryFabric {
+        fn probe_l1(&self, sm: usize, line: u64) -> bool {
+            self.sms[sm].l1.probe(line)
+        }
+
+        fn locked_lines(&self, sm: usize) -> usize {
+            self.sms[sm].l1.locked_lines()
+        }
+    }
 
     fn fabric() -> MemoryFabric {
         MemoryFabric::new(MemConfig::gtx480(), 2)

@@ -93,6 +93,11 @@ pub struct CommandProcessor {
     bindings: Vec<Option<usize>>,
     rr_sm: usize,
     rr_stream: usize,
+    /// Can the next [`CommandProcessor::dispatch`] change anything? Set
+    /// for cycle 0, by every retire (it frees an SM's resources and may
+    /// complete a launch) and while an SM waits for release (on draining,
+    /// which no event announces). Nothing else changes what a round reads.
+    due: bool,
 }
 
 impl CommandProcessor {
@@ -128,6 +133,7 @@ impl CommandProcessor {
             bindings: vec![None; cfg.num_sms],
             rr_sm: 0,
             rr_stream: 0,
+            due: true,
         }
     }
 
@@ -163,6 +169,7 @@ impl CommandProcessor {
     /// completes.
     pub fn note_retired(&mut self, sm: usize, count: u64, now: u64) {
         let k = self.bindings[sm].expect("CTA retired on an unbound SM");
+        self.due = true;
         let st = &mut self.states[k];
         st.retired_ctas += count;
         debug_assert!(st.retired_ctas <= st.total_ctas);
@@ -201,12 +208,13 @@ impl CommandProcessor {
         None
     }
 
-    /// One dispatch round, run at the top of every cycle: release SMs
-    /// whose kernel has nothing left for them, then place pending CTAs
-    /// breadth-first — one CTA per SM per pass, so work spreads across
-    /// the chip before SMs fill up (as the hardware scheduler does). A
-    /// sleeping SM is woken before it is bound, released or given a CTA,
-    /// so the cycles it slept are credited to the kernel it slept under.
+    /// One dispatch round, at the top of a cycle it is due (every cycle of
+    /// a traced run, the reference): release SMs whose kernel has nothing
+    /// left for them, then place pending CTAs breadth-first — one CTA per
+    /// SM per pass, so work spreads across the chip before SMs fill up (as
+    /// the hardware scheduler does). A sleeping SM is woken before it is
+    /// bound, released or given a CTA, so the cycles it slept are credited
+    /// to the kernel it slept under.
     /// `coprocs` and every row of `rows` are indexed by
     /// [`CommandProcessor::bin`]: one entry per launch, then the unbound
     /// SMs' `NullCoProcessor` and bin.
@@ -219,23 +227,28 @@ impl CommandProcessor {
         rows: &mut [Vec<SimStats>],
         tracer: &mut dyn Tracer,
     ) {
+        if !(self.due || tracer.enabled()) {
+            return;
+        }
         // Release pass (only meaningful with several kernels): an SM whose
-        // bound kernel has dispatched its last CTA, holds nothing resident
-        // here, and whose launch's coprocessor has drained can be handed
-        // to another kernel.
+        // bound kernel has dispatched its last CTA and that holds nothing
+        // resident here waits for release; once it is idle and its launch's
+        // coprocessor has drained, it can be handed to another kernel.
+        self.due = false;
         if self.states.len() > 1 {
             for (sm, s) in sms.iter_mut().enumerate() {
                 let Some(k) = self.bindings[sm] else {
                     continue;
                 };
                 let st = &self.states[k];
-                if st.next_cta == st.total_ctas
-                    && s.resident_ctas() == 0
-                    && s.idle()
-                    && coprocs[k].quiescent()
-                {
+                if st.next_cta < st.total_ctas || s.resident_ctas() > 0 {
+                    continue;
+                }
+                if s.idle() && coprocs[k].quiescent() {
                     s.wake(now, &self.cfg, coprocs[k], &mut rows[sm][k]);
                     self.bindings[sm] = None;
+                } else {
+                    self.due = true;
                 }
             }
         }

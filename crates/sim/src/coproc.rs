@@ -89,8 +89,8 @@ pub struct CoCtx<'a> {
     pub sm: usize,
     /// The memory fabric, which takes at most one request of the
     /// coprocessor per SM cycle (DAC's early line, MTA's prefetch), ahead
-    /// of the LSU's; also its geometry, and [`MemoryFabric::pbuf_stats`]
-    /// for MTA's throttle.
+    /// of the LSU's; also its geometry, and [`MemoryFabric::stats`] for
+    /// MTA's throttle.
     pub fabric: &'a mut MemoryFabric,
     /// True while this SM still has an unconsumed issue slot this cycle;
     /// set it to `false` to model the affine warp occupying the slot.

@@ -6,9 +6,9 @@
 //! an event touches that warp, so a scheduler hunting for a ready warp
 //! reads one byte per candidate instead of re-deriving its readiness from
 //! the warp's stack, instruction, scoreboard and `deq.*` queue every cycle.
-//! So is the SM as a whole (DESIGN.md "Per-SM sleep"): after a cycle that
-//! could only repeat itself it sleeps, and the run loop skips it until an
-//! event reaches it.
+//! So is the SM as a whole (DESIGN.md "One wake protocol"): after a cycle
+//! that could only repeat itself it sleeps, and the run loop skips it
+//! until it is due or the fabric wakes it.
 
 use crate::coalesce::{coalesce_into, Transaction};
 use crate::config::GpuConfig;
@@ -168,13 +168,8 @@ pub struct CtaInfo {
 #[derive(Debug, Clone, Copy)]
 struct LoadTrack {
     warp: usize,
-    dst: Option<u16>,
+    dst: RegId,
     unlock_line: Option<u64>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LsuTxn {
-    req: MemRequest,
 }
 
 /// What stands between a warp slot and issue, as far as the warp's own
@@ -358,7 +353,7 @@ pub struct Sm {
     /// No pending release is due before this cycle: lowered by every
     /// schedule, raised to the next due release when the SM goes to sleep.
     writeback_next: u64,
-    lsu: VecDeque<LsuTxn>,
+    lsu: VecDeque<MemRequest>,
     /// The fabric accepted the LSU head in this cycle's `pump_lsu` (else
     /// the LSU was empty or its head was refused).
     lsu_sent: bool,
@@ -366,9 +361,10 @@ pub struct Sm {
     /// on are skipped until a wake event, then credited by
     /// [`Sm::settle_sleep`].
     asleep_since: Option<u64>,
-    /// While asleep: the first cycle a timed event — the next writeback
-    /// due, a coprocessor deadline — wakes the SM (`u64::MAX`: none).
-    wake_at: u64,
+    /// The cycle the SM is next due whatever the fabric posts: 0 while
+    /// awake; while asleep, the first timed event — the next writeback
+    /// due, a coprocessor deadline (`u64::MAX`: until woken).
+    due: u64,
     /// In-flight loads/atomics by token. A short linear-scan Vec, not a
     /// map: a handful of entries at most, and removal order never matters.
     outstanding: Vec<(u64, LoadTrack)>,
@@ -437,7 +433,7 @@ impl Sm {
             lsu: VecDeque::new(),
             lsu_sent: false,
             asleep_since: None,
-            wake_at: u64::MAX,
+            due: 0,
             outstanding: Vec::new(),
             next_token: 0,
             resp_scratch: Vec::new(),
@@ -465,8 +461,8 @@ impl Sm {
             |c: IssueClass| -> u32 { self.schedulers.iter().map(|s| s.census[c as usize]).sum() };
         let sleep = match self.asleep_since {
             None => "awake".to_string(),
-            Some(since) if self.wake_at == u64::MAX => format!("since:{since},timer:none"),
-            Some(since) => format!("since:{since},timer:{}", self.wake_at),
+            Some(since) if self.due == u64::MAX => format!("since:{since},timer:none"),
+            Some(since) => format!("since:{since},timer:{}", self.due),
         };
         format!(
             "ctas={} warps[absent={} barrier={} scoreboard={} plain={} mem={} deq_empty={} \
@@ -499,16 +495,6 @@ impl Sm {
             && self.free_warps >= kctx.warps_per_cta
             && shared_ok
             && regs_ok
-    }
-
-    /// Registers currently held by resident CTAs.
-    pub fn used_regs(&self) -> u32 {
-        self.used_regs
-    }
-
-    /// Shared-memory bytes currently held by resident CTAs.
-    pub fn used_shared(&self) -> u32 {
-        self.used_shared
     }
 
     /// Launch CTA `cta_linear` of kernel `kernel_id` onto this SM. Returns
@@ -635,22 +621,16 @@ impl Sm {
     /// cycle), scheduler picks with functional execution at issue (global
     /// loads, stores and atomics go straight to `mem`), barrier
     /// resolution, then the LSU's one fabric transaction per cycle.
-    /// The run loop calls this once per SM in index order, so SM index
-    /// orders every same-cycle access to `mem` and every partition-queue
-    /// admission.
+    /// The run loop calls this in index order for each SM [`Sm::due`] at
+    /// `now`, so SM index orders every same-cycle access to `mem` and
+    /// every partition-queue admission.
     ///
-    /// A sleeping SM returns at once unless a wake event has reached it:
-    /// its timer, or [`MemoryFabric::wakes`]. Waking credits the cycles
-    /// slept, then the cycle runs as usual. A cycle that issued and drained
-    /// nothing ends with [`Sm::try_sleep`].
+    /// A sleeping SM wakes first, crediting the cycles slept, then the
+    /// cycle runs as usual. A cycle that issued and drained nothing ends
+    /// with [`Sm::try_sleep`].
     pub(crate) fn cycle(&mut self, t: &mut Tick<'_>) {
         let (now, cfg) = (t.now, t.cfg);
-        if self.asleep_since.is_some() {
-            if now < self.wake_at && !t.fabric.wakes(self.id, now) {
-                return;
-            }
-            self.wake(now, cfg, t.coproc, t.stats);
-        }
+        self.wake(now, cfg, t.coproc, t.stats);
         let wrote_back = self.drain_writebacks(now);
         let responded = self.drain_responses(t);
 
@@ -739,6 +719,13 @@ impl Sm {
         tally.attribute(n, enq_pressure, stats);
     }
 
+    /// Must the SM tick at `now`? Always while awake; asleep, once its
+    /// timer is due or the fabric posted a wake for it
+    /// ([`MemoryFabric::wake_at`]).
+    pub(crate) fn due(&self, now: u64, fabric: &MemoryFabric) -> bool {
+        now >= self.due || fabric.wake_at(self.id) <= now
+    }
+
     /// End of a cycle that issued and drained nothing, untraced: if the
     /// next cycle could only repeat this one's counters, sleep from it.
     /// That needs every scheduler free and without a candidate (and no
@@ -767,10 +754,10 @@ impl Sm {
         let Some(deadline) = coproc.quiet_until(self.id) else {
             return;
         };
-        let wake_at = deadline.min(self.next_writeback(now));
-        if wake_at > next {
+        let due = deadline.min(self.next_writeback(now));
+        if due > next {
             self.asleep_since = Some(next);
-            self.wake_at = wake_at;
+            self.due = due;
         }
     }
 
@@ -810,8 +797,11 @@ impl Sm {
         coproc: &mut dyn CoProcessor,
         stats: &mut SimStats,
     ) {
-        self.settle_sleep(now, cfg, coproc, stats);
-        self.asleep_since = None;
+        if self.asleep_since.is_some() {
+            self.settle_sleep(now, cfg, coproc, stats);
+            self.asleep_since = None;
+            self.due = 0;
+        }
     }
 
     /// Release the writebacks due at `now`; did any?
@@ -878,9 +868,7 @@ impl Sm {
                             t.fabric.unlock(self.id, line);
                         }
                         if let Some(w) = self.warps[track.warp].as_mut() {
-                            if let Some(r) = track.dst {
-                                w.release_reg(r);
-                            }
+                            w.release_reg(track.dst);
                             self.note_release(track.warp);
                         }
                     }
@@ -1164,7 +1152,6 @@ impl Sm {
                     stats.alu_lane_ops += lanes;
                 }
                 stats.regfile_accesses += lanes * (op.arity() as u64 + 1);
-                self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::SetP {
                 dst,
@@ -1184,7 +1171,6 @@ impl Sm {
                 self.schedule_writeback(now, cfg.alu_latency, w, DefTarget::Pred(*dst));
                 stats.alu_lane_ops += lanes;
                 stats.regfile_accesses += lanes * 2;
-                self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::Sel { dst, pred, a, b } => {
                 let warp = self.warps[w].as_mut().unwrap();
@@ -1205,45 +1191,24 @@ impl Sm {
                 self.schedule_writeback(now, cfg.alu_latency, w, DefTarget::Reg(*dst));
                 stats.alu_lane_ops += lanes;
                 stats.regfile_accesses += lanes * 3;
-                self.warps[w].as_mut().unwrap().stack.advance();
             }
-            Instr::Ld { .. } => {
-                self.exec_load(w, pc, eff_mask, t);
-                self.warps[w].as_mut().unwrap().stack.advance();
-            }
-            Instr::St { .. } => {
-                self.exec_store(w, pc, eff_mask, t);
-                self.warps[w].as_mut().unwrap().stack.advance();
-            }
-            Instr::Atom { .. } => {
-                self.exec_atomic(w, pc, eff_mask, t);
-                self.warps[w].as_mut().unwrap().stack.advance();
-            }
+            Instr::Ld { .. } => self.exec_load(w, pc, eff_mask, t),
+            Instr::St { .. } => self.exec_store(w, pc, eff_mask, t),
+            Instr::Atom { .. } => self.exec_atomic(w, pc, eff_mask, t),
             Instr::Bra { target, pred } => {
                 stats.branches += 1;
                 let rpc = kctx.issue_info[pc].rpc;
-                let taken = match pred {
-                    None => active,
+                let (bits, negate) = match pred {
+                    None => (active, false),
                     Some(PredSrc::Reg(g)) => {
-                        let bits = self.warps[w].as_ref().unwrap().pred(g.pred);
-                        if g.negate {
-                            !bits
-                        } else {
-                            bits
-                        }
+                        (self.warps[w].as_ref().unwrap().pred(g.pred), g.negate)
                     }
                     Some(PredSrc::Deq { negate }) => {
-                        let bits = t
-                            .coproc
-                            .deq_pred_bits(self.id, w)
-                            .expect("deq.pred issued with empty PWPQ");
-                        if *negate {
-                            !bits
-                        } else {
-                            bits
-                        }
+                        let bits = t.coproc.deq_pred_bits(self.id, w);
+                        (bits.expect("deq.pred issued with empty PWPQ"), *negate)
                     }
                 };
+                let taken = if negate { !bits } else { bits };
                 self.warps[w]
                     .as_mut()
                     .unwrap()
@@ -1252,9 +1217,7 @@ impl Sm {
             }
             Instr::Bar => {
                 stats.barriers += 1;
-                let warp = self.warps[w].as_mut().unwrap();
-                warp.at_barrier = true;
-                warp.stack.advance();
+                self.warps[w].as_mut().unwrap().at_barrier = true;
             }
             Instr::Exit => {
                 self.warps[w].as_mut().unwrap().stack.exit();
@@ -1262,6 +1225,9 @@ impl Sm {
             Instr::Enq { .. } => {
                 unreachable!("enq must only appear in the affine stream");
             }
+        }
+        if !matches!(instr, Instr::Bra { .. } | Instr::Exit) {
+            self.warps[w].as_mut().unwrap().stack.advance();
         }
         if t.tracer.enabled() {
             let depth_after = self.warps[w].as_ref().unwrap().stack.depth();
@@ -1303,7 +1269,7 @@ impl Sm {
             unreachable!("exec_load of a non-load at pc {pc}");
         };
         let (now, cfg, stats) = (t.now, t.cfg, &mut *t.stats);
-        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, t.coproc);
+        let (addrs, record) = self.resolve_addrs(w, addr, space, eff_mask, t.coproc, t.kctx);
         let lanes = addrs.mask.count_ones();
         stats.regfile_accesses += lanes as u64 * 2;
         let nbytes = width.bytes() as usize;
@@ -1318,63 +1284,16 @@ impl Sm {
             }
             Space::Global | Space::Local => {
                 stats.global_loads += 1;
-                // Dequeued records already carry absolute addresses (the
-                // AEU applied the local window when it issued the early
-                // requests).
-                if record.is_none() {
-                    self.translate_local(w, space, &mut addrs, t.kctx);
-                }
                 let warp = self.warps[w].as_mut().unwrap();
                 warp.set_reg_lanes(dst, &t.mem.read_lanes(&addrs, nbytes), addrs.mask);
-                let mut txns = std::mem::take(&mut self.txn_scratch);
-                coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
-                self.line_scratch.clear();
-                self.line_scratch.extend(txns.iter().map(|t| t.line));
-                t.coproc
-                    .observe_mem(self.id, w, pc, space, false, &self.line_scratch);
-                if t.tracer.enabled() {
-                    t.tracer.emit(
-                        now,
-                        TraceEvent::Coalesce {
-                            sm: self.id as u32,
-                            warp: w as u32,
-                            pc: pc as u32,
-                            lanes,
-                            txns: txns.len() as u32,
-                            store: false,
-                        },
-                    );
-                }
-                let decoupled = record.is_some();
-                if decoupled {
+                if record.is_some() {
                     stats.decoupled_loads += 1;
                 }
-                let unlock = matches!(record, Some(RecordKind::Data));
-                // An empty txn list (fully guarded off) leaves nothing
+                // An empty line list (fully guarded off) leaves nothing
                 // outstanding.
-                for t in &txns {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.outstanding.push((
-                        token,
-                        LoadTrack {
-                            warp: w,
-                            dst: Some(dst),
-                            unlock_line: unlock.then_some(t.line),
-                        },
-                    ));
-                    self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
-                    self.lsu.push_back(LsuTxn {
-                        req: MemRequest {
-                            sm: self.id,
-                            line: t.line,
-                            kind: ReqKind::Load,
-                            client: Client::Lsu,
-                            token,
-                        },
-                    });
-                }
-                self.txn_scratch = txns;
+                let unlock = matches!(record, Some(RecordKind::Data));
+                self.queue_lines(w, &addrs, ReqKind::Load, Some((dst, unlock)), cfg);
+                self.observe_lines(w, pc, space, false, lanes, t);
             }
         }
     }
@@ -1391,9 +1310,9 @@ impl Sm {
         else {
             unreachable!("exec_store of a non-store at pc {pc}");
         };
-        let (now, cfg, stats) = (t.now, t.cfg, &mut *t.stats);
+        let (cfg, stats) = (t.cfg, &mut *t.stats);
         let launch = &t.kctx.program.launch;
-        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, t.coproc);
+        let (addrs, _) = self.resolve_addrs(w, addr, space, eff_mask, t.coproc, t.kctx);
         let lanes = addrs.mask.count_ones();
         stats.regfile_accesses += lanes as u64 * 2;
         let nbytes = width.bytes() as usize;
@@ -1407,45 +1326,11 @@ impl Sm {
             }
             Space::Global | Space::Local => {
                 stats.global_stores += 1;
-                if record.is_none() {
-                    self.translate_local(w, space, &mut addrs, t.kctx);
-                }
                 let warp = self.warps[w].as_ref().unwrap();
                 let vals = warp.operand_lanes(src, launch, &mut self.lane_scratch[0]);
                 t.mem.write_lanes(&addrs, vals, nbytes);
-                let mut txns = std::mem::take(&mut self.txn_scratch);
-                coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
-                self.line_scratch.clear();
-                self.line_scratch.extend(txns.iter().map(|t| t.line));
-                t.coproc
-                    .observe_mem(self.id, w, pc, space, true, &self.line_scratch);
-                if t.tracer.enabled() {
-                    t.tracer.emit(
-                        now,
-                        TraceEvent::Coalesce {
-                            sm: self.id as u32,
-                            warp: w as u32,
-                            pc: pc as u32,
-                            lanes,
-                            txns: txns.len() as u32,
-                            store: true,
-                        },
-                    );
-                }
-                for t in &txns {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.lsu.push_back(LsuTxn {
-                        req: MemRequest {
-                            sm: self.id,
-                            line: t.line,
-                            kind: ReqKind::Store,
-                            client: Client::Lsu,
-                            token,
-                        },
-                    });
-                }
-                self.txn_scratch = txns;
+                self.queue_lines(w, &addrs, ReqKind::Store, None, cfg);
+                self.observe_lines(w, pc, space, true, lanes, t);
             }
         }
     }
@@ -1461,7 +1346,8 @@ impl Sm {
         let (cfg, mem, stats) = (t.cfg, &mut *t.mem, &mut *t.stats);
         stats.atomic_instructions += 1;
         let launch = &t.kctx.program.launch;
-        let (addrs, _) = self.resolve_addrs(w, addr, eff_mask, &mut crate::coproc::NullCoProcessor);
+        let null = &mut crate::coproc::NullCoProcessor;
+        let (addrs, _) = self.resolve_addrs(w, addr, Space::Global, eff_mask, null, t.kctx);
         // Lanes serialize in ascending order against memory; the old value
         // lands in `dst` (held pending by the scoreboard until the fabric
         // response).
@@ -1481,93 +1367,126 @@ impl Sm {
             out[lane] = old;
         }
         warp.set_reg_lanes(dst, out, addrs.mask);
-        let mut txns = std::mem::take(&mut self.txn_scratch);
-        coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
-        for t in &txns {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.outstanding.push((
-                token,
-                LoadTrack {
-                    warp: w,
-                    dst: Some(dst),
-                    unlock_line: None,
-                },
-            ));
-            self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
-            self.lsu.push_back(LsuTxn {
-                req: MemRequest {
-                    sm: self.id,
-                    line: t.line,
-                    kind: ReqKind::Atomic,
-                    client: Client::Lsu,
-                    token,
-                },
-            });
-        }
-        self.txn_scratch = txns;
+        self.queue_lines(w, &addrs, ReqKind::Atomic, Some((dst, false)), cfg);
         stats.alu_lane_ops += eff_mask.count_ones() as u64;
     }
 
+    /// Coalesce `addrs` into lines, in `line_scratch`, and queue one LSU
+    /// request of `kind` per line. With `track = Some((dst, unlock))`
+    /// each line's response releases `dst` (and, with `unlock`, the L1
+    /// lock of a Data record's early request).
+    fn queue_lines(
+        &mut self,
+        w: usize,
+        addrs: &LaneAddrs,
+        kind: ReqKind,
+        track: Option<(RegId, bool)>,
+        cfg: &GpuConfig,
+    ) {
+        let mut txns = std::mem::take(&mut self.txn_scratch);
+        coalesce_into(addrs, cfg.mem.line_bytes, &mut txns);
+        self.line_scratch.clear();
+        for &Transaction { line, .. } in &txns {
+            let token = self.next_token;
+            self.next_token += 1;
+            if let Some((dst, unlock)) = track {
+                let unlock_line = unlock.then_some(line);
+                let track = LoadTrack {
+                    warp: w,
+                    dst,
+                    unlock_line,
+                };
+                self.outstanding.push((token, track));
+                self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
+            }
+            let client = Client::Lsu;
+            let (sm, line_scratch) = (self.id, &mut self.line_scratch);
+            line_scratch.push(line);
+            self.lsu.push_back(MemRequest {
+                sm,
+                line,
+                kind,
+                client,
+                token,
+            });
+        }
+        self.txn_scratch = txns;
+    }
+
+    /// Show the coprocessor the lines `queue_lines` just queued for the
+    /// memory instruction at `pc`, and trace the coalescing.
+    fn observe_lines(
+        &self,
+        w: usize,
+        pc: usize,
+        space: Space,
+        store: bool,
+        lanes: u32,
+        t: &mut Tick<'_>,
+    ) {
+        let lines = &self.line_scratch;
+        t.coproc.observe_mem(self.id, w, pc, space, store, lines);
+        if t.tracer.enabled() {
+            let (sm, warp, pc, txns) = (self.id as u32, w as u32, pc as u32, lines.len() as u32);
+            let event = TraceEvent::Coalesce {
+                sm,
+                warp,
+                pc,
+                lanes,
+                txns,
+                store,
+            };
+            t.tracer.emit(t.now, event);
+        }
+    }
+
     /// Resolve per-lane addresses from the addressing mode; returns the DAC
-    /// record kind when the mode was a dequeue form. Dequeued records hand
-    /// over their lane addresses as they are.
+    /// record kind when the mode was a dequeue form. Register addresses in
+    /// local space rebase into each thread's private window; dequeued
+    /// records hand over their lane addresses as they are (the AEU applied
+    /// the window when it issued the early requests).
     fn resolve_addrs(
         &mut self,
         w: usize,
         addr: AddrMode,
+        space: Space,
         eff_mask: u32,
         coproc: &mut dyn CoProcessor,
+        kctx: &KernelCtx<'_>,
     ) -> (LaneAddrs, Option<RecordKind>) {
-        match addr {
-            AddrMode::Reg(r, disp) => {
-                let mut addrs = *self.warps[w].as_ref().unwrap().reg_lanes(r);
-                for a in &mut addrs {
-                    *a = a.wrapping_add(disp as u64);
-                }
-                let lanes = LaneAddrs {
-                    addrs,
-                    mask: eff_mask,
-                };
-                (lanes, None)
-            }
-            AddrMode::DeqData | AddrMode::DeqAddr => {
-                let rec = coproc
-                    .deq_record(self.id, w)
-                    .expect("deq issued with empty PWAQ");
-                (rec.thread_addrs, Some(rec.kind))
-            }
-        }
-    }
-
-    /// Rebase local-space addresses into each thread's private window,
-    /// in place.
-    fn translate_local(&self, w: usize, space: Space, lanes: &mut LaneAddrs, kctx: &KernelCtx<'_>) {
-        if space != Space::Local {
-            return;
-        }
+        let AddrMode::Reg(r, disp) = addr else {
+            let rec = coproc.deq_record(self.id, w);
+            let rec = rec.expect("deq issued with empty PWAQ");
+            return (rec.thread_addrs, Some(rec.kind));
+        };
         let warp = self.warps[w].as_ref().unwrap();
         let tpc = kctx.program.launch.threads_per_cta() as u64;
         let first = warp.cta_linear * tpc + warp.first_thread();
-        for (lane, a) in lanes.addrs.iter_mut().enumerate() {
-            let gtid = first + lane as u64;
-            *a = LOCAL_BASE + gtid * LOCAL_STRIDE + (*a % LOCAL_STRIDE);
+        let mut addrs = *warp.reg_lanes(r);
+        for (lane, a) in addrs.iter_mut().enumerate() {
+            *a = a.wrapping_add(disp as u64);
+            if space == Space::Local {
+                let gtid = first + lane as u64;
+                *a = LOCAL_BASE + gtid * LOCAL_STRIDE + (*a % LOCAL_STRIDE);
+            }
         }
+        let mask = eff_mask;
+        (LaneAddrs { addrs, mask }, None)
     }
 
     fn pump_lsu(&mut self, t: &mut Tick<'_>) {
         self.lsu_sent = false;
         // One transaction per cycle reaches the L1 (one coalesced access
         // per cycle, as on Fermi).
-        if let Some(txn) = self.lsu.front() {
-            match t.fabric.access(t.now, txn.req, t.tracer) {
+        if let Some(&req) = self.lsu.front() {
+            match t.fabric.access(t.now, req, t.tracer) {
                 AccessOutcome::Accepted => {
                     self.lsu_sent = true;
-                    let txn = self.lsu.pop_front().unwrap();
+                    self.lsu.pop_front();
                     // Stores need no tracking (they were never inserted).
                     debug_assert!(
-                        txn.req.kind != ReqKind::Store
-                            || !self.outstanding.iter().any(|&(t, _)| t == txn.req.token)
+                        req.kind != ReqKind::Store
+                            || !self.outstanding.iter().any(|&(t, _)| t == req.token)
                     );
                 }
                 AccessOutcome::Stall(_) => {}
@@ -1619,6 +1538,12 @@ impl Sm {
         }
     }
 
+    /// Did this cycle touch a CTA (`cta_dirty`)? Only then can
+    /// [`Sm::retire_ctas`] retire anything; a sleeping SM never has.
+    pub(crate) fn touched_ctas(&self) -> bool {
+        !self.cta_dirty.is_empty()
+    }
+
     /// Retire CTAs whose warps have all finished (and drained), freeing
     /// their warp slots, registers, and shared memory. Returns how many
     /// CTAs retired this cycle. Only CTAs in `cta_dirty` are examined
@@ -1627,9 +1552,6 @@ impl Sm {
     /// writeback or memory response drained. Allocation-free: the
     /// retiring `CtaInfo` is moved out of its slot, never cloned.
     pub(crate) fn retire_ctas(&mut self, t: &mut Tick<'_>) -> usize {
-        if self.cta_dirty.is_empty() {
-            return 0;
-        }
         let candidates = std::mem::take(&mut self.cta_dirty);
         let mut retired = 0;
         for &slot in &candidates {

@@ -1,9 +1,9 @@
 //! The cycle-budget guard must fail with a *diagnosable* report, not a
 //! bare "exceeded N cycles": the stalled cycle, each launch's dispatch
 //! state and coprocessor, what every SM holds and what its warps wait
-//! for, and the depth of every fabric queue. Pinned by driving a run into
-//! the guard with an artificially tiny budget and inspecting the panic
-//! message.
+//! for, and the depth of every fabric queue and the cycle each fabric
+//! unit is next due. Pinned by driving a run into the guard with an
+//! artificially tiny budget and inspecting the panic message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -59,8 +59,8 @@ fn deadlock_guard_reports_what_each_unit_waits_for() {
          mem_deq_empty=0 mem_deq_data=0] writeback=2 head=Some(8) lsu=0 idle=false sleep=awake",
         "sm1: ctas=2 warps[",
         "fabric: quiescent=true",
-        "partitions (inq/dram-reads/dram-queue): 0/0/0",
-        "sm-ports (incoming/ready/mshr): 0/0/0 0/0/0",
+        "partitions (inq/dram-reads/dram-queue@due): 0/0/0@none",
+        "sm-ports (incoming/ready/mshr@due): 0/0/0@none 0/0/0@none",
     ] {
         assert!(msg.contains(needle), "report missing {needle:?}:\n{msg}");
     }
@@ -72,7 +72,8 @@ fn deadlock_guard_reports_what_each_unit_waits_for() {
 
 /// One warp waits on a DRAM load past a 100-cycle budget. SM 1 never
 /// gets a CTA and sleeps from cycle 1 with no timer; SM 0 sleeps once the
-/// load has left its LSU, waiting on the fabric — and the report says so.
+/// load has left its LSU, waiting on the fabric — and the report says so,
+/// down to the cycle the partition holding the load is next due.
 #[test]
 fn deadlock_report_shows_which_sms_sleep() {
     let mut k = KernelBuilder::new("wait", 1);
@@ -88,6 +89,10 @@ fn deadlock_report_shows_which_sms_sleep() {
         "writeback=0 head=None lsu=0 idle=false sleep=since:",
         "sm1: ctas=0 warps[absent=16",
         "lsu=0 idle=true sleep=since:1,timer:none",
+        // The load waits in partition 2's DRAM, which is next due when
+        // the read completes; no port has an event due.
+        "partitions (inq/dram-reads/dram-queue@due): 0/0/0@none 0/0/0@none 0/1/1@202 ",
+        "sm-ports (incoming/ready/mshr@due): 0/0/1@none 0/0/0@none",
     ] {
         assert!(msg.contains(needle), "report missing {needle:?}:\n{msg}");
     }
