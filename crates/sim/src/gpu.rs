@@ -297,34 +297,35 @@ impl GpuSim {
             cmdproc.dispatch(now, &mut sms, &kctxs, &mut coprocs, &mut rows, tracer);
 
             fabric.cycle(now, tracer);
-            // Every SM due ticks, in index order; then each SM whose tick
-            // touched a CTA retires those that finished. An unbound SM
-            // ticks against kernel 0's context (it has no warps to read it).
-            for retire in [false, true] {
-                for (i, sm) in sms.iter_mut().enumerate() {
-                    let due = if retire {
-                        sm.touched_ctas()
-                    } else {
-                        sm.due(now, &fabric)
-                    };
-                    if !due {
-                        continue;
-                    }
-                    let bin = cmdproc.bin(i);
-                    let t = &mut Tick {
+            // SM `i`'s tick: its bound kernel, coprocessor and row. An
+            // unbound SM ticks against kernel 0's context (it has no warps
+            // to read it).
+            macro_rules! tick {
+                ($i:expr) => {{
+                    let bin = cmdproc.bin($i);
+                    Tick {
                         now,
                         cfg,
-                        kctx: &kctxs[cmdproc.binding(i).unwrap_or(0)],
+                        kctx: &kctxs[cmdproc.binding($i).unwrap_or(0)],
                         mem,
                         fabric: &mut fabric,
                         coproc: &mut *coprocs[bin],
-                        stats: &mut rows[i][bin],
+                        stats: &mut rows[$i][bin],
                         tracer,
-                    };
-                    if !retire {
-                        sm.cycle(t);
-                    } else if let n @ 1.. = sm.retire_ctas(t) {
-                        cmdproc.note_retired(i, n as u64, now);
+                    }
+                }};
+            }
+            for (i, sm) in sms.iter_mut().enumerate() {
+                if sm.due(now, &fabric) {
+                    sm.cycle(&mut tick!(i));
+                }
+            }
+            // Only a tick that touched a CTA can have finished one.
+            for (i, sm) in sms.iter_mut().enumerate() {
+                if sm.touched_ctas() {
+                    let retired = sm.retire_ctas(&mut tick!(i));
+                    if retired > 0 {
+                        cmdproc.note_retired(i, retired as u64, now);
                     }
                 }
             }

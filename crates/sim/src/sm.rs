@@ -168,8 +168,13 @@ pub struct CtaInfo {
 #[derive(Debug, Clone, Copy)]
 struct LoadTrack {
     warp: usize,
-    dst: RegId,
+    dst: Option<u16>,
     unlock_line: Option<u64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct LsuTxn {
+    req: MemRequest,
 }
 
 /// What stands between a warp slot and issue, as far as the warp's own
@@ -353,7 +358,7 @@ pub struct Sm {
     /// No pending release is due before this cycle: lowered by every
     /// schedule, raised to the next due release when the SM goes to sleep.
     writeback_next: u64,
-    lsu: VecDeque<MemRequest>,
+    lsu: VecDeque<LsuTxn>,
     /// The fabric accepted the LSU head in this cycle's `pump_lsu` (else
     /// the LSU was empty or its head was refused).
     lsu_sent: bool,
@@ -495,6 +500,16 @@ impl Sm {
             && self.free_warps >= kctx.warps_per_cta
             && shared_ok
             && regs_ok
+    }
+
+    /// Registers currently held by resident CTAs.
+    pub fn used_regs(&self) -> u32 {
+        self.used_regs
+    }
+
+    /// Shared-memory bytes currently held by resident CTAs.
+    pub fn used_shared(&self) -> u32 {
+        self.used_shared
     }
 
     /// Launch CTA `cta_linear` of kernel `kernel_id` onto this SM. Returns
@@ -868,7 +883,9 @@ impl Sm {
                             t.fabric.unlock(self.id, line);
                         }
                         if let Some(w) = self.warps[track.warp].as_mut() {
-                            w.release_reg(track.dst);
+                            if let Some(r) = track.dst {
+                                w.release_reg(r);
+                            }
                             self.note_release(track.warp);
                         }
                     }
@@ -1152,6 +1169,7 @@ impl Sm {
                     stats.alu_lane_ops += lanes;
                 }
                 stats.regfile_accesses += lanes * (op.arity() as u64 + 1);
+                self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::SetP {
                 dst,
@@ -1171,6 +1189,7 @@ impl Sm {
                 self.schedule_writeback(now, cfg.alu_latency, w, DefTarget::Pred(*dst));
                 stats.alu_lane_ops += lanes;
                 stats.regfile_accesses += lanes * 2;
+                self.warps[w].as_mut().unwrap().stack.advance();
             }
             Instr::Sel { dst, pred, a, b } => {
                 let warp = self.warps[w].as_mut().unwrap();
@@ -1191,24 +1210,45 @@ impl Sm {
                 self.schedule_writeback(now, cfg.alu_latency, w, DefTarget::Reg(*dst));
                 stats.alu_lane_ops += lanes;
                 stats.regfile_accesses += lanes * 3;
+                self.warps[w].as_mut().unwrap().stack.advance();
             }
-            Instr::Ld { .. } => self.exec_load(w, pc, eff_mask, t),
-            Instr::St { .. } => self.exec_store(w, pc, eff_mask, t),
-            Instr::Atom { .. } => self.exec_atomic(w, pc, eff_mask, t),
+            Instr::Ld { .. } => {
+                self.exec_load(w, pc, eff_mask, t);
+                self.warps[w].as_mut().unwrap().stack.advance();
+            }
+            Instr::St { .. } => {
+                self.exec_store(w, pc, eff_mask, t);
+                self.warps[w].as_mut().unwrap().stack.advance();
+            }
+            Instr::Atom { .. } => {
+                self.exec_atomic(w, pc, eff_mask, t);
+                self.warps[w].as_mut().unwrap().stack.advance();
+            }
             Instr::Bra { target, pred } => {
                 stats.branches += 1;
                 let rpc = kctx.issue_info[pc].rpc;
-                let (bits, negate) = match pred {
-                    None => (active, false),
+                let taken = match pred {
+                    None => active,
                     Some(PredSrc::Reg(g)) => {
-                        (self.warps[w].as_ref().unwrap().pred(g.pred), g.negate)
+                        let bits = self.warps[w].as_ref().unwrap().pred(g.pred);
+                        if g.negate {
+                            !bits
+                        } else {
+                            bits
+                        }
                     }
                     Some(PredSrc::Deq { negate }) => {
-                        let bits = t.coproc.deq_pred_bits(self.id, w);
-                        (bits.expect("deq.pred issued with empty PWPQ"), *negate)
+                        let bits = t
+                            .coproc
+                            .deq_pred_bits(self.id, w)
+                            .expect("deq.pred issued with empty PWPQ");
+                        if *negate {
+                            !bits
+                        } else {
+                            bits
+                        }
                     }
                 };
-                let taken = if negate { !bits } else { bits };
                 self.warps[w]
                     .as_mut()
                     .unwrap()
@@ -1217,7 +1257,9 @@ impl Sm {
             }
             Instr::Bar => {
                 stats.barriers += 1;
-                self.warps[w].as_mut().unwrap().at_barrier = true;
+                let warp = self.warps[w].as_mut().unwrap();
+                warp.at_barrier = true;
+                warp.stack.advance();
             }
             Instr::Exit => {
                 self.warps[w].as_mut().unwrap().stack.exit();
@@ -1225,9 +1267,6 @@ impl Sm {
             Instr::Enq { .. } => {
                 unreachable!("enq must only appear in the affine stream");
             }
-        }
-        if !matches!(instr, Instr::Bra { .. } | Instr::Exit) {
-            self.warps[w].as_mut().unwrap().stack.advance();
         }
         if t.tracer.enabled() {
             let depth_after = self.warps[w].as_ref().unwrap().stack.depth();
@@ -1269,7 +1308,7 @@ impl Sm {
             unreachable!("exec_load of a non-load at pc {pc}");
         };
         let (now, cfg, stats) = (t.now, t.cfg, &mut *t.stats);
-        let (addrs, record) = self.resolve_addrs(w, addr, space, eff_mask, t.coproc, t.kctx);
+        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, t.coproc);
         let lanes = addrs.mask.count_ones();
         stats.regfile_accesses += lanes as u64 * 2;
         let nbytes = width.bytes() as usize;
@@ -1284,16 +1323,63 @@ impl Sm {
             }
             Space::Global | Space::Local => {
                 stats.global_loads += 1;
+                // Dequeued records already carry absolute addresses (the
+                // AEU applied the local window when it issued the early
+                // requests).
+                if record.is_none() {
+                    self.translate_local(w, space, &mut addrs, t.kctx);
+                }
                 let warp = self.warps[w].as_mut().unwrap();
                 warp.set_reg_lanes(dst, &t.mem.read_lanes(&addrs, nbytes), addrs.mask);
-                if record.is_some() {
+                let mut txns = std::mem::take(&mut self.txn_scratch);
+                coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
+                self.line_scratch.clear();
+                self.line_scratch.extend(txns.iter().map(|t| t.line));
+                t.coproc
+                    .observe_mem(self.id, w, pc, space, false, &self.line_scratch);
+                if t.tracer.enabled() {
+                    t.tracer.emit(
+                        now,
+                        TraceEvent::Coalesce {
+                            sm: self.id as u32,
+                            warp: w as u32,
+                            pc: pc as u32,
+                            lanes,
+                            txns: txns.len() as u32,
+                            store: false,
+                        },
+                    );
+                }
+                let decoupled = record.is_some();
+                if decoupled {
                     stats.decoupled_loads += 1;
                 }
-                // An empty line list (fully guarded off) leaves nothing
-                // outstanding.
                 let unlock = matches!(record, Some(RecordKind::Data));
-                self.queue_lines(w, &addrs, ReqKind::Load, Some((dst, unlock)), cfg);
-                self.observe_lines(w, pc, space, false, lanes, t);
+                // An empty txn list (fully guarded off) leaves nothing
+                // outstanding.
+                for t in &txns {
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    self.outstanding.push((
+                        token,
+                        LoadTrack {
+                            warp: w,
+                            dst: Some(dst),
+                            unlock_line: unlock.then_some(t.line),
+                        },
+                    ));
+                    self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
+                    self.lsu.push_back(LsuTxn {
+                        req: MemRequest {
+                            sm: self.id,
+                            line: t.line,
+                            kind: ReqKind::Load,
+                            client: Client::Lsu,
+                            token,
+                        },
+                    });
+                }
+                self.txn_scratch = txns;
             }
         }
     }
@@ -1310,9 +1396,9 @@ impl Sm {
         else {
             unreachable!("exec_store of a non-store at pc {pc}");
         };
-        let (cfg, stats) = (t.cfg, &mut *t.stats);
+        let (now, cfg, stats) = (t.now, t.cfg, &mut *t.stats);
         let launch = &t.kctx.program.launch;
-        let (addrs, _) = self.resolve_addrs(w, addr, space, eff_mask, t.coproc, t.kctx);
+        let (mut addrs, record) = self.resolve_addrs(w, addr, eff_mask, t.coproc);
         let lanes = addrs.mask.count_ones();
         stats.regfile_accesses += lanes as u64 * 2;
         let nbytes = width.bytes() as usize;
@@ -1326,11 +1412,45 @@ impl Sm {
             }
             Space::Global | Space::Local => {
                 stats.global_stores += 1;
+                if record.is_none() {
+                    self.translate_local(w, space, &mut addrs, t.kctx);
+                }
                 let warp = self.warps[w].as_ref().unwrap();
                 let vals = warp.operand_lanes(src, launch, &mut self.lane_scratch[0]);
                 t.mem.write_lanes(&addrs, vals, nbytes);
-                self.queue_lines(w, &addrs, ReqKind::Store, None, cfg);
-                self.observe_lines(w, pc, space, true, lanes, t);
+                let mut txns = std::mem::take(&mut self.txn_scratch);
+                coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
+                self.line_scratch.clear();
+                self.line_scratch.extend(txns.iter().map(|t| t.line));
+                t.coproc
+                    .observe_mem(self.id, w, pc, space, true, &self.line_scratch);
+                if t.tracer.enabled() {
+                    t.tracer.emit(
+                        now,
+                        TraceEvent::Coalesce {
+                            sm: self.id as u32,
+                            warp: w as u32,
+                            pc: pc as u32,
+                            lanes,
+                            txns: txns.len() as u32,
+                            store: true,
+                        },
+                    );
+                }
+                for t in &txns {
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    self.lsu.push_back(LsuTxn {
+                        req: MemRequest {
+                            sm: self.id,
+                            line: t.line,
+                            kind: ReqKind::Store,
+                            client: Client::Lsu,
+                            token,
+                        },
+                    });
+                }
+                self.txn_scratch = txns;
             }
         }
     }
@@ -1346,8 +1466,7 @@ impl Sm {
         let (cfg, mem, stats) = (t.cfg, &mut *t.mem, &mut *t.stats);
         stats.atomic_instructions += 1;
         let launch = &t.kctx.program.launch;
-        let null = &mut crate::coproc::NullCoProcessor;
-        let (addrs, _) = self.resolve_addrs(w, addr, Space::Global, eff_mask, null, t.kctx);
+        let (addrs, _) = self.resolve_addrs(w, addr, eff_mask, &mut crate::coproc::NullCoProcessor);
         // Lanes serialize in ascending order against memory; the old value
         // lands in `dst` (held pending by the scoreboard until the fabric
         // response).
@@ -1367,126 +1486,93 @@ impl Sm {
             out[lane] = old;
         }
         warp.set_reg_lanes(dst, out, addrs.mask);
-        self.queue_lines(w, &addrs, ReqKind::Atomic, Some((dst, false)), cfg);
-        stats.alu_lane_ops += eff_mask.count_ones() as u64;
-    }
-
-    /// Coalesce `addrs` into lines, in `line_scratch`, and queue one LSU
-    /// request of `kind` per line. With `track = Some((dst, unlock))`
-    /// each line's response releases `dst` (and, with `unlock`, the L1
-    /// lock of a Data record's early request).
-    fn queue_lines(
-        &mut self,
-        w: usize,
-        addrs: &LaneAddrs,
-        kind: ReqKind,
-        track: Option<(RegId, bool)>,
-        cfg: &GpuConfig,
-    ) {
         let mut txns = std::mem::take(&mut self.txn_scratch);
-        coalesce_into(addrs, cfg.mem.line_bytes, &mut txns);
-        self.line_scratch.clear();
-        for &Transaction { line, .. } in &txns {
+        coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
+        for t in &txns {
             let token = self.next_token;
             self.next_token += 1;
-            if let Some((dst, unlock)) = track {
-                let unlock_line = unlock.then_some(line);
-                let track = LoadTrack {
-                    warp: w,
-                    dst,
-                    unlock_line,
-                };
-                self.outstanding.push((token, track));
-                self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
-            }
-            let client = Client::Lsu;
-            let (sm, line_scratch) = (self.id, &mut self.line_scratch);
-            line_scratch.push(line);
-            self.lsu.push_back(MemRequest {
-                sm,
-                line,
-                kind,
-                client,
+            self.outstanding.push((
                 token,
+                LoadTrack {
+                    warp: w,
+                    dst: Some(dst),
+                    unlock_line: None,
+                },
+            ));
+            self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
+            self.lsu.push_back(LsuTxn {
+                req: MemRequest {
+                    sm: self.id,
+                    line: t.line,
+                    kind: ReqKind::Atomic,
+                    client: Client::Lsu,
+                    token,
+                },
             });
         }
         self.txn_scratch = txns;
-    }
-
-    /// Show the coprocessor the lines `queue_lines` just queued for the
-    /// memory instruction at `pc`, and trace the coalescing.
-    fn observe_lines(
-        &self,
-        w: usize,
-        pc: usize,
-        space: Space,
-        store: bool,
-        lanes: u32,
-        t: &mut Tick<'_>,
-    ) {
-        let lines = &self.line_scratch;
-        t.coproc.observe_mem(self.id, w, pc, space, store, lines);
-        if t.tracer.enabled() {
-            let (sm, warp, pc, txns) = (self.id as u32, w as u32, pc as u32, lines.len() as u32);
-            let event = TraceEvent::Coalesce {
-                sm,
-                warp,
-                pc,
-                lanes,
-                txns,
-                store,
-            };
-            t.tracer.emit(t.now, event);
-        }
+        stats.alu_lane_ops += eff_mask.count_ones() as u64;
     }
 
     /// Resolve per-lane addresses from the addressing mode; returns the DAC
-    /// record kind when the mode was a dequeue form. Register addresses in
-    /// local space rebase into each thread's private window; dequeued
-    /// records hand over their lane addresses as they are (the AEU applied
-    /// the window when it issued the early requests).
+    /// record kind when the mode was a dequeue form. Dequeued records hand
+    /// over their lane addresses as they are.
     fn resolve_addrs(
         &mut self,
         w: usize,
         addr: AddrMode,
-        space: Space,
         eff_mask: u32,
         coproc: &mut dyn CoProcessor,
-        kctx: &KernelCtx<'_>,
     ) -> (LaneAddrs, Option<RecordKind>) {
-        let AddrMode::Reg(r, disp) = addr else {
-            let rec = coproc.deq_record(self.id, w);
-            let rec = rec.expect("deq issued with empty PWAQ");
-            return (rec.thread_addrs, Some(rec.kind));
-        };
+        match addr {
+            AddrMode::Reg(r, disp) => {
+                let mut addrs = *self.warps[w].as_ref().unwrap().reg_lanes(r);
+                for a in &mut addrs {
+                    *a = a.wrapping_add(disp as u64);
+                }
+                let lanes = LaneAddrs {
+                    addrs,
+                    mask: eff_mask,
+                };
+                (lanes, None)
+            }
+            AddrMode::DeqData | AddrMode::DeqAddr => {
+                let rec = coproc
+                    .deq_record(self.id, w)
+                    .expect("deq issued with empty PWAQ");
+                (rec.thread_addrs, Some(rec.kind))
+            }
+        }
+    }
+
+    /// Rebase local-space addresses into each thread's private window,
+    /// in place.
+    fn translate_local(&self, w: usize, space: Space, lanes: &mut LaneAddrs, kctx: &KernelCtx<'_>) {
+        if space != Space::Local {
+            return;
+        }
         let warp = self.warps[w].as_ref().unwrap();
         let tpc = kctx.program.launch.threads_per_cta() as u64;
         let first = warp.cta_linear * tpc + warp.first_thread();
-        let mut addrs = *warp.reg_lanes(r);
-        for (lane, a) in addrs.iter_mut().enumerate() {
-            *a = a.wrapping_add(disp as u64);
-            if space == Space::Local {
-                let gtid = first + lane as u64;
-                *a = LOCAL_BASE + gtid * LOCAL_STRIDE + (*a % LOCAL_STRIDE);
-            }
+        for (lane, a) in lanes.addrs.iter_mut().enumerate() {
+            let gtid = first + lane as u64;
+            *a = LOCAL_BASE + gtid * LOCAL_STRIDE + (*a % LOCAL_STRIDE);
         }
-        let mask = eff_mask;
-        (LaneAddrs { addrs, mask }, None)
     }
 
     fn pump_lsu(&mut self, t: &mut Tick<'_>) {
         self.lsu_sent = false;
         // One transaction per cycle reaches the L1 (one coalesced access
         // per cycle, as on Fermi).
-        if let Some(&req) = self.lsu.front() {
-            match t.fabric.access(t.now, req, t.tracer) {
+        if let Some(txn) = self.lsu.front() {
+            match t.fabric.access(t.now, txn.req, t.tracer) {
                 AccessOutcome::Accepted => {
                     self.lsu_sent = true;
-                    self.lsu.pop_front();
+                    let txn = self.lsu.pop_front().unwrap();
                     // Stores need no tracking (they were never inserted).
                     debug_assert!(
-                        req.kind != ReqKind::Store
-                            || !self.outstanding.iter().any(|&(t, _)| t == req.token)
+                        txn.req.kind != ReqKind::Store
+                            || !self.outstanding.iter().any(|&(t, _)| t == txn.req.token)
                     );
                 }
                 AccessOutcome::Stall(_) => {}
