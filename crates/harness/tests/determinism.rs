@@ -152,9 +152,10 @@ fn tracing_does_not_perturb_results() {
 /// refused retries answered from the fabric's memo) and dispatch rounds
 /// only when due, against a traced run that ticks them all every cycle.
 /// The set: the 29 benchmarks × 4 designs on a 2-SM machine and on the
-/// full chip, the three scenarios × both placement policies and the
-/// stress corpus on 2 SMs, and the `chip_memory` benchmark set (BFS, SPV,
-/// LIB at scale 2) on the full chip. Minutes in a debug build; CI runs it
+/// full chip, the 29 benchmarks on perfect memory on 2 SMs, the three
+/// scenarios × both placement policies and the stress corpus on 2 SMs,
+/// and the `chip_memory` benchmark set (BFS, SPV, LIB at scale 2) on the
+/// full chip. Minutes in a debug build; CI runs it
 /// in release mode
 /// (`cargo test --release -p simt-harness --test determinism --
 /// --include-ignored`).
@@ -167,6 +168,12 @@ fn sleep_matches_the_ticking_reference_everywhere() {
         1,
         &DesignPoint::HW_ALL,
         &full_chip(),
+    ));
+    set.extend(suite_jobs(
+        all_benchmarks(1),
+        1,
+        &[DesignPoint::PerfectMem],
+        &small(None),
     ));
     for policy in [PlacementPolicy::Greedy, PlacementPolicy::RoundRobin] {
         let overrides = Overrides {
@@ -198,7 +205,7 @@ fn sleep_matches_the_ticking_reference_everywhere() {
     ));
     assert_eq!(
         set.len(),
-        29 * 4 * 2 + 3 * 2 * 4 + divergence_stress().len() * 4 + 12
+        29 * 4 * 2 + 29 + 3 * 2 * 4 + divergence_stress().len() * 4 + 12
     );
     for job in &set {
         assert_sleep_exact(job);

@@ -20,11 +20,21 @@ use crate::fxhash::FxHashMap;
 use crate::mshr::{MshrTable, MshrTarget};
 use crate::stats::MemStats;
 use simt_trace::{StallCause, TraceClient, TraceEvent, TraceReqKind, Tracer};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Clients per SM port (`Client::to_u8` indexes them).
 const CLIENTS: usize = 3;
+
+/// The port's ready lanes, one per latency class: every push to a lane
+/// is due a fixed time after the cycle that pushes it.
+const LANES: usize = 3;
+/// Matured fills and direct responses, due the cycle they mature.
+const MATURED: usize = 0;
+/// L1 hits (`l1_hit_latency`), or on a perfect fabric, which has no L1,
+/// every load (`perfect_latency`).
+const HIT: usize = 1;
+/// Prefetch-buffer hits (`prefetch_buffer_latency`).
+const PBUF_HIT: usize = 2;
 
 /// Who issued a request (routes the response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,6 +208,8 @@ struct Refusal {
 
 #[derive(Debug)]
 struct Partition {
+    /// Index among the partitions (trace events name it).
+    id: usize,
     inq: VecDeque<(u64, MemRequest)>,
     /// The next cycle its tick can change anything (`u64::MAX`: until a
     /// push).
@@ -230,7 +242,8 @@ struct SmPort {
     /// partitions, in push order. Every push is due `l2_latency +
     /// icnt_latency` after the cycle that pushes it and takes a rising
     /// `seq`, so push order is `(at, seq)` order and the front is the
-    /// next event due: the port's due cycle.
+    /// next event due: the port's due cycle, kept in
+    /// [`MemoryFabric::port_due`].
     incoming: VecDeque<(u64, u64, PartEvent)>,
     /// The wake posted for the SM: the first cycle a response is ready, an
     /// incoming event matured or a partition that refused one of its
@@ -239,16 +252,13 @@ struct SmPort {
     /// Changes to the port state a refusal reads: matured events, unlocks
     /// and accepted requests of this SM. Nothing else reaches the port.
     changes: u64,
-    /// (ready_cycle, seq, ord, slot): responses ready for the client to
-    /// drain. Payloads live in a slab (`Vec<Option<..>>` + free list).
-    /// Slab slots are reused, so the heap carries a monotone `ord` as the
-    /// tiebreaker — several ready responses can share one `(at, seq)` (an
-    /// MSHR fill releasing merged targets) and must drain in insertion
-    /// order.
-    ready: BinaryHeap<Reverse<(u64, u64, usize, usize)>>,
-    ready_slab: Vec<Option<MemResponse>>,
-    ready_free: Vec<usize>,
-    next_ev: usize,
+    /// `(ready_cycle, seq, response)`: responses ready for the client to
+    /// drain, one FIFO per latency class (`MATURED`, `HIT`, `PBUF_HIT`).
+    /// Within a lane push order is `(at, seq)` order; responses sharing
+    /// one `(at, seq)` (an MSHR fill releasing merged targets) sit in
+    /// one lane in insertion order. `seq` is unique across lanes, so
+    /// draining the least `(at, seq)` front first is one global order.
+    ready: [VecDeque<(u64, u64, MemResponse)>; LANES],
     /// Port-local sequence counter: `seq` only ever tie-breaks within this
     /// port's queues. Each cycle assigns it to partition events first
     /// (partitions cycle in index order and deliver as they generate),
@@ -272,28 +282,29 @@ impl SmPort {
         self.incoming.front().map_or(u64::MAX, |&(at, ..)| at)
     }
 
-    /// A partition's fill or direct response, due at `at`.
-    fn push_incoming(&mut self, at: u64, ev: PartEvent) {
+    /// A partition's fill or direct response, due at `at`, lowering the
+    /// port's due cycle `due` to it.
+    fn push_incoming(&mut self, at: u64, ev: PartEvent, due: &mut u64) {
         debug_assert!(self.incoming.back().is_none_or(|&(last, ..)| last <= at));
         let seq = self.next_seq();
         self.incoming.push_back((at, seq, ev));
+        *due = (*due).min(at);
     }
 
-    fn push_ready(&mut self, at: u64, seq: u64, r: MemResponse) {
-        let ord = self.next_ev;
-        self.next_ev += 1;
+    fn push_ready(&mut self, lane: usize, at: u64, seq: u64, r: MemResponse) {
+        debug_assert!(self.ready[lane]
+            .back()
+            .is_none_or(|&(last, s, _)| (last, s) <= (at, seq)));
         self.wake = self.wake.min(at);
-        let slot = match self.ready_free.pop() {
-            Some(i) => {
-                self.ready_slab[i] = Some(r);
-                i
-            }
-            None => {
-                self.ready_slab.push(Some(r));
-                self.ready_slab.len() - 1
-            }
-        };
-        self.ready.push(Reverse((at, seq, ord, slot)));
+        self.ready[lane].push_back((at, seq, r));
+    }
+
+    /// The lane whose front drains next at `now`: the least `(at, seq)`
+    /// front due by `now`.
+    fn next_ready(&self, now: u64) -> Option<usize> {
+        let fronts = self.ready.iter().enumerate();
+        let due = fronts.filter_map(|(i, l)| l.front().map(|&(at, seq, _)| (at, seq, i)));
+        due.filter(|&(at, ..)| at <= now).min().map(|(.., i)| i)
     }
 
     /// Process matured incoming events: MSHR releases, L1/prefetch-buffer
@@ -308,7 +319,7 @@ impl SmPort {
             self.changes += 1;
             match ev {
                 PartEvent::Direct(resp) => {
-                    self.push_ready(now, seq, resp);
+                    self.push_ready(MATURED, now, seq, resp);
                 }
                 PartEvent::Fill { line, .. } => {
                     if tracer.enabled() {
@@ -341,6 +352,7 @@ impl SmPort {
                             continue; // prefetches need no response
                         }
                         self.push_ready(
+                            MATURED,
                             now,
                             seq,
                             MemResponse {
@@ -368,7 +380,8 @@ impl Partition {
     }
 
     /// Advance this partition one cycle: service the input-queue head, run
-    /// DRAM, and push each completion onto its SM port's `incoming` heap.
+    /// DRAM, and push each completion onto its SM port's `incoming` FIFO,
+    /// lowering the port's entry of `port_due`.
     /// Reads no port state, and no port looks at `incoming` until every
     /// partition has cycled, so each port numbers its events in
     /// partition-index-then-generation order. Ends by setting `due`. A
@@ -377,9 +390,9 @@ impl Partition {
     fn cycle(
         &mut self,
         cfg: &MemConfig,
-        p: usize,
         now: u64,
         ports: &mut [SmPort],
+        port_due: &mut [u64],
         all: bool,
         tracer: &mut dyn Tracer,
     ) {
@@ -417,7 +430,8 @@ impl Partition {
                     let hit = self.l2.access(req.line, is_atomic) == CacheOutcome::Hit;
                     l2_hit = hit;
                     if hit {
-                        ports[req.sm].push_incoming(back, PartEvent::of(&req));
+                        let due = &mut port_due[req.sm];
+                        ports[req.sm].push_incoming(back, PartEvent::of(&req), due);
                         true
                     } else if self.dram.can_accept() {
                         let id = self.send_to_dram(now, req.line, false);
@@ -442,7 +456,7 @@ impl Partition {
                     tracer.emit(
                         now,
                         TraceEvent::L2Access {
-                            partition: p as u32,
+                            partition: self.id as u32,
                             line: req.line,
                             hit: l2_hit,
                             client: req.client.trace(),
@@ -455,7 +469,7 @@ impl Partition {
         }
         // 2. DRAM.
         if all || self.dram_due <= now {
-            self.dram_due = self.dram.cycle(now, p, tracer);
+            self.dram_due = self.dram.cycle(now, self.id, tracer);
         }
         // 3. Completed DRAM reads → fill L2, route to SM.
         let mut filled = false;
@@ -476,7 +490,7 @@ impl Partition {
                     self.send_to_dram(now, wb_line, true);
                 }
             }
-            ports[req.sm].push_incoming(back, PartEvent::of(&req));
+            ports[req.sm].push_incoming(back, PartEvent::of(&req), &mut port_due[req.sm]);
         }
         // A head refused for a full DRAM queue is refused again until the
         // queue has room or a fill lands in the L2.
@@ -495,6 +509,10 @@ impl Partition {
 pub struct MemoryFabric {
     cfg: MemConfig,
     sms: Vec<SmPort>,
+    /// Each port's due cycle, the head of its `incoming` FIFO
+    /// (`u64::MAX`: empty): a partition lowers it on a push, the port's
+    /// tick resets it.
+    port_due: Vec<u64>,
     parts: Vec<Partition>,
     /// The earliest cycle any partition or port is due: a cycle before it
     /// has nothing to tick.
@@ -518,17 +536,15 @@ impl MemoryFabric {
                 incoming: VecDeque::new(),
                 wake: u64::MAX,
                 changes: 0,
-                ready: BinaryHeap::new(),
-                ready_slab: Vec::new(),
-                ready_free: Vec::new(),
-                next_ev: 0,
+                ready: Default::default(),
                 seq: 0,
                 refused: [None; CLIENTS],
                 pbuf_fills: 0,
             })
             .collect();
         let parts = (0..cfg.num_partitions)
-            .map(|_| Partition {
+            .map(|id| Partition {
+                id,
                 inq: VecDeque::new(),
                 due: u64::MAX,
                 waiters: vec![0; num_sms.div_ceil(64)],
@@ -544,6 +560,7 @@ impl MemoryFabric {
         MemoryFabric {
             cfg,
             sms,
+            port_due: vec![u64::MAX; num_sms],
             parts,
             due: u64::MAX,
             stats_extra: MemStats::default(),
@@ -651,7 +668,7 @@ impl MemoryFabric {
             _ => {
                 self.stats_extra.loads += 1;
                 let at = now + self.cfg.perfect_latency;
-                self.sms[req.sm].push_ready(at, seq, req.response());
+                self.sms[req.sm].push_ready(HIT, at, seq, req.response());
             }
         }
         AccessOutcome::Accepted
@@ -669,16 +686,16 @@ impl MemoryFabric {
             if lock {
                 port.l1.lock_resident(req.line);
             }
-            Some(self.cfg.l1_hit_latency)
+            Some((HIT, self.cfg.l1_hit_latency))
         } else if let Some(pbuf) = port.pbuf.as_mut().filter(|p| p.probe(req.line)) {
             let _ = pbuf.access(req.line, false);
             self.stats_extra.pbuf_hits += 1;
-            Some(self.cfg.prefetch_buffer_latency)
+            Some((PBUF_HIT, self.cfg.prefetch_buffer_latency))
         } else {
             None
         };
-        if let Some(latency) = hit_latency {
-            port.push_ready(now + latency, seq, req.response());
+        if let Some((lane, latency)) = hit_latency {
+            port.push_ready(lane, now + latency, seq, req.response());
             self.stats_extra.loads += 1;
             return AccessOutcome::Accepted;
         }
@@ -848,17 +865,20 @@ impl MemoryFabric {
             return;
         }
         let mut due = u64::MAX;
-        for (p, part) in self.parts.iter_mut().enumerate() {
+        for part in &mut self.parts {
             if all || part.due <= now {
-                part.cycle(&self.cfg, p, now, &mut self.sms, all, tracer);
+                let (ports, port_due) = (&mut self.sms, &mut self.port_due);
+                part.cycle(&self.cfg, now, ports, port_due, all, tracer);
             }
             due = due.min(part.due);
         }
-        for (sm, port) in self.sms.iter_mut().enumerate() {
-            if all || port.due() <= now {
+        for (sm, port_due) in self.port_due.iter_mut().enumerate() {
+            if all || *port_due <= now {
+                let port = &mut self.sms[sm];
                 port.incoming_cycle(sm, now, tracer);
+                *port_due = port.due();
             }
-            due = due.min(port.due());
+            due = due.min(*port_due);
         }
         self.due = due;
     }
@@ -877,20 +897,14 @@ impl MemoryFabric {
     ) {
         let port = &mut self.sms[sm];
         if port.wake > now {
-            return; // nothing ready: `wake` is the ready head
+            return; // nothing ready: `wake` is the earliest lane front
         }
         let start = out.len();
-        loop {
-            let pop = matches!(port.ready.peek(),
-                Some(&Reverse((at, _, _, _))) if at <= now);
-            if !pop {
-                break;
-            }
-            let Reverse((_, _, _, slot)) = port.ready.pop().unwrap();
-            out.push(port.ready_slab[slot].take().unwrap());
-            port.ready_free.push(slot);
+        while let Some(lane) = port.next_ready(now) {
+            out.push(port.ready[lane].pop_front().unwrap().2);
         }
-        port.wake = port.ready.peek().map_or(u64::MAX, |&Reverse((at, ..))| at);
+        let fronts = port.ready.iter().filter_map(|l| l.front());
+        port.wake = fronts.map(|&(at, ..)| at).min().unwrap_or(u64::MAX);
         if tracer.enabled() {
             for r in &out[start..] {
                 let key = (r.sm, r.client.to_u8(), r.token);
@@ -920,13 +934,14 @@ impl MemoryFabric {
 
     /// Any work still in flight anywhere in the hierarchy?
     pub fn quiescent(&self) -> bool {
-        self.sms
+        self.sms.iter().all(|s| {
+            s.incoming.is_empty()
+                && s.ready.iter().all(VecDeque::is_empty)
+                && s.mshr.outstanding() == 0
+        }) && self
+            .parts
             .iter()
-            .all(|s| s.incoming.is_empty() && s.ready.is_empty() && s.mshr.outstanding() == 0)
-            && self
-                .parts
-                .iter()
-                .all(|p| p.inq.is_empty() && p.inflight.is_empty() && p.dram.pending() == 0)
+            .all(|p| p.inq.is_empty() && p.inflight.is_empty() && p.dram.pending() == 0)
     }
 
     /// Aggregate statistics from every component.
@@ -967,7 +982,7 @@ impl MemoryFabric {
             format!("{label}: {}", units.join(" "))
         };
         let parts = self.parts.iter();
-        let ports = self.sms.iter();
+        let ports = self.sms.iter().zip(&self.port_due);
         [
             line(
                 "partitions (inq/dram-reads/dram-queue@due)",
@@ -975,12 +990,12 @@ impl MemoryFabric {
             ),
             line(
                 "sm-ports (incoming/ready/mshr@due)",
-                &mut ports.map(|s| {
+                &mut ports.map(|(s, &due)| {
                     (
                         s.incoming.len(),
-                        s.ready.len(),
+                        s.ready.iter().map(VecDeque::len).sum(),
                         s.mshr.outstanding(),
-                        s.due(),
+                        due,
                     )
                 }),
             ),
@@ -1375,6 +1390,114 @@ mod tests {
         ]
         .map(|(name, cfg)| format!("{name} traffic={:#018x}", traffic_digest(cfg)));
         super::pin::check("results/pins/fabric_traffic.txt", &super::pin::lines(rows));
+    }
+
+    /// The ready heap the lanes replaced, for one port: every response
+    /// pushed to any lane, drained by `(at, seq, ord)` with `ord` the push
+    /// order.
+    #[derive(Default)]
+    struct HeapModel {
+        heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
+        pushed: Vec<MemResponse>,
+        /// Entries of each lane already in the model.
+        seen: [usize; LANES],
+    }
+
+    impl HeapModel {
+        /// Take in what was pushed to `port`'s lanes since the last look.
+        fn observe(&mut self, port: &SmPort) {
+            for (lane, seen) in port.ready.iter().zip(&mut self.seen) {
+                for &(at, seq, r) in lane.iter().skip(*seen) {
+                    let ord = self.pushed.len();
+                    self.pushed.push(r);
+                    self.heap.push(std::cmp::Reverse((at, seq, ord)));
+                }
+                *seen = lane.len();
+            }
+        }
+
+        /// Pop what is ready at `now`, with each pop's `(at, seq)`.
+        fn drain(&mut self, now: u64) -> Vec<((u64, u64), MemResponse)> {
+            let mut out = Vec::new();
+            while let Some(&std::cmp::Reverse((at, seq, ord))) = self.heap.peek() {
+                if at > now {
+                    break;
+                }
+                self.heap.pop();
+                out.push(((at, seq), self.pushed[ord]));
+            }
+            out
+        }
+    }
+
+    /// The lanes drain exactly in the order of the heap they replaced:
+    /// L1 hits, prefetch-buffer hits on a latency of their own, fills that
+    /// release several merged targets, atomics, and perfect memory. Each
+    /// SM drains on a random third of the cycles, so one drain takes
+    /// responses of several cycles and lanes, and the prefetch buffer is
+    /// slower than the L1, so lane order is not `(at, seq)` order.
+    #[test]
+    fn ready_lanes_drain_in_heap_order() {
+        const SMS: usize = 2;
+        let mut pbuf = MemConfig::gtx480_with_prefetch_buffer();
+        pbuf.prefetch_buffer_latency = 45;
+        assert!(pbuf.prefetch_buffer_latency > pbuf.l1_hit_latency);
+        for cfg in [pbuf, MemConfig::perfect()] {
+            let perfect = cfg.perfect;
+            let mut f = MemoryFabric::new(cfg, SMS);
+            let mut models: Vec<HeapModel> = (0..SMS).map(|_| HeapModel::default()).collect();
+            let mut rng = Rng(0x1A4E_5EED);
+            let (mut token, mut merged, mut late) = (0u64, 0u64, 0u64);
+            let mut out = Vec::new();
+            for t in 0..20_000u64 {
+                f.cycle(t, &mut NullTracer);
+                for (sm, model) in models.iter_mut().enumerate() {
+                    model.observe(&f.sms[sm]);
+                    if rng.below(3) == 0 {
+                        out.clear();
+                        f.drain_responses_into(sm, t, &mut NullTracer, &mut out);
+                        model.seen = f.sms[sm].ready.each_ref().map(VecDeque::len);
+                        let want = model.drain(t);
+                        let order: Vec<MemResponse> = want.iter().map(|&(_, r)| r).collect();
+                        assert_eq!(out, order, "sm {sm} at cycle {t}");
+                        let keys = || want.iter().map(|&(key, _)| key);
+                        merged += keys().zip(keys().skip(1)).filter(|(a, b)| a == b).count() as u64;
+                        late += keys().filter(|&(at, _)| at < t).count() as u64;
+                    }
+                    if rng.below(100) < 60 {
+                        token += 1;
+                        // A hot line set that fits the L1, and a range MTA
+                        // prefetches into the prefetch buffer.
+                        let (kind, client, line) = match rng.below(10) {
+                            0..=4 => (ReqKind::Load, Client::Lsu, rng.below(192)),
+                            5..=6 => (ReqKind::Load, Client::Lsu, 1024 + rng.below(64)),
+                            7 => (ReqKind::Prefetch, Client::Mta, 1024 + rng.below(64)),
+                            8 => (ReqKind::Atomic, Client::Lsu, rng.below(64)),
+                            _ => (ReqKind::Store, Client::Lsu, rng.below(4096)),
+                        };
+                        let req = MemRequest {
+                            sm,
+                            line: line * 128,
+                            kind,
+                            client,
+                            token,
+                        };
+                        let _ = f.access(t, req, &mut NullTracer);
+                    }
+                    model.observe(&f.sms[sm]);
+                }
+            }
+            let stats = f.stats();
+            assert!(
+                stats.loads > 1000 && late > 1000,
+                "{stats:?}, {late} drained late"
+            );
+            if !perfect {
+                assert!(stats.l1_hits > 1000 && stats.pbuf_hits > 100, "{stats:?}");
+                assert!(stats.atomics > 100, "{stats:?}");
+                assert!(merged > 100, "{merged} responses shared a fill");
+            }
+        }
     }
 
     #[test]

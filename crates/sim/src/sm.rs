@@ -370,9 +370,13 @@ pub struct Sm {
     /// awake; while asleep, the first timed event — the next writeback
     /// due, a coprocessor deadline (`u64::MAX`: until woken).
     due: u64,
-    /// In-flight loads/atomics by token. A short linear-scan Vec, not a
-    /// map: a handful of entries at most, and removal order never matters.
-    outstanding: Vec<(u64, LoadTrack)>,
+    /// In-flight loads/atomics indexed by token: entry `i` tracks token
+    /// `first_token + i`. Responses arrive in any order and stores take
+    /// tokens untracked, so entries between the oldest and the newest
+    /// live token may be holes (`None`); the front is never one.
+    outstanding: VecDeque<Option<LoadTrack>>,
+    /// The token of `outstanding`'s front.
+    first_token: u64,
     next_token: u64,
     /// Reusable scratch buffers for the per-cycle hot path (see DESIGN.md
     /// "Simulator performance"); cleared before each use, never observed
@@ -439,7 +443,8 @@ impl Sm {
             lsu_sent: false,
             asleep_since: None,
             due: 0,
-            outstanding: Vec::new(),
+            outstanding: VecDeque::new(),
+            first_token: 0,
             next_token: 0,
             resp_scratch: Vec::new(),
             txn_scratch: Vec::new(),
@@ -867,6 +872,35 @@ impl Sm {
         }
     }
 
+    /// The next memory token, tracking the load or atomic `track` under
+    /// it (`None`: a store, which gets no response).
+    fn issue_token(&mut self, track: Option<LoadTrack>) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        if let Some(track) = track {
+            if self.outstanding.is_empty() {
+                self.first_token = token;
+            }
+            let holes = token - self.first_token - self.outstanding.len() as u64;
+            self.outstanding
+                .extend(std::iter::repeat_n(None, holes as usize));
+            self.outstanding.push_back(Some(track));
+        }
+        token
+    }
+
+    /// Stop tracking `token`, whose response arrived, and drop the holes
+    /// that leaves at the front.
+    fn untrack(&mut self, token: u64) -> Option<LoadTrack> {
+        let i = token.checked_sub(self.first_token)?;
+        let track = self.outstanding.get_mut(i as usize)?.take()?;
+        while self.outstanding.front().is_some_and(Option::is_none) {
+            self.outstanding.pop_front();
+            self.first_token += 1;
+        }
+        Some(track)
+    }
+
     /// Deliver the fabric responses ready at `now`; were there any?
     fn drain_responses(&mut self, t: &mut Tick<'_>) -> bool {
         let mut resps = std::mem::take(&mut self.resp_scratch);
@@ -877,8 +911,7 @@ impl Sm {
         for resp in &resps {
             match resp.client {
                 Client::Lsu => {
-                    if let Some(pos) = self.outstanding.iter().position(|&(t, _)| t == resp.token) {
-                        let (_, track) = self.outstanding.swap_remove(pos);
+                    if let Some(track) = self.untrack(resp.token) {
                         if let Some(line) = track.unlock_line {
                             t.fabric.unlock(self.id, line);
                         }
@@ -1358,16 +1391,11 @@ impl Sm {
                 // An empty txn list (fully guarded off) leaves nothing
                 // outstanding.
                 for t in &txns {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.outstanding.push((
-                        token,
-                        LoadTrack {
-                            warp: w,
-                            dst: Some(dst),
-                            unlock_line: unlock.then_some(t.line),
-                        },
-                    ));
+                    let token = self.issue_token(Some(LoadTrack {
+                        warp: w,
+                        dst: Some(dst),
+                        unlock_line: unlock.then_some(t.line),
+                    }));
                     self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
                     self.lsu.push_back(LsuTxn {
                         req: MemRequest {
@@ -1438,8 +1466,7 @@ impl Sm {
                     );
                 }
                 for t in &txns {
-                    let token = self.next_token;
-                    self.next_token += 1;
+                    let token = self.issue_token(None);
                     self.lsu.push_back(LsuTxn {
                         req: MemRequest {
                             sm: self.id,
@@ -1489,16 +1516,11 @@ impl Sm {
         let mut txns = std::mem::take(&mut self.txn_scratch);
         coalesce_into(&addrs, cfg.mem.line_bytes, &mut txns);
         for t in &txns {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.outstanding.push((
-                token,
-                LoadTrack {
-                    warp: w,
-                    dst: Some(dst),
-                    unlock_line: None,
-                },
-            ));
+            let token = self.issue_token(Some(LoadTrack {
+                warp: w,
+                dst: Some(dst),
+                unlock_line: None,
+            }));
             self.warps[w].as_mut().unwrap().mark_reg_pending(dst);
             self.lsu.push_back(LsuTxn {
                 req: MemRequest {
@@ -1568,12 +1590,7 @@ impl Sm {
             match t.fabric.access(t.now, txn.req, t.tracer) {
                 AccessOutcome::Accepted => {
                     self.lsu_sent = true;
-                    let txn = self.lsu.pop_front().unwrap();
-                    // Stores need no tracking (they were never inserted).
-                    debug_assert!(
-                        txn.req.kind != ReqKind::Store
-                            || !self.outstanding.iter().any(|&(t, _)| t == txn.req.token)
-                    );
+                    self.lsu.pop_front();
                 }
                 AccessOutcome::Stall(_) => {}
             }
@@ -1653,14 +1670,13 @@ impl Sm {
             if !all_done {
                 continue;
             }
-            // Do not free warps with outstanding memory responses.
-            let pending_mem = self
+            // Every load or atomic in flight holds its `dst` pending, so a
+            // clear scoreboard means no memory response is outstanding.
+            debug_assert!(!self
                 .outstanding
                 .iter()
-                .any(|(_, t)| cta.warps.contains(&t.warp));
-            if pending_mem {
-                continue;
-            }
+                .flatten()
+                .any(|t| cta.warps.contains(&t.warp)));
             let cta = self.cta_slots[slot].take().unwrap();
             for &wid in &cta.warps {
                 self.warps[wid] = None;
@@ -1725,6 +1741,48 @@ mod tests {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The token-indexed `outstanding` ring against a map by token:
+    /// responses answered in random order, stores taking tokens between
+    /// loads (holes), and responses for tokens that track nothing (a
+    /// store's, or one already answered) all agree, and the ring is empty
+    /// exactly when nothing is in flight.
+    #[test]
+    fn outstanding_by_token_matches_a_map() {
+        let mut sm = Sm::new(0, &GpuConfig::test_small());
+        let mut model = std::collections::BTreeMap::new();
+        let mut rng = Rng(0x70CE_4A11);
+        for step in 0..50_000u64 {
+            // Phases of issue-heavy, balanced and drain-heavy traffic.
+            let issue = [70, 50, 25][(step / 2000 % 3) as usize];
+            if rng.below(100) < issue {
+                let load = rng.below(3) != 0;
+                let track = load.then_some(LoadTrack {
+                    warp: rng.below(48) as usize,
+                    dst: Some(rng.below(64) as u16),
+                    unlock_line: None,
+                });
+                let token = sm.issue_token(track);
+                if let Some(track) = track {
+                    model.insert(token, track);
+                }
+            } else if !model.is_empty() {
+                let live: Vec<u64> = model.keys().copied().collect();
+                let token = live[rng.below(live.len() as u64) as usize];
+                let got = sm.untrack(token).map(|t| (t.warp, t.dst));
+                let want = model.remove(&token).map(|t| (t.warp, t.dst));
+                assert_eq!(got, want, "token {token} at step {step}");
+            }
+            // A token that tracks nothing answers nothing.
+            let stray = rng.below(sm.next_token + 1);
+            if !model.contains_key(&stray) {
+                assert!(sm.untrack(stray).is_none(), "token {stray} at step {step}");
+            }
+            assert_eq!(sm.outstanding.is_empty(), model.is_empty(), "step {step}");
+            assert!(sm.outstanding.front().is_none_or(Option::is_some));
+            assert_eq!(sm.outstanding.iter().flatten().count(), model.len());
         }
     }
 

@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Symbolise a pcs.so sample file: sym.py SAMPLES BINARY [TOP]
+"""Symbolise a pcs.so sample file: sym.py SAMPLES BINARY [TOP] [--under PATTERN]
 
 BINARY must be the sampled executable, built with line tables
 (CARGO_PROFILE_RELEASE_DEBUG=1). Prints the TOP (default 30) entries by
 outermost function, by inline chain and by source line, as shares of all
-samples; samples outside BINARY are grouped by mapped object.
+samples; samples outside BINARY are grouped by mapped object. With
+--under PATTERN it also prints the source-line table of only the samples
+whose inline chain names a function containing PATTERN (e.g.
+`drain_responses`), still as shares of all samples.
 """
+import argparse
 import collections
 import os
 import subprocess
-import sys
 
 
 def main():
-    samples, binary = sys.argv[1], os.path.realpath(sys.argv[2])
-    top = int(sys.argv[3]) if len(sys.argv) > 3 else 30
+    ap = argparse.ArgumentParser(description="Symbolise a pcs.so sample file.")
+    ap.add_argument("samples")
+    ap.add_argument("binary")
+    ap.add_argument("top", nargs="?", type=int, default=30)
+    ap.add_argument("--under", metavar="PATTERN",
+                    help="also tabulate the lines of samples under PATTERN")
+    args = ap.parse_args()
+    samples, binary, top = args.samples, os.path.realpath(args.binary), args.top
     text, maps = open(samples).read().split("--maps--\n")
     pcs = [int(line, 16) for line in text.split()]
     # (start, end, file offset, path) of every mapping that has a path.
@@ -44,7 +53,7 @@ def main():
             chain = frames.setdefault(int(line, 16), [])
         else:
             chain.append((line, next(lines).split(" (discriminator")[0]))
-    by_func, by_chain, by_line = (collections.Counter() for _ in range(3))
+    by_func, by_chain, by_line, by_under = (collections.Counter() for _ in range(4))
     for pc in pcs:
         obj = where(pc)
         if obj != binary:
@@ -55,8 +64,14 @@ def main():
         by_func[chain[-1][0]] += 1
         by_chain[" < ".join(fn for fn, _ in chain)] += 1
         by_line[f"{chain[0][1]}  ({chain[-1][0]})"] += 1
-    for title, table in (("outermost function", by_func), ("inline chain", by_chain),
-                         ("source line", by_line)):
+        if args.under and any(args.under in fn for fn, _ in chain):
+            by_under[f"{chain[0][1]}  ({chain[0][0]})"] += 1
+    tables = [("outermost function", by_func), ("inline chain", by_chain),
+              ("source line", by_line)]
+    if args.under:
+        under = sum(by_under.values())
+        tables.append((f"source line, the {under} under {args.under!r}", by_under))
+    for title, table in tables:
         print(f"\n== {len(pcs)} samples by {title} ==")
         for name, count in table.most_common(top):
             print(f"{100 * count / len(pcs):6.2f}%  {count:7d}  {name}")
