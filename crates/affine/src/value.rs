@@ -7,6 +7,10 @@ use crate::tuple::AffineTuple;
 /// conditions ⇒ 4 tuples).
 pub const MAX_DIVERGENT_TUPLES: usize = 4;
 
+/// Maximum warps in a CTA: a launch has at most 1,024 threads per CTA
+/// (`Program::new` refuses more), so per-warp state fits fixed arrays.
+pub const MAX_CTA_WARPS: usize = 32;
+
 /// A divergent affine value: up to four tuples plus a per-(warp, lane)
 /// selector recorded when the diverging definitions executed (§4.6).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,8 +158,8 @@ impl AffineVal {
 pub enum PredVal {
     /// Same outcome for every thread of the CTA.
     Uniform(bool),
-    /// Per-warp 32-bit lane masks.
-    PerWarp(Vec<u32>),
+    /// Per-warp 32-bit lane masks; warps past the CTA's last hold 0.
+    PerWarp([u32; MAX_CTA_WARPS]),
 }
 
 impl PredVal {
@@ -165,14 +169,6 @@ impl PredVal {
             PredVal::Uniform(true) => u32::MAX,
             PredVal::Uniform(false) => 0,
             PredVal::PerWarp(v) => v.get(warp).copied().unwrap_or(0),
-        }
-    }
-
-    /// Is the predicate uniform across the whole CTA?
-    pub fn is_uniform(&self) -> bool {
-        match self {
-            PredVal::Uniform(_) => true,
-            PredVal::PerWarp(v) => v.iter().all(|&m| m == 0) || v.iter().all(|&m| m == u32::MAX),
         }
     }
 }
@@ -291,10 +287,11 @@ mod tests {
     fn pred_val_uniform_and_perwarp() {
         assert_eq!(PredVal::Uniform(true).warp_bits(3), u32::MAX);
         assert_eq!(PredVal::Uniform(false).warp_bits(0), 0);
-        let p = PredVal::PerWarp(vec![0xF, 0]);
+        let mut bits = [0; MAX_CTA_WARPS];
+        bits[0] = 0xF;
+        let p = PredVal::PerWarp(bits);
         assert_eq!(p.warp_bits(0), 0xF);
         assert_eq!(p.warp_bits(5), 0);
-        assert!(!p.is_uniform());
-        assert!(PredVal::PerWarp(vec![u32::MAX; 3]).is_uniform());
+        assert_eq!(p.warp_bits(MAX_CTA_WARPS), 0);
     }
 }

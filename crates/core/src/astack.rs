@@ -7,6 +7,8 @@
 //! Per Warp Stack (PWS). We track full masks and do not model the split:
 //! the energy model charges one PWS access per AEU record instead.
 
+use affine::value::MAX_CTA_WARPS;
+
 /// One affine-stack entry: a path with per-warp lane masks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffineStackEntry {
@@ -14,35 +16,54 @@ pub struct AffineStackEntry {
     pub pc: usize,
     /// Reconvergence PC (`usize::MAX` = exit).
     pub rpc: usize,
-    /// Active lanes per warp of the CTA.
-    pub masks: Vec<u32>,
+    /// Active lanes per warp of the CTA; warps past the CTA's last hold 0.
+    pub masks: [u32; MAX_CTA_WARPS],
 }
 
-impl AffineStackEntry {
-    fn live(&self, exited: &[u32]) -> bool {
-        self.masks.iter().zip(exited).any(|(m, e)| m & !e != 0)
-    }
-}
-
-/// The affine warp's SIMT stack for one CTA.
+/// The affine warp's SIMT stack for one CTA. Masks are fixed arrays, so a
+/// branch or an exit allocates nothing once the stack has reached its
+/// depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffineStack {
     entries: Vec<AffineStackEntry>,
-    exited: Vec<u32>,
+    exited: [u32; MAX_CTA_WARPS],
+    /// Warps in the CTA.
+    warps: usize,
 }
 
 impl AffineStack {
     /// Start at PC 0 with the CTA's launch masks.
-    pub fn new(launch_masks: Vec<u32>) -> Self {
-        let n = launch_masks.len();
-        AffineStack {
-            entries: vec![AffineStackEntry {
-                pc: 0,
-                rpc: usize::MAX,
-                masks: launch_masks,
-            }],
-            exited: vec![0; n],
-        }
+    pub fn new(launch_masks: &[u32]) -> Self {
+        let mut s = AffineStack {
+            entries: Vec::new(),
+            exited: [0; MAX_CTA_WARPS],
+            warps: 0,
+        };
+        s.reset(launch_masks);
+        s
+    }
+
+    /// Start over at PC 0 with a new CTA's launch masks, keeping the
+    /// entry storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CTA has more than [`MAX_CTA_WARPS`] warps.
+    pub fn reset(&mut self, launch_masks: &[u32]) {
+        let mut masks = [0; MAX_CTA_WARPS];
+        masks[..launch_masks.len()].copy_from_slice(launch_masks);
+        self.entries.clear();
+        self.entries.push(AffineStackEntry {
+            pc: 0,
+            rpc: usize::MAX,
+            masks,
+        });
+        self.exited = [0; MAX_CTA_WARPS];
+        self.warps = launch_masks.len();
+    }
+
+    fn live(&self, e: &AffineStackEntry) -> bool {
+        (0..self.warps).any(|w| e.masks[w] & !self.exited[w] != 0)
     }
 
     /// Current PC.
@@ -60,14 +81,10 @@ impl AffineStack {
         top.masks[warp] & !self.exited[warp]
     }
 
-    /// All warps' active masks on the current path.
-    pub fn active_masks(&self) -> Vec<u32> {
+    /// All warps' active masks on the current path (0 past the last warp).
+    pub fn active_masks(&self) -> [u32; MAX_CTA_WARPS] {
         let top = self.entries.last().expect("affine stack empty");
-        top.masks
-            .iter()
-            .zip(&self.exited)
-            .map(|(m, e)| m & !e)
-            .collect()
+        std::array::from_fn(|w| top.masks[w] & !self.exited[w])
     }
 
     /// Finished?
@@ -81,19 +98,12 @@ impl AffineStack {
     }
 
     fn settle(&mut self) {
-        loop {
-            let Some(top) = self.entries.last() else {
+        while let Some(top) = self.entries.last() {
+            if !self.live(top) || (self.entries.len() > 1 && top.pc == top.rpc) {
+                self.entries.pop();
+            } else {
                 return;
-            };
-            if !top.live(&self.exited) {
-                self.entries.pop();
-                continue;
             }
-            if self.entries.len() > 1 && top.pc == top.rpc {
-                self.entries.pop();
-                continue;
-            }
-            return;
         }
     }
 
@@ -109,11 +119,15 @@ impl AffineStack {
     /// that ordering is what keeps enq/deq FIFOs aligned.
     pub fn branch(&mut self, taken: &[u32], target: usize, rpc: usize) -> bool {
         let active = self.active_masks();
-        let taken: Vec<u32> = taken.iter().zip(&active).map(|(t, a)| t & a).collect();
-        let not_taken: Vec<u32> = active.iter().zip(&taken).map(|(a, t)| a & !t).collect();
+        let mut tk = [0; MAX_CTA_WARPS];
+        let mut nt = [0; MAX_CTA_WARPS];
+        for (w, &t) in taken.iter().enumerate().take(self.warps) {
+            tk[w] = t & active[w];
+            nt[w] = active[w] & !t;
+        }
         let fallthrough = self.pc() + 1;
-        let any_taken = taken.iter().any(|&m| m != 0);
-        let any_nt = not_taken.iter().any(|&m| m != 0);
+        let any_taken = tk.iter().any(|&m| m != 0);
+        let any_nt = nt.iter().any(|&m| m != 0);
         if !any_nt {
             self.entries.last_mut().unwrap().pc = target;
             self.settle();
@@ -127,12 +141,12 @@ impl AffineStack {
             self.entries.push(AffineStackEntry {
                 pc: fallthrough,
                 rpc,
-                masks: not_taken,
+                masks: nt,
             });
             self.entries.push(AffineStackEntry {
                 pc: target,
                 rpc,
-                masks: taken,
+                masks: tk,
             });
             self.settle();
             true
@@ -146,7 +160,7 @@ impl AffineStack {
             *e |= a;
         }
         self.settle();
-        if self.entries.iter().all(|en| !en.live(&self.exited)) {
+        if self.entries.iter().all(|en| !self.live(en)) {
             self.entries.clear();
         }
     }
@@ -158,7 +172,7 @@ mod tests {
 
     #[test]
     fn uniform_flow_two_warps() {
-        let mut s = AffineStack::new(vec![u32::MAX, u32::MAX]);
+        let mut s = AffineStack::new(&[u32::MAX, u32::MAX]);
         s.advance();
         assert_eq!(s.pc(), 1);
         assert!(!s.branch(&[u32::MAX, u32::MAX], 5, 9));
@@ -170,7 +184,7 @@ mod tests {
     #[test]
     fn warp_level_divergence() {
         // Warp 0 takes, warp 1 falls through — whole-warp granularity.
-        let mut s = AffineStack::new(vec![u32::MAX, u32::MAX]);
+        let mut s = AffineStack::new(&[u32::MAX, u32::MAX]);
         assert!(s.branch(&[u32::MAX, 0], 10, 20));
         assert_eq!(s.pc(), 10);
         assert_eq!(s.active(0), u32::MAX);
@@ -193,7 +207,7 @@ mod tests {
 
     #[test]
     fn intra_warp_divergence_splits_lane_masks() {
-        let mut s = AffineStack::new(vec![u32::MAX]);
+        let mut s = AffineStack::new(&[u32::MAX]);
         s.branch(&[0x0000_FFFF], 4, 8);
         assert_eq!(s.active(0), 0x0000_FFFF);
     }
@@ -201,7 +215,7 @@ mod tests {
     #[test]
     fn partial_launch_mask() {
         // Last warp has 8 live threads.
-        let mut s = AffineStack::new(vec![u32::MAX, 0xFF]);
+        let mut s = AffineStack::new(&[u32::MAX, 0xFF]);
         assert_eq!(s.active(1), 0xFF);
         s.exit();
         assert!(s.done());
@@ -211,7 +225,7 @@ mod tests {
     fn matches_simt_stack_path_order() {
         // The affine stack must visit taken-then-fallthrough like the
         // per-warp stack, or enq/deq order would skew.
-        let mut a = AffineStack::new(vec![u32::MAX]);
+        let mut a = AffineStack::new(&[u32::MAX]);
         let mut w = simt_sim::SimtStack::new(u32::MAX);
         a.branch(&[0xF0F0_F0F0], 7, 12);
         w.branch(0xF0F0_F0F0, 7, 12);

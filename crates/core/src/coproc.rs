@@ -5,6 +5,7 @@
 use crate::config::DacConfig;
 use crate::engine::{AffineCtx, ExecOutcome, LaunchCtx, PeuClass};
 use crate::queues::{unique_lines, DacQueues};
+use affine::value::MAX_CTA_WARPS;
 use affine::DecoupledKernel;
 use simt_ir::{AddrMode, Cfg, Instr, PredSrc, Program, QueueKind};
 use simt_mem::{AccessOutcome, Client, MemRequest, MemResponse, ReqKind};
@@ -16,16 +17,16 @@ use std::collections::VecDeque;
 struct SmDac {
     queues: DacQueues,
     slots: Vec<Option<AffineCtx>>,
-    /// Warp slots per CTA slot (for retire-time cleanup).
-    slot_warps: Vec<Vec<usize>>,
+    /// Contexts of retired CTAs, kept for the next launches' reuse.
+    spare: Vec<AffineCtx>,
     /// Barriers passed by each CTA slot's non-affine warps (gates the
     /// expansion units, §4.2).
     nonaffine_epoch: Vec<u32>,
-    /// May an expansion unit's scan find work? Cleared when neither unit's
-    /// scan finds any; set by every event that can change a scan's answer
+    /// May an expansion unit's pick find work? Cleared when neither unit's
+    /// pick finds any; set by every event that can change a pick's answer
     /// (an ATQ push, a dequeue, a barrier release, a CTA launch or retire).
-    /// The scans read only the ATQ, the epochs and the per-warp queue
-    /// lengths and caps, and only those events change them, so no scan
+    /// A pick reads only the ATQ heads, the epochs and the per-warp queue
+    /// lengths and caps, and only those events change them, so no pick
     /// runs while the flag is clear and none is missed.
     wake: bool,
     /// Pending early line requests `(record id, line)` awaiting fabric
@@ -72,7 +73,7 @@ impl SmDac {
     /// mean-occupancy stats; counted every cycle the DAC is live, traced
     /// or not.
     fn sample(&self, n: u64, stats: &mut SimStats) {
-        let atq = self.queues.atq.len() as u64;
+        let atq = self.queues.atq_len() as u64;
         let pwaq = self.queues.records_len() as u64;
         stats.atq_occupancy_sum += atq * n;
         stats.pwaq_occupancy_sum += pwaq * n;
@@ -82,39 +83,10 @@ impl SmDac {
         stats.affine_runahead_sum += (atq + pwaq) * n;
     }
 
-    /// The ATQ entry the PEU (`pred`) or the AEU would expand next: the
-    /// oldest tuple of its kind whose CTA has passed the tuple's barrier
-    /// epoch and whose next warp has room in its queue (per-CTA
-    /// accumulators let a unit skip tuples of blocked CTAs, §4.2).
+    /// The CTA slot whose head tuple the PEU (`pred`) or the AEU would
+    /// expand next ([`DacQueues::pick`]).
     fn pick(&self, pred: bool) -> Option<usize> {
-        // CTA slots are per-SM hardware resources (far fewer than 64), so a
-        // bitmask tracks the blocked ones.
-        let mut blocked_slots = 0u64;
-        for (i, e) in self.queues.atq.iter().enumerate() {
-            if (e.kind == QueueKind::Pred) != pred {
-                continue;
-            }
-            debug_assert!(e.slot < 64);
-            if blocked_slots & (1 << e.slot) != 0 {
-                continue;
-            }
-            if e.epoch > self.nonaffine_epoch[e.slot] {
-                blocked_slots |= 1 << e.slot;
-                continue;
-            }
-            let warp = e.per_warp[e.next].warp_global;
-            let room = if pred {
-                self.queues.pwpq_has_space(warp)
-            } else {
-                self.queues.pwaq_has_space(warp)
-            };
-            if !room {
-                blocked_slots |= 1 << e.slot;
-                continue;
-            }
-            return Some(i);
-        }
-        None
+        self.queues.pick(pred, &self.nonaffine_epoch)
     }
 }
 
@@ -183,7 +155,7 @@ impl Dac {
     /// (the 192 PWAQ/PWPQ entries are a shared pool, Table 1).
     fn repartition(&mut self, sm: usize) {
         let s = &mut self.sms[sm];
-        let resident: usize = s.slot_warps.iter().map(|w| w.len()).sum();
+        let resident = s.queues.resident_warps();
         s.queues.set_per_warp_caps(
             DacConfig::per_warp_cap(self.cfg.pwaq_total, resident),
             DacConfig::per_warp_cap(self.cfg.pwpq_total, resident),
@@ -195,12 +167,11 @@ impl Dac {
     fn aeu_step(&mut self, sm: usize, ctx: &mut CoCtx<'_>) -> bool {
         let launch = self.launch.as_ref().expect("kernel not launched");
         let s = &mut self.sms[sm];
-        let Some(i) = s.pick(false) else {
+        let Some(slot) = s.pick(false) else {
             return false;
         };
-        let entry = &mut s.queues.atq[i];
-        let warp = entry.per_warp[entry.next].warp_global;
-        let thread_addrs = entry.lane_addrs(entry.next, launch);
+        let (entry, warp) = s.queues.atq_head(slot, false);
+        let thread_addrs = entry.lane_addrs(entry.next_warp(), launch);
         let prefetch = entry.kind == QueueKind::Data;
         let record = AddrRecord {
             kind: if prefetch {
@@ -212,10 +183,7 @@ impl Dac {
             space: entry.space,
             width: entry.width,
         };
-        entry.next += 1;
-        if entry.next == entry.per_warp.len() {
-            s.queues.atq.remove(i);
-        }
+        s.queues.expand_head(slot, false);
         // A Data record's lines are requested early; an Addr record has none.
         let (lines, n) = if prefetch {
             unique_lines(&thread_addrs, ctx.fabric.config().line_bytes)
@@ -245,26 +213,23 @@ impl Dac {
     /// One Predicate Expansion Unit work unit. Returns whether it did any.
     fn peu_step(&mut self, sm: usize, ctx: &mut CoCtx<'_>) -> bool {
         let s = &mut self.sms[sm];
-        let Some(i) = s.pick(true) else {
+        let Some(slot) = s.pick(true) else {
             return false;
         };
-        let entry = &mut s.queues.atq[i];
-        let w = entry.per_warp[entry.next];
-        entry.next += 1;
-        if entry.next == entry.per_warp.len() {
-            s.queues.atq.remove(i);
+        let (entry, warp) = s.queues.atq_head(slot, true);
+        let bits = entry.bits[entry.next_warp()];
+        s.queues.expand_head(slot, true);
+        if !s.queues.pred_available(warp) {
+            ctx.dirty.push(warp);
         }
-        if !s.queues.pred_available(w.warp_global) {
-            ctx.dirty.push(w.warp_global);
-        }
-        s.queues.push_pred(w.warp_global, w.bits);
+        s.queues.push_pred(warp, bits);
         ctx.stats.peu_records += 1;
         if ctx.tracer.enabled() {
             ctx.tracer.emit(
                 ctx.now,
                 TraceEvent::Expand {
                     sm: sm as u32,
-                    warp: w.warp_global as u32,
+                    warp: warp as u32,
                     pred: true,
                 },
             );
@@ -353,7 +318,7 @@ impl CoProcessor for Dac {
                     self.cfg.pwpq_total,
                 ),
                 slots: Vec::new(),
-                slot_warps: Vec::new(),
+                spare: Vec::new(),
                 nonaffine_epoch: Vec::new(),
                 wake: false,
                 pending_lines: VecDeque::new(),
@@ -376,37 +341,33 @@ impl CoProcessor for Dac {
         let s = &mut self.sms[sm];
         if s.slots.len() <= slot {
             s.slots.resize_with(slot + 1, || None);
-            s.slot_warps.resize_with(slot + 1, Vec::new);
             s.nonaffine_epoch.resize(slot + 1, 0);
         }
-        if let Some(&maxw) = warps.iter().max() {
-            s.queues.ensure_warps(maxw + 1);
-        }
+        s.queues.launch_slot(slot, warps);
         let threads = launch.threads_per_cta() as u64;
-        let masks: Vec<u32> = (0..warps.len())
-            .map(|w| {
-                let live = threads.saturating_sub(w as u64 * 32).min(32) as u32;
-                if live == 32 {
-                    u32::MAX
-                } else {
-                    (1u32 << live) - 1
-                }
-            })
-            .collect();
-        let actx = AffineCtx::new(
-            slot,
-            cta_linear,
-            launch.grid.unflatten(cta_linear),
-            warps.to_vec(),
-            masks,
-            &self.dk.affine,
-        );
+        let mut masks = [0u32; MAX_CTA_WARPS];
+        for (w, m) in masks[..warps.len()].iter_mut().enumerate() {
+            let live = threads.saturating_sub(w as u64 * 32).min(32) as u32;
+            *m = if live == 32 {
+                u32::MAX
+            } else {
+                (1u32 << live) - 1
+            };
+        }
+        let masks = &masks[..warps.len()];
+        let coords = launch.grid.unflatten(cta_linear);
+        let actx = match s.spare.pop() {
+            Some(mut c) => {
+                c.relaunch(slot, cta_linear, coords, masks, &self.dk.affine);
+                c
+            }
+            None => AffineCtx::new(slot, cta_linear, coords, masks, &self.dk.affine),
+        };
         let (live, parked) = live_parked(&actx, &self.is_enq);
         s.live += live;
         s.parked += parked;
         debug_assert!(s.slots[slot].is_none(), "CTA slot {slot} launched twice");
         s.slots[slot] = Some(actx);
-        s.slot_warps[slot] = warps.to_vec();
         s.nonaffine_epoch[slot] = 0;
         s.wake = true;
         self.repartition(sm);
@@ -424,9 +385,9 @@ impl CoProcessor for Dac {
             let (live, parked) = live_parked(&actx, &self.is_enq);
             s.live -= live;
             s.parked -= parked;
+            s.spare.push(actx);
         }
-        let warps = std::mem::take(&mut s.slot_warps[slot]);
-        let dropped = s.queues.drop_warps(slot, &warps);
+        let dropped = s.queues.retire_slot(slot);
         self.dropped_at_retire += dropped as u64;
         // Drop pending line requests for discarded records. A line still
         // waiting for the fabric has had no response, so its record, if
@@ -569,7 +530,7 @@ impl CoProcessor for Dac {
         let s = &self.sms[sm];
         s.sample(1, ctx.stats);
         if ctx.tracer.enabled() {
-            let atq = s.queues.atq.len() as u32;
+            let atq = s.queues.atq_len() as u32;
             let pwaq = s.queues.records_len() as u32;
             ctx.tracer.emit(
                 ctx.now,

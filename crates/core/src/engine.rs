@@ -9,8 +9,8 @@
 //! vector path.
 
 use crate::astack::AffineStack;
-use crate::queues::{AtqEntry, AtqWarp, DacQueues};
-use affine::value::DivergentVal;
+use crate::queues::{AtqEntry, DacQueues};
+use affine::value::{DivergentVal, MAX_CTA_WARPS};
 use affine::{tuple::tuple_op, AffineTuple, AffineVal, PredVal};
 use simt_ir::{Instr, Kernel, LaunchConfig, Op, Operand, PredSrc, QueueKind, Space, SpecialReg};
 
@@ -78,8 +78,8 @@ pub struct AffineCtx {
     pub cta_linear: u64,
     /// Grid coordinates of the CTA.
     pub cta_coords: (u32, u32, u32),
-    /// SM warp slots owned by the CTA (index = warp-in-CTA).
-    pub warps: Vec<usize>,
+    /// Warps in the CTA.
+    warps: usize,
     /// Control-flow stack over the CTA's warps.
     pub stack: AffineStack,
     /// Affine barrier epoch (§4.2): incremented when the affine warp
@@ -88,32 +88,59 @@ pub struct AffineCtx {
     /// Per-warp launch masks: which lanes hold live threads (the last warp
     /// of a ragged block is partial). Lanes outside these masks carry no
     /// architectural state.
-    exist: Vec<u32>,
+    exist: [u32; MAX_CTA_WARPS],
     regs: Vec<Option<AffineVal>>,
     preds: Vec<Option<PredVal>>,
 }
 
 impl AffineCtx {
-    /// Create the context for a CTA with per-warp launch masks.
+    /// Create the context for a CTA with per-warp launch masks (one per
+    /// warp of the CTA).
     pub fn new(
         slot: usize,
         cta_linear: u64,
         cta_coords: (u32, u32, u32),
-        warps: Vec<usize>,
-        launch_masks: Vec<u32>,
+        launch_masks: &[u32],
         kernel: &Kernel,
     ) -> Self {
-        AffineCtx {
+        let mut ctx = AffineCtx {
             slot,
             cta_linear,
             cta_coords,
-            warps,
-            exist: launch_masks.clone(),
+            warps: 0,
             stack: AffineStack::new(launch_masks),
             epoch: 0,
-            regs: vec![None; kernel.num_regs as usize],
-            preds: vec![None; kernel.num_preds as usize],
-        }
+            exist: [0; MAX_CTA_WARPS],
+            regs: Vec::new(),
+            preds: Vec::new(),
+        };
+        ctx.relaunch(slot, cta_linear, cta_coords, launch_masks, kernel);
+        ctx
+    }
+
+    /// Reset the context for a new CTA, as [`AffineCtx::new`] builds it,
+    /// keeping its storage: a retired CTA's context serves the next launch
+    /// without allocating.
+    pub fn relaunch(
+        &mut self,
+        slot: usize,
+        cta_linear: u64,
+        cta_coords: (u32, u32, u32),
+        launch_masks: &[u32],
+        kernel: &Kernel,
+    ) {
+        self.slot = slot;
+        self.cta_linear = cta_linear;
+        self.cta_coords = cta_coords;
+        self.warps = launch_masks.len();
+        self.stack.reset(launch_masks);
+        self.epoch = 0;
+        self.exist = [0; MAX_CTA_WARPS];
+        self.exist[..self.warps].copy_from_slice(launch_masks);
+        self.regs.clear();
+        self.regs.resize(kernel.num_regs as usize, None);
+        self.preds.clear();
+        self.preds.resize(kernel.num_preds as usize, None);
     }
 
     /// Has the affine stream finished for this CTA?
@@ -122,7 +149,7 @@ impl AffineCtx {
     }
 
     fn num_warps(&self) -> usize {
-        self.warps.len()
+        self.warps
     }
 
     fn operand_val(&self, op: Operand, launch: &LaunchCtx) -> AffineVal {
@@ -289,37 +316,30 @@ impl AffineCtx {
 
     fn write_reg(&mut self, r: u16, v: AffineVal, write_masks: &[u32]) {
         let nw = self.num_warps();
+        let exist = &self.exist[..nw];
         let merged = match &v {
-            AffineVal::Tuple(t) => AffineVal::merge_masked(
-                self.regs[r as usize].as_ref(),
-                *t,
-                write_masks,
-                &self.exist,
-                nw,
-            )
-            .expect("divergent tuple limit exceeded (compiler bug)"),
+            AffineVal::Tuple(t) => {
+                AffineVal::merge_masked(self.regs[r as usize].as_ref(), *t, write_masks, exist, nw)
+                    .expect("divergent tuple limit exceeded (compiler bug)")
+            }
             // Divergent results under partial masks: merge tuple by tuple.
             AffineVal::Divergent(d) => {
                 let mut cur = self.regs[r as usize].clone();
                 for (i, t) in d.tuples.iter().enumerate() {
-                    let masks: Vec<u32> = (0..nw)
-                        .map(|w| {
-                            let mut m = 0u32;
-                            for lane in 0..32 {
-                                if d.select[w][lane] as usize == i
-                                    && write_masks[w] & (1 << lane) != 0
-                                {
-                                    m |= 1 << lane;
-                                }
+                    let mut masks = [0u32; MAX_CTA_WARPS];
+                    for (w, m) in masks[..nw].iter_mut().enumerate() {
+                        for lane in 0..32 {
+                            if d.select[w][lane] as usize == i && write_masks[w] & (1 << lane) != 0
+                            {
+                                *m |= 1 << lane;
                             }
-                            m
-                        })
-                        .collect();
+                        }
+                    }
                     if masks.iter().all(|&m| m == 0) {
                         continue;
                     }
                     cur = Some(
-                        AffineVal::merge_masked(cur.as_ref(), *t, &masks, &self.exist, nw)
+                        AffineVal::merge_masked(cur.as_ref(), *t, &masks[..nw], exist, nw)
                             .expect("divergent tuple limit exceeded (compiler bug)"),
                     );
                 }
@@ -351,9 +371,9 @@ impl AffineCtx {
             return (PredVal::Uniform(r), PeuClass::Scalar);
         }
         let nw = self.num_warps();
-        let mut per_warp = Vec::with_capacity(nw);
+        let mut per_warp = [0u32; MAX_CTA_WARPS];
         let mut all_uniform = true;
-        for w in 0..nw {
+        for (w, out) in per_warp[..nw].iter_mut().enumerate() {
             let mut bits = 0u32;
             for lane in 0..32 {
                 let coords = launch.coords(w, lane);
@@ -371,7 +391,7 @@ impl AffineCtx {
             if bits != 0 && bits != u32::MAX {
                 all_uniform = false;
             }
-            per_warp.push(bits);
+            *out = bits;
         }
         let class = if all_uniform {
             PeuClass::TwoCompare
@@ -411,15 +431,21 @@ impl AffineCtx {
                 srcs,
                 guard,
             } => {
-                let vals: Vec<AffineVal> = srcs[..op.arity()]
-                    .iter()
-                    .map(|&s| self.operand_val(s, launch))
-                    .collect();
-                let v = self.eval_alu(*op, &vals, launch);
-                let masks: Vec<u32> = (0..self.num_warps())
-                    .map(|w| self.stack.active(w) & self.guard_bits(*guard, w))
-                    .collect();
-                self.write_reg(*dst, v, &masks);
+                let arity = op.arity();
+                let vals: [AffineVal; 3] = std::array::from_fn(|i| {
+                    if i < arity {
+                        self.operand_val(srcs[i], launch)
+                    } else {
+                        AffineVal::scalar(0)
+                    }
+                });
+                let v = self.eval_alu(*op, &vals[..arity], launch);
+                let nw = self.num_warps();
+                let mut masks = [0u32; MAX_CTA_WARPS];
+                for (w, m) in masks[..nw].iter_mut().enumerate() {
+                    *m = self.stack.active(w) & self.guard_bits(*guard, w);
+                }
+                self.write_reg(*dst, v, &masks[..nw]);
                 self.stack.advance();
             }
             Instr::Sel { dst, pred, a, b } => {
@@ -453,7 +479,7 @@ impl AffineCtx {
                     AffineVal::Divergent(DivergentVal { tuples, select })
                 };
                 let masks = self.stack.active_masks();
-                self.write_reg(*dst, v, &masks);
+                self.write_reg(*dst, v, &masks[..nw]);
                 self.stack.advance();
             }
             Instr::SetP {
@@ -485,16 +511,20 @@ impl AffineCtx {
             }
             Instr::Bra { target, pred } => {
                 let rpc = reconv[pc];
-                let taken: Vec<u32> = match pred {
-                    None => vec![u32::MAX; self.num_warps()],
-                    Some(PredSrc::Reg(g)) => (0..self.num_warps())
-                        .map(|w| self.guard_bits(Some(*g), w))
-                        .collect(),
+                let nw = self.num_warps();
+                let mut taken = [u32::MAX; MAX_CTA_WARPS];
+                match pred {
+                    None => {}
+                    Some(PredSrc::Reg(g)) => {
+                        for (w, t) in taken[..nw].iter_mut().enumerate() {
+                            *t = self.guard_bits(Some(*g), w);
+                        }
+                    }
                     Some(PredSrc::Deq { .. }) => {
                         unreachable!("affine stream cannot dequeue")
                     }
-                };
-                self.stack.branch(&taken, *target, rpc);
+                }
+                self.stack.branch(&taken[..nw], *target, rpc);
             }
             Instr::Bar => {
                 // §4.2: the affine warp does not block at barriers; the AEU
@@ -538,20 +568,20 @@ impl AffineCtx {
                 )
             }
         };
-        let per_warp = (0..self.num_warps())
-            .filter_map(|w| {
-                let active = self.stack.active(w);
-                // A warp with no active lane never reaches this enq.
-                (active != 0).then(|| AtqWarp {
-                    warp: w,
-                    warp_global: self.warps[w],
-                    bits: match kind {
-                        QueueKind::Pred => pred.map_or(0, |p| p.warp_bits(w)),
-                        _ => active & self.guard_bits(guard, w),
-                    },
-                })
-            })
-            .collect();
+        let mut left = 0u32;
+        let mut bits = [0u32; MAX_CTA_WARPS];
+        for (w, b) in bits[..self.num_warps()].iter_mut().enumerate() {
+            let active = self.stack.active(w);
+            // A warp with no active lane never reaches this enq.
+            if active == 0 {
+                continue;
+            }
+            left |= 1 << w;
+            *b = match kind {
+                QueueKind::Pred => pred.map_or(0, |p| p.warp_bits(w)),
+                _ => active & self.guard_bits(guard, w),
+            };
+        }
         AtqEntry {
             slot: self.slot,
             kind,
@@ -559,8 +589,8 @@ impl AffineCtx {
             space,
             val,
             cta_linear: self.cta_linear,
-            per_warp,
-            next: 0,
+            left,
+            bits,
             epoch: self.epoch,
         }
     }
@@ -613,12 +643,12 @@ LOOP:
         let reconv = Cfg::build(kernel).reconvergence;
         let mut queues = DacQueues::new(16, 64, 64, 64);
         let nw = launch.config.warps_per_cta() as usize;
+        queues.launch_slot(0, &(0..nw).collect::<Vec<_>>());
         let mut ctx = AffineCtx::new(
             0,
             cta,
             launch.config.grid.unflatten(cta),
-            (0..nw).collect(),
-            vec![u32::MAX; nw],
+            &vec![u32::MAX; nw],
             kernel,
         );
         let mut fuel = 10_000;
@@ -636,28 +666,21 @@ LOOP:
         let (kernel, launch) = figure4_affine();
         let (_ctx, queues) = run_ctx(&kernel, &launch, 1);
         // dim=3 iterations × (1 data + 1 addr + 1 pred) enqueues.
-        let data: Vec<&AtqEntry> = queues
-            .atq
+        let atq = queues.atq_entries();
+        let data: Vec<&AtqEntry> = atq
             .iter()
+            .copied()
             .filter(|e| e.kind == QueueKind::Data)
             .collect();
-        let addr = queues
-            .atq
-            .iter()
-            .filter(|e| e.kind == QueueKind::Addr)
-            .count();
-        let pred = queues
-            .atq
-            .iter()
-            .filter(|e| e.kind == QueueKind::Pred)
-            .count();
+        let addr = atq.iter().filter(|e| e.kind == QueueKind::Addr).count();
+        let pred = atq.iter().filter(|e| e.kind == QueueKind::Pred).count();
         assert_eq!(data.len(), 3);
         assert_eq!(addr, 3);
         assert_eq!(pred, 3);
         // First data enq: addresses A + (cta*64 + tid)*4 — for CTA 1,
         // warp 0 lane 0 → 0x10000 + 64*4.
         let e0 = data[0];
-        assert_eq!(e0.per_warp.len(), 2); // 64 threads = 2 warps
+        assert_eq!(e0.left.count_ones(), 2); // 64 threads = 2 warps
         assert_eq!(e0.lane_addrs(0, &launch).get(0), Some(0x10000 + 256));
         assert_eq!(e0.lane_addrs(0, &launch).get(5), Some(0x10000 + 256 + 20));
         assert_eq!(e0.lane_addrs(1, &launch).get(0), Some(0x10000 + 256 + 128));
@@ -671,14 +694,14 @@ LOOP:
         let (kernel, launch) = figure4_affine();
         let (_ctx, queues) = run_ctx(&kernel, &launch, 0);
         let preds: Vec<&AtqEntry> = queues
-            .atq
-            .iter()
+            .atq_entries()
+            .into_iter()
             .filter(|e| e.kind == QueueKind::Pred)
             .collect();
         // dim=3: p = (dim != i+1) → true, true, false.
-        assert_eq!(preds[0].per_warp[0].bits, u32::MAX);
-        assert_eq!(preds[1].per_warp[0].bits, u32::MAX);
-        assert_eq!(preds[2].per_warp[0].bits, 0);
+        assert_eq!(preds[0].bits[0], u32::MAX);
+        assert_eq!(preds[1].bits[0], u32::MAX);
+        assert_eq!(preds[2].bits[0], 0);
     }
 
     #[test]
@@ -709,7 +732,7 @@ JOIN:
         };
         let launch = LaunchCtx::new(&launch);
         let (_ctx, queues) = run_ctx(&k, &launch, 0);
-        let e = &queues.atq[0];
+        let e = queues.atq_entries()[0];
         // Lanes 0..32 (warp 0): tid < 40 ⇒ addr = base.
         assert_eq!(e.lane_addrs(0, &launch).get(3), Some(0x1000));
         // Warp 1 lane 7 → tid 39 < 40 ⇒ base; lane 8 → tid 40 ⇒ base+160.
@@ -722,7 +745,8 @@ JOIN:
         let (kernel, launch) = figure4_affine();
         let reconv = Cfg::build(&kernel).reconvergence;
         let mut queues = DacQueues::new(16, 64, 64, 64);
-        let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), vec![0, 1], vec![u32::MAX; 2], &kernel);
+        queues.launch_slot(0, &[0, 1]);
+        let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), &[u32::MAX; 2], &kernel);
         let mut classes = Vec::new();
         while !ctx.done() {
             let (o, c) = ctx.exec_one(&kernel, &reconv, &launch, &mut queues);
@@ -741,7 +765,8 @@ JOIN:
         let (kernel, launch) = figure4_affine();
         let reconv = Cfg::build(&kernel).reconvergence;
         let mut queues = DacQueues::new(16, 2, 64, 64); // tiny ATQ
-        let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), vec![0, 1], vec![u32::MAX; 2], &kernel);
+        queues.launch_slot(0, &[0, 1]);
+        let mut ctx = AffineCtx::new(0, 0, (0, 0, 0), &[u32::MAX; 2], &kernel);
         let mut outcomes = Vec::new();
         for _ in 0..64 {
             let (o, _) = ctx.exec_one(&kernel, &reconv, &launch, &mut queues);
@@ -751,7 +776,7 @@ JOIN:
             }
         }
         assert!(outcomes.contains(&ExecOutcome::AtqFull));
-        assert_eq!(queues.atq.len(), 2);
+        assert_eq!(queues.atq_len(), 2);
     }
 
     #[test]
@@ -767,6 +792,6 @@ JOIN:
         };
         let (ctx, queues) = run_ctx(&k, &LaunchCtx::new(&launch), 0);
         assert_eq!(ctx.epoch, 1);
-        assert_eq!(queues.atq[0].epoch, 1);
+        assert_eq!(queues.atq_entries()[0].epoch, 1);
     }
 }

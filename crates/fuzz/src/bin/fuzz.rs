@@ -8,12 +8,12 @@
 //! Every run simulates every kernel on every selected design: a verdict is
 //! always about the simulator this binary was built from.
 
-use simt_fuzz::diff::{check_designs, digest_words, oracle_memory, DiffConfig, DiffFailure};
+use simt_fuzz::diff::{check_designs, oracle_memory, DiffConfig, DiffFailure};
 use simt_fuzz::gen::gen_spec;
 use simt_fuzz::reduce::{reduce, repro_asm};
 use simt_harness::job::MAX_JOBS;
 use simt_harness::json::Value;
-use simt_harness::WorkerPool;
+use simt_harness::{digest_words, WorkerPool};
 use std::path::PathBuf;
 
 use gpu_workloads::Design;

@@ -213,17 +213,6 @@ pub fn check_designs(
     Ok(runs)
 }
 
-/// FNV-1a digest of a word vector, little-endian: the `oracle_digest` of
-/// a `fuzz` summary line, computed the way the harness digests a job's
-/// output words.
-pub fn digest_words(words: &[u32]) -> u64 {
-    let mut bytes = Vec::with_capacity(words.len() * 4);
-    for word in words {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
-    simt_harness::fnv1a64(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

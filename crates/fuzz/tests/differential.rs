@@ -31,8 +31,8 @@ fn differential_window_alt_seed() {
 /// abbr, same kernel, same initial memory image, same oracle digest.
 #[test]
 fn workload_construction_is_deterministic() {
-    use simt_fuzz::diff::digest_words;
     use simt_fuzz::run_oracle;
+    use simt_harness::digest_words;
     for index in [0u64, 3, 7] {
         let a = gen_spec(0x5EED, index).build_workload();
         let b = gen_spec(0x5EED, index).build_workload();

@@ -8,7 +8,16 @@ use std::path::Path;
 /// 64-bit FNV-1a. Stable across platforms and releases — cache file names
 /// and output digests must not change under us (unlike `DefaultHasher`).
 pub const fn fnv1a64(bytes: &[u8]) -> u64 {
-    let (mut h, mut i) = (0xcbf2_9ce4_8422_2325u64, 0);
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// The 64-bit FNV-1a hash of no bytes, where [`fnv1a64_extend`] starts.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue the 64-bit FNV-1a hash `h` over `bytes`: hashing a message in
+/// pieces gives [`fnv1a64`] of the whole.
+pub const fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
     while i < bytes.len() {
         h = (h ^ bytes[i] as u64).wrapping_mul(0x0000_0100_0000_01b3);
         i += 1;
@@ -57,6 +66,7 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     fn tree(tag: &str) -> PathBuf {

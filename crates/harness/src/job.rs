@@ -2,7 +2,7 @@
 //! configuration overrides`, plus everything needed to key it in the result
 //! cache and serialize it into artifacts.
 
-use crate::fnv1a64;
+use crate::hash::{fnv1a64, fnv1a64_extend, FNV1A64_OFFSET};
 use dac_core::DacConfig;
 use gpu_workloads::{gpu_for, run_design, run_scenario_design, Design, Scenario, Workload};
 use simt_sim::{GpuConfig, GpuSim, KernelReport, PlacementPolicy, SimReport};
@@ -406,13 +406,13 @@ impl Job {
     }
 }
 
-/// FNV-1a digest of a word vector, little-endian.
-fn digest_words(words: &[u32]) -> u64 {
-    let mut bytes = Vec::with_capacity(words.len() * 4);
-    for word in words {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
-    fnv1a64(&bytes)
+/// The digest of a word vector: [`fnv1a64`] of its little-endian bytes,
+/// folded in a word at a time rather than copied out first. A job's
+/// `output_digest`, and the `oracle_digest` of a `fuzz` summary line.
+pub fn digest_words(words: &[u32]) -> u64 {
+    words.iter().fold(FNV1A64_OFFSET, |h, word| {
+        fnv1a64_extend(h, &word.to_le_bytes())
+    })
 }
 
 /// What a job produced. Everything here round-trips through the cache and

@@ -51,7 +51,8 @@ pub use cache::ResultCache;
 pub use gpu_workloads::Design;
 pub use hash::fnv1a64;
 pub use job::{
-    cache_key, DesignPoint, Job, JobResult, Overrides, Payload, PayloadKind, CACHE_VERSION,
+    cache_key, digest_words, DesignPoint, Job, JobResult, Overrides, Payload, PayloadKind,
+    CACHE_VERSION,
 };
 pub use knobs::{refuse_idle_knobs, Knob, KNOBS};
 pub use pool::{panic_message, WorkerPool};

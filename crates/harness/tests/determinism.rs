@@ -6,7 +6,7 @@
 
 use gpu_workloads::{all_benchmarks, all_scenarios, benchmark, divergence_stress};
 use simt_harness::{
-    artifact, scenario_jobs, suite_jobs, DesignPoint, Harness, Job, JobResult, Overrides,
+    artifact, scenario_jobs, suite_jobs, Design, DesignPoint, Harness, Job, JobResult, Overrides,
 };
 use simt_sim::PlacementPolicy;
 use simt_trace::{TraceEvent, Tracer};
@@ -154,9 +154,11 @@ fn tracing_does_not_perturb_results() {
 /// The set: the 29 benchmarks × 4 designs on a 2-SM machine and on the
 /// full chip, the 29 benchmarks on perfect memory on 2 SMs, the three
 /// scenarios × both placement policies and the stress corpus on 2 SMs,
-/// and the `chip_memory` benchmark set (BFS, SPV, LIB at scale 2) on the
-/// full chip. Minutes in a debug build; CI runs it
-/// in release mode
+/// the `chip_memory` benchmark set (BFS, SPV, LIB at scale 2) on the
+/// full chip, and the 29 benchmarks under DAC on 2 SMs with a one-entry
+/// ATQ (the affine warp waits on a full ATQ) and with one PWAQ/PWPQ entry
+/// per warp at full occupancy (the expansion units wait on queue room).
+/// Minutes in a debug build; CI runs it in release mode
 /// (`cargo test --release -p simt-harness --test determinism --
 /// --include-ignored`).
 #[test]
@@ -203,9 +205,28 @@ fn sleep_matches_the_ticking_reference_everywhere() {
         &DesignPoint::HW_ALL,
         &full_chip(),
     ));
+    let blocked = [
+        Overrides {
+            atq_entries: Some(1),
+            ..small(None)
+        },
+        Overrides {
+            pwaq_total: Some(48),
+            pwpq_total: Some(48),
+            ..small(None)
+        },
+    ];
+    for overrides in &blocked {
+        set.extend(suite_jobs(
+            all_benchmarks(1),
+            1,
+            &[DesignPoint::Hw(Design::Dac)],
+            overrides,
+        ));
+    }
     assert_eq!(
         set.len(),
-        29 * 4 * 2 + 29 + 3 * 2 * 4 + divergence_stress().len() * 4 + 12
+        29 * 4 * 2 + 29 + 3 * 2 * 4 + divergence_stress().len() * 4 + 12 + 29 * 2
     );
     for job in &set {
         assert_sleep_exact(job);

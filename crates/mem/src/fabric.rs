@@ -18,6 +18,7 @@ use crate::config::MemConfig;
 use crate::dram::{DramPartition, DramRequest};
 use crate::fxhash::FxHashMap;
 use crate::mshr::{MshrTable, MshrTarget};
+use crate::ring::IdRing;
 use crate::stats::MemStats;
 use simt_trace::{StallCause, TraceClient, TraceEvent, TraceReqKind, Tracer};
 use std::collections::VecDeque;
@@ -225,8 +226,9 @@ struct Partition {
     /// The next cycle the DRAM queue walk can start a request
     /// ([`DramPartition::cycle`]), or `now` after a push.
     dram_due: u64,
-    /// Outstanding DRAM reads by id. FxHashMap: hot path, never iterated.
-    inflight: FxHashMap<u64, MemRequest>,
+    /// Outstanding DRAM reads by DRAM id. A writeback takes an id and
+    /// leaves a hole.
+    inflight: IdRing<MemRequest>,
     next_id: u64,
     /// Dirty L2 evictions written back to DRAM (partition-local slice of
     /// [`MemStats::writebacks`]).
@@ -474,7 +476,7 @@ impl Partition {
         // 3. Completed DRAM reads → fill L2, route to SM.
         let mut filled = false;
         while let Some(done) = self.dram.pop_done(now) {
-            let req = match self.inflight.remove(&done.id) {
+            let req = match self.inflight.remove(done.id) {
                 Some(r) => r,
                 None => continue,
             };
@@ -552,7 +554,7 @@ impl MemoryFabric {
                 l2: Cache::new(cfg.l2_size_per_partition, cfg.l2_ways, cfg.line_bytes),
                 dram: DramPartition::new(&cfg),
                 dram_due: u64::MAX,
-                inflight: FxHashMap::default(),
+                inflight: IdRing::default(),
                 next_id: 0,
                 writebacks: 0,
             })
@@ -986,7 +988,10 @@ impl MemoryFabric {
         [
             line(
                 "partitions (inq/dram-reads/dram-queue@due)",
-                &mut parts.map(|p| (p.inq.len(), p.inflight.len(), p.dram.pending(), p.due)),
+                &mut parts.map(|p| {
+                    let reads = p.inflight.values().count();
+                    (p.inq.len(), reads, p.dram.pending(), p.due)
+                }),
             ),
             line(
                 "sm-ports (incoming/ready/mshr@due)",

@@ -26,6 +26,7 @@ pub mod dram;
 pub mod fabric;
 pub mod fxhash;
 pub mod mshr;
+pub mod ring;
 pub mod sparse;
 pub mod stats;
 
@@ -35,6 +36,7 @@ pub use dram::DramPartition;
 pub use fabric::{AccessOutcome, Client, MemRequest, MemResponse, MemoryFabric, ReqKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mshr::MshrTable;
+pub use ring::IdRing;
 pub use sparse::{LaneAddrs, SparseMemory};
 pub use stats::MemStats;
 

@@ -14,12 +14,13 @@ use crate::coalesce::{coalesce_into, Transaction};
 use crate::config::GpuConfig;
 use crate::coproc::{CoCtx, CoProcessor, DeqGate, IssueCost, RecordKind};
 use crate::stats::SimStats;
-use crate::warp::WarpState;
+use crate::warp::{WarpState, WarpStorage};
 use simt_ir::cfg::DefTarget;
 use simt_ir::eval::{cmp_lanes, eval_lanes, Lanes};
 use simt_ir::{AddrMode, AtomOp, Cfg, Instr, PredId, PredSrc, Program, RegId, Space};
 use simt_mem::{
-    AccessOutcome, Client, LaneAddrs, MemRequest, MemResponse, MemoryFabric, ReqKind, SparseMemory,
+    AccessOutcome, Client, IdRing, LaneAddrs, MemRequest, MemResponse, MemoryFabric, ReqKind,
+    SparseMemory,
 };
 use simt_trace::{StallCause, TraceEvent, Tracer};
 use std::collections::VecDeque;
@@ -341,6 +342,8 @@ pub struct Sm {
     /// Warp slots. Private: `class`, `free_warps` and `resident` mirror
     /// these two vectors and are only kept in step by this module.
     warps: Vec<Option<WarpState>>,
+    /// Retired warps' heap storage, which launches reuse.
+    spare_warps: Vec<WarpStorage>,
     /// CTA slots.
     cta_slots: Vec<Option<CtaInfo>>,
     schedulers: Vec<Scheduler>,
@@ -370,13 +373,9 @@ pub struct Sm {
     /// awake; while asleep, the first timed event — the next writeback
     /// due, a coprocessor deadline (`u64::MAX`: until woken).
     due: u64,
-    /// In-flight loads/atomics indexed by token: entry `i` tracks token
-    /// `first_token + i`. Responses arrive in any order and stores take
-    /// tokens untracked, so entries between the oldest and the newest
-    /// live token may be holes (`None`); the front is never one.
-    outstanding: VecDeque<Option<LoadTrack>>,
-    /// The token of `outstanding`'s front.
-    first_token: u64,
+    /// In-flight loads/atomics by token. Responses arrive in any order
+    /// and stores take tokens untracked (holes).
+    outstanding: IdRing<LoadTrack>,
     next_token: u64,
     /// Reusable scratch buffers for the per-cycle hot path (see DESIGN.md
     /// "Simulator performance"); cleared before each use, never observed
@@ -417,6 +416,7 @@ impl Sm {
         Sm {
             id,
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
+            spare_warps: Vec::new(),
             cta_slots: (0..cfg.max_ctas_per_sm).map(|_| None).collect(),
             schedulers: (0..cfg.schedulers)
                 .map(|s| {
@@ -443,8 +443,7 @@ impl Sm {
             lsu_sent: false,
             asleep_since: None,
             due: 0,
-            outstanding: VecDeque::new(),
-            first_token: 0,
+            outstanding: IdRing::default(),
             next_token: 0,
             resp_scratch: Vec::new(),
             txn_scratch: Vec::new(),
@@ -555,7 +554,9 @@ impl Sm {
             } else {
                 (1u32 << live) - 1
             };
-            self.warps[id] = Some(WarpState::new(id, slot, cta_linear, w, kctx.program, mask));
+            let storage = self.spare_warps.pop().unwrap_or_default();
+            let warp = WarpState::launch(storage, id, slot, cta_linear, w, kctx.program, mask);
+            self.warps[id] = Some(warp);
             warp_ids.push(id);
         }
         self.dirty.extend_from_slice(&warp_ids);
@@ -878,27 +879,14 @@ impl Sm {
         let token = self.next_token;
         self.next_token += 1;
         if let Some(track) = track {
-            if self.outstanding.is_empty() {
-                self.first_token = token;
-            }
-            let holes = token - self.first_token - self.outstanding.len() as u64;
-            self.outstanding
-                .extend(std::iter::repeat_n(None, holes as usize));
-            self.outstanding.push_back(Some(track));
+            self.outstanding.insert(token, track);
         }
         token
     }
 
-    /// Stop tracking `token`, whose response arrived, and drop the holes
-    /// that leaves at the front.
+    /// Stop tracking `token`, whose response arrived.
     fn untrack(&mut self, token: u64) -> Option<LoadTrack> {
-        let i = token.checked_sub(self.first_token)?;
-        let track = self.outstanding.get_mut(i as usize)?.take()?;
-        while self.outstanding.front().is_some_and(Option::is_none) {
-            self.outstanding.pop_front();
-            self.first_token += 1;
-        }
-        Some(track)
+        self.outstanding.remove(token)
     }
 
     /// Deliver the fabric responses ready at `now`; were there any?
@@ -1674,12 +1662,13 @@ impl Sm {
             // clear scoreboard means no memory response is outstanding.
             debug_assert!(!self
                 .outstanding
-                .iter()
-                .flatten()
+                .values()
                 .any(|t| cta.warps.contains(&t.warp)));
             let cta = self.cta_slots[slot].take().unwrap();
             for &wid in &cta.warps {
-                self.warps[wid] = None;
+                if let Some(warp) = self.warps[wid].take() {
+                    self.spare_warps.push(warp.into_storage());
+                }
             }
             self.dirty.extend_from_slice(&cta.warps);
             self.free_warps += cta.warps.len();
@@ -1781,8 +1770,7 @@ mod tests {
                 assert!(sm.untrack(stray).is_none(), "token {stray} at step {step}");
             }
             assert_eq!(sm.outstanding.is_empty(), model.is_empty(), "step {step}");
-            assert!(sm.outstanding.front().is_none_or(Option::is_some));
-            assert_eq!(sm.outstanding.iter().flatten().count(), model.len());
+            assert_eq!(sm.outstanding.values().count(), model.len());
         }
     }
 

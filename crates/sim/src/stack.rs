@@ -19,8 +19,8 @@ pub struct StackEntry {
     pub mask: u32,
 }
 
-/// The SIMT stack of one warp.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The SIMT stack of one warp. The default stack is empty: done.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimtStack {
     entries: Vec<StackEntry>,
     exited: u32,
@@ -29,14 +29,20 @@ pub struct SimtStack {
 impl SimtStack {
     /// New stack: all lanes in `mask` start at PC 0.
     pub fn new(mask: u32) -> Self {
-        SimtStack {
-            entries: vec![StackEntry {
-                pc: 0,
-                rpc: usize::MAX,
-                mask,
-            }],
-            exited: 0,
-        }
+        let mut s = SimtStack::default();
+        s.reset(mask);
+        s
+    }
+
+    /// Start over as [`SimtStack::new`] does, keeping the entry storage.
+    pub fn reset(&mut self, mask: u32) {
+        self.entries.clear();
+        self.entries.push(StackEntry {
+            pc: 0,
+            rpc: usize::MAX,
+            mask,
+        });
+        self.exited = 0;
     }
 
     /// Current PC (top of stack).

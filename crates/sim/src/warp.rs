@@ -4,6 +4,17 @@ use crate::stack::SimtStack;
 use simt_ir::eval::Lanes;
 use simt_ir::{LaunchConfig, Operand, PredId, Program, RegId, SpecialReg, Value};
 
+/// The heap storage of a retired warp: [`WarpState::launch`] builds the
+/// next warp in it.
+#[derive(Debug, Default)]
+pub struct WarpStorage {
+    stack: SimtStack,
+    regs: Vec<Value>,
+    preds: Vec<u32>,
+    pending_regs: Vec<u32>,
+    pending_preds: Vec<u32>,
+}
+
 /// Full architectural + pipeline state of one resident warp.
 #[derive(Debug, Clone)]
 pub struct WarpState {
@@ -45,7 +56,10 @@ impl WarpState {
     /// Create warp `warp_in_cta` of CTA `cta_linear` of `program` (a
     /// `launch.block` shaped block at `launch.grid` coordinates) with the
     /// kernel's register and predicate storage and `mask` live lanes.
-    pub fn new(
+    /// `storage`, a retired warp's heap storage (or the default, empty
+    /// one), holds its vectors, so a reused storage allocates nothing.
+    pub fn launch(
+        storage: WarpStorage,
         id: usize,
         cta_slot: usize,
         cta_linear: u64,
@@ -54,7 +68,10 @@ impl WarpState {
         mask: u32,
     ) -> Self {
         let launch = &program.launch;
-        let (num_regs, num_preds) = (program.kernel.num_regs, program.kernel.num_preds);
+        let (num_regs, num_preds) = (
+            program.kernel.num_regs as usize,
+            program.kernel.num_preds as usize,
+        );
         let first = warp_in_cta as u64 * 32;
         let coords: [_; 32] =
             std::array::from_fn(|lane| launch.block.unflatten(first + lane as u64));
@@ -63,22 +80,50 @@ impl WarpState {
             coords.map(|c| Value::from(c.1)),
             coords.map(|c| Value::from(c.2)),
         ];
+        let WarpStorage {
+            mut stack,
+            mut regs,
+            mut preds,
+            mut pending_regs,
+            mut pending_preds,
+        } = storage;
+        stack.reset(mask);
+        let zeroed = |v: &mut Vec<u32>, n: usize| {
+            v.clear();
+            v.resize(n, 0);
+        };
+        regs.clear();
+        regs.resize(num_regs * 32, 0);
+        zeroed(&mut preds, num_preds);
+        zeroed(&mut pending_regs, num_regs);
+        zeroed(&mut pending_preds, num_preds);
         WarpState {
             id,
             cta_slot,
             cta_linear,
             cta_coords: launch.grid.unflatten(cta_linear),
             warp_in_cta,
-            stack: SimtStack::new(mask),
-            regs: vec![0; num_regs as usize * 32],
+            stack,
+            regs,
             tid,
-            preds: vec![0; num_preds as usize],
-            pending_regs: vec![0; num_regs as usize],
-            pending_preds: vec![0; num_preds as usize],
+            preds,
+            pending_regs,
+            pending_preds,
             pending_total: 0,
             at_barrier: false,
             launch_mask: mask,
             last_issue: 0,
+        }
+    }
+
+    /// The warp's heap storage, for the next warp launched in its place.
+    pub fn into_storage(self) -> WarpStorage {
+        WarpStorage {
+            stack: self.stack,
+            regs: self.regs,
+            preds: self.preds,
+            pending_regs: self.pending_regs,
+            pending_preds: self.pending_preds,
         }
     }
 
@@ -238,7 +283,15 @@ mod tests {
             kernel,
             launch: l.clone(),
         };
-        WarpState::new(0, 0, cta_linear, warp_in_cta, &program, mask)
+        WarpState::launch(
+            WarpStorage::default(),
+            0,
+            0,
+            cta_linear,
+            warp_in_cta,
+            &program,
+            mask,
+        )
     }
 
     #[test]
